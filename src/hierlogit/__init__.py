@@ -9,32 +9,24 @@ from .errors import (
     BadDimensionsError,
     DegenerateShareError,
     DuplicateProductError,
-    EmptyChoiceSetError,
     EmptyInputError,
     HierLogitError,
     MarketFileError,
     NoConvergenceError,
     OutOfDomainError,
     SingularDesignError,
-    UnknownGroupError,
-    UnknownProductError,
-    UnknownSubgroupError,
 )
 from .hierarchy import (
     OUTSIDE_ID,
     ChoiceHierarchy,
-    GroupNode,
     NestingParams,
     UtilityVector,
     build_hierarchy,
     validate_params,
 )
-from .inversion import RegressionRow, berry_invert, numeric_invert, regression_rows
+from .inversion import berry_invert, numeric_invert, regression_rows
 from .jacobian import (
     ShareJacobian,
-    d_cond_product,
-    d_cond_subgroup,
-    d_group,
     fd_jacobian,
     full_jacobian,
     log_share_jacobian,
@@ -44,19 +36,12 @@ from .montecarlo import (
     ChoiceCounts,
     SimConfig,
     empirical_shares,
-    sample_gumbel,
     simulate_choices,
 )
 from .shares import (
     InclusiveValues,
     ShareTable,
     compute_shares,
-    conditional_product_shares,
-    conditional_subgroup_shares,
-    group_inclusive_value,
-    group_shares,
-    subgroup_inclusive_value,
-    top_inclusive_value,
 )
 from .synth import EstimationResult, SynthConfig, estimate_linear, generate_market
 
@@ -70,48 +55,32 @@ __all__ = [
     "ChoiceHierarchy",
     "DegenerateShareError",
     "DuplicateProductError",
-    "EmptyChoiceSetError",
     "EmptyInputError",
     "EstimationResult",
-    "GroupNode",
     "HierLogitError",
     "InclusiveValues",
     "MarketFileError",
     "NestingParams",
     "NoConvergenceError",
     "OutOfDomainError",
-    "RegressionRow",
     "ShareJacobian",
     "ShareTable",
     "SimConfig",
     "SingularDesignError",
     "SynthConfig",
-    "UnknownGroupError",
-    "UnknownProductError",
-    "UnknownSubgroupError",
     "UtilityVector",
     "berry_invert",
     "build_hierarchy",
     "compute_shares",
-    "conditional_product_shares",
-    "conditional_subgroup_shares",
-    "d_cond_product",
-    "d_cond_subgroup",
-    "d_group",
     "empirical_shares",
     "estimate_linear",
     "fd_jacobian",
     "full_jacobian",
     "generate_market",
-    "group_inclusive_value",
-    "group_shares",
     "log_share_jacobian",
     "max_relative_error",
     "numeric_invert",
     "regression_rows",
-    "sample_gumbel",
     "simulate_choices",
-    "subgroup_inclusive_value",
-    "top_inclusive_value",
     "validate_params",
 ]

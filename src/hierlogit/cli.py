@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -146,12 +147,7 @@ def read_market_csv(path) -> list:
     return blocks
 
 
-def read_params_json(path) -> NestingParams:
-    """Read and validate a params JSON file.
-
-    Raises MarketFileError on parse problems and OutOfDomainError when a
-    sigma falls outside [0, 1).
-    """
+def _read_json_object(path) -> dict:
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -161,6 +157,16 @@ def read_params_json(path) -> NestingParams:
         raise MarketFileError(f"{path}: invalid JSON: {err}") from None
     if not isinstance(obj, dict):
         raise MarketFileError(f"{path}: expected a JSON object")
+    return obj
+
+
+def read_params_json(path) -> NestingParams:
+    """Read and validate a params JSON file.
+
+    Raises MarketFileError on parse problems and OutOfDomainError when a
+    sigma falls outside [0, 1).
+    """
+    obj = _read_json_object(path)
     values = []
     for key in ("sigma1", "sigma2"):
         value = obj.get(key)
@@ -222,8 +228,10 @@ def _require_delta_mode(block: MarketBlock) -> None:
 
 
 def _product_rows(hierarchy: ChoiceHierarchy):
+    keys = hierarchy.subgroup_keys
+    subgroups = hierarchy.product_subgroup.tolist()
     for pos, product_id in enumerate(hierarchy.products):
-        group_id, subgroup_id, _ = hierarchy.product_index[product_id]
+        group_id, subgroup_id = keys[subgroups[pos]]
         yield pos, group_id, subgroup_id, product_id
 
 
@@ -432,6 +440,7 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
 @_mapped_errors
 def cmd_simulate(input_path, params_path, draws, seed, output_path):
     """Simulate sequential choices and compare frequencies to analytic shares."""
+    config = SimConfig(draws=draws, seed=seed)
     params = read_params_json(params_path)
     blocks = read_market_csv(input_path)
     buf = io.StringIO()
@@ -443,9 +452,7 @@ def cmd_simulate(input_path, params_path, draws, seed, output_path):
     for block in blocks:
         _require_delta_mode(block)
         with _market_scope(block.market_id):
-            counts = simulate_choices(
-                block.hierarchy, block.values, params, SimConfig(draws=draws, seed=seed)
-            )
+            counts = simulate_choices(block.hierarchy, block.values, params, config)
             table, _ = compute_shares(block.hierarchy, block.values, params)
         freq, _ = empirical_shares(counts)
         share = np.append(table.joint, table.outside)
@@ -501,40 +508,40 @@ def cmd_estimate(config_path, output_path):
 
 
 def _read_synth_config(path) -> SynthConfig:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as err:
-        raise MarketFileError(f"{path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise MarketFileError(f"{path}: invalid JSON: {err}") from None
-    if not isinstance(obj, dict):
-        raise MarketFileError(f"{path}: expected a JSON object")
+    obj = _read_json_object(path)
 
-    def number(key, default=None):
-        value = obj.get(key, default)
+    def number(key, value, kind=float):
+        """``kind(value)`` for a finite JSON number, which must be integral for int."""
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise OutOfDomainError(f"config {key} missing or not a number")
-        return value
+        if isinstance(value, float) and not math.isfinite(value):
+            raise OutOfDomainError(f"config {key}={value!r} is not finite")
+        if kind is int and value != int(value):
+            raise OutOfDomainError(f"config {key}={value!r} must be an integer")
+        try:
+            return kind(value)
+        except OverflowError:
+            raise OutOfDomainError(f"config {key} is out of range") from None
+
+    def field(key, default=None, kind=float):
+        return number(key, obj.get(key, default), kind)
 
     beta = obj.get("beta")
-    if not isinstance(beta, list) or not beta or any(
-        isinstance(b, bool) or not isinstance(b, (int, float)) for b in beta
-    ):
+    if not isinstance(beta, list) or not beta:
         raise OutOfDomainError("config beta must be a nonempty list of numbers")
     x_range = obj.get("x_range", [0.0, 1.0])
     if not isinstance(x_range, list) or len(x_range) != 2:
         raise OutOfDomainError("config x_range must be [lo, hi]")
     return SynthConfig(
-        n_groups=int(number("n_groups")),
-        n_subgroups_per_group=int(number("n_subgroups_per_group")),
-        n_products_per_subgroup=int(number("n_products_per_subgroup")),
-        beta=tuple(float(b) for b in beta),
-        x_range=(float(x_range[0]), float(x_range[1])),
-        xi_scale=float(number("xi_scale", 0.0)),
-        sigma1=float(number("sigma1")),
-        sigma2=float(number("sigma2")),
-        seed=int(number("seed", 0)),
+        n_groups=field("n_groups", kind=int),
+        n_subgroups_per_group=field("n_subgroups_per_group", kind=int),
+        n_products_per_subgroup=field("n_products_per_subgroup", kind=int),
+        beta=tuple(number("beta", b) for b in beta),
+        x_range=tuple(number("x_range", v) for v in x_range),
+        xi_scale=field("xi_scale", 0.0),
+        sigma1=field("sigma1"),
+        sigma2=field("sigma2"),
+        seed=field("seed", 0, int),
     )
 
 

@@ -17,10 +17,6 @@ class OutOfDomainError(HierLogitError):
     """A parameter or utility value lies outside its valid domain."""
 
 
-class EmptyChoiceSetError(HierLogitError):
-    """A choice set contains no alternatives at all (not even the outside option)."""
-
-
 class DegenerateShareError(HierLogitError):
     """A share is zero, negative, or otherwise unusable for inversion."""
 
@@ -31,18 +27,6 @@ class NoConvergenceError(HierLogitError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class UnknownProductError(HierLogitError):
-    """A product id is not part of the hierarchy."""
-
-
-class UnknownSubgroupError(HierLogitError):
-    """A (group, subgroup) pair is not part of the hierarchy."""
-
-
-class UnknownGroupError(HierLogitError):
-    """A group id is not part of the hierarchy."""
 
 
 class BadDimensionsError(HierLogitError):

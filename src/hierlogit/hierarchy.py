@@ -4,13 +4,13 @@ The outside option is never stored as a product: it is an implicit extra
 group whose inclusive value is fixed at zero by every consumer of the tree.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DuplicateProductError, EmptyInputError, OutOfDomainError
 
-#: Reserved id used for the outside option in files and derivative queries.
+#: Reserved id used for the outside option in files.
 OUTSIDE_ID = "_outside"
 
 
@@ -47,32 +47,24 @@ def validate_params(sigma1: float, sigma2: float) -> NestingParams:
     return NestingParams(float(sigma1), float(sigma2), ordering_ok=float(sigma2) <= float(sigma1))
 
 
-@dataclass(frozen=True)
-class GroupNode:
-    """One group: its id and an ordered list of (subgroup_id, product_ids)."""
-
-    group_id: str
-    subgroups: tuple
-
-
 class ChoiceHierarchy:
     """Immutable two-level choice tree with flat index arrays.
 
-    Products, subgroups, and groups are numbered in first-appearance order
-    of the input rows, so share vectors and Jacobian rows have a stable,
-    reproducible layout. Instances are safe to share across threads.
+    Built from a mapping group_id -> subgroup_id -> list of product ids.
+    Products, subgroups, and groups are numbered in the mapping's order
+    (first appearance of the input rows for ``build_hierarchy``), so share
+    vectors and Jacobian rows have a stable, reproducible layout. Instances
+    are safe to share across threads.
 
     Attributes
     ----------
-    groups : tuple of GroupNode
     market_id : str
     products : tuple of str
         Product ids in canonical (first-appearance) order; all arrays and
         utility vectors are aligned to this order.
-    product_index : dict
-        product_id -> (group_id, subgroup_id, position within subgroup).
     subgroup_keys : tuple of (group_id, subgroup_id)
-        Flat enumeration of subgroups.
+        Flat enumeration of subgroups; ``subgroup_keys[product_subgroup[j]]``
+        names the group and subgroup of product j.
     group_ids : tuple of str
     product_subgroup, product_group : int arrays over products
         Flat subgroup/group index of each product.
@@ -80,42 +72,27 @@ class ChoiceHierarchy:
         Flat group index of each subgroup.
     """
 
-    def __init__(self, groups, market_id=""):
-        self.groups = tuple(groups)
+    def __init__(self, tree, market_id=""):
         self.market_id = market_id
 
         products = []
-        product_index = {}
         subgroup_keys = []
-        group_ids = []
-        prod_sub = []
-        prod_grp = []
         sub_grp = []
-        for gi, node in enumerate(self.groups):
-            group_ids.append(node.group_id)
-            for subgroup_id, product_ids in node.subgroups:
-                si = len(subgroup_keys)
-                subgroup_keys.append((node.group_id, subgroup_id))
+        sub_size = []
+        for gi, (group_id, subgroups) in enumerate(tree.items()):
+            for subgroup_id, product_ids in subgroups.items():
+                subgroup_keys.append((group_id, subgroup_id))
                 sub_grp.append(gi)
-                for pos, pid in enumerate(product_ids):
-                    product_index[pid] = (node.group_id, subgroup_id, pos)
-                    products.append(pid)
-                    prod_sub.append(si)
-                    prod_grp.append(gi)
+                sub_size.append(len(product_ids))
+                products.extend(product_ids)
 
         self.products = tuple(products)
-        self.product_index = product_index
         self.subgroup_keys = tuple(subgroup_keys)
-        self.group_ids = tuple(group_ids)
-        self.product_subgroup = np.asarray(prod_sub, dtype=np.intp)
-        self.product_group = np.asarray(prod_grp, dtype=np.intp)
+        self.group_ids = tuple(tree)
         self.subgroup_group = np.asarray(sub_grp, dtype=np.intp)
-        self._position = {pid: i for i, pid in enumerate(products)}
-        # product positions per subgroup; row order within the tree is not
-        # necessarily contiguous, so keep explicit index arrays
-        self.products_in_subgroup = tuple(
-            np.flatnonzero(self.product_subgroup == si) for si in range(len(subgroup_keys))
-        )
+        # products of one subgroup are contiguous in canonical order
+        self.product_subgroup = np.repeat(np.arange(len(subgroup_keys), dtype=np.intp), sub_size)
+        self.product_group = self.subgroup_group[self.product_subgroup]
 
     @property
     def n_products(self):
@@ -127,11 +104,7 @@ class ChoiceHierarchy:
 
     @property
     def n_groups(self):
-        return len(self.groups)
-
-    def position(self, product_id: str) -> int:
-        """Canonical position of a product id."""
-        return self._position[product_id]
+        return len(self.group_ids)
 
     def __repr__(self):
         return (
@@ -140,17 +113,21 @@ class ChoiceHierarchy:
         )
 
 
+def _finite_utilities(values) -> np.ndarray:
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.all(np.isfinite(values)):
+        raise OutOfDomainError("utility values must all be finite")
+    return values
+
+
 @dataclass(frozen=True)
 class UtilityVector:
     """Mean utilities, one per inside product, aligned to hierarchy order."""
 
-    values: np.ndarray = field()
+    values: np.ndarray
 
     def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if not np.all(np.isfinite(values)):
-            raise OutOfDomainError("utility values must all be finite")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _finite_utilities(self.values))
 
     def __len__(self):
         return len(self.values)
@@ -169,10 +146,6 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
     DuplicateProductError
         If a product id occurs twice anywhere in the market.
     """
-    rows = list(rows)
-    if not rows:
-        raise EmptyInputError("cannot build a hierarchy from zero rows")
-
     seen = set()
     tree: dict = {}
     for group_id, subgroup_id, product_id in rows:
@@ -184,22 +157,16 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
             raise DuplicateProductError(f"product id {product_id!r} appears more than once")
         seen.add(product_id)
         tree.setdefault(group_id, {}).setdefault(subgroup_id, []).append(product_id)
-
-    groups = tuple(
-        GroupNode(group_id, tuple((sid, tuple(pids)) for sid, pids in subs.items()))
-        for group_id, subs in tree.items()
-    )
-    return ChoiceHierarchy(groups, market_id=market_id)
+    if not tree:
+        raise EmptyInputError("cannot build a hierarchy from zero rows")
+    return ChoiceHierarchy(tree, market_id=market_id)
 
 
 def as_delta_array(hierarchy: ChoiceHierarchy, delta) -> np.ndarray:
     """Coerce a UtilityVector or array-like to a validated float array."""
-    values = delta.values if isinstance(delta, UtilityVector) else np.asarray(delta, dtype=float)
-    values = np.atleast_1d(values)
+    values = delta.values if isinstance(delta, UtilityVector) else _finite_utilities(delta)
     if values.shape != (hierarchy.n_products,):
         raise OutOfDomainError(
             f"expected {hierarchy.n_products} utilities, got shape {values.shape}"
         )
-    if not np.all(np.isfinite(values)):
-        raise OutOfDomainError("utility values must all be finite")
-    return values.astype(float, copy=False)
+    return values

@@ -12,8 +12,6 @@ cross-check: it exercises the analytic Jacobian end to end and must agree
 with the closed form to tight tolerance.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateShareError, NoConvergenceError, OutOfDomainError
@@ -21,21 +19,7 @@ from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector
 from .jacobian import log_share_jacobian
 from .shares import ShareTable, compute_shares
 
-__all__ = ["RegressionRow", "berry_invert", "regression_rows", "numeric_invert"]
-
-
-@dataclass(frozen=True)
-class RegressionRow:
-    """One product's slice of the log-linear share identity.
-
-    y = log(s_jhg/s_0), x1 = log s_{j|hg}, x2 = log s_{h|g}; the identity
-    y = delta_j + sigma1*x1 + sigma2*x2 holds exactly for model shares.
-    """
-
-    product_id: str
-    y: float
-    x1: float
-    x2: float
+__all__ = ["berry_invert", "regression_rows", "numeric_invert"]
 
 
 def _require_interior(table: ShareTable) -> None:
@@ -63,17 +47,16 @@ def berry_invert(table: ShareTable, params: NestingParams) -> UtilityVector:
     return UtilityVector(delta)
 
 
-def regression_rows(table: ShareTable) -> list:
-    """Regressand and regressors of the share identity, one row per product."""
+def regression_rows(table: ShareTable) -> tuple:
+    """Regressand and regressors of the share identity as arrays ``(y, x1, x2)``.
+
+    y = log(s_jhg/s_0), x1 = log s_{j|hg}, x2 = log s_{h|g}, each aligned to
+    ``hierarchy.products``; the identity y = delta_j + sigma1*x1 + sigma2*x2
+    holds exactly for model shares.
+    """
     _require_interior(table)
-    sub_of = table.hierarchy.product_subgroup
     y = table.log_joint - table.log_outside
-    x1 = table.log_cond_product
-    x2 = table.log_cond_subgroup[sub_of]
-    return [
-        RegressionRow(product_id=pid, y=float(y[i]), x1=float(x1[i]), x2=float(x2[i]))
-        for i, pid in enumerate(table.hierarchy.products)
-    ]
+    return y, table.log_cond_product, table.log_cond_subgroup[table.hierarchy.product_subgroup]
 
 
 def numeric_invert(

@@ -7,8 +7,7 @@ The full Jacobian entry is assembled by the product rule
                         + s_{j|hg} * s_{h|g} * d s_g
 
 where each conditional derivative is one of three cases (same subgroup,
-sibling subgroup in the same group, different group). The scalar case
-functions below expose those pieces one entry at a time; ``full_jacobian``
+sibling subgroup in the same group, different group). ``full_jacobian``
 evaluates the composed sum for all pairs at once in vectorized form.
 
 Writing a = 1/(1-sigma1) and b = 1/(1-sigma2), the composed sum collapses
@@ -27,15 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownGroupError, UnknownProductError, UnknownSubgroupError
-from .hierarchy import OUTSIDE_ID, ChoiceHierarchy, NestingParams
+from .hierarchy import ChoiceHierarchy, NestingParams, as_delta_array
 from .shares import ShareTable, compute_shares
 
 __all__ = [
     "ShareJacobian",
-    "d_cond_product",
-    "d_cond_subgroup",
-    "d_group",
     "log_share_jacobian",
     "full_jacobian",
     "fd_jacobian",
@@ -55,93 +50,6 @@ class ShareJacobian:
 
     matrix: np.ndarray
     outside_row: np.ndarray
-
-
-def _product_pos(table: ShareTable, product_id: str) -> int:
-    try:
-        return table.hierarchy.position(product_id)
-    except KeyError:
-        raise UnknownProductError(f"unknown product id {product_id!r}") from None
-
-
-def _subgroup_pos(table: ShareTable, subgroup) -> int:
-    keys = table.hierarchy.subgroup_keys
-    if isinstance(subgroup, tuple):
-        try:
-            return keys.index(subgroup)
-        except ValueError:
-            raise UnknownSubgroupError(f"unknown subgroup {subgroup!r}") from None
-    hits = [i for i, (_, sid) in enumerate(keys) if sid == subgroup]
-    if len(hits) == 1:
-        return hits[0]
-    if not hits:
-        raise UnknownSubgroupError(f"unknown subgroup id {subgroup!r}")
-    raise UnknownSubgroupError(
-        f"subgroup id {subgroup!r} appears in several groups; pass (group_id, subgroup_id)"
-    )
-
-
-def d_cond_product(table: ShareTable, j: str, k: str, params: NestingParams) -> float:
-    """d s_{j|hg} / d delta_k, one entry of the within-subgroup case table.
-
-    a*cp_j*(1-cp_j) for k = j, -a*cp_j*cp_k for k in the same subgroup,
-    zero otherwise, with a = 1/(1-sigma1).
-    """
-    pj = _product_pos(table, j)
-    pk = _product_pos(table, k)
-    h = table.hierarchy
-    if h.product_subgroup[pj] != h.product_subgroup[pk]:
-        return 0.0
-    a = 1.0 / (1.0 - params.sigma1)
-    cp = table.cond_product
-    if pj == pk:
-        return float(a * cp[pj] * (1.0 - cp[pj]))
-    return float(-a * cp[pj] * cp[pk])
-
-
-def d_cond_subgroup(table: ShareTable, subgroup, k: str, params: NestingParams) -> float:
-    """d s_{h|g} / d delta_k for subgroup h and product k.
-
-    ``subgroup`` is a (group_id, subgroup_id) pair, or a bare subgroup id
-    when unambiguous. b*cs_h*cp_k*(1-cs_h) when k lies in h, and
-    -b*cs_h*cs_h'*cp_k when k lies in a sibling subgroup h' of the same
-    group, with b = 1/(1-sigma2); zero when k belongs to another group.
-    """
-    sh = _subgroup_pos(table, subgroup)
-    pk = _product_pos(table, k)
-    h = table.hierarchy
-    sk = h.product_subgroup[pk]
-    if h.subgroup_group[sh] != h.subgroup_group[sk]:
-        return 0.0
-    b = 1.0 / (1.0 - params.sigma2)
-    cs = table.cond_subgroup
-    cp_k = table.cond_product[pk]
-    if sk == sh:
-        return float(b * cs[sh] * cp_k * (1.0 - cs[sh]))
-    return float(-b * cs[sh] * cs[sk] * cp_k)
-
-
-def d_group(table: ShareTable, group_id: str, k: str, params: NestingParams) -> float:
-    """d s_g / d delta_k for group g and product k.
-
-    s_k*(1-s_g) when k lies inside g and -s_g*s_k otherwise, with s_k the
-    joint share of k. ``group_id`` may be OUTSIDE_ID: the outside option
-    behaves as a group with inclusive value pinned at zero, giving
-    ds_0/ddelta_k = -s_0*s_k.
-    """
-    pk = _product_pos(table, k)
-    joint_k = table.joint[pk]
-    if group_id == OUTSIDE_ID:
-        return float(-table.outside * joint_k)
-    h = table.hierarchy
-    try:
-        g = h.group_ids.index(group_id)
-    except ValueError:
-        raise UnknownGroupError(f"unknown group id {group_id!r}") from None
-    gs = table.group[g]
-    if h.product_group[pk] == g:
-        return float(joint_k * (1.0 - gs))
-    return float(-gs * joint_k)
 
 
 def log_share_jacobian(table: ShareTable, params: NestingParams) -> np.ndarray:
@@ -181,7 +89,7 @@ def fd_jacobian(
     hierarchy: ChoiceHierarchy, delta, params: NestingParams, step: float = 1e-6
 ) -> ShareJacobian:
     """Central-difference approximation (s(delta+h e_k) - s(delta-h e_k)) / 2h."""
-    delta = np.asarray(delta, dtype=float) if not hasattr(delta, "values") else delta.values
+    delta = as_delta_array(hierarchy, delta)
     n = hierarchy.n_products
     matrix = np.empty((n, n))
     outside_row = np.empty(n)

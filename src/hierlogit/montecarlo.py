@@ -5,8 +5,8 @@ Gumbel shocks: pick the group maximizing I_g + z_g (the outside option
 enters with inclusive value 0 and its own shock), then the subgroup
 maximizing I_hg + (1-sigma2)*z_h within the chosen group, then the product
 maximizing delta_j + (1-sigma1)*e_j within the chosen subgroup. Additive
-stage constants drop out of every argmax and are omitted; the
-``stage_constants`` hook exists so tests can verify that invariance.
+stage constants (the Euler-constant terms of the stage value functions)
+drop out of every argmax and are omitted.
 
 Determinism is positional: consumer i always consumes the same aligned
 block of the Philox counter stream for a given seed, whatever the chunk
@@ -26,7 +26,6 @@ from .shares import compute_shares
 __all__ = [
     "SimConfig",
     "ChoiceCounts",
-    "sample_gumbel",
     "simulate_choices",
     "empirical_shares",
 ]
@@ -51,6 +50,9 @@ class SimConfig:
             raise OutOfDomainError(f"draws={self.draws!r} must be >= 1")
         if int(self.chunk_size) < 1:
             raise OutOfDomainError(f"chunk_size={self.chunk_size!r} must be >= 1")
+        # the Philox key is 128 bits wide
+        if not 0 <= int(self.seed) < 2**128:
+            raise OutOfDomainError(f"seed={self.seed!r} must lie in [0, 2**128)")
 
 
 @dataclass(frozen=True)
@@ -69,13 +71,6 @@ def _gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
     return -np.log(-np.log(np.maximum(u, _TINY_UNIFORM)))
 
 
-def sample_gumbel(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard Gumbel draws via -log(-log(u)), u uniform on (0,1)."""
-    if n < 1:
-        raise OutOfDomainError(f"n={n!r} must be >= 1")
-    return _gumbel_from_uniform(rng.random(n))
-
-
 def _draw_stride(hierarchy: ChoiceHierarchy) -> int:
     raw = (hierarchy.n_groups + 1) + hierarchy.n_subgroups + hierarchy.n_products
     return -(-raw // _WORDS_PER_ADVANCE) * _WORDS_PER_ADVANCE
@@ -86,24 +81,16 @@ def simulate_choices(
     delta,
     params: NestingParams,
     config: SimConfig,
-    stage_constants=(0.0, 0.0, 0.0),
 ) -> ChoiceCounts:
-    """Simulate ``config.draws`` sequential choices and tally them.
-
-    ``stage_constants`` adds a common constant to every alternative of the
-    group, subgroup, and product stage respectively; any values leave the
-    counts unchanged (argmax invariance), which is exactly the role of the
-    Euler-constant terms in the stage value functions.
-    """
+    """Simulate ``config.draws`` sequential choices and tally them."""
     delta = as_delta_array(hierarchy, delta)
     _, iv = compute_shares(hierarchy, delta, params)
     n_grp = hierarchy.n_groups
     n_sub = hierarchy.n_subgroups
     n_prod = hierarchy.n_products
     stride = _draw_stride(hierarchy)
-    c_grp, c_sub, c_prod = (float(c) for c in stage_constants)
 
-    group_values = np.append(iv.group, 0.0) + c_grp
+    group_values = np.append(iv.group, 0.0)
     sub_scale = 1.0 - params.sigma2
     prod_scale = 1.0 - params.sigma1
 
@@ -125,11 +112,11 @@ def simulate_choices(
         # index n_grp is the outside option; ties break toward lower index
         chosen_grp = np.argmax(group_values[None, :] + z_grp, axis=1)
 
-        v_sub = iv.subgroup[None, :] + sub_scale * z_sub + c_sub
+        v_sub = iv.subgroup[None, :] + sub_scale * z_sub
         v_sub[hierarchy.subgroup_group[None, :] != chosen_grp[:, None]] = -np.inf
         chosen_sub = np.argmax(v_sub, axis=1)
 
-        v_prod = delta[None, :] + prod_scale * z_prod + c_prod
+        v_prod = delta[None, :] + prod_scale * z_prod
         v_prod[hierarchy.product_subgroup[None, :] != chosen_sub[:, None]] = -np.inf
         chosen_prod = np.argmax(v_prod, axis=1)
 

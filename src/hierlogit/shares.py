@@ -21,20 +21,12 @@ the three conditionals down its branch.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import EmptyChoiceSetError
 from .hierarchy import ChoiceHierarchy, NestingParams, as_delta_array
 
 __all__ = [
     "InclusiveValues",
     "ShareTable",
-    "subgroup_inclusive_value",
-    "group_inclusive_value",
-    "top_inclusive_value",
-    "conditional_product_shares",
-    "conditional_subgroup_shares",
-    "group_shares",
     "compute_shares",
 ]
 
@@ -119,75 +111,21 @@ class ShareTable:
         )
 
 
-def subgroup_inclusive_value(deltas, sigma1: float) -> float:
-    """Inclusive value of one subgroup: (1-sigma1) * log sum exp(delta/(1-sigma1))."""
-    scale = 1.0 - sigma1
-    return scale * float(logsumexp(np.asarray(deltas, dtype=float) / scale))
+def _segment_log_softmax(x: np.ndarray, segment: np.ndarray, n_segments: int):
+    """Max-shifted log-sum-exp of x per segment and log softmax of x within it.
 
-
-def group_inclusive_value(subgroup_values, sigma2: float) -> float:
-    """Inclusive value of one group from its subgroup inclusive values."""
-    scale = 1.0 - sigma2
-    return scale * float(logsumexp(np.asarray(subgroup_values, dtype=float) / scale))
-
-
-def top_inclusive_value(group_values, include_outside: bool = True) -> float:
-    """Top-level inclusive value, log sum exp over group inclusive values.
-
-    The outside option contributes exp(0) = 1 when included.
-
-    Raises
-    ------
-    EmptyChoiceSetError
-        If there are no groups and the outside option is excluded.
-    """
-    values = np.asarray(group_values, dtype=float)
-    if include_outside:
-        values = np.append(values, 0.0)
-    if values.size == 0:
-        raise EmptyChoiceSetError("no groups and no outside option: nothing to choose")
-    return float(logsumexp(values))
-
-
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    return x - logsumexp(x)
-
-
-def _segment_logsumexp(x: np.ndarray, segment: np.ndarray, n_segments: int) -> np.ndarray:
-    """Max-shifted log-sum-exp of x within each segment, all segments at once.
-
-    Every segment is nonempty by hierarchy construction, so the per-segment
-    peak is always finite for finite x.
+    Returns ``(lse, log_softmax)``. The log softmax is formed from the
+    shifted values x - peak and the small log of their sum, never as
+    x - lse: at |x| ~ 1e6 (utilities of 700 over 1 - sigma = 1e-3) the
+    rounding of lse alone would move every share of a segment by ~1e-10
+    in the same direction. Every segment is nonempty by hierarchy
+    construction, so the per-segment peak is finite for finite x.
     """
     peak = np.full(n_segments, -np.inf)
     np.maximum.at(peak, segment, x)
-    total = np.bincount(segment, weights=np.exp(x - peak[segment]), minlength=n_segments)
-    return peak + np.log(total)
-
-
-def conditional_product_shares(deltas, sigma1: float) -> np.ndarray:
-    """P(product | subgroup): softmax of delta/(1-sigma1) within one subgroup."""
-    x = np.asarray(deltas, dtype=float) / (1.0 - sigma1)
-    return np.exp(_log_softmax(x))
-
-
-def conditional_subgroup_shares(subgroup_values, sigma2: float) -> np.ndarray:
-    """P(subgroup | group): softmax of I_sub/(1-sigma2) within one group."""
-    x = np.asarray(subgroup_values, dtype=float) / (1.0 - sigma2)
-    return np.exp(_log_softmax(x))
-
-
-def group_shares(group_values, include_outside: bool = True):
-    """P(group) for every group plus the outside share.
-
-    Returns ``(shares, outside_share)``; ``outside_share`` is 0.0 when the
-    outside option is excluded.
-    """
-    values = np.asarray(group_values, dtype=float)
-    top = top_inclusive_value(values, include_outside=include_outside)
-    shares = np.exp(values - top)
-    outside = float(np.exp(-top)) if include_outside else 0.0
-    return shares, outside
+    shifted = x - peak[segment]
+    log_total = np.log(np.bincount(segment, weights=np.exp(shifted), minlength=n_segments))
+    return peak + log_total, shifted - log_total[segment]
 
 
 def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
@@ -203,18 +141,24 @@ def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
 
     x = delta / a1
     # log of the per-subgroup sum S = sum exp(delta/(1-sigma1)), i.e. I_sub/(1-sigma1)
-    log_s = _segment_logsumexp(x, hierarchy.product_subgroup, hierarchy.n_subgroups)
+    log_s, log_cond_product = _segment_log_softmax(
+        x, hierarchy.product_subgroup, hierarchy.n_subgroups
+    )
     iv_sub = a1 * log_s
 
     y = iv_sub / a2
-    log_t = _segment_logsumexp(y, hierarchy.subgroup_group, hierarchy.n_groups)
+    log_t, log_cond_subgroup = _segment_log_softmax(
+        y, hierarchy.subgroup_group, hierarchy.n_groups
+    )
     iv_grp = a2 * log_t
-    iv_top = float(logsumexp(np.append(iv_grp, 0.0)))
 
-    log_cond_product = x - log_s[hierarchy.product_subgroup]
-    log_cond_subgroup = y - log_t[hierarchy.subgroup_group]
-    log_group = iv_grp - iv_top
-    log_outside = -iv_top
+    # the outside option is one more alternative with value 0 at the top
+    top_segment = np.zeros(hierarchy.n_groups + 1, dtype=np.intp)
+    log_top, log_choice = _segment_log_softmax(np.append(iv_grp, 0.0), top_segment, 1)
+    iv_top = float(log_top[0])
+    log_group = log_choice[:-1]
+    log_outside = float(log_choice[-1])
+
     log_joint = (
         log_cond_product
         + log_cond_subgroup[hierarchy.product_subgroup]

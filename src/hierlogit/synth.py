@@ -13,14 +13,13 @@ that needs instruments and is out of scope here.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BadDimensionsError, OutOfDomainError, SingularDesignError
 from .hierarchy import ChoiceHierarchy, UtilityVector, build_hierarchy
 
 __all__ = ["SynthConfig", "EstimationResult", "generate_market", "estimate_linear"]
 
-# pivot ratio below which the design is declared rank deficient
+# singular-value ratio below which the design is declared rank deficient
 _PIVOT_RTOL = 1e-10
 
 
@@ -62,7 +61,7 @@ def generate_market(config: SynthConfig):
         On nonpositive tree dimensions, an empty beta, or an inverted
         x_range.
     OutOfDomainError
-        On negative xi_scale.
+        On negative xi_scale or seed.
     """
     dims = (config.n_groups, config.n_subgroups_per_group, config.n_products_per_subgroup)
     if any(int(d) < 1 for d in dims):
@@ -76,6 +75,8 @@ def generate_market(config: SynthConfig):
     xi_scale = float(config.xi_scale)
     if xi_scale < 0.0:
         raise OutOfDomainError(f"xi_scale={xi_scale!r} must be nonnegative")
+    if int(config.seed) < 0:
+        raise OutOfDomainError(f"seed={config.seed!r} must be nonnegative")
 
     rows = [
         (f"g{g}", f"h{h}", f"g{g}h{h}p{p}")
@@ -95,24 +96,29 @@ def generate_market(config: SynthConfig):
 def estimate_linear(rows, covariates) -> EstimationResult:
     """Least squares of y on (X, x1, x2) over the supplied regression rows.
 
-    ``rows`` (from ``regression_rows``) and the covariate matrix must be
-    aligned product for product. Solved through a column-pivoted QR of the
-    design matrix; a pivot collapsing below 1e-10 of the largest signals
-    collinear regressors, e.g. x2 identically zero when every group has a
-    single subgroup.
+    ``rows`` is the ``(y, x1, x2)`` triple from ``regression_rows``; it and
+    the covariate matrix must be aligned product for product. Solved by
+    SVD-based least squares; a smallest singular value at or below 1e-10
+    of the largest signals collinear regressors, e.g. x2 identically zero
+    when every group has a single subgroup.
 
     Raises
     ------
+    BadDimensionsError
+        When the three row arrays and the covariates disagree in length.
+    OutOfDomainError
+        On non-finite regressors or regressand.
     SingularDesignError
         On rank-deficient designs or too few rows to identify all
         coefficients.
     """
-    rows = list(rows)
+    y, x1, x2 = (np.asarray(column, dtype=float) for column in rows)
     covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
-    n = len(rows)
-    if covariates.shape[0] != n:
+    n = y.shape[0]
+    if x1.shape != y.shape or x2.shape != y.shape or covariates.shape[0] != n:
         raise BadDimensionsError(
-            f"{n} regression rows but {covariates.shape[0]} covariate rows"
+            f"regression rows of shapes {y.shape}, {x1.shape}, {x2.shape} "
+            f"but {covariates.shape[0]} covariate rows"
         )
     n_coef = covariates.shape[1] + 2
     if n < n_coef:
@@ -120,19 +126,13 @@ def estimate_linear(rows, covariates) -> EstimationResult:
             f"{n} rows cannot identify {n_coef} coefficients"
         )
 
-    design = np.column_stack(
-        [covariates, [r.x1 for r in rows], [r.x2 for r in rows]]
-    )
-    y = np.array([r.y for r in rows])
-
-    q, r, perm = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or not np.all(np.isfinite(diag)) or diag.min() <= _PIVOT_RTOL * diag.max():
+    design = np.column_stack([covariates, x1, x2])
+    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(y))):
+        raise OutOfDomainError("regression rows and covariates must all be finite")
+    coef, _, _, singular = np.linalg.lstsq(design, y, rcond=None)
+    if singular.min() <= _PIVOT_RTOL * singular.max():
         raise SingularDesignError("design matrix is rank deficient (collinear regressors)")
 
-    coef_pivoted = scipy.linalg.solve_triangular(r, q.T @ y)
-    coef = np.empty(n_coef)
-    coef[perm] = coef_pivoted
     residual_norm = float(np.linalg.norm(y - design @ coef))
     return EstimationResult(
         beta_hat=coef[:-2],

@@ -69,7 +69,10 @@ def brute_force_shares(tree, delta, sigma1, sigma2):
     a1 = 1.0 - sigma1
     a2 = 1.0 - sigma2
     sub_sum = np.array(
-        [np.exp(delta[idx] / a1).sum() for idx in tree.products_in_subgroup]
+        [
+            np.exp(delta[tree.product_subgroup == si] / a1).sum()
+            for si in range(tree.n_subgroups)
+        ]
     )
     iv_sub = a1 * np.log(sub_sum)
     grp_sum = np.array(
@@ -89,3 +92,66 @@ def brute_force_shares(tree, delta, sigma1, sigma2):
         gs = np.exp(iv_grp[gi]) / denom
         joint[j] = cp * cs * gs
     return joint, 1.0 / denom
+
+
+# Per-entry derivative oracles: the three cases of the product rule
+#
+#     d s_jhg / d delta_k = d s_{j|hg} * s_{h|g} * s_g
+#                         + s_{j|hg} * d s_{h|g} * s_g
+#                         + s_{j|hg} * s_{h|g} * d s_g
+#
+# one entry at a time, addressed by canonical position. The vectorized
+# ``full_jacobian`` must agree with their composition.
+
+
+def d_cond_product(table, j, k, params):
+    """d s_{j|hg} / d delta_k for products at positions j and k.
+
+    a*cp_j*(1-cp_j) for k = j, -a*cp_j*cp_k for k in the same subgroup,
+    zero otherwise, with a = 1/(1-sigma1).
+    """
+    h = table.hierarchy
+    if h.product_subgroup[j] != h.product_subgroup[k]:
+        return 0.0
+    a = 1.0 / (1.0 - params.sigma1)
+    cp = table.cond_product
+    if j == k:
+        return float(a * cp[j] * (1.0 - cp[j]))
+    return float(-a * cp[j] * cp[k])
+
+
+def d_cond_subgroup(table, sh, k, params):
+    """d s_{h|g} / d delta_k for flat subgroup index sh and product position k.
+
+    b*cs_h*cp_k*(1-cs_h) when k lies in h, and -b*cs_h*cs_h'*cp_k when k
+    lies in a sibling subgroup h' of the same group, with b = 1/(1-sigma2);
+    zero when k belongs to another group.
+    """
+    h = table.hierarchy
+    sk = h.product_subgroup[k]
+    if h.subgroup_group[sh] != h.subgroup_group[sk]:
+        return 0.0
+    b = 1.0 / (1.0 - params.sigma2)
+    cs = table.cond_subgroup
+    cp_k = table.cond_product[k]
+    if sk == sh:
+        return float(b * cs[sh] * cp_k * (1.0 - cs[sh]))
+    return float(-b * cs[sh] * cs[sk] * cp_k)
+
+
+def d_group(table, g, k):
+    """d s_g / d delta_k for group index g and product position k.
+
+    s_k*(1-s_g) when k lies inside g and -s_g*s_k otherwise, with s_k the
+    joint share of k. g = n_groups addresses the outside option, which
+    behaves as a group with inclusive value pinned at zero:
+    ds_0/ddelta_k = -s_0*s_k.
+    """
+    h = table.hierarchy
+    joint_k = table.joint[k]
+    if g == h.n_groups:
+        return float(-table.outside * joint_k)
+    gs = table.group[g]
+    if h.product_group[k] == g:
+        return float(joint_k * (1.0 - gs))
+    return float(-gs * joint_k)

@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import hierlogit
 from hierlogit.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, main
 
 HEADER = "market_id,group_id,subgroup_id,product_id,value"
@@ -279,6 +284,17 @@ def test_simulate_rejects_nonpositive_draws(runner, tmp_path):
     assert result.exit_code == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_simulate_seed_out_of_range_exits_domain(runner, tmp_path, seed):
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
+    params = write_params(tmp_path / "p.json", 0.0, 0.0)
+    result = runner.invoke(
+        main, ["simulate", "--input", market, "--params", params, "--draws", "10", "--seed", seed]
+    )
+    assert result.exit_code == EXIT_DOMAIN
+    assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
+
+
 def _estimate_config(tmp_path, **overrides):
     config = {
         "n_groups": 2,
@@ -337,3 +353,34 @@ def test_estimate_bad_dimensions_exits_domain(runner, tmp_path):
     config = _estimate_config(tmp_path, n_groups=0)
     result = runner.invoke(main, ["estimate", "--config", config])
     assert result.exit_code == EXIT_DOMAIN
+
+
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("n_groups", "2.7"),
+        ("seed", "1.5"),
+        ("n_groups", "1e400"),
+        ("seed", "-1"),
+        ("x_range", '["a", "b"]'),
+    ],
+)
+def test_estimate_invalid_config_value_exits_domain(runner, tmp_path, key, raw):
+    config = json.loads(Path(_estimate_config(tmp_path)).read_text())
+    config.pop(key, None)
+    path = tmp_path / "bad.json"
+    # raw JSON text, so that 1e400 reaches the parser as written
+    path.write_text(json.dumps(config)[:-1] + f', "{key}": {raw}}}')
+    result = runner.invoke(main, ["estimate", "--config", str(path)])
+    assert result.exit_code == EXIT_DOMAIN
+    assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(hierlogit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, hierlogit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -21,13 +21,13 @@ def test_minimal_tree():
     assert tree.n_subgroups == 1
     assert tree.n_products == 1
     assert tree.products == ("p1",)
-    assert tree.product_index["p1"] == ("g1", "h1", 0)
+    assert tree.subgroup_keys[tree.product_subgroup[0]] == ("g1", "h1")
 
 
 def test_product_index_positions():
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h2", "p2"), ("g2", "h3", "p3")])
-    assert tree.product_index["p3"] == ("g2", "h3", 0)
-    assert tree.position("p3") == 2
+    assert tree.products.index("p3") == 2
+    assert tree.subgroup_keys[tree.product_subgroup[2]] == ("g2", "h3")
     assert tree.group_ids == ("g1", "g2")
     assert tree.subgroup_keys == (("g1", "h1"), ("g1", "h2"), ("g2", "h3"))
 
@@ -67,7 +67,9 @@ def test_index_arrays_partition_products():
     rng = np.random.default_rng(4)
     for _ in range(25):
         tree = random_tree(rng)
-        flat = np.concatenate(tree.products_in_subgroup)
+        flat = np.concatenate(
+            [np.flatnonzero(tree.product_subgroup == si) for si in range(tree.n_subgroups)]
+        )
         assert sorted(flat) == list(range(tree.n_products))
         # subgroup/group assignment consistent between product and subgroup maps
         np.testing.assert_array_equal(

@@ -80,20 +80,19 @@ def test_inversion_rejects_degenerate_table():
 def test_regression_rows_symmetric_singleton():
     tree = build_hierarchy([("g1", "h1", "p1")])
     table, _ = compute_shares(tree, [0.0], validate_params(0.4, 0.1))
-    (row,) = regression_rows(table)
-    assert row.product_id == "p1"
-    assert row.y == pytest.approx(0.0, abs=1e-15)
-    assert row.x1 == pytest.approx(0.0, abs=1e-15)
-    assert row.x2 == pytest.approx(0.0, abs=1e-15)
+    y, x1, x2 = regression_rows(table)
+    assert y.shape == x1.shape == x2.shape == (1,)
+    assert y[0] == pytest.approx(0.0, abs=1e-15)
+    assert x1[0] == pytest.approx(0.0, abs=1e-15)
+    assert x2[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_regression_rows_identical_pair():
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
     table, _ = compute_shares(tree, [0.7, 0.7], validate_params(0.0, 0.0))
-    rows = regression_rows(table)
-    for row in rows:
-        assert row.x1 == pytest.approx(np.log(0.5), abs=1e-14)
-        assert row.x2 == pytest.approx(0.0, abs=1e-15)
+    _, x1, x2 = regression_rows(table)
+    np.testing.assert_allclose(x1, np.log(0.5), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(x2, 0.0, rtol=0, atol=1e-15)
 
 
 def test_regression_rows_satisfy_identity():
@@ -101,11 +100,10 @@ def test_regression_rows_satisfy_identity():
     for _ in range(30):
         tree, delta, params = random_instance(rng, dlo=-5, dhi=5)
         table, _ = compute_shares(tree, delta, params)
-        rows = regression_rows(table)
-        assert [r.product_id for r in rows] == list(tree.products)
-        implied = np.array(
-            [r.y - params.sigma1 * r.x1 - params.sigma2 * r.x2 for r in rows]
-        )
+        y, x1, x2 = regression_rows(table)
+        # aligned to tree.products, the order delta is given in
+        assert y.shape == x1.shape == x2.shape == (tree.n_products,)
+        implied = y - params.sigma1 * x1 - params.sigma2 * x2
         np.testing.assert_allclose(implied, delta, rtol=0, atol=1e-12)
 
 

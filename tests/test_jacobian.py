@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from hierlogit import (
-    OUTSIDE_ID,
-    UnknownGroupError,
-    UnknownProductError,
-    UnknownSubgroupError,
     build_hierarchy,
     compute_shares,
-    d_cond_product,
-    d_cond_subgroup,
-    d_group,
     fd_jacobian,
     full_jacobian,
     log_share_jacobian,
@@ -18,7 +11,7 @@ from hierlogit import (
     validate_params,
 )
 
-from helpers import balanced_tree, random_instance
+from helpers import balanced_tree, d_cond_product, d_cond_subgroup, d_group, random_instance
 
 
 @pytest.fixture
@@ -33,11 +26,9 @@ def pair_table():
 def test_d_cond_product_cases(pair_table):
     table, params = pair_table
     # symmetric pair: cp = 1/2, scale 1/(1-0.5) = 2
-    assert d_cond_product(table, "p1", "p1", params) == pytest.approx(0.5, abs=1e-14)
-    assert d_cond_product(table, "p1", "p2", params) == pytest.approx(-0.5, abs=1e-14)
-    assert d_cond_product(table, "p1", "p3", params) == 0.0
-    with pytest.raises(UnknownProductError):
-        d_cond_product(table, "p1", "nope", params)
+    assert d_cond_product(table, 0, 0, params) == pytest.approx(0.5, abs=1e-14)
+    assert d_cond_product(table, 0, 1, params) == pytest.approx(-0.5, abs=1e-14)
+    assert d_cond_product(table, 0, 2, params) == 0.0
 
 
 @pytest.fixture
@@ -52,35 +43,18 @@ def sibling_table():
 def test_d_cond_subgroup_cases(sibling_table):
     table, params = sibling_table
     # cs(h1|g1) = 1/2, cp = 1 in singletons, scale 1/(1-0.5) = 2
-    assert d_cond_subgroup(table, ("g1", "h1"), "p1", params) == pytest.approx(0.5, abs=1e-14)
-    assert d_cond_subgroup(table, ("g1", "h1"), "p2", params) == pytest.approx(-0.5, abs=1e-14)
-    assert d_cond_subgroup(table, ("g1", "h1"), "p3", params) == 0.0
-    # bare subgroup id resolves when unique
-    assert d_cond_subgroup(table, "h1", "p1", params) == pytest.approx(0.5, abs=1e-14)
-    with pytest.raises(UnknownSubgroupError):
-        d_cond_subgroup(table, ("g1", "h9"), "p1", params)
-    with pytest.raises(UnknownSubgroupError):
-        d_cond_subgroup(table, "h9", "p1", params)
-
-
-def test_d_cond_subgroup_ambiguous_bare_id():
-    tree = build_hierarchy([("g1", "h1", "p1"), ("g2", "h1", "p2")])
-    params = validate_params(0.2, 0.1)
-    table, _ = compute_shares(tree, [0.0, 0.0], params)
-    with pytest.raises(UnknownSubgroupError):
-        d_cond_subgroup(table, "h1", "p1", params)
-    assert np.isfinite(d_cond_subgroup(table, ("g1", "h1"), "p1", params))
+    assert d_cond_subgroup(table, 0, 0, params) == pytest.approx(0.5, abs=1e-14)
+    assert d_cond_subgroup(table, 0, 1, params) == pytest.approx(-0.5, abs=1e-14)
+    assert d_cond_subgroup(table, 0, 2, params) == 0.0
 
 
 def test_d_group_singleton_and_outside():
     tree = build_hierarchy([("g1", "h1", "p1")])
     params = validate_params(0.5, 0.25)
     table, _ = compute_shares(tree, [0.0], params)
-    assert d_group(table, "g1", "p1", params) == pytest.approx(0.25, abs=1e-14)
+    assert d_group(table, 0, 0) == pytest.approx(0.25, abs=1e-14)
     # outside option as the implicit group with inclusive value zero
-    assert d_group(table, OUTSIDE_ID, "p1", params) == pytest.approx(-0.25, abs=1e-14)
-    with pytest.raises(UnknownGroupError):
-        d_group(table, "g9", "p1", params)
+    assert d_group(table, 1, 0) == pytest.approx(-0.25, abs=1e-14)
 
 
 def test_d_group_cross_group():
@@ -88,8 +62,8 @@ def test_d_group_cross_group():
     params = validate_params(0.0, 0.0)
     table, _ = compute_shares(tree, [0.0, 0.0], params)
     # three-way symmetric: every share 1/3
-    assert d_group(table, "g1", "p2", params) == pytest.approx(-1 / 9, abs=1e-14)
-    assert d_group(table, "g1", "p1", params) == pytest.approx((1 / 3) * (2 / 3), abs=1e-14)
+    assert d_group(table, 0, 1) == pytest.approx(-1 / 9, abs=1e-14)
+    assert d_group(table, 0, 0) == pytest.approx((1 / 3) * (2 / 3), abs=1e-14)
 
 
 def test_full_jacobian_plain_logit_pair():
@@ -108,32 +82,32 @@ def test_full_jacobian_singleton():
 
 def test_full_jacobian_equals_scalar_case_composition():
     """The vectorized assembly must agree with the entry-by-entry product
-    rule built from the three scalar case functions."""
+    rule built from the three per-entry case oracles."""
     rng = np.random.default_rng(61)
     for _ in range(5):
         tree, delta, params = random_instance(rng, dlo=-3, dhi=3, smax=0.85)
         table, _ = compute_shares(tree, delta, params)
         jac = full_jacobian(tree, delta, params)
-        for j, pj in enumerate(tree.products):
-            gj, sj, _ = tree.product_index[pj]
+        n = tree.n_products
+        for j in range(n):
             si = tree.product_subgroup[j]
             gi = tree.product_group[j]
-            for k, pk in enumerate(tree.products):
+            for k in range(n):
                 composed = (
-                    d_cond_product(table, pj, pk, params)
+                    d_cond_product(table, j, k, params)
                     * table.cond_subgroup[si]
                     * table.group[gi]
                     + table.cond_product[j]
-                    * d_cond_subgroup(table, (gj, sj), pk, params)
+                    * d_cond_subgroup(table, si, k, params)
                     * table.group[gi]
                     + table.cond_product[j]
                     * table.cond_subgroup[si]
-                    * d_group(table, gj, pk, params)
+                    * d_group(table, gi, k)
                 )
                 assert jac.matrix[j, k] == pytest.approx(composed, abs=1e-14)
-        for k, pk in enumerate(tree.products):
+        for k in range(n):
             assert jac.outside_row[k] == pytest.approx(
-                d_group(table, OUTSIDE_ID, pk, params), abs=1e-15
+                d_group(table, tree.n_groups, k), abs=1e-15
             )
 
 

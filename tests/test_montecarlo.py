@@ -8,10 +8,10 @@ from hierlogit import (
     build_hierarchy,
     compute_shares,
     empirical_shares,
-    sample_gumbel,
     simulate_choices,
     validate_params,
 )
+from hierlogit.montecarlo import _gumbel_from_uniform
 
 from helpers import balanced_tree, random_instance
 
@@ -20,18 +20,10 @@ EULER_GAMMA = 0.5772156649015329
 
 def test_gumbel_moments():
     rng = np.random.default_rng(2024)
-    draws = sample_gumbel(rng, 10**6)
+    draws = _gumbel_from_uniform(rng.random(10**6))
     assert abs(draws.mean() - EULER_GAMMA) < 0.005
     assert abs(draws.var() - np.pi**2 / 6) < 0.02
     assert np.all(np.isfinite(draws))
-
-
-def test_gumbel_deterministic_given_state():
-    a = sample_gumbel(np.random.default_rng(5), 1000)
-    b = sample_gumbel(np.random.default_rng(5), 1000)
-    np.testing.assert_array_equal(a, b)
-    with pytest.raises(OutOfDomainError):
-        sample_gumbel(np.random.default_rng(5), 0)
 
 
 def test_symmetric_singleton_frequency():
@@ -81,23 +73,6 @@ def test_counts_invariant_to_chunking():
         assert reference.outside_count == other.outside_count
 
 
-def test_stage_constants_never_change_choices():
-    # common per-stage constants cancel in every argmax, exactly like the
-    # Euler-constant terms of the stage value functions
-    rng = np.random.default_rng(13)
-    tree, delta, params = random_instance(rng, dlo=-2, dhi=2, smax=0.8)
-    base = simulate_choices(tree, delta, params, SimConfig(draws=20_000, seed=17))
-    shifted = simulate_choices(
-        tree,
-        delta,
-        params,
-        SimConfig(draws=20_000, seed=17),
-        stage_constants=(5.5, -3.25, 12.0),
-    )
-    np.testing.assert_array_equal(base.counts, shifted.counts)
-    assert base.outside_count == shifted.outside_count
-
-
 def test_empirical_shares_layout():
     counts = ChoiceCounts(counts=np.array([500_000]), outside_count=500_000)
     freq, se = empirical_shares(counts)
@@ -119,5 +94,9 @@ def test_sim_config_validation():
         SimConfig(draws=0)
     with pytest.raises(OutOfDomainError):
         SimConfig(draws=10, chunk_size=0)
+    for seed in (-1, 2**128):
+        with pytest.raises(OutOfDomainError):
+            SimConfig(draws=10, seed=seed)
+    SimConfig(draws=10, seed=2**128 - 1)
     cfg = SimConfig(draws=10)
     assert cfg.seed == 0 and cfg.chunk_size == 65536

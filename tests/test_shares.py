@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from hierlogit import (
     DegenerateShareError,
-    EmptyChoiceSetError,
     ShareTable,
+    berry_invert,
     build_hierarchy,
     compute_shares,
-    conditional_product_shares,
-    conditional_subgroup_shares,
-    group_inclusive_value,
-    group_shares,
-    subgroup_inclusive_value,
-    top_inclusive_value,
     validate_params,
 )
 
@@ -43,65 +40,87 @@ JOINT_2X2X2 = np.array(
 S0_2X2X2 = 0.11521017323456504836
 
 
+def one_subgroup(deltas, sigma1=0.0, sigma2=0.0):
+    """compute_shares with every product in one subgroup of one group."""
+    tree = build_hierarchy([("g1", "h1", f"p{i}") for i in range(len(deltas))])
+    return compute_shares(tree, deltas, validate_params(sigma1, sigma2))
+
+
+def singleton_subgroups(deltas, sigma2):
+    """compute_shares with one product per subgroup, all in one group.
+
+    At sigma1 = 0 each subgroup inclusive value is its product's utility.
+    """
+    tree = build_hierarchy([("g1", f"h{i}", f"p{i}") for i in range(len(deltas))])
+    return compute_shares(tree, deltas, validate_params(0.0, sigma2))
+
+
+def singleton_groups(deltas):
+    """compute_shares with one product per group: group values are the utilities."""
+    tree = build_hierarchy([(f"g{i}", f"h{i}", f"p{i}") for i in range(len(deltas))])
+    return compute_shares(tree, deltas, validate_params(0.0, 0.0))
+
+
 def test_subgroup_inclusive_value():
-    assert subgroup_inclusive_value([0.0, 0.0], 0.5) == pytest.approx(HALF_LN2, abs=1e-15)
+    assert one_subgroup([0.0, 0.0], 0.5)[1].subgroup[0] == pytest.approx(HALF_LN2, abs=1e-15)
     # singleton log-sum-exp is the identity at any sigma
-    assert subgroup_inclusive_value([-3.7], 0.9) == pytest.approx(-3.7, abs=1e-15)
-    assert subgroup_inclusive_value([1.0, 2.0], 0.5) == pytest.approx(SUB_IV_12_HALF, abs=1e-14)
+    assert one_subgroup([-3.7], 0.9)[1].subgroup[0] == pytest.approx(-3.7, abs=1e-15)
+    assert one_subgroup([1.0, 2.0], 0.5)[1].subgroup[0] == pytest.approx(
+        SUB_IV_12_HALF, abs=1e-14
+    )
 
 
 def test_group_inclusive_value():
-    assert group_inclusive_value([0.0, 0.0], 0.5) == pytest.approx(HALF_LN2, abs=1e-15)
-    assert group_inclusive_value([2.25], 0.3) == pytest.approx(2.25, abs=1e-15)
-    assert group_inclusive_value([0.3465736, 0.0], 0.25) == pytest.approx(
+    assert singleton_subgroups([0.0, 0.0], 0.5)[1].group[0] == pytest.approx(HALF_LN2, abs=1e-15)
+    assert one_subgroup([2.25], 0.0, 0.3)[1].group[0] == pytest.approx(2.25, abs=1e-15)
+    assert singleton_subgroups([0.3465736, 0.0], 0.25)[1].group[0] == pytest.approx(
         GRP_IV_EXAMPLE, abs=1e-14
     )
 
 
 def test_top_inclusive_value():
-    assert top_inclusive_value([0.0]) == pytest.approx(np.log(2.0), abs=1e-15)
-    assert top_inclusive_value([]) == 0.0
-    assert top_inclusive_value([1.0, 2.0]) == pytest.approx(TOP_IV_12, abs=1e-14)
-    with pytest.raises(EmptyChoiceSetError):
-        top_inclusive_value([], include_outside=False)
+    assert singleton_groups([0.0])[1].top == pytest.approx(np.log(2.0), abs=1e-15)
+    assert singleton_groups([1.0, 2.0])[1].top == pytest.approx(TOP_IV_12, abs=1e-14)
 
 
 def test_conditional_product_shares():
-    np.testing.assert_allclose(conditional_product_shares([0.0, 0.0], 0.7), [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(conditional_product_shares([4.2], 0.3), [1.0], atol=0)
+    np.testing.assert_allclose(one_subgroup([0.0, 0.0], 0.7)[0].cond_product, [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(one_subgroup([4.2], 0.3)[0].cond_product, [1.0], atol=0)
     np.testing.assert_allclose(
-        conditional_product_shares([1.0, 2.0], 0.5), COND_PROD_12, atol=1e-15
+        one_subgroup([1.0, 2.0], 0.5)[0].cond_product, COND_PROD_12, atol=1e-15
     )
 
 
 def test_conditional_subgroup_shares():
-    np.testing.assert_allclose(conditional_subgroup_shares([0.0, 0.0], 0.25), [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(conditional_subgroup_shares([-1.0], 0.25), [1.0], atol=0)
     np.testing.assert_allclose(
-        conditional_subgroup_shares([0.2, 0.4], 0.5), COND_SUB_0408, atol=1e-15
+        singleton_subgroups([0.0, 0.0], 0.25)[0].cond_subgroup, [0.5, 0.5], atol=1e-15
+    )
+    np.testing.assert_allclose(one_subgroup([-1.0], 0.0, 0.25)[0].cond_subgroup, [1.0], atol=0)
+    np.testing.assert_allclose(
+        singleton_subgroups([0.2, 0.4], 0.5)[0].cond_subgroup, COND_SUB_0408, atol=1e-15
     )
 
 
 def test_group_shares():
-    shares, s0 = group_shares([0.0])
-    np.testing.assert_allclose(np.append(shares, s0), [0.5, 0.5], atol=1e-15)
-    shares, s0 = group_shares([0.0, 0.0])
-    np.testing.assert_allclose(np.append(shares, s0), [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
-    shares, s0 = group_shares([1.0])
-    np.testing.assert_allclose(np.append(shares, s0), GRP_SHARE_1, atol=1e-15)
-    shares, s0 = group_shares([1.0, 2.0], include_outside=False)
-    assert s0 == 0.0
-    assert shares.sum() == pytest.approx(1.0, abs=1e-14)
+    table, _ = singleton_groups([0.0])
+    np.testing.assert_allclose(np.append(table.group, table.outside), [0.5, 0.5], atol=1e-15)
+    table, _ = singleton_groups([0.0, 0.0])
+    np.testing.assert_allclose(
+        np.append(table.group, table.outside), [1 / 3, 1 / 3, 1 / 3], atol=1e-15
+    )
+    table, _ = singleton_groups([1.0])
+    np.testing.assert_allclose(np.append(table.group, table.outside), GRP_SHARE_1, atol=1e-15)
 
 
 def test_conditional_shares_sum_to_one():
     rng = np.random.default_rng(11)
     for _ in range(50):
-        n = int(rng.integers(1, 9))
-        deltas = rng.uniform(-8, 8, n)
-        sigma = float(rng.uniform(0, 0.95))
-        assert abs(conditional_product_shares(deltas, sigma).sum() - 1.0) < 1e-14
-        assert abs(conditional_subgroup_shares(deltas, sigma).sum() - 1.0) < 1e-14
+        tree, delta, params = random_instance(rng, dlo=-8, dhi=8)
+        table, _ = compute_shares(tree, delta, params)
+        per_subgroup = np.bincount(tree.product_subgroup, weights=table.cond_product)
+        per_group = np.bincount(tree.subgroup_group, weights=table.cond_subgroup)
+        assert np.max(np.abs(per_subgroup - 1.0)) < 1e-14
+        assert np.max(np.abs(per_group - 1.0)) < 1e-14
 
 
 def test_single_product_market_splits_with_outside():
@@ -170,9 +189,9 @@ def test_conditional_shift_invariance():
         table, _ = compute_shares(tree, delta, params)
         si = int(rng.integers(tree.n_subgroups))
         shifted = delta.copy()
-        shifted[tree.products_in_subgroup[si]] += float(rng.uniform(-3, 3))
+        idx = np.flatnonzero(tree.product_subgroup == si)
+        shifted[idx] += float(rng.uniform(-3, 3))
         table2, _ = compute_shares(tree, shifted, params)
-        idx = tree.products_in_subgroup[si]
         np.testing.assert_allclose(
             table.cond_product[idx], table2.cond_product[idx], rtol=0, atol=1e-12
         )
@@ -211,3 +230,44 @@ def test_from_joint_rejects_degenerate_input():
         ShareTable.from_joint(tree, [0.2, -0.1], 0.9)
     with pytest.raises(DegenerateShareError):
         ShareTable.from_joint(tree, [0.2], 0.5)
+
+
+@st.composite
+def ragged_instances(draw):
+    """Trees of 1-3 groups, 1-3 subgroups each, 1-4 products each, with
+    utilities anywhere in [-700, 700] and sigmas up to 0.999.
+
+    The domain edges are drawn on purpose: tied utilities of 700 at
+    sigma = 0.999 are where rounding in the log-sum-exp shows.
+    """
+    sizes = draw(
+        st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3), min_size=1, max_size=3)
+    )
+    rows = [
+        (f"g{g}", f"h{g}.{h}", f"p{g}.{h}.{p}")
+        for g, subgroups in enumerate(sizes)
+        for h, n_products in enumerate(subgroups)
+        for p in range(n_products)
+    ]
+    tree = build_hierarchy(rows)
+    utility = st.one_of(st.sampled_from([-700.0, 0.0, 700.0]), st.floats(-700.0, 700.0))
+    delta = np.array(draw(st.lists(utility, min_size=tree.n_products, max_size=tree.n_products)))
+    sigma = st.one_of(st.sampled_from([0.0, 0.999]), st.floats(0.0, 0.999))
+    return tree, delta, validate_params(draw(sigma), draw(sigma))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ragged_instances())
+def test_kernel_properties_on_ragged_trees(instance):
+    tree, delta, params = instance
+    table, iv = compute_shares(tree, delta, params)
+    assert abs(table.joint.sum() + table.outside - 1.0) <= 1e-12
+
+    top = float(logsumexp(np.append(iv.group, 0.0)))
+    assert abs(iv.top - top) <= 1e-12 * max(1.0, abs(top))
+
+    # the closed form loses about eps * |delta| / (1 - sigma): log shares
+    # carry delta / (1 - sigma) and their rounding is not scaled back down
+    scale = max(1.0, float(np.max(np.abs(delta)))) / min(1.0 - params.sigma1, 1.0 - params.sigma2)
+    recovered = berry_invert(table, params).values
+    np.testing.assert_allclose(recovered, delta, rtol=0, atol=16 * np.finfo(float).eps * scale)

@@ -56,6 +56,8 @@ def test_generate_market_validation():
         generate_market(SynthConfig(2, 2, 2, beta=(1.0,), x_range=(1.0, 0.0)))
     with pytest.raises(OutOfDomainError):
         generate_market(SynthConfig(2, 2, 2, beta=(1.0,), xi_scale=-0.1))
+    with pytest.raises(OutOfDomainError):
+        generate_market(SynthConfig(2, 2, 2, beta=(1.0,), seed=-1))
 
 
 def test_exact_fit_recovers_truth():
@@ -91,6 +93,17 @@ def test_misaligned_covariates_rejected():
     config = SynthConfig(2, 2, 2, beta=(1.0,), sigma1=0.4, sigma2=0.2, seed=3)
     tree, delta, covariates = generate_market(config)
     table, _ = compute_shares(tree, delta, validate_params(0.4, 0.2))
-    rows = regression_rows(table)
+    y, x1, x2 = regression_rows(table)
     with pytest.raises(BadDimensionsError):
-        estimate_linear(rows, covariates[:-1])
+        estimate_linear((y, x1, x2), covariates[:-1])
+    with pytest.raises(BadDimensionsError):
+        estimate_linear((y, x1[:-1], x2), covariates)
+
+
+def test_non_finite_regressors_rejected():
+    config = SynthConfig(2, 2, 2, beta=(1.0,), sigma1=0.4, sigma2=0.2, seed=3)
+    tree, delta, covariates = generate_market(config)
+    table, _ = compute_shares(tree, delta, validate_params(0.4, 0.2))
+    covariates[0, 0] = np.nan
+    with pytest.raises(OutOfDomainError):
+        estimate_linear(regression_rows(table), covariates)
