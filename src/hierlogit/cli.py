@@ -1,37 +1,43 @@
 """Command-line front end and the on-disk market/params formats.
 
-Market CSV: header ``market_id,group_id,subgroup_id,product_id,value``,
-one row per product. ``value`` is a mean utility for the shares, jacobian,
-and simulate commands, and an observed joint share for invert; invert
-additionally needs one row per market with product_id ``_outside``
-carrying the outside share. Extra columns are ignored, so the output of
-``shares`` feeds straight back into ``invert``. Params JSON is an object
-``{"sigma1": r, "sigma2": r}``.
+Market CSV: header ``market_id,group_id,subgroup_id,product_id,value``, one
+row per product. ``value`` is a mean utility for shares, jacobian and
+simulate, and an observed joint share for invert, which also needs one
+``_outside`` row per market carrying the outside share. Rows may come in any
+order: values are matched to products by (market_id, product_id), and the
+output lists markets, then the groups, subgroups and products of each, in
+order of first appearance. Extra columns are ignored, so ``shares`` output
+feeds straight back into ``invert``. Params JSON is ``{"sigma1": r, "sigma2": r}``.
 
-Exit codes: 0 success, 1 unreadable or malformed input, 2 values outside
-the model's domain, 3 failed self-check (finite-difference mismatch,
-simulation z-score blowout, Newton/closed-form disagreement, singular
-design). Diagnostics go to standard error; results go to ``--output`` or
-standard output.
+Checks by layer: the reader rejects non-UTF-8 or malformed CSV, unparsable
+values and repeated products; every market's ``_outside`` row (required by
+invert, refused by the others) is checked before any market is computed;
+``ShareTable.from_joint`` bounds each share of invert's input strictly inside
+(0, 1); and the CLI requires a market's shares to sum to 1 within 1e-6.
 
-Reals are serialized with 17 significant digits so that written files
-round-trip doubles exactly.
+Exit codes: 0 success, 1 unreadable or malformed input (the sum rule
+included), 2 values outside the model's domain, 3 failed self-check
+(finite-difference mismatch, simulation z-score blowout, Newton/closed-form
+disagreement, singular design). Diagnostics go to standard error. Results go
+to ``--output`` or standard output market by market, so a run that fails part
+way leaves the earlier markets written. Reals have 17 significant digits so
+that written files round-trip doubles exactly.
 """
 
 import csv
 import functools
-import io
+import itertools
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import click
 import numpy as np
 
+from . import __version__
 from .errors import (
-    DegenerateShareError,
     HierLogitError,
     MarketFileError,
     NoConvergenceError,
@@ -62,11 +68,16 @@ EXIT_DOMAIN = 2
 EXIT_SELFTEST = 3
 
 MARKET_COLUMNS = ("market_id", "group_id", "subgroup_id", "product_id", "value")
+SHARES_COLUMNS = MARKET_COLUMNS + (
+    "cond_product", "cond_subgroup", "group_share", "iv_subgroup", "iv_group", "iv_top")
 
 # z-score beyond which a simulation run is considered a failed self-test
 _Z_LIMIT = 5.0
 # finite-difference relative error beyond which --check-fd fails
 _FD_LIMIT = 1e-5
+# rows formatted per writerows call; formatting an N=100k market or an
+# N=1000 Jacobian at once would hold a string for every cell in memory
+_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -82,78 +93,78 @@ class MarketBlock:
 def read_market_csv(path) -> list:
     """Parse a market CSV into MarketBlocks in first-appearance order.
 
-    ``outside_value`` is None for markets without an ``_outside`` row.
-
-    Raises
-    ------
-    MarketFileError
-        On unreadable files, missing columns, unparsable values, or rows
-        that do not form a valid hierarchy.
+    Rows may come in any order; each block's ``values`` follows its
+    ``hierarchy.products``. ``outside_value`` is None for markets without
+    an ``_outside`` row. Raises MarketFileError on unreadable or non-UTF-8
+    files, missing columns, unparsable values, or an invalid hierarchy.
     """
-    order = []
     markets = {}
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise MarketFileError(f"{path}: empty file")
             missing = [c for c in MARKET_COLUMNS if c not in reader.fieldnames]
             if missing:
                 raise MarketFileError(f"{path}: missing columns: {', '.join(missing)}")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 fields = [row.get(c) for c in MARKET_COLUMNS]
                 if any(v is None or v == "" for v in fields):
-                    raise MarketFileError(f"{path}:{lineno}: incomplete row")
+                    raise MarketFileError(f"{path}:{reader.line_num}: incomplete row")
                 market_id, group_id, subgroup_id, product_id, raw = fields
                 try:
                     value = float(raw)
                 except ValueError:
                     raise MarketFileError(
-                        f"{path}:{lineno}: value {raw!r} is not a number"
+                        f"{path}:{reader.line_num}: value {raw!r} is not a number"
                     ) from None
-                if market_id not in markets:
-                    markets[market_id] = {"rows": [], "values": [], "outside": None}
-                    order.append(market_id)
-                entry = markets[market_id]
-                if product_id == OUTSIDE_ID:
-                    if entry["outside"] is not None:
-                        raise MarketFileError(
-                            f"{path}:{lineno}: market {market_id!r} has two {OUTSIDE_ID} rows"
-                        )
-                    entry["outside"] = value
-                else:
-                    entry["rows"].append((group_id, subgroup_id, product_id))
-                    entry["values"].append(value)
+                # product id -> (group_id, subgroup_id, value), the _outside row included
+                products = markets.setdefault(market_id, {})
+                if product_id in products:
+                    raise MarketFileError(
+                        f"{path}:{reader.line_num}: market {market_id!r} repeats product {product_id!r}"
+                    )
+                products[product_id] = (group_id, subgroup_id, value)
     except OSError as err:
         raise MarketFileError(f"{path}: {err}") from None
-    if not order:
+    except UnicodeDecodeError:
+        raise MarketFileError(f"{path}:{_undecodable_line(path)}: not UTF-8 text") from None
+    except csv.Error as err:
+        # DictReader.line_num is only updated once a row is parsed
+        raise MarketFileError(f"{path}:{reader.reader.line_num}: {err}") from None
+    if not markets:
         raise MarketFileError(f"{path}: no data rows")
 
     blocks = []
-    for market_id in order:
-        entry = markets[market_id]
+    for market_id, products in markets.items():
+        outside = products.pop(OUTSIDE_ID, None)
         try:
-            hierarchy = build_hierarchy(entry["rows"], market_id=market_id)
+            hierarchy = build_hierarchy([(g, h, p) for p, (g, h, _) in products.items()], market_id)
         except HierLogitError as err:
             raise MarketFileError(f"{path}: market {market_id!r}: {err}") from None
-        blocks.append(
-            MarketBlock(
-                market_id=market_id,
-                hierarchy=hierarchy,
-                values=np.array(entry["values"], dtype=float),
-                outside_value=entry["outside"],
-            )
-        )
+        values = np.array([products[p][2] for p in hierarchy.products], dtype=float)
+        blocks.append(MarketBlock(market_id, hierarchy, values, None if outside is None else outside[2]))
     return blocks
+
+
+def _undecodable_line(path) -> int:
+    # the text reader decodes ahead in blocks, so its line count is not the error's
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        return data.count(b"\n", 0, err.start) + 1
 
 
 def _read_json_object(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as err:
         raise MarketFileError(f"{path}: {err}") from None
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # bad syntax, non-UTF-8 bytes, integers past Python's digit limit, deep nesting
         raise MarketFileError(f"{path}: invalid JSON: {err}") from None
     if not isinstance(obj, dict):
         raise MarketFileError(f"{path}: expected a JSON object")
@@ -176,16 +187,67 @@ def read_params_json(path) -> NestingParams:
     return validate_params(*values)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+def _read_markets(input_path, params_path, shares_in=False):
+    """Params and market blocks, each market checked for an ``_outside`` row
+    where ``shares_in`` (invert) needs one and refused where it does not."""
+    params = read_params_json(params_path)
+    blocks = read_market_csv(input_path)
+    for block in blocks:
+        if (block.outside_value is None) == shares_in:
+            problem = "no" if shares_in else "an unexpected"
+            raise MarketFileError(f"{input_path}: market {block.market_id!r} has {problem} {OUTSIDE_ID} row")
+    return params, blocks
 
 
-def _write_text(output_path, text: str) -> None:
-    if output_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(output_path, "w") as fh:
-            fh.write(text)
+def _computed(blocks, compute):
+    """Yield ``(block, compute(block))`` market by market; model errors name the market."""
+    for block in blocks:
+        try:
+            result = compute(block)
+        except HierLogitError as err:
+            err.args = (f"market {block.market_id!r}: {err}",)
+            raise
+        yield block, result
+
+
+def _tree_columns(hierarchy: ChoiceHierarchy) -> tuple:
+    """group_id, subgroup_id and product_id of every product, in tree order."""
+    keys = hierarchy.subgroup_keys
+    groups, subgroups = zip(*(keys[s] for s in hierarchy.product_subgroup.tolist()))
+    return groups, subgroups, hierarchy.products
+
+
+def _output(output_path):
+    return nullcontext(sys.stdout) if output_path is None else open(output_path, "w")
+
+
+def _write_csv(output_path, header, blocks) -> None:
+    """Stream CSV rows to ``output_path`` or standard output.
+
+    ``blocks`` yields lists of equally long columns, one market at a time,
+    written in chunks of ``_CHUNK_ROWS`` rows. A float array is written with
+    17 significant digits and any other sequence as it is; a float or str
+    is repeated on every row, and a block of such scalars alone is one row.
+    """
+    with _output(output_path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for columns in blocks:
+            n_rows = max((len(c) for c in columns if not isinstance(c, (str, float))), default=1)
+            for start in range(0, n_rows, _CHUNK_ROWS):
+                stop = min(start + _CHUNK_ROWS, n_rows)
+                writer.writerows(zip(*[_cells(c, start, stop) for c in columns]))
+
+
+def _cells(column, start, stop):
+    if isinstance(column, np.ndarray):
+        # Python floats format faster than numpy scalars
+        return [format(x, ".17g") for x in column[start:stop].tolist()]
+    if isinstance(column, float):
+        column = format(column, ".17g")
+    if isinstance(column, str):
+        return itertools.repeat(column, stop - start)
+    return column[start:stop]
 
 
 def _die(code: int, message) -> None:
@@ -198,290 +260,180 @@ def _mapped_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except MarketFileError as err:
+        except (MarketFileError, OSError) as err:
             _die(EXIT_PARSE, err)
         except (SingularDesignError, NoConvergenceError) as err:
             _die(EXIT_SELFTEST, err)
         except HierLogitError as err:
             _die(EXIT_DOMAIN, err)
-        except OSError as err:
-            _die(EXIT_PARSE, err)
 
     return wrapper
 
 
-@contextmanager
-def _market_scope(market_id):
-    # prefix in-model errors with the offending market id
-    try:
-        yield
-    except HierLogitError as err:
-        err.args = (f"market {market_id!r}: {err}",)
-        raise
-
-
-def _require_delta_mode(block: MarketBlock) -> None:
-    if block.outside_value is not None:
-        raise MarketFileError(
-            f"market {block.market_id!r}: unexpected {OUTSIDE_ID} row in utility input"
-        )
-
-
-def _product_rows(hierarchy: ChoiceHierarchy):
-    keys = hierarchy.subgroup_keys
-    subgroups = hierarchy.product_subgroup.tolist()
-    for pos, product_id in enumerate(hierarchy.products):
-        group_id, subgroup_id = keys[subgroups[pos]]
-        yield pos, group_id, subgroup_id, product_id
-
-
 @click.group()
-@click.version_option(package_name="hierlogit", prog_name="hierlogit")
+@click.version_option(version=__version__, prog_name="hierlogit")
 def main():
     """Two-level nested logit toolkit: shares, inversion, derivatives, simulation."""
 
 
-@main.command("shares")
-@click.option("--input", "input_path", required=True, type=click.Path(), help="Market CSV with utilities in the value column.")
-@click.option("--params", "params_path", required=True, type=click.Path(), help="JSON file with sigma1 and sigma2.")
-@click.option("--output", "output_path", default=None, type=click.Path(), help="Destination file; standard output when omitted.")
+def _market_command(name, input_help="Market CSV with utilities in the value column."):
+    """Register a command with --input, --params and --output; errors map to exit codes."""
+
+    def register(fn):
+        fn = click.option("--output", "output_path", default=None, type=click.Path(), help="Destination file; standard output when omitted.")(_mapped_errors(fn))
+        fn = click.option("--params", "params_path", required=True, type=click.Path(), help="JSON file with sigma1 and sigma2.")(fn)
+        fn = click.option("--input", "input_path", required=True, type=click.Path(), help=input_help)(fn)
+        return main.command(name)(fn)
+
+    return register
+
+
+@_market_command("shares")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@_mapped_errors
 def cmd_shares(input_path, params_path, output_path, fmt):
     """Compute joint, conditional, and outside shares plus inclusive values."""
-    params = read_params_json(params_path)
-    blocks = read_market_csv(input_path)
-    results = []
-    for block in blocks:
-        _require_delta_mode(block)
-        with _market_scope(block.market_id):
-            table, iv = compute_shares(block.hierarchy, block.values, params)
-        results.append((block, table, iv))
-    text = _shares_csv(results) if fmt == "csv" else _shares_json(results, params)
-    _write_text(output_path, text)
+    params, blocks = _read_markets(input_path, params_path)
+    results = _computed(blocks, lambda b: compute_shares(b.hierarchy, b.values, params))
+    if fmt == "json":
+        with _output(output_path) as fh:
+            fh.write(_shares_json(results, params))
+    else:
+        _write_csv(output_path, SHARES_COLUMNS, _shares_csv(results))
 
 
-def _shares_csv(results) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        list(MARKET_COLUMNS)
-        + ["cond_product", "cond_subgroup", "group_share", "iv_subgroup", "iv_group", "iv_top"]
-    )
-    for block, table, iv in results:
+def _shares_csv(results):
+    for block, (table, iv) in results:
         h = block.hierarchy
-        for pos, group_id, subgroup_id, product_id in _product_rows(h):
-            si = h.product_subgroup[pos]
-            gi = h.product_group[pos]
-            writer.writerow(
-                [
-                    block.market_id,
-                    group_id,
-                    subgroup_id,
-                    product_id,
-                    _fmt(table.joint[pos]),
-                    _fmt(table.cond_product[pos]),
-                    _fmt(table.cond_subgroup[si]),
-                    _fmt(table.group[gi]),
-                    _fmt(iv.subgroup[si]),
-                    _fmt(iv.group[gi]),
-                    _fmt(iv.top),
-                ]
-            )
-        writer.writerow(
-            [block.market_id, OUTSIDE_ID, OUTSIDE_ID, OUTSIDE_ID, _fmt(table.outside)]
-            + ["", "", "", "", "", _fmt(iv.top)]
-        )
-    return buf.getvalue()
+        sub, grp = h.product_subgroup, h.product_group
+        yield [
+            block.market_id, *_tree_columns(h), table.joint, table.cond_product,
+            table.cond_subgroup[sub], table.group[grp], iv.subgroup[sub], iv.group[grp], iv.top,
+        ]
+        yield [block.market_id, OUTSIDE_ID, OUTSIDE_ID, OUTSIDE_ID, table.outside, "", "", "", "", "", iv.top]
 
 
 def _shares_json(results, params: NestingParams) -> str:
-    payload = {"sigma1": params.sigma1, "sigma2": params.sigma2, "markets": []}
-    for block, table, iv in results:
+    keys = ("product_id", "group_id", "subgroup_id", "delta", "joint", "cond_product",
+            "cond_subgroup", "group_share")
+    markets = []
+    for block, (table, iv) in results:
         h = block.hierarchy
-        products = []
-        for pos, group_id, subgroup_id, product_id in _product_rows(h):
-            si = h.product_subgroup[pos]
-            gi = h.product_group[pos]
-            products.append(
-                {
-                    "product_id": product_id,
-                    "group_id": group_id,
-                    "subgroup_id": subgroup_id,
-                    "delta": float(block.values[pos]),
-                    "joint": float(table.joint[pos]),
-                    "cond_product": float(table.cond_product[pos]),
-                    "cond_subgroup": float(table.cond_subgroup[si]),
-                    "group_share": float(table.group[gi]),
-                }
-            )
-        payload["markets"].append(
+        groups, subgroups, products = _tree_columns(h)
+        reals = (block.values, table.joint, table.cond_product,
+                 table.cond_subgroup[h.product_subgroup], table.group[h.product_group])
+        columns = zip(products, groups, subgroups, *(a.tolist() for a in reals))
+        markets.append(
             {
                 "market_id": block.market_id,
-                "products": products,
+                "products": [dict(zip(keys, row)) for row in columns],
                 "outside_share": table.outside,
                 "inclusive_values": {
                     "subgroup": [
-                        {"group_id": gid, "subgroup_id": sid, "value": float(iv.subgroup[i])}
-                        for i, (gid, sid) in enumerate(h.subgroup_keys)
+                        {"group_id": gid, "subgroup_id": sid, "value": value}
+                        for (gid, sid), value in zip(h.subgroup_keys, iv.subgroup.tolist())
                     ],
                     "group": [
-                        {"group_id": gid, "value": float(iv.group[i])}
-                        for i, gid in enumerate(h.group_ids)
+                        {"group_id": gid, "value": value}
+                        for gid, value in zip(h.group_ids, iv.group.tolist())
                     ],
                     "top": iv.top,
                 },
             }
         )
+    payload = {"sigma1": params.sigma1, "sigma2": params.sigma2, "markets": markets}
     return json.dumps(payload, indent=2) + "\n"
 
 
-@main.command("invert")
-@click.option("--input", "input_path", required=True, type=click.Path(), help="Market CSV with joint shares and one _outside row per market.")
-@click.option("--params", "params_path", required=True, type=click.Path())
-@click.option("--output", "output_path", default=None, type=click.Path())
+@_market_command("invert", "Market CSV with joint shares and one _outside row per market.")
 @click.option("--method", type=click.Choice(["closed", "newton"]), default="closed", show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True, help="Newton stopping tolerance; closed and newton must agree within 10*tol.")
-@_mapped_errors
 def cmd_invert(input_path, params_path, output_path, method, tol):
     """Recover mean utilities from observed shares (closed form or Newton)."""
-    params = read_params_json(params_path)
-    blocks = read_market_csv(input_path)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(MARKET_COLUMNS)
-    for block in blocks:
-        table = _share_mode_table(block)
-        with _market_scope(block.market_id):
-            delta = berry_invert(table, params).values
-            if method == "newton":
-                newton = numeric_invert(block.hierarchy, table, params, tol=tol, max_iter=50).values
-                gap = float(np.max(np.abs(newton - delta)))
-                if gap > 10.0 * tol:
-                    raise NoConvergenceError(
-                        f"newton and closed-form utilities disagree by {gap:.3e} "
-                        f"(limit {10.0 * tol:.3e})",
-                        residual=gap,
-                    )
-                delta = newton
-        for pos, group_id, subgroup_id, product_id in _product_rows(block.hierarchy):
-            writer.writerow(
-                [block.market_id, group_id, subgroup_id, product_id, _fmt(delta[pos])]
-            )
-    _write_text(output_path, buf.getvalue())
+    params, blocks = _read_markets(input_path, params_path, shares_in=True)
 
-
-def _share_mode_table(block: MarketBlock) -> ShareTable:
-    if block.outside_value is None:
-        raise MarketFileError(
-            f"market {block.market_id!r}: missing {OUTSIDE_ID} row with the outside share"
-        )
-    with _market_scope(block.market_id):
-        if np.any(block.values <= 0.0) or np.any(block.values >= 1.0):
-            raise DegenerateShareError("observed shares must lie strictly in (0, 1)")
-        if not 0.0 < block.outside_value < 1.0:
-            raise DegenerateShareError(
-                f"outside share {block.outside_value!r} must lie strictly in (0, 1)"
-            )
+    def utilities(block):
+        table = ShareTable.from_joint(block.hierarchy, block.values, block.outside_value)
         total = float(block.values.sum() + block.outside_value)
         if abs(total - 1.0) > 1e-6:
             raise MarketFileError(f"shares sum to {total:.9g}, expected 1 within 1e-6")
-        return ShareTable.from_joint(block.hierarchy, block.values, block.outside_value)
+        delta = berry_invert(table, params).values
+        if method == "closed":
+            return delta
+        newton = numeric_invert(block.hierarchy, table, params, tol=tol, max_iter=50).values
+        gap = float(np.max(np.abs(newton - delta)))
+        if gap > 10.0 * tol:
+            raise NoConvergenceError(
+                f"newton and closed-form utilities disagree by {gap:.3e} (limit {10.0 * tol:.3e})",
+                residual=gap,
+            )
+        return newton
+
+    rows = ([b.market_id, *_tree_columns(b.hierarchy), d] for b, d in _computed(blocks, utilities))
+    _write_csv(output_path, MARKET_COLUMNS, rows)
 
 
-@main.command("jacobian")
-@click.option("--input", "input_path", required=True, type=click.Path(), help="Market CSV with utilities in the value column.")
-@click.option("--params", "params_path", required=True, type=click.Path())
-@click.option("--output", "output_path", default=None, type=click.Path())
+@_market_command("jacobian")
 @click.option("--check-fd", is_flag=True, help="Cross-check against central finite differences; mismatch exits 3.")
-@_mapped_errors
 def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
-    params = read_params_json(params_path)
-    blocks = read_market_csv(input_path)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["market_id", "row_id", "col_id", "value"])
-    failed = False
-    for block in blocks:
-        _require_delta_mode(block)
+    params, blocks = _read_markets(input_path, params_path)
+    fd_errors = []
+
+    def jacobian(block):
         h = block.hierarchy
-        with _market_scope(block.market_id):
-            jac = full_jacobian(h, block.values, params)
-            if check_fd:
-                fd = fd_jacobian(h, block.values, params, step=1e-6)
-                table, _ = compute_shares(h, block.values, params)
-                err = max_relative_error(
-                    jac, fd, row_scale=np.append(table.joint, table.outside)
-                )
-                click.echo(
-                    f"market {block.market_id!r}: max relative error vs finite differences "
-                    f"{err:.3e}",
-                    err=True,
-                )
-                if err > _FD_LIMIT:
-                    failed = True
-        for j, row_id in enumerate(h.products):
-            for k, col_id in enumerate(h.products):
-                writer.writerow([block.market_id, row_id, col_id, _fmt(jac.matrix[j, k])])
-        for k, col_id in enumerate(h.products):
-            writer.writerow([block.market_id, OUTSIDE_ID, col_id, _fmt(jac.outside_row[k])])
-    _write_text(output_path, buf.getvalue())
-    if failed:
+        jac = full_jacobian(h, block.values, params)
+        if check_fd:
+            fd = fd_jacobian(h, block.values, params, step=1e-6)
+            table, _ = compute_shares(h, block.values, params)
+            err = max_relative_error(jac, fd, row_scale=np.append(table.joint, table.outside))
+            click.echo(
+                f"market {block.market_id!r}: max relative error vs finite differences {err:.3e}",
+                err=True,
+            )
+            fd_errors.append(err)
+        return jac
+
+    def rows():
+        for block, jac in _computed(blocks, jacobian):
+            ids, n = block.hierarchy.products, block.hierarchy.n_products
+            yield [block.market_id, [p for p in ids for _ in range(n)], ids * n, jac.matrix.ravel()]
+            yield [block.market_id, OUTSIDE_ID, ids, jac.outside_row]
+
+    _write_csv(output_path, ["market_id", "row_id", "col_id", "value"], rows())
+    if any(err > _FD_LIMIT for err in fd_errors):
         _die(EXIT_SELFTEST, f"finite-difference check exceeded {_FD_LIMIT:g}")
 
 
-@main.command("simulate")
-@click.option("--input", "input_path", required=True, type=click.Path(), help="Market CSV with utilities in the value column.")
-@click.option("--params", "params_path", required=True, type=click.Path())
+@_market_command("simulate")
 @click.option("--draws", type=int, required=True, help="Number of simulated consumers per market.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", "output_path", default=None, type=click.Path())
-@_mapped_errors
-def cmd_simulate(input_path, params_path, draws, seed, output_path):
+def cmd_simulate(input_path, params_path, output_path, draws, seed):
     """Simulate sequential choices and compare frequencies to analytic shares."""
     config = SimConfig(draws=draws, seed=seed)
-    params = read_params_json(params_path)
-    blocks = read_market_csv(input_path)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["market_id", "group_id", "subgroup_id", "product_id", "count", "frequency", "share", "std_error", "z_score"]
-    )
-    worst = (0.0, None)
-    for block in blocks:
-        _require_delta_mode(block)
-        with _market_scope(block.market_id):
-            counts = simulate_choices(block.hierarchy, block.values, params, config)
-            table, _ = compute_shares(block.hierarchy, block.values, params)
+    params, blocks = _read_markets(input_path, params_path)
+    worst = [0.0, None]
+
+    def simulated(block):
+        counts = simulate_choices(block.hierarchy, block.values, params, config)
+        table, _ = compute_shares(block.hierarchy, block.values, params)
         freq, _ = empirical_shares(counts)
         share = np.append(table.joint, table.outside)
         se = np.sqrt(share * (1.0 - share) / float(draws))
         z = (freq - share) / se
-        tally = np.append(counts.counts, counts.outside_count)
-        ids = list(_product_rows(block.hierarchy)) + [(len(share) - 1, OUTSIDE_ID, OUTSIDE_ID, OUTSIDE_ID)]
-        for pos, group_id, subgroup_id, product_id in ids:
-            writer.writerow(
-                [
-                    block.market_id,
-                    group_id,
-                    subgroup_id,
-                    product_id,
-                    int(tally[pos]),
-                    _fmt(freq[pos]),
-                    _fmt(share[pos]),
-                    _fmt(se[pos]),
-                    _fmt(z[pos]),
-                ]
-            )
         peak = float(np.max(np.abs(z)))
         if peak > worst[0]:
-            worst = (peak, block.market_id)
-    _write_text(output_path, buf.getvalue())
-    if worst[0] > _Z_LIMIT:
+            worst[:] = peak, block.market_id
+        ids = [(*column, OUTSIDE_ID) for column in _tree_columns(block.hierarchy)]
+        tally = np.append(counts.counts, counts.outside_count).tolist()
+        return [block.market_id, *ids, tally, freq, share, se, z]
+
+    header = [*MARKET_COLUMNS[:4], "count", "frequency", "share", "std_error", "z_score"]
+    _write_csv(output_path, header, (rows for _, rows in _computed(blocks, simulated)))
+    peak, market_id = worst
+    if peak > _Z_LIMIT:
         _die(
             EXIT_SELFTEST,
-            f"market {worst[1]!r}: |z|={worst[0]:.2f} exceeds {_Z_LIMIT:g}; "
+            f"market {market_id!r}: |z|={peak:.2f} exceeds {_Z_LIMIT:g}; "
             "simulated frequencies inconsistent with analytic shares",
         )
 
@@ -504,7 +456,8 @@ def cmd_estimate(config_path, output_path):
         "residual_norm": result.residual_norm,
         "n_products": hierarchy.n_products,
     }
-    _write_text(output_path, json.dumps(payload, indent=2) + "\n")
+    with _output(output_path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _read_synth_config(path) -> SynthConfig:

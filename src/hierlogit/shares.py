@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateShareError
 from .hierarchy import ChoiceHierarchy, NestingParams, as_delta_array
 
 __all__ = [
@@ -70,26 +71,26 @@ class ShareTable:
         """Rebuild a full table (conditionals included) from observed joint shares.
 
         Intended for share data coming from outside the model, e.g. a CSV
-        of observed market shares. All joint shares and the outside share
-        must be strictly positive.
+        of observed market shares. This is the one check of the per-share
+        bound: every joint share and the outside share must lie strictly
+        inside (0, 1). Whether they sum to 1 is left to the caller; the CLI
+        requires it within 1e-6 as a rule of its file format.
 
         Raises
         ------
         DegenerateShareError
-            If any share is <= 0 or not finite.
+            If any share is not strictly inside (0, 1), NaN included.
         """
-        from .errors import DegenerateShareError
-
         joint = np.asarray(joint, dtype=float)
         if joint.shape != (hierarchy.n_products,):
             raise DegenerateShareError(
                 f"expected {hierarchy.n_products} joint shares, got shape {joint.shape}"
             )
-        if not np.all(np.isfinite(joint)) or np.any(joint <= 0.0):
-            raise DegenerateShareError("joint shares must be finite and strictly positive")
+        if not np.all((joint > 0.0) & (joint < 1.0)):
+            raise DegenerateShareError("joint shares must lie strictly in (0, 1)")
         outside = float(outside)
-        if not np.isfinite(outside) or outside <= 0.0:
-            raise DegenerateShareError(f"outside share {outside!r} must be strictly positive")
+        if not 0.0 < outside < 1.0:
+            raise DegenerateShareError(f"outside share {outside!r} must lie strictly in (0, 1)")
 
         n_sub = hierarchy.n_subgroups
         subgroup_sum = np.bincount(hierarchy.product_subgroup, weights=joint, minlength=n_sub)

@@ -10,6 +10,7 @@ and x2 are correlated with xi, so plain least squares is biased; fixing
 that needs instruments and is out of scope here.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ __all__ = ["SynthConfig", "EstimationResult", "generate_market", "estimate_linea
 
 # singular-value ratio below which the design is declared rank deficient
 _PIVOT_RTOL = 1e-10
+# largest synthetic market built; 1e6 products with three covariates peak near 0.5 GB
+_MAX_PRODUCTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -58,14 +61,14 @@ def generate_market(config: SynthConfig):
     Raises
     ------
     BadDimensionsError
-        On nonpositive tree dimensions, an empty beta, or an inverted
-        x_range.
+        On nonpositive tree dimensions, more than 10**7 products, an
+        empty beta, or an inverted x_range.
     OutOfDomainError
         On negative xi_scale or seed.
     """
     dims = (config.n_groups, config.n_subgroups_per_group, config.n_products_per_subgroup)
-    if any(int(d) < 1 for d in dims):
-        raise BadDimensionsError(f"tree dimensions {dims} must all be >= 1")
+    if min(dims) < 1 or math.prod(dims) > _MAX_PRODUCTS:
+        raise BadDimensionsError(f"tree dimensions {dims} must be >= 1, with <= {_MAX_PRODUCTS} products")
     beta = np.atleast_1d(np.asarray(config.beta, dtype=float))
     if beta.ndim != 1 or beta.size < 1 or not np.all(np.isfinite(beta)):
         raise BadDimensionsError("beta must be a nonempty finite vector")

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hierlogit
 from hierlogit.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, main
@@ -363,6 +365,8 @@ def test_estimate_bad_dimensions_exits_domain(runner, tmp_path):
         ("n_groups", "1e400"),
         ("seed", "-1"),
         ("x_range", '["a", "b"]'),
+        # 4e9 products: rejected before anything is allocated
+        ("n_groups", "1e9"),
     ],
 )
 def test_estimate_invalid_config_value_exits_domain(runner, tmp_path, key, raw):
@@ -384,3 +388,165 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_version_works_without_installation(runner):
+    result = run_ok(runner, ["--version"])
+    assert result.output.strip() == f"hierlogit, version {hierlogit.__version__}"
+
+
+def _shuffled_copy(path, name):
+    # every row, _outside rows included, moves within and across markets
+    header, *rows = Path(path).read_text().splitlines()
+    order = np.random.default_rng(5).permutation(len(rows))
+    out = Path(path).with_name(name)
+    out.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+    return str(out)
+
+
+def _assert_same_per_key(tree_text, shuffled_text, keys, fields):
+    tree_rows, shuffled_rows = parse_csv(tree_text), parse_csv(shuffled_text)
+    assert [[r[k] for k in keys] for r in shuffled_rows] != [[r[k] for k in keys] for r in tree_rows]
+    by_key = {tuple(r[k] for k in keys): r for r in shuffled_rows}
+    assert len(by_key) == len(tree_rows)
+    for row in tree_rows:
+        other = by_key[tuple(row[k] for k in keys)]
+        if "group_id" in row:
+            assert (other["group_id"], other["subgroup_id"]) == (row["group_id"], row["subgroup_id"])
+        for field in fields:
+            if row[field] == "":
+                assert other[field] == ""
+            else:
+                assert float(other[field]) == pytest.approx(float(row[field]), rel=1e-12, abs=1e-15)
+
+
+def test_shuffled_rows_give_the_same_values_per_product(runner, tmp_path):
+    # values are matched to products by (market, product) id, not by row position
+    market, params, _ = _round_trip_market(tmp_path)
+    shuffled = _shuffled_copy(market, "shuffled.csv")
+    product = ("market_id", "product_id")
+
+    def both(command, tree_input, shuffled_input, *extra):
+        return [
+            run_ok(runner, [command, "--input", path, "--params", params, *extra]).output
+            for path in (tree_input, shuffled_input)
+        ]
+
+    shares = both("shares", market, shuffled)
+    columns = ["value", "cond_product", "cond_subgroup", "group_share", "iv_subgroup", "iv_group", "iv_top"]
+    _assert_same_per_key(*shares, product, columns)
+
+    shares_path = tmp_path / "shares.csv"
+    shares_path.write_text(shares[0])
+    _assert_same_per_key(*both("invert", str(shares_path), _shuffled_copy(shares_path, "s.csv")), product, ["value"])
+    _assert_same_per_key(*both("jacobian", market, shuffled), ("market_id", "row_id", "col_id"), ["value"])
+    # simulated draws are addressed by position in the tree, so only the
+    # analytic columns are comparable
+    simulated = both("simulate", market, shuffled, "--draws", "1000", "--seed", "3")
+    _assert_same_per_key(*simulated, product, ["share", "std_error"])
+
+
+def test_every_market_is_mode_checked_before_any_is_computed(runner, tmp_path):
+    # m1 alone would exit 2 (non-finite utility); m2's _outside row is found first
+    rows = [("m1", "g", "h", "a", "nan"), ("m2", "g", "h", "a", 0.0), ("m2", "_outside", "_outside", "_outside", 0.5)]
+    market = write_market(tmp_path / "m.csv", rows)
+    params = write_params(tmp_path / "p.json", 0.0, 0.0)
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, ["shares", "--input", market, "--params", params, "--output", str(out)])
+    assert result.exit_code == EXIT_PARSE
+    assert "'m2'" in result.stderr
+    assert not out.exists()
+
+
+def _assert_one_error_line(result, code):
+    assert result.exit_code == code
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "name, data, where",
+    [
+        ("m.csv", HEADER.encode() + b"\nm1,g,h,a,0\nm1,g,h,\xff,0\n", "m.csv:3:"),
+        ("m.csv", (HEADER + "\nm1,g,h," + "a" * 131073 + ",0\n").encode(), "m.csv:2:"),
+        ("p.json", b'{"sigma1": 0.5, "sigma2": \xff}', "p.json:"),
+        ("config.json", b'{"n_groups": \xfe}', "config.json:"),
+    ],
+    ids=["csv-not-utf8", "csv-field-too-large", "params-not-utf8", "config-not-utf8"],
+)
+def test_undecodable_or_oversized_input_exits_parse(runner, tmp_path, name, data, where):
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
+    params = write_params(tmp_path / "p.json", 0.0, 0.0)
+    (tmp_path / name).write_bytes(data)
+    if name == "config.json":
+        args = ["estimate", "--config", str(tmp_path / name)]
+    else:
+        args = ["shares", "--input", market, "--params", params]
+    assert where in _assert_one_error_line(runner.invoke(main, args), EXIT_PARSE)
+
+
+# a valid invert input: shares in (0, 1) summing to 1 with the _outside row
+_FUZZ_BASE = [
+    ["m1", "g1", "h1", "a", "0.2"],
+    ["m1", "g1", "h2", "b", "0.3"],
+    ["m1", "g2", "h3", "c", "0.1"],
+    ["m1", "_outside", "_outside", "_outside", "0.4"],
+    ["m2", "g1", "h1", "a", "0.25"],
+    ["m2", "g1", "h1", "b", "0.25"],
+    ["m2", "_outside", "_outside", "_outside", "0.5"],
+]
+_FUZZ_VALUES = ["nan", "inf", "-inf", "abc", "1e400", "1e308", "-1e308", "0", "1", "-0.5", "", "5e-324"]
+_FUZZ_BYTES = [b"\xff", b"\xc3", b"\x00", b",", b'"', b"\n", b"\r", b" ", b"\xe2\x80\xa8", b"_outside"]
+
+
+@st.composite
+def mutated_market_files(draw):
+    rows = [list(row) for row in _FUZZ_BASE]
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["drop", "duplicate", "shuffle", "blank", "value", "outside", "no_outside"]))
+        index = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if op == "outside":
+            market = draw(st.sampled_from(["m1", "m2", "m3"]))
+            rows.insert(index, [market, "_outside", "_outside", "_outside", draw(st.sampled_from(_FUZZ_VALUES))])
+        elif op == "no_outside":
+            rows = [row for row in rows if row[3] != "_outside"]
+        elif op == "shuffle":
+            rows = draw(st.permutations(rows))
+        elif not rows:
+            continue
+        elif op == "drop":
+            rows.pop(index)
+        elif op == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[index]))
+        elif op == "blank":
+            rows[index][draw(st.integers(0, 4))] = ""
+        else:
+            rows[index][4] = draw(st.sampled_from(_FUZZ_VALUES))
+    data = ("\n".join([HEADER] + [",".join(row) for row in rows]) + "\n").encode()
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(data)))
+        junk = draw(st.one_of(st.sampled_from(_FUZZ_BYTES), st.binary(min_size=1, max_size=3)))
+        data = data[:at] + junk + data[at:]
+    return data
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=mutated_market_files())
+def test_cli_fuzz_malformed_markets_never_traceback(tmp_path, data):
+    market = tmp_path / "fuzz.csv"
+    market.write_bytes(data)
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    for command in ("shares", "invert", "jacobian"):
+        result = CliRunner().invoke(main, [command, "--input", str(market), "--params", params])
+        assert result.exit_code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_SELFTEST)
+        if result.exit_code != EXIT_OK:
+            _assert_one_error_line(result, result.exit_code)
+        else:
+            assert result.exception is None

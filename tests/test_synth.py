@@ -54,6 +54,9 @@ def test_generate_market_validation():
         generate_market(SynthConfig(2, 2, 2, beta=()))
     with pytest.raises(BadDimensionsError):
         generate_market(SynthConfig(2, 2, 2, beta=(1.0,), x_range=(1.0, 0.0)))
+    # more than 10**7 products is refused before anything is allocated
+    with pytest.raises(BadDimensionsError):
+        generate_market(SynthConfig(10**9, 2, 2, beta=(1.0,)))
     with pytest.raises(OutOfDomainError):
         generate_market(SynthConfig(2, 2, 2, beta=(1.0,), xi_scale=-0.1))
     with pytest.raises(OutOfDomainError):
