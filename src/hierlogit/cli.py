@@ -16,22 +16,23 @@ invert, refused by the others) is checked before any market is computed;
 (0, 1); and the CLI requires a market's shares to sum to 1 within 1e-6.
 
 Exit codes: 0 success, 1 unreadable or malformed input (the sum rule
-included), 2 values outside the model's domain, 3 failed self-check
-(finite-difference mismatch, simulation z-score blowout, Newton/closed-form
-disagreement, singular design). Diagnostics go to standard error. Results go
-to ``--output`` or standard output market by market, so a run that fails part
-way leaves the earlier markets written. Reals have 17 significant digits so
-that written files round-trip doubles exactly.
+included), 2 values outside the model's domain (utilities that overflow a
+double once divided by 1 - sigma included) or a market too large for the
+available memory, 3 failed self-check (finite-difference mismatch, simulation
+z-score blowout, Newton/closed-form disagreement, singular design).
+Diagnostics go to standard error. Results go to ``--output`` or standard
+output market by market, so a run that fails part way leaves the earlier
+markets written. Reals have 17 significant digits so that written files
+round-trip doubles exactly.
 """
 
 import csv
 import functools
 import itertools
 import json
-import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import click
 import numpy as np
@@ -41,10 +42,9 @@ from .errors import (
     HierLogitError,
     MarketFileError,
     NoConvergenceError,
-    OutOfDomainError,
     SingularDesignError,
 )
-from .hierarchy import OUTSIDE_ID, ChoiceHierarchy, NestingParams, build_hierarchy, validate_params
+from .hierarchy import OUTSIDE_ID, ChoiceHierarchy, NestingParams, build_hierarchy
 from .inversion import berry_invert, numeric_invert, regression_rows
 from .jacobian import fd_jacobian, full_jacobian, max_relative_error
 from .montecarlo import SimConfig, empirical_shares, simulate_choices
@@ -178,13 +178,11 @@ def read_params_json(path) -> NestingParams:
     sigma falls outside [0, 1).
     """
     obj = _read_json_object(path)
-    values = []
     for key in ("sigma1", "sigma2"):
         value = obj.get(key)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise MarketFileError(f"{path}: {key} missing or not a number")
-        values.append(float(value))
-    return validate_params(*values)
+    return NestingParams(obj["sigma1"], obj["sigma2"])
 
 
 def _read_markets(input_path, params_path, shares_in=False):
@@ -207,6 +205,8 @@ def _computed(blocks, compute):
         except HierLogitError as err:
             err.args = (f"market {block.market_id!r}: {err}",)
             raise
+        except MemoryError as err:
+            raise MemoryError(f"market {block.market_id!r}: {err}") from None
         yield block, result
 
 
@@ -266,6 +266,8 @@ def _mapped_errors(fn):
             _die(EXIT_SELFTEST, err)
         except HierLogitError as err:
             _die(EXIT_DOMAIN, err)
+        except MemoryError as err:
+            _die(EXIT_DOMAIN, f"out of memory: {err}")
 
     return wrapper
 
@@ -419,7 +421,9 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
         freq, _ = empirical_shares(counts)
         share = np.append(table.joint, table.outside)
         se = np.sqrt(share * (1.0 - share) / float(draws))
-        z = (freq - share) / se
+        # z is 0 where the frequency equals the share, se = 0 (an underflowed share) included
+        with np.errstate(divide="ignore"):
+            z = np.divide(freq - share, se, out=np.zeros_like(share), where=freq != share)
         peak = float(np.max(np.abs(z)))
         if peak > worst[0]:
             worst[:] = peak, block.market_id
@@ -445,7 +449,7 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
 def cmd_estimate(config_path, output_path):
     """Generate a synthetic market and fit the inverted share equation."""
     config = _read_synth_config(config_path)
-    params = validate_params(config.sigma1, config.sigma2)
+    params = NestingParams(config.sigma1, config.sigma2)
     hierarchy, delta, covariates = generate_market(config)
     table, _ = compute_shares(hierarchy, delta, params)
     result = estimate_linear(regression_rows(table), covariates)
@@ -461,41 +465,10 @@ def cmd_estimate(config_path, output_path):
 
 
 def _read_synth_config(path) -> SynthConfig:
+    """SynthConfig from the known keys of a JSON object; a missing required key is None."""
     obj = _read_json_object(path)
-
-    def number(key, value, kind=float):
-        """``kind(value)`` for a finite JSON number, which must be integral for int."""
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise OutOfDomainError(f"config {key} missing or not a number")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise OutOfDomainError(f"config {key}={value!r} is not finite")
-        if kind is int and value != int(value):
-            raise OutOfDomainError(f"config {key}={value!r} must be an integer")
-        try:
-            return kind(value)
-        except OverflowError:
-            raise OutOfDomainError(f"config {key} is out of range") from None
-
-    def field(key, default=None, kind=float):
-        return number(key, obj.get(key, default), kind)
-
-    beta = obj.get("beta")
-    if not isinstance(beta, list) or not beta:
-        raise OutOfDomainError("config beta must be a nonempty list of numbers")
-    x_range = obj.get("x_range", [0.0, 1.0])
-    if not isinstance(x_range, list) or len(x_range) != 2:
-        raise OutOfDomainError("config x_range must be [lo, hi]")
-    return SynthConfig(
-        n_groups=field("n_groups", kind=int),
-        n_subgroups_per_group=field("n_subgroups_per_group", kind=int),
-        n_products_per_subgroup=field("n_products_per_subgroup", kind=int),
-        beta=tuple(number("beta", b) for b in beta),
-        x_range=tuple(number("x_range", v) for v in x_range),
-        xi_scale=field("xi_scale", 0.0),
-        sigma1=field("sigma1"),
-        sigma2=field("sigma2"),
-        seed=field("seed", 0, int),
-    )
+    known = [f.name for f in fields(SynthConfig) if f.name in obj or f.default is MISSING]
+    return SynthConfig(**{key: obj.get(key) for key in known})
 
 
 if __name__ == "__main__":

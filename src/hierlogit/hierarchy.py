@@ -4,6 +4,8 @@ The outside option is never stored as a product: it is an implicit extra
 group whose inclusive value is fixed at zero by every consumer of the tree.
 """
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,23 +16,19 @@ from .errors import DuplicateProductError, EmptyInputError, OutOfDomainError
 OUTSIDE_ID = "_outside"
 
 
+def _number(name: str, value, integral: bool = False):
+    """Finite ``value`` as a float, or as an int where ``integral``; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise OutOfDomainError(f"{name}={value!r} is not a number")
+    # compared exactly, so an int past the double range is refused, not rounded
+    if not abs(value) <= sys.float_info.max or (integral and value != int(value)):
+        raise OutOfDomainError(f"{name}={value!r} must be a finite {'integer' if integral else 'number'}")
+    return int(value) if integral else float(value)
+
+
 @dataclass(frozen=True)
 class NestingParams:
-    """Nesting parameters (sigma1, sigma2), each in [0, 1).
-
-    ``ordering_ok`` is True when sigma2 <= sigma1, the ordering required by
-    the nested (simultaneous) interpretation of the model. sigma2 > sigma1
-    is still a valid sequential model, so it is flagged rather than
-    rejected; strict callers can check the flag.
-    """
-
-    sigma1: float
-    sigma2: float
-    ordering_ok: bool
-
-
-def validate_params(sigma1: float, sigma2: float) -> NestingParams:
-    """Check both nesting parameters against the half-open domain [0, 1).
+    """Nesting parameters (sigma1, sigma2), each in the half-open domain [0, 1).
 
     sigma = 1 would zero out the scale 1 - sigma used in every exponent,
     so the boundary is excluded rather than special-cased.
@@ -38,13 +36,29 @@ def validate_params(sigma1: float, sigma2: float) -> NestingParams:
     Raises
     ------
     OutOfDomainError
-        If either parameter is outside [0, 1) or not finite.
+        If either parameter is not a number or lies outside [0, 1).
     """
-    for name, value in (("sigma1", sigma1), ("sigma2", sigma2)):
-        value = float(value)
-        if not 0.0 <= value < 1.0:
-            raise OutOfDomainError(f"{name}={value!r} must lie in [0, 1)")
-    return NestingParams(float(sigma1), float(sigma2), ordering_ok=float(sigma2) <= float(sigma1))
+
+    sigma1: float
+    sigma2: float
+
+    def __post_init__(self):
+        for name in ("sigma1", "sigma2"):
+            value = _number(name, getattr(self, name))
+            if not 0.0 <= value < 1.0:
+                raise OutOfDomainError(f"{name}={value!r} must lie in [0, 1)")
+            object.__setattr__(self, name, value)
+
+    @property
+    def ordering_ok(self) -> bool:
+        """sigma2 <= sigma1, as the nested (simultaneous) reading of the model
+        requires; sigma2 > sigma1 is still a valid sequential model."""
+        return self.sigma2 <= self.sigma1
+
+
+def validate_params(sigma1: float, sigma2: float) -> NestingParams:
+    """``NestingParams(sigma1, sigma2)``, which checks both against [0, 1)."""
+    return NestingParams(sigma1, sigma2)
 
 
 class ChoiceHierarchy:

@@ -36,15 +36,8 @@ def berry_invert(table: ShareTable, params: NestingParams) -> UtilityVector:
     Works on the table's log fields, so round trips stay accurate even
     when the joint shares themselves underflow.
     """
-    _require_interior(table)
-    sub_of = table.hierarchy.product_subgroup
-    delta = (
-        table.log_joint
-        - table.log_outside
-        - params.sigma1 * table.log_cond_product
-        - params.sigma2 * table.log_cond_subgroup[sub_of]
-    )
-    return UtilityVector(delta)
+    y, x1, x2 = regression_rows(table)
+    return UtilityVector(y - params.sigma1 * x1 - params.sigma2 * x2)
 
 
 def regression_rows(table: ShareTable) -> tuple:

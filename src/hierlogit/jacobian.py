@@ -37,6 +37,9 @@ __all__ = [
     "max_relative_error",
 ]
 
+# smallest denominator of an entry's relative error in max_relative_error
+_RELATIVE_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class ShareJacobian:
@@ -105,24 +108,17 @@ def fd_jacobian(
     return ShareJacobian(matrix=matrix, outside_row=outside_row)
 
 
-def max_relative_error(
-    analytic: ShareJacobian,
-    fd: ShareJacobian,
-    row_scale=None,
-    floor: float = 1e-12,
-) -> float:
+def max_relative_error(analytic: ShareJacobian, fd: ShareJacobian, row_scale) -> float:
     """Worst per-entry relative disagreement between two Jacobians.
 
-    Each entry is compared against max(|analytic|, |fd|, floor). Central
-    differences only resolve an entry down to roughly eps*share/step, so
-    entries whose true magnitude sits below that are pure roundoff in the
-    FD table; passing ``row_scale`` (the share level of each row, outside
-    last) additionally floors the denominator at the row's own scale so
-    such entries are judged against the size of the row they live in.
+    Each entry is compared against max(|analytic|, |fd|, 1e-12, row_scale
+    of its row), where ``row_scale`` is the share level of each row, outside
+    last. Central differences only resolve an entry down to roughly
+    eps*share/step, so entries whose true magnitude sits below that are pure
+    FD roundoff and are judged against the size of the row they live in.
     """
     a = np.vstack([analytic.matrix, analytic.outside_row])
     f = np.vstack([fd.matrix, fd.outside_row])
-    den = np.maximum(np.maximum(np.abs(a), np.abs(f)), floor)
-    if row_scale is not None:
-        den = np.maximum(den, np.asarray(row_scale, dtype=float)[:, None])
+    den = np.maximum(np.maximum(np.abs(a), np.abs(f)), _RELATIVE_FLOOR)
+    den = np.maximum(den, np.asarray(row_scale, dtype=float)[:, None])
     return float(np.max(np.abs(a - f) / den))

@@ -9,10 +9,11 @@ stage constants (the Euler-constant terms of the stage value functions)
 drop out of every argmax and are omitted.
 
 Determinism is positional: consumer i always consumes the same aligned
-block of the Philox counter stream for a given seed, whatever the chunk
-size, so serial and chunked (or parallel) runs produce bit-identical
-counts. Philox emits four 64-bit words per counter increment, hence the
-per-draw block is padded to a multiple of four doubles.
+block of the Philox counter stream for a given seed, whatever chunks the
+draws run in (about 2**20 shock doubles each), so serial and chunked (or
+parallel) runs produce bit-identical counts. Philox emits four 64-bit words
+per counter increment, hence the per-draw block is padded to a multiple of
+four doubles.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, as_delta_array
+from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array
 from .shares import compute_shares
 
 __all__ = [
@@ -35,23 +36,24 @@ _WORDS_PER_ADVANCE = 4
 # smallest value Generator.random can emit besides 0.0; clamping keeps the
 # double log transform finite
 _TINY_UNIFORM = 2.0**-53
+# shock doubles per chunk of draws: 8 MB per chunk-sized array
+_CHUNK_WORDS = 2**20
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation size, seed, and processing granularity."""
+    """Simulation size and seed, both integers."""
 
     draws: int
     seed: int = 0
-    chunk_size: int = 65536
 
     def __post_init__(self):
-        if int(self.draws) < 1:
+        object.__setattr__(self, "draws", _number("draws", self.draws, integral=True))
+        object.__setattr__(self, "seed", _number("seed", self.seed, integral=True))
+        if self.draws < 1:
             raise OutOfDomainError(f"draws={self.draws!r} must be >= 1")
-        if int(self.chunk_size) < 1:
-            raise OutOfDomainError(f"chunk_size={self.chunk_size!r} must be >= 1")
         # the Philox key is 128 bits wide
-        if not 0 <= int(self.seed) < 2**128:
+        if not 0 <= self.seed < 2**128:
             raise OutOfDomainError(f"seed={self.seed!r} must lie in [0, 2**128)")
 
 
@@ -96,12 +98,11 @@ def simulate_choices(
 
     counts = np.zeros(n_prod, dtype=np.int64)
     outside_count = 0
-    draws = int(config.draws)
-    chunk = int(config.chunk_size)
+    chunk = max(1, _CHUNK_WORDS // stride)
     start = 0
-    while start < draws:
-        m = min(chunk, draws - start)
-        bits = np.random.Philox(key=int(config.seed))
+    while start < config.draws:
+        m = min(chunk, config.draws - start)
+        bits = np.random.Philox(key=config.seed)
         bits.advance(start * stride // _WORDS_PER_ADVANCE)
         shocks = _gumbel_from_uniform(np.random.Generator(bits).random((m, stride)))
 

@@ -3,7 +3,7 @@
 All aggregation runs through max-shifted log-sum-exp and every share is
 assembled in log space, exponentiated once at the end. The explicit ratio
 forms overflow as soon as |delta| / (1 - sigma1) passes ~709; this kernel
-stays finite for any finite utilities.
+stays finite until a utility over 1 - sigma overflows, and refuses that.
 
 Levels, bottom to top:
 
@@ -18,11 +18,12 @@ entering as exp(0) = 1). The joint share of a product is the product of
 the three conditionals down its branch.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateShareError
+from .errors import DegenerateShareError, OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, as_delta_array
 
 __all__ = [
@@ -129,6 +130,14 @@ def _segment_log_softmax(x: np.ndarray, segment: np.ndarray, n_segments: int):
     return peak + log_total, shifted - log_total[segment]
 
 
+def _scaled(values: np.ndarray, scale: float, what: str) -> np.ndarray:
+    """values / scale, refused before dividing when the largest |value| / scale overflows."""
+    peak = float(np.abs(values).max())
+    if not math.isfinite(peak / scale):
+        raise OutOfDomainError(f"{what} up to {peak:.6g} overflow a double when divided by {scale:.6g}")
+    return values / scale
+
+
 def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
     """All shares and inclusive values of a market at mean utilities ``delta``.
 
@@ -140,14 +149,14 @@ def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
     a1 = 1.0 - params.sigma1
     a2 = 1.0 - params.sigma2
 
-    x = delta / a1
+    x = _scaled(delta, a1, "utilities")
     # log of the per-subgroup sum S = sum exp(delta/(1-sigma1)), i.e. I_sub/(1-sigma1)
     log_s, log_cond_product = _segment_log_softmax(
         x, hierarchy.product_subgroup, hierarchy.n_subgroups
     )
     iv_sub = a1 * log_s
 
-    y = iv_sub / a2
+    y = _scaled(iv_sub, a2, "subgroup inclusive values")
     log_t, log_cond_subgroup = _segment_log_softmax(
         y, hierarchy.subgroup_group, hierarchy.n_groups
     )

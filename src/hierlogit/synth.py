@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionsError, OutOfDomainError, SingularDesignError
-from .hierarchy import ChoiceHierarchy, UtilityVector, build_hierarchy
+from .hierarchy import NestingParams, UtilityVector, _number, build_hierarchy
 
 __all__ = ["SynthConfig", "EstimationResult", "generate_market", "estimate_linear"]
 
@@ -28,7 +28,20 @@ _MAX_PRODUCTS = 10**7
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Balanced-tree market dimensions and data-generating parameters."""
+    """Balanced-tree market dimensions and data-generating parameters.
+
+    Checked when built; ``beta`` and ``x_range`` are kept as tuples of floats.
+
+    Raises
+    ------
+    BadDimensionsError
+        On nonpositive tree dimensions, more than 10**7 products, an
+        empty beta, or an x_range that is not ``[lo, hi]`` with lo <= hi.
+    OutOfDomainError
+        On a field that is not a finite number (a bool is not one), a
+        dimension or seed that is not an integer, a negative xi_scale or
+        seed, or a sigma outside [0, 1).
+    """
 
     n_groups: int
     n_subgroups_per_group: int
@@ -39,6 +52,30 @@ class SynthConfig:
     sigma1: float = 0.0
     sigma2: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_groups", "n_subgroups_per_group", "n_products_per_subgroup", "seed"):
+            object.__setattr__(self, name, _number(name, getattr(self, name), integral=True))
+        for name in ("xi_scale", "sigma1", "sigma2"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
+        for name in ("beta", "x_range"):
+            try:
+                values = tuple(getattr(self, name))
+            except TypeError:
+                raise OutOfDomainError(f"{name} must be a sequence of numbers") from None
+            object.__setattr__(self, name, tuple(_number(name, v) for v in values))
+
+        shape = (self.n_groups, self.n_subgroups_per_group, self.n_products_per_subgroup)
+        if min(shape) < 1 or math.prod(shape) > _MAX_PRODUCTS:
+            raise BadDimensionsError(f"tree dimensions {shape} must be >= 1, with <= {_MAX_PRODUCTS} products")
+        if not self.beta:
+            raise BadDimensionsError("beta must be a nonempty vector")
+        if len(self.x_range) != 2 or not self.x_range[0] <= self.x_range[1]:
+            raise BadDimensionsError(f"x_range {self.x_range!r} must be [lo, hi] with lo <= hi")
+        for name in ("xi_scale", "seed"):
+            if getattr(self, name) < 0:
+                raise OutOfDomainError(f"{name}={getattr(self, name)!r} must be nonnegative")
+        NestingParams(self.sigma1, self.sigma2)  # raises for a sigma outside [0, 1)
 
 
 @dataclass(frozen=True)
@@ -57,42 +94,19 @@ def generate_market(config: SynthConfig):
     Returns ``(hierarchy, UtilityVector, X)`` with X of shape
     (n_products, len(beta)) drawn uniformly on ``x_range``, xi drawn
     normal(0, xi_scale), and delta = X beta + xi. Reproducible by seed.
-
-    Raises
-    ------
-    BadDimensionsError
-        On nonpositive tree dimensions, more than 10**7 products, an
-        empty beta, or an inverted x_range.
-    OutOfDomainError
-        On negative xi_scale or seed.
     """
-    dims = (config.n_groups, config.n_subgroups_per_group, config.n_products_per_subgroup)
-    if min(dims) < 1 or math.prod(dims) > _MAX_PRODUCTS:
-        raise BadDimensionsError(f"tree dimensions {dims} must be >= 1, with <= {_MAX_PRODUCTS} products")
-    beta = np.atleast_1d(np.asarray(config.beta, dtype=float))
-    if beta.ndim != 1 or beta.size < 1 or not np.all(np.isfinite(beta)):
-        raise BadDimensionsError("beta must be a nonempty finite vector")
-    lo, hi = (float(v) for v in config.x_range)
-    if not lo <= hi:
-        raise BadDimensionsError(f"x_range {config.x_range!r} must satisfy lo <= hi")
-    xi_scale = float(config.xi_scale)
-    if xi_scale < 0.0:
-        raise OutOfDomainError(f"xi_scale={xi_scale!r} must be nonnegative")
-    if int(config.seed) < 0:
-        raise OutOfDomainError(f"seed={config.seed!r} must be nonnegative")
-
     rows = [
         (f"g{g}", f"h{h}", f"g{g}h{h}p{p}")
-        for g in range(1, int(config.n_groups) + 1)
-        for h in range(1, int(config.n_subgroups_per_group) + 1)
-        for p in range(1, int(config.n_products_per_subgroup) + 1)
+        for g in range(1, config.n_groups + 1)
+        for h in range(1, config.n_subgroups_per_group + 1)
+        for p in range(1, config.n_products_per_subgroup + 1)
     ]
     hierarchy = build_hierarchy(rows, market_id="synthetic")
 
-    rng = np.random.default_rng(int(config.seed))
-    covariates = rng.uniform(lo, hi, size=(hierarchy.n_products, beta.size))
-    xi = rng.normal(0.0, xi_scale, size=hierarchy.n_products)
-    delta = covariates @ beta + xi
+    rng = np.random.default_rng(config.seed)
+    covariates = rng.uniform(*config.x_range, size=(hierarchy.n_products, len(config.beta)))
+    xi = rng.normal(0.0, config.xi_scale, size=hierarchy.n_products)
+    delta = covariates @ config.beta + xi
     return hierarchy, UtilityVector(delta), covariates
 
 

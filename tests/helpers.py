@@ -1,6 +1,7 @@
 """Shared instance builders and independent oracles for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from hierlogit import build_hierarchy, validate_params
@@ -25,6 +26,32 @@ def random_instance(rng, dlo=-10.0, dhi=10.0, smax=0.95, **tree_kw):
     delta = rng.uniform(dlo, dhi, tree.n_products)
     params = validate_params(rng.uniform(0.0, smax), rng.uniform(0.0, smax))
     return tree, delta, params
+
+
+@st.composite
+def ragged_instances(draw, utility_bound=700.0, sigma_bound=0.999):
+    """Trees of 1-3 groups, 1-3 subgroups each, 1-4 products each, with
+    utilities anywhere in [-utility_bound, utility_bound] and sigmas up to
+    ``sigma_bound``.
+
+    The domain edges are drawn on purpose: tied utilities of 700 at
+    sigma = 0.999 are where rounding in the log-sum-exp shows.
+    """
+    sizes = draw(
+        st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3), min_size=1, max_size=3)
+    )
+    rows = [
+        (f"g{g}", f"h{g}.{h}", f"p{g}.{h}.{p}")
+        for g, subgroups in enumerate(sizes)
+        for h, n_products in enumerate(subgroups)
+        for p in range(n_products)
+    ]
+    tree = build_hierarchy(rows)
+    edges = [-utility_bound, 0.0, utility_bound]
+    utility = st.one_of(st.sampled_from(edges), st.floats(-utility_bound, utility_bound))
+    delta = np.array(draw(st.lists(utility, min_size=tree.n_products, max_size=tree.n_products)))
+    sigma = st.one_of(st.sampled_from([0.0, sigma_bound]), st.floats(0.0, sigma_bound))
+    return tree, delta, validate_params(draw(sigma), draw(sigma))
 
 
 def balanced_tree(n_groups, n_subgroups, n_products):

@@ -297,6 +297,67 @@ def test_simulate_seed_out_of_range_exits_domain(runner, tmp_path, seed):
     assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["shares", "jacobian", "simulate"])
+@pytest.mark.parametrize(
+    "sigma",
+    # delta / (1 - sigma1) overflows; then I_sub / (1 - sigma2) does
+    [(0.5, 0.25), (0.0, 0.5)],
+)
+def test_overflowing_utilities_exit_domain(runner, tmp_path, command, sigma):
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0), ("m2", "g", "h", "a", 1e308)])
+    params = write_params(tmp_path / "p.json", *sigma)
+    args = [command, "--input", market, "--params", params]
+    if command == "simulate":
+        args += ["--draws", "100"]
+    line = _assert_one_error_line(runner.invoke(main, args), EXIT_DOMAIN)
+    assert "'m2'" in line and "overflow" in line
+
+
+def test_simulate_z_score_is_zero_for_an_underflowed_share_never_drawn(runner, tmp_path):
+    market = write_market(tmp_path / "m.csv", [("m", "g", "h", "a", 0.0), ("m", "g", "h", "b", -800.0)])
+    params = write_params(tmp_path / "p.json", 0.0, 0.0)
+    result = run_ok(runner, ["simulate", "--input", market, "--params", params, "--draws", "1000"])
+    assert result.output.splitlines()[2] == "m,g,h,b,0,0,0,0,0"
+    assert result.stderr == ""
+
+
+def _run_with_address_space_limit(args, limit_bytes):
+    # the limit is set inside the child, before the CLI runs; this process
+    # and the machine keep theirs
+    code = (
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit_bytes}, hard))\n"
+        "from hierlogit.cli import main\n"
+        "main(prog_name='hierlogit')\n"
+    )
+    src = os.path.dirname(os.path.dirname(hierlogit.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("command", ["jacobian", "newton"])
+def test_out_of_memory_exits_domain_with_one_line(tmp_path, command):
+    # 16,000 products: the dense N x N Jacobian needs 2 GB, twice the limit
+    n = 16_000
+    ids = [(f"g{j // 400}", f"h{j // 20}", f"p{j}") for j in range(n)]
+    if command == "jacobian":
+        rows = [("m1", *i, 0.0) for i in ids]
+        args = ["jacobian"]
+    else:
+        rows = [("m1", *i, repr(0.5 / n)) for i in ids] + [("m1", "_outside", "_outside", "_outside", 0.5)]
+        args = ["invert", "--method", "newton"]
+    market = write_market(tmp_path / "m.csv", rows)
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    args += ["--input", market, "--params", params, "--output", str(tmp_path / "out.csv")]
+    result = _run_with_address_space_limit(args, 2**30)
+    assert result.returncode == EXIT_DOMAIN, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: market 'm1':"), result.stderr
+
+
 def _estimate_config(tmp_path, **overrides):
     config = {
         "n_groups": 2,
@@ -367,6 +428,13 @@ def test_estimate_bad_dimensions_exits_domain(runner, tmp_path):
         ("x_range", '["a", "b"]'),
         # 4e9 products: rejected before anything is allocated
         ("n_groups", "1e9"),
+        ("n_groups", "1" + "0" * 400),
+        ("n_groups", "true"),
+        ("beta", "null"),
+        ("beta", "3"),
+        ("beta", "[]"),
+        ("x_range", "[0, 1, 2]"),
+        ("sigma1", '"0.5"'),
     ],
 )
 def test_estimate_invalid_config_value_exits_domain(runner, tmp_path, key, raw):
@@ -378,6 +446,23 @@ def test_estimate_invalid_config_value_exits_domain(runner, tmp_path, key, raw):
     result = runner.invoke(main, ["estimate", "--config", str(path)])
     assert result.exit_code == EXIT_DOMAIN
     assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
+
+
+def test_estimate_missing_required_key_exits_domain(runner, tmp_path):
+    config = json.loads(Path(_estimate_config(tmp_path)).read_text())
+    del config["n_groups"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**config, "unknown_key": [1, 2]}))
+    line = _assert_one_error_line(runner.invoke(main, ["estimate", "--config", str(path)]), EXIT_DOMAIN)
+    assert "n_groups" in line
+
+
+def test_params_integer_past_double_range_exits_domain(runner, tmp_path):
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
+    params = tmp_path / "p.json"
+    params.write_text('{"sigma1": 1' + "0" * 400 + ', "sigma2": 0}')
+    result = runner.invoke(main, ["shares", "--input", market, "--params", str(params)])
+    _assert_one_error_line(result, EXIT_DOMAIN)
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from hierlogit import (
     OUTSIDE_ID,
     DuplicateProductError,
     EmptyInputError,
+    NestingParams,
     OutOfDomainError,
     UtilityVector,
     build_hierarchy,
@@ -89,6 +92,27 @@ def test_validate_params_ordering_flag():
 def test_validate_params_domain(bad):
     with pytest.raises(OutOfDomainError):
         validate_params(*bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(1.0, 0.0), (0.0, 1.0), (float("nan"), 0.0), (0.0, float("inf")), (-1e-300, 0.0),
+     (True, 0.0), ("0.5", 0.0), (None, 0.0), (10**400, 0.0)],
+)
+def test_nesting_params_cannot_be_built_invalid(bad):
+    with pytest.raises(OutOfDomainError):
+        NestingParams(*bad)
+
+
+def test_nesting_params_fields_and_ordering_property():
+    assert [f.name for f in dataclasses.fields(NestingParams)] == ["sigma1", "sigma2"]
+    p = NestingParams(np.float64(0.5), 0)
+    assert (p.sigma1, p.sigma2) == (0.5, 0.0) and type(p.sigma2) is float
+    assert p.ordering_ok is True
+    assert NestingParams(0.25, 0.5).ordering_ok is False
+    assert validate_params(0.5, 0.25) == NestingParams(0.5, 0.25)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.ordering_ok = False
 
 
 def test_utility_vector_requires_finite():

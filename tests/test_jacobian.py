@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hierlogit import (
     build_hierarchy,
@@ -11,7 +12,14 @@ from hierlogit import (
     validate_params,
 )
 
-from helpers import balanced_tree, d_cond_product, d_cond_subgroup, d_group, random_instance
+from helpers import (
+    balanced_tree,
+    d_cond_product,
+    d_cond_subgroup,
+    d_group,
+    ragged_instances,
+    random_instance,
+)
 
 
 @pytest.fixture
@@ -149,6 +157,17 @@ def test_columns_sum_to_zero_and_symmetry():
         colsum = jac.matrix.sum(axis=0) + jac.outside_row
         assert np.max(np.abs(colsum)) < 1e-12
         assert np.max(np.abs(jac.matrix - jac.matrix.T)) < 1e-10
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ragged_instances())
+def test_jacobian_properties_on_ragged_trees(instance):
+    # the acceptance gate's bounds, over the whole domain edge the kernel
+    # properties are drawn from: utilities of +-700 and sigmas up to 0.999
+    tree, delta, params = instance
+    jac = full_jacobian(tree, delta, params)
+    assert np.max(np.abs(jac.matrix.sum(axis=0) + jac.outside_row)) <= 1e-12
+    assert np.max(np.abs(jac.matrix - jac.matrix.T)) <= 1e-10
 
 
 def test_sign_structure_under_nested_ordering():

@@ -1,5 +1,11 @@
+import dataclasses
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hierlogit import (
     ChoiceCounts,
@@ -11,7 +17,8 @@ from hierlogit import (
     simulate_choices,
     validate_params,
 )
-from hierlogit.montecarlo import _gumbel_from_uniform
+from hierlogit import montecarlo
+from hierlogit.montecarlo import _draw_stride, _gumbel_from_uniform
 
 from helpers import balanced_tree, random_instance
 
@@ -60,17 +67,25 @@ def test_frequencies_match_analytic_shares():
     assert se.shape == freq.shape
 
 
-def test_counts_invariant_to_chunking():
-    rng = np.random.default_rng(7)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    instance_seed=st.integers(0, 2**32 - 1),
+    draws=st.integers(1, 1500),
+    chunk_words=st.integers(1, 60_000),
+)
+# one word is below any draw's stride: every chunk holds a single draw
+@example(instance_seed=7, draws=1500, chunk_words=1)
+def test_counts_invariant_to_chunking(instance_seed, draws, chunk_words):
+    rng = np.random.default_rng(instance_seed)
     tree, delta, params = random_instance(rng, dlo=-2, dhi=2, smax=0.8)
-    n = 50_000
-    reference = simulate_choices(tree, delta, params, SimConfig(draws=n, seed=11))
-    for chunk in (1_000, 4_096, 31_337, n, n + 999):
-        other = simulate_choices(
-            tree, delta, params, SimConfig(draws=n, seed=11, chunk_size=chunk)
-        )
-        np.testing.assert_array_equal(reference.counts, other.counts)
-        assert reference.outside_count == other.outside_count
+    config = SimConfig(draws=draws, seed=11)
+    # the default chunk holds every draw of these small trees at once
+    assert montecarlo._CHUNK_WORDS // _draw_stride(tree) >= draws
+    reference = simulate_choices(tree, delta, params, config)
+    with mock.patch.object(montecarlo, "_CHUNK_WORDS", chunk_words):
+        other = simulate_choices(tree, delta, params, config)
+    np.testing.assert_array_equal(reference.counts, other.counts)
+    assert reference.outside_count == other.outside_count
 
 
 def test_empirical_shares_layout():
@@ -92,11 +107,38 @@ def test_empirical_shares_boundary():
 def test_sim_config_validation():
     with pytest.raises(OutOfDomainError):
         SimConfig(draws=0)
-    with pytest.raises(OutOfDomainError):
-        SimConfig(draws=10, chunk_size=0)
     for seed in (-1, 2**128):
         with pytest.raises(OutOfDomainError):
             SimConfig(draws=10, seed=seed)
     SimConfig(draws=10, seed=2**128 - 1)
     cfg = SimConfig(draws=10)
-    assert cfg.seed == 0 and cfg.chunk_size == 65536
+    assert cfg.seed == 0
+    assert [f.name for f in dataclasses.fields(SimConfig)] == ["draws", "seed"]
+
+
+@pytest.mark.parametrize(
+    "draws, seed", [(2.7, 0), ("10", 0), (True, 0), (float("nan"), 0), (10, 1.5), (10, None)]
+)
+def test_sim_config_requires_integers(draws, seed):
+    with pytest.raises(OutOfDomainError):
+        SimConfig(draws=draws, seed=seed)
+
+
+def test_sim_config_keeps_integral_values_as_ints():
+    cfg = SimConfig(draws=np.int64(10), seed=3.0)
+    assert (cfg.draws, cfg.seed) == (10, 3)
+    assert type(cfg.draws) is int and type(cfg.seed) is int
+
+
+def test_chunk_memory_does_not_grow_with_the_tree():
+    # 10x10x10 tree: 1112 shock doubles per draw, so 20,000 draws in one
+    # block would hold 178 MB per array; chunks of 2**20 doubles hold 8 MB
+    tree = balanced_tree(10, 10, 10)
+    delta = np.random.default_rng(5).uniform(-1.0, 1.0, tree.n_products)
+    tracemalloc.start()
+    try:
+        simulate_choices(tree, delta, validate_params(0.5, 0.25), SimConfig(draws=20_000, seed=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"

@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from hierlogit import (
     DegenerateShareError,
+    OutOfDomainError,
     ShareTable,
     berry_invert,
     build_hierarchy,
@@ -13,7 +15,7 @@ from hierlogit import (
     validate_params,
 )
 
-from helpers import balanced_tree, brute_force_shares, random_instance
+from helpers import balanced_tree, brute_force_shares, random_instance, ragged_instances
 
 HALF_LN2 = 0.34657359027997265471
 # high-precision references for the asymmetric kernel examples
@@ -232,28 +234,31 @@ def test_from_joint_rejects_degenerate_input():
         ShareTable.from_joint(tree, [0.2], 0.5)
 
 
-@st.composite
-def ragged_instances(draw):
-    """Trees of 1-3 groups, 1-3 subgroups each, 1-4 products each, with
-    utilities anywhere in [-700, 700] and sigmas up to 0.999.
+@pytest.mark.parametrize(
+    "sigma, delta",
+    [
+        # delta / (1 - sigma1) overflows
+        ((0.5, 0.25), [0.0, 1e308]),
+        ((0.5, 0.25), [-1e308, 0.0]),
+        # delta / 1 fits, I_sub / (1 - sigma2) overflows
+        ((0.0, 0.5), [1e308, 0.0]),
+    ],
+)
+def test_overflowing_scaled_utilities_are_refused(sigma, delta):
+    tree = build_hierarchy([("g1", "h1", "a"), ("g2", "h2", "b")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomainError, match="overflow"):
+            compute_shares(tree, delta, validate_params(*sigma))
 
-    The domain edges are drawn on purpose: tied utilities of 700 at
-    sigma = 0.999 are where rounding in the log-sum-exp shows.
-    """
-    sizes = draw(
-        st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3), min_size=1, max_size=3)
-    )
-    rows = [
-        (f"g{g}", f"h{g}.{h}", f"p{g}.{h}.{p}")
-        for g, subgroups in enumerate(sizes)
-        for h, n_products in enumerate(subgroups)
-        for p in range(n_products)
-    ]
-    tree = build_hierarchy(rows)
-    utility = st.one_of(st.sampled_from([-700.0, 0.0, 700.0]), st.floats(-700.0, 700.0))
-    delta = np.array(draw(st.lists(utility, min_size=tree.n_products, max_size=tree.n_products)))
-    sigma = st.one_of(st.sampled_from([0.0, 0.999]), st.floats(0.0, 0.999))
-    return tree, delta, validate_params(draw(sigma), draw(sigma))
+
+def test_largest_utilities_that_fit_stay_finite():
+    tree = build_hierarchy([("g1", "h1", "a"), ("g2", "h2", "b")])
+    table, iv = compute_shares(tree, [1e308, 0.0], validate_params(0.0, 0.0))
+    assert table.joint.tolist() == [1.0, 0.0] and table.outside == 0.0
+    assert iv.top == 1e308
+    table, _ = compute_shares(tree, [0.5e308, -0.5e308], validate_params(0.5, 0.0))
+    assert table.joint.tolist() == [1.0, 0.0]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -63,6 +63,41 @@ def test_generate_market_validation():
         generate_market(SynthConfig(2, 2, 2, beta=(1.0,), seed=-1))
 
 
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((2.7, 2, 2), {}),
+        (("3", 2, 2), {}),
+        ((True, 2, 2), {}),
+        ((2, 2, 2), {"seed": 1.5}),
+        ((float("inf"), 2, 2), {}),
+        ((2, 2, 2), {"xi_scale": float("nan")}),
+        ((2, 2, 2), {"sigma1": 1.0}),
+        ((2, 2, 2), {"sigma2": 10**400}),
+        ((2, 2, 2), {"beta": None}),
+        ((2, 2, 2), {"beta": (1.0, "a")}),
+        ((2, 2, 2), {"x_range": ("a", "b")}),
+    ],
+)
+def test_synth_config_refuses_non_numbers(args, kwargs):
+    with pytest.raises(OutOfDomainError):
+        SynthConfig(*args, **{"beta": (1.0,), **kwargs})
+
+
+@pytest.mark.parametrize("kwargs", [{"x_range": (0.0,)}, {"x_range": (0.0, 1.0, 2.0)}, {"beta": []}])
+def test_synth_config_refuses_bad_shapes(kwargs):
+    with pytest.raises(BadDimensionsError):
+        SynthConfig(2, 2, 2, **{"beta": (1.0,), **kwargs})
+
+
+def test_synth_config_normalizes_fields():
+    config = SynthConfig(2.0, np.int64(2), 2, beta=[1, np.float64(2.5)], x_range=[0, 3], seed=4.0)
+    assert (config.n_groups, config.n_subgroups_per_group, config.seed) == (2, 2, 4)
+    assert all(type(v) is int for v in (config.n_groups, config.n_subgroups_per_group, config.seed))
+    assert config.beta == (1.0, 2.5) and config.x_range == (0.0, 3.0)
+    assert all(type(v) is float for v in config.beta + config.x_range)
+
+
 def test_exact_fit_recovers_truth():
     result = _pipeline(
         SynthConfig(2, 2, 2, beta=(1.0, -2.0), sigma1=0.5, sigma2=0.25, xi_scale=0.0, seed=42)
