@@ -8,12 +8,19 @@ order: values are matched to products by (market_id, product_id), and the
 output lists markets, then the groups, subgroups and products of each, in
 order of first appearance. Extra columns are ignored, so ``shares`` output
 feeds straight back into ``invert``. Params JSON is ``{"sigma1": r, "sigma2": r}``.
+Market, params and config files may start with a UTF-8 byte-order mark.
 
-Checks by layer: the reader rejects non-UTF-8 or malformed CSV, unparsable
-values and repeated products; every market's ``_outside`` row (required by
-invert, refused by the others) is checked before any market is computed;
-``ShareTable.from_joint`` bounds each share of invert's input strictly inside
-(0, 1); and the CLI requires a market's shares to sum to 1 within 1e-6.
+Each command reads the whole file into one tree whose top level is the
+market, and runs each kernel once for the file; Newton, the Jacobian and
+the simulation then run market by market. Checks by layer: the reader
+rejects non-UTF-8 or malformed CSV, unparsable values and repeated
+products, and checks every market's ``_outside`` row (required by invert,
+refused by the others) before any market is computed;
+``ShareTable.from_joint`` bounds each share of invert's input strictly
+inside (0, 1); and the CLI requires a market's shares to sum to 1 within
+1e-6. When a step fails, the error reported is that of the first market,
+in file order, at which any step fails, and the markets before it are
+written.
 
 Exit codes: 0 success, 1 unreadable or malformed input (the sum rule
 included), 2 values outside the model's domain (utilities that overflow a
@@ -21,18 +28,19 @@ double once divided by 1 - sigma included) or a market too large for the
 available memory, 3 failed self-check (finite-difference mismatch, simulation
 z-score blowout, Newton/closed-form disagreement, singular design).
 Diagnostics go to standard error. Results go to ``--output`` or standard
-output market by market, so a run that fails part way leaves the earlier
-markets written. Reals have 17 significant digits so that written files
-round-trip doubles exactly.
+output in chunks of rows. Reals have 17 significant digits so that written
+files round-trip doubles exactly.
 """
 
 import csv
 import functools
 import itertools
 import json
+import operator
 import sys
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -44,7 +52,7 @@ from .errors import (
     NoConvergenceError,
     SingularDesignError,
 )
-from .hierarchy import OUTSIDE_ID, ChoiceHierarchy, NestingParams, build_hierarchy
+from .hierarchy import OUTSIDE_ID, ChoiceHierarchy, NestingParams, tree_arrays
 from .inversion import berry_invert, numeric_invert, regression_rows
 from .jacobian import fd_jacobian, full_jacobian, max_relative_error
 from .montecarlo import SimConfig, empirical_shares, simulate_choices
@@ -82,69 +90,109 @@ _CHUNK_ROWS = 4096
 
 @dataclass(frozen=True)
 class MarketBlock:
-    """One market parsed from a CSV: tree, per-product values, outside value."""
+    """The markets of a CSV: one tree, per-product values and, for shares
+    input, each market's outside value (None otherwise)."""
 
-    market_id: str
     hierarchy: ChoiceHierarchy
     values: np.ndarray
-    outside_value: float
+    outside: np.ndarray | None
+
+    def markets(self, start: int, stop: int) -> "MarketBlock":
+        """The block of markets ``start`` to ``stop - 1``."""
+        p0, p1 = self.hierarchy.bounds[2, [start, stop]].tolist()
+        outside = None if self.outside is None else self.outside[start:stop]
+        return MarketBlock(self.hierarchy.markets(start, stop), self.values[p0:p1], outside)
 
 
-def read_market_csv(path) -> list:
-    """Parse a market CSV into MarketBlocks in first-appearance order.
+def read_market_csv(path, outside=False) -> MarketBlock:
+    """Parse a market CSV, column by column, into one MarketBlock.
 
-    Rows may come in any order; each block's ``values`` follows its
-    ``hierarchy.products``. ``outside_value`` is None for markets without
-    an ``_outside`` row. Raises MarketFileError on unreadable or non-UTF-8
-    files, missing columns, unparsable values, or an invalid hierarchy.
+    Rows may come in any order; each market's products are matched to
+    values by id, and ``values`` follows ``hierarchy.products``. With
+    ``outside`` every market needs an ``_outside`` row; without it none may
+    have one. Raises MarketFileError on unreadable or non-UTF-8 files,
+    missing columns, incomplete rows, unparsable values, repeated products,
+    an empty market or a missing or unexpected ``_outside`` row; of the
+    problems of the rows, the earliest is reported.
     """
-    markets = {}
+    # ids (one object per distinct id) and value text of every row before the first at fault
+    market, group, subgroup, product, raw = [], [], [], [], []
+    canon, problem = {}, None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise MarketFileError(f"{path}: empty file")
-            missing = [c for c in MARKET_COLUMNS if c not in reader.fieldnames]
+            at = {name: i for i, name in enumerate(header)}
+            missing = [c for c in MARKET_COLUMNS if c not in at]
             if missing:
                 raise MarketFileError(f"{path}: missing columns: {', '.join(missing)}")
-            for row in reader:
-                fields = [row.get(c) for c in MARKET_COLUMNS]
-                if any(v is None or v == "" for v in fields):
-                    raise MarketFileError(f"{path}:{reader.line_num}: incomplete row")
-                market_id, group_id, subgroup_id, product_id, raw = fields
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise MarketFileError(
-                        f"{path}:{reader.line_num}: value {raw!r} is not a number"
-                    ) from None
-                # product id -> (group_id, subgroup_id, value), the _outside row included
-                products = markets.setdefault(market_id, {})
-                if product_id in products:
-                    raise MarketFileError(
-                        f"{path}:{reader.line_num}: market {market_id!r} repeats product {product_id!r}"
-                    )
-                products[product_id] = (group_id, subgroup_id, value)
+            # blank lines are skipped; a short row raises IndexError, and so
+            # does a row with an empty field: both end reading as incomplete
+            for m, g, s, p, v in map(operator.itemgetter(*(at[c] for c in MARKET_COLUMNS)), filter(None, reader)):
+                if "" in (m, g, s, p, v):
+                    raise IndexError
+                market.append(canon.setdefault(m, m))
+                group.append(canon.setdefault(g, g))
+                subgroup.append(canon.setdefault(s, s))
+                product.append(canon.setdefault(p, p))
+                raw.append(v)
     except OSError as err:
         raise MarketFileError(f"{path}: {err}") from None
     except UnicodeDecodeError:
-        raise MarketFileError(f"{path}:{_undecodable_line(path)}: not UTF-8 text") from None
+        problem = f"{path}:{_undecodable_line(path)}: not UTF-8 text"
+    except IndexError:
+        problem = f"{path}:{reader.line_num}: incomplete row"
     except csv.Error as err:
-        # DictReader.line_num is only updated once a row is parsed
-        raise MarketFileError(f"{path}:{reader.reader.line_num}: {err}") from None
-    if not markets:
-        raise MarketFileError(f"{path}: no data rows")
+        problem = f"{path}:{reader.line_num}: {err}"
 
-    blocks = []
-    for market_id, products in markets.items():
-        outside = products.pop(OUTSIDE_ID, None)
-        try:
-            hierarchy = build_hierarchy([(g, h, p) for p, (g, h, _) in products.items()], market_id)
-        except HierLogitError as err:
-            raise MarketFileError(f"{path}: market {market_id!r}: {err}") from None
-        values = np.array([products[p][2] for p in hierarchy.products], dtype=float)
-        blocks.append(MarketBlock(market_id, hierarchy, values, None if outside is None else outside[2]))
-    return blocks
+    try:
+        values = np.array(raw, dtype=float)
+        bad = len(raw)
+    except ValueError:
+        bad = next(i for i, text in enumerate(raw) if not _is_number(text))
+    seen = set()
+    repeat = next((i for i, key in enumerate(zip(market, product)) if key in seen or seen.add(key)), len(raw))
+    # the rows read all come before the one that stopped reading
+    if min(bad, repeat) < len(raw):
+        what = (f"value {raw[bad]!r} is not a number" if bad <= repeat
+                else f"market {market[repeat]!r} repeats product {product[repeat]!r}")
+        raise MarketFileError(f"{path}:{_line_of(path, min(bad, repeat))}: {what}")
+    if problem or not raw:
+        raise MarketFileError(problem or f"{path}: no data rows")
+    del canon, seen, raw
+
+    tree = {m: {} for m in dict.fromkeys(market)}  # markets in order of first appearance
+    outside_row = {}
+    for i, (m, g, s, p) in enumerate(zip(market, group, subgroup, product)):
+        if p == OUTSIDE_ID:
+            outside_row[m] = i
+        else:
+            tree[m].setdefault(g, {}).setdefault(s, []).append(i)
+    for m in (m for m, groups in tree.items() if not groups):
+        raise MarketFileError(f"{path}: market {m!r}: cannot build a hierarchy from zero rows")
+    for m in (m for m in tree if (m in outside_row) != outside):
+        raise MarketFileError(f"{path}: market {m!r} has {'no' if outside else 'an unexpected'} {OUTSIDE_ID} row")
+    arrays, order = tree_arrays(tree)
+    outside_values = values[[outside_row[m] for m in tree]] if outside else None
+    return MarketBlock(ChoiceHierarchy(*arrays, [product[i] for i in order]), values[order], outside_values)
+
+
+def _is_number(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _line_of(path, row) -> int:
+    """Line on which data row ``row`` (counted from 0, blank lines skipped) ends."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(itertools.islice(filter(None, reader), row + 1, None))
+        return reader.line_num
 
 
 def _undecodable_line(path) -> int:
@@ -159,7 +207,7 @@ def _undecodable_line(path) -> int:
 
 def _read_json_object(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             obj = json.load(fh)
     except OSError as err:
         raise MarketFileError(f"{path}: {err}") from None
@@ -185,69 +233,103 @@ def read_params_json(path) -> NestingParams:
     return NestingParams(obj["sigma1"], obj["sigma2"])
 
 
-def _read_markets(input_path, params_path, shares_in=False):
-    """Params and market blocks, each market checked for an ``_outside`` row
-    where ``shares_in`` (invert) needs one and refused where it does not."""
-    params = read_params_json(params_path)
-    blocks = read_market_csv(input_path)
-    for block in blocks:
-        if (block.outside_value is None) == shares_in:
-            problem = "no" if shares_in else "an unexpected"
-            raise MarketFileError(f"{input_path}: market {block.market_id!r} has {problem} {OUTSIDE_ID} row")
-    return params, blocks
+def _named(err, market_id):
+    err.args = (f"market {market_id!r}: {err}",)
+    return err
 
 
-def _computed(blocks, compute):
-    """Yield ``(block, compute(block))`` market by market; model errors name the market."""
-    for block in blocks:
-        try:
-            result = compute(block)
-        except HierLogitError as err:
-            err.args = (f"market {block.market_id!r}: {err}",)
+def _before_failure(block, compute):
+    """``(block, compute(block), None)`` when no market fails a step of
+    ``compute``; otherwise the same for the markets before the first one,
+    in file order, at which a step fails, with that market's error, named."""
+    try:
+        return block, compute(block), None
+    except HierLogitError as err:
+        if err.market is None:
             raise
+        error = _named(err, block.hierarchy.market_ids[err.market])
+    head, result, earlier = _before_failure(block.markets(0, error.market), compute)
+    return head, result, earlier or error
+
+
+def _computed(block, compute):
+    """Yield ``compute(m, block of market m, slice of its products)`` market
+    by market; errors name the market."""
+    bounds = block.hierarchy.bounds[2].tolist()
+    for m, market_id in enumerate(block.hierarchy.market_ids):
+        try:
+            result = compute(m, block.markets(m, m + 1), slice(bounds[m], bounds[m + 1]))
+        except HierLogitError as err:
+            raise _named(err, market_id)
         except MemoryError as err:
-            raise MemoryError(f"market {block.market_id!r}: {err}") from None
-        yield block, result
+            raise MemoryError(f"market {market_id!r}: {err}") from None
+        yield result
 
 
-def _tree_columns(hierarchy: ChoiceHierarchy) -> tuple:
-    """group_id, subgroup_id and product_id of every product, in tree order."""
-    keys = hierarchy.subgroup_keys
-    groups, subgroups = zip(*(keys[s] for s in hierarchy.product_subgroup.tolist()))
-    return groups, subgroups, hierarchy.products
+def _csv_fields(ids) -> list:
+    """``ids`` quoted by the csv module's rules, each distinct id once: it is
+    written as the row ``(id, "")``, which ends in ``,\\n``."""
+    distinct = list(dict.fromkeys(ids))
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows((i, "") for i in distinct)
+    quoted = dict(zip(distinct, (line[:-2] for line in lines)))
+    return [quoted[i] for i in ids]
+
+
+def _id_columns(h: ChoiceHierarchy, outside=False) -> list:
+    """Market, group, subgroup and product ids of every product as
+    ``(fields, codes)`` columns, each market's outside row after its
+    products where ``outside``."""
+    columns = [(h.market_ids, h.product_market, np.arange(h.n_markets)), (h.group_ids, h.product_group, h.n_groups),
+               (h.subgroup_ids, h.product_subgroup, h.n_subgroups), (h.products, np.arange(h.n_products), h.n_products)]
+    if outside:
+        columns = [(ids + (OUTSIDE_ID,), _outside_rows(h, codes, code), None) for ids, codes, code in columns]
+    return [(_csv_fields(ids), codes) for ids, codes, _ in columns]
+
+
+def _outside_rows(h: ChoiceHierarchy, inside, outside=np.nan) -> np.ndarray:
+    """``inside`` per product with each market's ``outside`` after its products."""
+    return np.insert(inside, h.bounds[2, 1:], outside)
 
 
 def _output(output_path):
     return nullcontext(sys.stdout) if output_path is None else open(output_path, "w")
 
 
-def _write_csv(output_path, header, blocks) -> None:
-    """Stream CSV rows to ``output_path`` or standard output.
+def _write_csv(output_path, header, blocks, error=None) -> None:
+    """Stream CSV rows to ``output_path`` or standard output, then raise
+    ``error`` unless it is None.
 
-    ``blocks`` yields lists of equally long columns, one market at a time,
-    written in chunks of ``_CHUNK_ROWS`` rows. A float array is written with
-    17 significant digits and any other sequence as it is; a float or str
-    is repeated on every row, and a block of such scalars alone is one row.
+    ``blocks`` yields lists of equally long columns, written in chunks of
+    ``_CHUNK_ROWS`` rows: a float array with 17 significant digits (NaN
+    as an empty cell), an integer array as it is, ``(fields, codes)`` as
+    ``fields[codes[i]]`` on row i, and a str, quoted, on every row.
     """
     with _output(output_path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        csv.writer(fh, lineterminator="\n").writerow(header)
         for columns in blocks:
-            n_rows = max((len(c) for c in columns if not isinstance(c, (str, float))), default=1)
+            n_rows = max(len(c[1] if isinstance(c, tuple) else c) for c in columns if not isinstance(c, str))
             for start in range(0, n_rows, _CHUNK_ROWS):
-                stop = min(start + _CHUNK_ROWS, n_rows)
-                writer.writerows(zip(*[_cells(c, start, stop) for c in columns]))
+                cells = [_cells(c, start, min(start + _CHUNK_ROWS, n_rows)) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    if error is not None:
+        raise error
 
 
 def _cells(column, start, stop):
-    if isinstance(column, np.ndarray):
-        # Python floats format faster than numpy scalars
-        return [format(x, ".17g") for x in column[start:stop].tolist()]
-    if isinstance(column, float):
-        column = format(column, ".17g")
     if isinstance(column, str):
-        return itertools.repeat(column, stop - start)
-    return column[start:stop]
+        return itertools.repeat(_csv_fields([column])[0], stop - start)
+    if isinstance(column, tuple):
+        fields, codes = column
+        return list(map(fields.__getitem__, codes[start:stop].tolist()))
+    values = column[start:stop]
+    if values.dtype.kind != "f":
+        return list(map(str, values.tolist()))
+    # Python floats format faster than numpy scalars
+    cells = [format(x, ".17g") for x in values.tolist()]
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        cells[i] = ""
+    return cells
 
 
 def _die(code: int, message) -> None:
@@ -290,60 +372,71 @@ def _market_command(name, input_help="Market CSV with utilities in the value col
     return register
 
 
+def _read_markets(input_path, params_path, outside=False):
+    return read_params_json(params_path), read_market_csv(input_path, outside)
+
+
+def _shares_before_failure(block, params):
+    return _before_failure(block, lambda b: compute_shares(b.hierarchy, b.values, params))
+
+
 @_market_command("shares")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def cmd_shares(input_path, params_path, output_path, fmt):
     """Compute joint, conditional, and outside shares plus inclusive values."""
-    params, blocks = _read_markets(input_path, params_path)
-    results = _computed(blocks, lambda b: compute_shares(b.hierarchy, b.values, params))
-    if fmt == "json":
-        with _output(output_path) as fh:
-            fh.write(_shares_json(results, params))
-    else:
-        _write_csv(output_path, SHARES_COLUMNS, _shares_csv(results))
+    params, block = _read_markets(input_path, params_path)
+    block, (table, iv), error = _shares_before_failure(block, params)
+    if fmt == "csv":
+        _write_csv(output_path, SHARES_COLUMNS, [_shares_csv(block.hierarchy, table, iv)], error)
+        return
+    with _output(output_path) as fh:
+        if error is not None:
+            raise error
+        fh.write(_shares_json(block, table, iv, params))
 
 
-def _shares_csv(results):
-    for block, (table, iv) in results:
-        h = block.hierarchy
-        sub, grp = h.product_subgroup, h.product_group
-        yield [
-            block.market_id, *_tree_columns(h), table.joint, table.cond_product,
-            table.cond_subgroup[sub], table.group[grp], iv.subgroup[sub], iv.group[grp], iv.top,
-        ]
-        yield [block.market_id, OUTSIDE_ID, OUTSIDE_ID, OUTSIDE_ID, table.outside, "", "", "", "", "", iv.top]
+def _shares_csv(h, table, iv) -> list:
+    sub, grp, top = h.product_subgroup, h.product_group, np.atleast_1d(iv.top)
+    blank_outside = (table.cond_product, table.cond_subgroup[sub], table.group[grp], iv.subgroup[sub], iv.group[grp])
+    return [*_id_columns(h, outside=True), _outside_rows(h, table.joint, table.outside),
+            *(_outside_rows(h, a) for a in blank_outside), _outside_rows(h, top[h.product_market], top)]
 
 
-def _shares_json(results, params: NestingParams) -> str:
+def _shares_json(block, table, iv, params: NestingParams) -> str:
+    h = block.hierarchy
     keys = ("product_id", "group_id", "subgroup_id", "delta", "joint", "cond_product",
             "cond_subgroup", "group_share")
-    markets = []
-    for block, (table, iv) in results:
-        h = block.hierarchy
-        groups, subgroups, products = _tree_columns(h)
-        reals = (block.values, table.joint, table.cond_product,
-                 table.cond_subgroup[h.product_subgroup], table.group[h.product_group])
-        columns = zip(products, groups, subgroups, *(a.tolist() for a in reals))
-        markets.append(
-            {
-                "market_id": block.market_id,
-                "products": [dict(zip(keys, row)) for row in columns],
-                "outside_share": table.outside,
-                "inclusive_values": {
-                    "subgroup": [
-                        {"group_id": gid, "subgroup_id": sid, "value": value}
-                        for (gid, sid), value in zip(h.subgroup_keys, iv.subgroup.tolist())
-                    ],
-                    "group": [
-                        {"group_id": gid, "value": value}
-                        for gid, value in zip(h.group_ids, iv.group.tolist())
-                    ],
-                    "top": iv.top,
-                },
-            }
-        )
+    ids = (h.products, [h.group_ids[g] for g in h.product_group.tolist()],
+           [h.subgroup_ids[s] for s in h.product_subgroup.tolist()])
+    reals = (block.values, table.joint, table.cond_product,
+             table.cond_subgroup[h.product_subgroup], table.group[h.product_group])
+    products = [dict(zip(keys, row)) for row in zip(*ids, *(a.tolist() for a in reals))]
+    subgroups = [{"group_id": gid, "subgroup_id": sid, "value": value}
+                 for (gid, sid), value in zip(h.subgroup_keys, iv.subgroup.tolist())]
+    groups = [{"group_id": gid, "value": value} for gid, value in zip(h.group_ids, iv.group.tolist())]
+    outside, top = np.atleast_1d(table.outside).tolist(), np.atleast_1d(iv.top).tolist()
+    g, s, p = h.bounds.tolist()
+    markets = [
+        {
+            "market_id": market_id,
+            "products": products[p[m]:p[m + 1]],
+            "outside_share": outside[m],
+            "inclusive_values": {"subgroup": subgroups[s[m]:s[m + 1]], "group": groups[g[m]:g[m + 1]], "top": top[m]},
+        }
+        for m, market_id in enumerate(h.market_ids)
+    ]
     payload = {"sigma1": params.sigma1, "sigma2": params.sigma2, "markets": markets}
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _market_sums(block) -> np.ndarray:
+    """Each market's ``values.sum()`` bit for bit: the markets of one size
+    are summed as the rows of one matrix, in numpy's order for one row."""
+    starts, sizes = block.hierarchy.bounds[2, :-1], np.diff(block.hierarchy.bounds[2])
+    sums = np.empty(len(starts))
+    for size in set(sizes.tolist()):
+        sums[sizes == size] = block.values[starts[sizes == size, None] + np.arange(size)].sum(axis=1)
+    return sums
 
 
 @_market_command("invert", "Market CSV with joint shares and one _outside row per market.")
@@ -351,57 +444,55 @@ def _shares_json(results, params: NestingParams) -> str:
 @click.option("--tol", type=float, default=1e-9, show_default=True, help="Newton stopping tolerance; closed and newton must agree within 10*tol.")
 def cmd_invert(input_path, params_path, output_path, method, tol):
     """Recover mean utilities from observed shares (closed form or Newton)."""
-    params, blocks = _read_markets(input_path, params_path, shares_in=True)
+    params, block = _read_markets(input_path, params_path, outside=True)
 
-    def utilities(block):
-        table = ShareTable.from_joint(block.hierarchy, block.values, block.outside_value)
-        total = float(block.values.sum() + block.outside_value)
-        if abs(total - 1.0) > 1e-6:
-            raise MarketFileError(f"shares sum to {total:.9g}, expected 1 within 1e-6")
-        delta = berry_invert(table, params).values
-        if method == "closed":
-            return delta
-        newton = numeric_invert(block.hierarchy, table, params, tol=tol, max_iter=50).values
-        gap = float(np.max(np.abs(newton - delta)))
+    def closed_form(b):
+        table = ShareTable.from_joint(b.hierarchy, b.values, b.outside)
+        total = _market_sums(b) + b.outside
+        bad = b.hierarchy.first_market(markets=np.abs(total - 1.0) > 1e-6)
+        if bad is not None:
+            raise MarketFileError(f"shares sum to {total[bad]:.9g}, expected 1 within 1e-6", market=bad)
+        return berry_invert(table, params).values
+
+    def newton(m, b, at):
+        table = ShareTable.from_joint(b.hierarchy, b.values, b.outside)
+        values = numeric_invert(b.hierarchy, table, params, tol=tol, max_iter=50).values
+        gap = float(np.max(np.abs(values - delta[at])))
         if gap > 10.0 * tol:
             raise NoConvergenceError(
                 f"newton and closed-form utilities disagree by {gap:.3e} (limit {10.0 * tol:.3e})",
                 residual=gap,
             )
-        return newton
+        return [*_id_columns(b.hierarchy), values]
 
-    rows = ([b.market_id, *_tree_columns(b.hierarchy), d] for b, d in _computed(blocks, utilities))
-    _write_csv(output_path, MARKET_COLUMNS, rows)
+    block, delta, error = _before_failure(block, closed_form)
+    blocks = [[*_id_columns(block.hierarchy), delta]] if method == "closed" else _computed(block, newton)
+    _write_csv(output_path, MARKET_COLUMNS, blocks, error)
 
 
 @_market_command("jacobian")
 @click.option("--check-fd", is_flag=True, help="Cross-check against central finite differences; mismatch exits 3.")
 def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
-    params, blocks = _read_markets(input_path, params_path)
+    params, block = _read_markets(input_path, params_path)
+    block, (table, _), error = _shares_before_failure(block, params)
     fd_errors = []
 
-    def jacobian(block):
-        h = block.hierarchy
-        jac = full_jacobian(h, block.values, params)
+    def jacobian(m, b, at):
+        h = b.hierarchy
+        jac = full_jacobian(h, b.values, params)
         if check_fd:
-            fd = fd_jacobian(h, block.values, params, step=1e-6)
-            table, _ = compute_shares(h, block.values, params)
-            err = max_relative_error(jac, fd, row_scale=np.append(table.joint, table.outside))
-            click.echo(
-                f"market {block.market_id!r}: max relative error vs finite differences {err:.3e}",
-                err=True,
-            )
+            fd = fd_jacobian(h, b.values, params, step=1e-6)
+            row_scale = np.append(table.joint[at], np.atleast_1d(table.outside)[m])
+            err = max_relative_error(jac, fd, row_scale=row_scale)
+            click.echo(f"market {h.market_ids[0]!r}: max relative error vs finite differences {err:.3e}", err=True)
             fd_errors.append(err)
-        return jac
+        # the rows of the matrix, then the outside row
+        ids, n = _csv_fields(h.products + (OUTSIDE_ID,)), h.n_products
+        rows, cols = np.repeat(np.arange(n + 1, dtype=np.int32), n), np.tile(np.arange(n, dtype=np.int32), n + 1)
+        return [h.market_ids[0], (ids, rows), (ids, cols), np.append(jac.matrix, jac.outside_row)]
 
-    def rows():
-        for block, jac in _computed(blocks, jacobian):
-            ids, n = block.hierarchy.products, block.hierarchy.n_products
-            yield [block.market_id, [p for p in ids for _ in range(n)], ids * n, jac.matrix.ravel()]
-            yield [block.market_id, OUTSIDE_ID, ids, jac.outside_row]
-
-    _write_csv(output_path, ["market_id", "row_id", "col_id", "value"], rows())
+    _write_csv(output_path, ["market_id", "row_id", "col_id", "value"], _computed(block, jacobian), error)
     if any(err > _FD_LIMIT for err in fd_errors):
         _die(EXIT_SELFTEST, f"finite-difference check exceeded {_FD_LIMIT:g}")
 
@@ -412,27 +503,26 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
 def cmd_simulate(input_path, params_path, output_path, draws, seed):
     """Simulate sequential choices and compare frequencies to analytic shares."""
     config = SimConfig(draws=draws, seed=seed)
-    params, blocks = _read_markets(input_path, params_path)
+    params, block = _read_markets(input_path, params_path)
+    block, (table, _), error = _shares_before_failure(block, params)
     worst = [0.0, None]
 
-    def simulated(block):
-        counts = simulate_choices(block.hierarchy, block.values, params, config)
-        table, _ = compute_shares(block.hierarchy, block.values, params)
+    def simulated(m, b, at):
+        counts = simulate_choices(b.hierarchy, b.values, params, config)
         freq, _ = empirical_shares(counts)
-        share = np.append(table.joint, table.outside)
+        share = np.append(table.joint[at], np.atleast_1d(table.outside)[m])
         se = np.sqrt(share * (1.0 - share) / float(draws))
         # z is 0 where the frequency equals the share, se = 0 (an underflowed share) included
         with np.errstate(divide="ignore"):
             z = np.divide(freq - share, se, out=np.zeros_like(share), where=freq != share)
         peak = float(np.max(np.abs(z)))
         if peak > worst[0]:
-            worst[:] = peak, block.market_id
-        ids = [(*column, OUTSIDE_ID) for column in _tree_columns(block.hierarchy)]
-        tally = np.append(counts.counts, counts.outside_count).tolist()
-        return [block.market_id, *ids, tally, freq, share, se, z]
+            worst[:] = peak, b.hierarchy.market_ids[0]
+        tally = np.append(counts.counts, counts.outside_count)
+        return [*_id_columns(b.hierarchy, outside=True), tally, freq, share, se, z]
 
     header = [*MARKET_COLUMNS[:4], "count", "frequency", "share", "std_error", "z_score"]
-    _write_csv(output_path, header, (rows for _, rows in _computed(blocks, simulated)))
+    _write_csv(output_path, header, _computed(block, simulated), error)
     peak, market_id = worst
     if peak > _Z_LIMIT:
         _die(

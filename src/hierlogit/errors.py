@@ -2,7 +2,15 @@
 
 
 class HierLogitError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``market`` is the position, in its tree, of the first market found at
+    fault, or None when the error is not about one market.
+    """
+
+    def __init__(self, *args, market=None):
+        super().__init__(*args)
+        self.market = market
 
 
 class EmptyInputError(HierLogitError):

@@ -1,4 +1,4 @@
-"""Two-level choice tree (market -> groups -> subgroups -> products) and model parameters.
+"""Two-level choice trees (markets -> groups -> subgroups -> products) and model parameters.
 
 The outside option is never stored as a product: it is an implicit extra
 group whose inclusive value is fixed at zero by every consumer of the tree.
@@ -62,51 +62,51 @@ def validate_params(sigma1: float, sigma2: float) -> NestingParams:
 
 
 class ChoiceHierarchy:
-    """Immutable two-level choice tree with flat index arrays.
+    """Immutable choice tree of one or more markets, with flat index arrays.
 
-    Built from a mapping group_id -> subgroup_id -> list of product ids.
-    Products, subgroups, and groups are numbered in the mapping's order
-    (first appearance of the input rows for ``build_hierarchy``), so share
-    vectors and Jacobian rows have a stable, reproducible layout. Instances
-    are safe to share across threads.
+    Markets, groups, subgroups and products are numbered market by market,
+    each in order of first appearance (in the input rows for
+    ``build_hierarchy``), so share vectors and Jacobian rows have a stable,
+    reproducible layout. A market's groups, subgroups and products are
+    contiguous. Instances are safe to share across threads.
 
     Attributes
     ----------
-    market_id : str
-    products : tuple of str
-        Product ids in canonical (first-appearance) order; all arrays and
-        utility vectors are aligned to this order.
-    subgroup_keys : tuple of (group_id, subgroup_id)
-        Flat enumeration of subgroups; ``subgroup_keys[product_subgroup[j]]``
-        names the group and subgroup of product j.
-    group_ids : tuple of str
-    product_subgroup, product_group : int arrays over products
-        Flat subgroup/group index of each product.
-    subgroup_group : int array over subgroups
-        Flat group index of each subgroup.
+    market_ids, group_ids, subgroup_ids, products : tuples of str
+        Ids in canonical order; all arrays and utility vectors are aligned
+        to ``products``. Group and subgroup ids may repeat across markets.
+    group_market, subgroup_group, product_subgroup : int arrays
+        Flat market index of each group, group index of each subgroup and
+        subgroup index of each product.
+    product_group, product_market : int arrays over products
+    bounds : int array of shape (3, n_markets + 1)
+        ``bounds[:, m]`` is the first group, subgroup and product of market
+        m, ``bounds[:, n_markets]`` one past the last of each.
     """
 
-    def __init__(self, tree, market_id=""):
-        self.market_id = market_id
-
-        products = []
-        subgroup_keys = []
-        sub_grp = []
-        sub_size = []
-        for gi, (group_id, subgroups) in enumerate(tree.items()):
-            for subgroup_id, product_ids in subgroups.items():
-                subgroup_keys.append((group_id, subgroup_id))
-                sub_grp.append(gi)
-                sub_size.append(len(product_ids))
-                products.extend(product_ids)
-
+    def __init__(self, market_ids, group_market, group_ids, subgroup_group, subgroup_ids,
+                 product_subgroup, products):
+        self.market_ids = tuple(market_ids)
+        self.group_ids = tuple(group_ids)
+        self.subgroup_ids = tuple(subgroup_ids)
         self.products = tuple(products)
-        self.subgroup_keys = tuple(subgroup_keys)
-        self.group_ids = tuple(tree)
-        self.subgroup_group = np.asarray(sub_grp, dtype=np.intp)
-        # products of one subgroup are contiguous in canonical order
-        self.product_subgroup = np.repeat(np.arange(len(subgroup_keys), dtype=np.intp), sub_size)
+        self.group_market = np.asarray(group_market, dtype=np.intp)
+        self.subgroup_group = np.asarray(subgroup_group, dtype=np.intp)
+        self.product_subgroup = np.asarray(product_subgroup, dtype=np.intp)
         self.product_group = self.subgroup_group[self.product_subgroup]
+        self.product_market = self.group_market[self.product_group]
+        groups = np.searchsorted(self.group_market, np.arange(self.n_markets + 1))
+        subgroups = np.searchsorted(self.subgroup_group, groups)
+        self.bounds = np.array([groups, subgroups, np.searchsorted(self.product_subgroup, subgroups)])
+
+    @property
+    def subgroup_keys(self):
+        """(group_id, subgroup_id) of every subgroup."""
+        return tuple(zip((self.group_ids[g] for g in self.subgroup_group.tolist()), self.subgroup_ids))
+
+    @property
+    def n_markets(self):
+        return len(self.market_ids)
 
     @property
     def n_products(self):
@@ -114,17 +114,51 @@ class ChoiceHierarchy:
 
     @property
     def n_subgroups(self):
-        return len(self.subgroup_keys)
+        return len(self.subgroup_ids)
 
     @property
     def n_groups(self):
         return len(self.group_ids)
 
+    def markets(self, start: int, stop: int) -> "ChoiceHierarchy":
+        """The tree of markets ``start`` to ``stop - 1``, numbered from 0."""
+        (g0, s0, p0), (g1, s1, p1) = self.bounds[:, [start, stop]].T.tolist()
+        return ChoiceHierarchy(
+            self.market_ids[start:stop], self.group_market[g0:g1] - start, self.group_ids[g0:g1],
+            self.subgroup_group[s0:s1] - g0, self.subgroup_ids[s0:s1],
+            self.product_subgroup[p0:p1] - s0, self.products[p0:p1],
+        )
+
+    def first_market(self, products=None, subgroups=None, markets=None):
+        """Position of the first market with a True entry in any of the
+        boolean arrays given over products, subgroups or markets; else None."""
+        owners = ((products, self.product_market), (subgroups, self.group_market[self.subgroup_group]),
+                  (markets, np.arange(self.n_markets)))
+        found = np.concatenate([owner[mask][:1] for mask, owner in owners if mask is not None])
+        return int(found.min()) if found.size else None
+
     def __repr__(self):
         return (
-            f"ChoiceHierarchy(market_id={self.market_id!r}, groups={self.n_groups}, "
+            f"ChoiceHierarchy(markets={self.n_markets}, groups={self.n_groups}, "
             f"subgroups={self.n_subgroups}, products={self.n_products})"
         )
+
+
+def tree_arrays(tree) -> tuple:
+    """The ``ChoiceHierarchy`` arguments but ``products`` of a mapping
+    market_id -> group_id -> subgroup_id -> list of leaves, and the leaves
+    in tree order: the product ids, or what the caller maps to them."""
+    groups, subgroups, leaves = [], [], []
+    for m, market in enumerate(tree.values()):
+        for group_id, members in market.items():
+            groups.append((m, group_id))
+            for subgroup_id, items in members.items():
+                subgroups.append((len(groups) - 1, subgroup_id, len(items)))
+                leaves.extend(items)
+    group_market, group_ids = zip(*groups)
+    subgroup_group, subgroup_ids, sizes = zip(*subgroups)
+    product_subgroup = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+    return (tuple(tree), group_market, group_ids, subgroup_group, subgroup_ids, product_subgroup), leaves
 
 
 def _finite_utilities(values) -> np.ndarray:
@@ -148,7 +182,7 @@ class UtilityVector:
 
 
 def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
-    """Build a ChoiceHierarchy from (group_id, subgroup_id, product_id) rows.
+    """Build a one-market ChoiceHierarchy from (group_id, subgroup_id, product_id) rows.
 
     Ordering of groups, subgroups, and products follows first appearance in
     ``rows``, so identical inputs always produce identical trees.
@@ -173,14 +207,31 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
         tree.setdefault(group_id, {}).setdefault(subgroup_id, []).append(product_id)
     if not tree:
         raise EmptyInputError("cannot build a hierarchy from zero rows")
-    return ChoiceHierarchy(tree, market_id=market_id)
+    arrays, products = tree_arrays({market_id: tree})
+    return ChoiceHierarchy(*arrays, products)
 
 
 def as_delta_array(hierarchy: ChoiceHierarchy, delta) -> np.ndarray:
-    """Coerce a UtilityVector or array-like to a validated float array."""
-    values = delta.values if isinstance(delta, UtilityVector) else _finite_utilities(delta)
+    """Coerce a UtilityVector or array-like to a validated float array;
+    a non-finite utility is charged to the first market holding one."""
+    if isinstance(delta, UtilityVector):
+        values = delta.values
+    else:
+        values = np.atleast_1d(np.asarray(delta, dtype=float))
     if values.shape != (hierarchy.n_products,):
         raise OutOfDomainError(
             f"expected {hierarchy.n_products} utilities, got shape {values.shape}"
         )
+    bad = hierarchy.first_market(products=~np.isfinite(values))
+    if bad is not None:
+        raise OutOfDomainError("utility values must all be finite", market=bad)
     return values
+
+
+def one_market(hierarchy: ChoiceHierarchy, what: str) -> None:
+    """Refuse a tree of several markets where ``what`` works on one at a time."""
+    if hierarchy.n_markets != 1:
+        raise OutOfDomainError(
+            f"{what} takes a one-market tree, got {hierarchy.n_markets} markets; "
+            "see ChoiceHierarchy.markets"
+        )

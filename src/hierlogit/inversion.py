@@ -15,7 +15,7 @@ with the closed form to tight tolerance.
 import numpy as np
 
 from .errors import DegenerateShareError, NoConvergenceError, OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector
+from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, one_market
 from .jacobian import log_share_jacobian
 from .shares import ShareTable, compute_shares
 
@@ -23,15 +23,17 @@ __all__ = ["berry_invert", "regression_rows", "numeric_invert"]
 
 
 def _require_interior(table: ShareTable) -> None:
-    logs = np.concatenate(
-        [table.log_joint, table.log_cond_product, table.log_cond_subgroup, [table.log_outside]]
+    bad = table.hierarchy.first_market(
+        products=~(np.isfinite(table.log_joint) & np.isfinite(table.log_cond_product)),
+        subgroups=~np.isfinite(table.log_cond_subgroup),
+        markets=~np.isfinite(np.atleast_1d(table.log_outside)),
     )
-    if not np.all(np.isfinite(logs)):
-        raise DegenerateShareError("inversion needs strictly positive shares everywhere")
+    if bad is not None:
+        raise DegenerateShareError("inversion needs strictly positive shares everywhere", market=bad)
 
 
 def berry_invert(table: ShareTable, params: NestingParams) -> UtilityVector:
-    """Closed-form mean utilities from a share table.
+    """Closed-form mean utilities from a share table of any number of markets.
 
     Works on the table's log fields, so round trips stay accurate even
     when the joint shares themselves underflow.
@@ -48,8 +50,9 @@ def regression_rows(table: ShareTable) -> tuple:
     holds exactly for model shares.
     """
     _require_interior(table)
-    y = table.log_joint - table.log_outside
-    return y, table.log_cond_product, table.log_cond_subgroup[table.hierarchy.product_subgroup]
+    h = table.hierarchy
+    y = table.log_joint - np.atleast_1d(table.log_outside)[h.product_market]
+    return y, table.log_cond_product, table.log_cond_subgroup[h.product_subgroup]
 
 
 def numeric_invert(
@@ -78,6 +81,7 @@ def numeric_invert(
     """
     if not tol > 0.0:
         raise OutOfDomainError(f"tol={tol!r} must be positive")
+    one_market(hierarchy, "numeric_invert")
     _require_interior(target)
     stop = np.log1p(tol)
 

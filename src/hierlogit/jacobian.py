@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import ChoiceHierarchy, NestingParams, as_delta_array
+from .hierarchy import ChoiceHierarchy, NestingParams, as_delta_array, one_market
 from .shares import ShareTable, compute_shares
 
 __all__ = [
@@ -63,6 +63,7 @@ def log_share_jacobian(table: ShareTable, params: NestingParams) -> np.ndarray:
     the share-level Jacobian is ``joint[:, None]`` times this matrix.
     """
     h = table.hierarchy
+    one_market(h, "log_share_jacobian")
     a = 1.0 / (1.0 - params.sigma1)
     b = 1.0 / (1.0 - params.sigma2)
     cp = table.cond_product
@@ -92,6 +93,7 @@ def fd_jacobian(
     hierarchy: ChoiceHierarchy, delta, params: NestingParams, step: float = 1e-6
 ) -> ShareJacobian:
     """Central-difference approximation (s(delta+h e_k) - s(delta-h e_k)) / 2h."""
+    one_market(hierarchy, "fd_jacobian")
     delta = as_delta_array(hierarchy, delta)
     n = hierarchy.n_products
     matrix = np.empty((n, n))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array
+from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array, one_market
 from .shares import compute_shares
 
 __all__ = [
@@ -84,7 +84,8 @@ def simulate_choices(
     params: NestingParams,
     config: SimConfig,
 ) -> ChoiceCounts:
-    """Simulate ``config.draws`` sequential choices and tally them."""
+    """Simulate ``config.draws`` sequential choices in a one-market tree and tally them."""
+    one_market(hierarchy, "simulate_choices")
     delta = as_delta_array(hierarchy, delta)
     _, iv = compute_shares(hierarchy, delta, params)
     n_grp = hierarchy.n_groups

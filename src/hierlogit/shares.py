@@ -16,9 +16,11 @@ subgroup, conditional subgroup shares the softmax of I_sub/(1-sigma2)
 within a group, and group shares the softmax of I_grp (outside option
 entering as exp(0) = 1). The joint share of a product is the product of
 the three conditionals down its branch.
+
+Every function here takes a tree of any number of markets: the market is
+the top segment, so a file of many markets is one call.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,20 +37,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InclusiveValues:
-    """Inclusive values per subgroup, per group, and at the top level."""
+    """Inclusive values per subgroup, per group, and at the top level:
+    ``top`` is a float for a one-market tree and an array over markets
+    otherwise."""
 
     subgroup: np.ndarray
     group: np.ndarray
     top: float
 
 
+def _per_market(values: np.ndarray):
+    """``values`` over markets, or its one entry as a float for a one-market tree."""
+    return float(values[0]) if len(values) == 1 else values
+
+
 @dataclass(frozen=True)
 class ShareTable:
-    """Joint, conditional, and aggregate shares for one market.
+    """Joint, conditional, and aggregate shares for every market of a tree.
 
     Arrays are aligned to the hierarchy's canonical orders: ``joint`` and
     ``cond_product`` per product, ``cond_subgroup`` per flat subgroup,
-    ``group`` per group. ``outside`` is the no-purchase share.
+    ``group`` per group. ``outside`` is the no-purchase share: a float for
+    a one-market tree and an array over markets otherwise.
 
     The log of every field is carried alongside. The inversion routines
     work on the logs, which stay finite and accurate even when the shares
@@ -68,30 +78,37 @@ class ShareTable:
     log_outside: float
 
     @classmethod
-    def from_joint(cls, hierarchy: ChoiceHierarchy, joint, outside: float) -> "ShareTable":
+    def from_joint(cls, hierarchy: ChoiceHierarchy, joint, outside) -> "ShareTable":
         """Rebuild a full table (conditionals included) from observed joint shares.
 
-        Intended for share data coming from outside the model, e.g. a CSV
-        of observed market shares. This is the one check of the per-share
-        bound: every joint share and the outside share must lie strictly
-        inside (0, 1). Whether they sum to 1 is left to the caller; the CLI
-        requires it within 1e-6 as a rule of its file format.
+        ``outside`` holds one outside share per market (a float will do for
+        one market). Intended for share data coming from outside the model,
+        e.g. a CSV of observed market shares. This is the one check of the
+        per-share bound: every joint share and the outside share must lie
+        strictly inside (0, 1). Whether they sum to 1 is left to the caller;
+        the CLI requires it within 1e-6 as a rule of its file format.
 
         Raises
         ------
         DegenerateShareError
-            If any share is not strictly inside (0, 1), NaN included.
+            If any share is not strictly inside (0, 1), NaN included; the
+            error names the first market holding one.
         """
         joint = np.asarray(joint, dtype=float)
-        if joint.shape != (hierarchy.n_products,):
+        outside = np.atleast_1d(np.asarray(outside, dtype=float))
+        if joint.shape != (hierarchy.n_products,) or outside.shape != (hierarchy.n_markets,):
             raise DegenerateShareError(
-                f"expected {hierarchy.n_products} joint shares, got shape {joint.shape}"
+                f"expected {hierarchy.n_products} joint and {hierarchy.n_markets} outside shares, "
+                f"got shapes {joint.shape} and {outside.shape}"
             )
-        if not np.all((joint > 0.0) & (joint < 1.0)):
-            raise DegenerateShareError("joint shares must lie strictly in (0, 1)")
-        outside = float(outside)
-        if not 0.0 < outside < 1.0:
-            raise DegenerateShareError(f"outside share {outside!r} must lie strictly in (0, 1)")
+        bad_joint = hierarchy.first_market(products=~((joint > 0.0) & (joint < 1.0)))
+        bad = hierarchy.first_market(markets=~((outside > 0.0) & (outside < 1.0)))
+        if bad_joint is not None and (bad is None or bad_joint <= bad):
+            raise DegenerateShareError("joint shares must lie strictly in (0, 1)", market=bad_joint)
+        if bad is not None:
+            raise DegenerateShareError(
+                f"outside share {float(outside[bad])!r} must lie strictly in (0, 1)", market=bad
+            )
 
         n_sub = hierarchy.n_subgroups
         subgroup_sum = np.bincount(hierarchy.product_subgroup, weights=joint, minlength=n_sub)
@@ -104,12 +121,12 @@ class ShareTable:
             cond_product=cond_product,
             cond_subgroup=cond_subgroup,
             group=group_sum,
-            outside=outside,
+            outside=_per_market(outside),
             log_joint=np.log(joint),
             log_cond_product=np.log(cond_product),
             log_cond_subgroup=np.log(cond_subgroup),
             log_group=np.log(group_sum),
-            log_outside=np.log(outside),
+            log_outside=_per_market(np.log(outside)),
         )
 
 
@@ -120,8 +137,9 @@ def _segment_log_softmax(x: np.ndarray, segment: np.ndarray, n_segments: int):
     shifted values x - peak and the small log of their sum, never as
     x - lse: at |x| ~ 1e6 (utilities of 700 over 1 - sigma = 1e-3) the
     rounding of lse alone would move every share of a segment by ~1e-10
-    in the same direction. Every segment is nonempty by hierarchy
-    construction, so the per-segment peak is finite for finite x.
+    in the same direction. Each segment's terms are summed in the order
+    they have in x. Every segment is nonempty by hierarchy construction,
+    so the per-segment peak is finite for finite x.
     """
     peak = np.full(n_segments, -np.inf)
     np.maximum.at(peak, segment, x)
@@ -130,16 +148,26 @@ def _segment_log_softmax(x: np.ndarray, segment: np.ndarray, n_segments: int):
     return peak + log_total, shifted - log_total[segment]
 
 
-def _scaled(values: np.ndarray, scale: float, what: str) -> np.ndarray:
-    """values / scale, refused before dividing when the largest |value| / scale overflows."""
-    peak = float(np.abs(values).max())
-    if not math.isfinite(peak / scale):
-        raise OutOfDomainError(f"{what} up to {peak:.6g} overflow a double when divided by {scale:.6g}")
+def _scaled(values: np.ndarray, scale: float, what: str, starts: np.ndarray) -> np.ndarray:
+    """values / scale, refused before dividing in the first market whose
+    largest |value| / scale overflows; ``starts`` holds each market's first
+    entry in ``values``."""
+    peak = np.maximum.reduceat(np.abs(values), starts)
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(~np.isfinite(peak / scale))
+    if bad.size:
+        raise OutOfDomainError(
+            f"{what} up to {peak[bad[0]]:.6g} overflow a double when divided by {scale:.6g}",
+            market=int(bad[0]),
+        )
     return values / scale
 
 
 def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
-    """All shares and inclusive values of a market at mean utilities ``delta``.
+    """All shares and inclusive values of every market at mean utilities ``delta``.
+
+    Each market's numbers are those of the same market computed alone, bit
+    for bit. An error names the first market at fault.
 
     Returns
     -------
@@ -148,26 +176,28 @@ def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
     delta = as_delta_array(hierarchy, delta)
     a1 = 1.0 - params.sigma1
     a2 = 1.0 - params.sigma2
+    _, sub_starts, product_starts = hierarchy.bounds[:, :-1]
 
-    x = _scaled(delta, a1, "utilities")
+    x = _scaled(delta, a1, "utilities", product_starts)
     # log of the per-subgroup sum S = sum exp(delta/(1-sigma1)), i.e. I_sub/(1-sigma1)
     log_s, log_cond_product = _segment_log_softmax(
         x, hierarchy.product_subgroup, hierarchy.n_subgroups
     )
     iv_sub = a1 * log_s
 
-    y = _scaled(iv_sub, a2, "subgroup inclusive values")
+    y = _scaled(iv_sub, a2, "subgroup inclusive values", sub_starts)
     log_t, log_cond_subgroup = _segment_log_softmax(
         y, hierarchy.subgroup_group, hierarchy.n_groups
     )
     iv_grp = a2 * log_t
 
-    # the outside option is one more alternative with value 0 at the top
-    top_segment = np.zeros(hierarchy.n_groups + 1, dtype=np.intp)
-    log_top, log_choice = _segment_log_softmax(np.append(iv_grp, 0.0), top_segment, 1)
-    iv_top = float(log_top[0])
-    log_group = log_choice[:-1]
-    log_outside = float(log_choice[-1])
+    # each market's outside option is one more alternative with value 0 at
+    # its top, summed after the market's groups
+    n_grp, n_mkt = hierarchy.n_groups, hierarchy.n_markets
+    top_segment = np.concatenate([hierarchy.group_market, np.arange(n_mkt)])
+    log_top, log_choice = _segment_log_softmax(np.append(iv_grp, np.zeros(n_mkt)), top_segment, n_mkt)
+    log_group = log_choice[:n_grp]
+    log_outside = log_choice[n_grp:]
 
     log_joint = (
         log_cond_product
@@ -181,11 +211,11 @@ def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
         cond_product=np.exp(log_cond_product),
         cond_subgroup=np.exp(log_cond_subgroup),
         group=np.exp(log_group),
-        outside=float(np.exp(log_outside)),
+        outside=_per_market(np.exp(log_outside)),
         log_joint=log_joint,
         log_cond_product=log_cond_product,
         log_cond_subgroup=log_cond_subgroup,
         log_group=log_group,
-        log_outside=log_outside,
+        log_outside=_per_market(log_outside),
     )
-    return table, InclusiveValues(subgroup=iv_sub, group=iv_grp, top=iv_top)
+    return table, InclusiveValues(subgroup=iv_sub, group=iv_grp, top=_per_market(log_top))

@@ -306,11 +306,14 @@ def test_simulate_seed_out_of_range_exits_domain(runner, tmp_path, seed):
 def test_overflowing_utilities_exit_domain(runner, tmp_path, command, sigma):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0), ("m2", "g", "h", "a", 1e308)])
     params = write_params(tmp_path / "p.json", *sigma)
-    args = [command, "--input", market, "--params", params]
+    out = tmp_path / "out.csv"
+    args = [command, "--input", market, "--params", params, "--output", str(out)]
     if command == "simulate":
         args += ["--draws", "100"]
     line = _assert_one_error_line(runner.invoke(main, args), EXIT_DOMAIN)
     assert "'m2'" in line and "overflow" in line
+    # the market before the one that overflows is written
+    assert {r["market_id"] for r in parse_csv(out.read_text())} == {"m1"}
 
 
 def test_simulate_z_score_is_zero_for_an_underflowed_share_never_drawn(runner, tmp_path):
@@ -635,3 +638,73 @@ def test_cli_fuzz_malformed_markets_never_traceback(tmp_path, data):
             _assert_one_error_line(result, result.exit_code)
         else:
             assert result.exception is None
+
+
+def _three_markets(tmp_path):
+    # ragged markets of different sizes, rows shuffled across markets
+    rows = [
+        ("m1", "g1", "h1", "a", 0.3), ("m2", "g1", "h1", "a", -1.2), ("m3", "x", "y", "z", 0.7),
+        ("m1", "g1", "h2", "b", -0.4), ("m2", "g2", "h2", "b", 0.9), ("m1", "g2", "h3", "c", 1.1),
+        ("m2", "g1", "h1", "c", 0.2), ("m1", "g1", "h1", "d", 0.0), ("m2", "g2", "h3", "d", -2.5),
+    ]
+    return rows, write_params(tmp_path / "p.json", 0.5, 0.25)
+
+
+def test_multi_market_file_is_the_concatenation_of_one_market_runs(runner, tmp_path):
+    rows, params = _three_markets(tmp_path)
+    market_ids = ["m1", "m2", "m3"]
+
+    def run(command, market_rows, name, *extra):
+        path = write_market(tmp_path / f"{name}.csv", market_rows)
+        return run_ok(runner, [command, "--input", path, "--params", params, *extra]).output
+
+    def shares_of(market_rows, name):
+        # invert input: the shares output's first five columns
+        text = run("shares", market_rows, name)
+        return [r.split(",")[:5] for r in text.splitlines()[1:]]
+
+    for command, extra in (("shares", ()), ("jacobian", ()), ("simulate", ("--draws", "500", "--seed", "4")),
+                           ("invert", ())):
+        if command == "invert":
+            whole = run(command, shares_of(rows, "all"), "all_in")
+            parts = [run(command, shares_of([r for r in rows if r[0] == m], m), f"{m}_in") for m in market_ids]
+        else:
+            whole = run(command, rows, "all", *extra)
+            parts = [run(command, [r for r in rows if r[0] == m], m, *extra) for m in market_ids]
+        header = parts[0].splitlines(keepends=True)[0]
+        assert whole == header + "".join(p[len(header):] for p in parts), command
+
+
+def test_invert_reports_the_first_failing_market_in_file_order(runner, tmp_path):
+    # m2 breaks the sum rule (exit 1); m3 holds a zero share (exit 2)
+    rows = [
+        ("m1", "g", "h", "a", 0.4), ("m1", "_outside", "_outside", "_outside", 0.6),
+        ("m2", "g", "h", "a", 0.3), ("m2", "_outside", "_outside", "_outside", 0.3),
+        ("m3", "g", "h", "a", 0.0), ("m3", "_outside", "_outside", "_outside", 1.0),
+    ]
+    market = write_market(tmp_path / "m.csv", rows)
+    params = write_params(tmp_path / "p.json", 0.0, 0.0)
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, ["invert", "--input", market, "--params", params, "--output", str(out)])
+    line = _assert_one_error_line(result, EXIT_PARSE)
+    assert "'m2'" in line and "sum" in line
+    assert [r["market_id"] for r in parse_csv(out.read_text())] == ["m1"]
+
+
+@pytest.mark.parametrize("command", ["shares", "estimate"])
+def test_utf8_byte_order_mark_is_accepted(runner, tmp_path, command):
+    bom = "\ufeff"
+    if command == "estimate":
+        config = Path(_estimate_config(tmp_path))
+        config.write_text(bom + config.read_text(), encoding="utf-8")
+        run_ok(runner, ["estimate", "--config", str(config)])
+        return
+    plain = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.5)])
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    marked = tmp_path / "bom.csv"
+    marked.write_text(bom + Path(plain).read_text(), encoding="utf-8")
+    marked_params = tmp_path / "bom.json"
+    marked_params.write_text(bom + Path(params).read_text(), encoding="utf-8")
+    want = run_ok(runner, ["shares", "--input", plain, "--params", params]).output
+    assert run_ok(runner, ["shares", "--input", str(marked), "--params", params]).output == want
+    assert run_ok(runner, ["shares", "--input", plain, "--params", str(marked_params)]).output == want

@@ -133,3 +133,26 @@ def test_as_delta_array_checks_shape():
         as_delta_array(tree, [1.0])
     with pytest.raises(OutOfDomainError):
         as_delta_array(tree, [1.0, np.nan])
+
+
+def test_market_level_views_and_one_market_functions():
+    from hierlogit import SimConfig, compute_shares, full_jacobian, numeric_invert, simulate_choices
+    from hierlogit.hierarchy import ChoiceHierarchy, tree_arrays
+
+    arrays, products = tree_arrays({"m1": {"g": {"h": ["a", "b"]}}, "m2": {"g": {"h": ["a"], "k": ["c"]}}})
+    tree = ChoiceHierarchy(*arrays, products)
+    assert tree.market_ids == ("m1", "m2") and tree.products == ("a", "b", "a", "c")
+    np.testing.assert_array_equal(tree.product_market, [0, 0, 1, 1])
+    np.testing.assert_array_equal(tree.bounds, [[0, 1, 2], [0, 1, 3], [0, 2, 4]])
+    second = tree.markets(1, 2)
+    assert second.market_ids == ("m2",) and second.subgroup_keys == (("g", "h"), ("g", "k"))
+    np.testing.assert_array_equal(second.product_subgroup, [0, 1])
+    params = validate_params(0.5, 0.25)
+    delta = np.zeros(4)
+    table, _ = compute_shares(tree, delta, params)
+    assert tree.first_market(products=np.array([False, False, True, False])) == 1
+    # the dense Jacobian and the simulator compare products across the whole tree
+    for call in (lambda: full_jacobian(tree, delta, params), lambda: numeric_invert(tree, table, params),
+                 lambda: simulate_choices(tree, delta, params, SimConfig(draws=10))):
+        with pytest.raises(OutOfDomainError, match="one-market"):
+            call()

@@ -1,8 +1,11 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from hierlogit import (
@@ -14,6 +17,8 @@ from hierlogit import (
     compute_shares,
     validate_params,
 )
+
+from hierlogit.cli import read_market_csv
 
 from helpers import balanced_tree, brute_force_shares, random_instance, ragged_instances
 
@@ -276,3 +281,64 @@ def test_kernel_properties_on_ragged_trees(instance):
     scale = max(1.0, float(np.max(np.abs(delta)))) / min(1.0 - params.sigma1, 1.0 - params.sigma2)
     recovered = berry_invert(table, params).values
     np.testing.assert_allclose(recovered, delta, rtol=0, atol=16 * np.finfo(float).eps * scale)
+
+
+@st.composite
+def shuffled_market_files(draw):
+    """Rows of 1-4 ragged markets of different sizes, shuffled across markets,
+    with utilities and sigmas either at the domain edges (+-700, 0.999) or
+    where every share is a normal double (+-5, 0.9)."""
+    bound, sigma_bound = draw(st.sampled_from([(700.0, 0.999), (5.0, 0.9)]))
+    rows = []
+    for m in range(draw(st.integers(1, 4))):
+        sizes = draw(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3), min_size=1, max_size=3))
+        for g, subgroups in enumerate(sizes):
+            for h, n_products in enumerate(subgroups):
+                for p in range(n_products):
+                    utility = draw(st.one_of(st.sampled_from([-bound, 0.0, bound]), st.floats(-bound, bound)))
+                    rows.append((f"m{m}", f"g{g}", f"h{h}", f"p{g}.{h}.{p}", utility))
+    sigma = st.one_of(st.sampled_from([0.0, sigma_bound]), st.floats(0.0, sigma_bound))
+    return draw(st.permutations(rows)), validate_params(draw(sigma), draw(sigma))
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(shuffled_market_files())
+def test_file_wide_calls_equal_one_market_calls_bitwise(instance):
+    rows, params = instance
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        lines = ["market_id,group_id,subgroup_id,product_id,value"] + [",".join(map(str, r)) for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        block = read_market_csv(path)
+    tree = block.hierarchy
+    table, iv = compute_shares(tree, block.values, params)
+    interior = np.all((table.joint > 0.0) & (table.joint < 1.0))
+    interior &= np.all((table.outside > 0.0) & (table.outside < 1.0))
+    if interior:
+        observed = ShareTable.from_joint(tree, table.joint, table.outside)
+        delta = berry_invert(observed, params).values
+    for m, market_id in enumerate(tree.market_ids):
+        (g0, s0, p0), (g1, s1, p1) = tree.bounds[:, [m, m + 1]].T.tolist()
+        market_rows = [r for r in rows if r[0] == market_id]
+        one = build_hierarchy([r[1:4] for r in market_rows], market_id)
+        assert one.products == tree.products[p0:p1]
+        values = dict((r[3], r[4]) for r in market_rows)
+        one_table, one_iv = compute_shares(one, [values[p] for p in one.products], params)
+        assert _same(one_iv.subgroup, iv.subgroup[s0:s1]) and _same(one_iv.group, iv.group[g0:g1])
+        assert _same(one_iv.top, np.atleast_1d(iv.top)[m])
+        tables = [(one_table, table)]
+        if interior:
+            one_observed = ShareTable.from_joint(one, one_table.joint, one_table.outside)
+            assert _same(berry_invert(one_observed, params).values, delta[p0:p1])
+            tables.append((one_observed, observed))
+        for small, big in tables:
+            for name, at in (("joint", slice(p0, p1)), ("cond_product", slice(p0, p1)),
+                             ("cond_subgroup", slice(s0, s1)), ("group", slice(g0, g1))):
+                assert _same(getattr(small, name), getattr(big, name)[at])
+                assert _same(getattr(small, "log_" + name), getattr(big, "log_" + name)[at])
+            assert _same(small.outside, np.atleast_1d(big.outside)[m])
+            assert _same(small.log_outside, np.atleast_1d(big.log_outside)[m])
