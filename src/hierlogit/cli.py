@@ -11,8 +11,11 @@ feeds straight back into ``invert``. Params JSON is ``{"sigma1": r, "sigma2": r}
 Market, params and config files may start with a UTF-8 byte-order mark.
 
 Each command reads the whole file into one tree whose top level is the
-market, and runs each kernel once for the file; Newton, the Jacobian and
-the simulation then run market by market. Checks by layer: the reader
+market, and runs each kernel once for the file, Newton included; the
+Jacobian and the simulation then run market by market. Newton stops a
+market at a max log-share residual of log1p(tol) (near sigma -> 1, at the
+rounding floor ``numeric_invert`` documents), takes one more step, and must
+then agree with the closed form within 10*tol. Checks by layer: the reader
 rejects non-UTF-8 or malformed CSV, unparsable values and repeated
 products, and checks every market's ``_outside`` row (required by invert,
 refused by the others) before any market is computed;
@@ -24,9 +27,10 @@ written.
 
 Exit codes: 0 success, 1 unreadable or malformed input (the sum rule
 included), 2 values outside the model's domain (utilities that overflow a
-double once divided by 1 - sigma included) or a market too large for the
-available memory, 3 failed self-check (finite-difference mismatch, simulation
-z-score blowout, Newton/closed-form disagreement, singular design).
+double once divided by 1 - sigma included) or too little memory (the message
+names the market only for the per-market Jacobian and simulation), 3 failed
+self-check (finite-difference mismatch, simulation z-score blowout,
+Newton/closed-form disagreement, singular design).
 Diagnostics go to standard error. Results go to ``--output`` or standard
 output in chunks of rows. Reals have 17 significant digits so that written
 files round-trip doubles exactly.
@@ -392,17 +396,23 @@ def cmd_shares(input_path, params_path, output_path, fmt):
     with _output(output_path) as fh:
         if error is not None:
             raise error
-        fh.write(_shares_json(block, table, iv, params))
+        fh.writelines(_shares_json(block, table, iv, params))
 
 
 def _shares_csv(h, table, iv) -> list:
-    sub, grp, top = h.product_subgroup, h.product_group, np.atleast_1d(iv.top)
-    blank_outside = (table.cond_product, table.cond_subgroup[sub], table.group[grp], iv.subgroup[sub], iv.group[grp])
+    top = np.atleast_1d(iv.top)
+    # a per-segment value is formatted once, then gathered by code; the
+    # outside row's code points past the values, at a blank or its market's top
+    segments = ((table.cond_subgroup, h.product_subgroup), (table.group, h.product_group),
+                (iv.subgroup, h.product_subgroup), (iv.group, h.product_group))
     return [*_id_columns(h, outside=True), _outside_rows(h, table.joint, table.outside),
-            *(_outside_rows(h, a) for a in blank_outside), _outside_rows(h, top[h.product_market], top)]
+            _outside_rows(h, table.cond_product),
+            *((_cells(values, 0, len(values)) + [""], _outside_rows(h, codes, len(values))) for values, codes in segments),
+            (_cells(top, 0, len(top)), _outside_rows(h, h.product_market, np.arange(h.n_markets)))]
 
 
-def _shares_json(block, table, iv, params: NestingParams) -> str:
+def _shares_json(block, table, iv, params: NestingParams):
+    """Yield ``json.dumps(payload, indent=2) + "\\n"`` market by market."""
     h = block.hierarchy
     keys = ("product_id", "group_id", "subgroup_id", "delta", "joint", "cond_product",
             "cond_subgroup", "group_share")
@@ -410,23 +420,23 @@ def _shares_json(block, table, iv, params: NestingParams) -> str:
            [h.subgroup_ids[s] for s in h.product_subgroup.tolist()])
     reals = (block.values, table.joint, table.cond_product,
              table.cond_subgroup[h.product_subgroup], table.group[h.product_group])
-    products = [dict(zip(keys, row)) for row in zip(*ids, *(a.tolist() for a in reals))]
+    rows = list(zip(*ids, *(a.tolist() for a in reals)))
     subgroups = [{"group_id": gid, "subgroup_id": sid, "value": value}
                  for (gid, sid), value in zip(h.subgroup_keys, iv.subgroup.tolist())]
     groups = [{"group_id": gid, "value": value} for gid, value in zip(h.group_ids, iv.group.tolist())]
     outside, top = np.atleast_1d(table.outside).tolist(), np.atleast_1d(iv.top).tolist()
     g, s, p = h.bounds.tolist()
-    markets = [
-        {
+    yield json.dumps({"sigma1": params.sigma1, "sigma2": params.sigma2}, indent=2)[:-2] + ',\n  "markets": ['
+    for m, market_id in enumerate(h.market_ids):
+        market = {
             "market_id": market_id,
-            "products": products[p[m]:p[m + 1]],
+            "products": [dict(zip(keys, row)) for row in rows[p[m]:p[m + 1]]],
             "outside_share": outside[m],
             "inclusive_values": {"subgroup": subgroups[s[m]:s[m + 1]], "group": groups[g[m]:g[m + 1]], "top": top[m]},
         }
-        for m, market_id in enumerate(h.market_ids)
-    ]
-    payload = {"sigma1": params.sigma1, "sigma2": params.sigma2, "markets": markets}
-    return json.dumps(payload, indent=2) + "\n"
+        # a market sits two levels deep in the payload
+        yield ("," if m else "") + "\n    " + json.dumps(market, indent=2).replace("\n", "\n    ")
+    yield "\n  ]\n}\n"
 
 
 def _market_sums(block) -> np.ndarray:
@@ -446,28 +456,28 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
     """Recover mean utilities from observed shares (closed form or Newton)."""
     params, block = _read_markets(input_path, params_path, outside=True)
 
-    def closed_form(b):
-        table = ShareTable.from_joint(b.hierarchy, b.values, b.outside)
+    def inverted(b):
+        h = b.hierarchy
+        table = ShareTable.from_joint(h, b.values, b.outside)
         total = _market_sums(b) + b.outside
-        bad = b.hierarchy.first_market(markets=np.abs(total - 1.0) > 1e-6)
+        bad = h.first_market(markets=np.abs(total - 1.0) > 1e-6)
         if bad is not None:
             raise MarketFileError(f"shares sum to {total[bad]:.9g}, expected 1 within 1e-6", market=bad)
-        return berry_invert(table, params).values
-
-    def newton(m, b, at):
-        table = ShareTable.from_joint(b.hierarchy, b.values, b.outside)
-        values = numeric_invert(b.hierarchy, table, params, tol=tol, max_iter=50).values
-        gap = float(np.max(np.abs(values - delta[at])))
-        if gap > 10.0 * tol:
+        delta = berry_invert(table, params).values
+        if method == "closed":
+            return delta
+        values = numeric_invert(h, table, params, tol=tol, max_iter=50).values
+        gap = np.maximum.reduceat(np.abs(values - delta), h.bounds[2, :-1])
+        bad = h.first_market(markets=gap > 10.0 * tol)
+        if bad is not None:
             raise NoConvergenceError(
-                f"newton and closed-form utilities disagree by {gap:.3e} (limit {10.0 * tol:.3e})",
-                residual=gap,
+                f"newton and closed-form utilities disagree by {gap[bad]:.3e} (limit {10.0 * tol:.3e})",
+                residual=float(gap[bad]), market=bad,
             )
-        return [*_id_columns(b.hierarchy), values]
+        return values
 
-    block, delta, error = _before_failure(block, closed_form)
-    blocks = [[*_id_columns(block.hierarchy), delta]] if method == "closed" else _computed(block, newton)
-    _write_csv(output_path, MARKET_COLUMNS, blocks, error)
+    block, delta, error = _before_failure(block, inverted)
+    _write_csv(output_path, MARKET_COLUMNS, [[*_id_columns(block.hierarchy), delta]], error)
 
 
 @_market_command("jacobian")

@@ -32,8 +32,8 @@ class DegenerateShareError(HierLogitError):
 class NoConvergenceError(HierLogitError):
     """The iterative inverter did not reach the requested tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
+    def __init__(self, message, residual=None, market=None):
+        super().__init__(message, market=market)
         self.residual = residual
 
 

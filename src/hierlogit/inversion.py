@@ -15,8 +15,8 @@ with the closed form to tight tolerance.
 import numpy as np
 
 from .errors import DegenerateShareError, NoConvergenceError, OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, one_market
-from .jacobian import log_share_jacobian
+from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector
+from .jacobian import _solve_log_share_jacobian
 from .shares import ShareTable, compute_shares
 
 __all__ = ["berry_invert", "regression_rows", "numeric_invert"]
@@ -62,64 +62,72 @@ def numeric_invert(
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> UtilityVector:
-    """Damped Newton inversion of the forward share map.
+    """Damped Newton inversion of the forward share map, for every market of a tree.
 
-    Solves s(delta) = target starting from the plain-logit inversion
-    delta0 = log(s_jhg/s_0). The iteration runs on the log-share residual
-    log target - log s(delta), whose exact Jacobian is the log-share
-    Jacobian: the linear system stays well scaled however small individual
-    shares are, and the residual cannot overflow even when the starting
-    point is dozens of log units off. Steps are halved until the residual
-    decreases. Convergence at max |log t - log s| <= log1p(tol) implies
-    both max |(t - s)/s| <= tol and max |s(delta) - target| <= tol.
+    Starts from the plain-logit inversion delta0 = log(s_jhg/s_0) and works
+    on the log-share residual log t - log s(delta), whose Jacobian stays well
+    scaled however small the shares are. Each iteration evaluates the tree
+    once and solves every market's Jacobian system in O(N); step halving is
+    per market, so a market's utilities are those it gets when inverted alone.
+
+    Stop rule, per market: max |log t - log s| <= max(log1p(tol), 16 eps
+    max(1, max |delta|) / (1 - max(sigma1, sigma2))). The first term implies
+    max |(t - s)/s| <= tol; the second is the residual a double can reach,
+    as log shares carry delta / (1 - sigma). A market that passes takes one
+    more full Newton step, to rounding level, and then stops moving.
 
     Raises
     ------
     NoConvergenceError
-        After ``max_iter`` Newton steps, or on a stalled line search; the
-        exception carries the final absolute share residual.
+        When a market has not passed after ``max_iter`` steps, or 40 step
+        halvings do not lower its residual; the error names the first such
+        market and carries its final absolute share residual.
     """
     if not tol > 0.0:
         raise OutOfDomainError(f"tol={tol!r} must be positive")
-    one_market(hierarchy, "numeric_invert")
     _require_interior(target)
-    stop = np.log1p(tol)
+    h = hierarchy
+    starts, owner = h.bounds[2, :-1], h.product_market
+    floor = 16.0 * np.finfo(float).eps / (1.0 - max(params.sigma1, params.sigma2))
 
-    delta = target.log_joint - target.log_outside
-    table, _ = compute_shares(hierarchy, delta, params)
-    resid = target.log_joint - table.log_joint
-    err = float(np.max(np.abs(resid)))
+    def evaluate(delta):
+        table, _ = compute_shares(h, delta, params)
+        resid = target.log_joint - table.log_joint
+        err = np.maximum.reduceat(np.abs(resid), starts)
+        reachable = floor * np.maximum(1.0, np.maximum.reduceat(np.abs(delta), starts))
+        return table, resid, err, err <= np.maximum(np.log1p(tol), reachable)
 
+    def failure(message, m):
+        residual = float(np.max(np.abs(table.joint - target.joint)[owner == m]))
+        return NoConvergenceError(message, residual=residual, market=m)
+
+    delta = target.log_joint - np.atleast_1d(target.log_outside)[owner]
+    table, resid, err, passed = evaluate(delta)
+    done = np.zeros_like(passed)
     for _ in range(max_iter):
-        if err <= stop:
-            return UtilityVector(delta)
-        jac = log_share_jacobian(table, params)
-        try:
-            step = np.linalg.solve(jac, resid)
-        except np.linalg.LinAlgError:
-            raise NoConvergenceError(
-                "Newton step failed: singular Jacobian",
-                residual=float(np.max(np.abs(table.joint - target.joint))),
-            ) from None
-        scale = 1.0
+        if done.all():
+            break
+        moving = ~done
+        step = _solve_log_share_jacobian(table, params, resid)
+        bad = h.first_market(products=moving[owner] & ~np.isfinite(step))
+        if bad is not None:
+            raise failure("Newton step failed: singular Jacobian", bad)
+        scale = moving.astype(float)
         while True:
-            candidate = delta + scale * step
-            cand_table, _ = compute_shares(hierarchy, candidate, params)
-            cand_resid = target.log_joint - cand_table.log_joint
-            cand_err = float(np.max(np.abs(cand_resid)))
-            if cand_err < err or scale < 2.0**-40:
+            candidate = np.where(moving[owner], delta + scale[owner] * step, delta)
+            cand_table, cand_resid, cand_err, cand_passes = evaluate(candidate)
+            halve = moving & ~passed & ~(cand_err < err) & (scale >= 2.0**-40)
+            if not halve.any():
                 break
-            scale *= 0.5
-        if cand_err >= err:
-            raise NoConvergenceError(
-                f"line search stalled at log-share residual {err:.3e}",
-                residual=float(np.max(np.abs(table.joint - target.joint))),
-            )
+            scale[halve] *= 0.5
+        stalled = h.first_market(markets=moving & ~passed & ~(cand_err < err))
+        if stalled is not None:
+            raise failure(f"line search stalled at log-share residual {err[stalled]:.3e}", stalled)
+        done |= passed
         delta, table, resid, err = candidate, cand_table, cand_resid, cand_err
+        passed |= cand_passes
 
-    if err <= stop:
-        return UtilityVector(delta)
-    raise NoConvergenceError(
-        f"no convergence after {max_iter} iterations (residual {err:.3e})",
-        residual=float(np.max(np.abs(table.joint - target.joint))),
-    )
+    bad = h.first_market(markets=~passed)
+    if bad is not None:
+        raise failure(f"no convergence after {max_iter} iterations (residual {err[bad]:.3e})", bad)
+    return UtilityVector(delta)

@@ -58,9 +58,9 @@ class ShareJacobian:
 def log_share_jacobian(table: ShareTable, params: NestingParams) -> np.ndarray:
     """Jacobian of log joint shares: entry (j, k) = d log s_j / d delta_k.
 
-    Entries are O(1/(1-sigma)) regardless of how small the shares are,
-    which makes this the right operator for Newton steps on log residuals;
-    the share-level Jacobian is ``joint[:, None]`` times this matrix.
+    Entries are O(1/(1-sigma)) regardless of how small the shares are; Newton
+    steps on log residuals solve this operator without forming it. The
+    share-level Jacobian is ``joint[:, None]`` times this matrix.
     """
     h = table.hierarchy
     one_market(h, "log_share_jacobian")
@@ -77,6 +77,26 @@ def log_share_jacobian(table: ShareTable, params: NestingParams) -> np.ndarray:
         + same_grp * w[None, :]
         - table.joint[None, :]
     )
+
+
+def _solve_log_share_jacobian(table: ShareTable, params: NestingParams, r: np.ndarray) -> np.ndarray:
+    """x with ``log_share_jacobian(table, params) @ x == r`` in every market, in O(N).
+
+    The matrix is a*I minus a rank-one term per subgroup, group and market.
+    With R_h = sum_{k in h} cp_k r_k, Q_g = sum_{h in g} cs_h R_h, T_m =
+    sum_{g in m} s_g Q_g / s_0m, V = Q + T and U = (R + (b-1)V + T)/b,
+    x = (r + (a-b)U + (b-1)V + T)/a; x is not finite where s_0m = 0.
+    """
+    h = table.hierarchy
+    a, b = 1.0 / (1.0 - params.sigma1), 1.0 / (1.0 - params.sigma2)
+    big_r = np.bincount(h.product_subgroup, weights=table.cond_product * r, minlength=h.n_subgroups)
+    q = np.bincount(h.subgroup_group, weights=table.cond_subgroup * big_r, minlength=h.n_groups)
+    t = np.bincount(h.group_market, weights=table.group * q, minlength=h.n_markets)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t /= np.atleast_1d(table.outside)
+        v = q + t[h.group_market]
+        u = (big_r + (b - 1.0) * v[h.subgroup_group] + t[h.group_market][h.subgroup_group]) / b
+        return (r + (a - b) * u[h.product_subgroup] + (b - 1.0) * v[h.product_group] + t[h.product_market]) / a
 
 
 def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> ShareJacobian:

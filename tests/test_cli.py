@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hierlogit
-from hierlogit.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, main
+from hierlogit import compute_shares
+from hierlogit.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, main, read_market_csv, read_params_json
 
 HEADER = "market_id,group_id,subgroup_id,product_id,value"
 
@@ -341,24 +342,37 @@ def _run_with_address_space_limit(args, limit_bytes):
     )
 
 
-@pytest.mark.parametrize("command", ["jacobian", "newton"])
+def _sixteen_thousand_products(tmp_path, value, outside=None):
+    ids = [(f"g{j // 400}", f"h{j // 20}", f"p{j}") for j in range(16_000)]
+    rows = [("m1", *i, value) for i in ids]
+    if outside is not None:
+        rows.append(("m1", "_outside", "_outside", "_outside", outside))
+    return write_market(tmp_path / "m.csv", rows), write_params(tmp_path / "p.json", 0.5, 0.25)
+
+
+@pytest.mark.parametrize("command", ["jacobian"])
 def test_out_of_memory_exits_domain_with_one_line(tmp_path, command):
     # 16,000 products: the dense N x N Jacobian needs 2 GB, twice the limit
-    n = 16_000
-    ids = [(f"g{j // 400}", f"h{j // 20}", f"p{j}") for j in range(n)]
-    if command == "jacobian":
-        rows = [("m1", *i, 0.0) for i in ids]
-        args = ["jacobian"]
-    else:
-        rows = [("m1", *i, repr(0.5 / n)) for i in ids] + [("m1", "_outside", "_outside", "_outside", 0.5)]
-        args = ["invert", "--method", "newton"]
-    market = write_market(tmp_path / "m.csv", rows)
-    params = write_params(tmp_path / "p.json", 0.5, 0.25)
-    args += ["--input", market, "--params", params, "--output", str(tmp_path / "out.csv")]
+    market, params = _sixteen_thousand_products(tmp_path, 0.0)
+    args = [command, "--input", market, "--params", params, "--output", str(tmp_path / "out.csv")]
     result = _run_with_address_space_limit(args, 2**30)
     assert result.returncode == EXIT_DOMAIN, result.stderr
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: out of memory: market 'm1':"), result.stderr
+
+
+def test_newton_on_a_16000_product_market_fits_in_1_gib(runner, tmp_path):
+    # Newton solves its Jacobian system in O(N): no N x N matrix is formed
+    market, params = _sixteen_thousand_products(tmp_path, repr(0.5 / 16_000), outside=0.5)
+    out = tmp_path / "newton.csv"
+    args = ["invert", "--method", "newton", "--input", market, "--params", params, "--output", str(out)]
+    result = _run_with_address_space_limit(args, 2**30)
+    assert result.returncode == EXIT_OK, result.stderr
+    closed = parse_csv(run_ok(runner, ["invert", "--input", market, "--params", params]).output)
+    newton = parse_csv(out.read_text())
+    assert [r["product_id"] for r in newton] == [r["product_id"] for r in closed]
+    np.testing.assert_allclose([float(r["value"]) for r in newton], [float(r["value"]) for r in closed],
+                               rtol=0, atol=1e-8)
 
 
 def _estimate_config(tmp_path, **overrides):
@@ -631,8 +645,8 @@ def test_cli_fuzz_malformed_markets_never_traceback(tmp_path, data):
     market = tmp_path / "fuzz.csv"
     market.write_bytes(data)
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
-    for command in ("shares", "invert", "jacobian"):
-        result = CliRunner().invoke(main, [command, "--input", str(market), "--params", params])
+    for command in (["shares"], ["invert"], ["invert", "--method", "newton"], ["jacobian"]):
+        result = CliRunner().invoke(main, [*command, "--input", str(market), "--params", params])
         assert result.exit_code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_SELFTEST)
         if result.exit_code != EXIT_OK:
             _assert_one_error_line(result, result.exit_code)
@@ -673,6 +687,50 @@ def test_multi_market_file_is_the_concatenation_of_one_market_runs(runner, tmp_p
             parts = [run(command, [r for r in rows if r[0] == m], m, *extra) for m in market_ids]
         header = parts[0].splitlines(keepends=True)[0]
         assert whole == header + "".join(p[len(header):] for p in parts), command
+
+
+def test_shares_json_streams_the_whole_payload(runner, tmp_path):
+    rows, params_path = _three_markets(tmp_path)
+    market = write_market(tmp_path / "m.csv", rows + [("m3", "x", "y", "\u00e9", -0.3)])
+    result = run_ok(runner, ["shares", "--input", market, "--params", params_path, "--format", "json"])
+    block, params = read_market_csv(market), read_params_json(params_path)
+    markets = []
+    for m in range(block.hierarchy.n_markets):
+        b = block.markets(m, m + 1)
+        h = b.hierarchy
+        table, iv = compute_shares(h, b.values, params)
+        sub, grp = h.product_subgroup.tolist(), h.product_group.tolist()
+        products = [
+            {"product_id": product, "group_id": h.group_ids[grp[j]], "subgroup_id": h.subgroup_ids[sub[j]],
+             "delta": float(b.values[j]), "joint": float(table.joint[j]), "cond_product": float(table.cond_product[j]),
+             "cond_subgroup": float(table.cond_subgroup[sub[j]]), "group_share": float(table.group[grp[j]])}
+            for j, product in enumerate(h.products)
+        ]
+        values = {
+            "subgroup": [{"group_id": g, "subgroup_id": s, "value": v}
+                         for (g, s), v in zip(h.subgroup_keys, iv.subgroup.tolist())],
+            "group": [{"group_id": g, "value": v} for g, v in zip(h.group_ids, iv.group.tolist())],
+            "top": iv.top,
+        }
+        markets.append({"market_id": h.market_ids[0], "products": products, "outside_share": table.outside,
+                        "inclusive_values": values})
+    payload = {"sigma1": params.sigma1, "sigma2": params.sigma2, "markets": markets}
+    assert result.output == json.dumps(payload, indent=2) + "\n"
+
+
+def test_newton_passes_the_closed_form_check_on_3000_random_markets(runner, tmp_path):
+    # 17-digit shares of N(0,1) utilities: before Newton took one more step
+    # after its stop test, about 1% of such markets missed the 10*tol check
+    rng = np.random.default_rng(2026)
+    n_markets = 3000
+    keys = [(f"g{g}", f"h{h}", f"p{g}{h}{p}") for g in range(2) for h in range(2) for p in range(2)]
+    rows = [(f"m{m}", *key, repr(x)) for m in range(n_markets) for key, x in zip(keys, rng.standard_normal(8).tolist())]
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    shares = tmp_path / "shares.csv"
+    run_ok(runner, ["shares", "--input", write_market(tmp_path / "m.csv", rows), "--params", params,
+                    "--output", str(shares)])
+    result = run_ok(runner, ["invert", "--method", "newton", "--input", str(shares), "--params", params])
+    assert len(parse_csv(result.output)) == 8 * n_markets
 
 
 def test_invert_reports_the_first_failing_market_in_file_order(runner, tmp_path):

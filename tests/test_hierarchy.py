@@ -136,7 +136,7 @@ def test_as_delta_array_checks_shape():
 
 
 def test_market_level_views_and_one_market_functions():
-    from hierlogit import SimConfig, compute_shares, full_jacobian, numeric_invert, simulate_choices
+    from hierlogit import SimConfig, full_jacobian, simulate_choices
     from hierlogit.hierarchy import ChoiceHierarchy, tree_arrays
 
     arrays, products = tree_arrays({"m1": {"g": {"h": ["a", "b"]}}, "m2": {"g": {"h": ["a"], "k": ["c"]}}})
@@ -149,10 +149,9 @@ def test_market_level_views_and_one_market_functions():
     np.testing.assert_array_equal(second.product_subgroup, [0, 1])
     params = validate_params(0.5, 0.25)
     delta = np.zeros(4)
-    table, _ = compute_shares(tree, delta, params)
     assert tree.first_market(products=np.array([False, False, True, False])) == 1
     # the dense Jacobian and the simulator compare products across the whole tree
-    for call in (lambda: full_jacobian(tree, delta, params), lambda: numeric_invert(tree, table, params),
+    for call in (lambda: full_jacobian(tree, delta, params),
                  lambda: simulate_choices(tree, delta, params, SimConfig(draws=10))):
         with pytest.raises(OutOfDomainError, match="one-market"):
             call()

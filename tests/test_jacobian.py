@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hierlogit import (
     build_hierarchy,
@@ -11,6 +12,7 @@ from hierlogit import (
     max_relative_error,
     validate_params,
 )
+from hierlogit.jacobian import _solve_log_share_jacobian
 
 from helpers import (
     balanced_tree,
@@ -168,6 +170,21 @@ def test_jacobian_properties_on_ragged_trees(instance):
     jac = full_jacobian(tree, delta, params)
     assert np.max(np.abs(jac.matrix.sum(axis=0) + jac.outside_row)) <= 1e-12
     assert np.max(np.abs(jac.matrix - jac.matrix.T)) <= 1e-10
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ragged_instances(utility_bound=5.0), st.lists(st.floats(-1.0, 1.0), min_size=36, max_size=36))
+def test_structured_solve_matches_dense_solve(instance, rhs):
+    # sigma up to 0.999 included; |utilities| <= 5 keeps the outside share a
+    # normal double, since the Jacobian's smallest eigenvalue is that share
+    tree, delta, params = instance
+    table, _ = compute_shares(tree, delta, params)
+    r = np.array(rhs[:tree.n_products])
+    jac = log_share_jacobian(table, params)
+    dense = np.linalg.solve(jac, r)
+    # the dense solve's own forward error bound, eps * cond(J) * |x|
+    bound = 16 * np.finfo(float).eps * np.linalg.cond(jac) * max(1.0, float(np.max(np.abs(dense))))
+    np.testing.assert_allclose(_solve_log_share_jacobian(table, params, r), dense, rtol=0, atol=bound)
 
 
 def test_sign_structure_under_nested_ordering():

@@ -15,6 +15,7 @@ from hierlogit import (
     berry_invert,
     build_hierarchy,
     compute_shares,
+    numeric_invert,
     validate_params,
 )
 
@@ -321,6 +322,7 @@ def test_file_wide_calls_equal_one_market_calls_bitwise(instance):
     if interior:
         observed = ShareTable.from_joint(tree, table.joint, table.outside)
         delta = berry_invert(observed, params).values
+        newton = numeric_invert(tree, observed, params).values
     for m, market_id in enumerate(tree.market_ids):
         (g0, s0, p0), (g1, s1, p1) = tree.bounds[:, [m, m + 1]].T.tolist()
         market_rows = [r for r in rows if r[0] == market_id]
@@ -334,6 +336,7 @@ def test_file_wide_calls_equal_one_market_calls_bitwise(instance):
         if interior:
             one_observed = ShareTable.from_joint(one, one_table.joint, one_table.outside)
             assert _same(berry_invert(one_observed, params).values, delta[p0:p1])
+            assert _same(numeric_invert(one, one_observed, params).values, newton[p0:p1])
             tables.append((one_observed, observed))
         for small, big in tables:
             for name, at in (("joint", slice(p0, p1)), ("cond_product", slice(p0, p1)),
