@@ -12,7 +12,7 @@ Market, params and config files may start with a UTF-8 byte-order mark.
 
 Each command reads the whole file into one tree whose top level is the
 market, and runs each kernel once for the file, Newton included; the
-Jacobian and the simulation then run market by market. Newton stops a
+Jacobian and the simulation run market by market. Newton stops a
 market at a max log-share residual of log1p(tol) (near sigma -> 1, at the
 rounding floor ``numeric_invert`` documents), takes one more step, and must
 then agree with the closed form within 10*tol. Checks by layer: the reader
@@ -23,13 +23,15 @@ refused by the others) before any market is computed;
 inside (0, 1); and the CLI requires a market's shares to sum to 1 within
 1e-6. When a step fails, the error reported is that of the first market,
 in file order, at which any step fails, and the markets before it are
-written.
+written: a run of markets that fails, out of memory included, is split in
+halves until that market is found, since a market gives the same numbers
+and errors alone as in any run.
 
 Exit codes: 0 success, 1 unreadable or malformed input (the sum rule
 included), 2 values outside the model's domain (utilities that overflow a
-double once divided by 1 - sigma included) or too little memory (the message
-names the market only for the per-market Jacobian and simulation), 3 failed
-self-check (finite-difference mismatch, simulation z-score blowout,
+double once divided by 1 - sigma included) or too little memory for one
+market (the message names it, wherever it runs out), 3 failed self-check
+(finite-difference mismatch, simulation z-score blowout,
 Newton/closed-form disagreement, singular design).
 Diagnostics go to standard error. Results go to ``--output`` or standard
 output in chunks of rows. Reals have 17 significant digits so that written
@@ -54,6 +56,7 @@ from .errors import (
     HierLogitError,
     MarketFileError,
     NoConvergenceError,
+    OutOfDomainError,
     SingularDesignError,
 )
 from .hierarchy import OUTSIDE_ID, ChoiceHierarchy, NestingParams, tree_arrays
@@ -237,37 +240,35 @@ def read_params_json(path) -> NestingParams:
     return NestingParams(obj["sigma1"], obj["sigma2"])
 
 
-def _named(err, market_id):
-    err.args = (f"market {market_id!r}: {err}",)
-    return err
-
-
-def _before_failure(block, compute):
-    """``(block, compute(block), None)`` when no market fails a step of
-    ``compute``; otherwise the same for the markets before the first one,
-    in file order, at which a step fails, with that market's error, named."""
+def _results(block, compute):
+    """Yield ``(markets, compute(markets))`` for runs of the markets of
+    ``block``, in file order: the whole block, or, when ``compute`` fails on
+    it, each of its halves in turn. So the first market, in file order, at
+    which ``compute`` fails raises its own error, named, after the markets
+    before it are yielded, in O(log M) calls."""
     try:
-        return block, compute(block), None
-    except HierLogitError as err:
-        if err.market is None:
+        result = compute(block)
+    except (HierLogitError, MemoryError) as err:
+        n = block.hierarchy.n_markets
+        if n == 1:
+            named = f"market {block.hierarchy.market_ids[0]!r}: {err}"
+            if isinstance(err, MemoryError):
+                # numpy's MemoryError formats its message from its fields, not its args
+                raise MemoryError(named) from None
+            err.args = (named,)
             raise
-        error = _named(err, block.hierarchy.market_ids[err.market])
-    head, result, earlier = _before_failure(block.markets(0, error.market), compute)
-    return head, result, earlier or error
+    else:
+        yield block, result
+        return
+    yield from _results(block.markets(0, n // 2), compute)
+    yield from _results(block.markets(n // 2, n), compute)
 
 
-def _computed(block, compute):
-    """Yield ``compute(m, block of market m, slice of its products)`` market
-    by market; errors name the market."""
-    bounds = block.hierarchy.bounds[2].tolist()
-    for m, market_id in enumerate(block.hierarchy.market_ids):
-        try:
-            result = compute(m, block.markets(m, m + 1), slice(bounds[m], bounds[m + 1]))
-        except HierLogitError as err:
-            raise _named(err, market_id)
-        except MemoryError as err:
-            raise MemoryError(f"market {market_id!r}: {err}") from None
-        yield result
+def _each_market(block, compute):
+    """Yield ``compute`` of each market of ``block`` alone, in file order."""
+    for m in range(block.hierarchy.n_markets):
+        for _, result in _results(block.markets(m, m + 1), compute):
+            yield result
 
 
 def _csv_fields(ids) -> list:
@@ -300,9 +301,8 @@ def _output(output_path):
     return nullcontext(sys.stdout) if output_path is None else open(output_path, "w")
 
 
-def _write_csv(output_path, header, blocks, error=None) -> None:
-    """Stream CSV rows to ``output_path`` or standard output, then raise
-    ``error`` unless it is None.
+def _write_csv(output_path, header, blocks) -> None:
+    """Stream CSV rows to ``output_path`` or standard output.
 
     ``blocks`` yields lists of equally long columns, written in chunks of
     ``_CHUNK_ROWS`` rows: a float array with 17 significant digits (NaN
@@ -316,8 +316,6 @@ def _write_csv(output_path, header, blocks, error=None) -> None:
             for start in range(0, n_rows, _CHUNK_ROWS):
                 cells = [_cells(c, start, min(start + _CHUNK_ROWS, n_rows)) for c in columns]
                 fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-    if error is not None:
-        raise error
 
 
 def _cells(column, start, stop):
@@ -380,23 +378,18 @@ def _read_markets(input_path, params_path, outside=False):
     return read_params_json(params_path), read_market_csv(input_path, outside)
 
 
-def _shares_before_failure(block, params):
-    return _before_failure(block, lambda b: compute_shares(b.hierarchy, b.values, params))
-
-
 @_market_command("shares")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 def cmd_shares(input_path, params_path, output_path, fmt):
     """Compute joint, conditional, and outside shares plus inclusive values."""
     params, block = _read_markets(input_path, params_path)
-    block, (table, iv), error = _shares_before_failure(block, params)
+    runs = _results(block, lambda b: compute_shares(b.hierarchy, b.values, params))
     if fmt == "csv":
-        _write_csv(output_path, SHARES_COLUMNS, [_shares_csv(block.hierarchy, table, iv)], error)
+        _write_csv(output_path, SHARES_COLUMNS, (_shares_csv(b.hierarchy, table, iv) for b, (table, iv) in runs))
         return
     with _output(output_path) as fh:
-        if error is not None:
-            raise error
-        fh.writelines(_shares_json(block, table, iv, params))
+        # nothing is written unless every market succeeds
+        fh.writelines(_shares_json(list(runs), params))
 
 
 def _shares_csv(h, table, iv) -> list:
@@ -411,42 +404,37 @@ def _shares_csv(h, table, iv) -> list:
             (_cells(top, 0, len(top)), _outside_rows(h, h.product_market, np.arange(h.n_markets)))]
 
 
-def _shares_json(block, table, iv, params: NestingParams):
-    """Yield ``json.dumps(payload, indent=2) + "\\n"`` market by market."""
-    h = block.hierarchy
+def _shares_json(runs, params: NestingParams):
+    """Yield ``json.dumps(payload, indent=2) + "\\n"`` market by market from
+    the ``(markets, (table, iv))`` runs of a file."""
     keys = ("product_id", "group_id", "subgroup_id", "delta", "joint", "cond_product",
             "cond_subgroup", "group_share")
-    ids = (h.products, [h.group_ids[g] for g in h.product_group.tolist()],
-           [h.subgroup_ids[s] for s in h.product_subgroup.tolist()])
-    reals = (block.values, table.joint, table.cond_product,
-             table.cond_subgroup[h.product_subgroup], table.group[h.product_group])
-    rows = list(zip(*ids, *(a.tolist() for a in reals)))
-    subgroups = [{"group_id": gid, "subgroup_id": sid, "value": value}
-                 for (gid, sid), value in zip(h.subgroup_keys, iv.subgroup.tolist())]
-    groups = [{"group_id": gid, "value": value} for gid, value in zip(h.group_ids, iv.group.tolist())]
-    outside, top = np.atleast_1d(table.outside).tolist(), np.atleast_1d(iv.top).tolist()
-    g, s, p = h.bounds.tolist()
     yield json.dumps({"sigma1": params.sigma1, "sigma2": params.sigma2}, indent=2)[:-2] + ',\n  "markets": ['
-    for m, market_id in enumerate(h.market_ids):
-        market = {
-            "market_id": market_id,
-            "products": [dict(zip(keys, row)) for row in rows[p[m]:p[m + 1]]],
-            "outside_share": outside[m],
-            "inclusive_values": {"subgroup": subgroups[s[m]:s[m + 1]], "group": groups[g[m]:g[m + 1]], "top": top[m]},
-        }
-        # a market sits two levels deep in the payload
-        yield ("," if m else "") + "\n    " + json.dumps(market, indent=2).replace("\n", "\n    ")
+    sep = ""
+    for block, (table, iv) in runs:
+        h = block.hierarchy
+        ids = (h.products, [h.group_ids[g] for g in h.product_group.tolist()],
+               [h.subgroup_ids[s] for s in h.product_subgroup.tolist()])
+        reals = (block.values, table.joint, table.cond_product,
+                 table.cond_subgroup[h.product_subgroup], table.group[h.product_group])
+        rows = list(zip(*ids, *(a.tolist() for a in reals)))
+        subgroups = [{"group_id": gid, "subgroup_id": sid, "value": value}
+                     for (gid, sid), value in zip(h.subgroup_keys, iv.subgroup.tolist())]
+        groups = [{"group_id": gid, "value": value} for gid, value in zip(h.group_ids, iv.group.tolist())]
+        outside, top = np.atleast_1d(table.outside).tolist(), np.atleast_1d(iv.top).tolist()
+        g, s, p = h.bounds.tolist()
+        for m, market_id in enumerate(h.market_ids):
+            market = {
+                "market_id": market_id,
+                "products": [dict(zip(keys, row)) for row in rows[p[m]:p[m + 1]]],
+                "outside_share": outside[m],
+                "inclusive_values": {"subgroup": subgroups[s[m]:s[m + 1]], "group": groups[g[m]:g[m + 1]],
+                                     "top": top[m]},
+            }
+            # a market sits two levels deep in the payload
+            yield sep + "\n    " + json.dumps(market, indent=2).replace("\n", "\n    ")
+            sep = ","
     yield "\n  ]\n}\n"
-
-
-def _market_sums(block) -> np.ndarray:
-    """Each market's ``values.sum()`` bit for bit: the markets of one size
-    are summed as the rows of one matrix, in numpy's order for one row."""
-    starts, sizes = block.hierarchy.bounds[2, :-1], np.diff(block.hierarchy.bounds[2])
-    sums = np.empty(len(starts))
-    for size in set(sizes.tolist()):
-        sums[sizes == size] = block.values[starts[sizes == size, None] + np.arange(size)].sum(axis=1)
-    return sums
 
 
 @_market_command("invert", "Market CSV with joint shares and one _outside row per market.")
@@ -455,29 +443,28 @@ def _market_sums(block) -> np.ndarray:
 def cmd_invert(input_path, params_path, output_path, method, tol):
     """Recover mean utilities from observed shares (closed form or Newton)."""
     params, block = _read_markets(input_path, params_path, outside=True)
+    if method == "newton" and not tol > 0.0:
+        raise OutOfDomainError(f"tol={tol!r} must be positive")
 
     def inverted(b):
         h = b.hierarchy
         table = ShareTable.from_joint(h, b.values, b.outside)
-        total = _market_sums(b) + b.outside
-        bad = h.first_market(markets=np.abs(total - 1.0) > 1e-6)
-        if bad is not None:
-            raise MarketFileError(f"shares sum to {total[bad]:.9g}, expected 1 within 1e-6", market=bad)
+        total = np.bincount(h.product_market, b.values, h.n_markets) + b.outside
+        bad = total[np.abs(total - 1.0) > 1e-6]
+        if bad.size:
+            raise MarketFileError(f"shares sum to {bad[0]:.9g}, expected 1 within 1e-6")
         delta = berry_invert(table, params).values
         if method == "closed":
             return delta
         values = numeric_invert(h, table, params, tol=tol, max_iter=50).values
-        gap = np.maximum.reduceat(np.abs(values - delta), h.bounds[2, :-1])
-        bad = h.first_market(markets=gap > 10.0 * tol)
-        if bad is not None:
+        gap = float(np.max(np.abs(values - delta)))
+        if gap > 10.0 * tol:
             raise NoConvergenceError(
-                f"newton and closed-form utilities disagree by {gap[bad]:.3e} (limit {10.0 * tol:.3e})",
-                residual=float(gap[bad]), market=bad,
-            )
+                f"newton and closed-form utilities disagree by {gap:.3e} (limit {10.0 * tol:.3e})", residual=gap)
         return values
 
-    block, delta, error = _before_failure(block, inverted)
-    _write_csv(output_path, MARKET_COLUMNS, [[*_id_columns(block.hierarchy), delta]], error)
+    runs = _results(block, inverted)
+    _write_csv(output_path, MARKET_COLUMNS, ([*_id_columns(b.hierarchy), delta] for b, delta in runs))
 
 
 @_market_command("jacobian")
@@ -485,16 +472,15 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
 def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
     params, block = _read_markets(input_path, params_path)
-    block, (table, _), error = _shares_before_failure(block, params)
     fd_errors = []
 
-    def jacobian(m, b, at):
+    def jacobian(b):
         h = b.hierarchy
         jac = full_jacobian(h, b.values, params)
         if check_fd:
             fd = fd_jacobian(h, b.values, params, step=1e-6)
-            row_scale = np.append(table.joint[at], np.atleast_1d(table.outside)[m])
-            err = max_relative_error(jac, fd, row_scale=row_scale)
+            table, _ = compute_shares(h, b.values, params)
+            err = max_relative_error(jac, fd, row_scale=np.append(table.joint, table.outside))
             click.echo(f"market {h.market_ids[0]!r}: max relative error vs finite differences {err:.3e}", err=True)
             fd_errors.append(err)
         # the rows of the matrix, then the outside row
@@ -502,7 +488,7 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
         rows, cols = np.repeat(np.arange(n + 1, dtype=np.int32), n), np.tile(np.arange(n, dtype=np.int32), n + 1)
         return [h.market_ids[0], (ids, rows), (ids, cols), np.append(jac.matrix, jac.outside_row)]
 
-    _write_csv(output_path, ["market_id", "row_id", "col_id", "value"], _computed(block, jacobian), error)
+    _write_csv(output_path, ["market_id", "row_id", "col_id", "value"], _each_market(block, jacobian))
     if any(err > _FD_LIMIT for err in fd_errors):
         _die(EXIT_SELFTEST, f"finite-difference check exceeded {_FD_LIMIT:g}")
 
@@ -514,13 +500,13 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
     """Simulate sequential choices and compare frequencies to analytic shares."""
     config = SimConfig(draws=draws, seed=seed)
     params, block = _read_markets(input_path, params_path)
-    block, (table, _), error = _shares_before_failure(block, params)
     worst = [0.0, None]
 
-    def simulated(m, b, at):
+    def simulated(b):
+        table, _ = compute_shares(b.hierarchy, b.values, params)
         counts = simulate_choices(b.hierarchy, b.values, params, config)
         freq, _ = empirical_shares(counts)
-        share = np.append(table.joint[at], np.atleast_1d(table.outside)[m])
+        share = np.append(table.joint, table.outside)
         se = np.sqrt(share * (1.0 - share) / float(draws))
         # z is 0 where the frequency equals the share, se = 0 (an underflowed share) included
         with np.errstate(divide="ignore"):
@@ -532,7 +518,7 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
         return [*_id_columns(b.hierarchy, outside=True), tally, freq, share, se, z]
 
     header = [*MARKET_COLUMNS[:4], "count", "frequency", "share", "std_error", "z_score"]
-    _write_csv(output_path, header, _computed(block, simulated), error)
+    _write_csv(output_path, header, _each_market(block, simulated))
     peak, market_id = worst
     if peak > _Z_LIMIT:
         _die(

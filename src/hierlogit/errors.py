@@ -2,15 +2,7 @@
 
 
 class HierLogitError(Exception):
-    """Base class for all package errors.
-
-    ``market`` is the position, in its tree, of the first market found at
-    fault, or None when the error is not about one market.
-    """
-
-    def __init__(self, *args, market=None):
-        super().__init__(*args)
-        self.market = market
+    """Base class for all package errors."""
 
 
 class EmptyInputError(HierLogitError):
@@ -32,8 +24,8 @@ class DegenerateShareError(HierLogitError):
 class NoConvergenceError(HierLogitError):
     """The iterative inverter did not reach the requested tolerance."""
 
-    def __init__(self, message, residual=None, market=None):
-        super().__init__(message, market=market)
+    def __init__(self, message, residual=None):
+        super().__init__(message)
         self.residual = residual
 
 

@@ -129,14 +129,6 @@ class ChoiceHierarchy:
             self.product_subgroup[p0:p1] - s0, self.products[p0:p1],
         )
 
-    def first_market(self, products=None, subgroups=None, markets=None):
-        """Position of the first market with a True entry in any of the
-        boolean arrays given over products, subgroups or markets; else None."""
-        owners = ((products, self.product_market), (subgroups, self.group_market[self.subgroup_group]),
-                  (markets, np.arange(self.n_markets)))
-        found = np.concatenate([owner[mask][:1] for mask, owner in owners if mask is not None])
-        return int(found.min()) if found.size else None
-
     def __repr__(self):
         return (
             f"ChoiceHierarchy(markets={self.n_markets}, groups={self.n_groups}, "
@@ -212,8 +204,7 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
 
 
 def as_delta_array(hierarchy: ChoiceHierarchy, delta) -> np.ndarray:
-    """Coerce a UtilityVector or array-like to a validated float array;
-    a non-finite utility is charged to the first market holding one."""
+    """Coerce a UtilityVector or array-like to a validated float array."""
     if isinstance(delta, UtilityVector):
         values = delta.values
     else:
@@ -222,10 +213,7 @@ def as_delta_array(hierarchy: ChoiceHierarchy, delta) -> np.ndarray:
         raise OutOfDomainError(
             f"expected {hierarchy.n_products} utilities, got shape {values.shape}"
         )
-    bad = hierarchy.first_market(products=~np.isfinite(values))
-    if bad is not None:
-        raise OutOfDomainError("utility values must all be finite", market=bad)
-    return values
+    return _finite_utilities(values)
 
 
 def one_market(hierarchy: ChoiceHierarchy, what: str) -> None:

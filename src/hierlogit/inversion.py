@@ -4,8 +4,14 @@ The closed form follows from taking logs of the share factorization:
 
     log(s_jhg / s_0) = delta_j + sigma1 * log s_{j|hg} + sigma2 * log s_{h|g}
 
-so delta is a direct linear combination of observed log shares
-(``berry_invert``), and the same identity read as a regression equation
+so delta is a direct linear combination of observed log shares. Since
+log s_jhg = log s_{j|hg} + log s_{h|g} + log s_g, ``berry_invert`` evaluates
+the equal form
+
+    delta_j = (1 - sigma1) * log s_{j|hg} + (1 - sigma2) * log s_{h|g} + log s_g - log s_0
+
+whose terms do not cancel as sigma -> 1 (the log conditional shares grow
+like delta / (1 - sigma)). The identity read as a regression equation
 gives the rows assembled by ``regression_rows``. ``numeric_invert`` solves
 the forward model by damped Newton instead and exists purely as a
 cross-check: it exercises the analytic Jacobian end to end and must agree
@@ -23,13 +29,9 @@ __all__ = ["berry_invert", "regression_rows", "numeric_invert"]
 
 
 def _require_interior(table: ShareTable) -> None:
-    bad = table.hierarchy.first_market(
-        products=~(np.isfinite(table.log_joint) & np.isfinite(table.log_cond_product)),
-        subgroups=~np.isfinite(table.log_cond_subgroup),
-        markets=~np.isfinite(np.atleast_1d(table.log_outside)),
-    )
-    if bad is not None:
-        raise DegenerateShareError("inversion needs strictly positive shares everywhere", market=bad)
+    logs = (table.log_joint, table.log_cond_product, table.log_cond_subgroup, table.log_outside)
+    if not all(np.all(np.isfinite(a)) for a in logs):
+        raise DegenerateShareError("inversion needs strictly positive shares everywhere")
 
 
 def berry_invert(table: ShareTable, params: NestingParams) -> UtilityVector:
@@ -38,8 +40,14 @@ def berry_invert(table: ShareTable, params: NestingParams) -> UtilityVector:
     Works on the table's log fields, so round trips stay accurate even
     when the joint shares themselves underflow.
     """
-    y, x1, x2 = regression_rows(table)
-    return UtilityVector(y - params.sigma1 * x1 - params.sigma2 * x2)
+    _require_interior(table)
+    h = table.hierarchy
+    return UtilityVector(
+        (1.0 - params.sigma1) * table.log_cond_product
+        + (1.0 - params.sigma2) * table.log_cond_subgroup[h.product_subgroup]
+        + table.log_group[h.product_group]
+        - np.atleast_1d(table.log_outside)[h.product_market]
+    )
 
 
 def regression_rows(table: ShareTable) -> tuple:
@@ -80,8 +88,8 @@ def numeric_invert(
     ------
     NoConvergenceError
         When a market has not passed after ``max_iter`` steps, or 40 step
-        halvings do not lower its residual; the error names the first such
-        market and carries its final absolute share residual.
+        halvings do not lower its residual; the error carries the largest
+        final absolute share residual of the tree.
     """
     if not tol > 0.0:
         raise OutOfDomainError(f"tol={tol!r} must be positive")
@@ -97,9 +105,8 @@ def numeric_invert(
         reachable = floor * np.maximum(1.0, np.maximum.reduceat(np.abs(delta), starts))
         return table, resid, err, err <= np.maximum(np.log1p(tol), reachable)
 
-    def failure(message, m):
-        residual = float(np.max(np.abs(table.joint - target.joint)[owner == m]))
-        return NoConvergenceError(message, residual=residual, market=m)
+    def failure(message):
+        return NoConvergenceError(message, residual=float(np.max(np.abs(table.joint - target.joint))))
 
     delta = target.log_joint - np.atleast_1d(target.log_outside)[owner]
     table, resid, err, passed = evaluate(delta)
@@ -109,9 +116,8 @@ def numeric_invert(
             break
         moving = ~done
         step = _solve_log_share_jacobian(table, params, resid)
-        bad = h.first_market(products=moving[owner] & ~np.isfinite(step))
-        if bad is not None:
-            raise failure("Newton step failed: singular Jacobian", bad)
+        if not np.all(np.isfinite(step[moving[owner]])):
+            raise failure("Newton step failed: singular Jacobian")
         scale = moving.astype(float)
         while True:
             candidate = np.where(moving[owner], delta + scale[owner] * step, delta)
@@ -120,14 +126,13 @@ def numeric_invert(
             if not halve.any():
                 break
             scale[halve] *= 0.5
-        stalled = h.first_market(markets=moving & ~passed & ~(cand_err < err))
-        if stalled is not None:
-            raise failure(f"line search stalled at log-share residual {err[stalled]:.3e}", stalled)
+        stalled = moving & ~passed & ~(cand_err < err)
+        if stalled.any():
+            raise failure(f"line search stalled at log-share residual {err[stalled].max():.3e}")
         done |= passed
         delta, table, resid, err = candidate, cand_table, cand_resid, cand_err
         passed |= cand_passes
 
-    bad = h.first_market(markets=~passed)
-    if bad is not None:
-        raise failure(f"no convergence after {max_iter} iterations (residual {err[bad]:.3e})", bad)
+    if not passed.all():
+        raise failure(f"no convergence after {max_iter} iterations (residual {err[~passed].max():.3e})")
     return UtilityVector(delta)

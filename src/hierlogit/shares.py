@@ -91,8 +91,7 @@ class ShareTable:
         Raises
         ------
         DegenerateShareError
-            If any share is not strictly inside (0, 1), NaN included; the
-            error names the first market holding one.
+            If any share is not strictly inside (0, 1), NaN included.
         """
         joint = np.asarray(joint, dtype=float)
         outside = np.atleast_1d(np.asarray(outside, dtype=float))
@@ -101,14 +100,11 @@ class ShareTable:
                 f"expected {hierarchy.n_products} joint and {hierarchy.n_markets} outside shares, "
                 f"got shapes {joint.shape} and {outside.shape}"
             )
-        bad_joint = hierarchy.first_market(products=~((joint > 0.0) & (joint < 1.0)))
-        bad = hierarchy.first_market(markets=~((outside > 0.0) & (outside < 1.0)))
-        if bad_joint is not None and (bad is None or bad_joint <= bad):
-            raise DegenerateShareError("joint shares must lie strictly in (0, 1)", market=bad_joint)
-        if bad is not None:
-            raise DegenerateShareError(
-                f"outside share {float(outside[bad])!r} must lie strictly in (0, 1)", market=bad
-            )
+        if not np.all((joint > 0.0) & (joint < 1.0)):
+            raise DegenerateShareError("joint shares must lie strictly in (0, 1)")
+        bad = outside[~((outside > 0.0) & (outside < 1.0))]
+        if bad.size:
+            raise DegenerateShareError(f"outside share {float(bad[0])!r} must lie strictly in (0, 1)")
 
         n_sub = hierarchy.n_subgroups
         subgroup_sum = np.bincount(hierarchy.product_subgroup, weights=joint, minlength=n_sub)
@@ -148,18 +144,11 @@ def _segment_log_softmax(x: np.ndarray, segment: np.ndarray, n_segments: int):
     return peak + log_total, shifted - log_total[segment]
 
 
-def _scaled(values: np.ndarray, scale: float, what: str, starts: np.ndarray) -> np.ndarray:
-    """values / scale, refused before dividing in the first market whose
-    largest |value| / scale overflows; ``starts`` holds each market's first
-    entry in ``values``."""
-    peak = np.maximum.reduceat(np.abs(values), starts)
-    with np.errstate(over="ignore"):
-        bad = np.flatnonzero(~np.isfinite(peak / scale))
-    if bad.size:
-        raise OutOfDomainError(
-            f"{what} up to {peak[bad[0]]:.6g} overflow a double when divided by {scale:.6g}",
-            market=int(bad[0]),
-        )
+def _scaled(values: np.ndarray, scale: float, what: str) -> np.ndarray:
+    """values / scale, refused before dividing if the largest |value| / scale overflows."""
+    peak = float(np.max(np.abs(values)))
+    if not np.isfinite(peak / scale):
+        raise OutOfDomainError(f"{what} up to {peak:.6g} overflow a double when divided by {scale:.6g}")
     return values / scale
 
 
@@ -167,7 +156,7 @@ def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
     """All shares and inclusive values of every market at mean utilities ``delta``.
 
     Each market's numbers are those of the same market computed alone, bit
-    for bit. An error names the first market at fault.
+    for bit.
 
     Returns
     -------
@@ -176,16 +165,15 @@ def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
     delta = as_delta_array(hierarchy, delta)
     a1 = 1.0 - params.sigma1
     a2 = 1.0 - params.sigma2
-    _, sub_starts, product_starts = hierarchy.bounds[:, :-1]
 
-    x = _scaled(delta, a1, "utilities", product_starts)
+    x = _scaled(delta, a1, "utilities")
     # log of the per-subgroup sum S = sum exp(delta/(1-sigma1)), i.e. I_sub/(1-sigma1)
     log_s, log_cond_product = _segment_log_softmax(
         x, hierarchy.product_subgroup, hierarchy.n_subgroups
     )
     iv_sub = a1 * log_s
 
-    y = _scaled(iv_sub, a2, "subgroup inclusive values", sub_starts)
+    y = _scaled(iv_sub, a2, "subgroup inclusive values")
     log_t, log_cond_subgroup = _segment_log_softmax(
         y, hierarchy.subgroup_group, hierarchy.n_groups
     )

@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 
 import hierlogit
 from hierlogit import compute_shares
-from hierlogit.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, main, read_market_csv, read_params_json
+from hierlogit.cli import (
+    EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, MarketBlock, _results, main, read_market_csv, read_params_json,
+)
+from hierlogit.hierarchy import ChoiceHierarchy, tree_arrays
 
 HEADER = "market_id,group_id,subgroup_id,product_id,value"
 
@@ -747,6 +750,106 @@ def test_invert_reports_the_first_failing_market_in_file_order(runner, tmp_path)
     line = _assert_one_error_line(result, EXIT_PARSE)
     assert "'m2'" in line and "sum" in line
     assert [r["market_id"] for r in parse_csv(out.read_text())] == ["m1"]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9"])
+def test_newton_refuses_a_nonpositive_tol_before_any_market(runner, tmp_path, tol):
+    rows = [("m1", "g", "h", "a", 0.4), ("m1", "_outside", "_outside", "_outside", 0.6),
+            ("m2", "g", "h", "a", 0.0), ("m2", "_outside", "_outside", "_outside", 1.0)]
+    market = write_market(tmp_path / "m.csv", rows)
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, ["invert", "--method", "newton", "--tol", tol, "--input", market,
+                                  "--params", params, "--output", str(out)])
+    assert _assert_one_error_line(result, EXIT_DOMAIN) == f"error: tol={float(tol)!r} must be positive"
+    assert not out.exists()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n_markets=st.integers(1, 40), data=st.data(), error=st.sampled_from([hierlogit.HierLogitError, MemoryError]))
+def test_results_halves_a_failing_file_down_to_its_first_failing_market(n_markets, data, error):
+    failing = data.draw(st.sets(st.integers(0, n_markets - 1)))
+    arrays, products = tree_arrays({f"m{m}": {"g": {"h": ["p"]}} for m in range(n_markets)})
+    # each market's value is its position in the file
+    block = MarketBlock(ChoiceHierarchy(*arrays, products), np.arange(n_markets, dtype=float), None)
+    calls = []
+
+    def compute(b):
+        calls.append(b)
+        positions = b.values.astype(int).tolist()
+        if failing.intersection(positions):
+            raise error("boom")
+        return positions
+
+    first = min(failing, default=n_markets)
+    yielded = []
+    try:
+        for markets, positions in _results(block, compute):
+            assert markets.hierarchy.market_ids == tuple(f"m{m}" for m in positions)
+            yielded += positions
+    except error as err:
+        assert str(err) == f"market 'm{first}': boom"
+    else:
+        assert not failing
+    assert yielded == list(range(first))
+    assert len(calls) <= 2 * math.ceil(math.log2(n_markets)) + 1
+
+
+@st.composite
+def faulty_market_files(draw):
+    """Rows of 2-4 small ragged markets, shuffled across markets, and 1-3
+    faults as (market, row pick, bad utility, bad share)."""
+    n_markets = draw(st.integers(2, 4))
+    rows = []
+    for m in range(n_markets):
+        sizes = draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=2), min_size=1, max_size=2))
+        for g, subgroups in enumerate(sizes):
+            for h, n_products in enumerate(subgroups):
+                for p in range(n_products):
+                    rows.append([f"m{m}", f"g{g}", f"h{h}", f"p{g}.{h}.{p}", repr(draw(st.floats(-1.0, 1.0)))])
+    faults = st.tuples(st.integers(0, n_markets - 1), st.integers(0, 100),
+                       st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308"]),
+                       st.sampled_from(["0", "1", "-0.25", "1.5", "nan", "0.75"]))
+    return draw(st.permutations(rows)), draw(st.lists(faults, min_size=1, max_size=3))
+
+
+def _with_faults(rows, faults, column):
+    rows = [list(row) for row in rows]
+    for market, pick, *values in faults:
+        at = [i for i, row in enumerate(rows) if row[0] == f"m{market}"]
+        rows[at[pick % len(at)]][4] = values[column]
+    return rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(instance=faulty_market_files())
+def test_failing_multi_market_file_matches_its_one_market_runs(tmp_path, instance):
+    rows, faults = instance
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+
+    def run(args, market_rows):
+        path = write_market(tmp_path / "in.csv", market_rows)
+        return CliRunner().invoke(main, [*args, "--input", path, "--params", params])
+
+    clean_shares = run(["shares"], rows).stdout
+    share_rows = [line.split(",")[:5] for line in clean_shares.splitlines()[1:]]
+    for args in (["shares"], ["shares", "--format", "json"], ["jacobian"], ["jacobian", "--check-fd"],
+                 ["simulate", "--draws", "2000", "--seed", "5"], ["invert"], ["invert", "--method", "newton"]):
+        faulty = _with_faults(share_rows if args[0] == "invert" else rows, faults, args[0] == "invert")
+        whole = run(args, faulty)
+        parts = []
+        for market_id in dict.fromkeys(row[0] for row in faulty):
+            parts.append(run(args, [row for row in faulty if row[0] == market_id]))
+            if parts[-1].exit_code != EXIT_OK:
+                break
+        assert parts[-1].exit_code != EXIT_OK, args
+        assert (whole.exit_code, whole.stderr) == (parts[-1].exit_code, "".join(p.stderr for p in parts)), args
+        if args[1:2] == ["--format"]:
+            assert whole.stdout == "" and parts[-1].stdout == "", args
+            continue
+        header = parts[-1].stdout
+        assert whole.stdout == header + "".join(p.stdout[len(header):] for p in parts[:-1]), args
 
 
 @pytest.mark.parametrize("command", ["shares", "estimate"])

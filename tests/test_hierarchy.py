@@ -149,7 +149,6 @@ def test_market_level_views_and_one_market_functions():
     np.testing.assert_array_equal(second.product_subgroup, [0, 1])
     params = validate_params(0.5, 0.25)
     delta = np.zeros(4)
-    assert tree.first_market(products=np.array([False, False, True, False])) == 1
     # the dense Jacobian and the simulator compare products across the whole tree
     for call in (lambda: full_jacobian(tree, delta, params),
                  lambda: simulate_choices(tree, delta, params, SimConfig(draws=10))):

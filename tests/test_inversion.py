@@ -13,7 +13,6 @@ from hierlogit import (
     regression_rows,
     validate_params,
 )
-from hierlogit.hierarchy import ChoiceHierarchy, tree_arrays
 
 from helpers import balanced_tree, random_instance
 
@@ -162,9 +161,7 @@ def test_newton_near_sigma1_one_stops_at_the_precision_floor():
         table, _ = compute_shares(tree, delta, params)
         newton = numeric_invert(tree, table, params, tol=1e-9).values
         np.testing.assert_allclose(newton, delta, rtol=0, atol=1e-8)
-        # the closed form itself is only good to its own floor here (5.5e-8 at worst)
-        floor = 16 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(delta)))) / (1.0 - params.sigma1)
-        np.testing.assert_allclose(newton, berry_invert(table, params).values, rtol=0, atol=floor)
+        np.testing.assert_allclose(newton, berry_invert(table, params).values, rtol=0, atol=1e-8)
 
 
 def test_newton_reports_a_real_stall():
@@ -173,13 +170,4 @@ def test_newton_reports_a_real_stall():
     target = ShareTable.from_joint(tree, [0.9, 0.9], 0.5)
     with pytest.raises(NoConvergenceError, match="line search stalled") as info:
         numeric_invert(tree, target, validate_params(0.5, 0.25))
-    assert info.value.market == 0 and np.isfinite(info.value.residual)
-
-
-def test_newton_error_names_the_first_failing_market():
-    arrays, products = tree_arrays({m: {"g1": {"h1": ["p1", "p2"]}} for m in ("m1", "m2", "m3")})
-    tree = ChoiceHierarchy(*arrays, products)
-    target = ShareTable.from_joint(tree, [0.3, 0.2, 0.9, 0.9, 0.9, 0.9], [0.5, 0.5, 0.5])
-    with pytest.raises(NoConvergenceError) as info:
-        numeric_invert(tree, target, validate_params(0.5, 0.25))
-    assert info.value.market == 1
+    assert np.isfinite(info.value.residual)

@@ -277,9 +277,9 @@ def test_kernel_properties_on_ragged_trees(instance):
     top = float(logsumexp(np.append(iv.group, 0.0)))
     assert abs(iv.top - top) <= 1e-12 * max(1.0, abs(top))
 
-    # the closed form loses about eps * |delta| / (1 - sigma): log shares
-    # carry delta / (1 - sigma) and their rounding is not scaled back down
-    scale = max(1.0, float(np.max(np.abs(delta)))) / min(1.0 - params.sigma1, 1.0 - params.sigma2)
+    # log conditional shares carry delta / (1 - sigma); scaled by 1 - sigma
+    # in the closed form, their rounding shrinks back to eps * |delta|
+    scale = max(1.0, float(np.max(np.abs(delta))))
     recovered = berry_invert(table, params).values
     np.testing.assert_allclose(recovered, delta, rtol=0, atol=16 * np.finfo(float).eps * scale)
 
