@@ -22,8 +22,8 @@ from .hierarchy import (
     NestingParams,
     UtilityVector,
     build_hierarchy,
-    validate_params,
 )
+from .hierarchy import NestingParams as validate_params  # the former name, not in __all__
 from .inversion import berry_invert, numeric_invert, regression_rows
 from .jacobian import (
     ShareJacobian,
@@ -82,5 +82,4 @@ __all__ = [
     "numeric_invert",
     "regression_rows",
     "simulate_choices",
-    "validate_params",
 ]

@@ -62,7 +62,7 @@ from .errors import (
 from .hierarchy import OUTSIDE_ID, ChoiceHierarchy, NestingParams, tree_arrays
 from .inversion import berry_invert, numeric_invert, regression_rows
 from .jacobian import fd_jacobian, full_jacobian, max_relative_error
-from .montecarlo import SimConfig, empirical_shares, simulate_choices
+from .montecarlo import SimConfig, _exact_z, empirical_shares, simulate_choices
 from .shares import ShareTable, compute_shares
 from .synth import SynthConfig, estimate_linear, generate_market
 
@@ -86,7 +86,8 @@ MARKET_COLUMNS = ("market_id", "group_id", "subgroup_id", "product_id", "value")
 SHARES_COLUMNS = MARKET_COLUMNS + (
     "cond_product", "cond_subgroup", "group_share", "iv_subgroup", "iv_group", "iv_top")
 
-# z-score beyond which a simulation run is considered a failed self-test
+# |z| beyond which a simulation run is a failed self-test; z being exact, a
+# 5-sigma two-sided binomial tail per alternative
 _Z_LIMIT = 5.0
 # finite-difference relative error beyond which --check-fd fails
 _FD_LIMIT = 1e-5
@@ -503,18 +504,16 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
     worst = [0.0, None]
 
     def simulated(b):
-        table, _ = compute_shares(b.hierarchy, b.values, params)
-        counts = simulate_choices(b.hierarchy, b.values, params, config)
+        table, iv = compute_shares(b.hierarchy, b.values, params)
+        counts = simulate_choices(b.hierarchy, b.values, params, config, iv=iv)
         freq, _ = empirical_shares(counts)
         share = np.append(table.joint, table.outside)
         se = np.sqrt(share * (1.0 - share) / float(draws))
-        # z is 0 where the frequency equals the share, se = 0 (an underflowed share) included
-        with np.errstate(divide="ignore"):
-            z = np.divide(freq - share, se, out=np.zeros_like(share), where=freq != share)
+        tally = np.append(counts.counts, counts.outside_count)
+        z = _exact_z(tally, share)
         peak = float(np.max(np.abs(z)))
         if peak > worst[0]:
             worst[:] = peak, b.hierarchy.market_ids[0]
-        tally = np.append(counts.counts, counts.outside_count)
         return [*_id_columns(b.hierarchy, outside=True), tally, freq, share, se, z]
 
     header = [*MARKET_COLUMNS[:4], "count", "frequency", "share", "std_error", "z_score"]

@@ -56,11 +56,6 @@ class NestingParams:
         return self.sigma2 <= self.sigma1
 
 
-def validate_params(sigma1: float, sigma2: float) -> NestingParams:
-    """``NestingParams(sigma1, sigma2)``, which checks both against [0, 1)."""
-    return NestingParams(sigma1, sigma2)
-
-
 class ChoiceHierarchy:
     """Immutable choice tree of one or more markets, with flat index arrays.
 

@@ -8,21 +8,27 @@ maximizing delta_j + (1-sigma1)*e_j within the chosen subgroup. Additive
 stage constants (the Euler-constant terms of the stage value functions)
 drop out of every argmax and are omitted.
 
+Each stage compares only siblings, so shocks are addressed by position
+among them. A draw's block holds G + 1 group shocks (the outside option's
+last), as many subgroup shocks as the widest group has subgroups, as many
+product shocks as the widest subgroup has products, and a pad to a multiple
+of four doubles, as Philox emits four 64-bit words per counter increment:
+32 doubles on a 10x10x10 tree, where a shock per alternative takes 1112.
+
 Determinism is positional: consumer i always consumes the same aligned
 block of the Philox counter stream for a given seed, whatever chunks the
 draws run in (about 2**20 shock doubles each), so serial and chunked (or
-parallel) runs produce bit-identical counts. Philox emits four 64-bit words
-per counter increment, hence the per-draw block is padded to a multiple of
-four doubles.
+parallel) runs produce bit-identical counts.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array, one_market
-from .shares import compute_shares
+from .shares import InclusiveValues, compute_shares
 
 __all__ = [
     "SimConfig",
@@ -73,9 +79,18 @@ def _gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
     return -np.log(-np.log(np.maximum(u, _TINY_UNIFORM)))
 
 
+def _sibling_table(parent: np.ndarray, n_rows: int) -> np.ndarray:
+    """Each of ``n_rows`` parents' children by position, ``len(parent)`` past
+    the last; ``parent``, the parent of each child, is sorted."""
+    position = np.arange(len(parent)) - np.searchsorted(parent, parent)
+    table = np.full((n_rows, position.max() + 1), len(parent))
+    table[parent, position] = np.arange(len(parent))
+    return table
+
+
 def _draw_stride(hierarchy: ChoiceHierarchy) -> int:
-    raw = (hierarchy.n_groups + 1) + hierarchy.n_subgroups + hierarchy.n_products
-    return -(-raw // _WORDS_PER_ADVANCE) * _WORDS_PER_ADVANCE
+    widest = np.bincount(hierarchy.subgroup_group).max() + np.bincount(hierarchy.product_subgroup).max()
+    return -(-int(hierarchy.n_groups + 1 + widest) // _WORDS_PER_ADVANCE) * _WORDS_PER_ADVANCE
 
 
 def simulate_choices(
@@ -83,51 +98,44 @@ def simulate_choices(
     delta,
     params: NestingParams,
     config: SimConfig,
+    iv: InclusiveValues | None = None,
 ) -> ChoiceCounts:
-    """Simulate ``config.draws`` sequential choices in a one-market tree and tally them."""
+    """Simulate ``config.draws`` sequential choices in a one-market tree and tally them.
+
+    ``iv``, when given, are the inclusive values of ``compute_shares`` at these arguments.
+    """
     one_market(hierarchy, "simulate_choices")
     delta = as_delta_array(hierarchy, delta)
-    _, iv = compute_shares(hierarchy, delta, params)
-    n_grp = hierarchy.n_groups
-    n_sub = hierarchy.n_subgroups
-    n_prod = hierarchy.n_products
+    if iv is None:
+        _, iv = compute_shares(hierarchy, delta, params)
+    n_grp, n_prod = hierarchy.n_groups, hierarchy.n_products
     stride = _draw_stride(hierarchy)
 
-    group_values = np.append(iv.group, 0.0)
-    sub_scale = 1.0 - params.sigma2
-    prod_scale = 1.0 - params.sigma1
+    # group n_grp is the outside option, without subgroups; a padding entry
+    # picks the -inf appended to a value column and, as a subgroup, the
+    # all-padding product row, whose padding n_prod tallies the outside option
+    subgroup_at = _sibling_table(hierarchy.subgroup_group, n_grp + 1)
+    product_at = _sibling_table(hierarchy.product_subgroup, hierarchy.n_subgroups + 1)
+    subgroup_value = np.append(iv.subgroup, -np.inf)[subgroup_at]
+    product_value = np.append(delta, -np.inf)[product_at]
+    group_value = np.append(iv.group, 0.0)
+    sub_end = n_grp + 1 + subgroup_at.shape[1]
+    prod_end = sub_end + product_at.shape[1]
 
-    counts = np.zeros(n_prod, dtype=np.int64)
-    outside_count = 0
+    tally = np.zeros(n_prod + 1, dtype=np.int64)
     chunk = max(1, _CHUNK_WORDS // stride)
-    start = 0
-    while start < config.draws:
-        m = min(chunk, config.draws - start)
+    for start in range(0, config.draws, chunk):
         bits = np.random.Philox(key=config.seed)
         bits.advance(start * stride // _WORDS_PER_ADVANCE)
-        shocks = _gumbel_from_uniform(np.random.Generator(bits).random((m, stride)))
-
-        z_grp = shocks[:, : n_grp + 1]
-        z_sub = shocks[:, n_grp + 1 : n_grp + 1 + n_sub]
-        z_prod = shocks[:, n_grp + 1 + n_sub : n_grp + 1 + n_sub + n_prod]
-
-        # index n_grp is the outside option; ties break toward lower index
-        chosen_grp = np.argmax(group_values[None, :] + z_grp, axis=1)
-
-        v_sub = iv.subgroup[None, :] + sub_scale * z_sub
-        v_sub[hierarchy.subgroup_group[None, :] != chosen_grp[:, None]] = -np.inf
-        chosen_sub = np.argmax(v_sub, axis=1)
-
-        v_prod = delta[None, :] + prod_scale * z_prod
-        v_prod[hierarchy.product_subgroup[None, :] != chosen_sub[:, None]] = -np.inf
-        chosen_prod = np.argmax(v_prod, axis=1)
-
-        inside = chosen_grp < n_grp
-        counts += np.bincount(chosen_prod[inside], minlength=n_prod)
-        outside_count += int(m - inside.sum())
-        start += m
-
-    return ChoiceCounts(counts=counts, outside_count=outside_count)
+        m = min(chunk, config.draws - start)
+        shocks = _gumbel_from_uniform(np.random.Generator(bits).random((m, stride))[:, :prod_end])
+        # ties break toward lower index
+        chosen_grp = np.argmax(group_value + shocks[:, : n_grp + 1], axis=1)
+        v_sub = subgroup_value[chosen_grp] + (1.0 - params.sigma2) * shocks[:, n_grp + 1 : sub_end]
+        chosen_sub = subgroup_at[chosen_grp, np.argmax(v_sub, axis=1)]
+        v_prod = product_value[chosen_sub] + (1.0 - params.sigma1) * shocks[:, sub_end:prod_end]
+        tally += np.bincount(product_at[chosen_sub, np.argmax(v_prod, axis=1)], minlength=n_prod + 1)
+    return ChoiceCounts(counts=tally[:-1], outside_count=int(tally[-1]))
 
 
 def empirical_shares(counts: ChoiceCounts):
@@ -142,3 +150,44 @@ def empirical_shares(counts: ChoiceCounts):
     freq = np.append(counts.counts, counts.outside_count) / float(total)
     se = np.sqrt(freq * (1.0 - freq) / float(total))
     return freq, se
+
+
+def _exact_z(tally: np.ndarray, share: np.ndarray) -> np.ndarray:
+    """Signed normal-equivalent z of each count of ``tally`` under Binomial(n, share), n = tally.sum().
+
+    |z| is the normal quantile of the exact tail beyond the count, away from
+    n*share, summed from binomial terms: |z| > 5 still means a 5-sigma
+    two-sided tail. z is 0 where freq == share or the tail is 1/2 or more,
+    inf where it underflows.
+    """
+    from statistics import NormalDist  # here, so that starting the CLI does not import it
+
+    n = int(tally.sum())
+    freq = tally / float(n)
+    below = freq < share
+    # a count below its mean is the count of the other outcome above its mean
+    k = np.where(below, n - tally, tally).astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.where(below, np.log1p(-share), np.log(share))
+        log_q = np.where(below, np.log(share), np.log1p(-share))
+        # the first term, C(n, k) p^k q^(n-k), with 0 * log 0 = 0
+        log_tail = np.array([math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1) for x in k.tolist()])
+        log_tail += np.where(k > 0, k * log_p, 0.0) + np.where(k < n, (n - k) * log_q, 0.0)
+    # the terms fall from k on; those past ten standard deviations are negligible
+    extra = np.minimum(n - k, np.ceil(10.0 * np.sqrt(n * share * (1.0 - share))) + 10.0)
+    extra = np.where(np.isfinite(log_p + log_q), extra, 0.0).astype(np.int64)
+    batch = max(1, _CHUNK_WORDS // (int(extra.max()) + 1))  # alternatives per batch of terms
+    for lo in range(0, len(k), batch):
+        at = slice(lo, lo + batch)
+        run = extra[at]
+        alt, first = np.repeat(np.arange(len(run)), run), np.cumsum(run) - run
+        j = k[at][alt] + np.arange(run.sum()) - np.repeat(first, run)
+        # term j+1 over term j is (n-j)/(j+1) * p/q; the log ratios add up from each alternative's k
+        steps = np.cumsum(np.log(n - j) - np.log(j + 1) + (log_p - log_q)[at][alt])
+        steps -= np.repeat(np.append(0.0, steps)[first], run)
+        log_tail[at] += np.log1p(np.bincount(alt, np.exp(steps), len(run)))
+    tail = np.exp(log_tail)
+    z = np.zeros_like(tail)
+    far = (tail < 0.5) & (freq != share)
+    z[far] = [-NormalDist().inv_cdf(t) if t > 0.0 else np.inf for t in tail[far].tolist()]
+    return np.where(below, -z, z)

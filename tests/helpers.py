@@ -1,10 +1,14 @@
 """Shared instance builders and independent oracles for the test suite."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import strategies as st
 from scipy.special import logsumexp
+from scipy.stats import norm
 
-from hierlogit import build_hierarchy, validate_params
+from hierlogit import NestingParams, build_hierarchy
 
 
 def random_tree(rng, max_groups=3, max_subgroups=3, max_products=4):
@@ -24,7 +28,7 @@ def random_tree(rng, max_groups=3, max_subgroups=3, max_products=4):
 def random_instance(rng, dlo=-10.0, dhi=10.0, smax=0.95, **tree_kw):
     tree = random_tree(rng, **tree_kw)
     delta = rng.uniform(dlo, dhi, tree.n_products)
-    params = validate_params(rng.uniform(0.0, smax), rng.uniform(0.0, smax))
+    params = NestingParams(rng.uniform(0.0, smax), rng.uniform(0.0, smax))
     return tree, delta, params
 
 
@@ -51,7 +55,7 @@ def ragged_instances(draw, utility_bound=700.0, sigma_bound=0.999):
     utility = st.one_of(st.sampled_from(edges), st.floats(-utility_bound, utility_bound))
     delta = np.array(draw(st.lists(utility, min_size=tree.n_products, max_size=tree.n_products)))
     sigma = st.one_of(st.sampled_from([0.0, sigma_bound]), st.floats(0.0, sigma_bound))
-    return tree, delta, validate_params(draw(sigma), draw(sigma))
+    return tree, delta, NestingParams(draw(sigma), draw(sigma))
 
 
 def balanced_tree(n_groups, n_subgroups, n_products):
@@ -182,3 +186,22 @@ def d_group(table, g, k):
     if h.product_group[k] == g:
         return float(joint_k * (1.0 - gs))
     return float(-gs * joint_k)
+
+
+def binomial_tail_z(n, p, k):
+    """Normal-equivalent z of count ``k`` under Binomial(n, p), the oracle of
+    the CLI's exact-tail z-check.
+
+    Every binomial term is summed in exact rational arithmetic over the side
+    of n*p where k/n falls; z = +-isf(tail), 0 where k/n == p or the tail
+    holds half the mass or more, infinite where the tail underflows.
+    """
+    if k / n == p:
+        return 0.0
+    # p = a/b exactly; each term is C(n, j) a^j (b-a)^(n-j) / b^n
+    a, b = float(p).as_integer_ratio()
+    terms = [math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(n + 1)]
+    upper = k / n > p
+    tail = float(Fraction(sum(terms[k:] if upper else terms[: k + 1]), b**n))
+    z = 0.0 if tail >= 0.5 else (norm.isf(tail) if tail > 0.0 else math.inf)
+    return z if upper else -z

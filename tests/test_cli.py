@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hierlogit
-from hierlogit import compute_shares
+from hierlogit import NestingParams, compute_shares
 from hierlogit.cli import (
     EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, MarketBlock, _results, main, read_market_csv, read_params_json,
 )
 from hierlogit.hierarchy import ChoiceHierarchy, tree_arrays
+
+from helpers import binomial_tail_z
 
 HEADER = "market_id,group_id,subgroup_id,product_id,value"
 
@@ -328,6 +331,45 @@ def test_simulate_z_score_is_zero_for_an_underflowed_share_never_drawn(runner, t
     assert result.stderr == ""
 
 
+def test_simulate_computes_each_markets_shares_once(runner, tmp_path):
+    rows = [(f"m{m}", g, h, f"{g}{h}", 0.1 * m) for m in range(3) for g, h in (("g", "h"), ("g", "k"), ("f", "h"))]
+    market = write_market(tmp_path / "m.csv", rows)
+    params = write_params(tmp_path / "p.json", 0.4, 0.2)
+    shares = mock.Mock(wraps=compute_shares)
+    with mock.patch("hierlogit.cli.compute_shares", shares), mock.patch("hierlogit.montecarlo.compute_shares", shares):
+        run_ok(runner, ["simulate", "--input", market, "--params", params, "--draws", "1000"])
+    assert shares.call_count == 3
+
+
+def test_simulate_against_a_wrong_sigma_exits_selftest(runner, tmp_path):
+    market = write_market(
+        tmp_path / "m.csv",
+        [("m1", "g1", "h1", "a", 1.0), ("m1", "g1", "h1", "b", 0.0), ("m1", "g1", "h2", "c", 0.5),
+         ("m1", "g2", "h3", "d", 0.0)],
+    )
+    params = write_params(tmp_path / "p.json", 0.7, 0.3)
+    args = ["simulate", "--input", market, "--params", params, "--draws", "20000", "--seed", "3"]
+    run_ok(runner, args)
+    simulate = hierlogit.cli.simulate_choices
+
+    def plain_logit(hierarchy, delta, params, config, iv=None):
+        return simulate(hierarchy, delta, NestingParams(0.0, 0.0), config)
+
+    with mock.patch("hierlogit.cli.simulate_choices", plain_logit):
+        line = _assert_one_error_line(runner.invoke(main, args), EXIT_SELFTEST)
+    assert "market 'm1': |z|=" in line and "exceeds 5" in line
+
+
+def test_simulate_z_score_is_the_exact_tail_z(runner, tmp_path):
+    # a rare product: its expected count at 2000 draws is about 0.9
+    market = write_market(tmp_path / "m.csv", [("m", "g", "h", "a", 0.0), ("m", "g", "h", "b", -7.0)])
+    params = write_params(tmp_path / "p.json", 0.0, 0.0)
+    result = run_ok(runner, ["simulate", "--input", market, "--params", params, "--draws", "2000", "--seed", "1"])
+    for row in parse_csv(result.output):
+        expected = binomial_tail_z(2000, float(row["share"]), int(row["count"]))
+        assert float(row["z_score"]) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
 def _run_with_address_space_limit(args, limit_bytes):
     # the limit is set inside the child, before the CLI runs; this process
     # and the machine keep theirs
@@ -493,6 +535,15 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_statistics():
+    # the exact z-check imports it when a simulation runs, not at start-up
+    src = os.path.dirname(os.path.dirname(hierlogit.__file__))
+    probe = "import sys, hierlogit.cli; print('statistics' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_version_works_without_installation(runner):

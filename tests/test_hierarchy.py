@@ -11,7 +11,6 @@ from hierlogit import (
     OutOfDomainError,
     UtilityVector,
     build_hierarchy,
-    validate_params,
 )
 from hierlogit.hierarchy import as_delta_array
 
@@ -82,16 +81,16 @@ def test_index_arrays_partition_products():
 
 
 def test_validate_params_ordering_flag():
-    p = validate_params(0.5, 0.25)
+    p = NestingParams(0.5, 0.25)
     assert (p.sigma1, p.sigma2, p.ordering_ok) == (0.5, 0.25, True)
-    assert validate_params(0.25, 0.5).ordering_ok is False
-    assert validate_params(0.0, 0.0).ordering_ok is True
+    assert NestingParams(0.25, 0.5).ordering_ok is False
+    assert NestingParams(0.0, 0.0).ordering_ok is True
 
 
 @pytest.mark.parametrize("bad", [(1.0, 0.5), (0.5, 1.0), (-0.1, 0.0), (0.0, -0.1), (float("nan"), 0.0)])
 def test_validate_params_domain(bad):
     with pytest.raises(OutOfDomainError):
-        validate_params(*bad)
+        NestingParams(*bad)
 
 
 @pytest.mark.parametrize(
@@ -110,7 +109,6 @@ def test_nesting_params_fields_and_ordering_property():
     assert (p.sigma1, p.sigma2) == (0.5, 0.0) and type(p.sigma2) is float
     assert p.ordering_ok is True
     assert NestingParams(0.25, 0.5).ordering_ok is False
-    assert validate_params(0.5, 0.25) == NestingParams(0.5, 0.25)
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.ordering_ok = False
 
@@ -147,7 +145,7 @@ def test_market_level_views_and_one_market_functions():
     second = tree.markets(1, 2)
     assert second.market_ids == ("m2",) and second.subgroup_keys == (("g", "h"), ("g", "k"))
     np.testing.assert_array_equal(second.product_subgroup, [0, 1])
-    params = validate_params(0.5, 0.25)
+    params = NestingParams(0.5, 0.25)
     delta = np.zeros(4)
     # the dense Jacobian and the simulator compare products across the whole tree
     for call in (lambda: full_jacobian(tree, delta, params),

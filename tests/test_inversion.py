@@ -3,6 +3,7 @@ import pytest
 
 from hierlogit import (
     DegenerateShareError,
+    NestingParams,
     NoConvergenceError,
     OutOfDomainError,
     ShareTable,
@@ -11,7 +12,6 @@ from hierlogit import (
     compute_shares,
     numeric_invert,
     regression_rows,
-    validate_params,
 )
 
 from helpers import balanced_tree, random_instance
@@ -19,22 +19,22 @@ from helpers import balanced_tree, random_instance
 
 def test_closed_form_symmetric_singleton():
     tree = build_hierarchy([("g1", "h1", "p1")])
-    table, _ = compute_shares(tree, [0.0], validate_params(0.5, 0.25))
-    assert berry_invert(table, validate_params(0.5, 0.25)).values[0] == pytest.approx(0.0, abs=1e-15)
+    table, _ = compute_shares(tree, [0.0], NestingParams(0.5, 0.25))
+    assert berry_invert(table, NestingParams(0.5, 0.25)).values[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_closed_form_plain_logit_log_ratio():
     # sigma = 0: delta_j = log(s_j / s_0) with no correction terms
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
     table = ShareTable.from_joint(tree, [1 / 3, 1 / 3], 1 / 3)
-    delta = berry_invert(table, validate_params(0.0, 0.0)).values
+    delta = berry_invert(table, NestingParams(0.0, 0.0)).values
     np.testing.assert_allclose(delta, [0.0, 0.0], atol=1e-14)
 
 
 def test_closed_form_round_trip_2x2x2():
     rng = np.random.default_rng(43)
     tree = balanced_tree(2, 2, 2)
-    params = validate_params(0.5, 0.25)
+    params = NestingParams(0.5, 0.25)
     for _ in range(20):
         delta = rng.uniform(-3, 3, 8)
         table, _ = compute_shares(tree, delta, params)
@@ -70,7 +70,7 @@ def test_inversion_rejects_degenerate_table():
         log_group=np.array([np.log(0.5)]),
         log_outside=np.log(0.5),
     )
-    params = validate_params(0.3, 0.2)
+    params = NestingParams(0.3, 0.2)
     with pytest.raises(DegenerateShareError):
         berry_invert(bad, params)
     with pytest.raises(DegenerateShareError):
@@ -79,7 +79,7 @@ def test_inversion_rejects_degenerate_table():
 
 def test_regression_rows_symmetric_singleton():
     tree = build_hierarchy([("g1", "h1", "p1")])
-    table, _ = compute_shares(tree, [0.0], validate_params(0.4, 0.1))
+    table, _ = compute_shares(tree, [0.0], NestingParams(0.4, 0.1))
     y, x1, x2 = regression_rows(table)
     assert y.shape == x1.shape == x2.shape == (1,)
     assert y[0] == pytest.approx(0.0, abs=1e-15)
@@ -89,7 +89,7 @@ def test_regression_rows_symmetric_singleton():
 
 def test_regression_rows_identical_pair():
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
-    table, _ = compute_shares(tree, [0.7, 0.7], validate_params(0.0, 0.0))
+    table, _ = compute_shares(tree, [0.7, 0.7], NestingParams(0.0, 0.0))
     _, x1, x2 = regression_rows(table)
     np.testing.assert_allclose(x1, np.log(0.5), rtol=0, atol=1e-14)
     np.testing.assert_allclose(x2, 0.0, rtol=0, atol=1e-15)
@@ -109,7 +109,7 @@ def test_regression_rows_satisfy_identity():
 
 def test_newton_symmetric_singleton_converges_fast():
     tree = build_hierarchy([("g1", "h1", "p1")])
-    params = validate_params(0.5, 0.25)
+    params = NestingParams(0.5, 0.25)
     table, _ = compute_shares(tree, [0.0], params)
     # the plain-logit starting point is already exact here
     delta = numeric_invert(tree, table, params, tol=1e-10, max_iter=3).values
@@ -118,7 +118,7 @@ def test_newton_symmetric_singleton_converges_fast():
 
 def test_newton_plain_logit_pair():
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
-    params = validate_params(0.0, 0.0)
+    params = NestingParams(0.0, 0.0)
     table, _ = compute_shares(tree, [1.3, -0.4], params)
     delta = numeric_invert(tree, table, params, tol=1e-12, max_iter=50).values
     log_ratio = table.log_joint - table.log_outside
@@ -128,7 +128,7 @@ def test_newton_plain_logit_pair():
 
 def test_newton_matches_closed_form_12_products():
     tree = balanced_tree(2, 2, 3)
-    params = validate_params(0.6, 0.3)
+    params = NestingParams(0.6, 0.3)
     rng = np.random.default_rng(59)
     for _ in range(10):
         delta = rng.uniform(-3, 3, 12)
@@ -140,7 +140,7 @@ def test_newton_matches_closed_form_12_products():
 
 def test_newton_validates_tol_and_reports_no_convergence():
     tree = balanced_tree(2, 2, 2)
-    params = validate_params(0.5, 0.25)
+    params = NestingParams(0.5, 0.25)
     table, _ = compute_shares(tree, np.linspace(-1, 1, 8), params)
     with pytest.raises(OutOfDomainError):
         numeric_invert(tree, table, params, tol=0.0)
@@ -155,7 +155,7 @@ def test_newton_near_sigma1_one_stops_at_the_precision_floor():
     # (~1e-8) is far above log1p(tol): the stop test's floor counts it as converged
     rng = np.random.default_rng(0)
     tree = balanced_tree(2, 2, 2)
-    params = validate_params(1.0 - 1e-8, 0.25)
+    params = NestingParams(1.0 - 1e-8, 0.25)
     for _ in range(20):
         delta = rng.standard_normal(8)
         table, _ = compute_shares(tree, delta, params)
@@ -169,5 +169,5 @@ def test_newton_reports_a_real_stall():
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
     target = ShareTable.from_joint(tree, [0.9, 0.9], 0.5)
     with pytest.raises(NoConvergenceError, match="line search stalled") as info:
-        numeric_invert(tree, target, validate_params(0.5, 0.25))
+        numeric_invert(tree, target, NestingParams(0.5, 0.25))
     assert np.isfinite(info.value.residual)

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierlogit import (
+    NestingParams,
     build_hierarchy,
     compute_shares,
     fd_jacobian,
     full_jacobian,
     log_share_jacobian,
     max_relative_error,
-    validate_params,
 )
 from hierlogit.jacobian import _solve_log_share_jacobian
 
@@ -28,7 +28,7 @@ from helpers import (
 def pair_table():
     # p1, p2 share a subgroup; p3 sits in a second subgroup of the same group
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2"), ("g1", "h2", "p3")])
-    params = validate_params(0.5, 0.25)
+    params = NestingParams(0.5, 0.25)
     table, _ = compute_shares(tree, [0.0, 0.0, 0.0], params)
     return table, params
 
@@ -45,7 +45,7 @@ def test_d_cond_product_cases(pair_table):
 def sibling_table():
     # two singleton subgroups in g1, plus an unrelated group g2
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h2", "p2"), ("g2", "h3", "p3")])
-    params = validate_params(0.0, 0.5)
+    params = NestingParams(0.0, 0.5)
     table, _ = compute_shares(tree, [0.0, 0.0, 0.0], params)
     return table, params
 
@@ -60,7 +60,7 @@ def test_d_cond_subgroup_cases(sibling_table):
 
 def test_d_group_singleton_and_outside():
     tree = build_hierarchy([("g1", "h1", "p1")])
-    params = validate_params(0.5, 0.25)
+    params = NestingParams(0.5, 0.25)
     table, _ = compute_shares(tree, [0.0], params)
     assert d_group(table, 0, 0) == pytest.approx(0.25, abs=1e-14)
     # outside option as the implicit group with inclusive value zero
@@ -69,7 +69,7 @@ def test_d_group_singleton_and_outside():
 
 def test_d_group_cross_group():
     tree = build_hierarchy([("g1", "h1", "p1"), ("g2", "h2", "p2")])
-    params = validate_params(0.0, 0.0)
+    params = NestingParams(0.0, 0.0)
     table, _ = compute_shares(tree, [0.0, 0.0], params)
     # three-way symmetric: every share 1/3
     assert d_group(table, 0, 1) == pytest.approx(-1 / 9, abs=1e-14)
@@ -78,14 +78,14 @@ def test_d_group_cross_group():
 
 def test_full_jacobian_plain_logit_pair():
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
-    jac = full_jacobian(tree, [0.0, 0.0], validate_params(0.0, 0.0))
+    jac = full_jacobian(tree, [0.0, 0.0], NestingParams(0.0, 0.0))
     np.testing.assert_allclose(jac.matrix, [[2 / 9, -1 / 9], [-1 / 9, 2 / 9]], atol=1e-14)
     np.testing.assert_allclose(jac.outside_row, [-1 / 9, -1 / 9], atol=1e-14)
 
 
 def test_full_jacobian_singleton():
     tree = build_hierarchy([("g1", "h1", "p1")])
-    jac = full_jacobian(tree, [0.0], validate_params(0.5, 0.25))
+    jac = full_jacobian(tree, [0.0], NestingParams(0.5, 0.25))
     np.testing.assert_allclose(jac.matrix, [[0.25]], atol=1e-14)
     np.testing.assert_allclose(jac.outside_row, [-0.25], atol=1e-14)
 
@@ -124,7 +124,7 @@ def test_full_jacobian_equals_scalar_case_composition():
 def test_matches_finite_differences():
     tree = balanced_tree(2, 2, 2)
     rng = np.random.default_rng(67)
-    params = validate_params(0.5, 0.25)
+    params = NestingParams(0.5, 0.25)
     for _ in range(5):
         delta = rng.uniform(-3, 3, 8)
         analytic = full_jacobian(tree, delta, params)
@@ -136,7 +136,7 @@ def test_matches_finite_differences():
 
 def test_fd_step_consistency():
     tree = balanced_tree(2, 2, 2)
-    params = validate_params(0.4, 0.2)
+    params = NestingParams(0.4, 0.2)
     delta = np.linspace(-1.5, 1.5, 8)
     coarse = fd_jacobian(tree, delta, params, step=1e-5)
     fine = fd_jacobian(tree, delta, params, step=1e-6)
@@ -147,7 +147,7 @@ def test_fd_step_consistency():
 
 def test_fd_singleton_value():
     tree = build_hierarchy([("g1", "h1", "p1")])
-    fd = fd_jacobian(tree, [0.0], validate_params(0.5, 0.25), step=1e-6)
+    fd = fd_jacobian(tree, [0.0], NestingParams(0.5, 0.25), step=1e-6)
     assert fd.matrix[0, 0] == pytest.approx(0.25, abs=1e-8)
 
 
@@ -195,7 +195,7 @@ def test_sign_structure_under_nested_ordering():
         tree, delta, _ = random_instance(rng, dlo=-4, dhi=4)
         s1 = float(rng.uniform(0.0, 0.9))
         s2 = float(rng.uniform(0.0, s1)) if s1 > 0 else 0.0
-        params = validate_params(s1, s2)
+        params = NestingParams(s1, s2)
         jac = full_jacobian(tree, delta, params)
         assert np.all(np.diag(jac.matrix) > 0)
         off = jac.matrix[~np.eye(tree.n_products, dtype=bool)]
@@ -233,6 +233,6 @@ def test_log_share_jacobian_scales_full_matrix():
 def test_extreme_utilities_finite_jacobian():
     tree = balanced_tree(2, 2, 2)
     delta = np.array([700.0, -700.0, 350.0, 0.0, -350.0, 700.0, -700.0, 100.0])
-    jac = full_jacobian(tree, delta, validate_params(0.5, 0.25))
+    jac = full_jacobian(tree, delta, NestingParams(0.5, 0.25))
     assert np.all(np.isfinite(jac.matrix))
     assert np.all(np.isfinite(jac.outside_row))

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 
 from hierlogit import (
     ChoiceCounts,
+    NestingParams,
     OutOfDomainError,
     SimConfig,
     build_hierarchy,
     compute_shares,
     empirical_shares,
     simulate_choices,
-    validate_params,
 )
 from hierlogit import montecarlo
-from hierlogit.montecarlo import _draw_stride, _gumbel_from_uniform
+from hierlogit.montecarlo import _draw_stride, _exact_z, _gumbel_from_uniform
 
-from helpers import balanced_tree, random_instance
+from helpers import balanced_tree, binomial_tail_z, random_instance, random_tree
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -35,7 +35,7 @@ def test_gumbel_moments():
 
 def test_symmetric_singleton_frequency():
     tree = build_hierarchy([("g1", "h1", "p1")])
-    params = validate_params(0.5, 0.25)
+    params = NestingParams(0.5, 0.25)
     n = 10**6
     counts = simulate_choices(tree, [0.0], params, SimConfig(draws=n, seed=1))
     freq = counts.counts[0] / n
@@ -45,7 +45,7 @@ def test_symmetric_singleton_frequency():
 
 def test_plain_logit_thirds():
     tree = build_hierarchy([("g1", "h1", "p1"), ("g2", "h2", "p2")])
-    params = validate_params(0.0, 0.0)
+    params = NestingParams(0.0, 0.0)
     n = 400_000
     counts = simulate_choices(tree, [0.0, 0.0], params, SimConfig(draws=n, seed=2))
     freq, _ = empirical_shares(counts)
@@ -55,7 +55,7 @@ def test_plain_logit_thirds():
 
 def test_frequencies_match_analytic_shares():
     tree = balanced_tree(2, 2, 2)
-    params = validate_params(0.55, 0.3)
+    params = NestingParams(0.55, 0.3)
     rng = np.random.default_rng(3)
     delta = rng.uniform(-1.5, 1.5, 8)
     table, _ = compute_shares(tree, delta, params)
@@ -131,14 +131,96 @@ def test_sim_config_keeps_integral_values_as_ints():
 
 
 def test_chunk_memory_does_not_grow_with_the_tree():
-    # 10x10x10 tree: 1112 shock doubles per draw, so 20,000 draws in one
-    # block would hold 178 MB per array; chunks of 2**20 doubles hold 8 MB
-    tree = balanced_tree(10, 10, 10)
+    # a 10x10x10 tree takes 32 shock doubles per draw, so 20,000 draws fit
+    # one chunk; one subgroup of 5,000 products takes 5,004, so 4,000 draws
+    # in one block would hold 160 MB per array; chunks of 2**20 doubles hold 8 MB
+    assert _draw_stride(balanced_tree(10, 10, 10)) == 32
+    tree = build_hierarchy([("g", "h", f"p{j}") for j in range(5000)])
+    assert _draw_stride(tree) == 5004
     delta = np.random.default_rng(5).uniform(-1.0, 1.0, tree.n_products)
     tracemalloc.start()
     try:
-        simulate_choices(tree, delta, validate_params(0.5, 0.25), SimConfig(draws=20_000, seed=1))
+        simulate_choices(tree, delta, NestingParams(0.5, 0.25), SimConfig(draws=4000, seed=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"
+
+
+def _ceil4(words):
+    return -(-words // 4) * 4
+
+
+@settings(max_examples=60, derandomize=True, database=None)
+@given(instance_seed=st.integers(0, 2**32 - 1))
+def test_draw_stride_counts_siblings_only(instance_seed):
+    tree = random_tree(np.random.default_rng(instance_seed), max_groups=6, max_subgroups=6, max_products=9)
+    widest_group = np.bincount(tree.subgroup_group).max()
+    widest_subgroup = np.bincount(tree.product_subgroup).max()
+    stride = _draw_stride(tree)
+    assert stride == _ceil4((tree.n_groups + 1) + widest_group + widest_subgroup)
+    assert stride <= _ceil4((tree.n_groups + 1) + tree.n_subgroups + tree.n_products)
+
+
+# a one-subgroup group next to a five-subgroup one, and one-product
+# subgroups next to a seven-product one
+RAGGED_SIZES = {"g0": [7], "g1": [1, 7, 2, 1, 3], "g2": [1]}
+RAGGED_TREE = build_hierarchy([
+    (g, f"{g}.h{h}", f"{g}.h{h}.p{p}") for g, sizes in RAGGED_SIZES.items()
+    for h, n in enumerate(sizes) for p in range(n)
+])
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(
+    instance_seed=st.integers(0, 2**32 - 1),
+    sigma1=st.floats(0.0, 0.9),
+    sigma2=st.floats(0.0, 0.9),
+)
+def test_ragged_tree_frequencies_match_analytic_shares(instance_seed, sigma1, sigma2):
+    rng = np.random.default_rng(instance_seed)
+    delta = rng.uniform(-1.5, 1.5, RAGGED_TREE.n_products)
+    params = NestingParams(sigma1, sigma2)
+    table, _ = compute_shares(RAGGED_TREE, delta, params)
+    share = np.append(table.joint, table.outside)
+    n = 200_000
+    counts = simulate_choices(RAGGED_TREE, delta, params, SimConfig(draws=n, seed=instance_seed))
+    freq, _ = empirical_shares(counts)
+    assert counts.total == n
+    assert np.all(np.abs(freq - share) <= 4 * np.sqrt(share * (1 - share) / n))
+
+
+@st.composite
+def binomial_cases(draw):
+    n = draw(st.integers(1, 300))
+    p = draw(st.one_of(st.floats(1e-9, 1.0 - 1e-9), st.sampled_from([0.5, 0.25, 1e-4])))
+    k = draw(st.one_of(st.integers(0, n), st.just(round(n * p))))
+    return n, p, k
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=binomial_cases())
+def test_exact_z_matches_summed_binomial_terms(case):
+    n, p, k = case
+    z = _exact_z(np.array([k, n - k]), np.array([p, 1.0 - p]))
+    assert z[0] == pytest.approx(binomial_tail_z(n, p, k), rel=1e-9, abs=1e-9)
+    assert z[1] == pytest.approx(binomial_tail_z(n, 1.0 - p, n - k), rel=1e-9, abs=1e-9)
+
+
+def test_exact_z_of_a_few_hits_on_a_rare_alternative_stays_below_five():
+    # an expected count of 0.81 at 1e5 draws, drawn 6 times: the normal
+    # approximation reads 5.78, the exact tail (about 2e-4) 3.5
+    n, share = 100_000, 8.1e-6
+    normal = (6 / n - share) / np.sqrt(share * (1 - share) / n)
+    z = _exact_z(np.array([6, n - 6]), np.array([share, 1.0 - share]))
+    assert normal > 5.7
+    assert 3.4 < z[0] < 3.7
+    assert z[1] == pytest.approx(-z[0], rel=1e-9)
+
+
+def test_exact_z_of_a_zero_share():
+    # never drawn: z is 0 where the frequency equals the share; drawn: the tail is 0
+    z = _exact_z(np.array([0, 5, 95]), np.array([0.0, 0.05, 0.95]))
+    assert z[0] == 0.0
+    z = _exact_z(np.array([1, 4, 95]), np.array([0.0, 0.05, 0.95]))
+    assert z[0] == np.inf and np.all(np.isfinite(z[1:]))

@@ -10,13 +10,13 @@ from scipy.special import logsumexp
 
 from hierlogit import (
     DegenerateShareError,
+    NestingParams,
     OutOfDomainError,
     ShareTable,
     berry_invert,
     build_hierarchy,
     compute_shares,
     numeric_invert,
-    validate_params,
 )
 
 from hierlogit.cli import read_market_csv
@@ -51,7 +51,7 @@ S0_2X2X2 = 0.11521017323456504836
 def one_subgroup(deltas, sigma1=0.0, sigma2=0.0):
     """compute_shares with every product in one subgroup of one group."""
     tree = build_hierarchy([("g1", "h1", f"p{i}") for i in range(len(deltas))])
-    return compute_shares(tree, deltas, validate_params(sigma1, sigma2))
+    return compute_shares(tree, deltas, NestingParams(sigma1, sigma2))
 
 
 def singleton_subgroups(deltas, sigma2):
@@ -60,13 +60,13 @@ def singleton_subgroups(deltas, sigma2):
     At sigma1 = 0 each subgroup inclusive value is its product's utility.
     """
     tree = build_hierarchy([("g1", f"h{i}", f"p{i}") for i in range(len(deltas))])
-    return compute_shares(tree, deltas, validate_params(0.0, sigma2))
+    return compute_shares(tree, deltas, NestingParams(0.0, sigma2))
 
 
 def singleton_groups(deltas):
     """compute_shares with one product per group: group values are the utilities."""
     tree = build_hierarchy([(f"g{i}", f"h{i}", f"p{i}") for i in range(len(deltas))])
-    return compute_shares(tree, deltas, validate_params(0.0, 0.0))
+    return compute_shares(tree, deltas, NestingParams(0.0, 0.0))
 
 
 def test_subgroup_inclusive_value():
@@ -134,7 +134,7 @@ def test_conditional_shares_sum_to_one():
 def test_single_product_market_splits_with_outside():
     tree = build_hierarchy([("g1", "h1", "p1")])
     for sigma in ((0.0, 0.0), (0.5, 0.25), (0.9, 0.8)):
-        table, iv = compute_shares(tree, [0.0], validate_params(*sigma))
+        table, iv = compute_shares(tree, [0.0], NestingParams(*sigma))
         assert table.joint[0] == pytest.approx(0.5, abs=1e-15)
         assert table.outside == pytest.approx(0.5, abs=1e-15)
         assert iv.top == pytest.approx(np.log(2.0), abs=1e-15)
@@ -143,7 +143,7 @@ def test_single_product_market_splits_with_outside():
 def test_zero_sigma_collapses_to_thirds():
     # two unit-utility products anywhere in the tree; sigma = 0 is plain logit
     tree = build_hierarchy([("g1", "h1", "p1"), ("g2", "h2", "p2")])
-    table, _ = compute_shares(tree, [0.0, 0.0], validate_params(0.0, 0.0))
+    table, _ = compute_shares(tree, [0.0, 0.0], NestingParams(0.0, 0.0))
     np.testing.assert_allclose(table.joint, [1 / 3, 1 / 3], atol=1e-15)
     assert table.outside == pytest.approx(1 / 3, abs=1e-15)
 
@@ -151,7 +151,7 @@ def test_zero_sigma_collapses_to_thirds():
 def test_2x2x2_frozen_table():
     tree = balanced_tree(2, 2, 2)
     delta = np.arange(0.1, 0.81, 0.1)
-    table, _ = compute_shares(tree, delta, validate_params(0.5, 0.25))
+    table, _ = compute_shares(tree, delta, NestingParams(0.5, 0.25))
     np.testing.assert_allclose(table.joint, JOINT_2X2X2, rtol=0, atol=1e-15)
     assert table.outside == pytest.approx(S0_2X2X2, abs=1e-15)
 
@@ -208,7 +208,7 @@ def test_conditional_shift_invariance():
 def test_extreme_utilities_stay_finite():
     tree = balanced_tree(2, 2, 2)
     delta = np.array([700.0, -700.0, 350.0, 0.0, -350.0, 700.0, -700.0, 100.0])
-    table, iv = compute_shares(tree, delta, validate_params(0.6, 0.3))
+    table, iv = compute_shares(tree, delta, NestingParams(0.6, 0.3))
     assert np.all(np.isfinite(table.joint))
     assert np.isfinite(table.outside)
     assert np.all(np.isfinite(table.log_joint))
@@ -255,15 +255,15 @@ def test_overflowing_scaled_utilities_are_refused(sigma, delta):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OutOfDomainError, match="overflow"):
-            compute_shares(tree, delta, validate_params(*sigma))
+            compute_shares(tree, delta, NestingParams(*sigma))
 
 
 def test_largest_utilities_that_fit_stay_finite():
     tree = build_hierarchy([("g1", "h1", "a"), ("g2", "h2", "b")])
-    table, iv = compute_shares(tree, [1e308, 0.0], validate_params(0.0, 0.0))
+    table, iv = compute_shares(tree, [1e308, 0.0], NestingParams(0.0, 0.0))
     assert table.joint.tolist() == [1.0, 0.0] and table.outside == 0.0
     assert iv.top == 1e308
-    table, _ = compute_shares(tree, [0.5e308, -0.5e308], validate_params(0.5, 0.0))
+    table, _ = compute_shares(tree, [0.5e308, -0.5e308], NestingParams(0.5, 0.0))
     assert table.joint.tolist() == [1.0, 0.0]
 
 
@@ -299,7 +299,7 @@ def shuffled_market_files(draw):
                     utility = draw(st.one_of(st.sampled_from([-bound, 0.0, bound]), st.floats(-bound, bound)))
                     rows.append((f"m{m}", f"g{g}", f"h{h}", f"p{g}.{h}.{p}", utility))
     sigma = st.one_of(st.sampled_from([0.0, sigma_bound]), st.floats(0.0, sigma_bound))
-    return draw(st.permutations(rows)), validate_params(draw(sigma), draw(sigma))
+    return draw(st.permutations(rows)), NestingParams(draw(sigma), draw(sigma))
 
 
 def _same(a, b) -> bool:

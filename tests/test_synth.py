@@ -3,6 +3,7 @@ import pytest
 
 from hierlogit import (
     BadDimensionsError,
+    NestingParams,
     OutOfDomainError,
     SingularDesignError,
     SynthConfig,
@@ -10,13 +11,12 @@ from hierlogit import (
     estimate_linear,
     generate_market,
     regression_rows,
-    validate_params,
 )
 
 
 def _pipeline(config):
     tree, delta, covariates = generate_market(config)
-    params = validate_params(config.sigma1, config.sigma2)
+    params = NestingParams(config.sigma1, config.sigma2)
     table, _ = compute_shares(tree, delta, params)
     return estimate_linear(regression_rows(table), covariates)
 
@@ -130,7 +130,7 @@ def test_too_few_rows_rejected():
 def test_misaligned_covariates_rejected():
     config = SynthConfig(2, 2, 2, beta=(1.0,), sigma1=0.4, sigma2=0.2, seed=3)
     tree, delta, covariates = generate_market(config)
-    table, _ = compute_shares(tree, delta, validate_params(0.4, 0.2))
+    table, _ = compute_shares(tree, delta, NestingParams(0.4, 0.2))
     y, x1, x2 = regression_rows(table)
     with pytest.raises(BadDimensionsError):
         estimate_linear((y, x1, x2), covariates[:-1])
@@ -141,7 +141,7 @@ def test_misaligned_covariates_rejected():
 def test_non_finite_regressors_rejected():
     config = SynthConfig(2, 2, 2, beta=(1.0,), sigma1=0.4, sigma2=0.2, seed=3)
     tree, delta, covariates = generate_market(config)
-    table, _ = compute_shares(tree, delta, validate_params(0.4, 0.2))
+    table, _ = compute_shares(tree, delta, NestingParams(0.4, 0.2))
     covariates[0, 0] = np.nan
     with pytest.raises(OutOfDomainError):
         estimate_linear(regression_rows(table), covariates)
