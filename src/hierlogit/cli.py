@@ -34,8 +34,10 @@ market (the message names it, wherever it runs out), 3 failed self-check
 (finite-difference mismatch, simulation z-score blowout,
 Newton/closed-form disagreement, singular design).
 Diagnostics go to standard error. Results go to ``--output`` or standard
-output in chunks of rows. Reals have 17 significant digits so that written
-files round-trip doubles exactly.
+output as UTF-8 whatever the locale, CSV in chunks of rows gathered across
+markets. Reals are exactly ``format(x, ".17g")`` (NaN an empty cell), so
+written files round-trip doubles: numpy derives the digits, and Python
+formats what it cannot prove (zero, inf, near-ties; see ``csvout``).
 """
 
 import csv
@@ -46,7 +48,6 @@ import operator
 import sys
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields
-from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -91,9 +92,6 @@ SHARES_COLUMNS = MARKET_COLUMNS + (
 _Z_LIMIT = 5.0
 # finite-difference relative error beyond which --check-fd fails
 _FD_LIMIT = 1e-5
-# rows formatted per writerows call; formatting an N=100k market or an
-# N=1000 Jacobian at once would hold a string for every cell in memory
-_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -272,25 +270,15 @@ def _each_market(block, compute):
             yield result
 
 
-def _csv_fields(ids) -> list:
-    """``ids`` quoted by the csv module's rules, each distinct id once: it is
-    written as the row ``(id, "")``, which ends in ``,\\n``."""
-    distinct = list(dict.fromkeys(ids))
-    lines = []
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows((i, "") for i in distinct)
-    quoted = dict(zip(distinct, (line[:-2] for line in lines)))
-    return [quoted[i] for i in ids]
-
-
 def _id_columns(h: ChoiceHierarchy, outside=False) -> list:
     """Market, group, subgroup and product ids of every product as
-    ``(fields, codes)`` columns, each market's outside row after its
-    products where ``outside``."""
+    ``(ids, codes)`` columns, each market's outside row after its products
+    where ``outside``."""
     columns = [(h.market_ids, h.product_market, np.arange(h.n_markets)), (h.group_ids, h.product_group, h.n_groups),
                (h.subgroup_ids, h.product_subgroup, h.n_subgroups), (h.products, np.arange(h.n_products), h.n_products)]
     if outside:
         columns = [(ids + (OUTSIDE_ID,), _outside_rows(h, codes, code), None) for ids, codes, code in columns]
-    return [(_csv_fields(ids), codes) for ids, codes, _ in columns]
+    return [(ids, codes) for ids, codes, _ in columns]
 
 
 def _outside_rows(h: ChoiceHierarchy, inside, outside=np.nan) -> np.ndarray:
@@ -299,40 +287,18 @@ def _outside_rows(h: ChoiceHierarchy, inside, outside=np.nan) -> np.ndarray:
 
 
 def _output(output_path):
-    return nullcontext(sys.stdout) if output_path is None else open(output_path, "w")
+    """``output_path``, or standard output, opened for bytes."""
+    sys.stdout.flush()
+    return nullcontext(sys.stdout.buffer) if output_path is None else open(output_path, "wb")
 
 
 def _write_csv(output_path, header, blocks) -> None:
-    """Stream CSV rows to ``output_path`` or standard output.
+    """Stream the rows of ``blocks`` (see ``csvout.write_csv``) to
+    ``output_path`` or standard output."""
+    from .csvout import write_csv  # on first use, so that start-up compiles no more
 
-    ``blocks`` yields lists of equally long columns, written in chunks of
-    ``_CHUNK_ROWS`` rows: a float array with 17 significant digits (NaN
-    as an empty cell), an integer array as it is, ``(fields, codes)`` as
-    ``fields[codes[i]]`` on row i, and a str, quoted, on every row.
-    """
-    with _output(output_path) as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for columns in blocks:
-            n_rows = max(len(c[1] if isinstance(c, tuple) else c) for c in columns if not isinstance(c, str))
-            for start in range(0, n_rows, _CHUNK_ROWS):
-                cells = [_cells(c, start, min(start + _CHUNK_ROWS, n_rows)) for c in columns]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-
-
-def _cells(column, start, stop):
-    if isinstance(column, str):
-        return itertools.repeat(_csv_fields([column])[0], stop - start)
-    if isinstance(column, tuple):
-        fields, codes = column
-        return list(map(fields.__getitem__, codes[start:stop].tolist()))
-    values = column[start:stop]
-    if values.dtype.kind != "f":
-        return list(map(str, values.tolist()))
-    # Python floats format faster than numpy scalars
-    cells = [format(x, ".17g") for x in values.tolist()]
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        cells[i] = ""
-    return cells
+    with _output(output_path) as out:
+        write_csv(out, header, blocks)
 
 
 def _die(code: int, message) -> None:
@@ -388,21 +354,22 @@ def cmd_shares(input_path, params_path, output_path, fmt):
     if fmt == "csv":
         _write_csv(output_path, SHARES_COLUMNS, (_shares_csv(b.hierarchy, table, iv) for b, (table, iv) in runs))
         return
-    with _output(output_path) as fh:
+    with _output(output_path) as out:
         # nothing is written unless every market succeeds
-        fh.writelines(_shares_json(list(runs), params))
+        for text in _shares_json(list(runs), params):
+            out.write(text.encode())
 
 
 def _shares_csv(h, table, iv) -> list:
     top = np.atleast_1d(iv.top)
     # a per-segment value is formatted once, then gathered by code; the
-    # outside row's code points past the values, at a blank or its market's top
+    # outside row's code points past the values, at a NaN (a blank) or its market's top
     segments = ((table.cond_subgroup, h.product_subgroup), (table.group, h.product_group),
                 (iv.subgroup, h.product_subgroup), (iv.group, h.product_group))
     return [*_id_columns(h, outside=True), _outside_rows(h, table.joint, table.outside),
             _outside_rows(h, table.cond_product),
-            *((_cells(values, 0, len(values)) + [""], _outside_rows(h, codes, len(values))) for values, codes in segments),
-            (_cells(top, 0, len(top)), _outside_rows(h, h.product_market, np.arange(h.n_markets)))]
+            *((np.append(values, np.nan), _outside_rows(h, codes, len(values))) for values, codes in segments),
+            (top, _outside_rows(h, h.product_market, np.arange(h.n_markets)))]
 
 
 def _shares_json(runs, params: NestingParams):
@@ -485,7 +452,7 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
             click.echo(f"market {h.market_ids[0]!r}: max relative error vs finite differences {err:.3e}", err=True)
             fd_errors.append(err)
         # the rows of the matrix, then the outside row
-        ids, n = _csv_fields(h.products + (OUTSIDE_ID,)), h.n_products
+        ids, n = h.products + (OUTSIDE_ID,), h.n_products
         rows, cols = np.repeat(np.arange(n + 1, dtype=np.int32), n), np.tile(np.arange(n, dtype=np.int32), n + 1)
         return [h.market_ids[0], (ids, rows), (ids, cols), np.append(jac.matrix, jac.outside_row)]
 
@@ -545,8 +512,8 @@ def cmd_estimate(config_path, output_path):
         "residual_norm": result.residual_norm,
         "n_products": hierarchy.n_products,
     }
-    with _output(output_path) as fh:
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    with _output(output_path) as out:
+        out.write((json.dumps(payload, indent=2) + "\n").encode())
 
 
 def _read_synth_config(path) -> SynthConfig:

@@ -1,0 +1,207 @@
+"""CSV rows as UTF-8 bytes, formatted in numpy.
+
+Each chunk of rows becomes one uint8 matrix holding every cell's bytes in
+padded slots, with a mask of the slots written; the masked bytes are the
+rows. Reals are exactly ``format(x, ".17g")``: their 17 digits come from a
+double-double product with a power of ten, and Python formats the cells
+that product cannot prove (zero, inf, |x| outside ``_FAST_RANGE``, and
+fractions within ``_TIE_BAND`` of a rounding tie).
+"""
+
+import csv
+import functools
+import itertools
+from types import SimpleNamespace
+
+import numpy as np
+
+# rows formatted at once; formatting an N=100k market or an N=1000 Jacobian
+# at once would hold hundreds of bytes for every row in memory
+_CHUNK_ROWS = 4096
+
+
+def write_csv(out, header, blocks) -> None:
+    """Write CSV rows as UTF-8 to the binary stream ``out``.
+
+    ``blocks`` yields lists of equally long columns: a float array, or an
+    integer one below 2**53, as ``format(x, ".17g")`` (NaN as an empty
+    cell), a str on every row, and ``(table, codes)`` as ``table[codes[i]]``
+    on row i, ``table`` being a float array or a sequence of str; strs are
+    quoted by the csv module's rules, a carriage return included. Blocks
+    are gathered until they hold ``_CHUNK_ROWS`` rows, then written in
+    chunks of that many rows.
+    """
+    out.write((",".join(header) + "\n").encode())
+    pending, size = [], 0
+    try:
+        for columns in blocks:
+            n = _n_rows(columns)
+            pending.append([([c], np.broadcast_to(0, n)) if isinstance(c, str) else c for c in columns])
+            size += n
+            if size >= _CHUNK_ROWS:
+                batch, pending, size = pending, [], 0
+                _write_rows(out, batch)
+    finally:
+        # the markets before a failing one are written before its error
+        _write_rows(out, pending)
+
+
+def _n_rows(columns) -> int:
+    return len(next(c[-1] if isinstance(c, tuple) else c for c in columns if not isinstance(c, str)))
+
+
+def _write_rows(out, blocks) -> None:
+    columns = [_merged(parts) for parts in zip(*blocks)]
+    n_rows = sum(map(_n_rows, blocks))
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        # each cell as padded slots of a uint8 matrix and a mask of the slots written
+        cells = [[_gathered(m, c[2][rows]) for m in c[:2]] if isinstance(c, tuple)
+                 else _float_slots(c[rows].astype(float)) for c in columns]
+        n = len(cells[0][0])
+        chars = np.hstack([part for c, _ in cells for part in (c, np.full((n, 1), ord(","), np.uint8))])
+        chars[:, -1] = ord("\n")
+        out.write(chars[np.hstack([part for _, k in cells for part in (k, np.ones((n, 1), bool))])])
+
+
+def _merged(parts):
+    """One column of several blocks: an array, or ``(*_padded(table), codes)``."""
+    if not isinstance(parts[0], tuple):
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+    if len(parts) == 1:
+        return (*_padded(parts[0][0]), parts[0][1])
+    tables, codes = zip(*parts)
+    starts = itertools.accumulate(map(len, tables), initial=0)
+    table = np.concatenate(tables) if isinstance(tables[0], np.ndarray) else list(itertools.chain(*tables))
+    return (*_padded(table), np.concatenate([c + s for c, s in zip(codes, starts)]))
+
+
+def _padded(table) -> tuple:
+    """``(chars, keep)`` of a float array, or of a sequence of str quoted by
+    the csv module's rules: each entry's bytes left-justified in a row."""
+    if isinstance(table, np.ndarray):
+        cells = map(_float_slots, (table[i:i + _CHUNK_ROWS] for i in range(0, len(table), _CHUNK_ROWS)))
+        flat, lengths = map(np.concatenate, zip(*((c[k], k.sum(axis=1)) for c, k in cells)))
+    else:
+        text = "".join(table)
+        if any(c in text for c in ',"\r\n'):
+            # the row (field, "") ends in ",\r\n"; with that terminator the csv
+            # module also quotes a carriage return, which readers take for a line end
+            lines = []
+            csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows((f, "") for f in table)
+            table = [line[:-3] for line in lines]
+            text = "".join(table)
+        flat = text.encode()
+        sizes = map(len, table) if flat.isascii() else (len(field.encode()) for field in table)
+        flat, lengths = np.frombuffer(flat, np.uint8), np.fromiter(sizes, np.intp, len(table))
+    keep = np.arange(max(1, lengths.max())) < lengths[:, None]
+    chars = np.zeros(keep.shape, np.uint8)
+    chars[keep] = flat
+    return chars, keep
+
+
+def _gathered(matrix, codes) -> np.ndarray:
+    """``matrix[codes]``, gathering each row as one item."""
+    return matrix.view(f"V{matrix.shape[1]}")[codes, 0].view(matrix.dtype).reshape(len(codes), -1)
+
+
+# |x| range in which _float_slots derives the 17 digits itself: 10**(16 - E)
+# and the Veltkamp splits of it and of x stay normal and finite
+_FAST_RANGE = (1e-280, 1e280)
+# x * 10**(16 - E) < 1e17 is computed within about 1e-14; a fraction within
+# this wide margin of 1/2 may round the other way, and Python formats it
+_TIE_BAND = 1e-9
+
+
+def _float_slots(values) -> tuple:
+    """``(chars, keep)``: 52 slots a cell, and the mask of those that make
+    ``format(x, ".17g")``, or nothing for NaN."""
+    a = np.abs(values)
+    fast = (a >= _FAST_RANGE[0]) & (a < _FAST_RANGE[1])
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    d, frac = _scaled(a, e)
+    # log10 may put the exponent one off near a power of ten
+    shift = (d >= 10**17).astype(np.int64) - (d < 10**16)
+    redo = np.flatnonzero(shift)
+    e[redo] += shift[redo]
+    d[redo], frac[redo] = _scaled(a[redo], e[redo])
+    d += frac > 0.5
+    slow = np.flatnonzero(~fast | (np.abs(frac - 0.5) < _TIE_BAND) | (d < 10**16) | (d >= 10**17))
+    d[slow], e[slow] = 10**16, 0
+    # 13 words a cell: the 17 digits as 20 (the sign in the third slot), "0."
+    # (fixed notation below 1), the 20 digits again, "e" and the exponent's
+    # sign, and the exponent as 4 digits; the mask picks one notation's bytes
+    words = np.empty((len(a), 13), np.uint32)
+    words[:, 0:5] = words[:, 6:11] = _quad_table()[np.stack([d // 10**k % 10000 for k in (16, 12, 8, 4, 0)], 1)]
+    words[:, 5], *signs = np.frombuffer(b"0.  e+  e-  ", np.uint32)
+    words[:, 11] = np.where(e < 0, *signs[::-1])
+    words[:, 12] = _quad_table()[np.abs(e)]
+    chars = words.view(np.uint8)
+    chars[:, 2] = ord("-")
+    n_significant = 17 - np.argmax(chars[:, 43:26:-1] != ord("0"), axis=1)
+    layout = np.where((e >= -4) & (e < 17), e + 4, 21 + (np.abs(e) >= 100))
+    keep = _float_masks()[(layout * 17 + n_significant - 1) * 2 + (values < 0)].view(bool).reshape(len(a), 52)
+    for i in slow.tolist():
+        x = values[i].item()
+        text = format(x, ".17g").encode() if x == x else b""
+        chars[i, :len(text)], keep[i] = np.frombuffer(text, np.uint8), np.arange(52) < len(text)
+    return chars, keep
+
+
+def _scaled(a, e) -> tuple:
+    """``floor(a * 10**(16 - e))`` as int64 and the fraction left: Dekker's two-product
+    of ``a`` and the leading double of the power, plus ``a`` times its trailing double."""
+    k = 16 - e
+    k0 = int(k.min(initial=0))
+    high, low = np.array([_pow10(j) for j in range(k0, int(k.max(initial=0)) + 1)])[k - k0].T
+    p = a * high
+    (ah, al), (bh, bl) = _split(a), _split(high)
+    whole = np.floor(p)
+    rest = (p - whole) + ((((ah * bh - p) + ah * bl + al * bh) + al * bl) + a * low)
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _split(a) -> tuple:
+    """Veltkamp's split of ``a`` into two halves of 26 bits."""
+    high = a * 134217729.0  # 2**27 + 1
+    high -= high - a
+    return high, a - high
+
+
+@functools.lru_cache(maxsize=None)  # at most the ~570 exponents of _FAST_RANGE
+def _pow10(k) -> tuple:
+    """10**k as the sum of two doubles, each correctly rounded from integers."""
+    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+    a, b = (num / den).as_integer_ratio()
+    return num / den, (num * b - a * den) / (den * b)
+
+
+@functools.cache
+def _quad_table() -> np.ndarray:
+    """The 4 ASCII digits of 0 to 9999, each as one 4-byte word."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    return digits.astype(np.uint8).view(np.uint32).ravel()
+
+
+@functools.cache
+def _float_masks() -> np.ndarray:
+    """The slots of a float cell written, one 52-byte item per layout (fixed
+    notation at exponents -4 to 16, exponent notation with 2 and with 3
+    exponent digits), count of significant digits and sign."""
+    layout, n_significant, negative = (c.ravel() for c in np.indices((23, 17, 2)))
+    fixed, n_significant = layout < 21, n_significant[:, None] + 1
+    # the last digit before the point; below 0 in fixed notation below 1
+    point = np.where(fixed, layout - 4, 0)[:, None]
+    digit = np.arange(17)
+    keep = np.zeros((len(layout), 52), bool)
+    keep[:, 2] = negative
+    keep[:, 3:20] = digit <= point
+    keep[:, 20] = layout < 4
+    keep[:, 21:22] = n_significant > point + 1
+    keep[:, 24:27] = np.arange(3) < -1 - point
+    keep[:, 27:44] = (point < digit) & (digit < n_significant)
+    keep[:, [44, 45, 50, 51]] = ~fixed[:, None]
+    keep[:, 49] = layout == 22
+    return keep.view("V52").ravel()

@@ -39,6 +39,8 @@ __all__ = [
 
 # smallest denominator of an entry's relative error in max_relative_error
 _RELATIVE_FLOOR = 1e-12
+# products per compute_shares call of fd_jacobian, which bounds its memory
+_FD_PRODUCTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -84,19 +86,20 @@ def _solve_log_share_jacobian(table: ShareTable, params: NestingParams, r: np.nd
 
     The matrix is a*I minus a rank-one term per subgroup, group and market.
     With R_h = sum_{k in h} cp_k r_k, Q_g = sum_{h in g} cs_h R_h, T_m =
-    sum_{g in m} s_g Q_g / s_0m, V = Q + T and U = (R + (b-1)V + T)/b,
-    x = (r + (a-b)U + (b-1)V + T)/a; x is not finite where s_0m = 0.
+    sum_{g in m} s_g Q_g / s_0m and V = Q + T, x = (1-sigma1)(r + T) +
+    (sigma1-sigma2)(R + T) + sigma2 V: no coefficient exceeds 1, so sigma ->
+    1 amplifies no rounding. x is not finite where s_0m = 0.
     """
     h = table.hierarchy
-    a, b = 1.0 / (1.0 - params.sigma1), 1.0 / (1.0 - params.sigma2)
     big_r = np.bincount(h.product_subgroup, weights=table.cond_product * r, minlength=h.n_subgroups)
     q = np.bincount(h.subgroup_group, weights=table.cond_subgroup * big_r, minlength=h.n_groups)
     t = np.bincount(h.group_market, weights=table.group * q, minlength=h.n_markets)
     with np.errstate(divide="ignore", invalid="ignore"):
         t /= np.atleast_1d(table.outside)
         v = q + t[h.group_market]
-        u = (big_r + (b - 1.0) * v[h.subgroup_group] + t[h.group_market][h.subgroup_group]) / b
-        return (r + (a - b) * u[h.product_subgroup] + (b - 1.0) * v[h.product_group] + t[h.product_market]) / a
+        t = t[h.product_market]
+        return ((1.0 - params.sigma1) * (r + t) + (params.sigma1 - params.sigma2) * (big_r[h.product_subgroup] + t)
+                + params.sigma2 * v[h.product_group])
 
 
 def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> ShareJacobian:
@@ -112,22 +115,35 @@ def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> S
 def fd_jacobian(
     hierarchy: ChoiceHierarchy, delta, params: NestingParams, step: float = 1e-6
 ) -> ShareJacobian:
-    """Central-difference approximation (s(delta+h e_k) - s(delta-h e_k)) / 2h."""
+    """Central-difference approximation (s(delta+h e_k) - s(delta-h e_k)) / 2h.
+
+    The two perturbed utility vectors of each k are two markets of one
+    tree, in runs of about ``_FD_PRODUCTS`` products; a market gives the
+    same shares alone as in any tree.
+    """
     one_market(hierarchy, "fd_jacobian")
     delta = as_delta_array(hierarchy, delta)
     n = hierarchy.n_products
-    matrix = np.empty((n, n))
-    outside_row = np.empty(n)
-    for k in range(n):
-        up = delta.copy()
-        up[k] += step
-        down = delta.copy()
-        down[k] -= step
-        table_up, _ = compute_shares(hierarchy, up, params)
-        table_down, _ = compute_shares(hierarchy, down, params)
-        matrix[:, k] = (table_up.joint - table_down.joint) / (2.0 * step)
-        outside_row[k] = (table_up.outside - table_down.outside) / (2.0 * step)
+    per_run = max(1, _FD_PRODUCTS // (2 * n))
+    copies = _copies(hierarchy, 2 * min(per_run, n))
+    matrix, outside_row = np.empty((n, n)), np.empty(n)
+    for k in np.split(np.arange(n), range(per_run, n, per_run)):
+        # market 2i moves utility k[i] up by step, market 2i + 1 down
+        perturbed = np.tile(delta, (len(k), 2, 1))
+        perturbed[np.arange(len(k)), :, k] += [step, -step]
+        table, _ = compute_shares(copies.markets(0, 2 * len(k)), perturbed.ravel(), params)
+        shares = np.column_stack([table.joint.reshape(-1, n), table.outside]).reshape(len(k), 2, n + 1)
+        columns = (shares[:, 0] - shares[:, 1]) / (2.0 * step)
+        matrix[:, k], outside_row[k] = columns[:, :n].T, columns[:, n]
     return ShareJacobian(matrix=matrix, outside_row=outside_row)
+
+
+def _copies(h: ChoiceHierarchy, count: int) -> ChoiceHierarchy:
+    """``count`` copies of the one market of ``h``, as the markets of one tree."""
+    shift = np.arange(count)[:, None]
+    return ChoiceHierarchy(h.market_ids * count, np.repeat(np.arange(count), h.n_groups), h.group_ids * count,
+                           (h.subgroup_group + h.n_groups * shift).ravel(), h.subgroup_ids * count,
+                           (h.product_subgroup + h.n_subgroups * shift).ravel(), h.products * count)
 
 
 def max_relative_error(analytic: ShareJacobian, fd: ShareJacobian, row_scale) -> float:

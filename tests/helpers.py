@@ -1,14 +1,16 @@
 """Shared instance builders and independent oracles for the test suite."""
 
+import csv
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from hierlogit import NestingParams, build_hierarchy
+from hierlogit import NestingParams, build_hierarchy, compute_shares
 
 
 def random_tree(rng, max_groups=3, max_subgroups=3, max_products=4):
@@ -205,3 +207,53 @@ def binomial_tail_z(n, p, k):
     tail = float(Fraction(sum(terms[k:] if upper else terms[: k + 1]), b**n))
     z = 0.0 if tail >= 0.5 else (norm.isf(tail) if tail > 0.0 else math.inf)
     return z if upper else -z
+
+
+def fd_jacobian_loop(hierarchy, delta, params, step=1e-6):
+    """``fd_jacobian`` one column at a time, two ``compute_shares`` calls per
+    column: the oracle of the batched evaluation, which must give the same
+    doubles."""
+    delta = np.asarray(delta, dtype=float)
+    n = hierarchy.n_products
+    matrix = np.empty((n, n))
+    outside_row = np.empty(n)
+    for k in range(n):
+        up = delta.copy()
+        up[k] += step
+        down = delta.copy()
+        down[k] -= step
+        table_up, _ = compute_shares(hierarchy, up, params)
+        table_down, _ = compute_shares(hierarchy, down, params)
+        matrix[:, k] = (table_up.joint - table_down.joint) / (2.0 * step)
+        outside_row[k] = (table_up.outside - table_down.outside) / (2.0 * step)
+    return matrix, outside_row
+
+
+def per_cell_write_csv(output_path, header, blocks):
+    """The CLI's CSV writer cell by cell in Python, the oracle of the bytes of
+    ``hierlogit.cli._write_csv``: same arguments, each str quoted by the csv
+    module as the row ``(str, "")`` ending in ``,\r\n`` (so that a carriage
+    return is quoted too), rows joined by "," and written block by block
+    through a UTF-8 text stream."""
+
+    def quoted(field):
+        lines = []
+        csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerow((field, ""))
+        return lines[0][:-3]
+
+    def cells(column, n_rows):
+        if isinstance(column, str):
+            return [quoted(column)] * n_rows
+        if isinstance(column, tuple):
+            table, codes = column
+            table = cells(table, len(table)) if isinstance(table, np.ndarray) else [quoted(f) for f in table]
+            return [table[i] for i in codes.tolist()]
+        if column.dtype.kind != "f":
+            return [str(x) for x in column.tolist()]
+        return [format(x, ".17g") if x == x else "" for x in column.tolist()]
+
+    with open(output_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            n_rows = len(next(c[1] if isinstance(c, tuple) else c for c in columns if not isinstance(c, str)))
+            fh.writelines(",".join(row) + "\n" for row in zip(*(cells(c, n_rows) for c in columns)))

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hierlogit import (
     log_share_jacobian,
     max_relative_error,
 )
+from hierlogit import jacobian
 from hierlogit.jacobian import _solve_log_share_jacobian
 
 from helpers import (
@@ -19,6 +22,7 @@ from helpers import (
     d_cond_product,
     d_cond_subgroup,
     d_group,
+    fd_jacobian_loop,
     ragged_instances,
     random_instance,
 )
@@ -143,6 +147,20 @@ def test_fd_step_consistency():
     table, _ = compute_shares(tree, delta, params)
     scale = np.append(table.joint, table.outside)
     assert max_relative_error(coarse, fine, row_scale=scale) < 1e-7
+
+
+@pytest.mark.parametrize("fd_products", [1, 10, jacobian._FD_PRODUCTS])
+def test_fd_jacobian_gives_the_doubles_of_one_column_at_a_time(fd_products):
+    # runs of one market pair, of a few, and the default size, at which the
+    # 6x6x6 tree takes several runs and the others one
+    rng = np.random.default_rng(5)
+    instances = [random_instance(rng, dlo=-30.0, dhi=30.0) for _ in range(40)]
+    instances.append((balanced_tree(6, 6, 6), rng.standard_normal(216), NestingParams(0.9, 0.3)))
+    with mock.patch.object(jacobian, "_FD_PRODUCTS", fd_products):
+        for tree, delta, params in instances:
+            fd = fd_jacobian(tree, delta, params, step=1e-6)
+            matrix, outside_row = fd_jacobian_loop(tree, delta, params, step=1e-6)
+            assert np.array_equal(fd.matrix, matrix) and np.array_equal(fd.outside_row, outside_row)
 
 
 def test_fd_singleton_value():

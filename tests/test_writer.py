@@ -1,0 +1,189 @@
+"""The CLI's CSV writer: exact ``.17g`` reals, byte-identical rows, UTF-8 output."""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from unittest import mock
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hierlogit
+from hierlogit import cli, csvout
+from hierlogit.cli import EXIT_OK, main
+
+from helpers import per_cell_write_csv
+
+
+def rendered(values) -> list:
+    chars, keep = csvout._float_slots(np.asarray(values, dtype=float))
+    return [bytes(c[k]).decode() for c, k in zip(chars, keep)]
+
+
+def expected(values) -> list:
+    return [format(x, ".17g") if x == x else "" for x in np.asarray(values).tolist()]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_every_bit_pattern_renders_as_format(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert rendered(values) == expected(values)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=64))
+def test_every_float_renders_as_format(values):
+    assert rendered(values) == expected(values)
+
+
+def _near(values) -> np.ndarray:
+    """``values`` and their neighbours one ulp away, with both signs."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        near = np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+    return np.concatenate([near, -near])
+
+
+def test_targeted_values_render_as_format():
+    low, high = csvout._FAST_RANGE
+    ten = 10.0 ** np.arange(-325, 309)
+    # 16 integer digits and .25 or .75: 18 significant digits ending in 5,
+    # exact ties of 17-digit rounding, resolved to even
+    ties = 2.0**50 + np.arange(0, 4000, 7) + np.resize([0.25, 0.75], 572)
+    values = np.concatenate([
+        _near(ten),
+        _near([1e-5, 1e-4, 9.9999999999999995e-5, 1e16, 1e17, 9.999999999999999e16]),
+        _near([1e100, 1e-100, 1.5e-99, 9.5e99, 1.7976931348623157e308, 2.2250738585072014e-308, 5e-324]),
+        _near([low, high, low * 10, high / 10]),
+        ties, ties * 2.0**-60, ties * 2.0**40,
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 0.5, 1.0, 123.0, 0.1, 1.0 / 3.0],
+    ])
+    assert rendered(values) == expected(values)
+
+
+def test_nan_is_an_empty_cell():
+    assert rendered([np.nan, -np.nan, 1.0]) == ["", "", "1"]
+
+
+def test_integers_below_2_to_the_53_render_as_str():
+    values = np.array([0, 7, -7, 10, 99, 100, 10**15, 2**53 - 1, -(2**53 - 1)], dtype=np.int64)
+    assert rendered(values) == [str(v) for v in values.tolist()]
+
+
+def test_the_fast_path_formats_more_than_99_percent_of_normal_values():
+    rng = np.random.default_rng(11)
+    values = np.concatenate([rng.standard_normal(2000) * 10.0**k for k in range(-30, 31)])
+    with mock.patch("hierlogit.csvout.format", create=True, side_effect=format) as fallback:
+        assert rendered(values) == expected(values)
+    assert fallback.call_count < 0.01 * len(values)
+
+
+# ids that need quoting, a carriage return among them, and non-ASCII ones
+IDS = ["a,b", 'say "hi"', "two\nlines", "mé", "plain", "ü,\"x\"\n", "日本", "car\rriage"]
+
+
+def _market_file(path, n_markets, seed=0) -> str:
+    rng = np.random.default_rng(seed)
+    rows = []
+    for m in range(n_markets):
+        for g in range(rng.integers(1, 3)):
+            for s in range(rng.integers(1, 3)):
+                for p in range(rng.integers(1, 4)):
+                    product = f"{IDS[(m + p) % len(IDS)]}{g}.{s}.{p}"
+                    rows.append([f"{IDS[m % len(IDS)]}{m}", IDS[g], IDS[s], product, repr(float(rng.normal()))])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([list(cli.MARKET_COLUMNS)] + rows)
+    return str(path)
+
+
+COMMANDS = [
+    ("shares", []),
+    ("invert", []),
+    ("invert", ["--method", "newton"]),
+    ("jacobian", []),
+    ("simulate", ["--draws", "2000", "--seed", "3"]),
+]
+
+
+@pytest.mark.parametrize("chunk_rows", [7, 4096])
+@pytest.mark.parametrize("command,extra", COMMANDS)
+def test_output_is_the_per_cell_writers_on_stdout_and_in_a_file(tmp_path, command, extra, chunk_rows):
+    runner = CliRunner()
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
+    market = _market_file(tmp_path / "m.csv", n_markets=12)
+    if command == "invert":
+        # shares output: one _outside row per market
+        result = runner.invoke(main, ["shares", "--input", market, "--params", str(params), "--output", market])
+        assert result.exit_code == EXIT_OK, result.stderr
+    args = [command, "--input", market, "--params", str(params), *extra]
+    with mock.patch.object(csvout, "_CHUNK_ROWS", chunk_rows):
+        piped = runner.invoke(main, args)
+        written = runner.invoke(main, [*args, "--output", str(tmp_path / "out.csv")])
+    with mock.patch.object(cli, "_write_csv", per_cell_write_csv):
+        oracle = runner.invoke(main, [*args, "--output", str(tmp_path / "oracle.csv")])
+    assert piped.exit_code == written.exit_code == oracle.exit_code == EXIT_OK, piped.stderr
+    want = (tmp_path / "oracle.csv").read_bytes()
+    assert piped.stdout_bytes == (tmp_path / "out.csv").read_bytes() == want
+    assert want.decode("utf-8").count("mé") > 0
+
+
+def test_markets_before_a_failing_one_are_written(tmp_path):
+    runner = CliRunner()
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
+    market = _market_file(tmp_path / "m.csv", n_markets=6)
+    with open(market, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    failing = rows[-1][0]
+    rows = [r[:4] + ["1e308"] if r[0] == failing else r for r in rows]
+    with open(market, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    for writer in (cli._write_csv, per_cell_write_csv):
+        with mock.patch.object(cli, "_write_csv", writer), mock.patch.object(csvout, "_CHUNK_ROWS", 4096):
+            result = runner.invoke(main, ["jacobian", "--input", market, "--params", str(params),
+                                          "--output", str(tmp_path / f"{writer.__name__}.csv")])
+        assert result.exit_code == cli.EXIT_DOMAIN
+        assert repr(failing) in result.stderr
+    assert (tmp_path / "_write_csv.csv").read_bytes() == (tmp_path / "per_cell_write_csv.csv").read_bytes()
+
+
+def _run_under_ascii_locale(args, **extra):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    env.update(PYTHONPATH=os.path.dirname(os.path.dirname(hierlogit.__file__)), LC_ALL="C", LANG="C",
+               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", **extra)
+    return subprocess.run([sys.executable, "-m", "hierlogit.cli", *args], env=env, capture_output=True, timeout=120)
+
+
+def test_non_ascii_ids_are_written_as_utf8_under_an_ascii_locale(tmp_path):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
+    market = _market_file(tmp_path / "m.csv", n_markets=4)
+    args = ["shares", "--input", market, "--params", str(params)]
+    to_file = _run_under_ascii_locale([*args, "--output", str(tmp_path / "out.csv")])
+    assert (to_file.returncode, to_file.stderr) == (0, b"")
+    piped = _run_under_ascii_locale(args, PYTHONIOENCODING="ascii")
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == (tmp_path / "out.csv").read_bytes()
+    assert "mé" in piped.stdout.decode("utf-8")
+    # the output reads back
+    block = cli.read_market_csv(str(tmp_path / "out.csv"), outside=True)
+    assert block.hierarchy.market_ids == ("a,b0", 'say "hi"1', "two\nlines2", "mé3")
+    as_json = _run_under_ascii_locale([*args, "--format", "json", "--output", str(tmp_path / "out.json")])
+    assert (as_json.returncode, as_json.stderr) == (0, b"")
+    assert json.loads((tmp_path / "out.json").read_bytes().decode("utf-8"))["markets"][0]["market_id"] == "a,b0"
+
+
+def test_cli_start_up_does_not_load_the_writer():
+    # imported on first use: --help compiles no more source than it did
+    probe = "import sys, hierlogit.cli; print('hierlogit.csvout' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(hierlogit.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
