@@ -7,7 +7,10 @@ simulate, and an observed joint share for invert, which also needs one
 order: values are matched to products by (market_id, product_id), and the
 output lists markets, then the groups, subgroups and products of each, in
 order of first appearance. Extra columns are ignored, so ``shares`` output
-feeds straight back into ``invert``. Params JSON is ``{"sigma1": r, "sigma2": r}``.
+feeds straight back into ``invert``. A value is any text ``float()`` reads
+(``1_0``, ``Infinity``, non-ASCII digits; not ``0x10``). Fields may be quoted
+as the csv module quotes them, and lines may end in CRLF; a field over
+131,072 characters is malformed. Params JSON is ``{"sigma1": r, "sigma2": r}``.
 Market, params and config files may start with a UTF-8 byte-order mark.
 
 Each command reads the whole file into one tree whose top level is the
@@ -40,11 +43,8 @@ written files round-trip doubles: numpy derives the digits, and Python
 formats what it cannot prove (zero, inf, near-ties; see ``csvout``).
 """
 
-import csv
 import functools
-import itertools
 import json
-import operator
 import sys
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields
@@ -60,7 +60,7 @@ from .errors import (
     OutOfDomainError,
     SingularDesignError,
 )
-from .hierarchy import OUTSIDE_ID, ChoiceHierarchy, NestingParams, tree_arrays
+from .hierarchy import OUTSIDE_ID, ChoiceHierarchy, NestingParams
 from .inversion import berry_invert, numeric_invert, regression_rows
 from .jacobian import fd_jacobian, full_jacobian, max_relative_error
 from .montecarlo import SimConfig, _exact_z, empirical_shares, simulate_choices
@@ -111,104 +111,9 @@ class MarketBlock:
 
 
 def read_market_csv(path, outside=False) -> MarketBlock:
-    """Parse a market CSV, column by column, into one MarketBlock.
-
-    Rows may come in any order; each market's products are matched to
-    values by id, and ``values`` follows ``hierarchy.products``. With
-    ``outside`` every market needs an ``_outside`` row; without it none may
-    have one. Raises MarketFileError on unreadable or non-UTF-8 files,
-    missing columns, incomplete rows, unparsable values, repeated products,
-    an empty market or a missing or unexpected ``_outside`` row; of the
-    problems of the rows, the earliest is reported.
-    """
-    # ids (one object per distinct id) and value text of every row before the first at fault
-    market, group, subgroup, product, raw = [], [], [], [], []
-    canon, problem = {}, None
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise MarketFileError(f"{path}: empty file")
-            at = {name: i for i, name in enumerate(header)}
-            missing = [c for c in MARKET_COLUMNS if c not in at]
-            if missing:
-                raise MarketFileError(f"{path}: missing columns: {', '.join(missing)}")
-            # blank lines are skipped; a short row raises IndexError, and so
-            # does a row with an empty field: both end reading as incomplete
-            for m, g, s, p, v in map(operator.itemgetter(*(at[c] for c in MARKET_COLUMNS)), filter(None, reader)):
-                if "" in (m, g, s, p, v):
-                    raise IndexError
-                market.append(canon.setdefault(m, m))
-                group.append(canon.setdefault(g, g))
-                subgroup.append(canon.setdefault(s, s))
-                product.append(canon.setdefault(p, p))
-                raw.append(v)
-    except OSError as err:
-        raise MarketFileError(f"{path}: {err}") from None
-    except UnicodeDecodeError:
-        problem = f"{path}:{_undecodable_line(path)}: not UTF-8 text"
-    except IndexError:
-        problem = f"{path}:{reader.line_num}: incomplete row"
-    except csv.Error as err:
-        problem = f"{path}:{reader.line_num}: {err}"
-
-    try:
-        values = np.array(raw, dtype=float)
-        bad = len(raw)
-    except ValueError:
-        bad = next(i for i, text in enumerate(raw) if not _is_number(text))
-    seen = set()
-    repeat = next((i for i, key in enumerate(zip(market, product)) if key in seen or seen.add(key)), len(raw))
-    # the rows read all come before the one that stopped reading
-    if min(bad, repeat) < len(raw):
-        what = (f"value {raw[bad]!r} is not a number" if bad <= repeat
-                else f"market {market[repeat]!r} repeats product {product[repeat]!r}")
-        raise MarketFileError(f"{path}:{_line_of(path, min(bad, repeat))}: {what}")
-    if problem or not raw:
-        raise MarketFileError(problem or f"{path}: no data rows")
-    del canon, seen, raw
-
-    tree = {m: {} for m in dict.fromkeys(market)}  # markets in order of first appearance
-    outside_row = {}
-    for i, (m, g, s, p) in enumerate(zip(market, group, subgroup, product)):
-        if p == OUTSIDE_ID:
-            outside_row[m] = i
-        else:
-            tree[m].setdefault(g, {}).setdefault(s, []).append(i)
-    for m in (m for m, groups in tree.items() if not groups):
-        raise MarketFileError(f"{path}: market {m!r}: cannot build a hierarchy from zero rows")
-    for m in (m for m in tree if (m in outside_row) != outside):
-        raise MarketFileError(f"{path}: market {m!r} has {'no' if outside else 'an unexpected'} {OUTSIDE_ID} row")
-    arrays, order = tree_arrays(tree)
-    outside_values = values[[outside_row[m] for m in tree]] if outside else None
-    return MarketBlock(ChoiceHierarchy(*arrays, [product[i] for i in order]), values[order], outside_values)
-
-
-def _is_number(text) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _line_of(path, row) -> int:
-    """Line on which data row ``row`` (counted from 0, blank lines skipped) ends."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(itertools.islice(filter(None, reader), row + 1, None))
-        return reader.line_num
-
-
-def _undecodable_line(path) -> int:
-    # the text reader decodes ahead in blocks, so its line count is not the error's
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        return data.count(b"\n", 0, err.start) + 1
+    """Parse a market CSV into one MarketBlock; see ``csvin.read_market_csv``."""
+    from .csvin import read_market_csv  # on first use, so that start-up compiles no more
+    return read_market_csv(path, outside)
 
 
 def _read_json_object(path) -> dict:

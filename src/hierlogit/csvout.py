@@ -2,7 +2,9 @@
 
 Each chunk of rows becomes one uint8 matrix holding every cell's bytes in
 padded slots, with a mask of the slots written; the masked bytes are the
-rows. Reals are exactly ``format(x, ".17g")``: their 17 digits come from a
+rows. A table of ids keeps their bytes end to end, and a chunk pads its
+cells only to the widest in it, halved until under ``_CHUNK_BYTES``. Reals
+are exactly ``format(x, ".17g")``: their 17 digits come from a
 double-double product with a power of ten, and Python formats the cells
 that product cannot prove (zero, inf, |x| outside ``_FAST_RANGE``, and
 fractions within ``_TIE_BAND`` of a rounding tie).
@@ -16,8 +18,9 @@ from types import SimpleNamespace
 import numpy as np
 
 # rows formatted at once; formatting an N=100k market or an N=1000 Jacobian
-# at once would hold hundreds of bytes for every row in memory
-_CHUNK_ROWS = 4096
+# at once would hold hundreds of bytes for every row in memory, as would
+# more than _CHUNK_BYTES of padded cells (one long id in a chunk)
+_CHUNK_ROWS, _CHUNK_BYTES = 4096, 1 << 21
 
 
 def write_csv(out, header, blocks) -> None:
@@ -54,34 +57,48 @@ def _write_rows(out, blocks) -> None:
     columns = [_merged(parts) for parts in zip(*blocks)]
     n_rows = sum(map(_n_rows, blocks))
     for start in range(0, n_rows, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        # each cell as padded slots of a uint8 matrix and a mask of the slots written
-        cells = [[_gathered(m, c[2][rows]) for m in c[:2]] if isinstance(c, tuple)
-                 else _float_slots(c[rows].astype(float)) for c in columns]
-        n = len(cells[0][0])
-        chars = np.hstack([part for c, _ in cells for part in (c, np.full((n, 1), ord(","), np.uint8))])
-        chars[:, -1] = ord("\n")
-        out.write(chars[np.hstack([part for _, k in cells for part in (k, np.ones((n, 1), bool))])])
+        _write_chunk(out, columns, slice(start, min(start + _CHUNK_ROWS, n_rows)))
+
+
+def _write_chunk(out, columns, rows) -> None:
+    """Write ``rows`` of ``columns``, in halves while their cells, each as
+    wide as the widest of its column, hold more than ``_CHUNK_BYTES``."""
+    spans = [(c[1][c[3][rows]], c[2][c[3][rows]]) if isinstance(c, tuple) else None for c in columns]
+    widths = [52 if span is None else max(1, int(span[1].max())) for span in spans]
+    n = rows.stop - rows.start
+    if n > 1 and n * (sum(widths) + len(widths)) > _CHUNK_BYTES:
+        half = rows.start + n // 2
+        _write_chunk(out, columns, slice(rows.start, half))
+        _write_chunk(out, columns, slice(half, rows.stop))
+        return
+    # each cell as padded slots of a uint8 matrix and a mask of the slots written
+    cells = [_float_slots(c[rows].astype(float)) if span is None
+             else (windows(c[0], w)[span[0]].view(np.uint8).reshape(n, w), np.arange(w) < span[1][:, None])
+             for c, span, w in zip(columns, spans, widths)]
+    chars = np.hstack([part for c, _ in cells for part in (c, np.full((n, 1), ord(","), np.uint8))])
+    chars[:, -1] = ord("\n")
+    out.write(chars[np.hstack([part for _, k in cells for part in (k, np.ones((n, 1), bool))])])
 
 
 def _merged(parts):
-    """One column of several blocks: an array, or ``(*_padded(table), codes)``."""
+    """One column of several blocks: an array, or ``(*_flat(table), codes)``."""
     if not isinstance(parts[0], tuple):
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
     if len(parts) == 1:
-        return (*_padded(parts[0][0]), parts[0][1])
+        return (*_flat(parts[0][0]), parts[0][1])
     tables, codes = zip(*parts)
     starts = itertools.accumulate(map(len, tables), initial=0)
     table = np.concatenate(tables) if isinstance(tables[0], np.ndarray) else list(itertools.chain(*tables))
-    return (*_padded(table), np.concatenate([c + s for c, s in zip(codes, starts)]))
+    return (*_flat(table), np.concatenate([c + s for c, s in zip(codes, starts)]))
 
 
-def _padded(table) -> tuple:
-    """``(chars, keep)`` of a float array, or of a sequence of str quoted by
-    the csv module's rules: each entry's bytes left-justified in a row."""
+def _flat(table) -> tuple:
+    """``(flat, start, length)`` of a float array, or of a sequence of str
+    quoted by the csv module's rules: entry i is ``flat[start[i]:][:length[i]]``,
+    and zeros after the last leave room for a window of the longest."""
     if isinstance(table, np.ndarray):
         cells = map(_float_slots, (table[i:i + _CHUNK_ROWS] for i in range(0, len(table), _CHUNK_ROWS)))
-        flat, lengths = map(np.concatenate, zip(*((c[k], k.sum(axis=1)) for c, k in cells)))
+        flat, length = map(np.concatenate, zip(*((c[k], k.sum(axis=1)) for c, k in cells)))
     else:
         text = "".join(table)
         if any(c in text for c in ',"\r\n'):
@@ -93,16 +110,14 @@ def _padded(table) -> tuple:
             text = "".join(table)
         flat = text.encode()
         sizes = map(len, table) if flat.isascii() else (len(field.encode()) for field in table)
-        flat, lengths = np.frombuffer(flat, np.uint8), np.fromiter(sizes, np.intp, len(table))
-    keep = np.arange(max(1, lengths.max())) < lengths[:, None]
-    chars = np.zeros(keep.shape, np.uint8)
-    chars[keep] = flat
-    return chars, keep
+        flat, length = np.frombuffer(flat, np.uint8), np.fromiter(sizes, np.intp, len(table))
+    start = np.cumsum(length) - length
+    return np.concatenate([flat, np.zeros(max(1, length.max()), np.uint8)]), start, length
 
 
-def _gathered(matrix, codes) -> np.ndarray:
-    """``matrix[codes]``, gathering each row as one item."""
-    return matrix.view(f"V{matrix.shape[1]}")[codes, 0].view(matrix.dtype).reshape(len(codes), -1)
+def windows(flat, width) -> np.ndarray:
+    """Item i is ``flat[i:i + width]`` of the uint8 array ``flat``: a gather copies each run at once."""
+    return np.ndarray((len(flat) - width + 1,), f"V{width}", flat, strides=(1,))
 
 
 # |x| range in which _float_slots derives the 17 digits itself: 10**(16 - E)

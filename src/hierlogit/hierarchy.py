@@ -131,21 +131,44 @@ class ChoiceHierarchy:
         )
 
 
-def tree_arrays(tree) -> tuple:
-    """The ``ChoiceHierarchy`` arguments but ``products`` of a mapping
-    market_id -> group_id -> subgroup_id -> list of leaves, and the leaves
-    in tree order: the product ids, or what the caller maps to them."""
-    groups, subgroups, leaves = [], [], []
-    for m, market in enumerate(tree.values()):
-        for group_id, members in market.items():
-            groups.append((m, group_id))
-            for subgroup_id, items in members.items():
-                subgroups.append((len(groups) - 1, subgroup_id, len(items)))
-                leaves.extend(items)
-    group_market, group_ids = zip(*groups)
-    subgroup_group, subgroup_ids, sizes = zip(*subgroups)
-    product_subgroup = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
-    return (tuple(tree), group_market, group_ids, subgroup_group, subgroup_ids, product_subgroup), leaves
+def numbered(column) -> tuple:
+    """The distinct entries of ``column`` by first appearance, and each entry's position among them."""
+    table = {}
+    codes = [table.setdefault(x, len(table)) for x in column]
+    return list(table), np.array(codes, dtype=np.intp)
+
+
+def first_repeat(key) -> int:
+    """Index of the first entry of ``key`` equal to an earlier one; ``len(key)`` if none."""
+    order = np.argsort(key, kind="stable")
+    return int(order[1:][key[order[1:]] == key[order[:-1]]].min(initial=len(key)))
+
+
+def _first_seen(parent, child) -> tuple:
+    """The distinct (parent, child) code pairs of the rows, by parent and then by
+    first row: the parent and the child of each pair, and each row's pair."""
+    _, first, pair = np.unique(parent.astype(np.int64) * (int(child.max()) + 1) + child,
+                               return_index=True, return_inverse=True)
+    ranked = np.lexsort((first, parent[first]))
+    number = np.empty_like(ranked)
+    number[ranked] = np.arange(len(ranked))
+    return parent[first[ranked]], child[first[ranked]], number[pair.ravel()]
+
+
+def tree_from_codes(tables, codes) -> tuple:
+    """The ChoiceHierarchy of rows given as codes into the market, group,
+    subgroup and product id ``tables``, and the rows in product order.
+    Markets keep their codes, and each holds a row; groups in each market and
+    subgroups in each group come by first appearance, products by row."""
+    market, group, subgroup, product = codes
+    group_market, group_code, row_group = _first_seen(market, group)
+    subgroup_group, subgroup_code, row_subgroup = _first_seen(row_group, subgroup)
+    order = np.argsort(row_subgroup, kind="stable")
+    group_ids, subgroup_ids, products = (np.fromiter(table, object, len(table))[c] for table, c in
+                                         zip(tables[1:], (group_code, subgroup_code, product[order])))
+    tree = ChoiceHierarchy(tables[0], group_market, group_ids, subgroup_group, subgroup_ids, row_subgroup[order],
+                           products)
+    return tree, order
 
 
 def _finite_utilities(values) -> np.ndarray:
@@ -181,21 +204,20 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
     DuplicateProductError
         If a product id occurs twice anywhere in the market.
     """
-    seen = set()
-    tree: dict = {}
-    for group_id, subgroup_id, product_id in rows:
-        if product_id == OUTSIDE_ID:
-            raise DuplicateProductError(
-                f"product id {OUTSIDE_ID!r} is reserved for the outside option"
-            )
-        if product_id in seen:
-            raise DuplicateProductError(f"product id {product_id!r} appears more than once")
-        seen.add(product_id)
-        tree.setdefault(group_id, {}).setdefault(subgroup_id, []).append(product_id)
-    if not tree:
+    columns = list(zip(*rows))
+    if not columns:
         raise EmptyInputError("cannot build a hierarchy from zero rows")
-    arrays, products = tree_arrays({market_id: tree})
-    return ChoiceHierarchy(*arrays, products)
+    tables, codes = zip(*map(numbered, columns))
+    products, n = columns[2], len(columns[2])
+    # the first row at fault: a reserved id or a repeated one
+    reserved = products.index(OUTSIDE_ID) if OUTSIDE_ID in tables[2] else n
+    repeat = first_repeat(codes[2])
+    if min(reserved, repeat) < n:
+        raise DuplicateProductError(
+            f"product id {OUTSIDE_ID!r} is reserved for the outside option" if reserved <= repeat
+            else f"product id {products[repeat]!r} appears more than once")
+    tree, _ = tree_from_codes(([market_id], *tables), (np.zeros(n, np.intp), *codes))
+    return tree
 
 
 def as_delta_array(hierarchy: ChoiceHierarchy, delta) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Shared instance builders and independent oracles for the test suite."""
 
 import csv
+import itertools
 import math
+import operator
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
 
-from hierlogit import NestingParams, build_hierarchy, compute_shares
+from hierlogit import OUTSIDE_ID, ChoiceHierarchy, MarketFileError, NestingParams, build_hierarchy, compute_shares
+from hierlogit.cli import MARKET_COLUMNS, MarketBlock, read_market_csv
+from hierlogit.hierarchy import numbered, tree_from_codes
 
 
 def random_tree(rng, max_groups=3, max_subgroups=3, max_products=4):
@@ -58,6 +62,13 @@ def ragged_instances(draw, utility_bound=700.0, sigma_bound=0.999):
     delta = np.array(draw(st.lists(utility, min_size=tree.n_products, max_size=tree.n_products)))
     sigma = st.one_of(st.sampled_from([0.0, sigma_bound]), st.floats(0.0, sigma_bound))
     return tree, delta, NestingParams(draw(sigma), draw(sigma))
+
+
+def market_tree(rows):
+    """The ChoiceHierarchy of (market_id, group_id, subgroup_id, product_id)
+    rows, markets in order of first appearance."""
+    tables, codes = zip(*map(numbered, zip(*rows)))
+    return tree_from_codes(tables, codes)[0]
 
 
 def balanced_tree(n_groups, n_subgroups, n_products):
@@ -257,3 +268,131 @@ def per_cell_write_csv(output_path, header, blocks):
         for columns in blocks:
             n_rows = len(next(c[1] if isinstance(c, tuple) else c for c in columns if not isinstance(c, str)))
             fh.writelines(",".join(row) + "\n" for row in zip(*(cells(c, n_rows) for c in columns)))
+
+
+def row_read_market_csv(path, outside=False) -> MarketBlock:
+    """The market CSV reader row by row in Python, the oracle of
+    ``hierlogit.cli.read_market_csv``: the same MarketBlock, or the same
+    MarketFileError, for every file. ``csv.reader`` reads the file as a
+    text stream, and a nested dict walk builds the tree."""
+    # ids (one object per distinct id) and value text of every row before the first at fault
+    market, group, subgroup, product, raw = [], [], [], [], []
+    canon, problem = {}, None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise MarketFileError(f"{path}: empty file")
+            at = {name: i for i, name in enumerate(header)}
+            missing = [c for c in MARKET_COLUMNS if c not in at]
+            if missing:
+                raise MarketFileError(f"{path}: missing columns: {', '.join(missing)}")
+            # blank lines are skipped; a short row raises IndexError, and so
+            # does a row with an empty field: both end reading as incomplete
+            for m, g, s, p, v in map(operator.itemgetter(*(at[c] for c in MARKET_COLUMNS)), filter(None, reader)):
+                if "" in (m, g, s, p, v):
+                    raise IndexError
+                market.append(canon.setdefault(m, m))
+                group.append(canon.setdefault(g, g))
+                subgroup.append(canon.setdefault(s, s))
+                product.append(canon.setdefault(p, p))
+                raw.append(v)
+    except OSError as err:
+        raise MarketFileError(f"{path}: {err}") from None
+    except UnicodeDecodeError:
+        problem = f"{path}:{_undecodable_line(path)}: not UTF-8 text"
+    except IndexError:
+        problem = f"{path}:{reader.line_num}: incomplete row"
+    except csv.Error as err:
+        problem = f"{path}:{reader.line_num}: {err}"
+
+    try:
+        values = np.array(raw, dtype=float)
+        bad = len(raw)
+    except ValueError:
+        bad = next(i for i, text in enumerate(raw) if not _is_number(text))
+    seen = set()
+    repeat = next((i for i, key in enumerate(zip(market, product)) if key in seen or seen.add(key)), len(raw))
+    # the rows read all come before the one that stopped reading
+    if min(bad, repeat) < len(raw):
+        what = (f"value {raw[bad]!r} is not a number" if bad <= repeat
+                else f"market {market[repeat]!r} repeats product {product[repeat]!r}")
+        raise MarketFileError(f"{path}:{_line_of(path, min(bad, repeat))}: {what}")
+    if problem or not raw:
+        raise MarketFileError(problem or f"{path}: no data rows")
+
+    tree = {m: {} for m in dict.fromkeys(market)}  # markets in order of first appearance
+    outside_row = {}
+    for i, (m, g, s, p) in enumerate(zip(market, group, subgroup, product)):
+        if p == OUTSIDE_ID:
+            outside_row[m] = i
+        else:
+            tree[m].setdefault(g, {}).setdefault(s, []).append(i)
+    for m in (m for m, groups in tree.items() if not groups):
+        raise MarketFileError(f"{path}: market {m!r}: cannot build a hierarchy from zero rows")
+    for m in (m for m in tree if (m in outside_row) != outside):
+        raise MarketFileError(f"{path}: market {m!r} has {'no' if outside else 'an unexpected'} {OUTSIDE_ID} row")
+    groups, subgroups, order = [], [], []
+    for m, market_groups in enumerate(tree.values()):
+        for group_id, members in market_groups.items():
+            groups.append((m, group_id))
+            for subgroup_id, rows in members.items():
+                subgroups.append((len(groups) - 1, subgroup_id, len(rows)))
+                order.extend(rows)
+    group_market, group_ids = zip(*groups)
+    subgroup_group, subgroup_ids, sizes = zip(*subgroups)
+    product_subgroup = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+    hierarchy = ChoiceHierarchy(tuple(tree), group_market, group_ids, subgroup_group, subgroup_ids, product_subgroup,
+                                [product[i] for i in order])
+    outside_values = values[[outside_row[m] for m in tree]] if outside else None
+    return MarketBlock(hierarchy, values[order], outside_values)
+
+
+def _is_number(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _line_of(path, row) -> int:
+    """Line on which data row ``row`` (counted from 0, blank lines skipped) ends."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(itertools.islice(filter(None, reader), row + 1, None))
+        return reader.line_num
+
+
+def _undecodable_line(path) -> int:
+    # the text reader decodes ahead in blocks, so its line count is not the error's
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        return data.count(b"\n", 0, err.start) + 1
+
+
+def assert_same_read(path, outside):
+    """``read_market_csv`` and the row reader give the same MarketBlock, ids,
+    index arrays and values bit for bit, or the same error."""
+    blocks = []
+    for read in (read_market_csv, row_read_market_csv):
+        try:
+            blocks.append(read(path, outside))
+        except MarketFileError as err:
+            blocks.append(err)
+    got, want = blocks
+    if isinstance(want, MarketFileError) or isinstance(got, MarketFileError):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    g, w = got.hierarchy, want.hierarchy
+    for name in ("market_ids", "group_ids", "subgroup_ids", "products"):
+        assert getattr(g, name) == getattr(w, name), name
+    for name in ("group_market", "subgroup_group", "product_subgroup", "bounds"):
+        a, b = getattr(g, name), getattr(w, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for a, b in ((got.values, want.values), (got.outside, want.outside)):
+        assert (a is None) == (b is None) and (a is None or (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,9 +20,7 @@ from hierlogit import NestingParams, compute_shares
 from hierlogit.cli import (
     EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, MarketBlock, _results, main, read_market_csv, read_params_json,
 )
-from hierlogit.hierarchy import ChoiceHierarchy, tree_arrays
-
-from helpers import binomial_tail_z
+from helpers import assert_same_read, binomial_tail_z, market_tree
 
 HEADER = "market_id,group_id,subgroup_id,product_id,value"
 
@@ -653,15 +652,19 @@ _FUZZ_BASE = [
     ["m2", "g1", "h1", "b", "0.25"],
     ["m2", "_outside", "_outside", "_outside", "0.5"],
 ]
-_FUZZ_VALUES = ["nan", "inf", "-inf", "abc", "1e400", "1e308", "-1e308", "0", "1", "-0.5", "", "5e-324"]
+_FUZZ_VALUES = ["nan", "inf", "-inf", "abc", "1e400", "1e308", "-1e308", "0", "1", "-0.5", "", "5e-324",
+                "1_0", " 1.5", "Infinity", "\uff11\uff12", "0x10"]
 _FUZZ_BYTES = [b"\xff", b"\xc3", b"\x00", b",", b'"', b"\n", b"\r", b" ", b"\xe2\x80\xa8", b"_outside"]
+# ids the csv module quotes (a comma, a quote, a newline, a carriage return),
+# non-ASCII ones, and one long enough that the file spans more than one 8 KiB block
+_FUZZ_IDS = ["a,b", 'say "hi"', "two\nlines", "car\rriage", "m\u00e9", "\u65e5\u672c", "x" * 10_000]
 
 
 @st.composite
 def mutated_market_files(draw):
     rows = [list(row) for row in _FUZZ_BASE]
     for _ in range(draw(st.integers(0, 4))):
-        op = draw(st.sampled_from(["drop", "duplicate", "shuffle", "blank", "value", "outside", "no_outside"]))
+        op = draw(st.sampled_from(["drop", "duplicate", "shuffle", "blank", "value", "outside", "no_outside", "id"]))
         index = draw(st.integers(0, max(len(rows) - 1, 0)))
         if op == "outside":
             market = draw(st.sampled_from(["m1", "m2", "m3"]))
@@ -678,9 +681,28 @@ def mutated_market_files(draw):
             rows.insert(draw(st.integers(0, len(rows))), list(rows[index]))
         elif op == "blank":
             rows[index][draw(st.integers(0, 4))] = ""
+        elif op == "id":
+            rows[index][draw(st.integers(0, 3))] = draw(st.sampled_from(_FUZZ_IDS))
         else:
             rows[index][4] = draw(st.sampled_from(_FUZZ_VALUES))
-    data = ("\n".join([HEADER] + [",".join(row) for row in rows]) + "\n").encode()
+    header = HEADER.split(",")
+    if draw(st.booleans()):
+        # the columns in another order, and one more
+        header = draw(st.permutations(header + ["extra"]))
+        rows = [[dict(zip(HEADER.split(","), row), extra="x")[c] for c in header] for row in rows]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    if draw(st.booleans()):
+        # quoted as the csv module quotes
+        lines = []
+        csv.writer(SimpleNamespace(write=lines.append), lineterminator=ending).writerows([header] + rows)
+    else:
+        lines = [",".join(row) + ending for row in [header] + rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), ending)
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text[:-len(ending)]
+    data = (draw(st.sampled_from(["", "", "\ufeff"])) + text).encode()
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
         at = draw(st.integers(0, len(data)))
         junk = draw(st.one_of(st.sampled_from(_FUZZ_BYTES), st.binary(min_size=1, max_size=3)))
@@ -706,6 +728,62 @@ def test_cli_fuzz_malformed_markets_never_traceback(tmp_path, data):
             _assert_one_error_line(result, result.exit_code)
         else:
             assert result.exception is None
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_market_files(), outside=st.booleans())
+def test_reader_matches_the_row_reader(tmp_path, data, outside):
+    market = tmp_path / "fuzz.csv"
+    market.write_bytes(data)
+    assert_same_read(str(market), outside)
+
+
+_ROWS = ["m1,g1,h1,a,0.2", "m1,g1,h2,b,0.3", "m1,_outside,_outside,_outside,0.5",
+         "m2,g1,h1,a,0.25", "m2,_outside,_outside,_outside,0.75"]
+_FILLER = [f"m{m},g,h,p,0.5" for m in range(3, 800)]
+
+
+def _lines(*lines, end="\n"):
+    return "".join(line + end for line in lines).encode()
+
+
+@pytest.mark.parametrize("outside", [False, True])
+@pytest.mark.parametrize("data", [
+    _lines(HEADER, *_ROWS),
+    b"\xef\xbb\xbf" + _lines(HEADER, *_ROWS),
+    _lines(HEADER, *_ROWS, end="\r\n"),
+    _lines(HEADER, "", *_ROWS[:2], "", "", *_ROWS[2:], ""),
+    _lines(HEADER, *_ROWS)[:-1],
+    _lines("value,extra,product_id,subgroup_id,market_id,group_id", *(
+        ",".join([v, "x", p, s, m, g]) for m, g, s, p, v in (r.split(",") for r in _ROWS))),
+    _lines(HEADER, "m\u00e9,g1,h1,\u65e5\u672c,\uff11\uff12", "m\u00e9,g1,h1,b,1_0", "m\u00e9,g2,h,c, 1.5",
+           "m\u00e9,g2,h,d,Infinity", "m\u00e9,g2,h,e,-iNF"),
+    _lines(HEADER, "m1,g1,h1," + "x" * 10_000 + ",0.5", *_ROWS[1:]),
+    _lines(HEADER, '"m,1",g1,h1,"say ""hi""",0.2', 'm1,g1,h1,"two\nlines",0.2', 'm1,g1,h1,"car\rriage",0.2'),
+    _lines(HEADER, "m1,g1,h1,a,abc", *_FILLER) + b"m9,g,h,\xff,0\n",
+    _lines(HEADER, "m1,g1,h1,a,abc", *_FILLER[:5]) + b"m9,g,h,\xff,0\n",
+    _lines(HEADER, "m1,g1,h1,a,1", "m1,g1,h1,,2", *_FILLER[:5]) + b'"',
+    _lines(HEADER, "m1,g1,h1,a,1", "m1,g1,h1,,2", "m1,g1,h1,b,abc"),
+    _lines(HEADER, "m1,g1,h1,a,abc", "m1,g1,,b,2"),
+    _lines(HEADER, "m1,g1,h1,a,0x10", "m1,g1,h1,b,1__0"),
+    _lines(HEADER, "m1,g1,h1,a,1,surplus", "m1,g1,h1,b,2"),
+    _lines(HEADER, "m1,g1,h1,a,1", " ", "m1,g1,h1,b,2"),
+    _lines(HEADER, "m1,g1,h1," + "a" * 131_073 + ",0"),
+    _lines(HEADER + ",value", "m1,g1,h1,a,abc,1"),
+    _lines(HEADER, *_ROWS[:2], _ROWS[0]),
+    _lines(HEADER),
+    b"",
+    b"\xef\xbb\xbf",
+    _lines("", HEADER, *_ROWS),
+], ids=["plain", "bom", "crlf", "blank-lines", "no-final-newline", "columns-reordered", "non-ascii",
+        "long-id", "quoted", "bad-value-before-late-bad-byte", "bad-byte-after-bad-value", "incomplete-then-quote",
+        "incomplete", "bad-value-then-incomplete", "value-not-a-number", "more-fields-than-header", "blank-field-row", "field-too-large",
+        "repeated-column-name", "repeated-product", "header-only", "empty", "bom-only", "blank-header"])
+def test_reader_matches_the_row_reader_on_edge_files(tmp_path, data, outside):
+    market = tmp_path / "m.csv"
+    market.write_bytes(data)
+    assert_same_read(str(market), outside)
 
 
 def _three_markets(tmp_path):
@@ -820,9 +898,9 @@ def test_newton_refuses_a_nonpositive_tol_before_any_market(runner, tmp_path, to
 @given(n_markets=st.integers(1, 40), data=st.data(), error=st.sampled_from([hierlogit.HierLogitError, MemoryError]))
 def test_results_halves_a_failing_file_down_to_its_first_failing_market(n_markets, data, error):
     failing = data.draw(st.sets(st.integers(0, n_markets - 1)))
-    arrays, products = tree_arrays({f"m{m}": {"g": {"h": ["p"]}} for m in range(n_markets)})
     # each market's value is its position in the file
-    block = MarketBlock(ChoiceHierarchy(*arrays, products), np.arange(n_markets, dtype=float), None)
+    block = MarketBlock(market_tree([(f"m{m}", "g", "h", "p") for m in range(n_markets)]),
+                        np.arange(n_markets, dtype=float), None)
     calls = []
 
     def compute(b):

@@ -14,7 +14,7 @@ from hierlogit import (
 )
 from hierlogit.hierarchy import as_delta_array
 
-from helpers import random_tree
+from helpers import market_tree, random_tree
 
 
 def test_minimal_tree():
@@ -135,10 +135,8 @@ def test_as_delta_array_checks_shape():
 
 def test_market_level_views_and_one_market_functions():
     from hierlogit import SimConfig, full_jacobian, simulate_choices
-    from hierlogit.hierarchy import ChoiceHierarchy, tree_arrays
 
-    arrays, products = tree_arrays({"m1": {"g": {"h": ["a", "b"]}}, "m2": {"g": {"h": ["a"], "k": ["c"]}}})
-    tree = ChoiceHierarchy(*arrays, products)
+    tree = market_tree([("m1", "g", "h", "a"), ("m2", "g", "h", "a"), ("m1", "g", "h", "b"), ("m2", "g", "k", "c")])
     assert tree.market_ids == ("m1", "m2") and tree.products == ("a", "b", "a", "c")
     np.testing.assert_array_equal(tree.product_market, [0, 0, 1, 1])
     np.testing.assert_array_equal(tree.bounds, [[0, 1, 2], [0, 1, 3], [0, 2, 4]])

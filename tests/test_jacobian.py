@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -202,6 +203,11 @@ def test_structured_solve_matches_dense_solve(instance, rhs):
     dense = np.linalg.solve(jac, r)
     # the dense solve's own forward error bound, eps * cond(J) * |x|
     bound = 16 * np.finfo(float).eps * np.linalg.cond(jac) * max(1.0, float(np.max(np.abs(dense))))
+    # the structured solve divides its market term T = sum_k s_k r_k / s_0 by
+    # table.outside where the dense matrix holds 1 - sum_k s_k; rounding sets
+    # the two apart by e, which moves T, and every x_j with it, by T e / s_0
+    e = abs(math.fsum([table.outside, *table.joint.tolist(), -1.0]))
+    bound += e * float(table.joint @ np.abs(r)) / table.outside**2
     np.testing.assert_allclose(_solve_log_share_jacobian(table, params, r), dense, rtol=0, atol=bound)
 
 

@@ -17,7 +17,7 @@ import hierlogit
 from hierlogit import cli, csvout
 from hierlogit.cli import EXIT_OK, main
 
-from helpers import per_cell_write_csv
+from helpers import assert_same_read, per_cell_write_csv
 
 
 def rendered(values) -> list:
@@ -88,15 +88,15 @@ def test_the_fast_path_formats_more_than_99_percent_of_normal_values():
 IDS = ["a,b", 'say "hi"', "two\nlines", "mé", "plain", "ü,\"x\"\n", "日本", "car\rriage"]
 
 
-def _market_file(path, n_markets, seed=0) -> str:
+def _market_file(path, n_markets, seed=0, ids=IDS) -> str:
     rng = np.random.default_rng(seed)
     rows = []
     for m in range(n_markets):
         for g in range(rng.integers(1, 3)):
             for s in range(rng.integers(1, 3)):
                 for p in range(rng.integers(1, 4)):
-                    product = f"{IDS[(m + p) % len(IDS)]}{g}.{s}.{p}"
-                    rows.append([f"{IDS[m % len(IDS)]}{m}", IDS[g], IDS[s], product, repr(float(rng.normal()))])
+                    product = f"{ids[(m + p) % len(ids)]}{g}.{s}.{p}"
+                    rows.append([f"{ids[m % len(ids)]}{m}", ids[g], ids[s], product, repr(float(rng.normal()))])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([list(cli.MARKET_COLUMNS)] + rows)
     return str(path)
@@ -132,6 +132,55 @@ def test_output_is_the_per_cell_writers_on_stdout_and_in_a_file(tmp_path, comman
     want = (tmp_path / "oracle.csv").read_bytes()
     assert piped.stdout_bytes == (tmp_path / "out.csv").read_bytes() == want
     assert want.decode("utf-8").count("mé") > 0
+
+
+@pytest.mark.parametrize("ids", [IDS, ["m\u00e9", "plain", "\u65e5\u672c"]], ids=["quoted", "unquoted"])
+@pytest.mark.parametrize("command,extra", COMMANDS)
+def test_every_output_reads_back_as_the_row_reader_reads_it(tmp_path, command, extra, ids):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
+    market = _market_file(tmp_path / "m.csv", n_markets=12, ids=ids)
+    runner = CliRunner()
+    if command == "invert":
+        result = runner.invoke(main, ["shares", "--input", market, "--params", str(params), "--output", market])
+        assert result.exit_code == EXIT_OK, result.stderr
+    out = str(tmp_path / "out.csv")
+    result = runner.invoke(main, [command, "--input", market, "--params", str(params), *extra, "--output", out])
+    assert result.exit_code == EXIT_OK, result.stderr
+    for outside in (False, True):
+        assert_same_read(out, outside)
+
+
+_OWN_PEAK = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_one_long_id_costs_memory_for_itself_alone(tmp_path):
+    # the CLI runs as the child of a small helper: a child's ru_maxrss counts
+    # the process it was forked from, which from pytest would be pytest
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
+    rows = [(f"g{j // 100}", f"h{j // 10}", f"p{j}", repr(float(j % 7) / 7.0)) for j in range(5000)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hierlogit.__file__)))
+    peak_kb = {}
+    for name, long_id in (("short", "p2500"), ("long", "q" * 100_000)):
+        market = tmp_path / f"{name}.csv"
+        with open(market, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([cli.MARKET_COLUMNS] + [("m", g, h, long_id if p == "p2500" else p, v)
+                                                            for g, h, p, v in rows])
+        args = ["shares", "--input", str(market), "--params", str(params), "--output", str(tmp_path / f"{name}.out")]
+        own = subprocess.run([sys.executable, "-c", _OWN_PEAK, sys.executable, "-m", "hierlogit.cli", *args],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert own.returncode == 0, own.stderr
+        peak_kb[name] = int(own.stdout)
+        with mock.patch.object(cli, "_write_csv", per_cell_write_csv):
+            result = CliRunner().invoke(main, [*args[:-1], str(tmp_path / f"{name}.oracle")])
+        assert result.exit_code == EXIT_OK, result.stderr
+        assert (tmp_path / f"{name}.out").read_bytes() == (tmp_path / f"{name}.oracle").read_bytes()
+    assert peak_kb["long"] <= peak_kb["short"] + 10 * 1024, peak_kb
 
 
 def test_markets_before_a_failing_one_are_written(tmp_path):
