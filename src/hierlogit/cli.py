@@ -47,7 +47,7 @@ import functools
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 
 import click
 import numpy as np
@@ -60,7 +60,7 @@ from .errors import (
     OutOfDomainError,
     SingularDesignError,
 )
-from .hierarchy import OUTSIDE_ID, ChoiceHierarchy, NestingParams
+from .hierarchy import MARKET_COLUMNS, OUTSIDE_ID, ChoiceHierarchy, MarketBlock, NestingParams
 from .inversion import berry_invert, numeric_invert, regression_rows
 from .jacobian import fd_jacobian, full_jacobian, max_relative_error
 from .montecarlo import SimConfig, _exact_z, empirical_shares, simulate_choices
@@ -83,7 +83,6 @@ EXIT_PARSE = 1
 EXIT_DOMAIN = 2
 EXIT_SELFTEST = 3
 
-MARKET_COLUMNS = ("market_id", "group_id", "subgroup_id", "product_id", "value")
 SHARES_COLUMNS = MARKET_COLUMNS + (
     "cond_product", "cond_subgroup", "group_share", "iv_subgroup", "iv_group", "iv_top")
 
@@ -92,22 +91,6 @@ SHARES_COLUMNS = MARKET_COLUMNS + (
 _Z_LIMIT = 5.0
 # finite-difference relative error beyond which --check-fd fails
 _FD_LIMIT = 1e-5
-
-
-@dataclass(frozen=True)
-class MarketBlock:
-    """The markets of a CSV: one tree, per-product values and, for shares
-    input, each market's outside value (None otherwise)."""
-
-    hierarchy: ChoiceHierarchy
-    values: np.ndarray
-    outside: np.ndarray | None
-
-    def markets(self, start: int, stop: int) -> "MarketBlock":
-        """The block of markets ``start`` to ``stop - 1``."""
-        p0, p1 = self.hierarchy.bounds[2, [start, stop]].tolist()
-        outside = None if self.outside is None else self.outside[start:stop]
-        return MarketBlock(self.hierarchy.markets(start, stop), self.values[p0:p1], outside)
 
 
 def read_market_csv(path, outside=False) -> MarketBlock:

@@ -16,10 +16,9 @@ import os
 
 import numpy as np
 
-from .cli import MARKET_COLUMNS, MarketBlock
 from .csvout import windows
 from .errors import MarketFileError
-from .hierarchy import OUTSIDE_ID, first_repeat, numbered, tree_from_codes
+from .hierarchy import MARKET_COLUMNS, OUTSIDE_ID, MarketBlock, first_repeat, numbered, tree_from_codes
 
 # zero bytes after the file: a field's window, its length rounded up to 8, ends inside them
 _PAD = 8

@@ -14,6 +14,8 @@ from .errors import DuplicateProductError, EmptyInputError, OutOfDomainError
 
 #: Reserved id used for the outside option in files.
 OUTSIDE_ID = "_outside"
+#: The columns of a market CSV that the CLI reads.
+MARKET_COLUMNS = ("market_id", "group_id", "subgroup_id", "product_id", "value")
 
 
 def _number(name: str, value, integral: bool = False):
@@ -129,6 +131,22 @@ class ChoiceHierarchy:
             f"ChoiceHierarchy(markets={self.n_markets}, groups={self.n_groups}, "
             f"subgroups={self.n_subgroups}, products={self.n_products})"
         )
+
+
+@dataclass(frozen=True)
+class MarketBlock:
+    """The markets of a CSV: one tree, per-product values and, for shares
+    input, each market's outside value (None otherwise)."""
+
+    hierarchy: ChoiceHierarchy
+    values: np.ndarray
+    outside: np.ndarray | None
+
+    def markets(self, start: int, stop: int) -> "MarketBlock":
+        """The block of markets ``start`` to ``stop - 1``."""
+        p0, p1 = self.hierarchy.bounds[2, [start, stop]].tolist()
+        outside = None if self.outside is None else self.outside[start:stop]
+        return MarketBlock(self.hierarchy.markets(start, stop), self.values[p0:p1], outside)
 
 
 def numbered(column) -> tuple:

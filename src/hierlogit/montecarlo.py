@@ -15,13 +15,22 @@ product shocks as the widest subgroup has products, and a pad to a multiple
 of four doubles, as Philox emits four 64-bit words per counter increment:
 32 doubles on a 10x10x10 tree, where a shock per alternative takes 1112.
 
+A stage is an exponential race, one log per shock: with z = -log(-log u)
+Gumbel, v_j + s*z_j is largest where w_j*log u_j is, w_j = exp((m - v_j)/s)
+and m the largest sibling value. The weights are computed once per call,
++inf at padding; a weight near 1e300 times log u overflows to -inf, a loss
+in the Gumbel form too. Both forms choose alike from the same uniforms, up
+to rounding at near-ties.
+
 Determinism is positional: consumer i always consumes the same aligned
-block of the Philox counter stream for a given seed, whatever chunks the
-draws run in (about 2**20 shock doubles each), so serial and chunked (or
-parallel) runs produce bit-identical counts.
+block of the Philox counter stream for a given seed, so counts do not
+depend on the chunks the draws run in, nor on the threads that run them,
+one per CPU of the process's affinity mask. The chunks in flight share
+2**20 shock doubles (8 MB), whatever the tree and the number of CPUs.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +48,9 @@ __all__ = [
 
 # one Philox counter increment yields four 64-bit words, i.e. four doubles
 _WORDS_PER_ADVANCE = 4
-# smallest value Generator.random can emit besides 0.0; clamping keeps the
-# double log transform finite
+# smallest value Generator.random can emit besides 0.0; clamping keeps log u finite
 _TINY_UNIFORM = 2.0**-53
-# shock doubles per chunk of draws: 8 MB per chunk-sized array
+# shock doubles in flight, shared by the chunks the threads run: 8 MB
 _CHUNK_WORDS = 2**20
 
 
@@ -75,10 +83,6 @@ class ChoiceCounts:
         return int(self.counts.sum()) + int(self.outside_count)
 
 
-def _gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
-    return -np.log(-np.log(np.maximum(u, _TINY_UNIFORM)))
-
-
 def _sibling_table(parent: np.ndarray, n_rows: int) -> np.ndarray:
     """Each of ``n_rows`` parents' children by position, ``len(parent)`` past
     the last; ``parent``, the parent of each child, is sorted."""
@@ -86,6 +90,14 @@ def _sibling_table(parent: np.ndarray, n_rows: int) -> np.ndarray:
     table = np.full((n_rows, position.max() + 1), len(parent))
     table[parent, position] = np.arange(len(parent))
     return table
+
+
+def _race_weights(values: np.ndarray, scale: float) -> np.ndarray:
+    """exp((m - v) / scale) per row of sibling values v, m the row's maximum; +inf at padding (-inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.exp((values.max(axis=1, keepdims=True) - values) / scale)
+    weight[np.isneginf(values)] = np.inf
+    return weight
 
 
 def _draw_stride(hierarchy: ChoiceHierarchy) -> int:
@@ -108,34 +120,41 @@ def simulate_choices(
     delta = as_delta_array(hierarchy, delta)
     if iv is None:
         _, iv = compute_shares(hierarchy, delta, params)
-    n_grp, n_prod = hierarchy.n_groups, hierarchy.n_products
     stride = _draw_stride(hierarchy)
-
-    # group n_grp is the outside option, without subgroups; a padding entry
-    # picks the -inf appended to a value column and, as a subgroup, the
-    # all-padding product row, whose padding n_prod tallies the outside option
-    subgroup_at = _sibling_table(hierarchy.subgroup_group, n_grp + 1)
+    # a stage's sibling table lists the children of each node the stage above
+    # may choose, the root first; a padding entry, beside the -inf appended to
+    # the values, is as a subgroup the all-padding product row, whose padding
+    # tallies the outside option (group n_groups, without subgroups)
+    subgroup_at = _sibling_table(hierarchy.subgroup_group, hierarchy.n_groups + 1)
     product_at = _sibling_table(hierarchy.product_subgroup, hierarchy.n_subgroups + 1)
-    subgroup_value = np.append(iv.subgroup, -np.inf)[subgroup_at]
-    product_value = np.append(delta, -np.inf)[product_at]
-    group_value = np.append(iv.group, 0.0)
-    sub_end = n_grp + 1 + subgroup_at.shape[1]
-    prod_end = sub_end + product_at.shape[1]
+    stages = [(np.arange(hierarchy.n_groups + 1)[None], _race_weights(np.append(iv.group, 0.0)[None], 1.0)),
+              (subgroup_at, _race_weights(np.append(iv.subgroup, -np.inf)[subgroup_at], 1.0 - params.sigma2)),
+              (product_at, _race_weights(np.append(delta, -np.inf)[product_at], 1.0 - params.sigma1))]
+    ends = np.cumsum([at.shape[1] for at, _ in stages]).tolist()
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    chunk = max(1, _CHUNK_WORDS // workers // stride)
 
-    tally = np.zeros(n_prod + 1, dtype=np.int64)
-    chunk = max(1, _CHUNK_WORDS // stride)
-    for start in range(0, config.draws, chunk):
-        bits = np.random.Philox(key=config.seed)
-        bits.advance(start * stride // _WORDS_PER_ADVANCE)
-        m = min(chunk, config.draws - start)
-        shocks = _gumbel_from_uniform(np.random.Generator(bits).random((m, stride))[:, :prod_end])
-        # ties break toward lower index
-        chosen_grp = np.argmax(group_value + shocks[:, : n_grp + 1], axis=1)
-        v_sub = subgroup_value[chosen_grp] + (1.0 - params.sigma2) * shocks[:, n_grp + 1 : sub_end]
-        chosen_sub = subgroup_at[chosen_grp, np.argmax(v_sub, axis=1)]
-        v_prod = product_value[chosen_sub] + (1.0 - params.sigma1) * shocks[:, sub_end:prod_end]
-        tally += np.bincount(product_at[chosen_sub, np.argmax(v_prod, axis=1)], minlength=n_prod + 1)
-    return ChoiceCounts(counts=tally[:-1], outside_count=int(tally[-1]))
+    def tally(start):
+        bits = np.random.Philox(key=config.seed).advance(start * stride // _WORDS_PER_ADVANCE)
+        u = np.random.Generator(bits).random((min(chunk, config.draws - start), stride))
+        race = np.log(np.maximum(u, _TINY_UNIFORM, out=u), out=u)
+        node = 0
+        # a weight near 1e300 times log u is -inf, a certain loss
+        with np.errstate(over="ignore"):
+            for (at, weight), lo, hi in zip(stages, [0] + ends, ends):
+                race[:, lo:hi] *= weight[node]
+                # ties break toward lower index
+                node = at[node, np.argmax(race[:, lo:hi], axis=1)]
+        return np.bincount(node, minlength=hierarchy.n_products + 1)
+
+    starts = range(0, config.draws, chunk)
+    if workers > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, as importing it takes ~10 ms
+        with ThreadPoolExecutor(workers) as pool:
+            counts = sum(pool.map(tally, starts))
+    else:
+        counts = sum(map(tally, starts))
+    return ChoiceCounts(counts=counts[:-1], outside_count=int(counts[-1]))
 
 
 def empirical_shares(counts: ChoiceCounts):

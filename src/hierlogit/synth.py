@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionsError, OutOfDomainError, SingularDesignError
-from .hierarchy import NestingParams, UtilityVector, _number, build_hierarchy
+from .hierarchy import NestingParams, UtilityVector, _number, tree_from_codes
 
 __all__ = ["SynthConfig", "EstimationResult", "generate_market", "estimate_linear"]
 
@@ -95,13 +95,13 @@ def generate_market(config: SynthConfig):
     (n_products, len(beta)) drawn uniformly on ``x_range``, xi drawn
     normal(0, xi_scale), and delta = X beta + xi. Reproducible by seed.
     """
-    rows = [
-        (f"g{g}", f"h{h}", f"g{g}h{h}p{p}")
-        for g in range(1, config.n_groups + 1)
-        for h in range(1, config.n_subgroups_per_group + 1)
-        for p in range(1, config.n_products_per_subgroup + 1)
-    ]
-    hierarchy = build_hierarchy(rows, market_id="synthetic")
+    shape = (config.n_groups, config.n_subgroups_per_group, config.n_products_per_subgroup)
+    groups, subgroups, numbers = ([f"{level}{i}" for i in range(1, n + 1)] for level, n in zip("ghp", shape))
+    # product p of subgroup h of group g is g{g}h{h}p{p}; subgroup ids repeat across groups
+    products = [f"{g}{h}{p}" for g in groups for h in subgroups for p in numbers]
+    group, subgroup, _ = np.indices(shape).reshape(3, -1)
+    hierarchy, _ = tree_from_codes((["synthetic"], groups, subgroups, products),
+                                   (np.zeros_like(group), group, subgroup, np.arange(len(products))))
 
     rng = np.random.default_rng(config.seed)
     covariates = rng.uniform(*config.x_range, size=(hierarchy.n_products, len(config.beta)))

@@ -6,6 +6,7 @@ import math
 import operator
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from scipy.stats import norm
 from hierlogit import OUTSIDE_ID, ChoiceHierarchy, MarketFileError, NestingParams, build_hierarchy, compute_shares
 from hierlogit.cli import MARKET_COLUMNS, MarketBlock, read_market_csv
 from hierlogit.hierarchy import numbered, tree_from_codes
+from hierlogit import montecarlo
+from hierlogit.montecarlo import _TINY_UNIFORM, _draw_stride, _sibling_table
 
 
 def random_tree(rng, max_groups=3, max_subgroups=3, max_products=4):
@@ -218,6 +221,44 @@ def binomial_tail_z(n, p, k):
     tail = float(Fraction(sum(terms[k:] if upper else terms[: k + 1]), b**n))
     z = 0.0 if tail >= 0.5 else (norm.isf(tail) if tail > 0.0 else math.inf)
     return z if upper else -z
+
+
+def on_cpus(n, affinity=True):
+    """Patch the CPUs ``simulate_choices`` finds to ``n``: its affinity mask,
+    or where the platform has none, the CPU count."""
+    if affinity:
+        return mock.patch.object(montecarlo, "os", SimpleNamespace(sched_getaffinity=lambda pid: set(range(n))))
+    return mock.patch.object(montecarlo, "os", SimpleNamespace(cpu_count=lambda: n))
+
+
+def gumbel_from_uniform(u):
+    """Standard Gumbel draws from uniforms, two logs each."""
+    return -np.log(-np.log(np.maximum(u, _TINY_UNIFORM)))
+
+
+def gumbel_choice_counts(hierarchy, delta, params, config):
+    """``simulate_choices`` with Gumbel shocks added to each stage's values,
+    all draws in one block: the oracle of the exponential race, which must
+    give the same counts. Draws the same uniforms, by the same positions."""
+    delta = np.asarray(delta, dtype=float)
+    _, iv = compute_shares(hierarchy, delta, params)
+    n_grp, n_prod = hierarchy.n_groups, hierarchy.n_products
+    stride = _draw_stride(hierarchy)
+    subgroup_at = _sibling_table(hierarchy.subgroup_group, n_grp + 1)
+    product_at = _sibling_table(hierarchy.product_subgroup, hierarchy.n_subgroups + 1)
+    subgroup_value = np.append(iv.subgroup, -np.inf)[subgroup_at]
+    product_value = np.append(delta, -np.inf)[product_at]
+    group_value = np.append(iv.group, 0.0)
+    sub_end = n_grp + 1 + subgroup_at.shape[1]
+    prod_end = sub_end + product_at.shape[1]
+    uniforms = np.random.Generator(np.random.Philox(key=config.seed)).random((config.draws, stride))
+    shocks = gumbel_from_uniform(uniforms[:, :prod_end])
+    chosen_grp = np.argmax(group_value + shocks[:, : n_grp + 1], axis=1)
+    v_sub = subgroup_value[chosen_grp] + (1.0 - params.sigma2) * shocks[:, n_grp + 1 : sub_end]
+    chosen_sub = subgroup_at[chosen_grp, np.argmax(v_sub, axis=1)]
+    v_prod = product_value[chosen_sub] + (1.0 - params.sigma1) * shocks[:, sub_end:prod_end]
+    tally = np.bincount(product_at[chosen_sub, np.argmax(v_prod, axis=1)], minlength=n_prod + 1)
+    return tally[:-1], int(tally[-1])
 
 
 def fd_jacobian_loop(hierarchy, delta, params, step=1e-6):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -16,11 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hierlogit
-from hierlogit import NestingParams, compute_shares
+from hierlogit import NestingParams, compute_shares, montecarlo
 from hierlogit.cli import (
     EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, MarketBlock, _results, main, read_market_csv, read_params_json,
 )
-from helpers import assert_same_read, binomial_tail_z, market_tree
+from helpers import assert_same_read, binomial_tail_z, market_tree, on_cpus
 
 HEADER = "market_id,group_id,subgroup_id,product_id,value"
 
@@ -405,6 +406,33 @@ def test_out_of_memory_exits_domain_with_one_line(tmp_path, command):
     assert len(lines) == 1 and lines[0].startswith("error: out of memory: market 'm1':"), result.stderr
 
 
+def test_out_of_memory_in_a_threaded_chunk_maps_like_a_serial_one(runner, tmp_path):
+    # one product: a draw takes 4 shock doubles, one Philox advance, so 64
+    # doubles in flight make chunks of 16 draws on one thread, 8 on each of two
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "p", 0.0)])
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    real = np.random.Generator
+    results = []
+    for workers in (1, 2):
+        threads, ran_on = threading.enumerate(), set()
+
+        def generator(bits, second_chunk=64 // workers // 4):
+            ran_on.add(threading.current_thread())
+            if bits.state["state"]["counter"][0] == second_chunk:
+                raise MemoryError("cannot allocate the shocks")
+            return real(bits)
+
+        with mock.patch.object(montecarlo, "_CHUNK_WORDS", 64), on_cpus(workers), \
+                mock.patch.object(np.random, "Generator", generator):
+            results.append(runner.invoke(main, ["simulate", "--draws", "100", "--input", market, "--params", params]))
+        assert threading.enumerate() == threads
+        assert (threading.main_thread() in ran_on) == (workers == 1)
+    serial, threaded = results
+    line = _assert_one_error_line(threaded, EXIT_DOMAIN)
+    assert line == "error: out of memory: market 'm1': cannot allocate the shocks"
+    assert (threaded.stdout, threaded.stderr) == (serial.stdout, serial.stderr)
+
+
 def test_newton_on_a_16000_product_market_fits_in_1_gib(runner, tmp_path):
     # Newton solves its Jacobian system in O(N): no N x N matrix is formed
     market, params = _sixteen_thousand_products(tmp_path, repr(0.5 / 16_000), outside=0.5)
@@ -543,6 +571,26 @@ def test_cli_import_loads_no_statistics():
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _imported_modules(args):
+    """The modules ``python -X importtime -m hierlogit.cli args`` imports, by name."""
+    src = os.path.dirname(os.path.dirname(hierlogit.__file__))
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "hierlogit.cli", *args],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert out.returncode == EXIT_OK, out.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_cli_runs_its_module_once_and_starts_without_threads_or_csv(tmp_path):
+    # run as __main__, the CLI would run a second time as hierlogit.cli if the reader imported it
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    shares = _imported_modules(["shares", "--input", market, "--params", params])
+    assert "hierlogit.csvin" in shares and "hierlogit.cli" not in shares
+    started = _imported_modules(["--help"])
+    assert "hierlogit.montecarlo" in started
+    assert not started & {"concurrent.futures", "hierlogit.csvin", "hierlogit.csvout"}
 
 
 def test_version_works_without_installation(runner):

@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -18,16 +20,19 @@ from hierlogit import (
     simulate_choices,
 )
 from hierlogit import montecarlo
-from hierlogit.montecarlo import _draw_stride, _exact_z, _gumbel_from_uniform
+from hierlogit.montecarlo import _draw_stride, _exact_z
 
-from helpers import balanced_tree, binomial_tail_z, random_instance, random_tree
+from helpers import (
+    balanced_tree, binomial_tail_z, gumbel_choice_counts, gumbel_from_uniform, on_cpus, ragged_instances,
+    random_instance, random_tree,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
 
 def test_gumbel_moments():
     rng = np.random.default_rng(2024)
-    draws = _gumbel_from_uniform(rng.random(10**6))
+    draws = gumbel_from_uniform(rng.random(10**6))
     assert abs(draws.mean() - EULER_GAMMA) < 0.005
     assert abs(draws.var() - np.pi**2 / 6) < 0.02
     assert np.all(np.isfinite(draws))
@@ -130,21 +135,64 @@ def test_sim_config_keeps_integral_values_as_ints():
     assert type(cfg.draws) is int and type(cfg.seed) is int
 
 
-def test_chunk_memory_does_not_grow_with_the_tree():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_memory_does_not_grow_with_the_tree(workers):
     # a 10x10x10 tree takes 32 shock doubles per draw, so 20,000 draws fit
     # one chunk; one subgroup of 5,000 products takes 5,004, so 4,000 draws
-    # in one block would hold 160 MB per array; chunks of 2**20 doubles hold 8 MB
+    # in one block would hold 160 MB per array; the chunks in flight share
+    # 2**20 doubles, 8 MB, however many threads run them
     assert _draw_stride(balanced_tree(10, 10, 10)) == 32
     tree = build_hierarchy([("g", "h", f"p{j}") for j in range(5000)])
     assert _draw_stride(tree) == 5004
     delta = np.random.default_rng(5).uniform(-1.0, 1.0, tree.n_products)
     tracemalloc.start()
     try:
-        simulate_choices(tree, delta, NestingParams(0.5, 0.25), SimConfig(draws=4000, seed=1))
+        with on_cpus(workers):
+            simulate_choices(tree, delta, NestingParams(0.5, 0.25), SimConfig(draws=4000, seed=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"
+
+
+TIED = build_hierarchy([("g0", "h0", "a"), ("g0", "h0", "b"), ("g0", "h1", "c"), ("g1", "h2", "d")])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    instance=ragged_instances(utility_bound=700.0, sigma_bound=0.999),
+    workers=st.sampled_from([1, 2, 3]),
+    chunk_words=st.integers(1, 2000),
+)
+# every utility tied, the outside option's 0 included, and tied utilities of 700 at sigma 0.999
+@example(instance=(TIED, np.zeros(4), NestingParams(0.0, 0.0)), workers=2, chunk_words=50)
+@example(instance=(TIED, np.full(4, 700.0), NestingParams(0.999, 0.999)), workers=3, chunk_words=50)
+def test_exponential_race_counts_equal_the_gumbel_argmax(instance, workers, chunk_words):
+    tree, delta, params = instance
+    config = SimConfig(draws=2000, seed=13)
+    counts, outside = gumbel_choice_counts(tree, delta, params, config)
+    with mock.patch.object(montecarlo, "_CHUNK_WORDS", chunk_words), on_cpus(workers):
+        race = simulate_choices(tree, delta, params, config)
+    np.testing.assert_array_equal(race.counts, counts)
+    assert race.outside_count == outside
+
+
+@pytest.mark.parametrize("cpus, affinity", [(1, True), (3, True), (1, False), (2, False)])
+def test_threads_are_the_cpus_of_the_affinity_mask_else_the_cpu_count(cpus, affinity):
+    pools = []
+
+    class Recorded(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    tree = build_hierarchy([("g", "h", "p")])
+    # 64 shock doubles in flight: 100 draws of 4 take several chunks
+    with on_cpus(cpus, affinity), mock.patch.object(montecarlo, "_CHUNK_WORDS", 64), \
+            mock.patch.object(concurrent.futures, "ThreadPoolExecutor", Recorded):
+        counts = simulate_choices(tree, [0.0], NestingParams(0.5, 0.25), SimConfig(draws=100, seed=1))
+    assert counts.total == 100
+    assert pools == ([] if cpus == 1 else [cpus])
 
 
 def _ceil4(words):

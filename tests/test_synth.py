@@ -7,6 +7,7 @@ from hierlogit import (
     OutOfDomainError,
     SingularDesignError,
     SynthConfig,
+    build_hierarchy,
     compute_shares,
     estimate_linear,
     generate_market,
@@ -30,6 +31,21 @@ def test_generate_market_dimensions():
     assert tree.n_products == 8
     assert covariates.shape == (8, 2)
     assert len(delta) == 8
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (12, 1, 11), (3, 11, 2)])
+def test_generate_market_tree_equals_the_tree_of_its_rows(shape):
+    # numbered by first appearance, not as strings sort ("g10" < "g2"), and
+    # subgroup ids repeat across groups
+    tree, _, _ = generate_market(SynthConfig(*shape, beta=(1.0,)))
+    rows = [(f"g{g}", f"h{h}", f"g{g}h{h}p{p}") for g in range(1, shape[0] + 1)
+            for h in range(1, shape[1] + 1) for p in range(1, shape[2] + 1)]
+    want = build_hierarchy(rows, market_id="synthetic")
+    for name in ("market_ids", "group_ids", "subgroup_ids", "products"):
+        assert getattr(tree, name) == getattr(want, name), name
+    for name in ("group_market", "subgroup_group", "product_subgroup", "product_group", "product_market", "bounds"):
+        a, b = getattr(tree, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_generate_market_zero_noise_is_linear():
