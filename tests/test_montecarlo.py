@@ -135,8 +135,7 @@ def test_sim_config_keeps_integral_values_as_ints():
     assert type(cfg.draws) is int and type(cfg.seed) is int
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_chunk_memory_does_not_grow_with_the_tree(workers):
+def test_chunk_memory_does_not_grow_with_the_tree():
     # a 10x10x10 tree takes 32 shock doubles per draw, so 20,000 draws fit
     # one chunk; one subgroup of 5,000 products takes 5,004, so 4,000 draws
     # in one block would hold 160 MB per array; the chunks in flight share
@@ -145,14 +144,15 @@ def test_chunk_memory_does_not_grow_with_the_tree(workers):
     tree = build_hierarchy([("g", "h", f"p{j}") for j in range(5000)])
     assert _draw_stride(tree) == 5004
     delta = np.random.default_rng(5).uniform(-1.0, 1.0, tree.n_products)
-    tracemalloc.start()
-    try:
-        with on_cpus(workers):
-            simulate_choices(tree, delta, NestingParams(0.5, 0.25), SimConfig(draws=4000, seed=1))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20, f"peak traced memory {peak / 2**20:.1f} MB"
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            with on_cpus(workers):
+                simulate_choices(tree, delta, NestingParams(0.5, 0.25), SimConfig(draws=4000, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"{workers} workers: peak traced memory {peak / 2**20:.1f} MB"
 
 
 TIED = build_hierarchy([("g0", "h0", "a"), ("g0", "h0", "b"), ("g0", "h1", "c"), ("g1", "h2", "d")])
