@@ -162,11 +162,9 @@ def _id_columns(h: ChoiceHierarchy, outside=False) -> list:
     """Market, group, subgroup and product ids of every product as
     ``(ids, codes)`` columns, each market's outside row after its products
     where ``outside``."""
-    columns = [(h.market_ids, h.product_market, np.arange(h.n_markets)), (h.group_ids, h.product_group, h.n_groups),
-               (h.subgroup_ids, h.product_subgroup, h.n_subgroups), (h.products, np.arange(h.n_products), h.n_products)]
-    if outside:
-        columns = [(ids + (OUTSIDE_ID,), _outside_rows(h, codes, code), None) for ids, codes, code in columns]
-    return [(ids, codes) for ids, codes, _ in columns]
+    # an outside row names its market, and the outside option at every level below
+    return [(ids + (OUTSIDE_ID,), _outside_rows(h, codes, np.arange(h.n_markets) if level == 0 else len(ids)))
+            if outside else (ids, codes) for level, (ids, codes) in enumerate(zip(h.ids, h.above))]
 
 
 def _outside_rows(h: ChoiceHierarchy, inside, outside=np.nan) -> np.ndarray:
@@ -269,8 +267,7 @@ def _shares_json(runs, params: NestingParams):
     sep = ""
     for block, (table, iv) in runs:
         h = block.hierarchy
-        ids = (h.products, [h.group_ids[g] for g in h.product_group.tolist()],
-               [h.subgroup_ids[s] for s in h.product_subgroup.tolist()])
+        ids = (h.products, *([h.ids[l][i] for i in h.above[l].tolist()] for l in (1, 2)))
         reals = (block.values, table.joint, table.cond_product,
                  table.cond_subgroup[h.product_subgroup], table.group[h.product_group])
         rows = list(zip(*ids, *(a.tolist() for a in reals)))

@@ -59,78 +59,62 @@ class NestingParams:
 
 
 class ChoiceHierarchy:
-    """Immutable choice tree of one or more markets, with flat index arrays.
+    """Immutable choice tree of one or more markets, stored by level.
 
-    Markets, groups, subgroups and products are numbered market by market,
-    each in order of first appearance (in the input rows for
-    ``build_hierarchy``), so share vectors and Jacobian rows have a stable,
-    reproducible layout. A market's groups, subgroups and products are
-    contiguous. Instances are safe to share across threads.
+    Level 0 holds the markets, 1 the groups, 2 the subgroups and 3 the
+    products. ``ids[l]`` are the ids of level l (group and subgroup ids may
+    repeat across markets) and ``parent[l]`` the level-l node above each
+    node of level l + 1. Each level is numbered market by market in order of
+    first appearance (in the input rows for ``build_hierarchy``), so share
+    vectors and Jacobian rows have a stable, reproducible layout; a market's
+    nodes are contiguous, so each ``parent`` array is sorted. Instances are
+    safe to share across threads.
 
     Attributes
     ----------
-    market_ids, group_ids, subgroup_ids, products : tuples of str
-        Ids in canonical order; all arrays and utility vectors are aligned
-        to ``products``. Group and subgroup ids may repeat across markets.
-    group_market, subgroup_group, product_subgroup : int arrays
-        Flat market index of each group, group index of each subgroup and
-        subgroup index of each product.
-    product_group, product_market : int arrays over products
+    ids, parent : tuples of the arguments; arrays and utility vectors align to ``ids[3]``
+    above : tuple of int arrays, ``above[l]`` each product's node at level l
+    market_ids, group_ids, subgroup_ids, products : ``ids`` by level
+    group_market, subgroup_group, product_subgroup : ``parent`` by level
+    product_market, product_group : ``above[0]`` and ``above[1]``
+    n_markets, n_groups, n_subgroups, n_products : the sizes of the levels
     bounds : int array of shape (3, n_markets + 1)
         ``bounds[:, m]`` is the first group, subgroup and product of market
         m, ``bounds[:, n_markets]`` one past the last of each.
     """
 
-    def __init__(self, market_ids, group_market, group_ids, subgroup_group, subgroup_ids,
-                 product_subgroup, products):
-        self.market_ids = tuple(market_ids)
-        self.group_ids = tuple(group_ids)
-        self.subgroup_ids = tuple(subgroup_ids)
-        self.products = tuple(products)
-        self.group_market = np.asarray(group_market, dtype=np.intp)
-        self.subgroup_group = np.asarray(subgroup_group, dtype=np.intp)
-        self.product_subgroup = np.asarray(product_subgroup, dtype=np.intp)
-        self.product_group = self.subgroup_group[self.product_subgroup]
-        self.product_market = self.group_market[self.product_group]
-        groups = np.searchsorted(self.group_market, np.arange(self.n_markets + 1))
-        subgroups = np.searchsorted(self.subgroup_group, groups)
-        self.bounds = np.array([groups, subgroups, np.searchsorted(self.product_subgroup, subgroups)])
+    def __init__(self, ids, parent):
+        self.ids = tuple(map(tuple, ids))
+        self.parent = tuple(np.asarray(p, dtype=np.intp) for p in parent)
+        self.market_ids, self.group_ids, self.subgroup_ids, self.products = self.ids
+        self.group_market, self.subgroup_group, self.product_subgroup = self.parent
+        self.n_markets, self.n_groups, self.n_subgroups, self.n_products = map(len, self.ids)
+        above = [np.arange(self.n_products)]
+        for up in reversed(self.parent):
+            above.append(up[above[-1]])
+        self.above = tuple(reversed(above))
+        self.product_market, self.product_group = self.above[:2]
+        bounds = [np.arange(self.n_markets + 1)]
+        for up in self.parent:
+            bounds.append(np.searchsorted(up, bounds[-1]))
+        self.bounds = np.array(bounds[1:])
 
     @property
     def subgroup_keys(self):
         """(group_id, subgroup_id) of every subgroup."""
         return tuple(zip((self.group_ids[g] for g in self.subgroup_group.tolist()), self.subgroup_ids))
 
-    @property
-    def n_markets(self):
-        return len(self.market_ids)
-
-    @property
-    def n_products(self):
-        return len(self.products)
-
-    @property
-    def n_subgroups(self):
-        return len(self.subgroup_ids)
-
-    @property
-    def n_groups(self):
-        return len(self.group_ids)
-
     def markets(self, start: int, stop: int) -> "ChoiceHierarchy":
-        """The tree of markets ``start`` to ``stop - 1``, numbered from 0."""
-        (g0, s0, p0), (g1, s1, p1) = self.bounds[:, [start, stop]].T.tolist()
-        return ChoiceHierarchy(
-            self.market_ids[start:stop], self.group_market[g0:g1] - start, self.group_ids[g0:g1],
-            self.subgroup_group[s0:s1] - g0, self.subgroup_ids[s0:s1],
-            self.product_subgroup[p0:p1] - s0, self.products[p0:p1],
-        )
+        """The tree of markets ``start`` to ``stop - 1``, numbered from 0; needs 0 <= start < stop <= n_markets."""
+        if not 0 <= start < stop <= self.n_markets:
+            raise OutOfDomainError(f"markets({start!r}, {stop!r}) needs 0 <= start < stop <= {self.n_markets}")
+        lo, hi = (np.append(m, self.bounds[:, m]).tolist() for m in (start, stop))
+        return ChoiceHierarchy([ids[a:b] for ids, a, b in zip(self.ids, lo, hi)],
+                               [up[a:b] - first for up, a, b, first in zip(self.parent, lo[1:], hi[1:], lo)])
 
     def __repr__(self):
-        return (
-            f"ChoiceHierarchy(markets={self.n_markets}, groups={self.n_groups}, "
-            f"subgroups={self.n_subgroups}, products={self.n_products})"
-        )
+        sizes = zip(("markets", "groups", "subgroups", "products"), map(len, self.ids))
+        return f"ChoiceHierarchy({', '.join(f'{level}={n}' for level, n in sizes)})"
 
 
 @dataclass(frozen=True)
@@ -144,9 +128,10 @@ class MarketBlock:
 
     def markets(self, start: int, stop: int) -> "MarketBlock":
         """The block of markets ``start`` to ``stop - 1``."""
+        tree = self.hierarchy.markets(start, stop)
         p0, p1 = self.hierarchy.bounds[2, [start, stop]].tolist()
         outside = None if self.outside is None else self.outside[start:stop]
-        return MarketBlock(self.hierarchy.markets(start, stop), self.values[p0:p1], outside)
+        return MarketBlock(tree, self.values[p0:p1], outside)
 
 
 def numbered(column) -> tuple:
@@ -178,14 +163,14 @@ def tree_from_codes(tables, codes) -> tuple:
     subgroup and product id ``tables``, and the rows in product order.
     Markets keep their codes, and each holds a row; groups in each market and
     subgroups in each group come by first appearance, products by row."""
-    market, group, subgroup, product = codes
-    group_market, group_code, row_group = _first_seen(market, group)
-    subgroup_group, subgroup_code, row_subgroup = _first_seen(row_group, subgroup)
-    order = np.argsort(row_subgroup, kind="stable")
-    group_ids, subgroup_ids, products = (np.fromiter(table, object, len(table))[c] for table, c in
-                                         zip(tables[1:], (group_code, subgroup_code, product[order])))
-    tree = ChoiceHierarchy(tables[0], group_market, group_ids, subgroup_group, subgroup_ids, row_subgroup[order],
-                           products)
+    row, ids, parent = codes[0], [tables[0]], []
+    for table, child in zip(tables[1:3], codes[1:3]):
+        up, code, row = _first_seen(row, child)
+        ids.append(np.fromiter(table, object, len(table))[code])
+        parent.append(up)
+    order = np.argsort(row, kind="stable")
+    ids.append(np.fromiter(tables[3], object, len(tables[3]))[codes[3][order]])
+    tree = ChoiceHierarchy(ids, (*parent, row[order]))
     return tree, order
 
 

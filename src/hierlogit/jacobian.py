@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import ChoiceHierarchy, NestingParams, as_delta_array, one_market
+from .errors import OutOfDomainError
+from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array, one_market
 from .shares import ShareTable, compute_shares
 
 __all__ = [
@@ -91,9 +92,10 @@ def _solve_log_share_jacobian(table: ShareTable, params: NestingParams, r: np.nd
     1 amplifies no rounding. x is not finite where s_0m = 0.
     """
     h = table.hierarchy
-    big_r = np.bincount(h.product_subgroup, weights=table.cond_product * r, minlength=h.n_subgroups)
-    q = np.bincount(h.subgroup_group, weights=table.cond_subgroup * big_r, minlength=h.n_groups)
-    t = np.bincount(h.group_market, weights=table.group * q, minlength=h.n_markets)
+    sums = [r]
+    for level, cond in ((2, table.cond_product), (1, table.cond_subgroup), (0, table.group)):
+        sums.append(np.bincount(h.parent[level], weights=cond * sums[-1], minlength=len(h.ids[level])))
+    _, big_r, q, t = sums
     with np.errstate(divide="ignore", invalid="ignore"):
         t /= np.atleast_1d(table.outside)
         v = q + t[h.group_market]
@@ -119,9 +121,12 @@ def fd_jacobian(
 
     The two perturbed utility vectors of each k are two markets of one
     tree, in runs of about ``_FD_PRODUCTS`` products; a market gives the
-    same shares alone as in any tree.
+    same shares alone as in any tree. ``step`` must be a positive finite
+    number (OutOfDomainError): a negative one gives the doubles of -step.
     """
     one_market(hierarchy, "fd_jacobian")
+    if not _number("step", step) > 0.0:
+        raise OutOfDomainError(f"step={step!r} must be positive")
     delta = as_delta_array(hierarchy, delta)
     n = hierarchy.n_products
     per_run = max(1, _FD_PRODUCTS // (2 * n))
@@ -141,9 +146,8 @@ def fd_jacobian(
 def _copies(h: ChoiceHierarchy, count: int) -> ChoiceHierarchy:
     """``count`` copies of the one market of ``h``, as the markets of one tree."""
     shift = np.arange(count)[:, None]
-    return ChoiceHierarchy(h.market_ids * count, np.repeat(np.arange(count), h.n_groups), h.group_ids * count,
-                           (h.subgroup_group + h.n_groups * shift).ravel(), h.subgroup_ids * count,
-                           (h.product_subgroup + h.n_subgroups * shift).ravel(), h.products * count)
+    return ChoiceHierarchy([ids * count for ids in h.ids],
+                           [(up + len(ids) * shift).ravel() for up, ids in zip(h.parent, h.ids)])
 
 
 def max_relative_error(analytic: ShareJacobian, fd: ShareJacobian, row_scale) -> float:

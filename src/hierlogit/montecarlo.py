@@ -100,9 +100,18 @@ def _race_weights(values: np.ndarray, scale: float) -> np.ndarray:
     return weight
 
 
-def _draw_stride(hierarchy: ChoiceHierarchy) -> int:
-    widest = np.bincount(hierarchy.subgroup_group).max() + np.bincount(hierarchy.product_subgroup).max()
-    return -(-int(hierarchy.n_groups + 1 + widest) // _WORDS_PER_ADVANCE) * _WORDS_PER_ADVANCE
+def _sibling_tables(hierarchy: ChoiceHierarchy) -> list:
+    """Each stage's sibling table in a one-market tree: the children of each node
+    the stage above may choose, the root first, the outside option the market's
+    last group. A padding entry, beside the -inf appended to the values, is as a
+    subgroup the all-padding product row, whose padding tallies the outside option."""
+    parents = (np.append(hierarchy.group_market, 0), *hierarchy.parent[1:])
+    return [_sibling_table(parent, len(ids) + 1) for parent, ids in zip(parents, hierarchy.ids)]
+
+
+def _draw_stride(tables: list) -> int:
+    widest = sum(at.shape[1] for at in tables)
+    return -(-widest // _WORDS_PER_ADVANCE) * _WORDS_PER_ADVANCE
 
 
 def simulate_choices(
@@ -120,16 +129,11 @@ def simulate_choices(
     delta = as_delta_array(hierarchy, delta)
     if iv is None:
         _, iv = compute_shares(hierarchy, delta, params)
-    stride = _draw_stride(hierarchy)
-    # a stage's sibling table lists the children of each node the stage above
-    # may choose, the root first; a padding entry, beside the -inf appended to
-    # the values, is as a subgroup the all-padding product row, whose padding
-    # tallies the outside option (group n_groups, without subgroups)
-    subgroup_at = _sibling_table(hierarchy.subgroup_group, hierarchy.n_groups + 1)
-    product_at = _sibling_table(hierarchy.product_subgroup, hierarchy.n_subgroups + 1)
-    stages = [(np.arange(hierarchy.n_groups + 1)[None], _race_weights(np.append(iv.group, 0.0)[None], 1.0)),
-              (subgroup_at, _race_weights(np.append(iv.subgroup, -np.inf)[subgroup_at], 1.0 - params.sigma2)),
-              (product_at, _race_weights(np.append(delta, -np.inf)[product_at], 1.0 - params.sigma1))]
+    tables = _sibling_tables(hierarchy)
+    stride = _draw_stride(tables)
+    stages = [(at, _race_weights(np.append(values, -np.inf)[at], scale)) for at, values, scale in
+              zip(tables, (np.append(iv.group, 0.0), iv.subgroup, delta),
+                  (1.0, 1.0 - params.sigma2, 1.0 - params.sigma1))]
     ends = np.cumsum([at.shape[1] for at, _ in stages]).tolist()
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     chunk = max(1, _CHUNK_WORDS // workers // stride)

@@ -106,11 +106,11 @@ class ShareTable:
         if bad.size:
             raise DegenerateShareError(f"outside share {float(bad[0])!r} must lie strictly in (0, 1)")
 
-        n_sub = hierarchy.n_subgroups
-        subgroup_sum = np.bincount(hierarchy.product_subgroup, weights=joint, minlength=n_sub)
-        group_sum = np.bincount(hierarchy.product_group, weights=joint, minlength=hierarchy.n_groups)
-        cond_product = joint / subgroup_sum[hierarchy.product_subgroup]
-        cond_subgroup = subgroup_sum / group_sum[hierarchy.subgroup_group]
+        h = hierarchy
+        # products are summed straight into groups, not through subgroups
+        group_sum, subgroup_sum = (np.bincount(h.above[l], weights=joint, minlength=len(h.ids[l])) for l in (1, 2))
+        cond_product = joint / subgroup_sum[h.product_subgroup]
+        cond_subgroup = subgroup_sum / group_sum[h.subgroup_group]
         return cls(
             hierarchy=hierarchy,
             joint=joint,
@@ -162,48 +162,33 @@ def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
     -------
     (ShareTable, InclusiveValues)
     """
-    delta = as_delta_array(hierarchy, delta)
-    a1 = 1.0 - params.sigma1
-    a2 = 1.0 - params.sigma2
-
-    x = _scaled(delta, a1, "utilities")
-    # log of the per-subgroup sum S = sum exp(delta/(1-sigma1)), i.e. I_sub/(1-sigma1)
-    log_s, log_cond_product = _segment_log_softmax(
-        x, hierarchy.product_subgroup, hierarchy.n_subgroups
-    )
-    iv_sub = a1 * log_s
-
-    y = _scaled(iv_sub, a2, "subgroup inclusive values")
-    log_t, log_cond_subgroup = _segment_log_softmax(
-        y, hierarchy.subgroup_group, hierarchy.n_groups
-    )
-    iv_grp = a2 * log_t
-
-    # each market's outside option is one more alternative with value 0 at
-    # its top, summed after the market's groups
-    n_grp, n_mkt = hierarchy.n_groups, hierarchy.n_markets
-    top_segment = np.concatenate([hierarchy.group_market, np.arange(n_mkt)])
-    log_top, log_choice = _segment_log_softmax(np.append(iv_grp, np.zeros(n_mkt)), top_segment, n_mkt)
-    log_group = log_choice[:n_grp]
-    log_outside = log_choice[n_grp:]
-
-    log_joint = (
-        log_cond_product
-        + log_cond_subgroup[hierarchy.product_subgroup]
-        + log_group[hierarchy.product_group]
-    )
+    h = hierarchy
+    values = as_delta_array(h, delta)
+    # up the tree from the products, one level of parents at a time
+    iv, log_cond = [None] * 3, [None] * 4
+    for level, scale, what in ((2, 1.0 - params.sigma1, "utilities"),
+                               (1, 1.0 - params.sigma2, "subgroup inclusive values"),
+                               (0, 1.0, "group inclusive values")):
+        x, segment, n = _scaled(values, scale, what), h.parent[level], len(h.ids[level])
+        if level == 0:
+            # each market's outside option: one more alternative, of value 0, after its groups
+            x, segment = np.append(x, np.zeros(n)), np.concatenate([segment, np.arange(n)])
+        lse, log_cond[level + 1] = _segment_log_softmax(x, segment, n)
+        values = iv[level] = scale * lse
+    log_joint = log_cond[3] + log_cond[2][h.above[2]] + log_cond[1][h.above[1]]
+    log_group, log_outside = log_cond[1][:h.n_groups], log_cond[1][h.n_groups:]
 
     table = ShareTable(
         hierarchy=hierarchy,
         joint=np.exp(log_joint),
-        cond_product=np.exp(log_cond_product),
-        cond_subgroup=np.exp(log_cond_subgroup),
+        cond_product=np.exp(log_cond[3]),
+        cond_subgroup=np.exp(log_cond[2]),
         group=np.exp(log_group),
         outside=_per_market(np.exp(log_outside)),
         log_joint=log_joint,
-        log_cond_product=log_cond_product,
-        log_cond_subgroup=log_cond_subgroup,
+        log_cond_product=log_cond[3],
+        log_cond_subgroup=log_cond[2],
         log_group=log_group,
         log_outside=_per_market(log_outside),
     )
-    return table, InclusiveValues(subgroup=iv_sub, group=iv_grp, top=_per_market(log_top))
+    return table, InclusiveValues(subgroup=iv[2], group=iv[1], top=_per_market(iv[0]))

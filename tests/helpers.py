@@ -17,7 +17,7 @@ from hierlogit import OUTSIDE_ID, ChoiceHierarchy, MarketFileError, NestingParam
 from hierlogit.cli import MARKET_COLUMNS, MarketBlock, read_market_csv
 from hierlogit.hierarchy import numbered, tree_from_codes
 from hierlogit import montecarlo
-from hierlogit.montecarlo import _TINY_UNIFORM, _draw_stride, _sibling_table
+from hierlogit.montecarlo import _TINY_UNIFORM, _draw_stride, _sibling_table, _sibling_tables
 
 
 def random_tree(rng, max_groups=3, max_subgroups=3, max_products=4):
@@ -243,7 +243,7 @@ def gumbel_choice_counts(hierarchy, delta, params, config):
     delta = np.asarray(delta, dtype=float)
     _, iv = compute_shares(hierarchy, delta, params)
     n_grp, n_prod = hierarchy.n_groups, hierarchy.n_products
-    stride = _draw_stride(hierarchy)
+    stride = _draw_stride(_sibling_tables(hierarchy))
     subgroup_at = _sibling_table(hierarchy.subgroup_group, n_grp + 1)
     product_at = _sibling_table(hierarchy.product_subgroup, hierarchy.n_subgroups + 1)
     subgroup_value = np.append(iv.subgroup, -np.inf)[subgroup_at]
@@ -384,8 +384,8 @@ def row_read_market_csv(path, outside=False) -> MarketBlock:
     group_market, group_ids = zip(*groups)
     subgroup_group, subgroup_ids, sizes = zip(*subgroups)
     product_subgroup = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
-    hierarchy = ChoiceHierarchy(tuple(tree), group_market, group_ids, subgroup_group, subgroup_ids, product_subgroup,
-                                [product[i] for i in order])
+    hierarchy = ChoiceHierarchy((tuple(tree), group_ids, subgroup_ids, [product[i] for i in order]),
+                                (group_market, subgroup_group, product_subgroup))
     outside_values = values[[outside_row[m] for m in tree]] if outside else None
     return MarketBlock(hierarchy, values[order], outside_values)
 
@@ -416,9 +416,19 @@ def _undecodable_line(path) -> int:
         return data.count(b"\n", 0, err.start) + 1
 
 
+def assert_same_tree(got, want):
+    """Two trees have the same ids, and the same ``parent``, ``above`` and
+    ``bounds`` arrays, dtype included."""
+    assert got.ids == want.ids
+    for name in ("parent", "above", "bounds"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert len(a) == len(b), name
+        assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b)), name
+
+
 def assert_same_read(path, outside):
-    """``read_market_csv`` and the row reader give the same MarketBlock, ids,
-    index arrays and values bit for bit, or the same error."""
+    """``read_market_csv`` and the row reader give the same MarketBlock, tree
+    and values bit for bit, or the same error."""
     blocks = []
     for read in (read_market_csv, row_read_market_csv):
         try:
@@ -429,11 +439,6 @@ def assert_same_read(path, outside):
     if isinstance(want, MarketFileError) or isinstance(got, MarketFileError):
         assert (type(got), str(got)) == (type(want), str(want))
         return
-    g, w = got.hierarchy, want.hierarchy
-    for name in ("market_ids", "group_ids", "subgroup_ids", "products"):
-        assert getattr(g, name) == getattr(w, name), name
-    for name in ("group_market", "subgroup_group", "product_subgroup", "bounds"):
-        a, b = getattr(g, name), getattr(w, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert_same_tree(got.hierarchy, want.hierarchy)
     for a, b in ((got.values, want.values), (got.outside, want.outside)):
         assert (a is None) == (b is None) and (a is None or (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()))

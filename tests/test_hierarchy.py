@@ -12,7 +12,7 @@ from hierlogit import (
     UtilityVector,
     build_hierarchy,
 )
-from hierlogit.hierarchy import as_delta_array
+from hierlogit.hierarchy import MarketBlock, as_delta_array
 
 from helpers import market_tree, random_tree
 
@@ -143,6 +143,12 @@ def test_market_level_views_and_one_market_functions():
     second = tree.markets(1, 2)
     assert second.market_ids == ("m2",) and second.subgroup_keys == (("g", "h"), ("g", "k"))
     np.testing.assert_array_equal(second.product_subgroup, [0, 1])
+    # a range outside 0 <= start < stop <= n_markets has no tree, nor block
+    block = MarketBlock(tree, np.arange(4.0), None)
+    for start, stop in ((-1, 2), (0, 0), (2, 1), (1, 1), (0, 3)):
+        for view in (tree, block):
+            with pytest.raises(OutOfDomainError, match="markets"):
+                view.markets(start, stop)
     params = NestingParams(0.5, 0.25)
     delta = np.zeros(4)
     # the dense Jacobian and the simulator compare products across the whole tree

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hierlogit import (
     NestingParams,
+    OutOfDomainError,
     build_hierarchy,
     compute_shares,
     fd_jacobian,
@@ -16,9 +17,10 @@ from hierlogit import (
     max_relative_error,
 )
 from hierlogit import jacobian
-from hierlogit.jacobian import _solve_log_share_jacobian
+from hierlogit.jacobian import _copies, _solve_log_share_jacobian
 
 from helpers import (
+    assert_same_tree,
     balanced_tree,
     d_cond_product,
     d_cond_subgroup,
@@ -26,6 +28,7 @@ from helpers import (
     fd_jacobian_loop,
     ragged_instances,
     random_instance,
+    random_tree,
 )
 
 
@@ -162,6 +165,22 @@ def test_fd_jacobian_gives_the_doubles_of_one_column_at_a_time(fd_products):
             fd = fd_jacobian(tree, delta, params, step=1e-6)
             matrix, outside_row = fd_jacobian_loop(tree, delta, params, step=1e-6)
             assert np.array_equal(fd.matrix, matrix) and np.array_equal(fd.outside_row, outside_row)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-6, float("nan"), float("inf"), "1e-6", True])
+def test_fd_jacobian_refuses_a_step_that_is_not_positive_and_finite(step):
+    tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h2", "p2")])
+    with pytest.raises(OutOfDomainError, match="step="):
+        fd_jacobian(tree, [0.0, 1.0], NestingParams(0.5, 0.25), step=step)
+
+
+def test_copies_are_markets_equal_to_the_tree():
+    rng = np.random.default_rng(9)
+    for tree in [random_tree(rng) for _ in range(20)] + [balanced_tree(2, 3, 4)]:
+        copies = _copies(tree, 3)
+        assert copies.n_markets == 3
+        for i in range(3):
+            assert_same_tree(copies.markets(i, i + 1), tree)
 
 
 def test_fd_singleton_value():

@@ -20,7 +20,7 @@ from hierlogit import (
     simulate_choices,
 )
 from hierlogit import montecarlo
-from hierlogit.montecarlo import _draw_stride, _exact_z
+from hierlogit.montecarlo import _draw_stride, _exact_z, _sibling_tables
 
 from helpers import (
     balanced_tree, binomial_tail_z, gumbel_choice_counts, gumbel_from_uniform, on_cpus, ragged_instances,
@@ -85,7 +85,7 @@ def test_counts_invariant_to_chunking(instance_seed, draws, chunk_words):
     tree, delta, params = random_instance(rng, dlo=-2, dhi=2, smax=0.8)
     config = SimConfig(draws=draws, seed=11)
     # the default chunk holds every draw of these small trees at once
-    assert montecarlo._CHUNK_WORDS // _draw_stride(tree) >= draws
+    assert montecarlo._CHUNK_WORDS // _draw_stride(_sibling_tables(tree)) >= draws
     reference = simulate_choices(tree, delta, params, config)
     with mock.patch.object(montecarlo, "_CHUNK_WORDS", chunk_words):
         other = simulate_choices(tree, delta, params, config)
@@ -140,9 +140,9 @@ def test_chunk_memory_does_not_grow_with_the_tree():
     # one chunk; one subgroup of 5,000 products takes 5,004, so 4,000 draws
     # in one block would hold 160 MB per array; the chunks in flight share
     # 2**20 doubles, 8 MB, however many threads run them
-    assert _draw_stride(balanced_tree(10, 10, 10)) == 32
+    assert _draw_stride(_sibling_tables(balanced_tree(10, 10, 10))) == 32
     tree = build_hierarchy([("g", "h", f"p{j}") for j in range(5000)])
-    assert _draw_stride(tree) == 5004
+    assert _draw_stride(_sibling_tables(tree)) == 5004
     delta = np.random.default_rng(5).uniform(-1.0, 1.0, tree.n_products)
     for workers in (1, 2):
         tracemalloc.start()
@@ -205,7 +205,7 @@ def test_draw_stride_counts_siblings_only(instance_seed):
     tree = random_tree(np.random.default_rng(instance_seed), max_groups=6, max_subgroups=6, max_products=9)
     widest_group = np.bincount(tree.subgroup_group).max()
     widest_subgroup = np.bincount(tree.product_subgroup).max()
-    stride = _draw_stride(tree)
+    stride = _draw_stride(_sibling_tables(tree))
     assert stride == _ceil4((tree.n_groups + 1) + widest_group + widest_subgroup)
     assert stride <= _ceil4((tree.n_groups + 1) + tree.n_subgroups + tree.n_products)
 

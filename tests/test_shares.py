@@ -21,7 +21,7 @@ from hierlogit import (
 
 from hierlogit.cli import read_market_csv
 
-from helpers import balanced_tree, brute_force_shares, random_instance, ragged_instances
+from helpers import assert_same_tree, balanced_tree, brute_force_shares, random_instance, ragged_instances
 
 HALF_LN2 = 0.34657359027997265471
 # high-precision references for the asymmetric kernel examples
@@ -328,6 +328,7 @@ def test_file_wide_calls_equal_one_market_calls_bitwise(instance):
         market_rows = [r for r in rows if r[0] == market_id]
         one = build_hierarchy([r[1:4] for r in market_rows], market_id)
         assert one.products == tree.products[p0:p1]
+        assert_same_tree(tree.markets(m, m + 1), one)
         values = dict((r[3], r[4]) for r in market_rows)
         one_table, one_iv = compute_shares(one, [values[p] for p in one.products], params)
         assert _same(one_iv.subgroup, iv.subgroup[s0:s1]) and _same(one_iv.group, iv.group[g0:g1])
