@@ -3,83 +3,39 @@
 Shares, Berry inversion, analytic Jacobians, sequential-choice Monte
 Carlo, and synthetic-market estimation for a market -> group -> subgroup
 -> product choice tree with an outside option.
+
+``import hierlogit`` loads only the exception types; every other public
+name loads its module on first access (PEP 562) and is kept here after.
 """
 
-from .errors import (
-    BadDimensionsError,
-    DegenerateShareError,
-    DuplicateProductError,
-    EmptyInputError,
-    HierLogitError,
-    MarketFileError,
-    NoConvergenceError,
-    OutOfDomainError,
-    SingularDesignError,
-)
-from .hierarchy import (
-    OUTSIDE_ID,
-    ChoiceHierarchy,
-    NestingParams,
-    UtilityVector,
-    build_hierarchy,
-)
-from .hierarchy import NestingParams as validate_params  # the former name, not in __all__
-from .inversion import berry_invert, numeric_invert, regression_rows
-from .jacobian import (
-    ShareJacobian,
-    fd_jacobian,
-    full_jacobian,
-    log_share_jacobian,
-    max_relative_error,
-)
-from .montecarlo import (
-    ChoiceCounts,
-    SimConfig,
-    empirical_shares,
-    simulate_choices,
-)
-from .shares import (
-    InclusiveValues,
-    ShareTable,
-    compute_shares,
-)
-from .synth import EstimationResult, SynthConfig, estimate_linear, generate_market
+import importlib
+
+from .errors import *  # noqa: F403  (every exception type)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "OUTSIDE_ID",
-    "__version__",
-    "BadDimensionsError",
-    "ChoiceCounts",
-    "ChoiceHierarchy",
-    "DegenerateShareError",
-    "DuplicateProductError",
-    "EmptyInputError",
-    "EstimationResult",
-    "HierLogitError",
-    "InclusiveValues",
-    "MarketFileError",
-    "NestingParams",
-    "NoConvergenceError",
-    "OutOfDomainError",
-    "ShareJacobian",
-    "ShareTable",
-    "SimConfig",
-    "SingularDesignError",
-    "SynthConfig",
-    "UtilityVector",
-    "berry_invert",
-    "build_hierarchy",
-    "compute_shares",
-    "empirical_shares",
-    "estimate_linear",
-    "fd_jacobian",
-    "full_jacobian",
-    "generate_market",
-    "log_share_jacobian",
-    "max_relative_error",
-    "numeric_invert",
-    "regression_rows",
-    "simulate_choices",
-]
+# the home module of every other public name
+_LAZY = {name: module for module, names in {
+    "hierarchy": ("OUTSIDE_ID", "ChoiceHierarchy", "NestingParams", "UtilityVector", "build_hierarchy"),
+    "inversion": ("berry_invert", "numeric_invert", "regression_rows"),
+    "jacobian": ("ShareJacobian", "fd_jacobian", "full_jacobian", "log_share_jacobian", "max_relative_error"),
+    "montecarlo": ("ChoiceCounts", "SimConfig", "empirical_shares", "simulate_choices"),
+    "shares": ("InclusiveValues", "ShareTable", "compute_shares"),
+    "synth": ("EstimationResult", "SynthConfig", "estimate_linear", "generate_market"),
+}.items() for name in names}
+# former names, not in __all__
+_RENAMED = {"validate_params": "NestingParams"}
+
+__all__ = ["__version__", *(name for name in globals() if name.endswith("Error")), *_LAZY]
+
+
+def __getattr__(name):
+    target = _RENAMED.get(name, name)
+    if target not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_LAZY[target]}"), target)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_RENAMED})

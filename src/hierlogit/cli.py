@@ -30,6 +30,9 @@ written: a run of markets that fails, out of memory included, is split in
 halves until that market is found, since a market gives the same numbers
 and errors alone as in any run.
 
+Each command imports the kernel modules it runs when it runs; ``run`` is the
+process entry point (see its docstring), ``main`` the click group.
+
 Exit codes: 0 success, 1 unreadable or malformed input (the sum rule
 included), 2 values outside the model's domain (utilities that overflow a
 double once divided by 1 - sigma included) or too little memory for one
@@ -44,6 +47,7 @@ formats what it cannot prove (zero, inf, near-ties; see ``csvout``).
 """
 
 import functools
+import gc
 import json
 import sys
 from contextlib import nullcontext
@@ -61,14 +65,11 @@ from .errors import (
     SingularDesignError,
 )
 from .hierarchy import MARKET_COLUMNS, OUTSIDE_ID, ChoiceHierarchy, MarketBlock, NestingParams
-from .inversion import berry_invert, numeric_invert, regression_rows
-from .jacobian import fd_jacobian, full_jacobian, max_relative_error
-from .montecarlo import SimConfig, _exact_z, empirical_shares, simulate_choices
 from .shares import ShareTable, compute_shares
-from .synth import SynthConfig, estimate_linear, generate_market
 
 __all__ = [
     "main",
+    "run",
     "MarketBlock",
     "read_market_csv",
     "read_params_json",
@@ -295,6 +296,8 @@ def _shares_json(runs, params: NestingParams):
 @click.option("--tol", type=float, default=1e-9, show_default=True, help="Newton stopping tolerance; closed and newton must agree within 10*tol.")
 def cmd_invert(input_path, params_path, output_path, method, tol):
     """Recover mean utilities from observed shares (closed form or Newton)."""
+    from .inversion import berry_invert, numeric_invert
+
     params, block = _read_markets(input_path, params_path, outside=True)
     if method == "newton" and not tol > 0.0:
         raise OutOfDomainError(f"tol={tol!r} must be positive")
@@ -324,6 +327,8 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
 @click.option("--check-fd", is_flag=True, help="Cross-check against central finite differences; mismatch exits 3.")
 def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
+    from .jacobian import fd_jacobian, full_jacobian, max_relative_error
+
     params, block = _read_markets(input_path, params_path)
     fd_errors = []
 
@@ -351,6 +356,8 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
 @click.option("--seed", type=int, default=0, show_default=True)
 def cmd_simulate(input_path, params_path, output_path, draws, seed):
     """Simulate sequential choices and compare frequencies to analytic shares."""
+    from .montecarlo import SimConfig, _exact_z, empirical_shares, simulate_choices
+
     config = SimConfig(draws=draws, seed=seed)
     params, block = _read_markets(input_path, params_path)
     worst = [0.0, None]
@@ -385,7 +392,13 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
 @_mapped_errors
 def cmd_estimate(config_path, output_path):
     """Generate a synthetic market and fit the inverted share equation."""
-    config = _read_synth_config(config_path)
+    from .inversion import regression_rows
+    from .synth import SynthConfig, estimate_linear, generate_market
+
+    # the known keys of the config; a missing required key is None
+    obj = _read_json_object(config_path)
+    known = [f.name for f in fields(SynthConfig) if f.name in obj or f.default is MISSING]
+    config = SynthConfig(**{key: obj.get(key) for key in known})
     params = NestingParams(config.sigma1, config.sigma2)
     hierarchy, delta, covariates = generate_market(config)
     table, _ = compute_shares(hierarchy, delta, params)
@@ -401,12 +414,13 @@ def cmd_estimate(config_path, output_path):
         out.write((json.dumps(payload, indent=2) + "\n").encode())
 
 
-def _read_synth_config(path) -> SynthConfig:
-    """SynthConfig from the known keys of a JSON object; a missing required key is None."""
-    obj = _read_json_object(path)
-    known = [f.name for f in fields(SynthConfig) if f.name in obj or f.default is MISSING]
-    return SynthConfig(**{key: obj.get(key) for key in known})
+def run():
+    """The process entry point: ``main`` with the objects that exist at
+    start-up moved out of the garbage collector's view, so that neither a
+    collection during the command nor the ones at exit walk them again."""
+    gc.freeze()
+    main()
 
 
 if __name__ == "__main__":
-    main()
+    run()

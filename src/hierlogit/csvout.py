@@ -132,6 +132,7 @@ def _float_slots(values) -> tuple:
     """``(chars, keep)``: 52 slots a cell, and the mask of those that make
     ``format(x, ".17g")``, or nothing for NaN."""
     a = np.abs(values)
+    nan = np.isnan(values)
     fast = (a >= _FAST_RANGE[0]) & (a < _FAST_RANGE[1])
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
@@ -142,7 +143,7 @@ def _float_slots(values) -> tuple:
     e[redo] += shift[redo]
     d[redo], frac[redo] = _scaled(a[redo], e[redo])
     d += frac > 0.5
-    slow = np.flatnonzero(~fast | (np.abs(frac - 0.5) < _TIE_BAND) | (d < 10**16) | (d >= 10**17))
+    slow = np.flatnonzero(~(fast | nan) | (np.abs(frac - 0.5) < _TIE_BAND) | (d < 10**16) | (d >= 10**17))
     d[slow], e[slow] = 10**16, 0
     # 13 words a cell: the 17 digits as 20 (the sign in the third slot), "0."
     # (fixed notation below 1), the 20 digits again, "e" and the exponent's
@@ -157,9 +158,9 @@ def _float_slots(values) -> tuple:
     n_significant = 17 - np.argmax(chars[:, 43:26:-1] != ord("0"), axis=1)
     layout = np.where((e >= -4) & (e < 17), e + 4, 21 + (np.abs(e) >= 100))
     keep = _float_masks()[(layout * 17 + n_significant - 1) * 2 + (values < 0)].view(bool).reshape(len(a), 52)
+    keep[nan] = False
     for i in slow.tolist():
-        x = values[i].item()
-        text = format(x, ".17g").encode() if x == x else b""
+        text = format(values[i].item(), ".17g").encode()
         chars[i, :len(text)], keep[i] = np.frombuffer(text, np.uint8), np.arange(52) < len(text)
     return chars, keep
 

@@ -67,8 +67,10 @@ class ChoiceHierarchy:
     node of level l + 1. Each level is numbered market by market in order of
     first appearance (in the input rows for ``build_hierarchy``), so share
     vectors and Jacobian rows have a stable, reproducible layout; a market's
-    nodes are contiguous, so each ``parent`` array is sorted. Instances are
-    safe to share across threads.
+    nodes are contiguous, so each ``parent`` array is sorted, and every node
+    above the products has a child (OutOfDomainError otherwise, or for a
+    ``parent`` of the wrong length).
+    Instances are safe to share across threads.
 
     Attributes
     ----------
@@ -89,6 +91,14 @@ class ChoiceHierarchy:
         self.market_ids, self.group_ids, self.subgroup_ids, self.products = self.ids
         self.group_market, self.subgroup_group, self.product_subgroup = self.parent
         self.n_markets, self.n_groups, self.n_subgroups, self.n_products = map(len, self.ids)
+        for level, (up, below) in enumerate(zip(self.parent, self.ids[1:])):
+            n = len(self.ids[level])
+            # from node 0 to node n - 1 in steps of 0 or 1: sorted, and every node above has a child
+            steps = np.diff(up.ravel(), prepend=-1, append=n)
+            if up.shape != (len(below),) or not steps[0] == steps[-1] == 1 or np.any((steps < 0) | (steps > 1)):
+                raise OutOfDomainError(f"parent[{level}] must give each of the {len(below)} nodes of level "
+                                       f"{level + 1} one of the {n} nodes of level {level}, in sorted order, "
+                                       "leaving none childless")
         above = [np.arange(self.n_products)]
         for up in reversed(self.parent):
             above.append(up[above[-1]])

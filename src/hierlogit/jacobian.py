@@ -122,12 +122,19 @@ def fd_jacobian(
     The two perturbed utility vectors of each k are two markets of one
     tree, in runs of about ``_FD_PRODUCTS`` products; a market gives the
     same shares alone as in any tree. ``step`` must be a positive finite
-    number (OutOfDomainError): a negative one gives the doubles of -step.
+    number that moves every utility, or 1 where it is smaller, both ways and
+    keeps the moved utilities in the domain of ``compute_shares``
+    (OutOfDomainError).
     """
     one_market(hierarchy, "fd_jacobian")
     if not _number("step", step) > 0.0:
         raise OutOfDomainError(f"step={step!r} must be positive")
     delta = as_delta_array(hierarchy, delta)
+    size = np.maximum(np.abs(delta), 1.0)
+    lost = np.flatnonzero((size + step == size) | (size - step == size))
+    if lost.size:
+        raise _step_error(hierarchy, delta, params,
+                          f"step={step!r} is lost in rounding next to utility {delta[lost[0]]:.17g}")
     n = hierarchy.n_products
     per_run = max(1, _FD_PRODUCTS // (2 * n))
     copies = _copies(hierarchy, 2 * min(per_run, n))
@@ -136,11 +143,21 @@ def fd_jacobian(
         # market 2i moves utility k[i] up by step, market 2i + 1 down
         perturbed = np.tile(delta, (len(k), 2, 1))
         perturbed[np.arange(len(k)), :, k] += [step, -step]
-        table, _ = compute_shares(copies.markets(0, 2 * len(k)), perturbed.ravel(), params)
+        try:
+            table, _ = compute_shares(copies.markets(0, 2 * len(k)), perturbed.ravel(), params)
+        except OutOfDomainError as err:
+            raise _step_error(hierarchy, delta, params,
+                              f"step={step!r} moves the utilities out of the domain: {err}") from None
         shares = np.column_stack([table.joint.reshape(-1, n), table.outside]).reshape(len(k), 2, n + 1)
         columns = (shares[:, 0] - shares[:, 1]) / (2.0 * step)
         matrix[:, k], outside_row[k] = columns[:, :n].T, columns[:, n]
     return ShareJacobian(matrix=matrix, outside_row=outside_row)
+
+
+def _step_error(hierarchy, delta, params, message) -> OutOfDomainError:
+    """``message`` as an error, unless ``delta`` is out of the domain: ``compute_shares`` raises that."""
+    compute_shares(hierarchy, delta, params)
+    return OutOfDomainError(message)
 
 
 def _copies(h: ChoiceHierarchy, count: int) -> ChoiceHierarchy:

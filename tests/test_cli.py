@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -350,12 +351,12 @@ def test_simulate_against_a_wrong_sigma_exits_selftest(runner, tmp_path):
     params = write_params(tmp_path / "p.json", 0.7, 0.3)
     args = ["simulate", "--input", market, "--params", params, "--draws", "20000", "--seed", "3"]
     run_ok(runner, args)
-    simulate = hierlogit.cli.simulate_choices
+    simulate = hierlogit.montecarlo.simulate_choices
 
     def plain_logit(hierarchy, delta, params, config, iv=None):
         return simulate(hierarchy, delta, NestingParams(0.0, 0.0), config)
 
-    with mock.patch("hierlogit.cli.simulate_choices", plain_logit):
+    with mock.patch("hierlogit.montecarlo.simulate_choices", plain_logit):
         line = _assert_one_error_line(runner.invoke(main, args), EXIT_SELFTEST)
     assert "market 'm1': |z|=" in line and "exceeds 5" in line
 
@@ -589,8 +590,37 @@ def test_cli_runs_its_module_once_and_starts_without_threads_or_csv(tmp_path):
     shares = _imported_modules(["shares", "--input", market, "--params", params])
     assert "hierlogit.csvin" in shares and "hierlogit.cli" not in shares
     started = _imported_modules(["--help"])
-    assert "hierlogit.montecarlo" in started
     assert not started & {"concurrent.futures", "hierlogit.csvin", "hierlogit.csvout"}
+    # each command loads the kernels it runs, and only those
+    unused = {"hierlogit.inversion", "hierlogit.jacobian", "hierlogit.montecarlo", "hierlogit.synth"}
+    assert not started & unused and not shares & unused
+
+
+def test_package_import_loads_only_its_errors():
+    src = os.path.dirname(os.path.dirname(hierlogit.__file__))
+    probe = "import sys, hierlogit; print(sorted(m for m in sys.modules if m.split('.')[0] in ('hierlogit', 'numpy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['hierlogit', 'hierlogit.errors']"
+
+
+def test_package_names_are_those_of_their_home_modules():
+    assert len(hierlogit.__all__) == 34 and set(hierlogit.__all__) <= set(dir(hierlogit))
+    for name in set(hierlogit.__all__) - {"__version__"} | {"validate_params"}:
+        value = getattr(hierlogit, name)
+        # OUTSIDE_ID, a str, names no module
+        home = importlib.import_module(getattr(value, "__module__", "hierlogit.hierarchy"))
+        assert vars(home)[getattr(value, "__name__", name)] is value
+    assert hierlogit.validate_params is hierlogit.NestingParams
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hierlogit.no_such_name
+
+
+def test_run_freezes_the_start_up_heap_before_main():
+    calls = mock.Mock()
+    with mock.patch("hierlogit.cli.gc.freeze", calls.freeze), mock.patch("hierlogit.cli.main", calls.main):
+        hierlogit.cli.run()
+    assert calls.mock_calls == [mock.call.freeze(), mock.call.main()]
 
 
 def test_version_works_without_installation(runner):

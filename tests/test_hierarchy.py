@@ -5,6 +5,7 @@ import pytest
 
 from hierlogit import (
     OUTSIDE_ID,
+    ChoiceHierarchy,
     DuplicateProductError,
     EmptyInputError,
     NestingParams,
@@ -131,6 +132,20 @@ def test_as_delta_array_checks_shape():
         as_delta_array(tree, [1.0])
     with pytest.raises(OutOfDomainError):
         as_delta_array(tree, [1.0, np.nan])
+
+
+@pytest.mark.parametrize("parent, level", [
+    ([[0, 0], [0, 1], [0, 2]], 2),  # a product under a third subgroup of two
+    ([[0, 0], [1, 0], [0, 1]], 1),  # a subgroup of group 1 before one of group 0
+    ([[0, 0], [0, 1], [0, 1, 1]], 2),  # three products of two
+    ([[0, 0], [0, 0], [0, 1]], 1),  # group 1 without a subgroup
+    ([[0, 0], [0, -1], [0, 1]], 1),
+])
+def test_choice_hierarchy_refuses_a_parent_out_of_range_unsorted_of_the_wrong_length_or_leaving_a_node_empty(
+        parent, level):
+    ids = [["m"], ["g0", "g1"], ["h0", "h1"], ["p0", "p1"]]
+    with pytest.raises(OutOfDomainError, match=rf"parent\[{level}\]"):
+        ChoiceHierarchy(ids, parent)
 
 
 def test_market_level_views_and_one_market_functions():

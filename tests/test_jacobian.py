@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -172,6 +173,25 @@ def test_fd_jacobian_refuses_a_step_that_is_not_positive_and_finite(step):
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h2", "p2")])
     with pytest.raises(OutOfDomainError, match="step="):
         fd_jacobian(tree, [0.0, 1.0], NestingParams(0.5, 0.25), step=step)
+
+
+@pytest.mark.parametrize("delta, step, problem", [
+    ([0.0, 1.0], 1e-300, "lost in rounding"),
+    ([0.0, 1e20], 1e-6, "lost in rounding"),
+    # 0 + 1e-20 is a new double, yet no share moves
+    ([0.0, 0.0], 1e-20, "lost in rounding"),
+    ([0.0, 1.0], 1e308, "out of the domain"),
+])
+def test_fd_jacobian_refuses_a_step_lost_in_rounding_or_leaving_the_domain(delta, step, problem):
+    tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h2", "p2")])
+    with pytest.raises(OutOfDomainError, match=re.escape(f"step={step!r}") + f" .*{problem}"):
+        fd_jacobian(tree, delta, NestingParams(0.5, 0.25), step=step)
+
+
+def test_fd_jacobian_blames_utilities_out_of_the_domain_not_the_step():
+    tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h2", "p2")])
+    with pytest.raises(OutOfDomainError, match="^utilities up to"):
+        fd_jacobian(tree, [0.0, 1e308], NestingParams(0.5, 0.25), step=1e-6)
 
 
 def test_copies_are_markets_equal_to_the_tree():

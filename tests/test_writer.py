@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +83,14 @@ def test_the_fast_path_formats_more_than_99_percent_of_normal_values():
     with mock.patch("hierlogit.csvout.format", create=True, side_effect=format) as fallback:
         assert rendered(values) == expected(values)
     assert fallback.call_count < 0.01 * len(values)
+
+
+def test_nan_cells_are_formatted_without_the_fallback():
+    values = np.where(np.arange(3000) % 3 == 0, np.nan, np.linspace(-5.0, 5.0, 3000) + 0.1)
+    values[1] = -np.nan
+    with mock.patch("hierlogit.csvout.format", create=True, side_effect=format) as fallback:
+        assert rendered(values) == expected(values)
+    assert not any(math.isnan(call.args[0]) for call in fallback.call_args_list)
 
 
 # ids that need quoting, a carriage return among them, and non-ASCII ones
