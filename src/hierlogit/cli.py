@@ -41,9 +41,11 @@ market (the message names it, wherever it runs out), 3 failed self-check
 Newton/closed-form disagreement, singular design).
 Diagnostics go to standard error. Results go to ``--output`` or standard
 output as UTF-8 whatever the locale, CSV in chunks of rows gathered across
-markets. Reals are exactly ``format(x, ".17g")`` (NaN an empty cell), so
-written files round-trip doubles: numpy derives the digits, and Python
-formats what it cannot prove (zero, inf, near-ties; see ``csvout``).
+markets, formatted on one thread per CPU and written in file order, the
+same bytes whatever the CPU count. Reals are exactly ``format(x, ".17g")``
+(NaN an empty cell), so written files round-trip doubles: numpy derives
+the digits, and Python formats what it cannot prove (zero, inf, near-ties;
+see ``csvout``).
 """
 
 import functools
@@ -327,20 +329,23 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
 @click.option("--check-fd", is_flag=True, help="Cross-check against central finite differences; mismatch exits 3.")
 def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
-    from .jacobian import fd_jacobian, full_jacobian, max_relative_error
+    from .jacobian import _share_jacobian, fd_jacobian, full_jacobian, max_relative_error
 
     params, block = _read_markets(input_path, params_path)
     fd_errors = []
 
     def jacobian(b):
         h = b.hierarchy
-        jac = full_jacobian(h, b.values, params)
         if check_fd:
-            fd = fd_jacobian(h, b.values, params, step=1e-6)
+            # the shares once, for the Jacobian and for the scale of each row of the check
             table, _ = compute_shares(h, b.values, params)
+            jac = _share_jacobian(table, params)
+            fd = fd_jacobian(h, b.values, params, step=1e-6)
             err = max_relative_error(jac, fd, row_scale=np.append(table.joint, table.outside))
             click.echo(f"market {h.market_ids[0]!r}: max relative error vs finite differences {err:.3e}", err=True)
             fd_errors.append(err)
+        else:
+            jac = full_jacobian(h, b.values, params)
         # the rows of the matrix, then the outside row
         ids, n = h.products + (OUTSIDE_ID,), h.n_products
         rows, cols = np.repeat(np.arange(n + 1, dtype=np.int32), n), np.tile(np.arange(n, dtype=np.int32), n + 1)

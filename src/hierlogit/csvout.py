@@ -3,8 +3,12 @@
 Each chunk of rows becomes one uint8 matrix holding every cell's bytes in
 padded slots, with a mask of the slots written; the masked bytes are the
 rows. A table of ids keeps their bytes end to end, and a chunk pads its
-cells only to the widest in it, halved until under ``_CHUNK_BYTES``. Reals
-are exactly ``format(x, ".17g")``: their 17 digits come from a
+cells only to the widest in it. Chunks, and the chunks of a float table
+formatted once per segment, run on one thread per CPU of the affinity mask
+(``runner``) and are written in file order. The chunks in flight share
+``_CHUNK_BYTES`` of padded cells, a chunk over its share being halved, so
+memory does not grow with the CPU count, and the bytes do not depend on it.
+Reals are exactly ``format(x, ".17g")``: their 17 digits come from a
 double-double product with a power of ten, and Python formats the cells
 that product cannot prove (zero, inf, |x| outside ``_FAST_RANGE``, and
 fractions within ``_TIE_BAND`` of a rounding tie).
@@ -17,10 +21,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
-# rows formatted at once; formatting an N=100k market or an N=1000 Jacobian
-# at once would hold hundreds of bytes for every row in memory, as would
-# more than _CHUNK_BYTES of padded cells (one long id in a chunk)
-_CHUNK_ROWS, _CHUNK_BYTES = 4096, 1 << 21
+from .runner import ChunkRunner
+
+# rows formatted at once, on one thread per CPU: formatting an N=100k market
+# or an N=1000 Jacobian at once would hold hundreds of bytes for every row in
+# memory. The chunks in flight share _CHUNK_BYTES of padded cells, and a chunk
+# over its share (one long id in it) is halved; a share is at most half, 2 MB,
+# as on one CPU a larger chunk costs memory and gains no speed
+_CHUNK_ROWS, _CHUNK_BYTES = 16384, 1 << 22
 
 
 def write_csv(out, header, blocks) -> None:
@@ -31,10 +39,29 @@ def write_csv(out, header, blocks) -> None:
     cell), a str on every row, and ``(table, codes)`` as ``table[codes[i]]``
     on row i, ``table`` being a float array or a sequence of str; strs are
     quoted by the csv module's rules, a carriage return included. Blocks
-    are gathered until they hold ``_CHUNK_ROWS`` rows, then written in
-    chunks of that many rows.
+    are gathered until they hold ``_CHUNK_ROWS`` rows, then formatted in
+    chunks of that many rows on one thread per CPU and written in order.
+    When ``blocks`` raises, the rows of the blocks before are written first.
     """
     out.write((",".join(header) + "\n").encode())
+    with ChunkRunner() as runner:
+        limit = _chunk_bytes(runner)
+        for parts in runner.map(lambda chunk: _formatted(*chunk, limit), _chunks(blocks, runner)):
+            for part in parts:
+                out.write(part)
+
+
+def _chunk_bytes(runner) -> int:
+    """The padded-cell bytes of one chunk: its share of ``_CHUNK_BYTES``, at most half."""
+    return _CHUNK_BYTES // max(2, runner.workers)
+
+
+def _n_rows(columns) -> int:
+    return len(next(c[-1] if isinstance(c, tuple) else c for c in columns if not isinstance(c, str)))
+
+
+def _chunks(blocks, runner):
+    """The ``(columns, rows)`` chunks of ``blocks``, in file order."""
     pending, size = [], 0
     try:
         for columns in blocks:
@@ -43,62 +70,67 @@ def write_csv(out, header, blocks) -> None:
             size += n
             if size >= _CHUNK_ROWS:
                 batch, pending, size = pending, [], 0
-                _write_rows(out, batch)
-    finally:
+                yield from _batch_chunks(batch, runner)
+    except Exception:
         # the markets before a failing one are written before its error
-        _write_rows(out, pending)
+        yield from _batch_chunks(pending, runner)
+        raise
+    yield from _batch_chunks(pending, runner)
 
 
-def _n_rows(columns) -> int:
-    return len(next(c[-1] if isinstance(c, tuple) else c for c in columns if not isinstance(c, str)))
-
-
-def _write_rows(out, blocks) -> None:
-    columns = [_merged(parts) for parts in zip(*blocks)]
+def _batch_chunks(blocks, runner) -> list:
+    columns = [_merged(parts, runner) for parts in zip(*blocks)]
     n_rows = sum(map(_n_rows, blocks))
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        _write_chunk(out, columns, slice(start, min(start + _CHUNK_ROWS, n_rows)))
+    return [(columns, slice(start, min(start + _CHUNK_ROWS, n_rows))) for start in range(0, n_rows, _CHUNK_ROWS)]
 
 
-def _write_chunk(out, columns, rows) -> None:
-    """Write ``rows`` of ``columns``, in halves while their cells, each as
-    wide as the widest of its column, hold more than ``_CHUNK_BYTES``."""
+def _formatted(columns, rows, limit) -> list:
+    """The bytes of ``rows`` of ``columns``, in halves while their cells, each
+    as wide as the widest of its column, hold more than ``limit`` bytes."""
     spans = [(c[1][c[3][rows]], c[2][c[3][rows]]) if isinstance(c, tuple) else None for c in columns]
     widths = [52 if span is None else max(1, int(span[1].max())) for span in spans]
     n = rows.stop - rows.start
-    if n > 1 and n * (sum(widths) + len(widths)) > _CHUNK_BYTES:
+    if n > 1 and n * (sum(widths) + len(widths)) > limit:
         half = rows.start + n // 2
-        _write_chunk(out, columns, slice(rows.start, half))
-        _write_chunk(out, columns, slice(half, rows.stop))
-        return
+        return _formatted(columns, slice(rows.start, half), limit) + _formatted(columns, slice(half, rows.stop), limit)
     # each cell as padded slots of a uint8 matrix and a mask of the slots written
     cells = [_float_slots(c[rows].astype(float)) if span is None
              else (windows(c[0], w)[span[0]].view(np.uint8).reshape(n, w), np.arange(w) < span[1][:, None])
              for c, span, w in zip(columns, spans, widths)]
-    chars = np.hstack([part for c, _ in cells for part in (c, np.full((n, 1), ord(","), np.uint8))])
+    # side by side, each cell followed by a comma, the last by a line end
+    ends = np.cumsum([w + 1 for w in widths])
+    chars, keep = np.empty((n, ends[-1]), np.uint8), np.empty((n, ends[-1]), bool)
+    chars[:, ends - 1], keep[:, ends - 1] = ord(","), True
     chars[:, -1] = ord("\n")
-    out.write(chars[np.hstack([part for _, k in cells for part in (k, np.ones((n, 1), bool))])])
+    for (c, k), end, w in zip(cells, ends.tolist(), widths):
+        for whole, part in ((chars, c), (keep, k)):
+            # each row's slots as one item: a copy moves each run at once
+            np.ndarray((n,), f"V{w}", whole, end - 1 - w, whole.strides[:1])[...] = part.view(f"V{w}")[:, 0]
+    return [chars[keep]]
 
 
-def _merged(parts):
-    """One column of several blocks: an array, or ``(*_flat(table), codes)``."""
+def _merged(parts, runner):
+    """One column of several blocks: an array, or ``(*_flat(table, runner), codes)``."""
     if not isinstance(parts[0], tuple):
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
     if len(parts) == 1:
-        return (*_flat(parts[0][0]), parts[0][1])
+        return (*_flat(parts[0][0], runner), parts[0][1])
     tables, codes = zip(*parts)
     starts = itertools.accumulate(map(len, tables), initial=0)
     table = np.concatenate(tables) if isinstance(tables[0], np.ndarray) else list(itertools.chain(*tables))
-    return (*_flat(table), np.concatenate([c + s for c, s in zip(codes, starts)]))
+    return (*_flat(table, runner), np.concatenate([c + s for c, s in zip(codes, starts)]))
 
 
-def _flat(table) -> tuple:
-    """``(flat, start, length)`` of a float array, or of a sequence of str
-    quoted by the csv module's rules: entry i is ``flat[start[i]:][:length[i]]``,
-    and zeros after the last leave room for a window of the longest."""
+def _flat(table, runner) -> tuple:
+    """``(flat, start, length)`` of a float array, formatted in chunks by
+    ``runner``, or of a sequence of str quoted by the csv module's rules:
+    entry i is ``flat[start[i]:][:length[i]]``, and zeros after the last
+    leave room for a window of the longest."""
     if isinstance(table, np.ndarray):
-        cells = map(_float_slots, (table[i:i + _CHUNK_ROWS] for i in range(0, len(table), _CHUNK_ROWS)))
-        flat, length = map(np.concatenate, zip(*((c[k], k.sum(axis=1)) for c, k in cells)))
+        # a float cell takes 52 padded slots and a comma
+        step = max(1, min(_CHUNK_ROWS, _chunk_bytes(runner) // 53))
+        cells = runner.map(_packed, (table[i:i + step] for i in range(0, len(table), step)))
+        flat, length = map(np.concatenate, zip(*cells))
     else:
         text = "".join(table)
         if any(c in text for c in ',"\r\n'):
@@ -126,6 +158,12 @@ _FAST_RANGE = (1e-280, 1e280)
 # x * 10**(16 - E) < 1e17 is computed within about 1e-14; a fraction within
 # this wide margin of 1/2 may round the other way, and Python formats it
 _TIE_BAND = 1e-9
+
+
+def _packed(values) -> tuple:
+    """The bytes of the cells of ``values`` end to end, and the length of each."""
+    chars, keep = _float_slots(values)
+    return chars[keep], keep.sum(axis=1)
 
 
 def _float_slots(values) -> tuple:

@@ -68,8 +68,8 @@ class ChoiceHierarchy:
     first appearance (in the input rows for ``build_hierarchy``), so share
     vectors and Jacobian rows have a stable, reproducible layout; a market's
     nodes are contiguous, so each ``parent`` array is sorted, and every node
-    above the products has a child (OutOfDomainError otherwise, or for a
-    ``parent`` of the wrong length).
+    above the products has a child (OutOfDomainError otherwise, for a
+    ``parent`` of the wrong length, or for a tree of no market).
     Instances are safe to share across threads.
 
     Attributes
@@ -91,6 +91,8 @@ class ChoiceHierarchy:
         self.market_ids, self.group_ids, self.subgroup_ids, self.products = self.ids
         self.group_market, self.subgroup_group, self.product_subgroup = self.parent
         self.n_markets, self.n_groups, self.n_subgroups, self.n_products = map(len, self.ids)
+        if not self.n_markets:
+            raise OutOfDomainError("a tree needs at least one market")
         for level, (up, below) in enumerate(zip(self.parent, self.ids[1:])):
             n = len(self.ids[level])
             # from node 0 to node n - 1 in steps of 0 or 1: sorted, and every node above has a child

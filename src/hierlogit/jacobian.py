@@ -107,6 +107,11 @@ def _solve_log_share_jacobian(table: ShareTable, params: NestingParams, r: np.nd
 def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> ShareJacobian:
     """Analytic ds/ddelta for every inside product plus the outside row."""
     table, _ = compute_shares(hierarchy, delta, params)
+    return _share_jacobian(table, params)
+
+
+def _share_jacobian(table: ShareTable, params: NestingParams) -> ShareJacobian:
+    """``full_jacobian`` at the shares ``table`` of one market."""
     rel = log_share_jacobian(table, params)
     return ShareJacobian(
         matrix=table.joint[:, None] * rel,

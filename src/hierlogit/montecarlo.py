@@ -30,13 +30,13 @@ one per CPU of the process's affinity mask. The chunks in flight share
 """
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array, one_market
+from .runner import ChunkRunner
 from .shares import InclusiveValues, compute_shares
 
 __all__ = [
@@ -135,8 +135,6 @@ def simulate_choices(
               zip(tables, (np.append(iv.group, 0.0), iv.subgroup, delta),
                   (1.0, 1.0 - params.sigma2, 1.0 - params.sigma1))]
     ends = np.cumsum([at.shape[1] for at, _ in stages]).tolist()
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    chunk = max(1, _CHUNK_WORDS // workers // stride)
 
     def tally(start):
         bits = np.random.Philox(key=config.seed).advance(start * stride // _WORDS_PER_ADVANCE)
@@ -151,13 +149,9 @@ def simulate_choices(
                 node = at[node, np.argmax(race[:, lo:hi], axis=1)]
         return np.bincount(node, minlength=hierarchy.n_products + 1)
 
-    starts = range(0, config.draws, chunk)
-    if workers > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # here, as importing it takes ~10 ms
-        with ThreadPoolExecutor(workers) as pool:
-            counts = sum(pool.map(tally, starts))
-    else:
-        counts = sum(map(tally, starts))
+    with ChunkRunner() as runner:
+        chunk = max(1, _CHUNK_WORDS // runner.workers // stride)
+        counts = sum(runner.map(tally, range(0, config.draws, chunk)))
     return ChoiceCounts(counts=counts[:-1], outside_count=int(counts[-1]))
 
 

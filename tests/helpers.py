@@ -16,7 +16,7 @@ from scipy.stats import norm
 from hierlogit import OUTSIDE_ID, ChoiceHierarchy, MarketFileError, NestingParams, build_hierarchy, compute_shares
 from hierlogit.cli import MARKET_COLUMNS, MarketBlock, read_market_csv
 from hierlogit.hierarchy import numbered, tree_from_codes
-from hierlogit import montecarlo
+from hierlogit import runner
 from hierlogit.montecarlo import _TINY_UNIFORM, _draw_stride, _sibling_table, _sibling_tables
 
 
@@ -224,11 +224,11 @@ def binomial_tail_z(n, p, k):
 
 
 def on_cpus(n, affinity=True):
-    """Patch the CPUs ``simulate_choices`` finds to ``n``: its affinity mask,
-    or where the platform has none, the CPU count."""
+    """Patch the CPUs that ``simulate_choices`` and the CSV writer find to
+    ``n``: the affinity mask, or where the platform has none, the CPU count."""
     if affinity:
-        return mock.patch.object(montecarlo, "os", SimpleNamespace(sched_getaffinity=lambda pid: set(range(n))))
-    return mock.patch.object(montecarlo, "os", SimpleNamespace(cpu_count=lambda: n))
+        return mock.patch.object(runner, "os", SimpleNamespace(sched_getaffinity=lambda pid: set(range(n))))
+    return mock.patch.object(runner, "os", SimpleNamespace(cpu_count=lambda: n))
 
 
 def gumbel_from_uniform(u):

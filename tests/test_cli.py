@@ -262,6 +262,23 @@ def test_jacobian_fd_check_passes(runner, tmp_path):
     assert "finite differences" in result.stderr
 
 
+def test_jacobian_fd_check_computes_the_shares_of_each_market_once(runner, tmp_path):
+    market = write_market(tmp_path / "m.csv", [("m1", "g1", "h1", "a", 0.5), ("m1", "g1", "h1", "b", -0.5),
+                                               ("m2", "g1", "h1", "a", 1.0), ("m2", "g2", "h2", "c", 0.0)])
+    params = write_params(tmp_path / "p.json", 0.4, 0.2)
+    trees = []
+
+    def counted(tree, delta, params):
+        trees.append(tree.n_markets)
+        return compute_shares(tree, delta, params)
+
+    with mock.patch("hierlogit.cli.compute_shares", counted), mock.patch("hierlogit.jacobian.compute_shares", counted):
+        result = run_ok(runner, ["jacobian", "--input", market, "--params", params, "--check-fd"])
+    assert result.stderr.count("finite differences") == 2
+    # fd_jacobian evaluates its perturbed utilities as the markets of one tree of copies
+    assert trees.count(1) == 2 and set(trees) == {1, 4}
+
+
 def test_jacobian_extreme_utilities_finite(runner, tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 700.0), ("m1", "g", "h", "b", -700.0)])
     params = write_params(tmp_path / "p.json", 0.3, 0.1)
@@ -589,6 +606,8 @@ def test_cli_runs_its_module_once_and_starts_without_threads_or_csv(tmp_path):
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
     shares = _imported_modules(["shares", "--input", market, "--params", params])
     assert "hierlogit.csvin" in shares and "hierlogit.cli" not in shares
+    # a one-row output is one chunk, which the writer formats without threads
+    assert "hierlogit.csvout" in shares and "concurrent.futures" not in shares
     started = _imported_modules(["--help"])
     assert not started & {"concurrent.futures", "hierlogit.csvin", "hierlogit.csvout"}
     # each command loads the kernels it runs, and only those

@@ -148,6 +148,11 @@ def test_choice_hierarchy_refuses_a_parent_out_of_range_unsorted_of_the_wrong_le
         ChoiceHierarchy(ids, parent)
 
 
+def test_choice_hierarchy_refuses_a_tree_of_no_market():
+    with pytest.raises(OutOfDomainError, match="at least one market"):
+        ChoiceHierarchy([[], [], [], []], [[], [], []])
+
+
 def test_market_level_views_and_one_market_functions():
     from hierlogit import SimConfig, full_jacobian, simulate_choices
 

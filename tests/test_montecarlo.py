@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from hierlogit import (
     simulate_choices,
 )
 from hierlogit import montecarlo
+from hierlogit.cli import MARKET_COLUMNS, main
 from hierlogit.montecarlo import _draw_stride, _exact_z, _sibling_tables
 
 from helpers import (
@@ -178,7 +180,7 @@ def test_exponential_race_counts_equal_the_gumbel_argmax(instance, workers, chun
 
 
 @pytest.mark.parametrize("cpus, affinity", [(1, True), (3, True), (1, False), (2, False)])
-def test_threads_are_the_cpus_of_the_affinity_mask_else_the_cpu_count(cpus, affinity):
+def test_threads_are_the_cpus_of_the_affinity_mask_else_the_cpu_count(cpus, affinity, tmp_path):
     pools = []
 
     class Recorded(ThreadPoolExecutor):
@@ -193,6 +195,19 @@ def test_threads_are_the_cpus_of_the_affinity_mask_else_the_cpu_count(cpus, affi
         counts = simulate_choices(tree, [0.0], NestingParams(0.5, 0.25), SimConfig(draws=100, seed=1))
     assert counts.total == 100
     assert pools == ([] if cpus == 1 else [cpus])
+    # the writer: a pool for the 40,200 rows of a 200-product Jacobian, three
+    # chunks; none for simulate's 1001 rows, one chunk, of 100 draws, one chunk too
+    for n_products, args, want in ((200, ["jacobian"], [] if cpus == 1 else [cpus]),
+                                   (1000, ["simulate", "--draws", "100"], [])):
+        rows = "".join(f"m,g{j % 10},h{j % 50},p{j},0\n" for j in range(n_products))
+        (tmp_path / "m.csv").write_text(",".join(MARKET_COLUMNS) + "\n" + rows)
+        (tmp_path / "p.json").write_text('{"sigma1": 0.5, "sigma2": 0.25}')
+        pools.clear()
+        with on_cpus(cpus, affinity), mock.patch.object(concurrent.futures, "ThreadPoolExecutor", Recorded):
+            result = CliRunner().invoke(main, [*args, "--input", str(tmp_path / "m.csv"), "--params",
+                                               str(tmp_path / "p.json"), "--output", str(tmp_path / "out.csv")])
+        assert result.exit_code == 0, result.stderr
+        assert pools == want
 
 
 def _ceil4(words):

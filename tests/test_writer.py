@@ -1,11 +1,16 @@
 """The CLI's CSV writer: exact ``.17g`` reals, byte-identical rows, UTF-8 output."""
 
+import contextlib
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,10 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hierlogit
-from hierlogit import cli, csvout
+from hierlogit import cli, csvout, jacobian
 from hierlogit.cli import EXIT_OK, main
 
-from helpers import assert_same_read, per_cell_write_csv
+from helpers import assert_same_read, on_cpus, per_cell_write_csv
 
 
 def rendered(values) -> list:
@@ -132,15 +137,38 @@ def test_output_is_the_per_cell_writers_on_stdout_and_in_a_file(tmp_path, comman
         result = runner.invoke(main, ["shares", "--input", market, "--params", str(params), "--output", market])
         assert result.exit_code == EXIT_OK, result.stderr
     args = [command, "--input", market, "--params", str(params), *extra]
-    with mock.patch.object(csvout, "_CHUNK_ROWS", chunk_rows):
-        piped = runner.invoke(main, args)
-        written = runner.invoke(main, [*args, "--output", str(tmp_path / "out.csv")])
     with mock.patch.object(cli, "_write_csv", per_cell_write_csv):
         oracle = runner.invoke(main, [*args, "--output", str(tmp_path / "oracle.csv")])
-    assert piped.exit_code == written.exit_code == oracle.exit_code == EXIT_OK, piped.stderr
+    assert oracle.exit_code == EXIT_OK, oracle.stderr
     want = (tmp_path / "oracle.csv").read_bytes()
-    assert piped.stdout_bytes == (tmp_path / "out.csv").read_bytes() == want
     assert want.decode("utf-8").count("mé") > 0
+    # the chunks formatted on one thread, or on two or three
+    for workers in (1, 2, 3):
+        with mock.patch.object(csvout, "_CHUNK_ROWS", chunk_rows), on_cpus(workers):
+            piped = runner.invoke(main, args)
+            written = runner.invoke(main, [*args, "--output", str(tmp_path / "out.csv")])
+        assert piped.exit_code == written.exit_code == EXIT_OK, piped.stderr
+        assert piped.stdout_bytes == (tmp_path / "out.csv").read_bytes() == want
+
+
+def test_more_threads_than_cores_switched_often_write_the_same_bytes(tmp_path):
+    # chunks of 3 rows and float tables of 3 cells, on four threads that the
+    # interpreter switches every microsecond
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
+    market = _market_file(tmp_path / "m.csv", n_markets=30)
+    args = ["shares", "--input", market, "--params", str(params)]
+    with mock.patch.object(cli, "_write_csv", per_cell_write_csv):
+        CliRunner().invoke(main, [*args, "--output", str(tmp_path / "oracle.csv")])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(csvout, "_CHUNK_ROWS", 3), on_cpus(4):
+            result = CliRunner().invoke(main, [*args, "--output", str(tmp_path / "out.csv")])
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.exit_code == EXIT_OK, result.stderr
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 @pytest.mark.parametrize("ids", [IDS, ["m\u00e9", "plain", "\u65e5\u672c"]], ids=["quoted", "unquoted"])
@@ -210,6 +238,83 @@ def test_markets_before_a_failing_one_are_written(tmp_path):
         assert result.exit_code == cli.EXIT_DOMAIN
         assert repr(failing) in result.stderr
     assert (tmp_path / "_write_csv.csv").read_bytes() == (tmp_path / "per_cell_write_csv.csv").read_bytes()
+
+
+@pytest.mark.parametrize("where", ["market", "chunk"])
+def test_out_of_memory_on_a_writer_thread_leaves_what_comes_before_written(tmp_path, where):
+    # chunks of 7 rows on two or three threads; the fourth market's Jacobian,
+    # or the fifth chunk, runs out of memory while later chunks are in flight
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
+    market = _market_file(tmp_path / "m.csv", n_markets=8, ids=["m\u00e9", "plain", "\u65e5\u672c"])
+    failing = cli.read_market_csv(market).hierarchy.market_ids[3]
+    full_jacobian, formatted, ran_on = jacobian.full_jacobian, csvout._formatted, set()
+
+    def failing_jacobian(tree, delta, params):
+        if tree.market_ids[0] == failing:
+            raise MemoryError("cannot allocate the matrix")
+        return full_jacobian(tree, delta, params)
+
+    def failing_chunk(columns, rows, limit):
+        ran_on.add(threading.current_thread())
+        if where == "chunk" and rows.start == 28:
+            raise MemoryError("cannot allocate the cells")
+        return formatted(columns, rows, limit)
+
+    args = ["jacobian", "--input", market, "--params", str(params)]
+    if where == "market":
+        with mock.patch.object(jacobian, "full_jacobian", failing_jacobian), \
+                mock.patch.object(cli, "_write_csv", per_cell_write_csv):
+            oracle = CliRunner().invoke(main, [*args, "--output", str(tmp_path / "oracle.csv")])
+        want = (tmp_path / "oracle.csv").read_bytes()
+        message = f"error: out of memory: market {failing!r}: cannot allocate the matrix"
+    else:
+        with mock.patch.object(cli, "_write_csv", per_cell_write_csv):
+            CliRunner().invoke(main, [*args, "--output", str(tmp_path / "oracle.csv")])
+        # the header and the four chunks before the failing one, all of the first market
+        want = b"".join((tmp_path / "oracle.csv").read_bytes().splitlines(keepends=True)[:29])
+        message = "error: out of memory: cannot allocate the cells"
+    for workers in (2, 3):
+        threads = threading.enumerate()
+        with mock.patch.object(jacobian, "full_jacobian", failing_jacobian if where == "market" else full_jacobian), \
+                mock.patch.object(csvout, "_formatted", failing_chunk), mock.patch.object(csvout, "_CHUNK_ROWS", 7), \
+                on_cpus(workers):
+            result = CliRunner().invoke(main, [*args, "--output", str(tmp_path / "out.csv")])
+        assert threading.enumerate() == threads
+        assert result.exit_code == cli.EXIT_DOMAIN and result.stderr.splitlines() == [message], result.stderr
+        assert (tmp_path / "out.csv").read_bytes() == want
+    assert threading.main_thread() not in ran_on
+
+
+def test_traced_peak_of_a_million_row_jacobian_is_the_same_on_one_and_two_workers(tmp_path):
+    # 1,001,000 rows, 62 chunks, written more slowly than they are formatted:
+    # a worker takes its next chunk only when its last one is written, and a
+    # chunk on two CPUs keeps to half the shared budget of padded cells
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
+    rows = [("m", f"g{j % 10}", f"h{j % 50}", f"p{j}", repr(j / 1000.0)) for j in range(1000)]
+    with open(tmp_path / "m.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([cli.MARKET_COLUMNS] + rows)
+    args = ["jacobian", "--input", str(tmp_path / "m.csv"), "--params", str(params), "--output", str(tmp_path / "out.csv")]
+    output = cli._output
+
+    @contextlib.contextmanager
+    def slow_output(path):
+        with output(path) as out:
+            yield SimpleNamespace(write=lambda data: time.sleep(0.01) or out.write(data))
+
+    peaks = {}
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            with on_cpus(workers), mock.patch.object(cli, "_output", slow_output):
+                result = CliRunner().invoke(main, args)
+            _, peaks[workers] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == EXIT_OK, result.stderr
+        assert os.path.getsize(tmp_path / "out.csv") > 30 * 2**20
+    assert abs(peaks[2] - peaks[1]) < csvout._CHUNK_BYTES, peaks
 
 
 def _run_under_ascii_locale(args, **extra):
