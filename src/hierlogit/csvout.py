@@ -7,7 +7,10 @@ cells only to the widest in it. Chunks, and the chunks of a float table
 formatted once per segment, run on one thread per CPU of the affinity mask
 (``runner``) and are written in file order. The chunks in flight share
 ``_CHUNK_BYTES`` of padded cells, a chunk over its share being halved, so
-memory does not grow with the CPU count, and the bytes do not depend on it.
+the traced peak of a write is the same on one CPU and on two, and the bytes
+do not depend on the CPU count. The process's resident peak does grow with
+it: each thread holds the rest of its chunk's working set, and the
+allocator keeps an arena per thread.
 Reals are exactly ``format(x, ".17g")``: their 17 digits come from a
 double-double product with a power of ten, and Python formats the cells
 that product cannot prove (zero, inf, |x| outside ``_FAST_RANGE``, and

@@ -24,12 +24,18 @@ to rounding at near-ties.
 
 Determinism is positional: consumer i always consumes the same aligned
 block of the Philox counter stream for a given seed, so counts do not
-depend on the chunks the draws run in, nor on the threads that run them,
-one per CPU of the process's affinity mask. The chunks in flight share
-2**20 shock doubles (8 MB), whatever the tree and the number of CPUs.
+depend on the chunks the draws run in, their size included, nor on the
+threads that run them, one per CPU of the process's affinity mask. Each
+thread allocates its scratch once per call: a chunk's uniforms, its stage
+products, picks and nodes, a draw's stride plus its widest stage plus two
+words a draw. The threads' scratch shares 2**20 words (8 MB), whatever the
+tree and the number of CPUs, but a chunk holds at least one draw: where a
+subgroup is wider than about 2**19 / workers products, each thread's one
+draw is over its share, by less than one draw's scratch.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +56,7 @@ __all__ = [
 _WORDS_PER_ADVANCE = 4
 # smallest value Generator.random can emit besides 0.0; clamping keeps log u finite
 _TINY_UNIFORM = 2.0**-53
-# shock doubles in flight, shared by the chunks the threads run: 8 MB
+# words of scratch, shared by the threads that run the chunks: 8 MB
 _CHUNK_WORDS = 2**20
 
 
@@ -87,7 +93,7 @@ def _sibling_table(parent: np.ndarray, n_rows: int) -> np.ndarray:
     """Each of ``n_rows`` parents' children by position, ``len(parent)`` past
     the last; ``parent``, the parent of each child, is sorted."""
     position = np.arange(len(parent)) - np.searchsorted(parent, parent)
-    table = np.full((n_rows, position.max() + 1), len(parent))
+    table = np.full((n_rows, position.max() + 1), len(parent), dtype=np.intp)
     table[parent, position] = np.arange(len(parent))
     return table
 
@@ -131,26 +137,42 @@ def simulate_choices(
         _, iv = compute_shares(hierarchy, delta, params)
     tables = _sibling_tables(hierarchy)
     stride = _draw_stride(tables)
-    stages = [(at, _race_weights(np.append(values, -np.inf)[at], scale)) for at, values, scale in
+    widest = max(at.shape[1] for at in tables)
+    stages = [(at.ravel(), _race_weights(np.append(values, -np.inf)[at], scale)) for at, values, scale in
               zip(tables, (np.append(iv.group, 0.0), iv.subgroup, delta),
                   (1.0, 1.0 - params.sigma2, 1.0 - params.sigma1))]
-    ends = np.cumsum([at.shape[1] for at, _ in stages]).tolist()
+    ends = np.cumsum([at.shape[1] for at in tables]).tolist()
+    local = threading.local()
 
     def tally(start):
+        n = min(chunk, config.draws - start)
+        if not hasattr(local, "scratch"):
+            # a thread's uniforms, stage products, picks and nodes, for every chunk it runs
+            local.scratch = (np.empty(chunk * stride), np.empty(chunk * widest),
+                             np.empty(chunk, np.intp), np.empty(chunk, np.intp))
+        race, product, pick, node = local.scratch
+        race, pick, node = race[:n * stride].reshape(n, stride), pick[:n], node[:n]
         bits = np.random.Philox(key=config.seed).advance(start * stride // _WORDS_PER_ADVANCE)
-        u = np.random.Generator(bits).random((min(chunk, config.draws - start), stride))
-        race = np.log(np.maximum(u, _TINY_UNIFORM, out=u), out=u)
-        node = 0
+        np.random.Generator(bits).random(out=race)
+        np.log(np.maximum(race, _TINY_UNIFORM, out=race), out=race)
+        node[:] = 0
         # a weight near 1e300 times log u is -inf, a certain loss
         with np.errstate(over="ignore"):
             for (at, weight), lo, hi in zip(stages, [0] + ends, ends):
-                race[:, lo:hi] *= weight[node]
+                w = product[:n * (hi - lo)].reshape(n, hi - lo)
+                # the indices are in range; mode="raise" would copy the output first
+                np.take(weight, node, axis=0, out=w, mode="clip")
+                np.multiply(race[:, lo:hi], w, out=w)
                 # ties break toward lower index
-                node = at[node, np.argmax(race[:, lo:hi], axis=1)]
+                np.argmax(w, axis=1, out=pick)
+                node *= hi - lo
+                pick += node
+                np.take(at, pick, out=node, mode="clip")
         return np.bincount(node, minlength=hierarchy.n_products + 1)
 
     with ChunkRunner() as runner:
-        chunk = max(1, _CHUNK_WORDS // runner.workers // stride)
+        # each worker's share of the budget holds its scratch: a draw's stride, its widest stage and two indices
+        chunk = max(1, _CHUNK_WORDS // runner.workers // (stride + widest + 2))
         counts = sum(runner.map(tally, range(0, config.draws, chunk)))
     return ChoiceCounts(counts=counts[:-1], outside_count=int(counts[-1]))
 

@@ -425,8 +425,9 @@ def test_out_of_memory_exits_domain_with_one_line(tmp_path, command):
 
 
 def test_out_of_memory_in_a_threaded_chunk_maps_like_a_serial_one(runner, tmp_path):
-    # one product: a draw takes 4 shock doubles, one Philox advance, so 64
-    # doubles in flight make chunks of 16 draws on one thread, 8 on each of two
+    # one product: a draw takes 4 shock doubles, one Philox advance, 2 stage
+    # products and 2 indices, so 64 words of scratch make chunks of 8 draws
+    # on one thread, 4 on each of two
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "p", 0.0)])
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
     real = np.random.Generator
@@ -434,7 +435,7 @@ def test_out_of_memory_in_a_threaded_chunk_maps_like_a_serial_one(runner, tmp_pa
     for workers in (1, 2):
         threads, ran_on = threading.enumerate(), set()
 
-        def generator(bits, second_chunk=64 // workers // 4):
+        def generator(bits, second_chunk=64 // workers // 8):
             ran_on.add(threading.current_thread())
             if bits.state["state"]["counter"][0] == second_chunk:
                 raise MemoryError("cannot allocate the shocks")

@@ -1,7 +1,6 @@
-import concurrent.futures
 import dataclasses
+import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -20,7 +19,7 @@ from hierlogit import (
     empirical_shares,
     simulate_choices,
 )
-from hierlogit import montecarlo
+from hierlogit import montecarlo, runner
 from hierlogit.cli import MARKET_COLUMNS, main
 from hierlogit.montecarlo import _draw_stride, _exact_z, _sibling_tables
 
@@ -140,8 +139,8 @@ def test_sim_config_keeps_integral_values_as_ints():
 def test_chunk_memory_does_not_grow_with_the_tree():
     # a 10x10x10 tree takes 32 shock doubles per draw, so 20,000 draws fit
     # one chunk; one subgroup of 5,000 products takes 5,004, so 4,000 draws
-    # in one block would hold 160 MB per array; the chunks in flight share
-    # 2**20 doubles, 8 MB, however many threads run them
+    # in one block would hold 160 MB per array; the threads' scratch shares
+    # 2**20 words, 8 MB, however many threads there are
     assert _draw_stride(_sibling_tables(balanced_tree(10, 10, 10))) == 32
     tree = build_hierarchy([("g", "h", f"p{j}") for j in range(5000)])
     assert _draw_stride(_sibling_tables(tree)) == 5004
@@ -155,6 +154,24 @@ def test_chunk_memory_does_not_grow_with_the_tree():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"{workers} workers: peak traced memory {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("shape, draws", [((10, 10, 10), 100_000), ((3, 3, 4), 200_000)])
+def test_traced_peak_of_the_kernel_is_its_budget(shape, draws):
+    # each worker's uniforms, stage products, picks and nodes are its share of
+    # _CHUNK_WORDS words, 8 MB, in several chunks a worker; 1 MB more is for
+    # the stage weights, the tallies and the threads
+    tree = balanced_tree(*shape)
+    delta = np.random.default_rng(9).uniform(-1.0, 1.0, tree.n_products)
+    for workers in (1, 2, 4):
+        tracemalloc.start()
+        try:
+            with on_cpus(workers):
+                simulate_choices(tree, delta, NestingParams(0.5, 0.25), SimConfig(draws=draws, seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= montecarlo._CHUNK_WORDS * 8 + 2**20, f"{workers} workers: peak {peak / 2**20:.2f} MB"
 
 
 TIED = build_hierarchy([("g0", "h0", "a"), ("g0", "h0", "b"), ("g0", "h1", "c"), ("g1", "h2", "d")])
@@ -181,20 +198,23 @@ def test_exponential_race_counts_equal_the_gumbel_argmax(instance, workers, chun
 
 @pytest.mark.parametrize("cpus, affinity", [(1, True), (3, True), (1, False), (2, False)])
 def test_threads_are_the_cpus_of_the_affinity_mask_else_the_cpu_count(cpus, affinity, tmp_path):
-    pools = []
+    served, serve, threads = [], runner.ChunkRunner._serve, threading.enumerate()
 
-    class Recorded(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    def recorded(self):
+        served.append(self)
+        serve(self)
+
+    def pools():
+        """The threads each runner started, one entry per runner that started any."""
+        return [served.count(pool) for pool in dict.fromkeys(served)]
 
     tree = build_hierarchy([("g", "h", "p")])
-    # 64 shock doubles in flight: 100 draws of 4 take several chunks
+    # 64 words in flight: 100 draws of 4 shocks, 2 products and 2 indices take several chunks
     with on_cpus(cpus, affinity), mock.patch.object(montecarlo, "_CHUNK_WORDS", 64), \
-            mock.patch.object(concurrent.futures, "ThreadPoolExecutor", Recorded):
+            mock.patch.object(runner.ChunkRunner, "_serve", recorded):
         counts = simulate_choices(tree, [0.0], NestingParams(0.5, 0.25), SimConfig(draws=100, seed=1))
     assert counts.total == 100
-    assert pools == ([] if cpus == 1 else [cpus])
+    assert pools() == ([] if cpus == 1 else [cpus])
     # the writer: a pool for the 40,200 rows of a 200-product Jacobian, three
     # chunks; none for simulate's 1001 rows, one chunk, of 100 draws, one chunk too
     for n_products, args, want in ((200, ["jacobian"], [] if cpus == 1 else [cpus]),
@@ -202,12 +222,14 @@ def test_threads_are_the_cpus_of_the_affinity_mask_else_the_cpu_count(cpus, affi
         rows = "".join(f"m,g{j % 10},h{j % 50},p{j},0\n" for j in range(n_products))
         (tmp_path / "m.csv").write_text(",".join(MARKET_COLUMNS) + "\n" + rows)
         (tmp_path / "p.json").write_text('{"sigma1": 0.5, "sigma2": 0.25}')
-        pools.clear()
-        with on_cpus(cpus, affinity), mock.patch.object(concurrent.futures, "ThreadPoolExecutor", Recorded):
+        served.clear()
+        with on_cpus(cpus, affinity), mock.patch.object(runner.ChunkRunner, "_serve", recorded):
             result = CliRunner().invoke(main, [*args, "--input", str(tmp_path / "m.csv"), "--params",
                                                str(tmp_path / "p.json"), "--output", str(tmp_path / "out.csv")])
         assert result.exit_code == 0, result.stderr
-        assert pools == want
+        assert pools() == want
+    # every pool's threads are joined when its runner is done
+    assert threading.enumerate() == threads
 
 
 def _ceil4(words):
