@@ -31,11 +31,11 @@ halves until that market is found, since a market gives the same numbers
 and errors alone as in any run.
 
 Each command imports the kernel modules it runs when it runs; ``run`` is the
-process entry point (see its docstring), ``main`` the click group.
+process entry point (see its docstring), ``main.main(argv)`` the in-process one.
 
-Exit codes: 0 success, 1 unreadable or malformed input (the sum rule
-included), 2 values outside the model's domain (utilities that overflow a
-double once divided by 1 - sigma included) or too little memory for one
+Exit codes: 0 success, 1 a bad command line or unreadable or malformed input
+(the sum rule included), 2 values outside the model's domain (utilities that
+overflow a double once divided by 1 - sigma included) or too little memory for one
 market (the message names it, wherever it runs out), 3 failed self-check
 (finite-difference mismatch, simulation z-score blowout,
 Newton/closed-form disagreement, singular design).
@@ -48,14 +48,13 @@ the digits, and Python formats what it cannot prove (zero, inf, near-ties;
 see ``csvout``).
 """
 
-import functools
+import argparse
 import gc
 import json
 import sys
 from contextlib import nullcontext
 from dataclasses import MISSING, fields
 
-import click
 import numpy as np
 
 from . import __version__
@@ -191,15 +190,28 @@ def _write_csv(output_path, header, blocks) -> None:
 
 
 def _die(code: int, message) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
-def _mapped_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors print one ``error:`` line and exit 1."""
+
+    def error(self, message):
+        _die(EXIT_PARSE, message)
+
+    def main(self, args=None, prog_name=None, standalone_mode=None):
+        """Run the command ``args`` (default ``sys.argv[1:]``) names; an error exits with its code. ``prog_name``
+        and ``standalone_mode`` are ignored: they exist only for the call that ``perfbench/tracing.run_cli``
+        makes, ``main.main(args=argv, prog_name="hierlogit", standalone_mode=True)``."""
+        argv, words = [], iter(sys.argv[1:] if args is None else args)
+        for word in words:
+            # an option that takes a value takes the next word, "-1e-9" too
+            value = next(words, None) if word in _VALUED else None
+            argv.append(word if value is None else f"{word}={value}")
+        kwargs = vars(self.parse_args(argv))
         try:
-            return fn(*args, **kwargs)
+            kwargs.pop("run")(**kwargs)
         except (MarketFileError, OSError) as err:
             _die(EXIT_PARSE, err)
         except (SingularDesignError, NoConvergenceError) as err:
@@ -209,36 +221,38 @@ def _mapped_errors(fn):
         except MemoryError as err:
             _die(EXIT_DOMAIN, f"out of memory: {err}")
 
-    return wrapper
+
+main = _Parser(prog="hierlogit", description="Two-level nested logit toolkit: shares, inversion, derivatives, simulation.",
+               allow_abbrev=False)
+main.add_argument("--version", action="version", version=f"hierlogit, version {__version__}", help="Show the version and exit.")
+_commands, _VALUED = main.add_subparsers(metavar="COMMAND", required=True), set()  # the commands; the options that take a value
+_DEFAULT = "[default: %(default)s]"
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="hierlogit")
-def main():
-    """Two-level nested logit toolkit: shares, inversion, derivatives, simulation."""
-
-
-def _market_command(name, input_help="Market CSV with utilities in the value column."):
-    """Register a command with --input, --params and --output; errors map to exit codes."""
+def _command(name, *options):
+    """Register the decorated function as command ``name`` with ``options``, each a flag and its ``add_argument`` keywords."""
 
     def register(fn):
-        fn = click.option("--output", "output_path", default=None, type=click.Path(), help="Destination file; standard output when omitted.")(_mapped_errors(fn))
-        fn = click.option("--params", "params_path", required=True, type=click.Path(), help="JSON file with sigma1 and sigma2.")(fn)
-        fn = click.option("--input", "input_path", required=True, type=click.Path(), help=input_help)(fn)
-        return main.command(name)(fn)
+        parser = _commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False)
+        for flag, kwargs in options:
+            parser.add_argument(flag, **kwargs)
+        _VALUED.update(flag for flag, kwargs in options if "action" not in kwargs)
+        parser.set_defaults(run=fn)
+        return fn
 
     return register
 
 
-def _read_markets(input_path, params_path, outside=False):
-    return read_params_json(params_path), read_market_csv(input_path, outside)
+def _market_options(input_help="Market CSV with utilities in the value column."):
+    return (("--input", dict(dest="input_path", required=True, metavar="PATH", help=input_help)),
+            ("--params", dict(dest="params_path", required=True, metavar="PATH", help="JSON file with sigma1 and sigma2.")),
+            ("--output", dict(dest="output_path", metavar="PATH", help="Destination file; standard output when omitted.")))
 
 
-@_market_command("shares")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
+@_command("shares", *_market_options(), ("--format", dict(dest="fmt", choices=["csv", "json"], default="csv", help=_DEFAULT)))
 def cmd_shares(input_path, params_path, output_path, fmt):
     """Compute joint, conditional, and outside shares plus inclusive values."""
-    params, block = _read_markets(input_path, params_path)
+    params, block = read_params_json(params_path), read_market_csv(input_path)
     runs = _results(block, lambda b: compute_shares(b.hierarchy, b.values, params))
     if fmt == "csv":
         _write_csv(output_path, SHARES_COLUMNS, (_shares_csv(b.hierarchy, table, iv) for b, (table, iv) in runs))
@@ -293,14 +307,14 @@ def _shares_json(runs, params: NestingParams):
     yield "\n  ]\n}\n"
 
 
-@_market_command("invert", "Market CSV with joint shares and one _outside row per market.")
-@click.option("--method", type=click.Choice(["closed", "newton"]), default="closed", show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True, help="Newton stopping tolerance; closed and newton must agree within 10*tol.")
+@_command("invert", *_market_options("Market CSV with joint shares and one _outside row per market."),
+          ("--method", dict(choices=["closed", "newton"], default="closed", help=_DEFAULT)),
+          ("--tol", dict(type=float, default=1e-9, help="Newton stopping tolerance; closed and newton must agree within 10*tol.  " + _DEFAULT)))
 def cmd_invert(input_path, params_path, output_path, method, tol):
     """Recover mean utilities from observed shares (closed form or Newton)."""
     from .inversion import berry_invert, numeric_invert
 
-    params, block = _read_markets(input_path, params_path, outside=True)
+    params, block = read_params_json(params_path), read_market_csv(input_path, outside=True)
     if method == "newton" and not tol > 0.0:
         raise OutOfDomainError(f"tol={tol!r} must be positive")
 
@@ -325,13 +339,12 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
     _write_csv(output_path, MARKET_COLUMNS, ([*_id_columns(b.hierarchy), delta] for b, delta in runs))
 
 
-@_market_command("jacobian")
-@click.option("--check-fd", is_flag=True, help="Cross-check against central finite differences; mismatch exits 3.")
+@_command("jacobian", *_market_options(), ("--check-fd", dict(action="store_true", help="Cross-check against central finite differences; mismatch exits 3.")))
 def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
     from .jacobian import _share_jacobian, fd_jacobian, full_jacobian, max_relative_error
 
-    params, block = _read_markets(input_path, params_path)
+    params, block = read_params_json(params_path), read_market_csv(input_path)
     fd_errors = []
 
     def jacobian(b):
@@ -342,7 +355,7 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
             jac = _share_jacobian(table, params)
             fd = fd_jacobian(h, b.values, params, step=1e-6)
             err = max_relative_error(jac, fd, row_scale=np.append(table.joint, table.outside))
-            click.echo(f"market {h.market_ids[0]!r}: max relative error vs finite differences {err:.3e}", err=True)
+            print(f"market {h.market_ids[0]!r}: max relative error vs finite differences {err:.3e}", file=sys.stderr)
             fd_errors.append(err)
         else:
             jac = full_jacobian(h, b.values, params)
@@ -356,15 +369,14 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
         _die(EXIT_SELFTEST, f"finite-difference check exceeded {_FD_LIMIT:g}")
 
 
-@_market_command("simulate")
-@click.option("--draws", type=int, required=True, help="Number of simulated consumers per market.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_command("simulate", *_market_options(), ("--draws", dict(type=int, required=True, help="Number of simulated consumers per market.")),
+          ("--seed", dict(type=int, default=0, help=_DEFAULT)))
 def cmd_simulate(input_path, params_path, output_path, draws, seed):
     """Simulate sequential choices and compare frequencies to analytic shares."""
     from .montecarlo import SimConfig, _exact_z, empirical_shares, simulate_choices
 
     config = SimConfig(draws=draws, seed=seed)
-    params, block = _read_markets(input_path, params_path)
+    params, block = read_params_json(params_path), read_market_csv(input_path)
     worst = [0.0, None]
 
     def simulated(b):
@@ -391,10 +403,8 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
         )
 
 
-@main.command("estimate")
-@click.option("--config", "config_path", required=True, type=click.Path(), help="Synthetic-market JSON config.")
-@click.option("--output", "output_path", default=None, type=click.Path())
-@_mapped_errors
+@_command("estimate", ("--config", dict(dest="config_path", required=True, metavar="PATH", help="Synthetic-market JSON config.")),
+          ("--output", dict(dest="output_path", metavar="PATH")))
 def cmd_estimate(config_path, output_path):
     """Generate a synthetic market and fit the inverted share equation."""
     from .inversion import regression_rows
@@ -424,7 +434,7 @@ def run():
     start-up moved out of the garbage collector's view, so that neither a
     collection during the command nor the ones at exit walk them again."""
     gc.freeze()
-    main()
+    main.main()
 
 
 if __name__ == "__main__":

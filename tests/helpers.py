@@ -1,6 +1,8 @@
 """Shared instance builders and independent oracles for the test suite."""
 
+import contextlib
 import csv
+import io
 import itertools
 import math
 import operator
@@ -14,10 +16,29 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from hierlogit import OUTSIDE_ID, ChoiceHierarchy, MarketFileError, NestingParams, build_hierarchy, compute_shares
-from hierlogit.cli import MARKET_COLUMNS, MarketBlock, read_market_csv
+from hierlogit.cli import MARKET_COLUMNS, MarketBlock, main, read_market_csv
 from hierlogit.hierarchy import numbered, tree_from_codes
 from hierlogit import runner
 from hierlogit.montecarlo import _TINY_UNIFORM, _draw_stride, _sibling_table, _sibling_tables
+
+
+def invoke(args):
+    """Run the CLI on ``args`` in this process, as ``main.main(args)``: its
+    ``exit_code``, its standard output as text (``output``) and as bytes
+    (``stdout_bytes``), and its ``stderr``. Standard output has a
+    ``.buffer``, as the CLI's CSV writer needs. An exception that the CLI
+    does not map to an exit code propagates, so that its traceback fails
+    the test."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args)
+            code = 0
+        except SystemExit as stop:
+            code = stop.code or 0
+    out.flush()
+    data = out.buffer.getvalue()
+    return SimpleNamespace(exit_code=code, output=data.decode("utf-8"), stdout_bytes=data, stderr=err.getvalue())
 
 
 def random_tree(rng, max_groups=3, max_subgroups=3, max_products=4):

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import importlib.metadata
 import io
 import json
 import math
@@ -13,23 +14,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hierlogit
 from hierlogit import NestingParams, compute_shares, montecarlo
 from hierlogit.cli import (
-    EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, MarketBlock, _results, main, read_market_csv, read_params_json,
+    EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, MarketBlock, _results, read_market_csv, read_params_json,
 )
-from helpers import assert_same_read, binomial_tail_z, market_tree, on_cpus
+from helpers import assert_same_read, binomial_tail_z, invoke, market_tree, on_cpus
 
 HEADER = "market_id,group_id,subgroup_id,product_id,value"
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def write_market(path, rows):
@@ -47,16 +42,16 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def run_ok(runner, args):
-    result = runner.invoke(main, args)
+def run_ok(args):
+    result = invoke(args)
     assert result.exit_code == EXIT_OK, result.stderr
     return result
 
 
-def test_shares_plain_pair(runner, tmp_path):
+def test_shares_plain_pair(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0), ("m1", "g", "h", "b", 0.0)])
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = run_ok(runner, ["shares", "--input", market, "--params", params])
+    result = run_ok(["shares", "--input", market, "--params", params])
     rows = parse_csv(result.output)
     assert [r["product_id"] for r in rows] == ["a", "b", "_outside"]
     for row in rows[:2]:
@@ -69,19 +64,19 @@ def test_shares_plain_pair(runner, tmp_path):
     assert rows[2]["group_id"] == "_outside"
 
 
-def test_shares_output_file_matches_stdout(runner, tmp_path):
+def test_shares_output_file_matches_stdout(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.3)])
     params = write_params(tmp_path / "p.json", 0.2, 0.1)
-    piped = run_ok(runner, ["shares", "--input", market, "--params", params])
+    piped = run_ok(["shares", "--input", market, "--params", params])
     out = tmp_path / "out.csv"
-    run_ok(runner, ["shares", "--input", market, "--params", params, "--output", str(out)])
+    run_ok(["shares", "--input", market, "--params", params, "--output", str(out)])
     assert out.read_text() == piped.output
 
 
-def test_shares_json_format(runner, tmp_path):
+def test_shares_json_format(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0), ("m1", "g", "h", "b", 0.0)])
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = run_ok(runner, ["shares", "--input", market, "--params", params, "--format", "json"])
+    result = run_ok(["shares", "--input", market, "--params", params, "--format", "json"])
     payload = json.loads(result.output)
     assert payload["sigma1"] == 0.0
     market_obj = payload["markets"][0]
@@ -91,14 +86,14 @@ def test_shares_json_format(runner, tmp_path):
     assert market_obj["inclusive_values"]["top"] == pytest.approx(math.log(3.0), abs=1e-15)
 
 
-def test_reals_serialized_canonically(runner, tmp_path):
+def test_reals_serialized_canonically(tmp_path):
     # every numeric field must round-trip exactly through float()
     market = write_market(
         tmp_path / "m.csv",
         [("m1", "g1", "h1", "a", 1.0 / 3.0), ("m1", "g1", "h2", "b", -0.7), ("m1", "g2", "h3", "c", 2.25)],
     )
     params = write_params(tmp_path / "p.json", 0.35, 0.15)
-    result = run_ok(runner, ["shares", "--input", market, "--params", params])
+    result = run_ok(["shares", "--input", market, "--params", params])
     for row in parse_csv(result.output):
         for field in row.values():
             if field in ("", None) or not field.replace(".", "").lstrip("-").replace("e", "").replace("+", "").isdigit():
@@ -106,52 +101,52 @@ def test_reals_serialized_canonically(runner, tmp_path):
             assert format(float(field), ".17g") == field
 
 
-def test_missing_input_exits_parse(runner, tmp_path):
+def test_missing_input_exits_parse(tmp_path):
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = runner.invoke(main, ["shares", "--input", str(tmp_path / "nope.csv"), "--params", params])
+    result = invoke(["shares", "--input", str(tmp_path / "nope.csv"), "--params", params])
     assert result.exit_code == EXIT_PARSE
     assert result.stderr.startswith("error:")
 
 
-def test_malformed_value_exits_parse(runner, tmp_path):
+def test_malformed_value_exits_parse(tmp_path):
     market = tmp_path / "m.csv"
     market.write_text(HEADER + "\nm1,g,h,a,abc\n")
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = runner.invoke(main, ["shares", "--input", str(market), "--params", params])
+    result = invoke(["shares", "--input", str(market), "--params", params])
     assert result.exit_code == EXIT_PARSE
     assert ":2:" in result.stderr
 
 
-def test_missing_column_exits_parse(runner, tmp_path):
+def test_missing_column_exits_parse(tmp_path):
     market = tmp_path / "m.csv"
     market.write_text("market_id,group_id,product_id,value\nm1,g,a,0\n")
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = runner.invoke(main, ["shares", "--input", str(market), "--params", params])
+    result = invoke(["shares", "--input", str(market), "--params", params])
     assert result.exit_code == EXIT_PARSE
     assert "subgroup_id" in result.stderr
 
 
-def test_sigma_at_one_exits_domain(runner, tmp_path):
+def test_sigma_at_one_exits_domain(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
     params = write_params(tmp_path / "p.json", 1.0, 0.0)
-    result = runner.invoke(main, ["shares", "--input", market, "--params", params])
+    result = invoke(["shares", "--input", market, "--params", params])
     assert result.exit_code == EXIT_DOMAIN
 
 
-def test_invalid_params_json_exits_parse(runner, tmp_path):
+def test_invalid_params_json_exits_parse(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
     params = tmp_path / "p.json"
     params.write_text("{not json")
-    result = runner.invoke(main, ["shares", "--input", market, "--params", str(params)])
+    result = invoke(["shares", "--input", market, "--params", str(params)])
     assert result.exit_code == EXIT_PARSE
 
 
-def test_outside_row_rejected_in_utility_input(runner, tmp_path):
+def test_outside_row_rejected_in_utility_input(tmp_path):
     market = write_market(
         tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0), ("m1", "_outside", "_outside", "_outside", 0.4)]
     )
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = runner.invoke(main, ["shares", "--input", market, "--params", params])
+    result = invoke(["shares", "--input", market, "--params", params])
     assert result.exit_code == EXIT_PARSE
 
 
@@ -172,11 +167,11 @@ def _round_trip_market(tmp_path):
     return market, params, deltas
 
 
-def test_shares_then_invert_round_trip(runner, tmp_path):
+def test_shares_then_invert_round_trip(tmp_path):
     market, params, deltas = _round_trip_market(tmp_path)
     shares_out = tmp_path / "shares.csv"
-    run_ok(runner, ["shares", "--input", market, "--params", params, "--output", str(shares_out)])
-    result = run_ok(runner, ["invert", "--input", str(shares_out), "--params", params])
+    run_ok(["shares", "--input", market, "--params", params, "--output", str(shares_out)])
+    result = run_ok(["invert", "--input", str(shares_out), "--params", params])
     rows = parse_csv(result.output)
     assert [r["market_id"] for r in rows] == ["m1"] * 8 + ["m2"] * 8
     for row in rows:
@@ -184,13 +179,12 @@ def test_shares_then_invert_round_trip(runner, tmp_path):
         assert float(row["value"]) == pytest.approx(want, abs=1e-9)
 
 
-def test_invert_newton_matches_closed(runner, tmp_path):
+def test_invert_newton_matches_closed(tmp_path):
     market, params, _ = _round_trip_market(tmp_path)
     shares_out = tmp_path / "shares.csv"
-    run_ok(runner, ["shares", "--input", market, "--params", params, "--output", str(shares_out)])
-    closed = run_ok(runner, ["invert", "--input", str(shares_out), "--params", params])
+    run_ok(["shares", "--input", market, "--params", params, "--output", str(shares_out)])
+    closed = run_ok(["invert", "--input", str(shares_out), "--params", params])
     newton = run_ok(
-        runner,
         ["invert", "--input", str(shares_out), "--params", params, "--method", "newton", "--tol", "1e-12"],
     )
     a = [float(r["value"]) for r in parse_csv(closed.output)]
@@ -198,36 +192,36 @@ def test_invert_newton_matches_closed(runner, tmp_path):
     np.testing.assert_allclose(b, a, rtol=0, atol=1e-8)
 
 
-def test_invert_requires_outside_row(runner, tmp_path):
+def test_invert_requires_outside_row(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.4), ("m1", "g", "h", "b", 0.3)])
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = runner.invoke(main, ["invert", "--input", market, "--params", params])
+    result = invoke(["invert", "--input", market, "--params", params])
     assert result.exit_code == EXIT_PARSE
     assert "_outside" in result.stderr
 
 
-def test_invert_zero_share_exits_domain(runner, tmp_path):
+def test_invert_zero_share_exits_domain(tmp_path):
     market = write_market(
         tmp_path / "m.csv",
         [("m1", "g", "h", "a", 0.0), ("m1", "g", "h", "b", 0.5), ("m1", "_outside", "_outside", "_outside", 0.5)],
     )
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = runner.invoke(main, ["invert", "--input", market, "--params", params])
+    result = invoke(["invert", "--input", market, "--params", params])
     assert result.exit_code == EXIT_DOMAIN
 
 
-def test_invert_sum_violation_exits_parse(runner, tmp_path):
+def test_invert_sum_violation_exits_parse(tmp_path):
     market = write_market(
         tmp_path / "m.csv",
         [("m1", "g", "h", "a", 0.3), ("m1", "g", "h", "b", 0.3), ("m1", "_outside", "_outside", "_outside", 0.2)],
     )
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = runner.invoke(main, ["invert", "--input", market, "--params", params])
+    result = invoke(["invert", "--input", market, "--params", params])
     assert result.exit_code == EXIT_PARSE
     assert "sum" in result.stderr
 
 
-def test_invert_error_names_offending_market(runner, tmp_path):
+def test_invert_error_names_offending_market(tmp_path):
     rows = [
         ("m1", "g", "h", "a", 0.4),
         ("m1", "g", "h", "b", 0.3),
@@ -237,32 +231,32 @@ def test_invert_error_names_offending_market(runner, tmp_path):
     ]
     market = write_market(tmp_path / "m.csv", rows)
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = runner.invoke(main, ["invert", "--input", market, "--params", params])
+    result = invoke(["invert", "--input", market, "--params", params])
     assert result.exit_code == EXIT_DOMAIN
     assert "m2" in result.stderr
 
 
-def test_jacobian_singleton(runner, tmp_path):
+def test_jacobian_singleton(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = run_ok(runner, ["jacobian", "--input", market, "--params", params])
+    result = run_ok(["jacobian", "--input", market, "--params", params])
     rows = parse_csv(result.output)
     assert [(r["row_id"], r["col_id"]) for r in rows] == [("a", "a"), ("_outside", "a")]
     assert float(rows[0]["value"]) == pytest.approx(0.25, abs=1e-15)
     assert float(rows[1]["value"]) == pytest.approx(-0.25, abs=1e-15)
 
 
-def test_jacobian_fd_check_passes(runner, tmp_path):
+def test_jacobian_fd_check_passes(tmp_path):
     market = write_market(
         tmp_path / "m.csv",
         [("m1", "g1", "h1", "a", 0.5), ("m1", "g1", "h1", "b", -0.5), ("m1", "g2", "h2", "c", 1.0)],
     )
     params = write_params(tmp_path / "p.json", 0.4, 0.2)
-    result = run_ok(runner, ["jacobian", "--input", market, "--params", params, "--check-fd"])
+    result = run_ok(["jacobian", "--input", market, "--params", params, "--check-fd"])
     assert "finite differences" in result.stderr
 
 
-def test_jacobian_fd_check_computes_the_shares_of_each_market_once(runner, tmp_path):
+def test_jacobian_fd_check_computes_the_shares_of_each_market_once(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g1", "h1", "a", 0.5), ("m1", "g1", "h1", "b", -0.5),
                                                ("m2", "g1", "h1", "a", 1.0), ("m2", "g2", "h2", "c", 0.0)])
     params = write_params(tmp_path / "p.json", 0.4, 0.2)
@@ -273,30 +267,30 @@ def test_jacobian_fd_check_computes_the_shares_of_each_market_once(runner, tmp_p
         return compute_shares(tree, delta, params)
 
     with mock.patch("hierlogit.cli.compute_shares", counted), mock.patch("hierlogit.jacobian.compute_shares", counted):
-        result = run_ok(runner, ["jacobian", "--input", market, "--params", params, "--check-fd"])
+        result = run_ok(["jacobian", "--input", market, "--params", params, "--check-fd"])
     assert result.stderr.count("finite differences") == 2
     # fd_jacobian evaluates its perturbed utilities as the markets of one tree of copies
     assert trees.count(1) == 2 and set(trees) == {1, 4}
 
 
-def test_jacobian_extreme_utilities_finite(runner, tmp_path):
+def test_jacobian_extreme_utilities_finite(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 700.0), ("m1", "g", "h", "b", -700.0)])
     params = write_params(tmp_path / "p.json", 0.3, 0.1)
-    result = run_ok(runner, ["jacobian", "--input", market, "--params", params])
+    result = run_ok(["jacobian", "--input", market, "--params", params])
     values = [float(r["value"]) for r in parse_csv(result.output)]
     assert len(values) == 6
     assert all(math.isfinite(v) for v in values)
 
 
-def test_simulate_deterministic_and_consistent(runner, tmp_path):
+def test_simulate_deterministic_and_consistent(tmp_path):
     market = write_market(
         tmp_path / "m.csv",
         [("m1", "g1", "h1", "a", 0.5), ("m1", "g1", "h1", "b", 0.0), ("m1", "g2", "h2", "c", -0.5)],
     )
     params = write_params(tmp_path / "p.json", 0.4, 0.2)
     args = ["simulate", "--input", market, "--params", params, "--draws", "20000", "--seed", "7"]
-    first = run_ok(runner, args)
-    second = run_ok(runner, args)
+    first = run_ok(args)
+    second = run_ok(args)
     assert first.output == second.output
     rows = parse_csv(first.output)
     assert rows[-1]["product_id"] == "_outside"
@@ -304,20 +298,18 @@ def test_simulate_deterministic_and_consistent(runner, tmp_path):
     assert max(abs(float(r["z_score"])) for r in rows) <= 5.0
 
 
-def test_simulate_rejects_nonpositive_draws(runner, tmp_path):
+def test_simulate_rejects_nonpositive_draws(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = runner.invoke(main, ["simulate", "--input", market, "--params", params, "--draws", "0"])
+    result = invoke(["simulate", "--input", market, "--params", params, "--draws", "0"])
     assert result.exit_code == EXIT_DOMAIN
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
-def test_simulate_seed_out_of_range_exits_domain(runner, tmp_path, seed):
+def test_simulate_seed_out_of_range_exits_domain(tmp_path, seed):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = runner.invoke(
-        main, ["simulate", "--input", market, "--params", params, "--draws", "10", "--seed", seed]
-    )
+    result = invoke(["simulate", "--input", market, "--params", params, "--draws", "10", "--seed", seed])
     assert result.exit_code == EXIT_DOMAIN
     assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
 
@@ -328,38 +320,38 @@ def test_simulate_seed_out_of_range_exits_domain(runner, tmp_path, seed):
     # delta / (1 - sigma1) overflows; then I_sub / (1 - sigma2) does
     [(0.5, 0.25), (0.0, 0.5)],
 )
-def test_overflowing_utilities_exit_domain(runner, tmp_path, command, sigma):
+def test_overflowing_utilities_exit_domain(tmp_path, command, sigma):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0), ("m2", "g", "h", "a", 1e308)])
     params = write_params(tmp_path / "p.json", *sigma)
     out = tmp_path / "out.csv"
     args = [command, "--input", market, "--params", params, "--output", str(out)]
     if command == "simulate":
         args += ["--draws", "100"]
-    line = _assert_one_error_line(runner.invoke(main, args), EXIT_DOMAIN)
+    line = _assert_one_error_line(invoke(args), EXIT_DOMAIN)
     assert "'m2'" in line and "overflow" in line
     # the market before the one that overflows is written
     assert {r["market_id"] for r in parse_csv(out.read_text())} == {"m1"}
 
 
-def test_simulate_z_score_is_zero_for_an_underflowed_share_never_drawn(runner, tmp_path):
+def test_simulate_z_score_is_zero_for_an_underflowed_share_never_drawn(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m", "g", "h", "a", 0.0), ("m", "g", "h", "b", -800.0)])
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = run_ok(runner, ["simulate", "--input", market, "--params", params, "--draws", "1000"])
+    result = run_ok(["simulate", "--input", market, "--params", params, "--draws", "1000"])
     assert result.output.splitlines()[2] == "m,g,h,b,0,0,0,0,0"
     assert result.stderr == ""
 
 
-def test_simulate_computes_each_markets_shares_once(runner, tmp_path):
+def test_simulate_computes_each_markets_shares_once(tmp_path):
     rows = [(f"m{m}", g, h, f"{g}{h}", 0.1 * m) for m in range(3) for g, h in (("g", "h"), ("g", "k"), ("f", "h"))]
     market = write_market(tmp_path / "m.csv", rows)
     params = write_params(tmp_path / "p.json", 0.4, 0.2)
     shares = mock.Mock(wraps=compute_shares)
     with mock.patch("hierlogit.cli.compute_shares", shares), mock.patch("hierlogit.montecarlo.compute_shares", shares):
-        run_ok(runner, ["simulate", "--input", market, "--params", params, "--draws", "1000"])
+        run_ok(["simulate", "--input", market, "--params", params, "--draws", "1000"])
     assert shares.call_count == 3
 
 
-def test_simulate_against_a_wrong_sigma_exits_selftest(runner, tmp_path):
+def test_simulate_against_a_wrong_sigma_exits_selftest(tmp_path):
     market = write_market(
         tmp_path / "m.csv",
         [("m1", "g1", "h1", "a", 1.0), ("m1", "g1", "h1", "b", 0.0), ("m1", "g1", "h2", "c", 0.5),
@@ -367,22 +359,22 @@ def test_simulate_against_a_wrong_sigma_exits_selftest(runner, tmp_path):
     )
     params = write_params(tmp_path / "p.json", 0.7, 0.3)
     args = ["simulate", "--input", market, "--params", params, "--draws", "20000", "--seed", "3"]
-    run_ok(runner, args)
+    run_ok(args)
     simulate = hierlogit.montecarlo.simulate_choices
 
     def plain_logit(hierarchy, delta, params, config, iv=None):
         return simulate(hierarchy, delta, NestingParams(0.0, 0.0), config)
 
     with mock.patch("hierlogit.montecarlo.simulate_choices", plain_logit):
-        line = _assert_one_error_line(runner.invoke(main, args), EXIT_SELFTEST)
+        line = _assert_one_error_line(invoke(args), EXIT_SELFTEST)
     assert "market 'm1': |z|=" in line and "exceeds 5" in line
 
 
-def test_simulate_z_score_is_the_exact_tail_z(runner, tmp_path):
+def test_simulate_z_score_is_the_exact_tail_z(tmp_path):
     # a rare product: its expected count at 2000 draws is about 0.9
     market = write_market(tmp_path / "m.csv", [("m", "g", "h", "a", 0.0), ("m", "g", "h", "b", -7.0)])
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = run_ok(runner, ["simulate", "--input", market, "--params", params, "--draws", "2000", "--seed", "1"])
+    result = run_ok(["simulate", "--input", market, "--params", params, "--draws", "2000", "--seed", "1"])
     for row in parse_csv(result.output):
         expected = binomial_tail_z(2000, float(row["share"]), int(row["count"]))
         assert float(row["z_score"]) == pytest.approx(expected, rel=1e-9, abs=1e-9)
@@ -396,7 +388,7 @@ def _run_with_address_space_limit(args, limit_bytes):
         "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({limit_bytes}, hard))\n"
         "from hierlogit.cli import main\n"
-        "main(prog_name='hierlogit')\n"
+        "main.main()\n"
     )
     src = os.path.dirname(os.path.dirname(hierlogit.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -424,7 +416,7 @@ def test_out_of_memory_exits_domain_with_one_line(tmp_path, command):
     assert len(lines) == 1 and lines[0].startswith("error: out of memory: market 'm1':"), result.stderr
 
 
-def test_out_of_memory_in_a_threaded_chunk_maps_like_a_serial_one(runner, tmp_path):
+def test_out_of_memory_in_a_threaded_chunk_maps_like_a_serial_one(tmp_path):
     # one product: a draw takes 4 shock doubles, one Philox advance, 2 stage
     # products and 2 indices, so 64 words of scratch make chunks of 8 draws
     # on one thread, 4 on each of two
@@ -443,23 +435,23 @@ def test_out_of_memory_in_a_threaded_chunk_maps_like_a_serial_one(runner, tmp_pa
 
         with mock.patch.object(montecarlo, "_CHUNK_WORDS", 64), on_cpus(workers), \
                 mock.patch.object(np.random, "Generator", generator):
-            results.append(runner.invoke(main, ["simulate", "--draws", "100", "--input", market, "--params", params]))
+            results.append(invoke(["simulate", "--draws", "100", "--input", market, "--params", params]))
         assert threading.enumerate() == threads
         assert (threading.main_thread() in ran_on) == (workers == 1)
     serial, threaded = results
     line = _assert_one_error_line(threaded, EXIT_DOMAIN)
     assert line == "error: out of memory: market 'm1': cannot allocate the shocks"
-    assert (threaded.stdout, threaded.stderr) == (serial.stdout, serial.stderr)
+    assert (threaded.output, threaded.stderr) == (serial.output, serial.stderr)
 
 
-def test_newton_on_a_16000_product_market_fits_in_1_gib(runner, tmp_path):
+def test_newton_on_a_16000_product_market_fits_in_1_gib(tmp_path):
     # Newton solves its Jacobian system in O(N): no N x N matrix is formed
     market, params = _sixteen_thousand_products(tmp_path, repr(0.5 / 16_000), outside=0.5)
     out = tmp_path / "newton.csv"
     args = ["invert", "--method", "newton", "--input", market, "--params", params, "--output", str(out)]
     result = _run_with_address_space_limit(args, 2**30)
     assert result.returncode == EXIT_OK, result.stderr
-    closed = parse_csv(run_ok(runner, ["invert", "--input", market, "--params", params]).output)
+    closed = parse_csv(run_ok(["invert", "--input", market, "--params", params]).output)
     newton = parse_csv(out.read_text())
     assert [r["product_id"] for r in newton] == [r["product_id"] for r in closed]
     np.testing.assert_allclose([float(r["value"]) for r in newton], [float(r["value"]) for r in closed],
@@ -483,9 +475,9 @@ def _estimate_config(tmp_path, **overrides):
     return str(path)
 
 
-def test_estimate_recovers_exact_coefficients(runner, tmp_path):
+def test_estimate_recovers_exact_coefficients(tmp_path):
     config = _estimate_config(tmp_path)
-    result = run_ok(runner, ["estimate", "--config", config])
+    result = run_ok(["estimate", "--config", config])
     payload = json.loads(result.output)
     np.testing.assert_allclose(payload["beta_hat"], [1.0, -2.0], rtol=0, atol=1e-8)
     assert payload["sigma1_hat"] == pytest.approx(0.5, abs=1e-8)
@@ -494,35 +486,35 @@ def test_estimate_recovers_exact_coefficients(runner, tmp_path):
     assert payload["n_products"] == 8
 
 
-def test_estimate_same_seed_same_output(runner, tmp_path):
+def test_estimate_same_seed_same_output(tmp_path):
     config = _estimate_config(tmp_path, xi_scale=0.3)
-    first = run_ok(runner, ["estimate", "--config", config])
-    second = run_ok(runner, ["estimate", "--config", config])
+    first = run_ok(["estimate", "--config", config])
+    second = run_ok(["estimate", "--config", config])
     assert first.output == second.output
 
 
-def test_estimate_singular_design_exits_selftest(runner, tmp_path):
+def test_estimate_singular_design_exits_selftest(tmp_path):
     config = _estimate_config(tmp_path, n_subgroups_per_group=1)
-    result = runner.invoke(main, ["estimate", "--config", config])
+    result = invoke(["estimate", "--config", config])
     assert result.exit_code == EXIT_SELFTEST
 
 
-def test_estimate_malformed_config_exits_parse(runner, tmp_path):
+def test_estimate_malformed_config_exits_parse(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{oops")
-    result = runner.invoke(main, ["estimate", "--config", str(path)])
+    result = invoke(["estimate", "--config", str(path)])
     assert result.exit_code == EXIT_PARSE
 
 
-def test_estimate_bad_sigma_exits_domain(runner, tmp_path):
+def test_estimate_bad_sigma_exits_domain(tmp_path):
     config = _estimate_config(tmp_path, sigma1=1.5)
-    result = runner.invoke(main, ["estimate", "--config", config])
+    result = invoke(["estimate", "--config", config])
     assert result.exit_code == EXIT_DOMAIN
 
 
-def test_estimate_bad_dimensions_exits_domain(runner, tmp_path):
+def test_estimate_bad_dimensions_exits_domain(tmp_path):
     config = _estimate_config(tmp_path, n_groups=0)
-    result = runner.invoke(main, ["estimate", "--config", config])
+    result = invoke(["estimate", "--config", config])
     assert result.exit_code == EXIT_DOMAIN
 
 
@@ -545,31 +537,31 @@ def test_estimate_bad_dimensions_exits_domain(runner, tmp_path):
         ("sigma1", '"0.5"'),
     ],
 )
-def test_estimate_invalid_config_value_exits_domain(runner, tmp_path, key, raw):
+def test_estimate_invalid_config_value_exits_domain(tmp_path, key, raw):
     config = json.loads(Path(_estimate_config(tmp_path)).read_text())
     config.pop(key, None)
     path = tmp_path / "bad.json"
     # raw JSON text, so that 1e400 reaches the parser as written
     path.write_text(json.dumps(config)[:-1] + f', "{key}": {raw}}}')
-    result = runner.invoke(main, ["estimate", "--config", str(path)])
+    result = invoke(["estimate", "--config", str(path)])
     assert result.exit_code == EXIT_DOMAIN
     assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
 
 
-def test_estimate_missing_required_key_exits_domain(runner, tmp_path):
+def test_estimate_missing_required_key_exits_domain(tmp_path):
     config = json.loads(Path(_estimate_config(tmp_path)).read_text())
     del config["n_groups"]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**config, "unknown_key": [1, 2]}))
-    line = _assert_one_error_line(runner.invoke(main, ["estimate", "--config", str(path)]), EXIT_DOMAIN)
+    line = _assert_one_error_line(invoke(["estimate", "--config", str(path)]), EXIT_DOMAIN)
     assert "n_groups" in line
 
 
-def test_params_integer_past_double_range_exits_domain(runner, tmp_path):
+def test_params_integer_past_double_range_exits_domain(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
     params = tmp_path / "p.json"
     params.write_text('{"sigma1": 1' + "0" * 400 + ', "sigma2": 0}')
-    result = runner.invoke(main, ["shares", "--input", market, "--params", str(params)])
+    result = invoke(["shares", "--input", market, "--params", str(params)])
     _assert_one_error_line(result, EXIT_DOMAIN)
 
 
@@ -592,10 +584,10 @@ def test_cli_import_loads_no_statistics():
     assert out.stdout.strip() == "False"
 
 
-def _imported_modules(args):
-    """The modules ``python -X importtime -m hierlogit.cli args`` imports, by name."""
+def _imported_modules(args, program=("-m", "hierlogit.cli")):
+    """The modules ``python -X importtime *program args`` imports, by name."""
     src = os.path.dirname(os.path.dirname(hierlogit.__file__))
-    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "hierlogit.cli", *args],
+    out = subprocess.run([sys.executable, "-X", "importtime", *program, *args],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
     assert out.returncode == EXIT_OK, out.stderr
     return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
@@ -614,6 +606,11 @@ def test_cli_runs_its_module_once_and_starts_without_threads_or_csv(tmp_path):
     # each command loads the kernels it runs, and only those
     unused = {"hierlogit.inversion", "hierlogit.jacobian", "hierlogit.montecarlo", "hierlogit.synth"}
     assert not started & unused and not shares & unused
+    # the command line is the standard library's: past what a bare start
+    # loads, no installed distribution but numpy provides a module
+    loaded = (started | shares) - _imported_modules([], program=("-c", "pass"))
+    owners = importlib.metadata.packages_distributions()
+    assert {d for m in loaded for d in owners.get(m.split(".")[0], ())} <= {"numpy", "hierlogit"}
 
 
 def test_package_import_loads_only_its_errors():
@@ -640,11 +637,11 @@ def test_run_freezes_the_start_up_heap_before_main():
     calls = mock.Mock()
     with mock.patch("hierlogit.cli.gc.freeze", calls.freeze), mock.patch("hierlogit.cli.main", calls.main):
         hierlogit.cli.run()
-    assert calls.mock_calls == [mock.call.freeze(), mock.call.main()]
+    assert calls.mock_calls == [mock.call.freeze(), mock.call.main.main()]
 
 
-def test_version_works_without_installation(runner):
-    result = run_ok(runner, ["--version"])
+def test_version_works_without_installation():
+    result = run_ok(["--version"])
     assert result.output.strip() == f"hierlogit, version {hierlogit.__version__}"
 
 
@@ -673,7 +670,7 @@ def _assert_same_per_key(tree_text, shuffled_text, keys, fields):
                 assert float(other[field]) == pytest.approx(float(row[field]), rel=1e-12, abs=1e-15)
 
 
-def test_shuffled_rows_give_the_same_values_per_product(runner, tmp_path):
+def test_shuffled_rows_give_the_same_values_per_product(tmp_path):
     # values are matched to products by (market, product) id, not by row position
     market, params, _ = _round_trip_market(tmp_path)
     shuffled = _shuffled_copy(market, "shuffled.csv")
@@ -681,7 +678,7 @@ def test_shuffled_rows_give_the_same_values_per_product(runner, tmp_path):
 
     def both(command, tree_input, shuffled_input, *extra):
         return [
-            run_ok(runner, [command, "--input", path, "--params", params, *extra]).output
+            run_ok([command, "--input", path, "--params", params, *extra]).output
             for path in (tree_input, shuffled_input)
         ]
 
@@ -699,13 +696,13 @@ def test_shuffled_rows_give_the_same_values_per_product(runner, tmp_path):
     _assert_same_per_key(*simulated, product, ["share", "std_error"])
 
 
-def test_every_market_is_mode_checked_before_any_is_computed(runner, tmp_path):
+def test_every_market_is_mode_checked_before_any_is_computed(tmp_path):
     # m1 alone would exit 2 (non-finite utility); m2's _outside row is found first
     rows = [("m1", "g", "h", "a", "nan"), ("m2", "g", "h", "a", 0.0), ("m2", "_outside", "_outside", "_outside", 0.5)]
     market = write_market(tmp_path / "m.csv", rows)
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
     out = tmp_path / "out.csv"
-    result = runner.invoke(main, ["shares", "--input", market, "--params", params, "--output", str(out)])
+    result = invoke(["shares", "--input", market, "--params", params, "--output", str(out)])
     assert result.exit_code == EXIT_PARSE
     assert "'m2'" in result.stderr
     assert not out.exists()
@@ -713,7 +710,6 @@ def test_every_market_is_mode_checked_before_any_is_computed(runner, tmp_path):
 
 def _assert_one_error_line(result, code):
     assert result.exit_code == code
-    assert result.exception is None or isinstance(result.exception, SystemExit)
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     return lines[0]
@@ -729,7 +725,7 @@ def _assert_one_error_line(result, code):
     ],
     ids=["csv-not-utf8", "csv-field-too-large", "params-not-utf8", "config-not-utf8"],
 )
-def test_undecodable_or_oversized_input_exits_parse(runner, tmp_path, name, data, where):
+def test_undecodable_or_oversized_input_exits_parse(tmp_path, name, data, where):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
     (tmp_path / name).write_bytes(data)
@@ -737,7 +733,28 @@ def test_undecodable_or_oversized_input_exits_parse(runner, tmp_path, name, data
         args = ["estimate", "--config", str(tmp_path / name)]
     else:
         args = ["shares", "--input", market, "--params", params]
-    assert where in _assert_one_error_line(runner.invoke(main, args), EXIT_PARSE)
+    assert where in _assert_one_error_line(invoke(args), EXIT_PARSE)
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["bogus", "--input", "M", "--params", "P"],
+    ["shares", "--params", "P"],
+    ["shares", "--input", "M"],
+    ["simulate", "--input", "M", "--params", "P", "--draws", "abc"],
+    ["invert", "--input", "M", "--params", "P", "--method", "bogus"],
+    ["invert", "--input", "M", "--params", "P", "--tol", "x"],
+    ["shares", "--inp", "M", "--params", "P"],
+    ["shares", "stray", "--input", "M", "--params", "P"],
+], ids=["no-command", "unknown-command", "no-input", "no-params", "draws-not-int", "unknown-method",
+        "tol-not-float", "abbreviated-option", "stray-argument"])
+def test_bad_command_line_exits_parse_with_one_line(tmp_path, args):
+    # the files are valid, so that the command line alone is at fault
+    paths = {"M": write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.5)]),
+             "P": write_params(tmp_path / "p.json", 0.5, 0.25)}
+    result = invoke([paths.get(arg, arg) for arg in args])
+    _assert_one_error_line(result, EXIT_PARSE)
+    assert result.stdout_bytes == b""
 
 
 # a valid invert input: shares in (0, 1) summing to 1 with the _outside row
@@ -820,12 +837,10 @@ def test_cli_fuzz_malformed_markets_never_traceback(tmp_path, data):
     market.write_bytes(data)
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
     for command in (["shares"], ["invert"], ["invert", "--method", "newton"], ["jacobian"]):
-        result = CliRunner().invoke(main, [*command, "--input", str(market), "--params", params])
+        result = invoke([*command, "--input", str(market), "--params", params])
         assert result.exit_code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_SELFTEST)
         if result.exit_code != EXIT_OK:
             _assert_one_error_line(result, result.exit_code)
-        else:
-            assert result.exception is None
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None,
@@ -894,13 +909,13 @@ def _three_markets(tmp_path):
     return rows, write_params(tmp_path / "p.json", 0.5, 0.25)
 
 
-def test_multi_market_file_is_the_concatenation_of_one_market_runs(runner, tmp_path):
+def test_multi_market_file_is_the_concatenation_of_one_market_runs(tmp_path):
     rows, params = _three_markets(tmp_path)
     market_ids = ["m1", "m2", "m3"]
 
     def run(command, market_rows, name, *extra):
         path = write_market(tmp_path / f"{name}.csv", market_rows)
-        return run_ok(runner, [command, "--input", path, "--params", params, *extra]).output
+        return run_ok([command, "--input", path, "--params", params, *extra]).output
 
     def shares_of(market_rows, name):
         # invert input: the shares output's first five columns
@@ -919,10 +934,10 @@ def test_multi_market_file_is_the_concatenation_of_one_market_runs(runner, tmp_p
         assert whole == header + "".join(p[len(header):] for p in parts), command
 
 
-def test_shares_json_streams_the_whole_payload(runner, tmp_path):
+def test_shares_json_streams_the_whole_payload(tmp_path):
     rows, params_path = _three_markets(tmp_path)
     market = write_market(tmp_path / "m.csv", rows + [("m3", "x", "y", "\u00e9", -0.3)])
-    result = run_ok(runner, ["shares", "--input", market, "--params", params_path, "--format", "json"])
+    result = run_ok(["shares", "--input", market, "--params", params_path, "--format", "json"])
     block, params = read_market_csv(market), read_params_json(params_path)
     markets = []
     for m in range(block.hierarchy.n_markets):
@@ -948,7 +963,7 @@ def test_shares_json_streams_the_whole_payload(runner, tmp_path):
     assert result.output == json.dumps(payload, indent=2) + "\n"
 
 
-def test_newton_passes_the_closed_form_check_on_3000_random_markets(runner, tmp_path):
+def test_newton_passes_the_closed_form_check_on_3000_random_markets(tmp_path):
     # 17-digit shares of N(0,1) utilities: before Newton took one more step
     # after its stop test, about 1% of such markets missed the 10*tol check
     rng = np.random.default_rng(2026)
@@ -957,13 +972,13 @@ def test_newton_passes_the_closed_form_check_on_3000_random_markets(runner, tmp_
     rows = [(f"m{m}", *key, repr(x)) for m in range(n_markets) for key, x in zip(keys, rng.standard_normal(8).tolist())]
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
     shares = tmp_path / "shares.csv"
-    run_ok(runner, ["shares", "--input", write_market(tmp_path / "m.csv", rows), "--params", params,
+    run_ok(["shares", "--input", write_market(tmp_path / "m.csv", rows), "--params", params,
                     "--output", str(shares)])
-    result = run_ok(runner, ["invert", "--method", "newton", "--input", str(shares), "--params", params])
+    result = run_ok(["invert", "--method", "newton", "--input", str(shares), "--params", params])
     assert len(parse_csv(result.output)) == 8 * n_markets
 
 
-def test_invert_reports_the_first_failing_market_in_file_order(runner, tmp_path):
+def test_invert_reports_the_first_failing_market_in_file_order(tmp_path):
     # m2 breaks the sum rule (exit 1); m3 holds a zero share (exit 2)
     rows = [
         ("m1", "g", "h", "a", 0.4), ("m1", "_outside", "_outside", "_outside", 0.6),
@@ -973,21 +988,21 @@ def test_invert_reports_the_first_failing_market_in_file_order(runner, tmp_path)
     market = write_market(tmp_path / "m.csv", rows)
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
     out = tmp_path / "out.csv"
-    result = runner.invoke(main, ["invert", "--input", market, "--params", params, "--output", str(out)])
+    result = invoke(["invert", "--input", market, "--params", params, "--output", str(out)])
     line = _assert_one_error_line(result, EXIT_PARSE)
     assert "'m2'" in line and "sum" in line
     assert [r["market_id"] for r in parse_csv(out.read_text())] == ["m1"]
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-9"])
-def test_newton_refuses_a_nonpositive_tol_before_any_market(runner, tmp_path, tol):
+def test_newton_refuses_a_nonpositive_tol_before_any_market(tmp_path, tol):
     rows = [("m1", "g", "h", "a", 0.4), ("m1", "_outside", "_outside", "_outside", 0.6),
             ("m2", "g", "h", "a", 0.0), ("m2", "_outside", "_outside", "_outside", 1.0)]
     market = write_market(tmp_path / "m.csv", rows)
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
     out = tmp_path / "out.csv"
-    result = runner.invoke(main, ["invert", "--method", "newton", "--tol", tol, "--input", market,
-                                  "--params", params, "--output", str(out)])
+    result = invoke(["invert", "--method", "newton", "--tol", tol, "--input", market,
+                     "--params", params, "--output", str(out)])
     assert _assert_one_error_line(result, EXIT_DOMAIN) == f"error: tol={float(tol)!r} must be positive"
     assert not out.exists()
 
@@ -1057,9 +1072,9 @@ def test_failing_multi_market_file_matches_its_one_market_runs(tmp_path, instanc
 
     def run(args, market_rows):
         path = write_market(tmp_path / "in.csv", market_rows)
-        return CliRunner().invoke(main, [*args, "--input", path, "--params", params])
+        return invoke([*args, "--input", path, "--params", params])
 
-    clean_shares = run(["shares"], rows).stdout
+    clean_shares = run(["shares"], rows).output
     share_rows = [line.split(",")[:5] for line in clean_shares.splitlines()[1:]]
     for args in (["shares"], ["shares", "--format", "json"], ["jacobian"], ["jacobian", "--check-fd"],
                  ["simulate", "--draws", "2000", "--seed", "5"], ["invert"], ["invert", "--method", "newton"]):
@@ -1073,19 +1088,19 @@ def test_failing_multi_market_file_matches_its_one_market_runs(tmp_path, instanc
         assert parts[-1].exit_code != EXIT_OK, args
         assert (whole.exit_code, whole.stderr) == (parts[-1].exit_code, "".join(p.stderr for p in parts)), args
         if args[1:2] == ["--format"]:
-            assert whole.stdout == "" and parts[-1].stdout == "", args
+            assert whole.output == "" and parts[-1].output == "", args
             continue
-        header = parts[-1].stdout
-        assert whole.stdout == header + "".join(p.stdout[len(header):] for p in parts[:-1]), args
+        header = parts[-1].output
+        assert whole.output == header + "".join(p.output[len(header):] for p in parts[:-1]), args
 
 
 @pytest.mark.parametrize("command", ["shares", "estimate"])
-def test_utf8_byte_order_mark_is_accepted(runner, tmp_path, command):
+def test_utf8_byte_order_mark_is_accepted(tmp_path, command):
     bom = "\ufeff"
     if command == "estimate":
         config = Path(_estimate_config(tmp_path))
         config.write_text(bom + config.read_text(), encoding="utf-8")
-        run_ok(runner, ["estimate", "--config", str(config)])
+        run_ok(["estimate", "--config", str(config)])
         return
     plain = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.5)])
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
@@ -1093,6 +1108,6 @@ def test_utf8_byte_order_mark_is_accepted(runner, tmp_path, command):
     marked.write_text(bom + Path(plain).read_text(), encoding="utf-8")
     marked_params = tmp_path / "bom.json"
     marked_params.write_text(bom + Path(params).read_text(), encoding="utf-8")
-    want = run_ok(runner, ["shares", "--input", plain, "--params", params]).output
-    assert run_ok(runner, ["shares", "--input", str(marked), "--params", params]).output == want
-    assert run_ok(runner, ["shares", "--input", plain, "--params", str(marked_params)]).output == want
+    want = run_ok(["shares", "--input", plain, "--params", params]).output
+    assert run_ok(["shares", "--input", str(marked), "--params", params]).output == want
+    assert run_ok(["shares", "--input", plain, "--params", str(marked_params)]).output == want

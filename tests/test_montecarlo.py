@@ -5,7 +5,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,11 +19,11 @@ from hierlogit import (
     simulate_choices,
 )
 from hierlogit import montecarlo, runner
-from hierlogit.cli import MARKET_COLUMNS, main
+from hierlogit.cli import MARKET_COLUMNS
 from hierlogit.montecarlo import _draw_stride, _exact_z, _sibling_tables
 
 from helpers import (
-    balanced_tree, binomial_tail_z, gumbel_choice_counts, gumbel_from_uniform, on_cpus, ragged_instances,
+    balanced_tree, binomial_tail_z, gumbel_choice_counts, gumbel_from_uniform, invoke, on_cpus, ragged_instances,
     random_instance, random_tree,
 )
 
@@ -224,8 +223,8 @@ def test_threads_are_the_cpus_of_the_affinity_mask_else_the_cpu_count(cpus, affi
         (tmp_path / "p.json").write_text('{"sigma1": 0.5, "sigma2": 0.25}')
         served.clear()
         with on_cpus(cpus, affinity), mock.patch.object(runner.ChunkRunner, "_serve", recorded):
-            result = CliRunner().invoke(main, [*args, "--input", str(tmp_path / "m.csv"), "--params",
-                                               str(tmp_path / "p.json"), "--output", str(tmp_path / "out.csv")])
+            result = invoke([*args, "--input", str(tmp_path / "m.csv"), "--params",
+                             str(tmp_path / "p.json"), "--output", str(tmp_path / "out.csv")])
         assert result.exit_code == 0, result.stderr
         assert pools() == want
     # every pool's threads are joined when its runner is done

@@ -15,15 +15,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hierlogit
 from hierlogit import cli, csvout, jacobian
-from hierlogit.cli import EXIT_OK, main
+from hierlogit.cli import EXIT_OK
 
-from helpers import assert_same_read, on_cpus, per_cell_write_csv
+from helpers import assert_same_read, invoke, on_cpus, per_cell_write_csv
 
 
 def rendered(values) -> list:
@@ -128,25 +127,24 @@ COMMANDS = [
 @pytest.mark.parametrize("chunk_rows", [7, 4096])
 @pytest.mark.parametrize("command,extra", COMMANDS)
 def test_output_is_the_per_cell_writers_on_stdout_and_in_a_file(tmp_path, command, extra, chunk_rows):
-    runner = CliRunner()
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
     market = _market_file(tmp_path / "m.csv", n_markets=12)
     if command == "invert":
         # shares output: one _outside row per market
-        result = runner.invoke(main, ["shares", "--input", market, "--params", str(params), "--output", market])
+        result = invoke(["shares", "--input", market, "--params", str(params), "--output", market])
         assert result.exit_code == EXIT_OK, result.stderr
     args = [command, "--input", market, "--params", str(params), *extra]
     with mock.patch.object(cli, "_write_csv", per_cell_write_csv):
-        oracle = runner.invoke(main, [*args, "--output", str(tmp_path / "oracle.csv")])
+        oracle = invoke([*args, "--output", str(tmp_path / "oracle.csv")])
     assert oracle.exit_code == EXIT_OK, oracle.stderr
     want = (tmp_path / "oracle.csv").read_bytes()
     assert want.decode("utf-8").count("mé") > 0
     # the chunks formatted on one thread, or on two or three
     for workers in (1, 2, 3):
         with mock.patch.object(csvout, "_CHUNK_ROWS", chunk_rows), on_cpus(workers):
-            piped = runner.invoke(main, args)
-            written = runner.invoke(main, [*args, "--output", str(tmp_path / "out.csv")])
+            piped = invoke(args)
+            written = invoke([*args, "--output", str(tmp_path / "out.csv")])
         assert piped.exit_code == written.exit_code == EXIT_OK, piped.stderr
         assert piped.stdout_bytes == (tmp_path / "out.csv").read_bytes() == want
 
@@ -159,12 +157,12 @@ def test_more_threads_than_cores_switched_often_write_the_same_bytes(tmp_path):
     market = _market_file(tmp_path / "m.csv", n_markets=30)
     args = ["shares", "--input", market, "--params", str(params)]
     with mock.patch.object(cli, "_write_csv", per_cell_write_csv):
-        CliRunner().invoke(main, [*args, "--output", str(tmp_path / "oracle.csv")])
+        invoke([*args, "--output", str(tmp_path / "oracle.csv")])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with mock.patch.object(csvout, "_CHUNK_ROWS", 3), on_cpus(4):
-            result = CliRunner().invoke(main, [*args, "--output", str(tmp_path / "out.csv")])
+            result = invoke([*args, "--output", str(tmp_path / "out.csv")])
     finally:
         sys.setswitchinterval(interval)
     assert result.exit_code == EXIT_OK, result.stderr
@@ -177,12 +175,11 @@ def test_every_output_reads_back_as_the_row_reader_reads_it(tmp_path, command, e
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
     market = _market_file(tmp_path / "m.csv", n_markets=12, ids=ids)
-    runner = CliRunner()
     if command == "invert":
-        result = runner.invoke(main, ["shares", "--input", market, "--params", str(params), "--output", market])
+        result = invoke(["shares", "--input", market, "--params", str(params), "--output", market])
         assert result.exit_code == EXIT_OK, result.stderr
     out = str(tmp_path / "out.csv")
-    result = runner.invoke(main, [command, "--input", market, "--params", str(params), *extra, "--output", out])
+    result = invoke([command, "--input", market, "--params", str(params), *extra, "--output", out])
     assert result.exit_code == EXIT_OK, result.stderr
     for outside in (False, True):
         assert_same_read(out, outside)
@@ -214,14 +211,13 @@ def test_one_long_id_costs_memory_for_itself_alone(tmp_path):
         assert own.returncode == 0, own.stderr
         peak_kb[name] = int(own.stdout)
         with mock.patch.object(cli, "_write_csv", per_cell_write_csv):
-            result = CliRunner().invoke(main, [*args[:-1], str(tmp_path / f"{name}.oracle")])
+            result = invoke([*args[:-1], str(tmp_path / f"{name}.oracle")])
         assert result.exit_code == EXIT_OK, result.stderr
         assert (tmp_path / f"{name}.out").read_bytes() == (tmp_path / f"{name}.oracle").read_bytes()
     assert peak_kb["long"] <= peak_kb["short"] + 10 * 1024, peak_kb
 
 
 def test_markets_before_a_failing_one_are_written(tmp_path):
-    runner = CliRunner()
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
     market = _market_file(tmp_path / "m.csv", n_markets=6)
@@ -233,8 +229,8 @@ def test_markets_before_a_failing_one_are_written(tmp_path):
         csv.writer(fh).writerows(rows)
     for writer in (cli._write_csv, per_cell_write_csv):
         with mock.patch.object(cli, "_write_csv", writer), mock.patch.object(csvout, "_CHUNK_ROWS", 4096):
-            result = runner.invoke(main, ["jacobian", "--input", market, "--params", str(params),
-                                          "--output", str(tmp_path / f"{writer.__name__}.csv")])
+            result = invoke(["jacobian", "--input", market, "--params", str(params),
+                             "--output", str(tmp_path / f"{writer.__name__}.csv")])
         assert result.exit_code == cli.EXIT_DOMAIN
         assert repr(failing) in result.stderr
     assert (tmp_path / "_write_csv.csv").read_bytes() == (tmp_path / "per_cell_write_csv.csv").read_bytes()
@@ -265,12 +261,12 @@ def test_out_of_memory_on_a_writer_thread_leaves_what_comes_before_written(tmp_p
     if where == "market":
         with mock.patch.object(jacobian, "full_jacobian", failing_jacobian), \
                 mock.patch.object(cli, "_write_csv", per_cell_write_csv):
-            oracle = CliRunner().invoke(main, [*args, "--output", str(tmp_path / "oracle.csv")])
+            oracle = invoke([*args, "--output", str(tmp_path / "oracle.csv")])
         want = (tmp_path / "oracle.csv").read_bytes()
         message = f"error: out of memory: market {failing!r}: cannot allocate the matrix"
     else:
         with mock.patch.object(cli, "_write_csv", per_cell_write_csv):
-            CliRunner().invoke(main, [*args, "--output", str(tmp_path / "oracle.csv")])
+            invoke([*args, "--output", str(tmp_path / "oracle.csv")])
         # the header and the four chunks before the failing one, all of the first market
         want = b"".join((tmp_path / "oracle.csv").read_bytes().splitlines(keepends=True)[:29])
         message = "error: out of memory: cannot allocate the cells"
@@ -279,7 +275,7 @@ def test_out_of_memory_on_a_writer_thread_leaves_what_comes_before_written(tmp_p
         with mock.patch.object(jacobian, "full_jacobian", failing_jacobian if where == "market" else full_jacobian), \
                 mock.patch.object(csvout, "_formatted", failing_chunk), mock.patch.object(csvout, "_CHUNK_ROWS", 7), \
                 on_cpus(workers):
-            result = CliRunner().invoke(main, [*args, "--output", str(tmp_path / "out.csv")])
+            result = invoke([*args, "--output", str(tmp_path / "out.csv")])
         assert threading.enumerate() == threads
         assert result.exit_code == cli.EXIT_DOMAIN and result.stderr.splitlines() == [message], result.stderr
         assert (tmp_path / "out.csv").read_bytes() == want
@@ -308,7 +304,7 @@ def test_traced_peak_of_a_million_row_jacobian_is_the_same_on_one_and_two_worker
         tracemalloc.start()
         try:
             with on_cpus(workers), mock.patch.object(cli, "_output", slow_output):
-                result = CliRunner().invoke(main, args)
+                result = invoke(args)
             _, peaks[workers] = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
