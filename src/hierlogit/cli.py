@@ -201,10 +201,12 @@ class _Parser(argparse.ArgumentParser):
         _die(EXIT_PARSE, message)
 
     def main(self, args=None, prog_name=None, standalone_mode=None):
-        """Run the command ``args`` (default ``sys.argv[1:]``) names; an error exits with its code. ``prog_name``
-        and ``standalone_mode`` are ignored: they exist only for the call that ``perfbench/tracing.run_cli``
+        """Run the command that ``args`` (default ``sys.argv[1:]``) names; an
+        error exits with its code. ``prog_name`` and ``standalone_mode`` are
+        ignored: they exist only for the call that ``perfbench/tracing.run_cli``
         makes, ``main.main(args=argv, prog_name="hierlogit", standalone_mode=True)``."""
-        argv, words = [], iter(sys.argv[1:] if args is None else args)
+        argv = []
+        words = iter(sys.argv[1:] if args is None else args)
         for word in words:
             # an option that takes a value takes the next word, "-1e-9" too
             value = next(words, None) if word in _VALUED else None
@@ -222,15 +224,18 @@ class _Parser(argparse.ArgumentParser):
             _die(EXIT_DOMAIN, f"out of memory: {err}")
 
 
-main = _Parser(prog="hierlogit", description="Two-level nested logit toolkit: shares, inversion, derivatives, simulation.",
-               allow_abbrev=False)
-main.add_argument("--version", action="version", version=f"hierlogit, version {__version__}", help="Show the version and exit.")
-_commands, _VALUED = main.add_subparsers(metavar="COMMAND", required=True), set()  # the commands; the options that take a value
+main = _Parser(prog="hierlogit", allow_abbrev=False,
+               description="Two-level nested logit toolkit: shares, inversion, derivatives, simulation.")
+main.add_argument("--version", action="version", version=f"hierlogit, version {__version__}",
+                  help="Show the version and exit.")
+_commands = main.add_subparsers(metavar="COMMAND", required=True)
+_VALUED = set()  # the options that take a value
 _DEFAULT = "[default: %(default)s]"
 
 
 def _command(name, *options):
-    """Register the decorated function as command ``name`` with ``options``, each a flag and its ``add_argument`` keywords."""
+    """Register the decorated function as command ``name`` with ``options``,
+    each a flag and its ``add_argument`` keywords."""
 
     def register(fn):
         parser = _commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False)
@@ -245,11 +250,14 @@ def _command(name, *options):
 
 def _market_options(input_help="Market CSV with utilities in the value column."):
     return (("--input", dict(dest="input_path", required=True, metavar="PATH", help=input_help)),
-            ("--params", dict(dest="params_path", required=True, metavar="PATH", help="JSON file with sigma1 and sigma2.")),
-            ("--output", dict(dest="output_path", metavar="PATH", help="Destination file; standard output when omitted.")))
+            ("--params", dict(dest="params_path", required=True, metavar="PATH",
+                              help="JSON file with sigma1 and sigma2.")),
+            ("--output", dict(dest="output_path", metavar="PATH",
+                              help="Destination file; standard output when omitted.")))
 
 
-@_command("shares", *_market_options(), ("--format", dict(dest="fmt", choices=["csv", "json"], default="csv", help=_DEFAULT)))
+@_command("shares", *_market_options(),
+          ("--format", dict(dest="fmt", choices=["csv", "json"], default="csv", help=_DEFAULT)))
 def cmd_shares(input_path, params_path, output_path, fmt):
     """Compute joint, conditional, and outside shares plus inclusive values."""
     params, block = read_params_json(params_path), read_market_csv(input_path)
@@ -309,7 +317,8 @@ def _shares_json(runs, params: NestingParams):
 
 @_command("invert", *_market_options("Market CSV with joint shares and one _outside row per market."),
           ("--method", dict(choices=["closed", "newton"], default="closed", help=_DEFAULT)),
-          ("--tol", dict(type=float, default=1e-9, help="Newton stopping tolerance; closed and newton must agree within 10*tol.  " + _DEFAULT)))
+          ("--tol", dict(type=float, default=1e-9,
+                         help="Newton stopping tolerance; closed and newton must agree within 10*tol.  " + _DEFAULT)))
 def cmd_invert(input_path, params_path, output_path, method, tol):
     """Recover mean utilities from observed shares (closed form or Newton)."""
     from .inversion import berry_invert, numeric_invert
@@ -339,7 +348,9 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
     _write_csv(output_path, MARKET_COLUMNS, ([*_id_columns(b.hierarchy), delta] for b, delta in runs))
 
 
-@_command("jacobian", *_market_options(), ("--check-fd", dict(action="store_true", help="Cross-check against central finite differences; mismatch exits 3.")))
+@_command("jacobian", *_market_options(),
+          ("--check-fd", dict(action="store_true",
+                              help="Cross-check against central finite differences; mismatch exits 3.")))
 def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
     from .jacobian import _share_jacobian, fd_jacobian, full_jacobian, max_relative_error
@@ -369,7 +380,8 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
         _die(EXIT_SELFTEST, f"finite-difference check exceeded {_FD_LIMIT:g}")
 
 
-@_command("simulate", *_market_options(), ("--draws", dict(type=int, required=True, help="Number of simulated consumers per market.")),
+@_command("simulate", *_market_options(),
+          ("--draws", dict(type=int, required=True, help="Number of simulated consumers per market.")),
           ("--seed", dict(type=int, default=0, help=_DEFAULT)))
 def cmd_simulate(input_path, params_path, output_path, draws, seed):
     """Simulate sequential choices and compare frequencies to analytic shares."""
@@ -403,7 +415,8 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
         )
 
 
-@_command("estimate", ("--config", dict(dest="config_path", required=True, metavar="PATH", help="Synthetic-market JSON config.")),
+@_command("estimate",
+          ("--config", dict(dest="config_path", required=True, metavar="PATH", help="Synthetic-market JSON config.")),
           ("--output", dict(dest="output_path", metavar="PATH")))
 def cmd_estimate(config_path, output_path):
     """Generate a synthetic market and fit the inverted share equation."""

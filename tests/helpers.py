@@ -24,11 +24,12 @@ from hierlogit.montecarlo import _TINY_UNIFORM, _draw_stride, _sibling_table, _s
 
 def invoke(args):
     """Run the CLI on ``args`` in this process, as ``main.main(args)``: its
-    ``exit_code``, its standard output as text (``output``) and as bytes
-    (``stdout_bytes``), and its ``stderr``. Standard output has a
-    ``.buffer``, as the CLI's CSV writer needs. An exception that the CLI
-    does not map to an exit code propagates, so that its traceback fails
-    the test."""
+    ``exit_code``, its standard output as text (``stdout``) and as bytes
+    (``stdout_bytes``), its ``stderr``, and ``output``, standard output
+    then standard error, so that a test of ``output`` also fails on stray
+    error text. Standard output has a ``.buffer``, as the CLI's CSV writer
+    needs. An exception that the CLI does not map to an exit code
+    propagates, so that its traceback fails the test."""
     out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -38,7 +39,8 @@ def invoke(args):
             code = stop.code or 0
     out.flush()
     data = out.buffer.getvalue()
-    return SimpleNamespace(exit_code=code, output=data.decode("utf-8"), stdout_bytes=data, stderr=err.getvalue())
+    stdout, stderr = data.decode("utf-8"), err.getvalue()
+    return SimpleNamespace(exit_code=code, output=stdout + stderr, stdout=stdout, stdout_bytes=data, stderr=stderr)
 
 
 def random_tree(rng, max_groups=3, max_subgroups=3, max_products=4):

@@ -441,7 +441,7 @@ def test_out_of_memory_in_a_threaded_chunk_maps_like_a_serial_one(tmp_path):
     serial, threaded = results
     line = _assert_one_error_line(threaded, EXIT_DOMAIN)
     assert line == "error: out of memory: market 'm1': cannot allocate the shocks"
-    assert (threaded.output, threaded.stderr) == (serial.output, serial.stderr)
+    assert (threaded.stdout, threaded.stderr) == (serial.stdout, serial.stderr)
 
 
 def test_newton_on_a_16000_product_market_fits_in_1_gib(tmp_path):
@@ -1074,7 +1074,7 @@ def test_failing_multi_market_file_matches_its_one_market_runs(tmp_path, instanc
         path = write_market(tmp_path / "in.csv", market_rows)
         return invoke([*args, "--input", path, "--params", params])
 
-    clean_shares = run(["shares"], rows).output
+    clean_shares = run(["shares"], rows).stdout
     share_rows = [line.split(",")[:5] for line in clean_shares.splitlines()[1:]]
     for args in (["shares"], ["shares", "--format", "json"], ["jacobian"], ["jacobian", "--check-fd"],
                  ["simulate", "--draws", "2000", "--seed", "5"], ["invert"], ["invert", "--method", "newton"]):
@@ -1088,10 +1088,10 @@ def test_failing_multi_market_file_matches_its_one_market_runs(tmp_path, instanc
         assert parts[-1].exit_code != EXIT_OK, args
         assert (whole.exit_code, whole.stderr) == (parts[-1].exit_code, "".join(p.stderr for p in parts)), args
         if args[1:2] == ["--format"]:
-            assert whole.output == "" and parts[-1].output == "", args
+            assert whole.stdout == "" and parts[-1].stdout == "", args
             continue
-        header = parts[-1].output
-        assert whole.output == header + "".join(p.output[len(header):] for p in parts[:-1]), args
+        header = parts[-1].stdout
+        assert whole.stdout == header + "".join(p.stdout[len(header):] for p in parts[:-1]), args
 
 
 @pytest.mark.parametrize("command", ["shares", "estimate"])
