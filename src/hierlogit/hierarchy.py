@@ -53,8 +53,9 @@ class NestingParams:
 
     @property
     def ordering_ok(self) -> bool:
-        """sigma2 <= sigma1, as the nested (simultaneous) reading of the model
-        requires; sigma2 > sigma1 is still a valid sequential model."""
+        """sigma2 <= sigma1, the paper's distributional assumption: the nested reading draws a positive
+        stable term per subgroup, of index (1 - sigma1) / (1 - sigma2), which must not exceed 1. For
+        sigma2 > sigma1 only the sequential reading is a random-utility model, with the same shares."""
         return self.sigma2 <= self.sigma1
 
 

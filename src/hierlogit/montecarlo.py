@@ -23,19 +23,18 @@ in the Gumbel form too. Both forms choose alike from the same uniforms, up
 to rounding at near-ties.
 
 Determinism is positional: consumer i always consumes the same aligned
-block of the Philox counter stream for a given seed, so counts do not
-depend on the chunks the draws run in, their size included, nor on the
-threads that run them, one per CPU of the process's affinity mask. Each
-thread allocates its scratch once per call: a chunk's uniforms, its stage
-products, picks and nodes, a draw's stride plus its widest stage plus two
-words a draw. The threads' scratch shares 2**20 words (8 MB), whatever the
-tree and the number of CPUs, but a chunk holds at least one draw: where a
-subgroup is wider than about 2**19 / workers products, each thread's one
-draw is over its share, by less than one draw's scratch.
+block of the Philox counter stream for a given seed, so counts depend
+neither on the chunk size nor on the workers, one thread per CPU of the
+process's affinity mask. Worker w of W runs chunks w, w + W, w + 2W, ...
+with one generator, advanced past the other workers' chunks, and one set
+of scratch: a chunk's uniforms, stage products, picks and nodes, a draw's
+stride plus its widest stage plus two words a draw. The workers share
+2**18 words (2 MB) whatever the tree and the CPUs, but a chunk holds at
+least one draw: where a subgroup is wider than about 2**17 / W products,
+each worker's one draw is over its share, by less than one draw's scratch.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +55,10 @@ __all__ = [
 _WORDS_PER_ADVANCE = 4
 # smallest value Generator.random can emit besides 0.0; clamping keeps log u finite
 _TINY_UNIFORM = 2.0**-53
-# words of scratch, shared by the threads that run the chunks: 8 MB
-_CHUNK_WORDS = 2**20
+# words of scratch, shared by the workers that run the chunks: 2 MB
+_CHUNK_WORDS = 2**18
+# binomial terms per batch of the z-check, in up to four arrays: 512 KB; a wider alternative is one batch
+_Z_TERMS = 2**14
 
 
 @dataclass(frozen=True)
@@ -142,38 +143,39 @@ def simulate_choices(
               zip(tables, (np.append(iv.group, 0.0), iv.subgroup, delta),
                   (1.0, 1.0 - params.sigma2, 1.0 - params.sigma1))]
     ends = np.cumsum([at.shape[1] for at in tables]).tolist()
-    local = threading.local()
 
-    def tally(start):
-        n = min(chunk, config.draws - start)
-        if not hasattr(local, "scratch"):
-            # a thread's uniforms, stage products, picks and nodes, for every chunk it runs
-            local.scratch = (np.empty(chunk * stride), np.empty(chunk * widest),
-                             np.empty(chunk, np.intp), np.empty(chunk, np.intp))
-        race, product, pick, node = local.scratch
-        race, pick, node = race[:n * stride].reshape(n, stride), pick[:n], node[:n]
-        bits = np.random.Philox(key=config.seed).advance(start * stride // _WORDS_PER_ADVANCE)
-        np.random.Generator(bits).random(out=race)
-        np.log(np.maximum(race, _TINY_UNIFORM, out=race), out=race)
-        node[:] = 0
-        # a weight near 1e300 times log u is -inf, a certain loss
-        with np.errstate(over="ignore"):
-            for (at, weight), lo, hi in zip(stages, [0] + ends, ends):
-                w = product[:n * (hi - lo)].reshape(n, hi - lo)
-                # the indices are in range; mode="raise" would copy the output first
-                np.take(weight, node, axis=0, out=w, mode="clip")
-                np.multiply(race[:, lo:hi], w, out=w)
-                # ties break toward lower index
-                np.argmax(w, axis=1, out=pick)
-                node *= hi - lo
-                pick += node
-                np.take(at, pick, out=node, mode="clip")
-        return np.bincount(node, minlength=hierarchy.n_products + 1)
+    def tallies(first):
+        uniforms, product = np.empty(chunk * stride), np.empty(chunk * widest)
+        picks, nodes = np.empty(chunk, np.intp), np.empty(chunk, np.intp)
+        bits = np.random.Philox(key=config.seed).advance(first * chunk * stride // _WORDS_PER_ADVANCE)
+        draw = np.random.Generator(bits).random
+        for start in range(first * chunk, config.draws, n_workers * chunk):
+            n = min(chunk, config.draws - start)
+            race, pick, node = uniforms[:n * stride].reshape(n, stride), picks[:n], nodes[:n]
+            draw(out=race)
+            # past the other workers' chunks, to the first block of this worker's next
+            bits.advance((n_workers - 1) * chunk * stride // _WORDS_PER_ADVANCE)
+            np.log(np.maximum(race, _TINY_UNIFORM, out=race), out=race)
+            node[:] = 0
+            # a weight near 1e300 times log u is -inf, a certain loss
+            with np.errstate(over="ignore"):
+                for (at, weight), lo, hi in zip(stages, [0] + ends, ends):
+                    w = product[:n * (hi - lo)].reshape(n, hi - lo)
+                    # the indices are in range; mode="raise" would copy the output first
+                    np.take(weight, node, axis=0, out=w, mode="clip")
+                    np.multiply(race[:, lo:hi], w, out=w)
+                    # ties break toward lower index
+                    np.argmax(w, axis=1, out=pick)
+                    node *= hi - lo
+                    pick += node
+                    np.take(at, pick, out=node, mode="clip")
+            yield np.bincount(node, minlength=hierarchy.n_products + 1)
 
     with ChunkRunner() as runner:
         # each worker's share of the budget holds its scratch: a draw's stride, its widest stage and two indices
         chunk = max(1, _CHUNK_WORDS // runner.workers // (stride + widest + 2))
-        counts = sum(runner.map(tally, range(0, config.draws, chunk)))
+        n_workers = min(runner.workers, -(-config.draws // chunk))
+        counts = sum(runner.map(lambda first: sum(tallies(first)), range(n_workers)))
     return ChoiceCounts(counts=counts[:-1], outside_count=int(counts[-1]))
 
 
@@ -206,25 +208,26 @@ def _exact_z(tally: np.ndarray, share: np.ndarray) -> np.ndarray:
     below = freq < share
     # a count below its mean is the count of the other outcome above its mean
     k = np.where(below, n - tally, tally).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_p = np.where(below, np.log1p(-share), np.log(share))
         log_q = np.where(below, np.log(share), np.log1p(-share))
         # the first term, C(n, k) p^k q^(n-k), with 0 * log 0 = 0
         log_tail = np.array([math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1) for x in k.tolist()])
         log_tail += np.where(k > 0, k * log_p, 0.0) + np.where(k < n, (n - k) * log_q, 0.0)
+        odds = np.exp(log_p - log_q)
     # the terms fall from k on; those past ten standard deviations are negligible
-    extra = np.minimum(n - k, np.ceil(10.0 * np.sqrt(n * share * (1.0 - share))) + 10.0)
-    extra = np.where(np.isfinite(log_p + log_q), extra, 0.0).astype(np.int64)
-    batch = max(1, _CHUNK_WORDS // (int(extra.max()) + 1))  # alternatives per batch of terms
-    for lo in range(0, len(k), batch):
-        at = slice(lo, lo + batch)
-        run = extra[at]
-        alt, first = np.repeat(np.arange(len(run)), run), np.cumsum(run) - run
-        j = k[at][alt] + np.arange(run.sum()) - np.repeat(first, run)
-        # term j+1 over term j is (n-j)/(j+1) * p/q; the log ratios add up from each alternative's k
-        steps = np.cumsum(np.log(n - j) - np.log(j + 1) + (log_p - log_q)[at][alt])
-        steps -= np.repeat(np.append(0.0, steps)[first], run)
-        log_tail[at] += np.log1p(np.bincount(alt, np.exp(steps), len(run)))
+    extra = np.minimum(n - k, np.ceil(10.0 * np.sqrt(n * share * (1.0 - share))) + 10.0).astype(np.int64)
+    # each alternative's terms over its first are a row of a grid, batched with rows of similar
+    # length and padded with zeros; a row's products and sums run along it alone, in any batch
+    order = np.argsort(-extra, kind="stable")[:np.count_nonzero(extra)]
+    while len(order):
+        width = int(extra[order[0]])
+        rows, order = np.split(order, [max(1, _Z_TERMS // width)])
+        up = k[rows, None] + np.arange(1, width + 1)  # j + 1, for terms j from k on
+        # term j+1 over term j is (n-j)/(j+1) * p/q
+        ratio = (n + 1 - up) / up * odds[rows, None]
+        ratio[np.arange(width) >= extra[rows, None]] = 0.0
+        log_tail[rows] += np.log1p(np.cumsum(np.cumprod(ratio, axis=1, out=up), axis=1, out=ratio)[:, -1])
     tail = np.exp(log_tail)
     z = np.zeros_like(tail)
     far = (tail < 0.5) & (freq != share)

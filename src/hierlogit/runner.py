@@ -1,8 +1,8 @@
 """Chunks of work on one thread per CPU of the process's affinity mask, in order.
 
-The Monte Carlo kernel and the CSV writer both split their work into chunks
-whose numpy calls release the interpreter lock; ``ChunkRunner.map`` runs
-them and hands the results back in the order of the chunks.
+The CSV writer hands it chunks, and the Monte Carlo kernel one item per
+worker, each walking its own chunks; their numpy calls release the
+interpreter lock. ``ChunkRunner.map`` hands the results back in order.
 """
 
 import itertools

@@ -284,6 +284,41 @@ def gumbel_choice_counts(hierarchy, delta, params, config):
     return tally[:-1], int(tally[-1])
 
 
+def log_positive_stable(u, v, alpha):
+    """log S of positive stable draws, E exp(-tS) = exp(-t**alpha) with 0 < alpha <= 1, each from
+    two uniforms by Kanter's form of the Chambers-Mallows-Stuck method: with U = pi*u and E = -log v,
+    S = sin(alpha U) / sin(U)**(1/alpha) * (sin((1-alpha) U) / E)**((1-alpha)/alpha), 1 at alpha = 1."""
+    if alpha == 1.0:
+        return np.zeros_like(u)
+    angle = np.pi * np.maximum(u, _TINY_UNIFORM)
+    exponential = -np.log(np.maximum(v, _TINY_UNIFORM))
+    return (np.log(np.sin(alpha * angle)) - np.log(np.sin(angle)) / alpha
+            + (1.0 - alpha) / alpha * (np.log(np.sin((1.0 - alpha) * angle)) - np.log(exponential)))
+
+
+def nested_choice_counts(hierarchy, delta, params, draws, seed, block=20_000):
+    """Choice counts of the nested reading of the model, the oracle of ``compute_shares`` that
+    shares no derivation with it or with the sequential simulator. Each draw gives every product
+    at once the utility delta_j + (1-sigma2) log S_g + (1-sigma1) log S'_h + (1-sigma1) eta_j, and
+    the outside option eta_0, and takes the largest: eta is standard Gumbel, S_g positive stable of
+    index 1-sigma2 per group and S'_h of index (1-sigma1)/(1-sigma2) per subgroup (Cardell,
+    Econometric Theory 13, 1997), so every group's best product is Gumbel with the group's
+    inclusive value as location. Such an S'_h exists only where sigma2 <= sigma1."""
+    delta, rng = np.asarray(delta, dtype=float), np.random.default_rng(seed)
+    a1, a2 = 1.0 - params.sigma1, 1.0 - params.sigma2
+    n_grp, n_sub, n_prod = hierarchy.n_groups, hierarchy.n_subgroups, hierarchy.n_products
+    tally = np.zeros(n_prod + 1, dtype=np.int64)
+    for start in range(0, draws, block):
+        n = min(block, draws - start)
+        group = a2 * log_positive_stable(rng.random((n, n_grp)), rng.random((n, n_grp)), a2)
+        subgroup = a1 * log_positive_stable(rng.random((n, n_sub)), rng.random((n, n_sub)), a1 / a2)
+        utility = gumbel_from_uniform(rng.random((n, n_prod + 1)))
+        utility[:, :n_prod] *= a1
+        utility[:, :n_prod] += delta + group[:, hierarchy.product_group] + subgroup[:, hierarchy.product_subgroup]
+        tally += np.bincount(np.argmax(utility, axis=1), minlength=n_prod + 1)
+    return tally
+
+
 def fd_jacobian_loop(hierarchy, delta, params, step=1e-6):
     """``fd_jacobian`` one column at a time, two ``compute_shares`` calls per
     column: the oracle of the batched evaluation, which must give the same

@@ -419,22 +419,24 @@ def test_out_of_memory_exits_domain_with_one_line(tmp_path, command):
 def test_out_of_memory_in_a_threaded_chunk_maps_like_a_serial_one(tmp_path):
     # one product: a draw takes 4 shock doubles, one Philox advance, 2 stage
     # products and 2 indices, so 64 words of scratch make chunks of 8 draws
-    # on one thread, 4 on each of two
+    # on one thread, 4 on each of two; the second chunk's draw runs out of
+    # memory, on the one thread after its first chunk, on two in the second
+    # worker's first
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "p", 0.0)])
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
-    real = np.random.Generator
     results = []
     for workers in (1, 2):
-        threads, ran_on = threading.enumerate(), set()
+        threads, ran_on, second_chunk = threading.enumerate(), set(), 64 // workers // 8
 
-        def generator(bits, second_chunk=64 // workers // 8):
-            ran_on.add(threading.current_thread())
-            if bits.state["state"]["counter"][0] == second_chunk:
-                raise MemoryError("cannot allocate the shocks")
-            return real(bits)
+        class Generator(np.random.Generator):
+            def random(self, *args, **kwargs):
+                ran_on.add(threading.current_thread())
+                if self.bit_generator.state["state"]["counter"][0] == second_chunk:
+                    raise MemoryError("cannot allocate the shocks")
+                return super().random(*args, **kwargs)
 
         with mock.patch.object(montecarlo, "_CHUNK_WORDS", 64), on_cpus(workers), \
-                mock.patch.object(np.random, "Generator", generator):
+                mock.patch.object(np.random, "Generator", Generator):
             results.append(invoke(["simulate", "--draws", "100", "--input", market, "--params", params]))
         assert threading.enumerate() == threads
         assert (threading.main_thread() in ran_on) == (workers == 1)

@@ -23,8 +23,8 @@ from hierlogit.cli import MARKET_COLUMNS
 from hierlogit.montecarlo import _draw_stride, _exact_z, _sibling_tables
 
 from helpers import (
-    balanced_tree, binomial_tail_z, gumbel_choice_counts, gumbel_from_uniform, invoke, on_cpus, ragged_instances,
-    random_instance, random_tree,
+    balanced_tree, binomial_tail_z, gumbel_choice_counts, gumbel_from_uniform, invoke, nested_choice_counts, on_cpus,
+    ragged_instances, random_instance, random_tree,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -136,10 +136,10 @@ def test_sim_config_keeps_integral_values_as_ints():
 
 
 def test_chunk_memory_does_not_grow_with_the_tree():
-    # a 10x10x10 tree takes 32 shock doubles per draw, so 20,000 draws fit
-    # one chunk; one subgroup of 5,000 products takes 5,004, so 4,000 draws
-    # in one block would hold 160 MB per array; the threads' scratch shares
-    # 2**20 words, 8 MB, however many threads there are
+    # a 10x10x10 tree takes 32 shock doubles per draw, so 5,825 draws fit
+    # one worker's chunk; one subgroup of 5,000 products takes 5,004, so
+    # 4,000 draws in one block would hold 160 MB per array; the workers'
+    # scratch shares 2**18 words, 2 MB, however many workers there are
     assert _draw_stride(_sibling_tables(balanced_tree(10, 10, 10))) == 32
     tree = build_hierarchy([("g", "h", f"p{j}") for j in range(5000)])
     assert _draw_stride(_sibling_tables(tree)) == 5004
@@ -158,7 +158,7 @@ def test_chunk_memory_does_not_grow_with_the_tree():
 @pytest.mark.parametrize("shape, draws", [((10, 10, 10), 100_000), ((3, 3, 4), 200_000)])
 def test_traced_peak_of_the_kernel_is_its_budget(shape, draws):
     # each worker's uniforms, stage products, picks and nodes are its share of
-    # _CHUNK_WORDS words, 8 MB, in several chunks a worker; 1 MB more is for
+    # _CHUNK_WORDS words, 2 MB, in several chunks a worker; 1 MB more is for
     # the stage weights, the tallies and the threads
     tree = balanced_tree(*shape)
     delta = np.random.default_rng(9).uniform(-1.0, 1.0, tree.n_products)
@@ -274,6 +274,23 @@ def test_ragged_tree_frequencies_match_analytic_shares(instance_seed, sigma1, si
     assert np.all(np.abs(freq - share) <= 4 * np.sqrt(share * (1 - share) / n))
 
 
+# sigma2 <= sigma1, where the nested reading exists: both zero, equal, apart and at 0.95
+@pytest.mark.parametrize("sigma1, sigma2", [(0.0, 0.0), (0.5, 0.5), (0.95, 0.95), (0.6, 0.3), (0.95, 0.0), (0.9, 0.8)])
+def test_nested_reading_draws_the_shares(sigma1, sigma2):
+    # every product's utility at once, the largest chosen: the frequencies
+    # are the shares, and the shares at sigma1 - 0.02 are rejected
+    delta = np.random.default_rng(21).uniform(-1.5, 1.5, RAGGED_TREE.n_products)
+    tally = nested_choice_counts(RAGGED_TREE, delta, NestingParams(sigma1, sigma2), draws=400_000, seed=1)
+
+    def worst_z(params):
+        table, _ = compute_shares(RAGGED_TREE, delta, params)
+        return np.abs(_exact_z(tally, np.append(table.joint, table.outside))).max()
+
+    assert worst_z(NestingParams(sigma1, sigma2)) < 5.0
+    if sigma1 > 0.0:
+        assert worst_z(NestingParams(sigma1 - 0.02, sigma2)) > 5.0
+
+
 @st.composite
 def binomial_cases(draw):
     n = draw(st.integers(1, 300))
@@ -302,9 +319,24 @@ def test_exact_z_of_a_few_hits_on_a_rare_alternative_stays_below_five():
     assert z[1] == pytest.approx(-z[0], rel=1e-9)
 
 
+def test_exact_z_of_an_alternative_does_not_depend_on_its_batch():
+    # 1001 alternatives at 1e5 draws, as on a 10x10x10 tree: z summed one
+    # alternative a batch, a few or all at once is the same double
+    rng = np.random.default_rng(17)
+    share = rng.dirichlet(np.ones(1001))
+    tally = rng.multinomial(100_000, share)
+    z = _exact_z(tally, share)
+    for terms in (1, 2**10, 2**20):
+        with mock.patch.object(montecarlo, "_Z_TERMS", terms):
+            np.testing.assert_array_equal(_exact_z(tally, share), z)
+
+
+@pytest.mark.filterwarnings("error")
 def test_exact_z_of_a_zero_share():
     # never drawn: z is 0 where the frequency equals the share; drawn: the tail is 0
     z = _exact_z(np.array([0, 5, 95]), np.array([0.0, 0.05, 0.95]))
     assert z[0] == 0.0
     z = _exact_z(np.array([1, 4, 95]), np.array([0.0, 0.05, 0.95]))
     assert z[0] == np.inf and np.all(np.isfinite(z[1:]))
+    # a share of 1 beside shares of 0, all as drawn: every z is 0, without a warning
+    np.testing.assert_array_equal(_exact_z(np.array([100, 0, 0]), np.array([1.0, 0.0, 0.0])), 0.0)
