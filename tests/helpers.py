@@ -19,7 +19,6 @@ from hierlogit import OUTSIDE_ID, ChoiceHierarchy, MarketFileError, NestingParam
 from hierlogit.cli import MARKET_COLUMNS, MarketBlock, main, read_market_csv
 from hierlogit.hierarchy import numbered, tree_from_codes
 from hierlogit import runner
-from hierlogit.montecarlo import _TINY_UNIFORM, _draw_stride, _sibling_table, _sibling_tables
 
 
 def invoke(args):
@@ -254,33 +253,46 @@ def on_cpus(n, affinity=True):
     return mock.patch.object(runner, "os", SimpleNamespace(cpu_count=lambda: n))
 
 
+# smallest value Generator.random can emit besides 0.0; clamping keeps log u finite
+_TINY_UNIFORM = 2.0**-53
+
+
 def gumbel_from_uniform(u):
     """Standard Gumbel draws from uniforms, two logs each."""
     return -np.log(-np.log(np.maximum(u, _TINY_UNIFORM)))
 
 
-def gumbel_choice_counts(hierarchy, delta, params, config):
-    """``simulate_choices`` with Gumbel shocks added to each stage's values,
-    all draws in one block: the oracle of the exponential race, which must
-    give the same counts. Draws the same uniforms, by the same positions."""
-    delta = np.asarray(delta, dtype=float)
-    _, iv = compute_shares(hierarchy, delta, params)
+def inverse_cdf_choice_counts(hierarchy, delta, params, config):
+    """``simulate_choices`` one draw at a time from the analytic shares: the
+    oracle of its inverse-CDF stages, which must give the same counts. Draw i
+    reads Philox block i and stage s its word s; a stage takes the first child
+    whose cumulative conditional share exceeds the word, by
+    ``np.searchsorted(side="right")`` over ``ShareTable.group`` with the outside
+    option last, then ``cond_subgroup`` within the group, then ``cond_product``
+    within the subgroup. A child past the last of positive share is never
+    taken, even where rounding leaves every cumulative share at or below u."""
+    table, _ = compute_shares(hierarchy, np.asarray(delta, dtype=float), params)
     n_grp, n_prod = hierarchy.n_groups, hierarchy.n_products
-    stride = _draw_stride(_sibling_tables(hierarchy))
-    subgroup_at = _sibling_table(hierarchy.subgroup_group, n_grp + 1)
-    product_at = _sibling_table(hierarchy.product_subgroup, hierarchy.n_subgroups + 1)
-    subgroup_value = np.append(iv.subgroup, -np.inf)[subgroup_at]
-    product_value = np.append(delta, -np.inf)[product_at]
-    group_value = np.append(iv.group, 0.0)
-    sub_end = n_grp + 1 + subgroup_at.shape[1]
-    prod_end = sub_end + product_at.shape[1]
-    uniforms = np.random.Generator(np.random.Philox(key=config.seed)).random((config.draws, stride))
-    shocks = gumbel_from_uniform(uniforms[:, :prod_end])
-    chosen_grp = np.argmax(group_value + shocks[:, : n_grp + 1], axis=1)
-    v_sub = subgroup_value[chosen_grp] + (1.0 - params.sigma2) * shocks[:, n_grp + 1 : sub_end]
-    chosen_sub = subgroup_at[chosen_grp, np.argmax(v_sub, axis=1)]
-    v_prod = product_value[chosen_sub] + (1.0 - params.sigma1) * shocks[:, sub_end:prod_end]
-    tally = np.bincount(product_at[chosen_sub, np.argmax(v_prod, axis=1)], minlength=n_prod + 1)
+
+    def cumulative(shares, parent, n_parents):
+        first = np.searchsorted(parent, np.arange(n_parents))
+        return first, [np.cumsum(shares[parent == i]) for i in range(n_parents)]
+
+    def pick(cum, u):
+        return min(int(np.searchsorted(cum, u, side="right")), int(np.searchsorted(cum, cum[-1])))
+
+    groups = np.cumsum(np.append(table.group, table.outside))
+    first_subgroup, subgroups = cumulative(table.cond_subgroup, hierarchy.subgroup_group, n_grp)
+    first_product, products = cumulative(table.cond_product, hierarchy.product_subgroup, hierarchy.n_subgroups)
+    tally = np.zeros(n_prod + 1, dtype=np.int64)
+    for u_group, u_subgroup, u_product, _ in np.random.Generator(np.random.Philox(key=config.seed)).random(
+            (config.draws, 4)).tolist():
+        g = pick(groups, u_group)
+        if g == n_grp:
+            tally[n_prod] += 1
+            continue
+        h = first_subgroup[g] + pick(subgroups[g], u_subgroup)
+        tally[first_product[h] + pick(products[h], u_product)] += 1
     return tally[:-1], int(tally[-1])
 
 

@@ -341,6 +341,21 @@ def test_simulate_z_score_is_zero_for_an_underflowed_share_never_drawn(tmp_path)
     assert result.stderr == ""
 
 
+def test_simulate_z_score_is_never_negative_zero(tmp_path):
+    # one draw on a 3x3x4 market leaves 36 of 37 alternatives below their mean, with a
+    # tail of 1/2 or more; at +-700 the outside option is never drawn and its share is
+    # below every double but 0: each such z is 0, written "0"
+    rows = [("m", f"g{g}", f"h{g}.{h}", f"p{g}.{h}.{j}", round(0.1 * (g - h + j), 1))
+            for g in range(3) for h in range(3) for j in range(4)]
+    extreme = [("x", "g", "h", "a", 700.0), ("x", "g", "h", "b", -700.0), ("x", "f", "k", "c", 700.0)]
+    market = write_market(tmp_path / "m.csv", rows + extreme)
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    for draws in ("1", "1000"):
+        result = run_ok(["simulate", "--input", market, "--params", params, "--draws", draws])
+        z = [r["z_score"] for r in parse_csv(result.stdout)]
+        assert "-0" not in z and z.count("0") >= (36 if draws == "1" else 2)
+
+
 def test_simulate_computes_each_markets_shares_once(tmp_path):
     rows = [(f"m{m}", g, h, f"{g}{h}", 0.1 * m) for m in range(3) for g, h in (("g", "h"), ("g", "k"), ("f", "h"))]
     market = write_market(tmp_path / "m.csv", rows)
@@ -417,16 +432,17 @@ def test_out_of_memory_exits_domain_with_one_line(tmp_path, command):
 
 
 def test_out_of_memory_in_a_threaded_chunk_maps_like_a_serial_one(tmp_path):
-    # one product: a draw takes 4 shock doubles, one Philox advance, 2 stage
-    # products and 2 indices, so 64 words of scratch make chunks of 8 draws
-    # on one thread, 4 on each of two; the second chunk's draw runs out of
-    # memory, on the one thread after its first chunk, on two in the second
-    # worker's first
+    # one product: a draw takes one Philox block of 4 words, 3 stage words,
+    # one threshold (the group stage's 2 siblings but the last), its one
+    # comparison byte and 2 indices, 81 bytes, so 64 words (512 bytes) of
+    # scratch make chunks of 6 draws on one thread, 3 on each of two; the
+    # second chunk's draw runs out of memory, on the one thread after its
+    # first chunk, on two in the second worker's first
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "p", 0.0)])
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
     results = []
     for workers in (1, 2):
-        threads, ran_on, second_chunk = threading.enumerate(), set(), 64 // workers // 8
+        threads, ran_on, second_chunk = threading.enumerate(), set(), 64 * 8 // workers // 81
 
         class Generator(np.random.Generator):
             def random(self, *args, **kwargs):
@@ -577,13 +593,17 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_cli_import_loads_no_statistics():
-    # the exact z-check imports it when a simulation runs, not at start-up
+def test_cli_import_loads_no_statistics(tmp_path):
+    # nor does a simulation: the exact z-check takes its normal quantile from math.erfc
     src = os.path.dirname(os.path.dirname(hierlogit.__file__))
     probe = "import sys, hierlogit.cli; print('statistics' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0), ("m1", "g", "k", "b", 1.0)])
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    simulated = _imported_modules(["simulate", "--draws", "1000", "--input", market, "--params", params])
+    assert "hierlogit.montecarlo" in simulated and "statistics" not in simulated
 
 
 def _imported_modules(args, program=("-m", "hierlogit.cli")):

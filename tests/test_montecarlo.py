@@ -20,11 +20,11 @@ from hierlogit import (
 )
 from hierlogit import montecarlo, runner
 from hierlogit.cli import MARKET_COLUMNS
-from hierlogit.montecarlo import _draw_stride, _exact_z, _sibling_tables
+from hierlogit.montecarlo import _exact_z, _log_binomial, _sibling_tables, _upper_quantile
 
 from helpers import (
-    balanced_tree, binomial_tail_z, gumbel_choice_counts, gumbel_from_uniform, invoke, nested_choice_counts, on_cpus,
-    ragged_instances, random_instance, random_tree,
+    balanced_tree, binomial_tail_z, gumbel_from_uniform, inverse_cdf_choice_counts, invoke, nested_choice_counts,
+    on_cpus, ragged_instances, random_instance,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -84,8 +84,10 @@ def test_counts_invariant_to_chunking(instance_seed, draws, chunk_words):
     rng = np.random.default_rng(instance_seed)
     tree, delta, params = random_instance(rng, dlo=-2, dhi=2, smax=0.8)
     config = SimConfig(draws=draws, seed=11)
-    # the default chunk holds every draw of these small trees at once
-    assert montecarlo._CHUNK_WORDS // _draw_stride(_sibling_tables(tree)) >= draws
+    # the default chunk holds every draw of these small trees at once, even at 16 words a
+    # draw and 2 per sibling of its widest stage, more than a draw's scratch
+    widest = max(at.shape[1] for at in _sibling_tables(tree))
+    assert montecarlo._CHUNK_WORDS // (16 + 2 * widest) >= draws
     reference = simulate_choices(tree, delta, params, config)
     with mock.patch.object(montecarlo, "_CHUNK_WORDS", chunk_words):
         other = simulate_choices(tree, delta, params, config)
@@ -136,13 +138,14 @@ def test_sim_config_keeps_integral_values_as_ints():
 
 
 def test_chunk_memory_does_not_grow_with_the_tree():
-    # a 10x10x10 tree takes 32 shock doubles per draw, so 5,825 draws fit
-    # one worker's chunk; one subgroup of 5,000 products takes 5,004, so
-    # 4,000 draws in one block would hold 160 MB per array; the workers'
+    # a draw reads one Philox block whatever the tree, and its widest stage
+    # is 11 siblings on a 10x10x10 tree, so 12,945 draws fit one worker's
+    # chunk; one subgroup of 5,000 products is 5,000 siblings, so 4,000
+    # draws in one block would hold 160 MB of thresholds; the workers'
     # scratch shares 2**18 words, 2 MB, however many workers there are
-    assert _draw_stride(_sibling_tables(balanced_tree(10, 10, 10))) == 32
+    assert [at.shape[1] for at in _sibling_tables(balanced_tree(10, 10, 10))] == [11, 10, 10]
     tree = build_hierarchy([("g", "h", f"p{j}") for j in range(5000)])
-    assert _draw_stride(_sibling_tables(tree)) == 5004
+    assert [at.shape[1] for at in _sibling_tables(tree)] == [2, 1, 5000]
     delta = np.random.default_rng(5).uniform(-1.0, 1.0, tree.n_products)
     for workers in (1, 2):
         tracemalloc.start()
@@ -157,9 +160,9 @@ def test_chunk_memory_does_not_grow_with_the_tree():
 
 @pytest.mark.parametrize("shape, draws", [((10, 10, 10), 100_000), ((3, 3, 4), 200_000)])
 def test_traced_peak_of_the_kernel_is_its_budget(shape, draws):
-    # each worker's uniforms, stage products, picks and nodes are its share of
+    # each worker's blocks, stage words, thresholds, comparisons, picks and nodes are its share of
     # _CHUNK_WORDS words, 2 MB, in several chunks a worker; 1 MB more is for
-    # the stage weights, the tallies and the threads
+    # the stage thresholds, the tallies and the threads
     tree = balanced_tree(*shape)
     delta = np.random.default_rng(9).uniform(-1.0, 1.0, tree.n_products)
     for workers in (1, 2, 4):
@@ -182,17 +185,21 @@ TIED = build_hierarchy([("g0", "h0", "a"), ("g0", "h0", "b"), ("g0", "h1", "c"),
     workers=st.sampled_from([1, 2, 3]),
     chunk_words=st.integers(1, 2000),
 )
-# every utility tied, the outside option's 0 included, and tied utilities of 700 at sigma 0.999
+# every utility tied, the outside option's 0 included, tied utilities of 700 at sigma 0.999, and
+# utilities of -700 and 700 at sigma 1 - 1e-9, where every weight but the largest is 0
 @example(instance=(TIED, np.zeros(4), NestingParams(0.0, 0.0)), workers=2, chunk_words=50)
 @example(instance=(TIED, np.full(4, 700.0), NestingParams(0.999, 0.999)), workers=3, chunk_words=50)
-def test_exponential_race_counts_equal_the_gumbel_argmax(instance, workers, chunk_words):
+@example(instance=(TIED, np.array([-700.0, 700.0, 700.0, -700.0]), NestingParams(1 - 1e-9, 1 - 1e-9)),
+         workers=2, chunk_words=50)
+@pytest.mark.filterwarnings("error")
+def test_inverse_cdf_counts_equal_the_oracle(instance, workers, chunk_words):
     tree, delta, params = instance
     config = SimConfig(draws=2000, seed=13)
-    counts, outside = gumbel_choice_counts(tree, delta, params, config)
+    counts, outside = inverse_cdf_choice_counts(tree, delta, params, config)
     with mock.patch.object(montecarlo, "_CHUNK_WORDS", chunk_words), on_cpus(workers):
-        race = simulate_choices(tree, delta, params, config)
-    np.testing.assert_array_equal(race.counts, counts)
-    assert race.outside_count == outside
+        drawn = simulate_choices(tree, delta, params, config)
+    np.testing.assert_array_equal(drawn.counts, counts)
+    assert drawn.outside_count == outside
 
 
 @pytest.mark.parametrize("cpus, affinity", [(1, True), (3, True), (1, False), (2, False)])
@@ -208,7 +215,8 @@ def test_threads_are_the_cpus_of_the_affinity_mask_else_the_cpu_count(cpus, affi
         return [served.count(pool) for pool in dict.fromkeys(served)]
 
     tree = build_hierarchy([("g", "h", "p")])
-    # 64 words in flight: 100 draws of 4 shocks, 2 products and 2 indices take several chunks
+    # 64 words in flight: 100 draws of a 4-word block, 3 stage words, a threshold, its comparison
+    # and 2 indices take several chunks
     with on_cpus(cpus, affinity), mock.patch.object(montecarlo, "_CHUNK_WORDS", 64), \
             mock.patch.object(runner.ChunkRunner, "_serve", recorded):
         counts = simulate_choices(tree, [0.0], NestingParams(0.5, 0.25), SimConfig(draws=100, seed=1))
@@ -231,19 +239,18 @@ def test_threads_are_the_cpus_of_the_affinity_mask_else_the_cpu_count(cpus, affi
     assert threading.enumerate() == threads
 
 
-def _ceil4(words):
-    return -(-words // 4) * 4
-
-
-@settings(max_examples=60, derandomize=True, database=None)
-@given(instance_seed=st.integers(0, 2**32 - 1))
-def test_draw_stride_counts_siblings_only(instance_seed):
-    tree = random_tree(np.random.default_rng(instance_seed), max_groups=6, max_subgroups=6, max_products=9)
-    widest_group = np.bincount(tree.subgroup_group).max()
-    widest_subgroup = np.bincount(tree.product_subgroup).max()
-    stride = _draw_stride(_sibling_tables(tree))
-    assert stride == _ceil4((tree.n_groups + 1) + widest_group + widest_subgroup)
-    assert stride <= _ceil4((tree.n_groups + 1) + tree.n_subgroups + tree.n_products)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(instance_seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 300), chunk_words=st.integers(1, 400))
+def test_each_draw_is_its_own_block(instance_seed, draws, chunk_words):
+    # draw i reads block i alone: one more draw adds one unit at one alternative,
+    # whatever the tree, the chunks and the workers
+    tree, delta, params = random_instance(np.random.default_rng(instance_seed), dlo=-2, dhi=2,
+                                          max_groups=6, max_subgroups=6, max_products=9)
+    for workers in (1, 2):
+        with mock.patch.object(montecarlo, "_CHUNK_WORDS", chunk_words), on_cpus(workers):
+            fewer, more = (simulate_choices(tree, delta, params, SimConfig(draws=k, seed=5)) for k in (draws, draws + 1))
+        step = np.append(more.counts, more.outside_count) - np.append(fewer.counts, fewer.outside_count)
+        assert sorted(step.tolist()) == [0] * (len(step) - 1) + [1]
 
 
 # a one-subgroup group next to a five-subgroup one, and one-product
@@ -340,3 +347,43 @@ def test_exact_z_of_a_zero_share():
     assert z[0] == np.inf and np.all(np.isfinite(z[1:]))
     # a share of 1 beside shares of 0, all as drawn: every z is 0, without a warning
     np.testing.assert_array_equal(_exact_z(np.array([100, 0, 0]), np.array([1.0, 0.0, 0.0])), 0.0)
+
+
+def test_first_binomial_term_is_exact_at_a_hundred_thousand_draws():
+    # 1001 alternatives at 1e5 draws, as on a 10x10x10 tree: log C(n, k) from
+    # lgamma is off by 4.0e-10 here, as it cancels terms near n log n
+    from scipy.stats import binom
+
+    rng = np.random.default_rng(17)
+    share = rng.dirichlet(np.ones(1001))
+    tally = rng.multinomial(100_000, share)
+    # a count of 0 is the first term q^n, which _exact_z takes as n log q
+    inner = tally > 0
+    got = _log_binomial(tally[inner].astype(float), 100_000.0, share[inner], 1.0 - share[inner])
+    np.testing.assert_allclose(got, np.log(binom.pmf(tally[inner], 100_000, share[inner])), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(t=st.one_of(st.floats(1e-300, 0.5, exclude_max=True),
+                   st.floats(-300.0, -0.31).map(lambda e: 10.0**e),
+                   st.floats(1e-16, 0.25).map(lambda d: 0.5 - d)))
+def test_upper_quantile_is_the_normal_isf(t):
+    # uniform, log-uniform from 1e-300 and near 1/2, where z is near 0
+    from scipy.stats import norm
+
+    assert _upper_quantile(t) == pytest.approx(norm.isf(t), rel=1e-13, abs=0)
+
+
+def test_upper_quantile_of_a_subnormal_tail_is_finite():
+    # past the smallest normal double the tail is coarse, but Newton still ends
+    for t in (5e-324, 1e-320, 1e-310, 2.2e-308):
+        assert 37.0 < _upper_quantile(t) < 38.5
+
+
+def test_exact_z_is_never_negative_zero():
+    # a count below its mean whose tail is 1/2 or more: z is +0, as at the mean
+    z = _exact_z(np.array([0, 1, 0]), np.array([0.3, 0.4, 0.3]))
+    assert z[1] > 0.0 and np.all(z[[0, 2]] == 0.0)
+    assert not np.any(np.signbit(z[z == 0.0]))
+    z = _exact_z(np.array([1, 0]), np.array([1.0 - 1e-300, 1e-300]))
+    np.testing.assert_array_equal(np.signbit(z), [False, False])
