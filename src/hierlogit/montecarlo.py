@@ -10,24 +10,13 @@ exp((v_c - m)/s) / sum_j exp((v_j - m)/s), s the stage's scale and m the
 largest sibling value. Additive stage constants (the Euler-constant terms
 of the stage value functions) drop out of every argmax and are omitted.
 
-A stage draws that logit by inverse CDF, which is the distribution of its
-Gumbel argmax: the weights are cumulated once per call, per parent, into
-thresholds in [0, 1], +inf from the last child of positive weight on, and
-a consumer with uniform u takes the first child whose threshold exceeds u.
-Stage s reads word s of the consumer's block, so a draw is one Philox
-block of four 64-bit words, whatever the tree; the fourth is unused.
-
-Determinism is positional: consumer i always consumes block i of the
-Philox counter stream for a given seed, so counts depend neither on the
-chunk size nor on the workers, one thread per CPU of the process's
-affinity mask. Worker w of W runs chunks w, w + W, w + 2W, ... with one
-generator, advanced past the other workers' chunks, and one set of
-scratch: a chunk's blocks, stage words, gathered thresholds, comparisons,
-picks and nodes, per draw a block and three words, a word and a byte per
-threshold of the widest stage, and two indices. The workers share 2**18
-words (2 MB) whatever the tree and the CPUs, but a chunk holds at least
-one draw: where a subgroup is wider than about 233,000 / W products, each
-worker's one draw is over its share, by less than one draw's scratch.
+So the tally of N consumers is a chain of multinomials, which is what is
+drawn: N over the groups and the outside option, then each group's count
+over its subgroups, then each subgroup's count over its products, one
+``Generator.multinomial`` call a stage with one row per parent. The counts
+at a seed depend on numpy's binomial sampler, which numpy's ``Generator``
+policy lets change between versions, and counts at N and N + 1 draws are
+not nested.
 """
 
 import math
@@ -37,27 +26,21 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array, one_market
-from .runner import ChunkRunner
 from .shares import InclusiveValues, compute_shares
 
-__all__ = [
-    "SimConfig",
-    "ChoiceCounts",
-    "simulate_choices",
-    "empirical_shares",
-]
+__all__ = ["SimConfig", "ChoiceCounts", "simulate_choices", "empirical_shares"]
 
-# one Philox counter increment yields four 64-bit words, i.e. four doubles: a draw's uniforms
-_WORDS_PER_ADVANCE = 4
-# words of scratch, shared by the workers that run the chunks: 2 MB
-_CHUNK_WORDS = 2**18
-# binomial terms per batch of the z-check, in up to four arrays: 512 KB; a wider alternative is one batch
+# binomial terms per batch of the z-check, in up to four arrays: 512 KB; a wider alternative is walked
+# in blocks of this many
 _Z_TERMS = 2**14
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation size and seed, both integers."""
+    """Simulation size and seed, both integers: ``draws`` in [1, 2**53], below which the
+    CSV writer formats every count exactly, and ``seed`` in [0, 2**128), the Philox key.
+    The CLI's z-check sums about 10 sqrt(draws s (1 - s)) binomial terms per alternative
+    of share s."""
 
     draws: int
     seed: int = 0
@@ -65,8 +48,8 @@ class SimConfig:
     def __post_init__(self):
         object.__setattr__(self, "draws", _number("draws", self.draws, integral=True))
         object.__setattr__(self, "seed", _number("seed", self.seed, integral=True))
-        if self.draws < 1:
-            raise OutOfDomainError(f"draws={self.draws!r} must be >= 1")
+        if not 1 <= self.draws <= 2**53:
+            raise OutOfDomainError(f"draws={self.draws!r} must lie in [1, 2**53]")
         # the Philox key is 128 bits wide
         if not 0 <= self.seed < 2**128:
             raise OutOfDomainError(f"seed={self.seed!r} must lie in [0, 2**128)")
@@ -84,38 +67,24 @@ class ChoiceCounts:
         return int(self.counts.sum()) + int(self.outside_count)
 
 
-def _sibling_table(parent: np.ndarray, n_rows: int) -> np.ndarray:
-    """Each of ``n_rows`` parents' children by position, ``len(parent)`` past
-    the last; ``parent``, the parent of each child, is sorted."""
-    position = np.arange(len(parent)) - np.searchsorted(parent, parent)
-    table = np.full((n_rows, position.max() + 1), len(parent), dtype=np.intp)
-    table[parent, position] = np.arange(len(parent))
-    return table
-
-
-def _sibling_tables(hierarchy: ChoiceHierarchy) -> list:
-    """Each stage's sibling table in a one-market tree: the children of each node
-    the stage above may choose, the root first, the outside option the market's
-    last group. A padding entry, beside the -inf appended to the values, is as a
-    subgroup the all-padding product row, whose padding tallies the outside option."""
-    parents = (np.append(hierarchy.group_market, 0), *hierarchy.parent[1:])
-    return [_sibling_table(parent, len(ids) + 1) for parent, ids in zip(parents, hierarchy.ids)]
-
-
-def _thresholds(at: np.ndarray, values: np.ndarray, scale: float) -> np.ndarray:
-    """A stage's inverse-CDF thresholds by sibling table ``at``, one row per
-    child position but the last, one column per parent: each parent's
-    cumulative child weights exp((v - m) / scale) over their sum, m its largest
-    child value, and +inf from its last child of positive weight on. A uniform
-    u picks the child at the count of thresholds at or below it, which is the
-    first child whose threshold exceeds u, the last where none does. Padding
-    weighs 0; an all-padding row, whose weights are nan (-inf minus -inf), is
-    +inf throughout and picks its first entry."""
+def _stage_counts(rng, n, parent, values, scale) -> np.ndarray:
+    """Each child's count at a stage whose parents were chosen ``n`` times,
+    ``parent`` being the parent of each child, sorted: per parent,
+    Multinomial(n, p) over its children, p_c = exp((v_c - m) / scale) over
+    their sum, m the largest child value. A parent's row holds its children
+    by increasing value after padding, which weighs 0: numpy gives a row's
+    last column the remainder, 1 - the sum of the others, and so gives it to
+    the row's most probable child."""
+    # each child's column counted from the end of its parent's row
+    column = np.arange(len(parent)) - np.cumsum(np.bincount(parent, minlength=len(n)))[parent]
+    at = np.full((len(n), -column.min()), len(parent), dtype=np.intp)
+    at[parent, column] = np.lexsort((values, parent))
     sibling = np.append(values, -np.inf)[at]
-    with np.errstate(invalid="ignore"):
-        cum = np.cumsum(np.exp((sibling - sibling.max(axis=1, keepdims=True)) / scale), axis=1)
-        cuts = np.where(cum < cum[:, -1:], cum / cum[:, -1:], np.inf)
-    return np.ascontiguousarray(cuts[:, :-1].T)
+    weight = np.exp((sibling - sibling[:, -1:]) / scale)
+    tally = np.zeros(len(parent) + 1, dtype=np.int64)
+    # padding's counts, 0, land past the last child
+    tally[at] = rng.multinomial(n, weight / weight.sum(axis=1, keepdims=True))
+    return tally[:-1]
 
 
 def simulate_choices(
@@ -133,52 +102,13 @@ def simulate_choices(
     delta = as_delta_array(hierarchy, delta)
     if iv is None:
         _, iv = compute_shares(hierarchy, delta, params)
-    tables = _sibling_tables(hierarchy)
-    stages = [(at.ravel(), _thresholds(at, values, scale)) for at, values, scale in
-              zip(tables, (np.append(iv.group, 0.0), iv.subgroup, delta),
-                  (1.0, 1.0 - params.sigma2, 1.0 - params.sigma1))]
-    # a draw's scratch: its block and stage words, its widest stage's thresholds but the last
-    # and two indices, a word each, and the thresholds' comparisons, a byte each
-    cuts = max(at.shape[1] for at in tables) - 1
-    words_per_draw = _WORDS_PER_ADVANCE + len(stages) + cuts + 2
-
-    def tallies(first):
-        # one allocation, which the allocator maps afresh and returns when freed, where smaller
-        # ones can stay resident in a thread's arena after the call
-        blocks, words, gathered, indices, below = np.split(
-            np.empty(chunk * words_per_draw + -(-cuts * chunk // 8)),
-            np.cumsum([_WORDS_PER_ADVANCE, len(stages), cuts, 2]) * chunk)
-        blocks, words, below = blocks.reshape(chunk, -1), words.reshape(len(stages), chunk), below.view(bool)
-        picks, nodes = indices.view(np.intp).reshape(2, chunk)
-        bits = np.random.Philox(key=config.seed).advance(first * chunk)
-        draw = np.random.Generator(bits).random
-        for start in range(first * chunk, config.draws, n_workers * chunk):
-            n = min(chunk, config.draws - start)
-            block, word, pick, node = blocks[:n], words[:, :n], picks[:n], nodes[:n]
-            draw(out=block)
-            # past the other workers' chunks, to the first block of this worker's next
-            bits.advance((n_workers - 1) * chunk)
-            # stage s reads word s of each block, as a contiguous row
-            np.copyto(word, block[:, :len(stages)].T)
-            node[:] = 0
-            for u, (at, thresholds) in zip(word, stages):
-                rows = len(thresholds)
-                bound, hit = gathered[:rows * n].reshape(rows, n), below[:rows * n].reshape(rows, n)
-                # the indices are in range; mode="raise" would copy the output first
-                np.take(thresholds, node, axis=1, out=bound, mode="clip")
-                np.less_equal(bound, u, out=hit)
-                np.add.reduce(hit, axis=0, dtype=np.intp, out=pick)
-                node *= rows + 1
-                pick += node
-                np.take(at, pick, out=node, mode="clip")
-            yield np.bincount(node, minlength=hierarchy.n_products + 1)
-
-    with ChunkRunner() as runner:
-        # each worker's share of the budget holds its scratch
-        chunk = max(1, _CHUNK_WORDS * 8 // runner.workers // (8 * words_per_draw + cuts))
-        n_workers = min(runner.workers, -(-config.draws // chunk))
-        counts = sum(runner.map(lambda first: sum(tallies(first)), range(n_workers)))
-    return ChoiceCounts(counts=counts[:-1], outside_count=int(counts[-1]))
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    # the outside option is the root's last child
+    groups = _stage_counts(rng, np.array([config.draws]), np.zeros(hierarchy.n_groups + 1, dtype=np.intp),
+                           np.append(iv.group, 0.0), 1.0)
+    subgroups = _stage_counts(rng, groups[:-1], hierarchy.subgroup_group, iv.subgroup, 1.0 - params.sigma2)
+    products = _stage_counts(rng, subgroups, hierarchy.product_subgroup, delta, 1.0 - params.sigma1)
+    return ChoiceCounts(counts=products, outside_count=int(groups[-1]))
 
 
 def empirical_shares(counts: ChoiceCounts):
@@ -223,11 +153,21 @@ def _exact_z(tally: np.ndarray, share: np.ndarray) -> np.ndarray:
     while len(order):
         width = int(extra[order[0]])
         rows, order = np.split(order, [max(1, _Z_TERMS // width)])
-        up = k[rows, None] + np.arange(1, width + 1)  # j + 1, for terms j from k on
-        # term j+1 over term j is (n-j)/(j+1) * p/q
-        ratio = (n + 1 - up) / up * odds[rows, None]
-        ratio[np.arange(width) >= extra[rows, None]] = 0.0
-        log_tail[rows] += np.log1p(np.cumsum(np.cumprod(ratio, axis=1, out=up), axis=1, out=ratio)[:, -1])
+        # the running product and sum of the terms; a row wider than _Z_TERMS is walked in blocks, each
+        # starting from them, so that the products and sums stay sequential
+        carry = np.array([np.ones(len(rows)), np.zeros(len(rows))])
+        for start in range(0, width, _Z_TERMS):
+            step = np.arange(start + 1, min(width, start + _Z_TERMS) + 1, dtype=float)
+            ratio = np.empty((len(rows), len(step) + 1))
+            terms = np.add(k[rows, None], step, out=ratio[:, 1:])  # j + 1, for terms j from k on
+            # term j+1 over term j is (n-j)/(j+1) * p/q
+            np.divide(n + 1 - terms, terms, out=terms)
+            terms *= odds[rows, None]
+            np.copyto(terms, 0.0, where=step > extra[rows, None])
+            for running, accumulate in zip(carry, (np.cumprod, np.cumsum)):
+                ratio[:, 0] = running
+                running[:] = accumulate(ratio, axis=1, out=ratio)[:, -1]
+        log_tail[rows] += np.log1p(carry[1])
     tail = np.exp(log_tail)
     z = np.zeros_like(tail)
     far = (tail < 0.5) & (freq != share)

@@ -1,8 +1,8 @@
 """Chunks of work on one thread per CPU of the process's affinity mask, in order.
 
-The CSV writer hands it chunks, and the Monte Carlo kernel one item per
-worker, each walking its own chunks; their numpy calls release the
-interpreter lock. ``ChunkRunner.map`` hands the results back in order.
+The CSV writer, its only caller, hands it chunks to format, whose numpy
+calls release the interpreter lock. ``ChunkRunner.map`` hands the results
+back in order.
 """
 
 import itertools

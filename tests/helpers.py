@@ -246,8 +246,8 @@ def binomial_tail_z(n, p, k):
 
 
 def on_cpus(n, affinity=True):
-    """Patch the CPUs that ``simulate_choices`` and the CSV writer find to
-    ``n``: the affinity mask, or where the platform has none, the CPU count."""
+    """Patch the CPUs that the CSV writer finds to ``n``: the affinity mask,
+    or where the platform has none, the CPU count."""
     if affinity:
         return mock.patch.object(runner, "os", SimpleNamespace(sched_getaffinity=lambda pid: set(range(n))))
     return mock.patch.object(runner, "os", SimpleNamespace(cpu_count=lambda: n))
@@ -260,40 +260,6 @@ _TINY_UNIFORM = 2.0**-53
 def gumbel_from_uniform(u):
     """Standard Gumbel draws from uniforms, two logs each."""
     return -np.log(-np.log(np.maximum(u, _TINY_UNIFORM)))
-
-
-def inverse_cdf_choice_counts(hierarchy, delta, params, config):
-    """``simulate_choices`` one draw at a time from the analytic shares: the
-    oracle of its inverse-CDF stages, which must give the same counts. Draw i
-    reads Philox block i and stage s its word s; a stage takes the first child
-    whose cumulative conditional share exceeds the word, by
-    ``np.searchsorted(side="right")`` over ``ShareTable.group`` with the outside
-    option last, then ``cond_subgroup`` within the group, then ``cond_product``
-    within the subgroup. A child past the last of positive share is never
-    taken, even where rounding leaves every cumulative share at or below u."""
-    table, _ = compute_shares(hierarchy, np.asarray(delta, dtype=float), params)
-    n_grp, n_prod = hierarchy.n_groups, hierarchy.n_products
-
-    def cumulative(shares, parent, n_parents):
-        first = np.searchsorted(parent, np.arange(n_parents))
-        return first, [np.cumsum(shares[parent == i]) for i in range(n_parents)]
-
-    def pick(cum, u):
-        return min(int(np.searchsorted(cum, u, side="right")), int(np.searchsorted(cum, cum[-1])))
-
-    groups = np.cumsum(np.append(table.group, table.outside))
-    first_subgroup, subgroups = cumulative(table.cond_subgroup, hierarchy.subgroup_group, n_grp)
-    first_product, products = cumulative(table.cond_product, hierarchy.product_subgroup, hierarchy.n_subgroups)
-    tally = np.zeros(n_prod + 1, dtype=np.int64)
-    for u_group, u_subgroup, u_product, _ in np.random.Generator(np.random.Philox(key=config.seed)).random(
-            (config.draws, 4)).tolist():
-        g = pick(groups, u_group)
-        if g == n_grp:
-            tally[n_prod] += 1
-            continue
-        h = first_subgroup[g] + pick(subgroups[g], u_subgroup)
-        tally[first_product[h] + pick(products[h], u_product)] += 1
-    return tally[:-1], int(tally[-1])
 
 
 def log_positive_stable(u, v, alpha):

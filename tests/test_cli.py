@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -18,11 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hierlogit
-from hierlogit import NestingParams, compute_shares, montecarlo
+from hierlogit import NestingParams, compute_shares
 from hierlogit.cli import (
     EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, MarketBlock, _results, read_market_csv, read_params_json,
 )
-from helpers import assert_same_read, binomial_tail_z, invoke, market_tree, on_cpus
+from helpers import assert_same_read, binomial_tail_z, invoke, market_tree
 
 HEADER = "market_id,group_id,subgroup_id,product_id,value"
 
@@ -305,6 +304,21 @@ def test_simulate_rejects_nonpositive_draws(tmp_path):
     assert result.exit_code == EXIT_DOMAIN
 
 
+def test_simulate_refuses_draws_past_2_to_the_53(tmp_path):
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
+    params = write_params(tmp_path / "p.json", 0.0, 0.0)
+    line = _assert_one_error_line(invoke(["simulate", "--input", market, "--params", params,
+                                          "--draws", str(2**53 + 1)]), EXIT_DOMAIN)
+    assert "2**53" in line
+
+
+def test_simulate_writes_exact_counts_at_2_to_the_40_draws(tmp_path):
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
+    params = write_params(tmp_path / "p.json", 0.0, 0.0)
+    result = run_ok(["simulate", "--input", market, "--params", params, "--draws", str(2**40)])
+    assert sum(int(r["count"]) for r in parse_csv(result.stdout)) == 2**40
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
 def test_simulate_seed_out_of_range_exits_domain(tmp_path, seed):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
@@ -431,35 +445,24 @@ def test_out_of_memory_exits_domain_with_one_line(tmp_path, command):
     assert len(lines) == 1 and lines[0].startswith("error: out of memory: market 'm1':"), result.stderr
 
 
-def test_out_of_memory_in_a_threaded_chunk_maps_like_a_serial_one(tmp_path):
-    # one product: a draw takes one Philox block of 4 words, 3 stage words,
-    # one threshold (the group stage's 2 siblings but the last), its one
-    # comparison byte and 2 indices, 81 bytes, so 64 words (512 bytes) of
-    # scratch make chunks of 6 draws on one thread, 3 on each of two; the
-    # second chunk's draw runs out of memory, on the one thread after its
-    # first chunk, on two in the second worker's first
-    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "p", 0.0)])
+def test_out_of_memory_in_the_sampler_names_its_market_after_the_markets_before(tmp_path):
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "p", 0.0), ("m2", "g", "h", "p", 0.0)])
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
-    results = []
-    for workers in (1, 2):
-        threads, ran_on, second_chunk = threading.enumerate(), set(), 64 * 8 // workers // 81
+    calls = []
 
-        class Generator(np.random.Generator):
-            def random(self, *args, **kwargs):
-                ran_on.add(threading.current_thread())
-                if self.bit_generator.state["state"]["counter"][0] == second_chunk:
-                    raise MemoryError("cannot allocate the shocks")
-                return super().random(*args, **kwargs)
+    class Generator(np.random.Generator):
+        # three stages a market: the second market's first stage runs out of memory
+        def multinomial(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise MemoryError("cannot allocate the counts")
+            return super().multinomial(*args, **kwargs)
 
-        with mock.patch.object(montecarlo, "_CHUNK_WORDS", 64), on_cpus(workers), \
-                mock.patch.object(np.random, "Generator", Generator):
-            results.append(invoke(["simulate", "--draws", "100", "--input", market, "--params", params]))
-        assert threading.enumerate() == threads
-        assert (threading.main_thread() in ran_on) == (workers == 1)
-    serial, threaded = results
-    line = _assert_one_error_line(threaded, EXIT_DOMAIN)
-    assert line == "error: out of memory: market 'm1': cannot allocate the shocks"
-    assert (threaded.stdout, threaded.stderr) == (serial.stdout, serial.stderr)
+    with mock.patch.object(np.random, "Generator", Generator):
+        result = invoke(["simulate", "--draws", "100", "--input", market, "--params", params])
+    line = _assert_one_error_line(result, EXIT_DOMAIN)
+    assert line == "error: out of memory: market 'm2': cannot allocate the counts"
+    assert [r["market_id"] for r in parse_csv(result.stdout)] == ["m1", "m1"]
 
 
 def test_newton_on_a_16000_product_market_fits_in_1_gib(tmp_path):

@@ -18,13 +18,11 @@ from hierlogit import (
     empirical_shares,
     simulate_choices,
 )
-from hierlogit import montecarlo, runner
-from hierlogit.cli import MARKET_COLUMNS
-from hierlogit.montecarlo import _exact_z, _log_binomial, _sibling_tables, _upper_quantile
+from hierlogit import montecarlo
+from hierlogit.montecarlo import _exact_z, _log_binomial, _upper_quantile
 
 from helpers import (
-    balanced_tree, binomial_tail_z, gumbel_from_uniform, inverse_cdf_choice_counts, invoke, nested_choice_counts,
-    on_cpus, ragged_instances, random_instance,
+    balanced_tree, binomial_tail_z, gumbel_from_uniform, nested_choice_counts, on_cpus, ragged_instances,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -72,29 +70,6 @@ def test_frequencies_match_analytic_shares():
     assert se.shape == freq.shape
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(
-    instance_seed=st.integers(0, 2**32 - 1),
-    draws=st.integers(1, 1500),
-    chunk_words=st.integers(1, 60_000),
-)
-# one word is below any draw's stride: every chunk holds a single draw
-@example(instance_seed=7, draws=1500, chunk_words=1)
-def test_counts_invariant_to_chunking(instance_seed, draws, chunk_words):
-    rng = np.random.default_rng(instance_seed)
-    tree, delta, params = random_instance(rng, dlo=-2, dhi=2, smax=0.8)
-    config = SimConfig(draws=draws, seed=11)
-    # the default chunk holds every draw of these small trees at once, even at 16 words a
-    # draw and 2 per sibling of its widest stage, more than a draw's scratch
-    widest = max(at.shape[1] for at in _sibling_tables(tree))
-    assert montecarlo._CHUNK_WORDS // (16 + 2 * widest) >= draws
-    reference = simulate_choices(tree, delta, params, config)
-    with mock.patch.object(montecarlo, "_CHUNK_WORDS", chunk_words):
-        other = simulate_choices(tree, delta, params, config)
-    np.testing.assert_array_equal(reference.counts, other.counts)
-    assert reference.outside_count == other.outside_count
-
-
 def test_empirical_shares_layout():
     counts = ChoiceCounts(counts=np.array([500_000]), outside_count=500_000)
     freq, se = empirical_shares(counts)
@@ -112,8 +87,11 @@ def test_empirical_shares_boundary():
 
 
 def test_sim_config_validation():
-    with pytest.raises(OutOfDomainError):
-        SimConfig(draws=0)
+    # past 2**53 a count is no longer written exactly
+    for draws in (0, 2**53 + 1):
+        with pytest.raises(OutOfDomainError):
+            SimConfig(draws=draws)
+    SimConfig(draws=2**53)
     for seed in (-1, 2**128):
         with pytest.raises(OutOfDomainError):
             SimConfig(draws=10, seed=seed)
@@ -137,120 +115,6 @@ def test_sim_config_keeps_integral_values_as_ints():
     assert type(cfg.draws) is int and type(cfg.seed) is int
 
 
-def test_chunk_memory_does_not_grow_with_the_tree():
-    # a draw reads one Philox block whatever the tree, and its widest stage
-    # is 11 siblings on a 10x10x10 tree, so 12,945 draws fit one worker's
-    # chunk; one subgroup of 5,000 products is 5,000 siblings, so 4,000
-    # draws in one block would hold 160 MB of thresholds; the workers'
-    # scratch shares 2**18 words, 2 MB, however many workers there are
-    assert [at.shape[1] for at in _sibling_tables(balanced_tree(10, 10, 10))] == [11, 10, 10]
-    tree = build_hierarchy([("g", "h", f"p{j}") for j in range(5000)])
-    assert [at.shape[1] for at in _sibling_tables(tree)] == [2, 1, 5000]
-    delta = np.random.default_rng(5).uniform(-1.0, 1.0, tree.n_products)
-    for workers in (1, 2):
-        tracemalloc.start()
-        try:
-            with on_cpus(workers):
-                simulate_choices(tree, delta, NestingParams(0.5, 0.25), SimConfig(draws=4000, seed=1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20, f"{workers} workers: peak traced memory {peak / 2**20:.1f} MB"
-
-
-@pytest.mark.parametrize("shape, draws", [((10, 10, 10), 100_000), ((3, 3, 4), 200_000)])
-def test_traced_peak_of_the_kernel_is_its_budget(shape, draws):
-    # each worker's blocks, stage words, thresholds, comparisons, picks and nodes are its share of
-    # _CHUNK_WORDS words, 2 MB, in several chunks a worker; 1 MB more is for
-    # the stage thresholds, the tallies and the threads
-    tree = balanced_tree(*shape)
-    delta = np.random.default_rng(9).uniform(-1.0, 1.0, tree.n_products)
-    for workers in (1, 2, 4):
-        tracemalloc.start()
-        try:
-            with on_cpus(workers):
-                simulate_choices(tree, delta, NestingParams(0.5, 0.25), SimConfig(draws=draws, seed=3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= montecarlo._CHUNK_WORDS * 8 + 2**20, f"{workers} workers: peak {peak / 2**20:.2f} MB"
-
-
-TIED = build_hierarchy([("g0", "h0", "a"), ("g0", "h0", "b"), ("g0", "h1", "c"), ("g1", "h2", "d")])
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    instance=ragged_instances(utility_bound=700.0, sigma_bound=0.999),
-    workers=st.sampled_from([1, 2, 3]),
-    chunk_words=st.integers(1, 2000),
-)
-# every utility tied, the outside option's 0 included, tied utilities of 700 at sigma 0.999, and
-# utilities of -700 and 700 at sigma 1 - 1e-9, where every weight but the largest is 0
-@example(instance=(TIED, np.zeros(4), NestingParams(0.0, 0.0)), workers=2, chunk_words=50)
-@example(instance=(TIED, np.full(4, 700.0), NestingParams(0.999, 0.999)), workers=3, chunk_words=50)
-@example(instance=(TIED, np.array([-700.0, 700.0, 700.0, -700.0]), NestingParams(1 - 1e-9, 1 - 1e-9)),
-         workers=2, chunk_words=50)
-@pytest.mark.filterwarnings("error")
-def test_inverse_cdf_counts_equal_the_oracle(instance, workers, chunk_words):
-    tree, delta, params = instance
-    config = SimConfig(draws=2000, seed=13)
-    counts, outside = inverse_cdf_choice_counts(tree, delta, params, config)
-    with mock.patch.object(montecarlo, "_CHUNK_WORDS", chunk_words), on_cpus(workers):
-        drawn = simulate_choices(tree, delta, params, config)
-    np.testing.assert_array_equal(drawn.counts, counts)
-    assert drawn.outside_count == outside
-
-
-@pytest.mark.parametrize("cpus, affinity", [(1, True), (3, True), (1, False), (2, False)])
-def test_threads_are_the_cpus_of_the_affinity_mask_else_the_cpu_count(cpus, affinity, tmp_path):
-    served, serve, threads = [], runner.ChunkRunner._serve, threading.enumerate()
-
-    def recorded(self):
-        served.append(self)
-        serve(self)
-
-    def pools():
-        """The threads each runner started, one entry per runner that started any."""
-        return [served.count(pool) for pool in dict.fromkeys(served)]
-
-    tree = build_hierarchy([("g", "h", "p")])
-    # 64 words in flight: 100 draws of a 4-word block, 3 stage words, a threshold, its comparison
-    # and 2 indices take several chunks
-    with on_cpus(cpus, affinity), mock.patch.object(montecarlo, "_CHUNK_WORDS", 64), \
-            mock.patch.object(runner.ChunkRunner, "_serve", recorded):
-        counts = simulate_choices(tree, [0.0], NestingParams(0.5, 0.25), SimConfig(draws=100, seed=1))
-    assert counts.total == 100
-    assert pools() == ([] if cpus == 1 else [cpus])
-    # the writer: a pool for the 40,200 rows of a 200-product Jacobian, three
-    # chunks; none for simulate's 1001 rows, one chunk, of 100 draws, one chunk too
-    for n_products, args, want in ((200, ["jacobian"], [] if cpus == 1 else [cpus]),
-                                   (1000, ["simulate", "--draws", "100"], [])):
-        rows = "".join(f"m,g{j % 10},h{j % 50},p{j},0\n" for j in range(n_products))
-        (tmp_path / "m.csv").write_text(",".join(MARKET_COLUMNS) + "\n" + rows)
-        (tmp_path / "p.json").write_text('{"sigma1": 0.5, "sigma2": 0.25}')
-        served.clear()
-        with on_cpus(cpus, affinity), mock.patch.object(runner.ChunkRunner, "_serve", recorded):
-            result = invoke([*args, "--input", str(tmp_path / "m.csv"), "--params",
-                             str(tmp_path / "p.json"), "--output", str(tmp_path / "out.csv")])
-        assert result.exit_code == 0, result.stderr
-        assert pools() == want
-    # every pool's threads are joined when its runner is done
-    assert threading.enumerate() == threads
-
-
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(instance_seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 300), chunk_words=st.integers(1, 400))
-def test_each_draw_is_its_own_block(instance_seed, draws, chunk_words):
-    # draw i reads block i alone: one more draw adds one unit at one alternative,
-    # whatever the tree, the chunks and the workers
-    tree, delta, params = random_instance(np.random.default_rng(instance_seed), dlo=-2, dhi=2,
-                                          max_groups=6, max_subgroups=6, max_products=9)
-    for workers in (1, 2):
-        with mock.patch.object(montecarlo, "_CHUNK_WORDS", chunk_words), on_cpus(workers):
-            fewer, more = (simulate_choices(tree, delta, params, SimConfig(draws=k, seed=5)) for k in (draws, draws + 1))
-        step = np.append(more.counts, more.outside_count) - np.append(fewer.counts, fewer.outside_count)
-        assert sorted(step.tolist()) == [0] * (len(step) - 1) + [1]
 
 
 # a one-subgroup group next to a five-subgroup one, and one-product
@@ -260,6 +124,87 @@ RAGGED_TREE = build_hierarchy([
     (g, f"{g}.h{h}", f"{g}.h{h}.p{p}") for g, sizes in RAGGED_SIZES.items()
     for h, n in enumerate(sizes) for p in range(n)
 ])
+
+
+TIED = build_hierarchy([("g0", "h0", "a"), ("g0", "h0", "b"), ("g0", "h1", "c"), ("g1", "h2", "d")])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(instance=ragged_instances(utility_bound=700.0, sigma_bound=0.999), draws=st.integers(1, 10**6))
+# every utility tied, the outside option's 0 included, tied utilities of 700 at sigma 0.999, and
+# utilities of -700 and 700 at sigma 1 - 1e-9, where every weight but the largest is 0
+@example(instance=(TIED, np.zeros(4), NestingParams(0.0, 0.0)), draws=2000)
+@example(instance=(TIED, np.full(4, 700.0), NestingParams(0.999, 0.999)), draws=2000)
+@example(instance=(TIED, np.array([-700.0, 700.0, 700.0, -700.0]), NestingParams(1 - 1e-9, 1 - 1e-9)), draws=2000)
+@pytest.mark.filterwarnings("error")
+def test_counts_sum_to_the_draws_and_miss_every_alternative_of_probability_zero(instance, draws):
+    # a count on padding would leave the sum short; the patched CPU count is the one the CSV writer reads
+    tree, delta, params = instance
+    table, _ = compute_shares(tree, delta, params)
+    never = np.append((table.cond_product == 0.0) | (table.cond_subgroup[tree.product_subgroup] == 0.0)
+                      | (table.group[tree.product_group] == 0.0), table.outside == 0.0)
+    drawn = []
+    for workers in (1, 2, 3):
+        with on_cpus(workers):
+            counts = simulate_choices(tree, delta, params, SimConfig(draws=draws, seed=13))
+        drawn.append(np.append(counts.counts, counts.outside_count))
+    assert drawn[0].sum() == draws
+    assert not drawn[0][never].any()
+    for other in drawn[1:]:
+        np.testing.assert_array_equal(other, drawn[0])
+
+
+def test_simulate_starts_no_thread():
+    tree = balanced_tree(3, 3, 4)
+    with mock.patch.object(threading.Thread, "start", side_effect=AssertionError("a thread started")):
+        counts = simulate_choices(tree, np.zeros(tree.n_products), NestingParams(0.5, 0.25), SimConfig(draws=10**6))
+    assert counts.total == 10**6
+
+
+def test_a_row_summing_short_leaves_nothing_on_padding():
+    # numpy's multinomial gives a row's last column the draws its others leave: with padding last,
+    # a row whose second child's probability over 1 - the first's is below 1 leaves about one of
+    # 2**53 draws there. 2,000 such two-child rows, each padded beside a three-child row
+    values = np.random.default_rng(23).uniform(-1.0, 1.0, (20_000, 2))
+    weight = np.exp(values - values.max(axis=1, keepdims=True))
+    p = weight / weight.sum(axis=1, keepdims=True)
+    short = values[p[:, 1] / (1.0 - p[:, 0]) < 1.0][:2000]
+    assert len(short) == 2000
+    parent = np.repeat(np.arange(2001), [3] + [2] * 2000)
+    draws = np.full(2001, 2**53)
+    for seed in range(5):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        counts = montecarlo._stage_counts(rng, draws, parent, np.append(np.zeros(3), short), 1.0)
+        np.testing.assert_array_equal(np.add.reduceat(counts, np.searchsorted(parent, np.arange(2001))), draws)
+
+
+@pytest.mark.parametrize("sigma1, sigma2", [(0.0, 0.0), (0.6, 0.3), (0.9, 0.8), (0.3, 0.7)])
+def test_each_stage_draws_its_conditional_shares(sigma1, sigma2):
+    # within each group the subgroups, and within each subgroup the products, are drawn at their
+    # conditional shares
+    tree = RAGGED_TREE
+    delta = np.random.default_rng(31).uniform(-1.5, 1.5, tree.n_products)
+    table, _ = compute_shares(tree, delta, NestingParams(sigma1, sigma2))
+    counts = simulate_choices(tree, delta, NestingParams(sigma1, sigma2), SimConfig(draws=400_000, seed=2)).counts
+    subgroups = np.bincount(tree.product_subgroup, counts, minlength=tree.n_subgroups).astype(np.int64)
+    for tally, share, parent in ((subgroups, table.cond_subgroup, tree.subgroup_group),
+                                 (counts, table.cond_product, tree.product_subgroup)):
+        for members in np.split(np.arange(len(parent)), np.flatnonzero(np.diff(parent)) + 1):
+            assert tally[members].sum() > 0
+            assert np.abs(_exact_z(tally[members], share[members])).max() < 5.0
+
+
+@pytest.mark.parametrize("tree", [balanced_tree(10, 10, 10), balanced_tree(3, 3, 4), balanced_tree(1, 1, 5000)],
+                         ids=["10x10x10", "3x3x4", "1x1x5000"])
+def test_traced_peak_of_the_sampler_is_below_one_megabyte(tree):
+    delta = np.random.default_rng(9).uniform(-1.0, 1.0, tree.n_products)
+    tracemalloc.start()
+    try:
+        simulate_choices(tree, delta, NestingParams(0.5, 0.25), SimConfig(draws=10**6, seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak traced memory {peak / 2**20:.2f} MB"
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -336,6 +281,20 @@ def test_exact_z_of_an_alternative_does_not_depend_on_its_batch():
     for terms in (1, 2**10, 2**20):
         with mock.patch.object(montecarlo, "_Z_TERMS", terms):
             np.testing.assert_array_equal(_exact_z(tally, share), z)
+
+
+def test_exact_z_walks_a_wide_alternative_within_its_budget():
+    # about 5e6 terms an alternative at 2**40 draws, walked in blocks of _Z_TERMS
+    n, share = 2**40, np.array([0.2, 0.3, 0.5])
+    tally = np.random.default_rng(19).multinomial(n, share)
+    tracemalloc.start()
+    try:
+        z = _exact_z(tally, share)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(z))
+    assert peak <= 2**20, f"peak traced memory {peak / 2**20:.2f} MB"
 
 
 @pytest.mark.filterwarnings("error")

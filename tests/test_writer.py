@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hierlogit
-from hierlogit import cli, csvout, jacobian
+from hierlogit import cli, csvout, jacobian, runner
 from hierlogit.cli import EXIT_OK
 
 from helpers import assert_same_read, invoke, on_cpus, per_cell_write_csv
@@ -147,6 +147,31 @@ def test_output_is_the_per_cell_writers_on_stdout_and_in_a_file(tmp_path, comman
             written = invoke([*args, "--output", str(tmp_path / "out.csv")])
         assert piped.exit_code == written.exit_code == EXIT_OK, piped.stderr
         assert piped.stdout_bytes == (tmp_path / "out.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("cpus, affinity", [(1, True), (3, True), (1, False), (2, False)])
+def test_threads_are_the_cpus_of_the_affinity_mask_else_the_cpu_count(cpus, affinity, tmp_path):
+    served, serve, threads = [], runner.ChunkRunner._serve, threading.enumerate()
+
+    def recorded(self):
+        served.append(self)
+        serve(self)
+
+    # a pool for the 40,200 rows of a 200-product Jacobian, three chunks; none for simulate's 1001 rows, one chunk
+    for n_products, args, want in ((200, ["jacobian"], [] if cpus == 1 else [cpus]),
+                                   (1000, ["simulate", "--draws", "100"], [])):
+        rows = "".join(f"m,g{j % 10},h{j % 50},p{j},0\n" for j in range(n_products))
+        (tmp_path / "m.csv").write_text(",".join(cli.MARKET_COLUMNS) + "\n" + rows)
+        (tmp_path / "p.json").write_text('{"sigma1": 0.5, "sigma2": 0.25}')
+        served.clear()
+        with on_cpus(cpus, affinity), mock.patch.object(runner.ChunkRunner, "_serve", recorded):
+            result = invoke([*args, "--input", str(tmp_path / "m.csv"), "--params", str(tmp_path / "p.json"),
+                             "--output", str(tmp_path / "out.csv")])
+        assert result.exit_code == EXIT_OK, result.stderr
+        # the threads each runner started, one entry per runner that started any
+        assert [served.count(pool) for pool in dict.fromkeys(served)] == want
+    # every pool's threads are joined when its runner is done
+    assert threading.enumerate() == threads
 
 
 def test_more_threads_than_cores_switched_often_write_the_same_bytes(tmp_path):
