@@ -41,11 +41,11 @@ market (the message names it, wherever it runs out), 3 failed self-check
 Newton/closed-form disagreement, singular design).
 Diagnostics go to standard error. Results go to ``--output`` or standard
 output as UTF-8 whatever the locale, CSV in chunks of rows gathered across
-markets, formatted on one thread per CPU and written in file order, the
-same bytes whatever the CPU count. Reals are exactly ``format(x, ".17g")``
-(NaN an empty cell), so written files round-trip doubles: numpy derives
-the digits, and Python formats what it cannot prove (zero, inf, near-ties;
-see ``csvout``).
+markets, formatted on the standard library's thread pool, one thread per
+CPU (no thread for one chunk), and written in file order, the same bytes
+whatever the CPU count. Reals are exactly ``format(x, ".17g")`` (NaN an
+empty cell), so written files round-trip doubles: numpy derives the digits,
+and Python formats what it cannot prove (zero, inf, near-ties; see ``csvout``).
 """
 
 import argparse

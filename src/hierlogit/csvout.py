@@ -5,7 +5,8 @@ padded slots, with a mask of the slots written; the masked bytes are the
 rows. A table of ids keeps their bytes end to end, and a chunk pads its
 cells only to the widest in it. Chunks, and the chunks of a float table
 formatted once per segment, run on one thread per CPU of the affinity mask
-(``runner``) and are written in file order. The chunks in flight share
+(``_Pool``, on the standard library's thread pool) and are written in file
+order; a write of one chunk starts no thread. The chunks in flight share
 ``_CHUNK_BYTES`` of padded cells, a chunk over its share being halved, so
 the traced peak of a write is the same on one CPU and on two, and the bytes
 do not depend on the CPU count. The process's resident peak does grow with
@@ -20,11 +21,11 @@ fractions within ``_TIE_BAND`` of a rounding tie).
 import csv
 import functools
 import itertools
+import os
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
-
-from .runner import ChunkRunner
 
 # rows formatted at once, on one thread per CPU: formatting an N=100k market
 # or an N=1000 Jacobian at once would hold hundreds of bytes for every row in
@@ -47,23 +48,79 @@ def write_csv(out, header, blocks) -> None:
     When ``blocks`` raises, the rows of the blocks before are written first.
     """
     out.write((",".join(header) + "\n").encode())
-    with ChunkRunner() as runner:
-        limit = _chunk_bytes(runner)
-        for parts in runner.map(lambda chunk: _formatted(*chunk, limit), _chunks(blocks, runner)):
+    with _Pool() as pool:
+        limit = _chunk_bytes(pool)
+        for parts in pool.map(lambda chunk: _formatted(*chunk, limit), _chunks(blocks, pool)):
             for part in parts:
                 out.write(part)
 
 
-def _chunk_bytes(runner) -> int:
+class _Pool:
+    """``map`` on one thread per CPU, used as ``with _Pool() as pool:``.
+
+    The threads start at the first map that has two items and serve every
+    later map of the pool; with one CPU, or while every map has fewer than
+    two items, the items run in the calling thread, no thread starts and
+    ``concurrent.futures`` is not imported. Leaving the ``with`` block joins
+    the threads once they have run the items handed to them.
+    """
+
+    def __init__(self):
+        # the CPUs this process may run on: its affinity mask, else the CPU count
+        self.workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        self._executor = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._executor is not None:
+            self._executor.shutdown()
+
+    def map(self, fn, items):
+        """Yield ``fn(item)`` for each of ``items``, in order, as ``map`` does:
+        when ``fn`` or the making of an item raises, the results before it come
+        first. At most one item per worker is in flight."""
+        calls = _calls(fn, items)
+        head = list(itertools.islice(calls, 2 if self.workers > 1 else 0))
+        calls = itertools.chain(head, calls)
+        if len(head) == 2:
+            if self._executor is None:
+                # imported here, as it loads logging: a write of one chunk runs without it
+                from concurrent.futures import ThreadPoolExecutor
+                self._executor = ThreadPoolExecutor(self.workers)
+            calls = (self._executor.submit(call).result for call in calls)
+        ahead = deque(itertools.islice(calls, self.workers))
+        while ahead:
+            result = ahead.popleft()()
+            ahead.extend(itertools.islice(calls, 1))
+            yield result
+
+
+def _calls(fn, items):
+    """A call of ``fn`` on each of ``items``, then, if making the next item
+    raised, a call that raises its error."""
+    try:
+        for item in items:
+            yield functools.partial(fn, item)
+    except Exception as err:
+        yield functools.partial(_raise, err)
+
+
+def _raise(err):
+    raise err
+
+
+def _chunk_bytes(pool) -> int:
     """The padded-cell bytes of one chunk: its share of ``_CHUNK_BYTES``, at most half."""
-    return _CHUNK_BYTES // max(2, runner.workers)
+    return _CHUNK_BYTES // max(2, pool.workers)
 
 
 def _n_rows(columns) -> int:
     return len(next(c[-1] if isinstance(c, tuple) else c for c in columns if not isinstance(c, str)))
 
 
-def _chunks(blocks, runner):
+def _chunks(blocks, pool):
     """The ``(columns, rows)`` chunks of ``blocks``, in file order."""
     pending, size = [], 0
     try:
@@ -73,16 +130,16 @@ def _chunks(blocks, runner):
             size += n
             if size >= _CHUNK_ROWS:
                 batch, pending, size = pending, [], 0
-                yield from _batch_chunks(batch, runner)
+                yield from _batch_chunks(batch, pool)
     except Exception:
         # the markets before a failing one are written before its error
-        yield from _batch_chunks(pending, runner)
+        yield from _batch_chunks(pending, pool)
         raise
-    yield from _batch_chunks(pending, runner)
+    yield from _batch_chunks(pending, pool)
 
 
-def _batch_chunks(blocks, runner) -> list:
-    columns = [_merged(parts, runner) for parts in zip(*blocks)]
+def _batch_chunks(blocks, pool) -> list:
+    columns = [_merged(parts, pool) for parts in zip(*blocks)]
     n_rows = sum(map(_n_rows, blocks))
     return [(columns, slice(start, min(start + _CHUNK_ROWS, n_rows))) for start in range(0, n_rows, _CHUNK_ROWS)]
 
@@ -112,27 +169,27 @@ def _formatted(columns, rows, limit) -> list:
     return [chars[keep]]
 
 
-def _merged(parts, runner):
-    """One column of several blocks: an array, or ``(*_flat(table, runner), codes)``."""
+def _merged(parts, pool):
+    """One column of several blocks: an array, or ``(*_flat(table, pool), codes)``."""
     if not isinstance(parts[0], tuple):
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
     if len(parts) == 1:
-        return (*_flat(parts[0][0], runner), parts[0][1])
+        return (*_flat(parts[0][0], pool), parts[0][1])
     tables, codes = zip(*parts)
     starts = itertools.accumulate(map(len, tables), initial=0)
     table = np.concatenate(tables) if isinstance(tables[0], np.ndarray) else list(itertools.chain(*tables))
-    return (*_flat(table, runner), np.concatenate([c + s for c, s in zip(codes, starts)]))
+    return (*_flat(table, pool), np.concatenate([c + s for c, s in zip(codes, starts)]))
 
 
-def _flat(table, runner) -> tuple:
+def _flat(table, pool) -> tuple:
     """``(flat, start, length)`` of a float array, formatted in chunks by
-    ``runner``, or of a sequence of str quoted by the csv module's rules:
+    ``pool``, or of a sequence of str quoted by the csv module's rules:
     entry i is ``flat[start[i]:][:length[i]]``, and zeros after the last
     leave room for a window of the longest."""
     if isinstance(table, np.ndarray):
         # a float cell takes 52 padded slots and a comma
-        step = max(1, min(_CHUNK_ROWS, _chunk_bytes(runner) // 53))
-        cells = runner.map(_packed, (table[i:i + step] for i in range(0, len(table), step)))
+        step = max(1, min(_CHUNK_ROWS, _chunk_bytes(pool) // 53))
+        cells = pool.map(_packed, (table[i:i + step] for i in range(0, len(table), step)))
         flat, length = map(np.concatenate, zip(*cells))
     else:
         text = "".join(table)

@@ -18,7 +18,7 @@ from scipy.stats import norm
 from hierlogit import OUTSIDE_ID, ChoiceHierarchy, MarketFileError, NestingParams, build_hierarchy, compute_shares
 from hierlogit.cli import MARKET_COLUMNS, MarketBlock, main, read_market_csv
 from hierlogit.hierarchy import numbered, tree_from_codes
-from hierlogit import runner
+from hierlogit import csvout
 
 
 def invoke(args):
@@ -249,8 +249,8 @@ def on_cpus(n, affinity=True):
     """Patch the CPUs that the CSV writer finds to ``n``: the affinity mask,
     or where the platform has none, the CPU count."""
     if affinity:
-        return mock.patch.object(runner, "os", SimpleNamespace(sched_getaffinity=lambda pid: set(range(n))))
-    return mock.patch.object(runner, "os", SimpleNamespace(cpu_count=lambda: n))
+        return mock.patch.object(csvout, "os", SimpleNamespace(sched_getaffinity=lambda pid: set(range(n))))
+    return mock.patch.object(csvout, "os", SimpleNamespace(cpu_count=lambda: n))
 
 
 # smallest value Generator.random can emit besides 0.0; clamping keeps log u finite

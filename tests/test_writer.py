@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hierlogit
-from hierlogit import cli, csvout, jacobian, runner
+from hierlogit import cli, csvout, jacobian
 from hierlogit.cli import EXIT_OK
 
 from helpers import assert_same_read, invoke, on_cpus, per_cell_write_csv
@@ -149,29 +149,34 @@ def test_output_is_the_per_cell_writers_on_stdout_and_in_a_file(tmp_path, comman
         assert piped.stdout_bytes == (tmp_path / "out.csv").read_bytes() == want
 
 
+def _one_market(tmp_path, n_products) -> list:
+    """The ``--input`` and ``--params`` of one market of ``n_products`` products in 10 groups of 5 subgroups."""
+    rows = "".join(f"m,g{j % 10},h{j % 50},p{j},0\n" for j in range(n_products))
+    (tmp_path / "m.csv").write_text(",".join(cli.MARKET_COLUMNS) + "\n" + rows)
+    (tmp_path / "p.json").write_text('{"sigma1": 0.5, "sigma2": 0.25}')
+    return ["--input", str(tmp_path / "m.csv"), "--params", str(tmp_path / "p.json")]
+
+
 @pytest.mark.parametrize("cpus, affinity", [(1, True), (3, True), (1, False), (2, False)])
 def test_threads_are_the_cpus_of_the_affinity_mask_else_the_cpu_count(cpus, affinity, tmp_path):
-    served, serve, threads = [], runner.ChunkRunner._serve, threading.enumerate()
+    formatted, ran_on, threads = csvout._formatted, set(), threading.enumerate()
 
-    def recorded(self):
-        served.append(self)
-        serve(self)
+    def recorded(columns, rows, limit):
+        ran_on.add(threading.current_thread())
+        return formatted(columns, rows, limit)
 
-    # a pool for the 40,200 rows of a 200-product Jacobian, three chunks; none for simulate's 1001 rows, one chunk
-    for n_products, args, want in ((200, ["jacobian"], [] if cpus == 1 else [cpus]),
-                                   (1000, ["simulate", "--draws", "100"], [])):
-        rows = "".join(f"m,g{j % 10},h{j % 50},p{j},0\n" for j in range(n_products))
-        (tmp_path / "m.csv").write_text(",".join(cli.MARKET_COLUMNS) + "\n" + rows)
-        (tmp_path / "p.json").write_text('{"sigma1": 0.5, "sigma2": 0.25}')
-        served.clear()
-        with on_cpus(cpus, affinity), mock.patch.object(runner.ChunkRunner, "_serve", recorded):
-            result = invoke([*args, "--input", str(tmp_path / "m.csv"), "--params", str(tmp_path / "p.json"),
-                             "--output", str(tmp_path / "out.csv")])
+    # the 40,200 rows of a 200-product Jacobian are three chunks; simulate's 1001 rows are one
+    for n_products, args in ((200, ["jacobian"]), (1000, ["simulate", "--draws", "100"])):
+        ran_on.clear()
+        with on_cpus(cpus, affinity), mock.patch.object(csvout, "_formatted", recorded):
+            result = invoke([*args, *_one_market(tmp_path, n_products), "--output", str(tmp_path / "out.csv")])
         assert result.exit_code == EXIT_OK, result.stderr
-        # the threads each runner started, one entry per runner that started any
-        assert [served.count(pool) for pool in dict.fromkeys(served)] == want
-    # every pool's threads are joined when its runner is done
-    assert threading.enumerate() == threads
+        if cpus == 1 or args[0] == "simulate":
+            assert ran_on == {threading.main_thread()}
+        else:
+            assert ran_on and len(ran_on) <= cpus and threading.main_thread() not in ran_on, ran_on
+        # every thread is joined when the write is done
+        assert threading.enumerate() == threads
 
 
 def test_more_threads_than_cores_switched_often_write_the_same_bytes(tmp_path):
@@ -217,13 +222,56 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
+# the CLI in a child that finds as many CPUs as its first argument says
+_ON_CPUS = """
+import os, runpy, sys
+cpus = int(sys.argv.pop(1))
+os.sched_getaffinity = lambda pid: set(range(cpus))
+runpy.run_module("hierlogit.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hierlogit.__file__)))
+
+
+def _imports(args) -> set:
+    """The modules that the CLI imports on ``args``, in a child that finds two CPUs."""
+    run = subprocess.run([sys.executable, "-X", "importtime", "-c", _ON_CPUS, "2", *args], env=_child_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_a_write_of_one_chunk_loads_no_thread_pool(tmp_path):
+    # the thread pool's import loads logging: a start, or a write of one chunk, does without both
+    pool = {"concurrent.futures", "logging"}
+    out = ["--output", str(tmp_path / "out.csv")]
+    assert not pool & _imports(["--help"])
+    assert not pool & _imports(["simulate", "--draws", "100", *_one_market(tmp_path, 1000), *out])
+    # 40,200 rows, three chunks
+    assert "concurrent.futures" in _imports(["jacobian", *_one_market(tmp_path, 200), *out])
+
+
+def test_the_writers_resident_peak_grows_little_with_its_threads(tmp_path):
+    # an N = 1000 Jacobian, 1,001,000 rows, on one worker and on four; each
+    # thread holds its chunk's working set and an allocator arena
+    args = ["jacobian", *_one_market(tmp_path, 1000), "--output", str(tmp_path / "out.csv")]
+    peak_kb = {}
+    for workers in (1, 4):
+        own = subprocess.run([sys.executable, "-c", _OWN_PEAK, sys.executable, "-c", _ON_CPUS, str(workers), *args],
+                             env=_child_env(), capture_output=True, text=True, timeout=300)
+        assert own.returncode == 0, own.stderr
+        peak_kb[workers] = int(own.stdout)
+    assert peak_kb[4] <= peak_kb[1] + 32 * 1024, peak_kb
+
+
 def test_one_long_id_costs_memory_for_itself_alone(tmp_path):
     # the CLI runs as the child of a small helper: a child's ru_maxrss counts
     # the process it was forked from, which from pytest would be pytest
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
     rows = [(f"g{j // 100}", f"h{j // 10}", f"p{j}", repr(float(j % 7) / 7.0)) for j in range(5000)]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hierlogit.__file__)))
     peak_kb = {}
     for name, long_id in (("short", "p2500"), ("long", "q" * 100_000)):
         market = tmp_path / f"{name}.csv"
@@ -232,7 +280,7 @@ def test_one_long_id_costs_memory_for_itself_alone(tmp_path):
                                                             for g, h, p, v in rows])
         args = ["shares", "--input", str(market), "--params", str(params), "--output", str(tmp_path / f"{name}.out")]
         own = subprocess.run([sys.executable, "-c", _OWN_PEAK, sys.executable, "-m", "hierlogit.cli", *args],
-                             env=env, capture_output=True, text=True, timeout=300)
+                             env=_child_env(), capture_output=True, text=True, timeout=300)
         assert own.returncode == 0, own.stderr
         peak_kb[name] = int(own.stdout)
         with mock.patch.object(cli, "_write_csv", per_cell_write_csv):
