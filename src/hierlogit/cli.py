@@ -14,13 +14,14 @@ as the csv module quotes them, and lines may end in CRLF; a field over
 Market, params and config files may start with a UTF-8 byte-order mark.
 
 Each command reads the whole file into one tree whose top level is the
-market, and runs each kernel once for the file, Newton included; the
-Jacobian and the simulation run market by market. Newton stops a
-market at a max log-share residual of log1p(tol) (near sigma -> 1, at the
-rounding floor ``numeric_invert`` documents), takes one more step, and must
-then agree with the closed form within 10*tol. Checks by layer: the reader
-rejects non-UTF-8 or malformed CSV, unparsable values and repeated
-products, and checks every market's ``_outside`` row (required by invert,
+market, and runs each kernel once for the file, Newton and the simulation
+included, the Jacobian once per run of markets of at most ``_RUN_CELLS``
+cells (a larger market alone). Newton stops a market at a max log-share
+residual of log1p(tol) (near sigma -> 1, at the rounding floor
+``numeric_invert`` documents), takes one more step, and must then agree
+with the closed form within 10*tol. Checks by layer: the reader rejects
+non-UTF-8 or malformed CSV, unparsable values and repeated products,
+and checks every market's ``_outside`` row (required by invert,
 refused by the others) before any market is computed;
 ``ShareTable.from_joint`` bounds each share of invert's input strictly
 inside (0, 1); and the CLI requires a market's shares to sum to 1 within
@@ -40,8 +41,8 @@ market (the message names it, wherever it runs out), 3 failed self-check
 (finite-difference mismatch, simulation z-score blowout,
 Newton/closed-form disagreement, singular design).
 Diagnostics go to standard error. Results go to ``--output`` or standard
-output as UTF-8 whatever the locale, CSV in chunks of rows gathered across
-markets, formatted on the standard library's thread pool, one thread per
+output as UTF-8 whatever the locale, CSV in chunks of rows cut from each
+run of markets, formatted on the standard library's thread pool, one thread per
 CPU (no thread for one chunk), and written in file order, the same bytes
 whatever the CPU count. Reals are exactly ``format(x, ".17g")`` (NaN an
 empty cell), so written files round-trip doubles: numpy derives the digits,
@@ -65,7 +66,7 @@ from .errors import (
     OutOfDomainError,
     SingularDesignError,
 )
-from .hierarchy import MARKET_COLUMNS, OUTSIDE_ID, ChoiceHierarchy, MarketBlock, NestingParams
+from .hierarchy import MARKET_COLUMNS, OUTSIDE_ID, ChoiceHierarchy, MarketBlock, NestingParams, _number
 from .shares import ShareTable, compute_shares
 
 __all__ = [
@@ -93,6 +94,8 @@ SHARES_COLUMNS = MARKET_COLUMNS + (
 _Z_LIMIT = 5.0
 # finite-difference relative error beyond which --check-fd fails
 _FD_LIMIT = 1e-5
+# Jacobian cells per run of markets: a run's columns take about 20 bytes a cell
+_RUN_CELLS = 1 << 16
 
 
 def read_market_csv(path, outside=False) -> MarketBlock:
@@ -129,35 +132,29 @@ def read_params_json(path) -> NestingParams:
     return NestingParams(obj["sigma1"], obj["sigma2"])
 
 
-def _results(block, compute):
+def _results(block, compute, cells=None):
     """Yield ``(markets, compute(markets))`` for runs of the markets of
     ``block``, in file order: the whole block, or, when ``compute`` fails on
-    it, each of its halves in turn. So the first market, in file order, at
-    which ``compute`` fails raises its own error, named, after the markets
-    before it are yielded, in O(log M) calls."""
-    try:
-        result = compute(block)
-    except (HierLogitError, MemoryError) as err:
-        n = block.hierarchy.n_markets
-        if n == 1:
-            named = f"market {block.hierarchy.market_ids[0]!r}: {err}"
-            if isinstance(err, MemoryError):
-                # numpy's MemoryError formats its message from its fields, not its args
-                raise MemoryError(named) from None
-            err.args = (named,)
-            raise
-    else:
-        yield block, result
-        return
-    yield from _results(block.markets(0, n // 2), compute)
-    yield from _results(block.markets(n // 2, n), compute)
-
-
-def _each_market(block, compute):
-    """Yield ``compute`` of each market of ``block`` alone, in file order."""
-    for m in range(block.hierarchy.n_markets):
-        for _, result in _results(block.markets(m, m + 1), compute):
-            yield result
+    it or its tree has more than ``_RUN_CELLS`` ``cells``, each of its halves
+    in turn. So the first market, in file order, at which ``compute`` fails
+    raises its own error, named, after the markets before it are yielded."""
+    n = block.hierarchy.n_markets
+    if n == 1 or cells is None or cells(block.hierarchy) <= _RUN_CELLS:
+        try:
+            result = compute(block)
+        except (HierLogitError, MemoryError) as err:
+            if n == 1:
+                named = f"market {block.hierarchy.market_ids[0]!r}: {err}"
+                if isinstance(err, MemoryError):
+                    # numpy's MemoryError formats its message from its fields, not its args
+                    raise MemoryError(named) from None
+                err.args = (named,)
+                raise
+        else:
+            yield block, result
+            return
+    yield from _results(block.markets(0, n // 2), compute, cells)
+    yield from _results(block.markets(n // 2, n), compute, cells)
 
 
 def _id_columns(h: ChoiceHierarchy, outside=False) -> list:
@@ -324,7 +321,7 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
     from .inversion import berry_invert, numeric_invert
 
     params, block = read_params_json(params_path), read_market_csv(input_path, outside=True)
-    if method == "newton" and not tol > 0.0:
+    if method == "newton" and not _number("tol", tol) > 0.0:
         raise OutOfDomainError(f"tol={tol!r} must be positive")
 
     def inverted(b):
@@ -353,29 +350,36 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
                               help="Cross-check against central finite differences; mismatch exits 3.")))
 def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
-    from .jacobian import _share_jacobian, fd_jacobian, full_jacobian, max_relative_error
+    from .jacobian import _share_jacobian, fd_jacobian, max_relative_error
 
     params, block = read_params_json(params_path), read_market_csv(input_path)
     fd_errors = []
 
     def jacobian(b):
         h = b.hierarchy
-        if check_fd:
-            # the shares once, for the Jacobian and for the scale of each row of the check
-            table, _ = compute_shares(h, b.values, params)
-            jac = _share_jacobian(table, params)
-            fd = fd_jacobian(h, b.values, params, step=1e-6)
-            err = max_relative_error(jac, fd, row_scale=np.append(table.joint, table.outside))
-            print(f"market {h.market_ids[0]!r}: max relative error vs finite differences {err:.3e}", file=sys.stderr)
-            fd_errors.append(err)
-        else:
-            jac = full_jacobian(h, b.values, params)
-        # the rows of the matrix, then the outside row
-        ids, n = h.products + (OUTSIDE_ID,), h.n_products
-        rows, cols = np.repeat(np.arange(n + 1, dtype=np.int32), n), np.tile(np.arange(n, dtype=np.int32), n + 1)
-        return [h.market_ids[0], (ids, rows), (ids, cols), np.append(jac.matrix, jac.outside_row)]
+        table, _ = compute_shares(h, b.values, params)
+        parts, checked = [], []
+        for m, (lo, hi) in enumerate(zip(h.bounds[2, :-1].tolist(), h.bounds[2, 1:].tolist())):
+            jac = _share_jacobian(table, params, m)
+            if check_fd:
+                fd = fd_jacobian(h.markets(m, m + 1), b.values[lo:hi], params, step=1e-6)
+                row_scale = np.append(table.joint[lo:hi], np.atleast_1d(table.outside)[m])
+                checked.append(max_relative_error(jac, fd, row_scale))
+            # the rows of the matrix, then the outside row, the last id of the table
+            row, n = np.append(np.arange(lo, hi, dtype=np.int32), np.int32(h.n_products)), hi - lo
+            parts.append((np.broadcast_to(np.int32(m), n * (n + 1)), np.repeat(row, n), np.tile(row[:-1], n + 1),
+                          np.append(jac.matrix, jac.outside_row)))
+        # printed once the run has succeeded, as a failing run is computed again in halves
+        sys.stderr.writelines(f"market {market_id!r}: max relative error vs finite differences {err:.3e}\n"
+                              for market_id, err in zip(h.market_ids, checked))
+        fd_errors.extend(checked)
+        markets, rows, cols, values = (p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*parts))
+        ids = h.products + (OUTSIDE_ID,)
+        return [(h.market_ids, markets), (ids, rows), (ids, cols), values]
 
-    _write_csv(output_path, ["market_id", "row_id", "col_id", "value"], _each_market(block, jacobian))
+    # a market of n products has n + 1 rows of n cells
+    runs = _results(block, jacobian, cells=lambda h: int(np.diff(h.bounds[2]) @ np.diff(h.bounds[2])) + h.n_products)
+    _write_csv(output_path, ["market_id", "row_id", "col_id", "value"], (columns for _, columns in runs))
     if any(err > _FD_LIMIT for err in fd_errors):
         _die(EXIT_SELFTEST, f"finite-difference check exceeded {_FD_LIMIT:g}")
 
@@ -385,27 +389,29 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
           ("--seed", dict(type=int, default=0, help=_DEFAULT)))
 def cmd_simulate(input_path, params_path, output_path, draws, seed):
     """Simulate sequential choices and compare frequencies to analytic shares."""
-    from .montecarlo import SimConfig, _exact_z, empirical_shares, simulate_choices
+    from .montecarlo import SimConfig, _exact_z, simulate_choices
 
     config = SimConfig(draws=draws, seed=seed)
     params, block = read_params_json(params_path), read_market_csv(input_path)
     worst = [0.0, None]
 
     def simulated(b):
-        table, iv = compute_shares(b.hierarchy, b.values, params)
-        counts = simulate_choices(b.hierarchy, b.values, params, config, iv=iv)
-        freq, _ = empirical_shares(counts)
-        share = np.append(table.joint, table.outside)
-        se = np.sqrt(share * (1.0 - share) / float(draws))
-        tally = np.append(counts.counts, counts.outside_count)
-        z = _exact_z(tally, share)
-        peak = float(np.max(np.abs(z)))
-        if peak > worst[0]:
-            worst[:] = peak, b.hierarchy.market_ids[0]
-        return [*_id_columns(b.hierarchy, outside=True), tally, freq, share, se, z]
+        h = b.hierarchy
+        table, iv = compute_shares(h, b.values, params)
+        counts = simulate_choices(h, b.values, params, config, iv=iv)
+        tally = _outside_rows(h, counts.counts, counts.outside_count)
+        share = _outside_rows(h, table.joint, table.outside)
+        z = _exact_z(tally, share, n=draws)
+        columns = [*_id_columns(h, outside=True), tally, tally / float(draws), share,
+                   np.sqrt(share * (1.0 - share) / float(draws)), z]
+        # the first row of the largest |z| names its market, coded in the first column
+        i = int(np.argmax(np.abs(z)))
+        if abs(z[i]) > worst[0]:
+            worst[:] = abs(float(z[i])), h.market_ids[columns[0][1][i]]
+        return columns
 
     header = [*MARKET_COLUMNS[:4], "count", "frequency", "share", "std_error", "z_score"]
-    _write_csv(output_path, header, _each_market(block, simulated))
+    _write_csv(output_path, header, (columns for _, columns in _results(block, simulated)))
     peak, market_id = worst
     if peak > _Z_LIMIT:
         _die(

@@ -1,12 +1,13 @@
 """CSV rows as UTF-8 bytes, formatted in numpy.
 
-Each chunk of rows becomes one uint8 matrix holding every cell's bytes in
-padded slots, with a mask of the slots written; the masked bytes are the
-rows. A table of ids keeps their bytes end to end, and a chunk pads its
-cells only to the widest in it. Chunks, and the chunks of a float table
-formatted once per segment, run on one thread per CPU of the affinity mask
-(``_Pool``, on the standard library's thread pool) and are written in file
-order; a write of one chunk starts no thread. The chunks in flight share
+Each block of rows is cut into chunks of ``_CHUNK_ROWS`` rows, and each
+chunk becomes one uint8 matrix of every cell's bytes in padded slots, with
+a mask of the slots written; the masked bytes are the rows. A table of ids
+keeps their bytes end to end, and a chunk pads its cells only to the
+widest in it. Chunks, and the chunks of a float table formatted once per
+segment, run on one thread per CPU of the affinity mask (``_Pool``, on the
+standard library's thread pool) and are written in file order; a write of
+one chunk starts no thread. The chunks in flight share
 ``_CHUNK_BYTES`` of padded cells, a chunk over its share being halved, so
 the traced peak of a write is the same on one CPU and on two, and the bytes
 do not depend on the CPU count. The process's resident peak does grow with
@@ -40,12 +41,12 @@ def write_csv(out, header, blocks) -> None:
 
     ``blocks`` yields lists of equally long columns: a float array, or an
     integer one below 2**53, as ``format(x, ".17g")`` (NaN as an empty
-    cell), a str on every row, and ``(table, codes)`` as ``table[codes[i]]``
-    on row i, ``table`` being a float array or a sequence of str; strs are
-    quoted by the csv module's rules, a carriage return included. Blocks
-    are gathered until they hold ``_CHUNK_ROWS`` rows, then formatted in
-    chunks of that many rows on one thread per CPU and written in order.
-    When ``blocks`` raises, the rows of the blocks before are written first.
+    cell), and ``(table, codes)`` as ``table[codes[i]]`` on row i, ``table``
+    being a float array or a sequence of str; strs are quoted by the csv
+    module's rules, a carriage return included. Each block is formatted in
+    chunks of ``_CHUNK_ROWS`` rows on one thread per CPU, and the chunks are
+    written in order. When ``blocks`` raises, the rows of the blocks before
+    are written first.
     """
     out.write((",".join(header) + "\n").encode())
     with _Pool() as pool:
@@ -116,32 +117,13 @@ def _chunk_bytes(pool) -> int:
     return _CHUNK_BYTES // max(2, pool.workers)
 
 
-def _n_rows(columns) -> int:
-    return len(next(c[-1] if isinstance(c, tuple) else c for c in columns if not isinstance(c, str)))
-
-
 def _chunks(blocks, pool):
-    """The ``(columns, rows)`` chunks of ``blocks``, in file order."""
-    pending, size = [], 0
-    try:
-        for columns in blocks:
-            n = _n_rows(columns)
-            pending.append([([c], np.broadcast_to(0, n)) if isinstance(c, str) else c for c in columns])
-            size += n
-            if size >= _CHUNK_ROWS:
-                batch, pending, size = pending, [], 0
-                yield from _batch_chunks(batch, pool)
-    except Exception:
-        # the markets before a failing one are written before its error
-        yield from _batch_chunks(pending, pool)
-        raise
-    yield from _batch_chunks(pending, pool)
-
-
-def _batch_chunks(blocks, pool) -> list:
-    columns = [_merged(parts, pool) for parts in zip(*blocks)]
-    n_rows = sum(map(_n_rows, blocks))
-    return [(columns, slice(start, min(start + _CHUNK_ROWS, n_rows))) for start in range(0, n_rows, _CHUNK_ROWS)]
+    """The ``(columns, rows)`` chunks of ``blocks``, in file order, each table flattened by ``_flat``."""
+    for columns in blocks:
+        columns = [(*_flat(c[0], pool), c[1]) if isinstance(c, tuple) else c for c in columns]
+        n_rows = len(columns[0][-1] if isinstance(columns[0], tuple) else columns[0])
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            yield columns, slice(start, min(start + _CHUNK_ROWS, n_rows))
 
 
 def _formatted(columns, rows, limit) -> list:
@@ -167,18 +149,6 @@ def _formatted(columns, rows, limit) -> list:
             # each row's slots as one item: a copy moves each run at once
             np.ndarray((n,), f"V{w}", whole, end - 1 - w, whole.strides[:1])[...] = part.view(f"V{w}")[:, 0]
     return [chars[keep]]
-
-
-def _merged(parts, pool):
-    """One column of several blocks: an array, or ``(*_flat(table, pool), codes)``."""
-    if not isinstance(parts[0], tuple):
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
-    if len(parts) == 1:
-        return (*_flat(parts[0][0], pool), parts[0][1])
-    tables, codes = zip(*parts)
-    starts = itertools.accumulate(map(len, tables), initial=0)
-    table = np.concatenate(tables) if isinstance(tables[0], np.ndarray) else list(itertools.chain(*tables))
-    return (*_flat(table, pool), np.concatenate([c + s for c, s in zip(codes, starts)]))
 
 
 def _flat(table, pool) -> tuple:

@@ -21,7 +21,7 @@ with the closed form to tight tolerance.
 import numpy as np
 
 from .errors import DegenerateShareError, NoConvergenceError, OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector
+from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _number
 from .jacobian import _solve_log_share_jacobian
 from .shares import ShareTable, compute_shares
 
@@ -82,7 +82,8 @@ def numeric_invert(
     max(1, max |delta|) / (1 - max(sigma1, sigma2))). The first term implies
     max |(t - s)/s| <= tol; the second is the residual a double can reach,
     as log shares carry delta / (1 - sigma). A market that passes takes one
-    more full Newton step, to rounding level, and then stops moving.
+    more full Newton step, to rounding level, and then stops moving. A
+    ``tol`` that is not a positive finite number raises OutOfDomainError.
 
     Raises
     ------
@@ -91,7 +92,7 @@ def numeric_invert(
         halvings do not lower its residual; the error carries the largest
         final absolute share residual of the tree.
     """
-    if not tol > 0.0:
+    if not _number("tol", tol) > 0.0:
         raise OutOfDomainError(f"tol={tol!r} must be positive")
     _require_interior(target)
     h = hierarchy

@@ -65,20 +65,22 @@ def log_share_jacobian(table: ShareTable, params: NestingParams) -> np.ndarray:
     steps on log residuals solve this operator without forming it. The
     share-level Jacobian is ``joint[:, None]`` times this matrix.
     """
-    h = table.hierarchy
-    one_market(h, "log_share_jacobian")
-    a = 1.0 / (1.0 - params.sigma1)
-    b = 1.0 / (1.0 - params.sigma2)
-    cp = table.cond_product
-    w = cp * table.cond_subgroup[h.product_subgroup]
-    same_sub = h.product_subgroup[:, None] == h.product_subgroup[None, :]
-    same_grp = h.product_group[:, None] == h.product_group[None, :]
-    n = h.n_products
+    one_market(table.hierarchy, "log_share_jacobian")
+    return _log_share_block(table, params, 0, table.hierarchy.n_products)
+
+
+def _log_share_block(table: ShareTable, params: NestingParams, lo: int, hi: int) -> np.ndarray:
+    """``log_share_jacobian`` of the market whose products are ``lo`` to ``hi - 1`` of ``table``."""
+    h, cp = table.hierarchy, table.cond_product[lo:hi]
+    sub, grp = h.product_subgroup[lo:hi], h.product_group[lo:hi]
+    a, b = 1.0 / (1.0 - params.sigma1), 1.0 / (1.0 - params.sigma2)
+    w = cp * table.cond_subgroup[sub]
+    same_sub, same_grp = sub[:, None] == sub[None, :], grp[:, None] == grp[None, :]
     return (
-        a * (np.eye(n) - same_sub * cp[None, :])
+        a * (np.eye(hi - lo) - same_sub * cp[None, :])
         + b * (same_sub * cp[None, :] - same_grp * w[None, :])
         + same_grp * w[None, :]
-        - table.joint[None, :]
+        - table.joint[None, lo:hi]
     )
 
 
@@ -106,16 +108,18 @@ def _solve_log_share_jacobian(table: ShareTable, params: NestingParams, r: np.nd
 
 def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> ShareJacobian:
     """Analytic ds/ddelta for every inside product plus the outside row."""
+    one_market(hierarchy, "full_jacobian")
     table, _ = compute_shares(hierarchy, delta, params)
     return _share_jacobian(table, params)
 
 
-def _share_jacobian(table: ShareTable, params: NestingParams) -> ShareJacobian:
-    """``full_jacobian`` at the shares ``table`` of one market."""
-    rel = log_share_jacobian(table, params)
+def _share_jacobian(table: ShareTable, params: NestingParams, m: int = 0) -> ShareJacobian:
+    """``full_jacobian`` of market ``m`` of a tree at its shares ``table``."""
+    lo, hi = table.hierarchy.bounds[2, m:m + 2].tolist()
+    joint = table.joint[lo:hi]
     return ShareJacobian(
-        matrix=table.joint[:, None] * rel,
-        outside_row=-table.outside * table.joint,
+        matrix=joint[:, None] * _log_share_block(table, params, lo, hi),
+        outside_row=-np.atleast_1d(table.outside)[m] * joint,
     )
 
 

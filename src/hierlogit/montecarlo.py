@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array, one_market
-from .shares import InclusiveValues, compute_shares
+from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array
+from .shares import InclusiveValues, _per_market, compute_shares
 
 __all__ = ["SimConfig", "ChoiceCounts", "simulate_choices", "empirical_shares"]
 
@@ -57,14 +57,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ChoiceCounts:
-    """Chosen-alternative tallies: one count per inside product plus outside."""
+    """Chosen-alternative tallies: one count per inside product, and the outside option's,
+    an int for a one-market tree and an array over markets otherwise."""
 
     counts: np.ndarray
     outside_count: int
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum()) + int(self.outside_count)
+        return int(self.counts.sum()) + int(np.sum(self.outside_count))
 
 
 def _stage_counts(rng, n, parent, values, scale) -> np.ndarray:
@@ -94,29 +95,38 @@ def simulate_choices(
     config: SimConfig,
     iv: InclusiveValues | None = None,
 ) -> ChoiceCounts:
-    """Simulate ``config.draws`` sequential choices in a one-market tree and tally them.
+    """Simulate ``config.draws`` sequential choices in each market of a tree and tally them.
 
-    ``iv``, when given, are the inclusive values of ``compute_shares`` at these arguments.
+    One ``Philox(key=config.seed)`` generator draws every market, its state reset to the start
+    before each, so a market gets the same counts alone as in any tree. ``iv``, when given, are
+    the inclusive values of ``compute_shares`` at these arguments.
     """
-    one_market(hierarchy, "simulate_choices")
-    delta = as_delta_array(hierarchy, delta)
+    h = hierarchy
+    delta = as_delta_array(h, delta)
     if iv is None:
-        _, iv = compute_shares(hierarchy, delta, params)
+        _, iv = compute_shares(h, delta, params)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-    # the outside option is the root's last child
-    groups = _stage_counts(rng, np.array([config.draws]), np.zeros(hierarchy.n_groups + 1, dtype=np.intp),
-                           np.append(iv.group, 0.0), 1.0)
-    subgroups = _stage_counts(rng, groups[:-1], hierarchy.subgroup_group, iv.subgroup, 1.0 - params.sigma2)
-    products = _stage_counts(rng, subgroups, hierarchy.product_subgroup, delta, 1.0 - params.sigma1)
-    return ChoiceCounts(counts=products, outside_count=int(groups[-1]))
+    start = rng.bit_generator.state
+    products, outside = np.empty(h.n_products, np.int64), np.empty(h.n_markets, np.int64)
+    for m, (g, s, p) in enumerate(zip(*(map(slice, b[:-1], b[1:]) for b in h.bounds.tolist()))):
+        rng.bit_generator.state = start
+        # the outside option is the root's last child
+        groups = _stage_counts(rng, np.array([config.draws]), np.zeros(g.stop - g.start + 1, dtype=np.intp),
+                               np.append(iv.group[g], 0.0), 1.0)
+        subgroups = _stage_counts(rng, groups[:-1], h.subgroup_group[s] - g.start, iv.subgroup[s], 1.0 - params.sigma2)
+        products[p] = _stage_counts(rng, subgroups, h.product_subgroup[p] - s.start, delta[p], 1.0 - params.sigma1)
+        outside[m] = groups[-1]
+    return ChoiceCounts(counts=products, outside_count=_per_market(outside))
 
 
 def empirical_shares(counts: ChoiceCounts):
-    """Frequencies and binomial standard errors from simulated counts.
+    """Frequencies and binomial standard errors from the simulated counts of one market.
 
     Returns ``(freq, se)`` with the outside option as the last entry of
     both arrays; se_j = sqrt(f_j(1-f_j)/N).
     """
+    if np.ndim(counts.outside_count):
+        raise OutOfDomainError("empirical shares take the counts of one market; see ChoiceHierarchy.markets")
     total = counts.total
     if total < 1:
         raise OutOfDomainError("empirical shares need at least one draw")
@@ -125,15 +135,14 @@ def empirical_shares(counts: ChoiceCounts):
     return freq, se
 
 
-def _exact_z(tally: np.ndarray, share: np.ndarray) -> np.ndarray:
-    """Signed normal-equivalent z of each count of ``tally`` under Binomial(n, share), n = tally.sum().
+def _exact_z(tally: np.ndarray, share: np.ndarray, n: int) -> np.ndarray:
+    """Signed normal-equivalent z of each count of ``tally`` under Binomial(n, share), n its market's draws.
 
     |z| is the normal quantile of the exact tail beyond the count, away from
     n*share, summed from binomial terms: |z| > 5 still means a 5-sigma
     two-sided tail. z is +0 where freq == share or the tail is 1/2 or more,
     inf where it underflows.
     """
-    n = int(tally.sum())
     freq = tally / float(n)
     below = freq < share
     # a count below its mean is the count of the other outcome above its mean

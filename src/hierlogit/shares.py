@@ -47,8 +47,8 @@ class InclusiveValues:
 
 
 def _per_market(values: np.ndarray):
-    """``values`` over markets, or its one entry as a float for a one-market tree."""
-    return float(values[0]) if len(values) == 1 else values
+    """``values`` over markets, or its one entry as a Python number for a one-market tree."""
+    return values[0].item() if len(values) == 1 else values
 
 
 @dataclass(frozen=True)

@@ -329,12 +329,10 @@ def per_cell_write_csv(output_path, header, blocks):
         csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerow((field, ""))
         return lines[0][:-3]
 
-    def cells(column, n_rows):
-        if isinstance(column, str):
-            return [quoted(column)] * n_rows
+    def cells(column):
         if isinstance(column, tuple):
             table, codes = column
-            table = cells(table, len(table)) if isinstance(table, np.ndarray) else [quoted(f) for f in table]
+            table = cells(table) if isinstance(table, np.ndarray) else [quoted(f) for f in table]
             return [table[i] for i in codes.tolist()]
         if column.dtype.kind != "f":
             return [str(x) for x in column.tolist()]
@@ -343,8 +341,7 @@ def per_cell_write_csv(output_path, header, blocks):
     with open(output_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for columns in blocks:
-            n_rows = len(next(c[1] if isinstance(c, tuple) else c for c in columns if not isinstance(c, str)))
-            fh.writelines(",".join(row) + "\n" for row in zip(*(cells(c, n_rows) for c in columns)))
+            fh.writelines(",".join(row) + "\n" for row in zip(*map(cells, columns)))
 
 
 def row_read_market_csv(path, outside=False) -> MarketBlock:

@@ -268,8 +268,9 @@ def test_jacobian_fd_check_computes_the_shares_of_each_market_once(tmp_path):
     with mock.patch("hierlogit.cli.compute_shares", counted), mock.patch("hierlogit.jacobian.compute_shares", counted):
         result = run_ok(["jacobian", "--input", market, "--params", params, "--check-fd"])
     assert result.stderr.count("finite differences") == 2
-    # fd_jacobian evaluates its perturbed utilities as the markets of one tree of copies
-    assert trees.count(1) == 2 and set(trees) == {1, 4}
+    # the shares of the file once; fd_jacobian evaluates each market's perturbed
+    # utilities as the markets of one tree of copies
+    assert trees == [2, 4, 4]
 
 
 def test_jacobian_extreme_utilities_finite(tmp_path):
@@ -377,7 +378,7 @@ def test_simulate_computes_each_markets_shares_once(tmp_path):
     shares = mock.Mock(wraps=compute_shares)
     with mock.patch("hierlogit.cli.compute_shares", shares), mock.patch("hierlogit.montecarlo.compute_shares", shares):
         run_ok(["simulate", "--input", market, "--params", params, "--draws", "1000"])
-    assert shares.call_count == 3
+    assert [call.args[0].n_markets for call in shares.call_args_list] == [3]
 
 
 def test_simulate_against_a_wrong_sigma_exits_selftest(tmp_path):
@@ -446,17 +447,18 @@ def test_out_of_memory_exits_domain_with_one_line(tmp_path, command):
 
 
 def test_out_of_memory_in_the_sampler_names_its_market_after_the_markets_before(tmp_path):
-    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "p", 0.0), ("m2", "g", "h", "p", 0.0)])
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "p", 0.0), ("m2", "g", "h", "p", 0.0),
+                                               ("m2", "f", "k", "q", 0.0)])
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
-    calls = []
 
     class Generator(np.random.Generator):
-        # three stages a market: the second market's first stage runs out of memory
-        def multinomial(self, *args, **kwargs):
-            calls.append(None)
-            if len(calls) == 4:
+        # a market's first stage draws from the generator's starting state, over its groups and the
+        # outside option: m2's, over three, runs out of memory in every run of markets that holds it
+        def multinomial(self, n, pvals, *args, **kwargs):
+            state = self.bit_generator.state
+            if state["buffer_pos"] == 4 and not state["state"]["counter"].any() and np.shape(pvals)[-1] == 3:
                 raise MemoryError("cannot allocate the counts")
-            return super().multinomial(*args, **kwargs)
+            return super().multinomial(n, pvals, *args, **kwargs)
 
     with mock.patch.object(np.random, "Generator", Generator):
         result = invoke(["simulate", "--draws", "100", "--input", market, "--params", params])
@@ -1029,6 +1031,21 @@ def test_newton_refuses_a_nonpositive_tol_before_any_market(tmp_path, tol):
     result = invoke(["invert", "--method", "newton", "--tol", tol, "--input", market,
                      "--params", params, "--output", str(out)])
     assert _assert_one_error_line(result, EXIT_DOMAIN) == f"error: tol={float(tol)!r} must be positive"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "Infinity", "nan"])
+def test_newton_refuses_a_tol_that_is_not_finite(tmp_path, tol):
+    # at tol = inf every residual passes and the 10*tol check cannot fail: utilities
+    # far from the closed form were written with exit 0
+    rows = [("m1", "g", "h", "a", 0.4), ("m1", "_outside", "_outside", "_outside", 0.6)]
+    market = write_market(tmp_path / "m.csv", rows)
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    out = tmp_path / "out.csv"
+    result = invoke(["invert", "--method", "newton", "--tol", tol, "--input", market,
+                     "--params", params, "--output", str(out)])
+    line = _assert_one_error_line(result, EXIT_DOMAIN)
+    assert line == f"error: tol={float(tol)!r} must be a finite number"
     assert not out.exists()
 
 

@@ -154,7 +154,7 @@ def test_choice_hierarchy_refuses_a_tree_of_no_market():
 
 
 def test_market_level_views_and_one_market_functions():
-    from hierlogit import SimConfig, full_jacobian, simulate_choices
+    from hierlogit import full_jacobian
 
     tree = market_tree([("m1", "g", "h", "a"), ("m2", "g", "h", "a"), ("m1", "g", "h", "b"), ("m2", "g", "k", "c")])
     assert tree.market_ids == ("m1", "m2") and tree.products == ("a", "b", "a", "c")
@@ -169,10 +169,6 @@ def test_market_level_views_and_one_market_functions():
         for view in (tree, block):
             with pytest.raises(OutOfDomainError, match="markets"):
                 view.markets(start, stop)
-    params = NestingParams(0.5, 0.25)
-    delta = np.zeros(4)
-    # the dense Jacobian and the simulator compare products across the whole tree
-    for call in (lambda: full_jacobian(tree, delta, params),
-                 lambda: simulate_choices(tree, delta, params, SimConfig(draws=10))):
-        with pytest.raises(OutOfDomainError, match="one-market"):
-            call()
+    # the dense Jacobian compares products across the whole tree
+    with pytest.raises(OutOfDomainError, match="one-market"):
+        full_jacobian(tree, np.zeros(4), NestingParams(0.5, 0.25))

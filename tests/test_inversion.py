@@ -144,6 +144,10 @@ def test_newton_validates_tol_and_reports_no_convergence():
     table, _ = compute_shares(tree, np.linspace(-1, 1, 8), params)
     with pytest.raises(OutOfDomainError):
         numeric_invert(tree, table, params, tol=0.0)
+    # a tol that every residual meets is no stop rule
+    for tol in (np.inf, np.nan):
+        with pytest.raises(OutOfDomainError, match="finite"):
+            numeric_invert(tree, table, params, tol=tol)
     with pytest.raises(NoConvergenceError) as info:
         numeric_invert(tree, table, params, tol=1e-12, max_iter=0)
     assert info.value.residual is not None

@@ -22,7 +22,7 @@ from hierlogit import montecarlo
 from hierlogit.montecarlo import _exact_z, _log_binomial, _upper_quantile
 
 from helpers import (
-    balanced_tree, binomial_tail_z, gumbel_from_uniform, nested_choice_counts, on_cpus, ragged_instances,
+    balanced_tree, binomial_tail_z, gumbel_from_uniform, market_tree, nested_choice_counts, on_cpus, ragged_instances,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -154,6 +154,34 @@ def test_counts_sum_to_the_draws_and_miss_every_alternative_of_probability_zero(
         np.testing.assert_array_equal(other, drawn[0])
 
 
+def test_each_market_of_a_tree_draws_the_counts_it_draws_alone():
+    # ragged markets, some with ten children to a parent, in one call and one by one
+    rng = np.random.default_rng(41)
+    rows = [(f"m{m}", f"g{g}", f"h{h}", f"p{g}.{h}.{p}") for m in range(40)
+            for g in range(rng.integers(1, 4)) for h in range(rng.integers(1, 4)) for p in range(rng.integers(1, 11))]
+    tree = market_tree(rows)
+    delta = rng.uniform(-2.0, 2.0, tree.n_products)
+    params = NestingParams(0.5, 0.25)
+    for seed in (0, 7, 2**100):
+        config = SimConfig(draws=10_000, seed=seed)
+        counts = simulate_choices(tree, delta, params, config)
+        assert counts.total == 40 * 10_000 and counts.outside_count.shape == (40,)
+        for m in range(tree.n_markets):
+            lo, hi = tree.bounds[2, m:m + 2].tolist()
+            alone = simulate_choices(tree.markets(m, m + 1), delta[lo:hi], params, config)
+            np.testing.assert_array_equal(counts.counts[lo:hi], alone.counts)
+            assert counts.outside_count[m] == alone.outside_count
+
+
+def test_empirical_shares_refuse_the_counts_of_several_markets():
+    # their total is every market's draws: dividing by it would give no market's frequencies
+    tree = market_tree([("m1", "g", "h", "a"), ("m2", "g", "h", "a"), ("m2", "g", "k", "b")])
+    counts = simulate_choices(tree, np.zeros(3), NestingParams(0.5, 0.25), SimConfig(draws=100))
+    assert counts.total == 200
+    with pytest.raises(OutOfDomainError, match="one market"):
+        empirical_shares(counts)
+
+
 def test_simulate_starts_no_thread():
     tree = balanced_tree(3, 3, 4)
     with mock.patch.object(threading.Thread, "start", side_effect=AssertionError("a thread started")):
@@ -191,7 +219,7 @@ def test_each_stage_draws_its_conditional_shares(sigma1, sigma2):
                                  (counts, table.cond_product, tree.product_subgroup)):
         for members in np.split(np.arange(len(parent)), np.flatnonzero(np.diff(parent)) + 1):
             assert tally[members].sum() > 0
-            assert np.abs(_exact_z(tally[members], share[members])).max() < 5.0
+            assert np.abs(_exact_z(tally[members], share[members], n=int(tally[members].sum()))).max() < 5.0
 
 
 @pytest.mark.parametrize("tree", [balanced_tree(10, 10, 10), balanced_tree(3, 3, 4), balanced_tree(1, 1, 5000)],
@@ -236,7 +264,7 @@ def test_nested_reading_draws_the_shares(sigma1, sigma2):
 
     def worst_z(params):
         table, _ = compute_shares(RAGGED_TREE, delta, params)
-        return np.abs(_exact_z(tally, np.append(table.joint, table.outside))).max()
+        return np.abs(_exact_z(tally, np.append(table.joint, table.outside), n=400_000)).max()
 
     assert worst_z(NestingParams(sigma1, sigma2)) < 5.0
     if sigma1 > 0.0:
@@ -255,7 +283,7 @@ def binomial_cases(draw):
 @given(case=binomial_cases())
 def test_exact_z_matches_summed_binomial_terms(case):
     n, p, k = case
-    z = _exact_z(np.array([k, n - k]), np.array([p, 1.0 - p]))
+    z = _exact_z(np.array([k, n - k]), np.array([p, 1.0 - p]), n=n)
     assert z[0] == pytest.approx(binomial_tail_z(n, p, k), rel=1e-9, abs=1e-9)
     assert z[1] == pytest.approx(binomial_tail_z(n, 1.0 - p, n - k), rel=1e-9, abs=1e-9)
 
@@ -265,7 +293,7 @@ def test_exact_z_of_a_few_hits_on_a_rare_alternative_stays_below_five():
     # approximation reads 5.78, the exact tail (about 2e-4) 3.5
     n, share = 100_000, 8.1e-6
     normal = (6 / n - share) / np.sqrt(share * (1 - share) / n)
-    z = _exact_z(np.array([6, n - 6]), np.array([share, 1.0 - share]))
+    z = _exact_z(np.array([6, n - 6]), np.array([share, 1.0 - share]), n=n)
     assert normal > 5.7
     assert 3.4 < z[0] < 3.7
     assert z[1] == pytest.approx(-z[0], rel=1e-9)
@@ -277,10 +305,10 @@ def test_exact_z_of_an_alternative_does_not_depend_on_its_batch():
     rng = np.random.default_rng(17)
     share = rng.dirichlet(np.ones(1001))
     tally = rng.multinomial(100_000, share)
-    z = _exact_z(tally, share)
+    z = _exact_z(tally, share, n=100_000)
     for terms in (1, 2**10, 2**20):
         with mock.patch.object(montecarlo, "_Z_TERMS", terms):
-            np.testing.assert_array_equal(_exact_z(tally, share), z)
+            np.testing.assert_array_equal(_exact_z(tally, share, n=100_000), z)
 
 
 def test_exact_z_walks_a_wide_alternative_within_its_budget():
@@ -289,7 +317,7 @@ def test_exact_z_walks_a_wide_alternative_within_its_budget():
     tally = np.random.default_rng(19).multinomial(n, share)
     tracemalloc.start()
     try:
-        z = _exact_z(tally, share)
+        z = _exact_z(tally, share, n=n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -300,12 +328,12 @@ def test_exact_z_walks_a_wide_alternative_within_its_budget():
 @pytest.mark.filterwarnings("error")
 def test_exact_z_of_a_zero_share():
     # never drawn: z is 0 where the frequency equals the share; drawn: the tail is 0
-    z = _exact_z(np.array([0, 5, 95]), np.array([0.0, 0.05, 0.95]))
+    z = _exact_z(np.array([0, 5, 95]), np.array([0.0, 0.05, 0.95]), n=100)
     assert z[0] == 0.0
-    z = _exact_z(np.array([1, 4, 95]), np.array([0.0, 0.05, 0.95]))
+    z = _exact_z(np.array([1, 4, 95]), np.array([0.0, 0.05, 0.95]), n=100)
     assert z[0] == np.inf and np.all(np.isfinite(z[1:]))
     # a share of 1 beside shares of 0, all as drawn: every z is 0, without a warning
-    np.testing.assert_array_equal(_exact_z(np.array([100, 0, 0]), np.array([1.0, 0.0, 0.0])), 0.0)
+    np.testing.assert_array_equal(_exact_z(np.array([100, 0, 0]), np.array([1.0, 0.0, 0.0]), n=100), 0.0)
 
 
 def test_first_binomial_term_is_exact_at_a_hundred_thousand_draws():
@@ -341,8 +369,8 @@ def test_upper_quantile_of_a_subnormal_tail_is_finite():
 
 def test_exact_z_is_never_negative_zero():
     # a count below its mean whose tail is 1/2 or more: z is +0, as at the mean
-    z = _exact_z(np.array([0, 1, 0]), np.array([0.3, 0.4, 0.3]))
+    z = _exact_z(np.array([0, 1, 0]), np.array([0.3, 0.4, 0.3]), n=1)
     assert z[1] > 0.0 and np.all(z[[0, 2]] == 0.0)
     assert not np.any(np.signbit(z[z == 0.0]))
-    z = _exact_z(np.array([1, 0]), np.array([1.0 - 1e-300, 1e-300]))
+    z = _exact_z(np.array([1, 0]), np.array([1.0 - 1e-300, 1e-300]), n=1)
     np.testing.assert_array_equal(np.signbit(z), [False, False])

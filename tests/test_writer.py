@@ -317,12 +317,12 @@ def test_out_of_memory_on_a_writer_thread_leaves_what_comes_before_written(tmp_p
     params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
     market = _market_file(tmp_path / "m.csv", n_markets=8, ids=["m\u00e9", "plain", "\u65e5\u672c"])
     failing = cli.read_market_csv(market).hierarchy.market_ids[3]
-    full_jacobian, formatted, ran_on = jacobian.full_jacobian, csvout._formatted, set()
+    share_jacobian, formatted, ran_on = jacobian._share_jacobian, csvout._formatted, set()
 
-    def failing_jacobian(tree, delta, params):
-        if tree.market_ids[0] == failing:
+    def failing_jacobian(table, params, m=0):
+        if table.hierarchy.market_ids[m] == failing:
             raise MemoryError("cannot allocate the matrix")
-        return full_jacobian(tree, delta, params)
+        return share_jacobian(table, params, m)
 
     def failing_chunk(columns, rows, limit):
         ran_on.add(threading.current_thread())
@@ -332,7 +332,7 @@ def test_out_of_memory_on_a_writer_thread_leaves_what_comes_before_written(tmp_p
 
     args = ["jacobian", "--input", market, "--params", str(params)]
     if where == "market":
-        with mock.patch.object(jacobian, "full_jacobian", failing_jacobian), \
+        with mock.patch.object(jacobian, "_share_jacobian", failing_jacobian), \
                 mock.patch.object(cli, "_write_csv", per_cell_write_csv):
             oracle = invoke([*args, "--output", str(tmp_path / "oracle.csv")])
         want = (tmp_path / "oracle.csv").read_bytes()
@@ -345,7 +345,7 @@ def test_out_of_memory_on_a_writer_thread_leaves_what_comes_before_written(tmp_p
         message = "error: out of memory: cannot allocate the cells"
     for workers in (2, 3):
         threads = threading.enumerate()
-        with mock.patch.object(jacobian, "full_jacobian", failing_jacobian if where == "market" else full_jacobian), \
+        with mock.patch.object(jacobian, "_share_jacobian", failing_jacobian if where == "market" else share_jacobian), \
                 mock.patch.object(csvout, "_formatted", failing_chunk), mock.patch.object(csvout, "_CHUNK_ROWS", 7), \
                 on_cpus(workers):
             result = invoke([*args, "--output", str(tmp_path / "out.csv")])
@@ -384,6 +384,28 @@ def test_traced_peak_of_a_million_row_jacobian_is_the_same_on_one_and_two_worker
         assert result.exit_code == EXIT_OK, result.stderr
         assert os.path.getsize(tmp_path / "out.csv") > 30 * 2**20
     assert abs(peaks[2] - peaks[1]) < csvout._CHUNK_BYTES, peaks
+
+
+def test_traced_peak_of_a_jacobian_is_the_same_at_twice_the_markets(tmp_path):
+    # markets of 100 products, 10,100 cells each, in files of two and of four times the cells of
+    # a run: each run holds a few markets, and no more of them are held at once in the larger file
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
+    peaks = {}
+    for runs in (2, 4):
+        rows = [(f"m{m}", f"g{j % 10}", f"h{j % 50}", f"p{j}", repr(j / 100.0))
+                for m in range(-(-runs * cli._RUN_CELLS // 10_100)) for j in range(100)]
+        with open(tmp_path / "m.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([cli.MARKET_COLUMNS] + rows)
+        tracemalloc.start()
+        try:
+            result = invoke(["jacobian", "--input", str(tmp_path / "m.csv"), "--params", str(params),
+                             "--output", str(tmp_path / "out.csv")])
+            _, peaks[runs] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == EXIT_OK, result.stderr
+    assert abs(peaks[4] - peaks[2]) < 2**20, peaks
 
 
 def _run_under_ascii_locale(args, **extra):
