@@ -63,10 +63,9 @@ from .errors import (
     HierLogitError,
     MarketFileError,
     NoConvergenceError,
-    OutOfDomainError,
     SingularDesignError,
 )
-from .hierarchy import MARKET_COLUMNS, OUTSIDE_ID, ChoiceHierarchy, MarketBlock, NestingParams, _number
+from .hierarchy import MARKET_COLUMNS, OUTSIDE_ID, ChoiceHierarchy, MarketBlock, NestingParams
 from .shares import ShareTable, compute_shares
 
 __all__ = [
@@ -318,11 +317,11 @@ def _shares_json(runs, params: NestingParams):
                          help="Newton stopping tolerance; closed and newton must agree within 10*tol.  " + _DEFAULT)))
 def cmd_invert(input_path, params_path, output_path, method, tol):
     """Recover mean utilities from observed shares (closed form or Newton)."""
-    from .inversion import berry_invert, numeric_invert
+    from .inversion import _check_tol, berry_invert, numeric_invert
 
     params, block = read_params_json(params_path), read_market_csv(input_path, outside=True)
-    if method == "newton" and not _number("tol", tol) > 0.0:
-        raise OutOfDomainError(f"tol={tol!r} must be positive")
+    if method == "newton":
+        _check_tol(tol)
 
     def inverted(b):
         h = b.hierarchy
@@ -350,7 +349,7 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
                               help="Cross-check against central finite differences; mismatch exits 3.")))
 def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
-    from .jacobian import _share_jacobian, fd_jacobian, max_relative_error
+    from .jacobian import ShareJacobian, _log_share_cells, fd_jacobian, max_relative_error
 
     params, block = read_params_json(params_path), read_market_csv(input_path)
     fd_errors = []
@@ -358,23 +357,23 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
     def jacobian(b):
         h = b.hierarchy
         table, _ = compute_shares(h, b.values, params)
+        shares = np.append(table.joint, table.outside)
         parts, checked = [], []
         for m, (lo, hi) in enumerate(zip(h.bounds[2, :-1].tolist(), h.bounds[2, 1:].tolist())):
-            jac = _share_jacobian(table, params, m)
+            # the market's products, then its outside option, row n_products + m of the tree
+            rows, n = np.append(np.arange(lo, hi, dtype=np.int32), np.int32(h.n_products + m)), hi - lo
+            cells = shares[rows, None] * _log_share_cells(table, params, rows[:, None], rows[:-1])
             if check_fd:
                 fd = fd_jacobian(h.markets(m, m + 1), b.values[lo:hi], params, step=1e-6)
-                row_scale = np.append(table.joint[lo:hi], np.atleast_1d(table.outside)[m])
-                checked.append(max_relative_error(jac, fd, row_scale))
-            # the rows of the matrix, then the outside row, the last id of the table
-            row, n = np.append(np.arange(lo, hi, dtype=np.int32), np.int32(h.n_products)), hi - lo
-            parts.append((np.broadcast_to(np.int32(m), n * (n + 1)), np.repeat(row, n), np.tile(row[:-1], n + 1),
-                          np.append(jac.matrix, jac.outside_row)))
+                checked.append(max_relative_error(ShareJacobian(cells[:-1], cells[-1]), fd, shares[rows]))
+            parts.append((np.broadcast_to(np.int32(m), n * (n + 1)), np.repeat(rows, n), np.tile(rows[:-1], n + 1),
+                          cells.ravel()))
         # printed once the run has succeeded, as a failing run is computed again in halves
         sys.stderr.writelines(f"market {market_id!r}: max relative error vs finite differences {err:.3e}\n"
                               for market_id, err in zip(h.market_ids, checked))
         fd_errors.extend(checked)
         markets, rows, cols, values = (p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*parts))
-        ids = h.products + (OUTSIDE_ID,)
+        ids = h.products + (OUTSIDE_ID,) * h.n_markets
         return [(h.market_ids, markets), (ids, rows), (ids, cols), values]
 
     # a market of n products has n + 1 rows of n cells

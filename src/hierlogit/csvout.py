@@ -7,12 +7,12 @@ keeps their bytes end to end, and a chunk pads its cells only to the
 widest in it. Chunks, and the chunks of a float table formatted once per
 segment, run on one thread per CPU of the affinity mask (``_Pool``, on the
 standard library's thread pool) and are written in file order; a write of
-one chunk starts no thread. The chunks in flight share
-``_CHUNK_BYTES`` of padded cells, a chunk over its share being halved, so
-the traced peak of a write is the same on one CPU and on two, and the bytes
-do not depend on the CPU count. The process's resident peak does grow with
-it: each thread holds the rest of its chunk's working set, and the
-allocator keeps an arena per thread.
+one chunk starts no thread. The chunks in flight share ``_CHUNK_BYTES`` of
+padded cells, a chunk over its share being halved, and the bytes do not
+depend on the CPU count. Each thread also holds the rest of its chunk's
+working set, and the allocator keeps an arena per thread: on two CPUs the
+traced peak of a write is a few MB above that on one, by how the chunks
+overlap in time, and the resident peak grows with the CPU count.
 Reals are exactly ``format(x, ".17g")``: their 17 digits come from a
 double-double product with a power of ten, and Python formats the cells
 that product cannot prove (zero, inf, |x| outside ``_FAST_RANGE``, and

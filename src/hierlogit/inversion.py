@@ -63,6 +63,12 @@ def regression_rows(table: ShareTable) -> tuple:
     return y, table.log_cond_product, table.log_cond_subgroup[h.product_subgroup]
 
 
+def _check_tol(tol) -> None:
+    """``numeric_invert``'s check of ``tol``, which the CLI makes before computing any market."""
+    if not 0.0 < _number("tol", tol) < 1.0:
+        raise OutOfDomainError(f"tol={tol!r} must be {'positive' if tol <= 0.0 else 'below 1'}")
+
+
 def numeric_invert(
     hierarchy: ChoiceHierarchy,
     target: ShareTable,
@@ -83,7 +89,8 @@ def numeric_invert(
     max |(t - s)/s| <= tol; the second is the residual a double can reach,
     as log shares carry delta / (1 - sigma). A market that passes takes one
     more full Newton step, to rounding level, and then stops moving. A
-    ``tol`` that is not a positive finite number raises OutOfDomainError.
+    ``tol`` outside (0, 1) raises OutOfDomainError: from 1 on, log1p(tol) >=
+    log 2 would pass shares of half or twice their targets.
 
     Raises
     ------
@@ -92,8 +99,7 @@ def numeric_invert(
         halvings do not lower its residual; the error carries the largest
         final absolute share residual of the tree.
     """
-    if not _number("tol", tol) > 0.0:
-        raise OutOfDomainError(f"tol={tol!r} must be positive")
+    _check_tol(tol)
     _require_interior(target)
     h = hierarchy
     starts, owner = h.bounds[2, :-1], h.product_market

@@ -18,8 +18,9 @@ to a derivative of log shares,
                           + 1{same group}*w_k - s_k
 
 with cp the conditional product shares and w = cp * cs the share of a
-product within its group. Every term is a share times a bounded factor,
-so the assembly is overflow-safe whenever the shares are.
+product within its group; the outside option, in no product's subgroup or
+group, gets d log s_0 / d delta_k = -s_k. Every term is a share times a
+bounded factor, so the assembly is overflow-safe whenever the shares are.
 """
 
 from dataclasses import dataclass
@@ -66,22 +67,18 @@ def log_share_jacobian(table: ShareTable, params: NestingParams) -> np.ndarray:
     share-level Jacobian is ``joint[:, None]`` times this matrix.
     """
     one_market(table.hierarchy, "log_share_jacobian")
-    return _log_share_block(table, params, 0, table.hierarchy.n_products)
+    products = np.arange(table.hierarchy.n_products)
+    return _log_share_cells(table, params, products[:, None], products)
 
 
-def _log_share_block(table: ShareTable, params: NestingParams, lo: int, hi: int) -> np.ndarray:
-    """``log_share_jacobian`` of the market whose products are ``lo`` to ``hi - 1`` of ``table``."""
-    h, cp = table.hierarchy, table.cond_product[lo:hi]
-    sub, grp = h.product_subgroup[lo:hi], h.product_group[lo:hi]
-    a, b = 1.0 / (1.0 - params.sigma1), 1.0 / (1.0 - params.sigma2)
-    w = cp * table.cond_subgroup[sub]
-    same_sub, same_grp = sub[:, None] == sub[None, :], grp[:, None] == grp[None, :]
-    return (
-        a * (np.eye(hi - lo) - same_sub * cp[None, :])
-        + b * (same_sub * cp[None, :] - same_grp * w[None, :])
-        + same_grp * w[None, :]
-        - table.joint[None, lo:hi]
-    )
+def _log_share_cells(table: ShareTable, params: NestingParams, row, col) -> np.ndarray:
+    """d log s_row / d delta_col of ``table`` for index arrays that broadcast together;
+    row ``n_products + m`` is market m's outside option, in no product's subgroup or group."""
+    h, cp, a, b = table.hierarchy, table.cond_product[col], 1.0 / (1.0 - params.sigma1), 1.0 / (1.0 - params.sigma2)
+    w = cp * table.cond_subgroup[h.product_subgroup[col]]
+    same_sub, same_grp = (np.where(row < h.n_products, codes.take(row, mode="clip"), -1) == codes[col]
+                          for codes in (h.product_subgroup, h.product_group))
+    return a * ((row == col) - same_sub * cp) + b * (same_sub * cp - same_grp * w) + same_grp * w - table.joint[col]
 
 
 def _solve_log_share_jacobian(table: ShareTable, params: NestingParams, r: np.ndarray) -> np.ndarray:
@@ -110,17 +107,9 @@ def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> S
     """Analytic ds/ddelta for every inside product plus the outside row."""
     one_market(hierarchy, "full_jacobian")
     table, _ = compute_shares(hierarchy, delta, params)
-    return _share_jacobian(table, params)
-
-
-def _share_jacobian(table: ShareTable, params: NestingParams, m: int = 0) -> ShareJacobian:
-    """``full_jacobian`` of market ``m`` of a tree at its shares ``table``."""
-    lo, hi = table.hierarchy.bounds[2, m:m + 2].tolist()
-    joint = table.joint[lo:hi]
-    return ShareJacobian(
-        matrix=joint[:, None] * _log_share_block(table, params, lo, hi),
-        outside_row=-np.atleast_1d(table.outside)[m] * joint,
-    )
+    rows = np.arange(hierarchy.n_products + 1)
+    cells = np.append(table.joint, table.outside)[:, None] * _log_share_cells(table, params, rows[:, None], rows[:-1])
+    return ShareJacobian(matrix=cells[:-1], outside_row=cells[-1])
 
 
 def fd_jacobian(

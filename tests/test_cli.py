@@ -17,9 +17,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hierlogit
-from hierlogit import NestingParams, compute_shares
+from hierlogit import NestingParams, compute_shares, full_jacobian
 from hierlogit.cli import (
-    EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, MarketBlock, _results, read_market_csv, read_params_json,
+    _RUN_CELLS, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, MarketBlock, _results, read_market_csv,
+    read_params_json,
 )
 from helpers import assert_same_read, binomial_tail_z, invoke, market_tree
 
@@ -280,6 +281,33 @@ def test_jacobian_extreme_utilities_finite(tmp_path):
     values = [float(r["value"]) for r in parse_csv(result.output)]
     assert len(values) == 6
     assert all(math.isfinite(v) for v in values)
+
+
+def _ragged_markets(rng, n_markets):
+    """Rows of ``n_markets`` ragged markets of 1-4 groups, 1-3 subgroups each and 1-6 products each."""
+    return [(f"m{m}", f"g{g}", f"h{h}", f"p{g}.{h}.{p}", repr(rng.uniform(-5.0, 5.0)))
+            for m in range(n_markets) for g in range(rng.integers(1, 5)) for h in range(rng.integers(1, 4))
+            for p in range(rng.integers(1, 7))]
+
+
+def test_jacobian_cells_are_the_full_jacobian_of_each_market_alone(tmp_path):
+    # markets in more than one run: every cell, the outside rows' too, is the double
+    # that full_jacobian gives its market alone
+    market = write_market(tmp_path / "m.csv", _ragged_markets(np.random.default_rng(11), 200))
+    params = write_params(tmp_path / "p.json", 0.6, 0.3)
+    got = parse_csv(run_ok(["jacobian", "--input", market, "--params", params]).output)
+    block, nesting = read_market_csv(market), read_params_json(params)
+    h, want = block.hierarchy, []
+    for m in range(h.n_markets):
+        lo, hi = h.bounds[2, m:m + 2].tolist()
+        jac = full_jacobian(h.markets(m, m + 1), block.values[lo:hi], nesting)
+        ids = [*h.products[lo:hi], "_outside"]
+        want += [(h.market_ids[m], ids[j], ids[k], x)
+                 for (j, k), x in np.ndenumerate(np.vstack([jac.matrix, jac.outside_row]))]
+    assert len(want) > _RUN_CELLS
+    assert [(r["market_id"], r["row_id"], r["col_id"]) for r in got] == [w[:3] for w in want]
+    values = np.array([float(r["value"]) for r in got])
+    assert np.array_equal(values.view(np.int64), np.array([w[3] for w in want]).view(np.int64))
 
 
 def test_simulate_deterministic_and_consistent(tmp_path):
@@ -1047,6 +1075,23 @@ def test_newton_refuses_a_tol_that_is_not_finite(tmp_path, tol):
     line = _assert_one_error_line(result, EXIT_DOMAIN)
     assert line == f"error: tol={float(tol)!r} must be a finite number"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["1", "10", "1e300"])
+def test_newton_refuses_a_tol_of_one_or_more(tmp_path, tol):
+    # from tol = 1 on, the stop rule's log1p(tol) >= log 2 passes shares of half or twice
+    # their targets, and the 10*tol check passes utilities 10 or more from the closed form
+    rows = [("m1", "g", "h", "a", 0.4), ("m1", "_outside", "_outside", "_outside", 0.6)]
+    market = write_market(tmp_path / "m.csv", rows)
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    out = tmp_path / "out.csv"
+    args = ["invert", "--method", "newton", "--input", market, "--params", params, "--output", str(out)]
+    result = invoke([*args, "--tol", tol])
+    assert _assert_one_error_line(result, EXIT_DOMAIN) == f"error: tol={float(tol)!r} must be below 1"
+    assert not out.exists()
+    # tols below 1 run as before, and the closed form ignores the tol
+    run_ok([*args, "--tol", "0.5"])
+    run_ok([*args[:2], "closed", *args[3:], "--tol", tol])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -154,6 +154,20 @@ def test_newton_validates_tol_and_reports_no_convergence():
     assert np.isfinite(info.value.residual)
 
 
+def test_newton_refuses_a_tol_of_one_or_more():
+    # from tol = 1 on, log1p(tol) >= log 2: the stop rule would pass shares of half or twice their targets
+    tree = balanced_tree(2, 2, 2)
+    params = NestingParams(0.5, 0.25)
+    delta = np.linspace(-1, 1, 8)
+    table, _ = compute_shares(tree, delta, params)
+    for tol in (1, 1.0, 10.0, 1e300):
+        with pytest.raises(OutOfDomainError) as info:
+            numeric_invert(tree, table, params, tol=tol)
+        assert str(info.value) == f"tol={tol!r} must be below 1"
+    below = numeric_invert(tree, table, params, tol=np.nextafter(1.0, 0.0)).values
+    assert np.all(np.isfinite(below))
+
+
 def test_newton_near_sigma1_one_stops_at_the_precision_floor():
     # at sigma1 = 1 - 1e-8 log shares carry delta / 1e-8, and their rounding
     # (~1e-8) is far above log1p(tol): the stop test's floor counts it as converged

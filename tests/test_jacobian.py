@@ -231,6 +231,39 @@ def test_jacobian_properties_on_ragged_trees(instance):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ragged_instances())
+def test_outside_row_is_minus_outside_times_joint_where_nonzero(instance):
+    # the outside option is a row of the log-share expression, d log s_0 / d delta_k = -s_k
+    tree, delta, params = instance
+    table, _ = compute_shares(tree, delta, params)
+    jac, want = full_jacobian(tree, delta, params), -table.outside * table.joint
+    nonzero = want != 0.0
+    assert np.array_equal(jac.outside_row[nonzero].view(np.int64), want[nonzero].view(np.int64))
+    assert np.all(jac.outside_row[~nonzero] == 0.0)
+
+
+def test_outside_row_cell_of_an_underflowed_share_is_positive_zero():
+    # s_b underflows to 0 and the outside share, about exp(-700), does not: the row's
+    # expression gives outside * (0 - s_b) = 0, where -outside * s_b is -0
+    tree = build_hierarchy([("g", "h", "a"), ("g", "h", "b")])
+    params = NestingParams(0.3, 0.1)
+    table, _ = compute_shares(tree, [700.0, -700.0], params)
+    assert table.joint[1] == 0.0 and table.outside > 0.0
+    jac = full_jacobian(tree, [700.0, -700.0], params)
+    assert jac.outside_row[0] == -table.outside * table.joint[0] < 0.0
+    assert jac.outside_row[1] == 0.0 and not np.signbit(jac.outside_row[1])
+    assert np.signbit(-table.outside * table.joint[1])
+
+
+def test_full_jacobian_is_one_array_of_the_matrix_and_the_outside_row():
+    tree, delta, params = random_instance(np.random.default_rng(3))
+    jac = full_jacobian(tree, delta, params)
+    cells = jac.matrix.base
+    assert cells is not None and cells is jac.outside_row.base
+    assert cells.shape == (tree.n_products + 1, tree.n_products)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(ragged_instances(utility_bound=5.0), st.lists(st.floats(-1.0, 1.0), min_size=36, max_size=36))
 def test_structured_solve_matches_dense_solve(instance, rhs):
     # sigma up to 0.999 included; |utilities| <= 5 keeps the outside share a
