@@ -15,11 +15,11 @@ Market, params and config files may start with a UTF-8 byte-order mark.
 
 Each command reads the whole file into one tree whose top level is the
 market, and runs each kernel once for the file, Newton and the simulation
-included, the Jacobian once per run of markets of at most ``_RUN_CELLS``
-cells (a larger market alone). Newton stops a market at a max log-share
-residual of log1p(tol) (near sigma -> 1, at the rounding floor
-``numeric_invert`` documents), takes one more step, and must then agree
-with the closed form within 10*tol. Checks by layer: the reader rejects
+included, the Jacobian and its finite differences once per run of markets
+of at most ``_RUN_CELLS`` cells (a larger market alone). Newton stops a
+market at a max log-share residual of log1p(tol) (near sigma -> 1, at the
+rounding floor ``numeric_invert`` documents), takes one more step, and must
+then agree with the closed form within 10*tol. Checks by layer: the reader rejects
 non-UTF-8 or malformed CSV, unparsable values and repeated products,
 and checks every market's ``_outside`` row (required by invert,
 refused by the others) before any market is computed;
@@ -93,7 +93,8 @@ SHARES_COLUMNS = MARKET_COLUMNS + (
 _Z_LIMIT = 5.0
 # finite-difference relative error beyond which --check-fd fails
 _FD_LIMIT = 1e-5
-# Jacobian cells per run of markets: a run's columns take about 20 bytes a cell
+# Jacobian cells per run of markets: a run's columns take about 20 bytes a cell, its --check-fd differences
+# (products + markets) x largest market doubles, at most ~52 MB (a ~150-product market, ~22,000 of one)
 _RUN_CELLS = 1 << 16
 
 
@@ -349,7 +350,7 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
                               help="Cross-check against central finite differences; mismatch exits 3.")))
 def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
-    from .jacobian import ShareJacobian, _log_share_cells, fd_jacobian, max_relative_error
+    from .jacobian import ShareJacobian, _fd_columns, _log_share_cells, max_relative_error
 
     params, block = read_params_json(params_path), read_market_csv(input_path)
     fd_errors = []
@@ -358,14 +359,15 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
         h = b.hierarchy
         table, _ = compute_shares(h, b.values, params)
         shares = np.append(table.joint, table.outside)
+        fd = _fd_columns(h, b.values, params, 1e-6) if check_fd else None
         parts, checked = [], []
         for m, (lo, hi) in enumerate(zip(h.bounds[2, :-1].tolist(), h.bounds[2, 1:].tolist())):
             # the market's products, then its outside option, row n_products + m of the tree
             rows, n = np.append(np.arange(lo, hi, dtype=np.int32), np.int32(h.n_products + m)), hi - lo
             cells = shares[rows, None] * _log_share_cells(table, params, rows[:, None], rows[:-1])
             if check_fd:
-                fd = fd_jacobian(h.markets(m, m + 1), b.values[lo:hi], params, step=1e-6)
-                checked.append(max_relative_error(ShareJacobian(cells[:-1], cells[-1]), fd, shares[rows]))
+                analytic, central = (ShareJacobian(x[:-1], x[-1]) for x in (cells, fd[rows, :n]))
+                checked.append(max_relative_error(analytic, central, shares[rows]))
             parts.append((np.broadcast_to(np.int32(m), n * (n + 1)), np.repeat(rows, n), np.tile(rows[:-1], n + 1),
                           cells.ravel()))
         # printed once the run has succeeded, as a failing run is computed again in halves

@@ -41,8 +41,6 @@ __all__ = [
 
 # smallest denominator of an entry's relative error in max_relative_error
 _RELATIVE_FLOOR = 1e-12
-# products per compute_shares call of fd_jacobian, which bounds its memory
-_FD_PRODUCTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -112,44 +110,43 @@ def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> S
     return ShareJacobian(matrix=cells[:-1], outside_row=cells[-1])
 
 
-def fd_jacobian(
-    hierarchy: ChoiceHierarchy, delta, params: NestingParams, step: float = 1e-6
-) -> ShareJacobian:
-    """Central-difference approximation (s(delta+h e_k) - s(delta-h e_k)) / 2h.
-
-    The two perturbed utility vectors of each k are two markets of one
-    tree, in runs of about ``_FD_PRODUCTS`` products; a market gives the
-    same shares alone as in any tree. ``step`` must be a positive finite
-    number that moves every utility, or 1 where it is smaller, both ways and
-    keeps the moved utilities in the domain of ``compute_shares``
-    (OutOfDomainError).
-    """
+def fd_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams, step: float = 1e-6) -> ShareJacobian:
+    """Central-difference approximation (s(delta+h e_k) - s(delta-h e_k)) / 2h, one
+    ``compute_shares`` call per column k on two copies of the market, utility k moved
+    up in one and down in the other. ``step`` must be a positive finite number that
+    moves every utility, or 1 where it is smaller, both ways and keeps the moved
+    utilities in the domain of ``compute_shares`` (OutOfDomainError)."""
     one_market(hierarchy, "fd_jacobian")
+    columns = _fd_columns(hierarchy, delta, params, step)
+    return ShareJacobian(matrix=columns[:-1], outside_row=columns[-1])
+
+
+def _fd_columns(tree: ChoiceHierarchy, delta, params: NestingParams, step: float) -> np.ndarray:
+    """``fd_jacobian`` of every market of ``tree`` at once: row i the central
+    differences of share i (the products, then each market's outside option),
+    column j those in the j-th utility of its market, 0 past its last product."""
     if not _number("step", step) > 0.0:
         raise OutOfDomainError(f"step={step!r} must be positive")
-    delta = as_delta_array(hierarchy, delta)
+    delta = as_delta_array(tree, delta)
     size = np.maximum(np.abs(delta), 1.0)
     lost = np.flatnonzero((size + step == size) | (size - step == size))
     if lost.size:
-        raise _step_error(hierarchy, delta, params,
+        raise _step_error(tree, delta, params,
                           f"step={step!r} is lost in rounding next to utility {delta[lost[0]]:.17g}")
-    n = hierarchy.n_products
-    per_run = max(1, _FD_PRODUCTS // (2 * n))
-    copies = _copies(hierarchy, 2 * min(per_run, n))
-    matrix, outside_row = np.empty((n, n)), np.empty(n)
-    for k in np.split(np.arange(n), range(per_run, n, per_run)):
-        # market 2i moves utility k[i] up by step, market 2i + 1 down
-        perturbed = np.tile(delta, (len(k), 2, 1))
-        perturbed[np.arange(len(k)), :, k] += [step, -step]
+    first, sizes, n = tree.bounds[2, :-1], np.diff(tree.bounds[2]), tree.n_products
+    copies, columns = _copies(tree, 2), np.empty((n + tree.n_markets, sizes.max()))
+    for j in range(sizes.max()):
+        # the first copy moves the j-th utility of each market that has one up by step, the second down
+        moved, perturbed = first[sizes > j] + j, np.tile(delta, (2, 1))
+        perturbed[:, moved] += [[step], [-step]]
         try:
-            table, _ = compute_shares(copies.markets(0, 2 * len(k)), perturbed.ravel(), params)
+            table, _ = compute_shares(copies, perturbed.ravel(), params)
         except OutOfDomainError as err:
-            raise _step_error(hierarchy, delta, params,
+            raise _step_error(tree, delta, params,
                               f"step={step!r} moves the utilities out of the domain: {err}") from None
-        shares = np.column_stack([table.joint.reshape(-1, n), table.outside]).reshape(len(k), 2, n + 1)
-        columns = (shares[:, 0] - shares[:, 1]) / (2.0 * step)
-        matrix[:, k], outside_row[k] = columns[:, :n].T, columns[:, n]
-    return ShareJacobian(matrix=matrix, outside_row=outside_row)
+        shares = np.column_stack([table.joint.reshape(2, n), table.outside.reshape(2, -1)])
+        columns[:, j] = (shares[0] - shares[1]) / (2.0 * step)
+    return columns
 
 
 def _step_error(hierarchy, delta, params, message) -> OutOfDomainError:
@@ -159,7 +156,7 @@ def _step_error(hierarchy, delta, params, message) -> OutOfDomainError:
 
 
 def _copies(h: ChoiceHierarchy, count: int) -> ChoiceHierarchy:
-    """``count`` copies of the one market of ``h``, as the markets of one tree."""
+    """``count`` copies of the markets of ``h``, as the markets of one tree."""
     shift = np.arange(count)[:, None]
     return ChoiceHierarchy([ids * count for ids in h.ids],
                            [(up + len(ids) * shift).ravel() for up, ids in zip(h.parent, h.ids)])

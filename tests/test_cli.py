@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hierlogit
-from hierlogit import NestingParams, compute_shares, full_jacobian
+from hierlogit import NestingParams, compute_shares, fd_jacobian, full_jacobian, max_relative_error
 from hierlogit.cli import (
     _RUN_CELLS, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, MarketBlock, _results, read_market_csv,
     read_params_json,
@@ -257,21 +257,47 @@ def test_jacobian_fd_check_passes(tmp_path):
 
 
 def test_jacobian_fd_check_computes_the_shares_of_each_market_once(tmp_path):
-    market = write_market(tmp_path / "m.csv", [("m1", "g1", "h1", "a", 0.5), ("m1", "g1", "h1", "b", -0.5),
-                                               ("m2", "g1", "h1", "a", 1.0), ("m2", "g2", "h2", "c", 0.0)])
     params = write_params(tmp_path / "p.json", 0.4, 0.2)
-    trees = []
+    cases = [
+        # markets of 2 and 3 products: the run's shares, then a call per column of the
+        # larger market on two copies of the run
+        ([("m1", "g1", "h1", "a", 0.5), ("m1", "g1", "h1", "b", -0.5), ("m2", "g1", "h1", "a", 1.0),
+          ("m2", "g2", "h2", "c", 0.0), ("m2", "g2", "h2", "d", 0.25)], [(2, 5), (4, 10), (4, 10), (4, 10)]),
+        # 3,000 one-product markets in one run: two calls
+        ([(f"m{m}", "g", "h", "a", m / 3000) for m in range(3000)], [(3000, 3000), (6000, 6000)]),
+    ]
+    for i, (rows, calls) in enumerate(cases):
+        market = write_market(tmp_path / f"m{i}.csv", rows)
+        trees = []
 
-    def counted(tree, delta, params):
-        trees.append(tree.n_markets)
-        return compute_shares(tree, delta, params)
+        def counted(tree, delta, params):
+            trees.append((tree.n_markets, tree.n_products))
+            return compute_shares(tree, delta, params)
 
-    with mock.patch("hierlogit.cli.compute_shares", counted), mock.patch("hierlogit.jacobian.compute_shares", counted):
-        result = run_ok(["jacobian", "--input", market, "--params", params, "--check-fd"])
-    assert result.stderr.count("finite differences") == 2
-    # the shares of the file once; fd_jacobian evaluates each market's perturbed
-    # utilities as the markets of one tree of copies
-    assert trees == [2, 4, 4]
+        with (mock.patch("hierlogit.cli.compute_shares", counted),
+              mock.patch("hierlogit.jacobian.compute_shares", counted)):
+            result = run_ok(["jacobian", "--input", market, "--params", params, "--check-fd"])
+        assert result.stderr.count("finite differences") == len({r[0] for r in rows})
+        assert trees == calls
+
+
+def test_jacobian_fd_check_prints_each_markets_error_alone(tmp_path):
+    # markets in more than one run: each stderr line is the number that the
+    # library's Jacobians of the market alone give
+    market = write_market(tmp_path / "m.csv", _ragged_markets(np.random.default_rng(13), 200))
+    params = write_params(tmp_path / "p.json", 0.6, 0.3)
+    result = run_ok(["jacobian", "--input", market, "--params", params, "--check-fd"])
+    block, nesting = read_market_csv(market), read_params_json(params)
+    h, want = block.hierarchy, []
+    for m in range(h.n_markets):
+        lo, hi = h.bounds[2, m:m + 2].tolist()
+        alone, delta = h.markets(m, m + 1), block.values[lo:hi]
+        table, _ = compute_shares(alone, delta, nesting)
+        err = max_relative_error(full_jacobian(alone, delta, nesting), fd_jacobian(alone, delta, nesting),
+                                 np.append(table.joint, table.outside))
+        want.append(f"market {h.market_ids[m]!r}: max relative error vs finite differences {err:.3e}\n")
+    assert int(np.diff(h.bounds[2]) @ np.diff(h.bounds[2])) + h.n_products > _RUN_CELLS
+    assert result.stderr == "".join(want)
 
 
 def test_jacobian_extreme_utilities_finite(tmp_path):

@@ -1,6 +1,5 @@
 import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from helpers import (
     d_cond_subgroup,
     d_group,
     fd_jacobian_loop,
+    market_tree,
     ragged_instances,
     random_instance,
     random_tree,
@@ -154,18 +154,43 @@ def test_fd_step_consistency():
     assert max_relative_error(coarse, fine, row_scale=scale) < 1e-7
 
 
-@pytest.mark.parametrize("fd_products", [1, 10, jacobian._FD_PRODUCTS])
-def test_fd_jacobian_gives_the_doubles_of_one_column_at_a_time(fd_products):
-    # runs of one market pair, of a few, and the default size, at which the
-    # 6x6x6 tree takes several runs and the others one
+def test_fd_jacobian_gives_the_doubles_of_one_column_at_a_time():
+    # small ragged markets, and a 6x6x6 market of 216 columns
     rng = np.random.default_rng(5)
     instances = [random_instance(rng, dlo=-30.0, dhi=30.0) for _ in range(40)]
     instances.append((balanced_tree(6, 6, 6), rng.standard_normal(216), NestingParams(0.9, 0.3)))
-    with mock.patch.object(jacobian, "_FD_PRODUCTS", fd_products):
-        for tree, delta, params in instances:
-            fd = fd_jacobian(tree, delta, params, step=1e-6)
-            matrix, outside_row = fd_jacobian_loop(tree, delta, params, step=1e-6)
-            assert np.array_equal(fd.matrix, matrix) and np.array_equal(fd.outside_row, outside_row)
+    for tree, delta, params in instances:
+        fd = fd_jacobian(tree, delta, params, step=1e-6)
+        matrix, outside_row = fd_jacobian_loop(tree, delta, params, step=1e-6)
+        assert np.array_equal(fd.matrix, matrix) and np.array_equal(fd.outside_row, outside_row)
+
+
+@st.composite
+def ragged_markets(draw):
+    """Trees of 2-5 markets, each a tree of ``ragged_instances``, with their
+    utilities and the sigmas of the first."""
+    instances = draw(st.lists(ragged_instances(), min_size=2, max_size=5))
+    rows = [(f"m{m}", tree.group_ids[g], tree.subgroup_ids[s], product)
+            for m, (tree, _, _) in enumerate(instances)
+            for g, s, product in zip(tree.product_group.tolist(), tree.product_subgroup.tolist(), tree.products)]
+    return market_tree(rows), np.concatenate([delta for _, delta, _ in instances]), instances[0][2]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ragged_markets())
+def test_fd_columns_of_a_tree_are_fd_jacobian_of_each_market_alone(instance):
+    # row i of a market, its outside row last, holds fd_jacobian's doubles in the
+    # market's columns and +0 past them, up to the largest market's size
+    tree, delta, params = instance
+    columns = jacobian._fd_columns(tree, delta, params, 1e-6)
+    sizes = np.diff(tree.bounds[2])
+    assert columns.shape == (tree.n_products + tree.n_markets, sizes.max())
+    for m, (lo, hi) in enumerate(zip(tree.bounds[2, :-1].tolist(), tree.bounds[2, 1:].tolist())):
+        fd = fd_jacobian(tree.markets(m, m + 1), delta[lo:hi], params, step=1e-6)
+        rows = columns[[*range(lo, hi), tree.n_products + m]]
+        want = np.vstack([fd.matrix, fd.outside_row])
+        assert np.array_equal(rows[:, :hi - lo].view(np.int64), want.view(np.int64))
+        assert np.all(rows[:, hi - lo:].view(np.int64) == 0)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-6, float("nan"), float("inf"), "1e-6", True])
@@ -201,6 +226,12 @@ def test_copies_are_markets_equal_to_the_tree():
         assert copies.n_markets == 3
         for i in range(3):
             assert_same_tree(copies.markets(i, i + 1), tree)
+    # a tree of several markets: each copy is all of them
+    tree = market_tree([("m1", "g", "h", "a"), ("m1", "g", "h2", "b"), ("m2", "g", "h", "a"), ("m3", "g2", "h", "c")])
+    copies = _copies(tree, 2)
+    assert copies.n_markets == 6
+    assert_same_tree(copies.markets(0, 3), tree)
+    assert_same_tree(copies.markets(3, 6), tree)
 
 
 def test_fd_singleton_value():
