@@ -154,15 +154,35 @@ def test_fd_step_consistency():
     assert max_relative_error(coarse, fine, row_scale=scale) < 1e-7
 
 
-def test_fd_jacobian_gives_the_doubles_of_one_column_at_a_time():
-    # small ragged markets, and a 6x6x6 market of 216 columns
+@pytest.mark.parametrize("run_products", [1, 10, 16384])
+def test_fd_jacobian_gives_the_doubles_of_one_column_at_a_time(run_products):
+    # small ragged markets, and a 6x6x6 market of 216 columns, in runs of at
+    # most run_products products (a larger market alone) with the sigmas of a
+    # run's first market: each market its own run, a few a run, and all in one.
+    # fd_jacobian of each market, and its rows of _fd_columns on its run, give
+    # the doubles of the one-column-at-a-time oracle
     rng = np.random.default_rng(5)
     instances = [random_instance(rng, dlo=-30.0, dhi=30.0) for _ in range(40)]
     instances.append((balanced_tree(6, 6, 6), rng.standard_normal(216), NestingParams(0.9, 0.3)))
-    for tree, delta, params in instances:
-        fd = fd_jacobian(tree, delta, params, step=1e-6)
-        matrix, outside_row = fd_jacobian_loop(tree, delta, params, step=1e-6)
-        assert np.array_equal(fd.matrix, matrix) and np.array_equal(fd.outside_row, outside_row)
+    runs = [[instances[0]]]
+    for instance in instances[1:]:
+        if sum(tree.n_products for tree, _, _ in runs[-1]) + instance[0].n_products > run_products:
+            runs.append([])
+        runs[-1].append(instance)
+    assert (max(map(len, runs)) > 1) == (run_products > 1)
+    for run in runs:
+        tree = market_tree([(f"m{m}", t.group_ids[g], t.subgroup_ids[s], product)
+                            for m, (t, _, _) in enumerate(run)
+                            for g, s, product in zip(t.product_group.tolist(), t.product_subgroup.tolist(), t.products)])
+        delta, params = np.concatenate([d for _, d, _ in run]), run[0][2]
+        columns = jacobian._fd_columns(tree, delta, params, 1e-6)
+        for m, (lo, hi) in enumerate(zip(tree.bounds[2, :-1].tolist(), tree.bounds[2, 1:].tolist())):
+            market = tree.markets(m, m + 1)
+            matrix, outside_row = fd_jacobian_loop(market, delta[lo:hi], params, step=1e-6)
+            fd = fd_jacobian(market, delta[lo:hi], params, step=1e-6)
+            assert np.array_equal(fd.matrix, matrix) and np.array_equal(fd.outside_row, outside_row)
+            rows = columns[[*range(lo, hi), tree.n_products + m], :hi - lo]
+            assert np.array_equal(rows, np.vstack([matrix, outside_row]))
 
 
 @st.composite
