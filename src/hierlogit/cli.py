@@ -15,8 +15,10 @@ Market, params and config files may start with a UTF-8 byte-order mark.
 
 Each command reads the whole file into one tree whose top level is the
 market, and runs each kernel once for the file, Newton and the simulation
-included, the Jacobian and its finite differences once per run of markets
-of at most ``_RUN_CELLS`` cells (a larger market alone). Newton stops a
+included, the Jacobian and its finite differences once per run of markets:
+every market of a run is a block padded to its largest market of L
+products, L + 1 rows of L cells, and a run holds at most ``_RUN_CELLS``
+such cells (a larger market alone). Newton stops a
 market at a max log-share residual of log1p(tol) (near sigma -> 1, at the
 rounding floor ``numeric_invert`` documents), takes one more step, and must
 then agree with the closed form within 10*tol. Checks by layer: the reader rejects
@@ -93,8 +95,8 @@ SHARES_COLUMNS = MARKET_COLUMNS + (
 _Z_LIMIT = 5.0
 # finite-difference relative error beyond which --check-fd fails
 _FD_LIMIT = 1e-5
-# Jacobian cells per run of markets: a run's columns take about 20 bytes a cell, its --check-fd differences
-# (products + markets) x largest market doubles, at most ~52 MB (a ~150-product market, ~22,000 of one)
+# padded Jacobian cells per run of markets, markets x (L + 1) x L for a largest market of L products: a run's
+# columns take about 20 bytes a cell, and its --check-fd differences at most one double a cell, 0.5 MB
 _RUN_CELLS = 1 << 16
 
 
@@ -350,7 +352,7 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
                               help="Cross-check against central finite differences; mismatch exits 3.")))
 def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
-    from .jacobian import ShareJacobian, _fd_columns, _log_share_cells, max_relative_error
+    from .jacobian import _blocks, _fd_columns, _relative_error
 
     params, block = read_params_json(params_path), read_market_csv(input_path)
     fd_errors = []
@@ -358,28 +360,26 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
     def jacobian(b):
         h = b.hierarchy
         table, _ = compute_shares(h, b.values, params)
-        shares = np.append(table.joint, table.outside)
-        fd = _fd_columns(h, b.values, params, 1e-6) if check_fd else None
-        parts, checked = [], []
-        for m, (lo, hi) in enumerate(zip(h.bounds[2, :-1].tolist(), h.bounds[2, 1:].tolist())):
-            # the market's products, then its outside option, row n_products + m of the tree
-            rows, n = np.append(np.arange(lo, hi, dtype=np.int32), np.int32(h.n_products + m)), hi - lo
-            cells = shares[rows, None] * _log_share_cells(table, params, rows[:, None], rows[:-1])
-            if check_fd:
-                analytic, central = (ShareJacobian(x[:-1], x[-1]) for x in (cells, fd[rows, :n]))
-                checked.append(max_relative_error(analytic, central, shares[rows]))
-            parts.append((np.broadcast_to(np.int32(m), n * (n + 1)), np.repeat(rows, n), np.tile(rows[:-1], n + 1),
-                          cells.ravel()))
+        cells, rows, mask = _blocks(table, params)
+        scale = np.append(table.joint, table.outside)[rows][:, :, None]
+        cells *= scale
+        checked = []
+        if check_fd:
+            fd = _fd_columns(h, b.values, params, 1e-6)[rows]
+            checked = np.max(_relative_error(cells, fd, scale), axis=(1, 2), initial=0.0, where=mask).tolist()
+        # each column's real cells in file order, all of them in a run of markets of one size
+        keep = () if mask.all() else mask
+        markets, row, col, values = (np.broadcast_to(x, cells.shape)[keep].reshape(-1) for x in (
+            np.arange(h.n_markets, dtype=np.int32)[:, None, None], rows[:, :, None], rows[:, None, :-1], cells))
         # printed once the run has succeeded, as a failing run is computed again in halves
         sys.stderr.writelines(f"market {market_id!r}: max relative error vs finite differences {err:.3e}\n"
                               for market_id, err in zip(h.market_ids, checked))
         fd_errors.extend(checked)
-        markets, rows, cols, values = (p[0] if len(p) == 1 else np.concatenate(p) for p in zip(*parts))
         ids = h.products + (OUTSIDE_ID,) * h.n_markets
-        return [(h.market_ids, markets), (ids, rows), (ids, cols), values]
+        return [(h.market_ids, markets), (ids, row), (ids, col), values]
 
-    # a market of n products has n + 1 rows of n cells
-    runs = _results(block, jacobian, cells=lambda h: int(np.diff(h.bounds[2]) @ np.diff(h.bounds[2])) + h.n_products)
+    # every market of a run is padded to its largest, of n products: n + 1 rows of n cells
+    runs = _results(block, jacobian, cells=lambda h: h.n_markets * (n := int(np.diff(h.bounds[2]).max())) * (n + 1))
     _write_csv(output_path, ["market_id", "row_id", "col_id", "value"], (columns for _, columns in runs))
     if any(err > _FD_LIMIT for err in fd_errors):
         _die(EXIT_SELFTEST, f"finite-difference check exceeded {_FD_LIMIT:g}")
@@ -398,8 +398,8 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
 
     def simulated(b):
         h = b.hierarchy
-        table, iv = compute_shares(h, b.values, params)
-        counts = simulate_choices(h, b.values, params, config, iv=iv)
+        table, _ = compute_shares(h, b.values, params)
+        counts = simulate_choices(h, b.values, params, config)
         tally = _outside_rows(h, counts.counts, counts.outside_count)
         share = _outside_rows(h, table.joint, table.outside)
         z = _exact_z(tally, share, n=draws)

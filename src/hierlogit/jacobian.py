@@ -1,17 +1,7 @@
 """Analytic derivatives of shares with respect to mean utilities.
 
-The full Jacobian entry is assembled by the product rule
-
-    d s_jhg / d delta_k = d s_{j|hg} * s_{h|g} * s_g
-                        + s_{j|hg} * d s_{h|g} * s_g
-                        + s_{j|hg} * s_{h|g} * d s_g
-
-where each conditional derivative is one of three cases (same subgroup,
-sibling subgroup in the same group, different group). ``full_jacobian``
-evaluates the composed sum for all pairs at once in vectorized form.
-
-Writing a = 1/(1-sigma1) and b = 1/(1-sigma2), the composed sum collapses
-to a derivative of log shares,
+By the product rule on s_j = s_{j|hg} * s_{h|g} * s_g, writing a =
+1/(1-sigma1) and b = 1/(1-sigma2), the derivative of log shares is
 
     d log s_j / d delta_k = a*(1{j=k} - 1{same subgroup}*cp_k)
                           + b*(1{same subgroup}*cp_k - 1{same group}*w_k)
@@ -21,6 +11,11 @@ with cp the conditional product shares and w = cp * cs the share of a
 product within its group; the outside option, in no product's subgroup or
 group, gets d log s_0 / d delta_k = -s_k. Every term is a share times a
 bounded factor, so the assembly is overflow-safe whenever the shares are.
+
+``_blocks`` evaluates this sum once for every cell: each market of a tree is
+a block padded to its largest market, its rows the market's products, then
+its outside option, its columns the products. The Jacobians of one market
+and the CLI's runs of markets all read their cells from it.
 """
 
 from dataclasses import dataclass
@@ -39,7 +34,7 @@ __all__ = [
     "max_relative_error",
 ]
 
-# smallest denominator of an entry's relative error in max_relative_error
+# smallest denominator of an entry's relative error
 _RELATIVE_FLOOR = 1e-12
 
 
@@ -65,18 +60,25 @@ def log_share_jacobian(table: ShareTable, params: NestingParams) -> np.ndarray:
     share-level Jacobian is ``joint[:, None]`` times this matrix.
     """
     one_market(table.hierarchy, "log_share_jacobian")
-    products = np.arange(table.hierarchy.n_products)
-    return _log_share_cells(table, params, products[:, None], products)
+    return _blocks(table, params)[0][0, :-1]
 
 
-def _log_share_cells(table: ShareTable, params: NestingParams, row, col) -> np.ndarray:
-    """d log s_row / d delta_col of ``table`` for index arrays that broadcast together;
-    row ``n_products + m`` is market m's outside option, in no product's subgroup or group."""
-    h, cp, a, b = table.hierarchy, table.cond_product[col], 1.0 / (1.0 - params.sigma1), 1.0 / (1.0 - params.sigma2)
+def _blocks(table: ShareTable, params: NestingParams) -> tuple:
+    """``(cells, rows, mask)``: d log s_row / d delta_col of each market m of ``table``'s tree in
+    block ``cells[m]``, its rows ``rows[m]`` (its products, then its outside option, row
+    ``n_products + m``), its columns ``rows[m, :-1]``, padded to the largest; ``mask`` its real cells."""
+    h, a, b = table.hierarchy, 1.0 / (1.0 - params.sigma1), 1.0 / (1.0 - params.sigma2)
+    first, sizes = h.bounds[2, :-1, None], np.diff(h.bounds[2])[:, None]
+    i = np.arange(sizes.max() + 1)
+    rows = np.where(i < sizes, first + i, h.n_products + np.arange(h.n_markets)[:, None]).astype(np.int32)
+    # a padded column points at the last product, which every index array has
+    row, col = rows[:, :, None], np.minimum(rows[:, None, :-1], h.n_products - 1)
+    cp = table.cond_product[col]
     w = cp * table.cond_subgroup[h.product_subgroup[col]]
     same_sub, same_grp = (np.where(row < h.n_products, codes.take(row, mode="clip"), -1) == codes[col]
                           for codes in (h.product_subgroup, h.product_group))
-    return a * ((row == col) - same_sub * cp) + b * (same_sub * cp - same_grp * w) + same_grp * w - table.joint[col]
+    cells = a * ((row == col) - same_sub * cp) + b * (same_sub * cp - same_grp * w) + same_grp * w - table.joint[col]
+    return cells, rows, (i <= sizes)[:, :, None] & (i[:-1] < sizes)[:, None, :]
 
 
 def _solve_log_share_jacobian(table: ShareTable, params: NestingParams, r: np.ndarray) -> np.ndarray:
@@ -105,8 +107,7 @@ def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> S
     """Analytic ds/ddelta for every inside product plus the outside row."""
     one_market(hierarchy, "full_jacobian")
     table, _ = compute_shares(hierarchy, delta, params)
-    rows = np.arange(hierarchy.n_products + 1)
-    cells = np.append(table.joint, table.outside)[:, None] * _log_share_cells(table, params, rows[:, None], rows[:-1])
+    cells = np.append(table.joint, table.outside)[:, None] * _blocks(table, params)[0][0]
     return ShareJacobian(matrix=cells[:-1], outside_row=cells[-1])
 
 
@@ -171,8 +172,10 @@ def max_relative_error(analytic: ShareJacobian, fd: ShareJacobian, row_scale) ->
     eps*share/step, so entries whose true magnitude sits below that are pure
     FD roundoff and are judged against the size of the row they live in.
     """
-    a = np.vstack([analytic.matrix, analytic.outside_row])
-    f = np.vstack([fd.matrix, fd.outside_row])
-    den = np.maximum(np.maximum(np.abs(a), np.abs(f)), _RELATIVE_FLOOR)
-    den = np.maximum(den, np.asarray(row_scale, dtype=float)[:, None])
-    return float(np.max(np.abs(a - f) / den))
+    a, f = (np.vstack([j.matrix, j.outside_row]) for j in (analytic, fd))
+    return float(np.max(_relative_error(a, f, np.asarray(row_scale, dtype=float)[:, None])))
+
+
+def _relative_error(a, f, scale) -> np.ndarray:
+    """Each entry's |a - f| over max(|a|, |f|, 1e-12, ``scale``), ``scale`` broadcast against them."""
+    return np.abs(a - f) / np.maximum(np.maximum(np.maximum(np.abs(a), np.abs(f)), _RELATIVE_FLOOR), scale)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array
-from .shares import InclusiveValues, _per_market, compute_shares
+from .shares import _per_market, compute_shares
 
 __all__ = ["SimConfig", "ChoiceCounts", "simulate_choices", "empirical_shares"]
 
@@ -88,23 +88,18 @@ def _stage_counts(rng, n, parent, values, scale) -> np.ndarray:
     return tally[:-1]
 
 
-def simulate_choices(
-    hierarchy: ChoiceHierarchy,
-    delta,
-    params: NestingParams,
-    config: SimConfig,
-    iv: InclusiveValues | None = None,
-) -> ChoiceCounts:
+def simulate_choices(hierarchy: ChoiceHierarchy, delta, params: NestingParams, config: SimConfig) -> ChoiceCounts:
     """Simulate ``config.draws`` sequential choices in each market of a tree and tally them.
 
     One ``Philox(key=config.seed)`` generator draws every market, its state reset to the start
-    before each, so a market gets the same counts alone as in any tree. ``iv``, when given, are
-    the inclusive values of ``compute_shares`` at these arguments.
+    before each, so a market gets the same counts alone as in any tree. Each stage pads every
+    parent's row of children to the market's widest row at that stage, so memory grows with a
+    market's parents times its largest family: about 40 bytes a padded cell, 153 MiB for a subgroup of 2,000
+    products beside 2,000 one-product subgroups, and about 15 GiB at ten times that.
     """
     h = hierarchy
     delta = as_delta_array(h, delta)
-    if iv is None:
-        _, iv = compute_shares(h, delta, params)
+    _, iv = compute_shares(h, delta, params)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     start = rng.bit_generator.state
     products, outside = np.empty(h.n_products, np.int64), np.empty(h.n_markets, np.int64)

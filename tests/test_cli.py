@@ -425,14 +425,15 @@ def test_simulate_z_score_is_never_negative_zero(tmp_path):
         assert "-0" not in z and z.count("0") >= (36 if draws == "1" else 2)
 
 
-def test_simulate_computes_each_markets_shares_once(tmp_path):
+def test_simulate_computes_shares_for_the_whole_file_at_once(tmp_path):
     rows = [(f"m{m}", g, h, f"{g}{h}", 0.1 * m) for m in range(3) for g, h in (("g", "h"), ("g", "k"), ("f", "h"))]
     market = write_market(tmp_path / "m.csv", rows)
     params = write_params(tmp_path / "p.json", 0.4, 0.2)
     shares = mock.Mock(wraps=compute_shares)
     with mock.patch("hierlogit.cli.compute_shares", shares), mock.patch("hierlogit.montecarlo.compute_shares", shares):
         run_ok(["simulate", "--input", market, "--params", params, "--draws", "1000"])
-    assert [call.args[0].n_markets for call in shares.call_args_list] == [3]
+    # the analytic shares, then the simulator's inclusive values, each for all three markets
+    assert [call.args[0].n_markets for call in shares.call_args_list] == [3, 3]
 
 
 def test_simulate_against_a_wrong_sigma_exits_selftest(tmp_path):
@@ -446,7 +447,7 @@ def test_simulate_against_a_wrong_sigma_exits_selftest(tmp_path):
     run_ok(args)
     simulate = hierlogit.montecarlo.simulate_choices
 
-    def plain_logit(hierarchy, delta, params, config, iv=None):
+    def plain_logit(hierarchy, delta, params, config):
         return simulate(hierarchy, delta, NestingParams(0.0, 0.0), config)
 
     with mock.patch("hierlogit.montecarlo.simulate_choices", plain_logit):
@@ -996,23 +997,25 @@ def test_multi_market_file_is_the_concatenation_of_one_market_runs(tmp_path):
 
     def run(command, market_rows, name, *extra):
         path = write_market(tmp_path / f"{name}.csv", market_rows)
-        return run_ok([command, "--input", path, "--params", params, *extra]).output
+        return run_ok([command, "--input", path, "--params", params, *extra])
 
     def shares_of(market_rows, name):
         # invert input: the shares output's first five columns
-        text = run("shares", market_rows, name)
+        text = run("shares", market_rows, name).stdout
         return [r.split(",")[:5] for r in text.splitlines()[1:]]
 
-    for command, extra in (("shares", ()), ("jacobian", ()), ("simulate", ("--draws", "500", "--seed", "4")),
-                           ("invert", ())):
+    # markets of 4, 4 and 1 products: the file's Jacobian run pads the third market's block
+    for command, extra in (("shares", ()), ("jacobian", ()), ("jacobian", ("--check-fd",)),
+                           ("simulate", ("--draws", "500", "--seed", "4")), ("invert", ())):
         if command == "invert":
             whole = run(command, shares_of(rows, "all"), "all_in")
             parts = [run(command, shares_of([r for r in rows if r[0] == m], m), f"{m}_in") for m in market_ids]
         else:
             whole = run(command, rows, "all", *extra)
             parts = [run(command, [r for r in rows if r[0] == m], m, *extra) for m in market_ids]
-        header = parts[0].splitlines(keepends=True)[0]
-        assert whole == header + "".join(p[len(header):] for p in parts), command
+        header = parts[0].stdout.splitlines(keepends=True)[0]
+        assert whole.stdout == header + "".join(p.stdout[len(header):] for p in parts), (command, extra)
+        assert whole.stderr == "".join(p.stderr for p in parts), (command, extra)
 
 
 def test_shares_json_streams_the_whole_payload(tmp_path):

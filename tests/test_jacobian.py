@@ -213,6 +213,25 @@ def test_fd_columns_of_a_tree_are_fd_jacobian_of_each_market_alone(instance):
         assert np.all(rows[:, hi - lo:].view(np.int64) == 0)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ragged_markets())
+def test_blocks_of_a_tree_are_the_block_of_each_market_alone(instance):
+    # block m, padded to the largest market, holds the doubles of market m's own
+    # block in its real cells, its products' rows and then its outside row
+    tree, delta, params = instance
+    cells, rows, mask = jacobian._blocks(compute_shares(tree, delta, params)[0], params)
+    largest = np.diff(tree.bounds[2]).max()
+    assert cells.shape == mask.shape == (tree.n_markets, largest + 1, largest)
+    for m, (lo, hi) in enumerate(zip(tree.bounds[2, :-1].tolist(), tree.bounds[2, 1:].tolist())):
+        table, _ = compute_shares(tree.markets(m, m + 1), delta[lo:hi], params)
+        alone, _, alone_mask = jacobian._blocks(table, params)
+        real = np.zeros_like(mask[m])
+        real[:hi - lo + 1, :hi - lo] = True
+        assert alone_mask.all() and np.array_equal(mask[m], real)
+        assert rows[m, :hi - lo + 1].tolist() == [*range(lo, hi), tree.n_products + m]
+        assert np.array_equal(cells[m][real].view(np.int64), alone.ravel().view(np.int64))
+
+
 @pytest.mark.parametrize("step", [0.0, -1e-6, float("nan"), float("inf"), "1e-6", True])
 def test_fd_jacobian_refuses_a_step_that_is_not_positive_and_finite(step):
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h2", "p2")])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import threading
 import tracemalloc
 from unittest import mock
@@ -155,17 +156,18 @@ def test_counts_sum_to_the_draws_and_miss_every_alternative_of_probability_zero(
 
 
 def test_each_market_of_a_tree_draws_the_counts_it_draws_alone():
-    # ragged markets, some with ten children to a parent, in one call and one by one
+    # ragged markets, some with ten children to a parent, in one call and one by one; at
+    # 2**53 draws too, where the last bits of a row's probabilities move counts
     rng = np.random.default_rng(41)
     rows = [(f"m{m}", f"g{g}", f"h{h}", f"p{g}.{h}.{p}") for m in range(40)
             for g in range(rng.integers(1, 4)) for h in range(rng.integers(1, 4)) for p in range(rng.integers(1, 11))]
     tree = market_tree(rows)
     delta = rng.uniform(-2.0, 2.0, tree.n_products)
     params = NestingParams(0.5, 0.25)
-    for seed in (0, 7, 2**100):
-        config = SimConfig(draws=10_000, seed=seed)
+    for draws, seed in itertools.product((10_000, 2**53), (0, 7, 2**100)):
+        config = SimConfig(draws=draws, seed=seed)
         counts = simulate_choices(tree, delta, params, config)
-        assert counts.total == 40 * 10_000 and counts.outside_count.shape == (40,)
+        assert counts.total == 40 * draws and counts.outside_count.shape == (40,)
         for m in range(tree.n_markets):
             lo, hi = tree.bounds[2, m:m + 2].tolist()
             alone = simulate_choices(tree.markets(m, m + 1), delta[lo:hi], params, config)

@@ -317,13 +317,12 @@ def test_out_of_memory_on_a_writer_thread_leaves_what_comes_before_written(tmp_p
     params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
     market = _market_file(tmp_path / "m.csv", n_markets=8, ids=["m\u00e9", "plain", "\u65e5\u672c"])
     failing = cli.read_market_csv(market).hierarchy.market_ids[3]
-    log_share_cells, formatted, ran_on = jacobian._log_share_cells, csvout._formatted, set()
+    blocks, formatted, ran_on = jacobian._blocks, csvout._formatted, set()
 
-    def failing_jacobian(table, params, row, col):
-        h = table.hierarchy
-        if h.market_ids[h.product_market[col[0]]] == failing:
+    def failing_jacobian(table, params):
+        if failing in table.hierarchy.market_ids:
             raise MemoryError("cannot allocate the matrix")
-        return log_share_cells(table, params, row, col)
+        return blocks(table, params)
 
     def failing_chunk(columns, rows, limit):
         ran_on.add(threading.current_thread())
@@ -333,7 +332,7 @@ def test_out_of_memory_on_a_writer_thread_leaves_what_comes_before_written(tmp_p
 
     args = ["jacobian", "--input", market, "--params", str(params)]
     if where == "market":
-        with mock.patch.object(jacobian, "_log_share_cells", failing_jacobian), \
+        with mock.patch.object(jacobian, "_blocks", failing_jacobian), \
                 mock.patch.object(cli, "_write_csv", per_cell_write_csv):
             oracle = invoke([*args, "--output", str(tmp_path / "oracle.csv")])
         want = (tmp_path / "oracle.csv").read_bytes()
@@ -346,8 +345,8 @@ def test_out_of_memory_on_a_writer_thread_leaves_what_comes_before_written(tmp_p
         message = "error: out of memory: cannot allocate the cells"
     for workers in (2, 3):
         threads = threading.enumerate()
-        cells = failing_jacobian if where == "market" else log_share_cells
-        with mock.patch.object(jacobian, "_log_share_cells", cells), \
+        cells = failing_jacobian if where == "market" else blocks
+        with mock.patch.object(jacobian, "_blocks", cells), \
                 mock.patch.object(csvout, "_formatted", failing_chunk), mock.patch.object(csvout, "_CHUNK_ROWS", 7), \
                 on_cpus(workers):
             result = invoke([*args, "--output", str(tmp_path / "out.csv")])
