@@ -22,9 +22,9 @@ such cells (a larger market alone). Newton stops a
 market at a max log-share residual of log1p(tol) (near sigma -> 1, at the
 rounding floor ``numeric_invert`` documents), takes one more step, and must
 then agree with the closed form within 10*tol. Checks by layer: the reader rejects
-non-UTF-8 or malformed CSV, unparsable values and repeated products,
-and checks every market's ``_outside`` row (required by invert,
-refused by the others) before any market is computed;
+non-UTF-8 or malformed CSV, a required column named twice, unparsable values and
+repeated products, and checks every market's ``_outside`` row (required by
+invert, refused by the others) before any market is computed;
 ``ShareTable.from_joint`` bounds each share of invert's input strictly
 inside (0, 1); and the CLI requires a market's shares to sum to 1 within
 1e-6. When a step fails, the error reported is that of the first market,
@@ -42,13 +42,15 @@ overflow a double once divided by 1 - sigma included) or too little memory for o
 market (the message names it, wherever it runs out), 3 failed self-check
 (finite-difference mismatch, simulation z-score blowout,
 Newton/closed-form disagreement, singular design).
-Diagnostics go to standard error. Results go to ``--output`` or standard
-output as UTF-8 whatever the locale, CSV in chunks of rows cut from each
-run of markets, formatted on the standard library's thread pool, one thread per
-CPU (no thread for one chunk), and written in file order, the same bytes
-whatever the CPU count. Reals are exactly ``format(x, ".17g")`` (NaN an
-empty cell), so written files round-trip doubles: numpy derives the digits,
-and Python formats what it cannot prove (zero, inf, near-ties; see ``csvout``).
+Diagnostics go to standard error. Every market command writes CSV (the rows of
+``shares`` carry every share and inclusive value), ``estimate`` JSON. Results go
+to ``--output`` or standard output as UTF-8 whatever the locale, CSV in chunks
+of rows cut from each run of markets, formatted on the standard library's
+thread pool, one thread per CPU (no thread for one chunk), and written in file
+order, the same bytes whatever the CPU count. Reals are exactly
+``format(x, ".17g")`` (NaN an empty cell), so written files round-trip doubles:
+numpy derives the digits, and Python formats what it cannot prove (zero, inf,
+near-ties; see ``csvout``).
 """
 
 import argparse
@@ -255,19 +257,12 @@ def _market_options(input_help="Market CSV with utilities in the value column.")
                               help="Destination file; standard output when omitted.")))
 
 
-@_command("shares", *_market_options(),
-          ("--format", dict(dest="fmt", choices=["csv", "json"], default="csv", help=_DEFAULT)))
-def cmd_shares(input_path, params_path, output_path, fmt):
+@_command("shares", *_market_options())
+def cmd_shares(input_path, params_path, output_path):
     """Compute joint, conditional, and outside shares plus inclusive values."""
     params, block = read_params_json(params_path), read_market_csv(input_path)
     runs = _results(block, lambda b: compute_shares(b.hierarchy, b.values, params))
-    if fmt == "csv":
-        _write_csv(output_path, SHARES_COLUMNS, (_shares_csv(b.hierarchy, table, iv) for b, (table, iv) in runs))
-        return
-    with _output(output_path) as out:
-        # nothing is written unless every market succeeds
-        for text in _shares_json(list(runs), params):
-            out.write(text.encode())
+    _write_csv(output_path, SHARES_COLUMNS, (_shares_csv(b.hierarchy, table, iv) for b, (table, iv) in runs))
 
 
 def _shares_csv(h, table, iv) -> list:
@@ -280,38 +275,6 @@ def _shares_csv(h, table, iv) -> list:
             _outside_rows(h, table.cond_product),
             *((np.append(values, np.nan), _outside_rows(h, codes, len(values))) for values, codes in segments),
             (top, _outside_rows(h, h.product_market, np.arange(h.n_markets)))]
-
-
-def _shares_json(runs, params: NestingParams):
-    """Yield ``json.dumps(payload, indent=2) + "\\n"`` market by market from
-    the ``(markets, (table, iv))`` runs of a file."""
-    keys = ("product_id", "group_id", "subgroup_id", "delta", "joint", "cond_product",
-            "cond_subgroup", "group_share")
-    yield json.dumps({"sigma1": params.sigma1, "sigma2": params.sigma2}, indent=2)[:-2] + ',\n  "markets": ['
-    sep = ""
-    for block, (table, iv) in runs:
-        h = block.hierarchy
-        ids = (h.products, *([h.ids[l][i] for i in h.above[l].tolist()] for l in (1, 2)))
-        reals = (block.values, table.joint, table.cond_product,
-                 table.cond_subgroup[h.product_subgroup], table.group[h.product_group])
-        rows = list(zip(*ids, *(a.tolist() for a in reals)))
-        subgroups = [{"group_id": gid, "subgroup_id": sid, "value": value}
-                     for (gid, sid), value in zip(h.subgroup_keys, iv.subgroup.tolist())]
-        groups = [{"group_id": gid, "value": value} for gid, value in zip(h.group_ids, iv.group.tolist())]
-        outside, top = np.atleast_1d(table.outside).tolist(), np.atleast_1d(iv.top).tolist()
-        g, s, p = h.bounds.tolist()
-        for m, market_id in enumerate(h.market_ids):
-            market = {
-                "market_id": market_id,
-                "products": [dict(zip(keys, row)) for row in rows[p[m]:p[m + 1]]],
-                "outside_share": outside[m],
-                "inclusive_values": {"subgroup": subgroups[s[m]:s[m + 1]], "group": groups[g[m]:g[m + 1]],
-                                     "top": top[m]},
-            }
-            # a market sits two levels deep in the payload
-            yield sep + "\n    " + json.dumps(market, indent=2).replace("\n", "\n    ")
-            sep = ","
-    yield "\n  ]\n}\n"
 
 
 @_command("invert", *_market_options("Market CSV with joint shares and one _outside row per market."),

@@ -80,11 +80,13 @@ def _split(path, data):
 
 
 def _column_indices(path, header) -> list:
-    at = {name: i for i, name in enumerate(header)}
-    missing = [c for c in MARKET_COLUMNS if c not in at]
+    missing = [c for c in MARKET_COLUMNS if c not in header]
     if missing:
         raise MarketFileError(f"{path}: missing columns: {', '.join(missing)}")
-    return [at[c] for c in MARKET_COLUMNS]
+    repeated = [c for c in MARKET_COLUMNS if header.count(c) > 1]
+    if repeated:
+        raise MarketFileError(f"{path}: column {repeated[0]!r} appears more than once")
+    return [header.index(c) for c in MARKET_COLUMNS]
 
 
 def _utf8_error(data, begin, size):

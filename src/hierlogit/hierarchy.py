@@ -112,11 +112,6 @@ class ChoiceHierarchy:
             bounds.append(np.searchsorted(up, bounds[-1]))
         self.bounds = np.array(bounds[1:])
 
-    @property
-    def subgroup_keys(self):
-        """(group_id, subgroup_id) of every subgroup."""
-        return tuple(zip((self.group_ids[g] for g in self.subgroup_group.tolist()), self.subgroup_ids))
-
     def markets(self, start: int, stop: int) -> "ChoiceHierarchy":
         """The tree of markets ``start`` to ``stop - 1``, numbered from 0; needs 0 <= start < stop <= n_markets."""
         if not 0 <= start < stop <= self.n_markets:

@@ -362,6 +362,9 @@ def row_read_market_csv(path, outside=False) -> MarketBlock:
             missing = [c for c in MARKET_COLUMNS if c not in at]
             if missing:
                 raise MarketFileError(f"{path}: missing columns: {', '.join(missing)}")
+            repeated = [c for c in MARKET_COLUMNS if header.count(c) > 1]
+            if repeated:
+                raise MarketFileError(f"{path}: column {repeated[0]!r} appears more than once")
             # blank lines are skipped; a short row raises IndexError, and so
             # does a row with an empty field: both end reading as incomplete
             for m, g, s, p, v in map(operator.itemgetter(*(at[c] for c in MARKET_COLUMNS)), filter(None, reader)):

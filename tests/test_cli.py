@@ -73,17 +73,21 @@ def test_shares_output_file_matches_stdout(tmp_path):
     assert out.read_text() == piped.output
 
 
-def test_shares_json_format(tmp_path):
+def test_shares_outside_row_carries_the_outside_share_and_top(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0), ("m1", "g", "h", "b", 0.0)])
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
-    result = run_ok(["shares", "--input", market, "--params", params, "--format", "json"])
-    payload = json.loads(result.output)
-    assert payload["sigma1"] == 0.0
-    market_obj = payload["markets"][0]
-    assert market_obj["market_id"] == "m1"
-    assert market_obj["outside_share"] == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert [p["product_id"] for p in market_obj["products"]] == ["a", "b"]
-    assert market_obj["inclusive_values"]["top"] == pytest.approx(math.log(3.0), abs=1e-15)
+    outside = parse_csv(run_ok(["shares", "--input", market, "--params", params]).output)[-1]
+    assert (outside["market_id"], outside["product_id"]) == ("m1", "_outside")
+    assert float(outside["value"]) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert float(outside["iv_top"]) == pytest.approx(math.log(3.0), abs=1e-15)
+
+
+def test_shares_has_no_format_option(tmp_path):
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
+    params = write_params(tmp_path / "p.json", 0.0, 0.0)
+    result = invoke(["shares", "--input", market, "--params", params, "--format", "json"])
+    assert "--format" in _assert_one_error_line(result, EXIT_PARSE)
+    assert result.stdout_bytes == b""
 
 
 def test_reals_serialized_canonically(tmp_path):
@@ -818,6 +822,24 @@ def test_undecodable_or_oversized_input_exits_parse(tmp_path, name, data, where)
     assert where in _assert_one_error_line(invoke(args), EXIT_PARSE)
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["split", "csv-reader"])
+def test_a_repeated_required_column_exits_parse(tmp_path, end):
+    from hierlogit import csvin
+
+    # numpy splits the plain file; a carriage return sends it to csv.reader
+    params = write_params(tmp_path / "p.json", 0.0, 0.0)
+    market = tmp_path / "m.csv"
+    market.write_bytes(_lines(HEADER + ",value", "m,g,h,p,0.5,9", end=end))
+    with mock.patch.object(csvin, "_read_rows", wraps=csvin._read_rows) as read_rows:
+        result = invoke(["shares", "--input", str(market), "--params", params])
+    assert read_rows.called == (end == "\r\n")
+    assert _assert_one_error_line(result, EXIT_PARSE) == f"error: {market}: column 'value' appears more than once"
+    assert result.stdout_bytes == b""
+    # a column of another name may repeat, and is ignored
+    market.write_bytes(_lines("extra," + HEADER + ",extra", "x,m,g,h,p,0.5,y", end=end))
+    assert read_market_csv(str(market)).values.tolist() == [0.5]
+
+
 @pytest.mark.parametrize("args", [
     [],
     ["bogus", "--input", "M", "--params", "P"],
@@ -1018,35 +1040,6 @@ def test_multi_market_file_is_the_concatenation_of_one_market_runs(tmp_path):
         assert whole.stderr == "".join(p.stderr for p in parts), (command, extra)
 
 
-def test_shares_json_streams_the_whole_payload(tmp_path):
-    rows, params_path = _three_markets(tmp_path)
-    market = write_market(tmp_path / "m.csv", rows + [("m3", "x", "y", "\u00e9", -0.3)])
-    result = run_ok(["shares", "--input", market, "--params", params_path, "--format", "json"])
-    block, params = read_market_csv(market), read_params_json(params_path)
-    markets = []
-    for m in range(block.hierarchy.n_markets):
-        b = block.markets(m, m + 1)
-        h = b.hierarchy
-        table, iv = compute_shares(h, b.values, params)
-        sub, grp = h.product_subgroup.tolist(), h.product_group.tolist()
-        products = [
-            {"product_id": product, "group_id": h.group_ids[grp[j]], "subgroup_id": h.subgroup_ids[sub[j]],
-             "delta": float(b.values[j]), "joint": float(table.joint[j]), "cond_product": float(table.cond_product[j]),
-             "cond_subgroup": float(table.cond_subgroup[sub[j]]), "group_share": float(table.group[grp[j]])}
-            for j, product in enumerate(h.products)
-        ]
-        values = {
-            "subgroup": [{"group_id": g, "subgroup_id": s, "value": v}
-                         for (g, s), v in zip(h.subgroup_keys, iv.subgroup.tolist())],
-            "group": [{"group_id": g, "value": v} for g, v in zip(h.group_ids, iv.group.tolist())],
-            "top": iv.top,
-        }
-        markets.append({"market_id": h.market_ids[0], "products": products, "outside_share": table.outside,
-                        "inclusive_values": values})
-    payload = {"sigma1": params.sigma1, "sigma2": params.sigma2, "markets": markets}
-    assert result.output == json.dumps(payload, indent=2) + "\n"
-
-
 def test_newton_passes_the_closed_form_check_on_3000_random_markets(tmp_path):
     # 17-digit shares of N(0,1) utilities: before Newton took one more step
     # after its stop test, about 1% of such markets missed the 10*tol check
@@ -1192,7 +1185,7 @@ def test_failing_multi_market_file_matches_its_one_market_runs(tmp_path, instanc
 
     clean_shares = run(["shares"], rows).stdout
     share_rows = [line.split(",")[:5] for line in clean_shares.splitlines()[1:]]
-    for args in (["shares"], ["shares", "--format", "json"], ["jacobian"], ["jacobian", "--check-fd"],
+    for args in (["shares"], ["jacobian"], ["jacobian", "--check-fd"],
                  ["simulate", "--draws", "2000", "--seed", "5"], ["invert"], ["invert", "--method", "newton"]):
         faulty = _with_faults(share_rows if args[0] == "invert" else rows, faults, args[0] == "invert")
         whole = run(args, faulty)
@@ -1203,9 +1196,6 @@ def test_failing_multi_market_file_matches_its_one_market_runs(tmp_path, instanc
                 break
         assert parts[-1].exit_code != EXIT_OK, args
         assert (whole.exit_code, whole.stderr) == (parts[-1].exit_code, "".join(p.stderr for p in parts)), args
-        if args[1:2] == ["--format"]:
-            assert whole.stdout == "" and parts[-1].stdout == "", args
-            continue
         header = parts[-1].stdout
         assert whole.stdout == header + "".join(p.stdout[len(header):] for p in parts[:-1]), args
 

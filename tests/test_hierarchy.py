@@ -24,15 +24,18 @@ def test_minimal_tree():
     assert tree.n_subgroups == 1
     assert tree.n_products == 1
     assert tree.products == ("p1",)
-    assert tree.subgroup_keys[tree.product_subgroup[0]] == ("g1", "h1")
+    s = tree.product_subgroup[0]
+    assert (tree.group_ids[tree.subgroup_group[s]], tree.subgroup_ids[s]) == ("g1", "h1")
 
 
 def test_product_index_positions():
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h2", "p2"), ("g2", "h3", "p3")])
     assert tree.products.index("p3") == 2
-    assert tree.subgroup_keys[tree.product_subgroup[2]] == ("g2", "h3")
+    s = tree.product_subgroup[2]
+    assert (tree.group_ids[tree.subgroup_group[s]], tree.subgroup_ids[s]) == ("g2", "h3")
     assert tree.group_ids == ("g1", "g2")
-    assert tree.subgroup_keys == (("g1", "h1"), ("g1", "h2"), ("g2", "h3"))
+    assert tree.subgroup_ids == ("h1", "h2", "h3")
+    np.testing.assert_array_equal(tree.subgroup_group, [0, 0, 1])
 
 
 def test_duplicate_product_rejected():
@@ -161,7 +164,8 @@ def test_market_level_views_and_one_market_functions():
     np.testing.assert_array_equal(tree.product_market, [0, 0, 1, 1])
     np.testing.assert_array_equal(tree.bounds, [[0, 1, 2], [0, 1, 3], [0, 2, 4]])
     second = tree.markets(1, 2)
-    assert second.market_ids == ("m2",) and second.subgroup_keys == (("g", "h"), ("g", "k"))
+    assert second.market_ids == ("m2",) and second.group_ids == ("g",) and second.subgroup_ids == ("h", "k")
+    np.testing.assert_array_equal(second.subgroup_group, [0, 0])
     np.testing.assert_array_equal(second.product_subgroup, [0, 1])
     # a range outside 0 <= start < stop <= n_markets has no tree, nor block
     block = MarketBlock(tree, np.arange(4.0), None)

@@ -433,9 +433,6 @@ def test_non_ascii_ids_are_written_as_utf8_under_an_ascii_locale(tmp_path):
     # the output reads back
     block = cli.read_market_csv(str(tmp_path / "out.csv"), outside=True)
     assert block.hierarchy.market_ids == ("a,b0", 'say "hi"1', "two\nlines2", "mé3")
-    as_json = _run_under_ascii_locale([*args, "--format", "json", "--output", str(tmp_path / "out.json")])
-    assert (as_json.returncode, as_json.stderr) == (0, b"")
-    assert json.loads((tmp_path / "out.json").read_bytes().decode("utf-8"))["markets"][0]["market_id"] == "a,b0"
 
 
 def test_cli_start_up_does_not_load_the_writer():
