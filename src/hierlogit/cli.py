@@ -13,12 +13,12 @@ as the csv module quotes them, and lines may end in CRLF; a field over
 131,072 characters is malformed. Params JSON is ``{"sigma1": r, "sigma2": r}``.
 Market, params and config files may start with a UTF-8 byte-order mark.
 
-Each command reads the whole file into one tree whose top level is the
-market, and runs each kernel once for the file, Newton and the simulation
-included, the Jacobian and its finite differences once per run of markets:
-every market of a run is a block padded to its largest market of L
-products, L + 1 rows of L cells, and a run holds at most ``_RUN_CELLS``
-such cells (a larger market alone). Newton stops a
+Each command reads the whole file as ``(tree, values, outside)``, one tree
+whose top level is the market and its values, and runs each kernel once for
+the file, Newton and the simulation included, the Jacobian and its finite
+differences once per run of markets: every market of a run is a block padded
+to its largest market of L products, L + 1 rows of L cells, and a run holds at
+most ``_RUN_CELLS`` such cells (a larger market alone). Newton stops a
 market at a max log-share residual of log1p(tol) (near sigma -> 1, at the
 rounding floor ``numeric_invert`` documents), takes one more step, and must
 then agree with the closed form within 10*tol. Checks by layer: the reader rejects
@@ -69,13 +69,12 @@ from .errors import (
     NoConvergenceError,
     SingularDesignError,
 )
-from .hierarchy import MARKET_COLUMNS, OUTSIDE_ID, ChoiceHierarchy, MarketBlock, NestingParams
+from .hierarchy import MARKET_COLUMNS, OUTSIDE_ID, ChoiceHierarchy, NestingParams
 from .shares import ShareTable, compute_shares
 
 __all__ = [
     "main",
     "run",
-    "MarketBlock",
     "read_market_csv",
     "read_params_json",
     "EXIT_OK",
@@ -102,8 +101,8 @@ _FD_LIMIT = 1e-5
 _RUN_CELLS = 1 << 16
 
 
-def read_market_csv(path, outside=False) -> MarketBlock:
-    """Parse a market CSV into one MarketBlock; see ``csvin.read_market_csv``."""
+def read_market_csv(path, outside=False) -> tuple:
+    """Parse a market CSV into ``(tree, values, outside)``; see ``csvin.read_market_csv``."""
     from .csvin import read_market_csv  # on first use, so that start-up compiles no more
     return read_market_csv(path, outside)
 
@@ -136,29 +135,32 @@ def read_params_json(path) -> NestingParams:
     return NestingParams(obj["sigma1"], obj["sigma2"])
 
 
-def _results(block, compute, cells=None):
-    """Yield ``(markets, compute(markets))`` for runs of the markets of
-    ``block``, in file order: the whole block, or, when ``compute`` fails on
-    it or its tree has more than ``_RUN_CELLS`` ``cells``, each of its halves
-    in turn. So the first market, in file order, at which ``compute`` fails
-    raises its own error, named, after the markets before it are yielded."""
-    n = block.hierarchy.n_markets
-    if n == 1 or cells is None or cells(block.hierarchy) <= _RUN_CELLS:
+def _results(tree, values, outside, compute, cells=None):
+    """Yield each run's result, ``compute(tree, values, outside)`` for runs of
+    the markets of a file that ``read_market_csv`` read, in file order: the
+    whole file, or, when ``compute`` fails on it or its tree has more than
+    ``_RUN_CELLS`` ``cells``, each half with its values and outside values in
+    turn. So the first market, in file order, at which ``compute`` fails
+    raises its own error, named, after the results before it are yielded."""
+    n = tree.n_markets
+    if n == 1 or cells is None or cells(tree) <= _RUN_CELLS:
         try:
-            result = compute(block)
+            result = compute(tree, values, outside)
         except (HierLogitError, MemoryError) as err:
             if n == 1:
-                named = f"market {block.hierarchy.market_ids[0]!r}: {err}"
+                named = f"market {tree.market_ids[0]!r}: {err}"
                 if isinstance(err, MemoryError):
                     # numpy's MemoryError formats its message from its fields, not its args
                     raise MemoryError(named) from None
                 err.args = (named,)
                 raise
         else:
-            yield block, result
+            yield result
             return
-    yield from _results(block.markets(0, n // 2), compute, cells)
-    yield from _results(block.markets(n // 2, n), compute, cells)
+    for a, b in ((0, n // 2), (n // 2, n)):
+        p0, p1 = tree.bounds[2, [a, b]].tolist()
+        yield from _results(tree.markets(a, b), values[p0:p1], None if outside is None else outside[a:b],
+                            compute, cells)
 
 
 def _id_columns(h: ChoiceHierarchy, outside=False) -> list:
@@ -260,9 +262,9 @@ def _market_options(input_help="Market CSV with utilities in the value column.")
 @_command("shares", *_market_options())
 def cmd_shares(input_path, params_path, output_path):
     """Compute joint, conditional, and outside shares plus inclusive values."""
-    params, block = read_params_json(params_path), read_market_csv(input_path)
-    runs = _results(block, lambda b: compute_shares(b.hierarchy, b.values, params))
-    _write_csv(output_path, SHARES_COLUMNS, (_shares_csv(b.hierarchy, table, iv) for b, (table, iv) in runs))
+    params, markets = read_params_json(params_path), read_market_csv(input_path)
+    _write_csv(output_path, SHARES_COLUMNS,
+               _results(*markets, lambda h, values, _: _shares_csv(h, *compute_shares(h, values, params))))
 
 
 def _shares_csv(h, table, iv) -> list:
@@ -285,29 +287,27 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
     """Recover mean utilities from observed shares (closed form or Newton)."""
     from .inversion import _check_tol, berry_invert, numeric_invert
 
-    params, block = read_params_json(params_path), read_market_csv(input_path, outside=True)
+    params, markets = read_params_json(params_path), read_market_csv(input_path, outside=True)
     if method == "newton":
         _check_tol(tol)
 
-    def inverted(b):
-        h = b.hierarchy
-        table = ShareTable.from_joint(h, b.values, b.outside)
-        total = np.bincount(h.product_market, b.values, h.n_markets) + b.outside
+    def inverted(h, joint, outside):
+        table = ShareTable.from_joint(h, joint, outside)
+        total = np.bincount(h.product_market, joint, h.n_markets) + outside
         bad = total[np.abs(total - 1.0) > 1e-6]
         if bad.size:
             raise MarketFileError(f"shares sum to {bad[0]:.9g}, expected 1 within 1e-6")
         delta = berry_invert(table, params).values
-        if method == "closed":
-            return delta
-        values = numeric_invert(h, table, params, tol=tol, max_iter=50).values
-        gap = float(np.max(np.abs(values - delta)))
-        if gap > 10.0 * tol:
-            raise NoConvergenceError(
-                f"newton and closed-form utilities disagree by {gap:.3e} (limit {10.0 * tol:.3e})", residual=gap)
-        return values
+        if method == "newton":
+            values = numeric_invert(h, table, params, tol=tol, max_iter=50).values
+            gap = float(np.max(np.abs(values - delta)))
+            if gap > 10.0 * tol:
+                raise NoConvergenceError(
+                    f"newton and closed-form utilities disagree by {gap:.3e} (limit {10.0 * tol:.3e})", residual=gap)
+            delta = values
+        return [*_id_columns(h), delta]
 
-    runs = _results(block, inverted)
-    _write_csv(output_path, MARKET_COLUMNS, ([*_id_columns(b.hierarchy), delta] for b, delta in runs))
+    _write_csv(output_path, MARKET_COLUMNS, _results(*markets, inverted))
 
 
 @_command("jacobian", *_market_options(),
@@ -317,33 +317,32 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
     from .jacobian import _blocks, _fd_columns, _relative_error
 
-    params, block = read_params_json(params_path), read_market_csv(input_path)
+    params, markets = read_params_json(params_path), read_market_csv(input_path)
     fd_errors = []
 
-    def jacobian(b):
-        h = b.hierarchy
-        table, _ = compute_shares(h, b.values, params)
+    def jacobian(h, values, _):
+        table, _ = compute_shares(h, values, params)
         cells, rows, mask = _blocks(table, params)
         scale = np.append(table.joint, table.outside)[rows][:, :, None]
         cells *= scale
         checked = []
         if check_fd:
-            fd = _fd_columns(h, b.values, params, 1e-6)[rows]
+            fd = _fd_columns(h, values, params, 1e-6)[rows]
             checked = np.max(_relative_error(cells, fd, scale), axis=(1, 2), initial=0.0, where=mask).tolist()
         # each column's real cells in file order, all of them in a run of markets of one size
         keep = () if mask.all() else mask
-        markets, row, col, values = (np.broadcast_to(x, cells.shape)[keep].reshape(-1) for x in (
+        market, row, col, cell = (np.broadcast_to(x, cells.shape)[keep].reshape(-1) for x in (
             np.arange(h.n_markets, dtype=np.int32)[:, None, None], rows[:, :, None], rows[:, None, :-1], cells))
         # printed once the run has succeeded, as a failing run is computed again in halves
         sys.stderr.writelines(f"market {market_id!r}: max relative error vs finite differences {err:.3e}\n"
                               for market_id, err in zip(h.market_ids, checked))
         fd_errors.extend(checked)
         ids = h.products + (OUTSIDE_ID,) * h.n_markets
-        return [(h.market_ids, markets), (ids, row), (ids, col), values]
+        return [(h.market_ids, market), (ids, row), (ids, col), cell]
 
     # every market of a run is padded to its largest, of n products: n + 1 rows of n cells
-    runs = _results(block, jacobian, cells=lambda h: h.n_markets * (n := int(np.diff(h.bounds[2]).max())) * (n + 1))
-    _write_csv(output_path, ["market_id", "row_id", "col_id", "value"], (columns for _, columns in runs))
+    _write_csv(output_path, ["market_id", "row_id", "col_id", "value"], _results(
+        *markets, jacobian, lambda h: h.n_markets * (n := int(np.diff(h.bounds[2]).max())) * (n + 1)))
     if any(err > _FD_LIMIT for err in fd_errors):
         _die(EXIT_SELFTEST, f"finite-difference check exceeded {_FD_LIMIT:g}")
 
@@ -356,13 +355,12 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
     from .montecarlo import SimConfig, _exact_z, simulate_choices
 
     config = SimConfig(draws=draws, seed=seed)
-    params, block = read_params_json(params_path), read_market_csv(input_path)
+    params, markets = read_params_json(params_path), read_market_csv(input_path)
     worst = [0.0, None]
 
-    def simulated(b):
-        h = b.hierarchy
-        table, _ = compute_shares(h, b.values, params)
-        counts = simulate_choices(h, b.values, params, config)
+    def simulated(h, values, _):
+        table, _ = compute_shares(h, values, params)
+        counts = simulate_choices(h, values, params, config)
         tally = _outside_rows(h, counts.counts, counts.outside_count)
         share = _outside_rows(h, table.joint, table.outside)
         z = _exact_z(tally, share, n=draws)
@@ -375,7 +373,7 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
         return columns
 
     header = [*MARKET_COLUMNS[:4], "count", "frequency", "share", "std_error", "z_score"]
-    _write_csv(output_path, header, (columns for _, columns in _results(block, simulated)))
+    _write_csv(output_path, header, _results(*markets, simulated))
     peak, market_id = worst
     if peak > _Z_LIMIT:
         _die(

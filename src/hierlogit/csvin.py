@@ -1,4 +1,4 @@
-"""Market CSV files read into one tree; ``cli`` documents the format.
+"""Market CSV files read into one tree and its values; ``cli`` documents the format.
 
 The file is read once, as bytes. If it has no quote, CR or NUL byte, is
 UTF-8, and its non-blank lines have the header's field count and fit in the
@@ -18,7 +18,7 @@ import numpy as np
 
 from .csvout import windows
 from .errors import MarketFileError
-from .hierarchy import MARKET_COLUMNS, OUTSIDE_ID, MarketBlock, first_repeat, numbered, tree_from_codes
+from .hierarchy import MARKET_COLUMNS, OUTSIDE_ID, first_repeat, numbered, tree_from_codes
 
 # zero bytes after the file: a field's window, its length rounded up to 8, ends inside them
 _PAD = 8
@@ -28,13 +28,14 @@ _BLOCK = 1 << 20
 _MASKS = np.where(np.arange(8) < np.arange(9)[:, None], 255, 0).astype(np.uint8).view(np.uint64).ravel()
 
 
-def read_market_csv(path, outside=False) -> MarketBlock:
-    """Parse a market CSV into one MarketBlock, ``values`` matched to the
-    products by id in any row order. With ``outside`` every market needs an
-    ``_outside`` row; without it none may have one. Raises MarketFileError
-    on unreadable or non-UTF-8 files, missing columns, incomplete rows,
-    unparsable values, repeated products, an empty market or a missing or
-    unexpected ``_outside`` row; of the problems of the rows, the earliest."""
+def read_market_csv(path, outside=False) -> tuple:
+    """Parse a market CSV into ``(tree, values, outside)``: one tree of every
+    market, its products' values matched by id in any row order, and each
+    market's ``_outside`` value, which ``outside`` requires of every market
+    (without it no market may have one, and ``outside`` is None). Raises
+    MarketFileError on unreadable or non-UTF-8 files, missing columns,
+    incomplete rows, unparsable values, repeated products, an empty market or
+    a missing or unexpected ``_outside`` row; of the problems of the rows, the earliest."""
     try:
         with open(path, "rb") as fh:
             data = bytearray(os.fstat(fh.fileno()).st_size + _PAD)
@@ -42,11 +43,11 @@ def read_market_csv(path, outside=False) -> MarketBlock:
             data[size:] = fh.read() + bytes(_PAD)  # a stream, or a file that grew
     except OSError as err:
         raise MarketFileError(f"{path}: {err}") from None
-    return _block(path, outside, *(_split(path, data) or _read_rows(path, data)))
+    return _markets(path, outside, *(_split(path, data) or _read_rows(path, data)))
 
 
 def _split(path, data):
-    """The arguments of ``_block`` for a file numpy can split, else None.
+    """The arguments of ``_markets`` for a file numpy can split, else None.
     ``data`` is emptied, as its bytes are no longer needed."""
     size, begin = len(data) - _PAD, 3 if data.startswith(codecs.BOM_UTF8) else 0
     if any(data.find(c, begin, size) >= 0 for c in (b'"', b"\r", b"\0")) or _utf8_error(data, begin, size):
@@ -170,7 +171,7 @@ def _floats(texts) -> tuple:
 
 
 def _read_rows(path, data) -> tuple:
-    """The arguments of ``_block`` for the file read row by row by ``csv.reader``."""
+    """The arguments of ``_markets`` for the file read row by row by ``csv.reader``."""
     size = len(data) - _PAD
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(memoryview(data)[:size]), encoding="utf-8-sig", newline=""))
     rows, lines, problem = [], [], None
@@ -201,11 +202,11 @@ def _read_rows(path, data) -> tuple:
     return tables, codes, values, bad, columns[4][bad] if bad < len(rows) else None, lines, len(rows), problem
 
 
-def _block(path, outside, tables, codes, values, bad, text, lines, n_read, problem) -> MarketBlock:
-    """Check the rows of a file and build its MarketBlock: from the market,
-    group, subgroup and product id ``tables``, each row's ``codes`` and value,
-    the first row that is no number and its ``text``, the line each row
-    ends on, and the ``n_read`` rows before a ``problem`` stopped reading."""
+def _markets(path, outside, tables, codes, values, bad, text, lines, n_read, problem) -> tuple:
+    """Check the rows of a file and build its ``(tree, values, outside)``: from
+    the market, group, subgroup and product id ``tables``, each row's ``codes``
+    and value, the first row that is no number and its ``text``, the line each
+    row ends on, and the ``n_read`` rows before a ``problem`` stopped reading."""
     market_ids, _, _, product_ids = tables
     market, _, _, product = codes
     repeat = first_repeat(market.astype(np.int64) * max(len(product_ids), 1) + product)
@@ -226,4 +227,4 @@ def _block(path, outside, tables, codes, values, bad, text, lines, n_read, probl
         raise MarketFileError(f"{path}: market {market_ids[m]!r} has {what} {OUTSIDE_ID} row")
     inside = np.flatnonzero(~is_outside) if outside else slice(None)
     tree, order = tree_from_codes(tables, [c[inside] for c in codes])
-    return MarketBlock(tree, values[inside][order], values[outside_row] if outside else None)
+    return tree, values[inside][order], values[outside_row] if outside else None

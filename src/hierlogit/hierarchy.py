@@ -125,23 +125,6 @@ class ChoiceHierarchy:
         return f"ChoiceHierarchy({', '.join(f'{level}={n}' for level, n in sizes)})"
 
 
-@dataclass(frozen=True)
-class MarketBlock:
-    """The markets of a CSV: one tree, per-product values and, for shares
-    input, each market's outside value (None otherwise)."""
-
-    hierarchy: ChoiceHierarchy
-    values: np.ndarray
-    outside: np.ndarray | None
-
-    def markets(self, start: int, stop: int) -> "MarketBlock":
-        """The block of markets ``start`` to ``stop - 1``."""
-        tree = self.hierarchy.markets(start, stop)
-        p0, p1 = self.hierarchy.bounds[2, [start, stop]].tolist()
-        outside = None if self.outside is None else self.outside[start:stop]
-        return MarketBlock(tree, self.values[p0:p1], outside)
-
-
 def numbered(column) -> tuple:
     """The distinct entries of ``column`` by first appearance, and each entry's position among them."""
     table = {}

@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from hierlogit import OUTSIDE_ID, ChoiceHierarchy, MarketFileError, NestingParams, build_hierarchy, compute_shares
-from hierlogit.cli import MARKET_COLUMNS, MarketBlock, main, read_market_csv
+from hierlogit.cli import MARKET_COLUMNS, main, read_market_csv
 from hierlogit.hierarchy import numbered, tree_from_codes
 from hierlogit import csvout
 
@@ -344,11 +344,11 @@ def per_cell_write_csv(output_path, header, blocks):
             fh.writelines(",".join(row) + "\n" for row in zip(*map(cells, columns)))
 
 
-def row_read_market_csv(path, outside=False) -> MarketBlock:
+def row_read_market_csv(path, outside=False) -> tuple:
     """The market CSV reader row by row in Python, the oracle of
-    ``hierlogit.cli.read_market_csv``: the same MarketBlock, or the same
-    MarketFileError, for every file. ``csv.reader`` reads the file as a
-    text stream, and a nested dict walk builds the tree."""
+    ``hierlogit.cli.read_market_csv``: the same ``(tree, values, outside)``,
+    or the same MarketFileError, for every file. ``csv.reader`` reads the
+    file as a text stream, and a nested dict walk builds the tree."""
     # ids (one object per distinct id) and value text of every row before the first at fault
     market, group, subgroup, product, raw = [], [], [], [], []
     canon, problem = {}, None
@@ -423,7 +423,7 @@ def row_read_market_csv(path, outside=False) -> MarketBlock:
     hierarchy = ChoiceHierarchy((tuple(tree), group_ids, subgroup_ids, [product[i] for i in order]),
                                 (group_market, subgroup_group, product_subgroup))
     outside_values = values[[outside_row[m] for m in tree]] if outside else None
-    return MarketBlock(hierarchy, values[order], outside_values)
+    return hierarchy, values[order], outside_values
 
 
 def _is_number(text) -> bool:
@@ -463,18 +463,19 @@ def assert_same_tree(got, want):
 
 
 def assert_same_read(path, outside):
-    """``read_market_csv`` and the row reader give the same MarketBlock, tree
-    and values bit for bit, or the same error."""
-    blocks = []
+    """``read_market_csv`` and the row reader give the same ``(tree, values,
+    outside)``, the tree and each array bit for bit, or the same error."""
+    reads = []
     for read in (read_market_csv, row_read_market_csv):
         try:
-            blocks.append(read(path, outside))
+            reads.append(read(path, outside))
         except MarketFileError as err:
-            blocks.append(err)
-    got, want = blocks
+            reads.append(err)
+    got, want = reads
     if isinstance(want, MarketFileError) or isinstance(got, MarketFileError):
         assert (type(got), str(got)) == (type(want), str(want))
         return
-    assert_same_tree(got.hierarchy, want.hierarchy)
-    for a, b in ((got.values, want.values), (got.outside, want.outside)):
+    assert len(got) == len(want) == 3
+    assert_same_tree(got[0], want[0])
+    for a, b in zip(got[1:], want[1:]):
         assert (a is None) == (b is None) and (a is None or (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()))

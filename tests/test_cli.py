@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import hierlogit
 from hierlogit import NestingParams, compute_shares, fd_jacobian, full_jacobian, max_relative_error
 from hierlogit.cli import (
-    _RUN_CELLS, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, MarketBlock, _results, read_market_csv,
+    _RUN_CELLS, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, _results, read_market_csv,
     read_params_json,
 )
 from helpers import assert_same_read, binomial_tail_z, invoke, market_tree
@@ -291,11 +291,11 @@ def test_jacobian_fd_check_prints_each_markets_error_alone(tmp_path):
     market = write_market(tmp_path / "m.csv", _ragged_markets(np.random.default_rng(13), 200))
     params = write_params(tmp_path / "p.json", 0.6, 0.3)
     result = run_ok(["jacobian", "--input", market, "--params", params, "--check-fd"])
-    block, nesting = read_market_csv(market), read_params_json(params)
-    h, want = block.hierarchy, []
+    (h, values, _), nesting = read_market_csv(market), read_params_json(params)
+    want = []
     for m in range(h.n_markets):
         lo, hi = h.bounds[2, m:m + 2].tolist()
-        alone, delta = h.markets(m, m + 1), block.values[lo:hi]
+        alone, delta = h.markets(m, m + 1), values[lo:hi]
         table, _ = compute_shares(alone, delta, nesting)
         err = max_relative_error(full_jacobian(alone, delta, nesting), fd_jacobian(alone, delta, nesting),
                                  np.append(table.joint, table.outside))
@@ -326,11 +326,11 @@ def test_jacobian_cells_are_the_full_jacobian_of_each_market_alone(tmp_path):
     market = write_market(tmp_path / "m.csv", _ragged_markets(np.random.default_rng(11), 200))
     params = write_params(tmp_path / "p.json", 0.6, 0.3)
     got = parse_csv(run_ok(["jacobian", "--input", market, "--params", params]).output)
-    block, nesting = read_market_csv(market), read_params_json(params)
-    h, want = block.hierarchy, []
+    (h, values, _), nesting = read_market_csv(market), read_params_json(params)
+    want = []
     for m in range(h.n_markets):
         lo, hi = h.bounds[2, m:m + 2].tolist()
-        jac = full_jacobian(h.markets(m, m + 1), block.values[lo:hi], nesting)
+        jac = full_jacobian(h.markets(m, m + 1), values[lo:hi], nesting)
         ids = [*h.products[lo:hi], "_outside"]
         want += [(h.market_ids[m], ids[j], ids[k], x)
                  for (j, k), x in np.ndenumerate(np.vstack([jac.matrix, jac.outside_row]))]
@@ -837,7 +837,7 @@ def test_a_repeated_required_column_exits_parse(tmp_path, end):
     assert result.stdout_bytes == b""
     # a column of another name may repeat, and is ignored
     market.write_bytes(_lines("extra," + HEADER + ",extra", "x,m,g,h,p,0.5,y", end=end))
-    assert read_market_csv(str(market)).values.tolist() == [0.5]
+    assert read_market_csv(str(market))[1].tolist() == [0.5]
 
 
 @pytest.mark.parametrize("args", [
@@ -1117,17 +1117,26 @@ def test_newton_refuses_a_tol_of_one_or_more(tmp_path, tol):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(n_markets=st.integers(1, 40), data=st.data(), error=st.sampled_from([hierlogit.HierLogitError, MemoryError]))
-def test_results_halves_a_failing_file_down_to_its_first_failing_market(n_markets, data, error):
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=40), data=st.data(),
+       error=st.sampled_from([hierlogit.HierLogitError, MemoryError]))
+def test_results_halves_a_failing_file_down_to_its_first_failing_market(sizes, data, error):
+    n_markets = len(sizes)
     failing = data.draw(st.sets(st.integers(0, n_markets - 1)))
-    # each market's value is its position in the file
-    block = MarketBlock(market_tree([(f"m{m}", "g", "h", "p") for m in range(n_markets)]),
-                        np.arange(n_markets, dtype=float), None)
+    # product j of the market at position m has value m + j / 4, and the market's outside value is -m
+    tree = market_tree([(f"m{m}", "g", "h", f"p{j}") for m, size in enumerate(sizes) for j in range(size)])
+    values = np.array([m + j / 4 for m, size in enumerate(sizes) for j in range(size)])
+    outside = data.draw(st.sampled_from([None, -np.arange(n_markets, dtype=float)]))
+    # a run of more than `bound` products is over _RUN_CELLS
+    bound = data.draw(st.none() | st.integers(1, sum(sizes)))
+    cells = None if bound is None else lambda h: h.n_products - bound + _RUN_CELLS
     calls = []
 
-    def compute(b):
-        calls.append(b)
-        positions = b.values.astype(int).tolist()
+    def compute(h, run_values, run_outside):
+        calls.append(h)
+        positions = [int(market_id[1:]) for market_id in h.market_ids]
+        assert run_values.tolist() == [m + j / 4 for m in positions for j in range(sizes[m])]
+        assert run_outside is None if outside is None else run_outside.tolist() == [-m for m in positions]
+        assert bound is None or h.n_markets == 1 or h.n_products <= bound
         if failing.intersection(positions):
             raise error("boom")
         return positions
@@ -1135,15 +1144,15 @@ def test_results_halves_a_failing_file_down_to_its_first_failing_market(n_market
     first = min(failing, default=n_markets)
     yielded = []
     try:
-        for markets, positions in _results(block, compute):
-            assert markets.hierarchy.market_ids == tuple(f"m{m}" for m in positions)
+        for positions in _results(tree, values, outside, compute, cells):
             yielded += positions
     except error as err:
         assert str(err) == f"market 'm{first}': boom"
     else:
         assert not failing
     assert yielded == list(range(first))
-    assert len(calls) <= 2 * math.ceil(math.log2(n_markets)) + 1
+    if bound is None:
+        assert len(calls) <= 2 * math.ceil(math.log2(n_markets)) + 1
 
 
 @st.composite

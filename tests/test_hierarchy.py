@@ -13,7 +13,7 @@ from hierlogit import (
     UtilityVector,
     build_hierarchy,
 )
-from hierlogit.hierarchy import MarketBlock, as_delta_array
+from hierlogit.hierarchy import as_delta_array
 
 from helpers import market_tree, random_tree
 
@@ -167,12 +167,10 @@ def test_market_level_views_and_one_market_functions():
     assert second.market_ids == ("m2",) and second.group_ids == ("g",) and second.subgroup_ids == ("h", "k")
     np.testing.assert_array_equal(second.subgroup_group, [0, 0])
     np.testing.assert_array_equal(second.product_subgroup, [0, 1])
-    # a range outside 0 <= start < stop <= n_markets has no tree, nor block
-    block = MarketBlock(tree, np.arange(4.0), None)
+    # a range outside 0 <= start < stop <= n_markets has no tree
     for start, stop in ((-1, 2), (0, 0), (2, 1), (1, 1), (0, 3)):
-        for view in (tree, block):
-            with pytest.raises(OutOfDomainError, match="markets"):
-                view.markets(start, stop)
+        with pytest.raises(OutOfDomainError, match="markets"):
+            tree.markets(start, stop)
     # the dense Jacobian compares products across the whole tree
     with pytest.raises(OutOfDomainError, match="one-market"):
         full_jacobian(tree, np.zeros(4), NestingParams(0.5, 0.25))

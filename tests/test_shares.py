@@ -314,9 +314,8 @@ def test_file_wide_calls_equal_one_market_calls_bitwise(instance):
         path = Path(tmp) / "m.csv"
         lines = ["market_id,group_id,subgroup_id,product_id,value"] + [",".join(map(str, r)) for r in rows]
         path.write_text("\n".join(lines) + "\n")
-        block = read_market_csv(path)
-    tree = block.hierarchy
-    table, iv = compute_shares(tree, block.values, params)
+        tree, utilities, _ = read_market_csv(path)
+    table, iv = compute_shares(tree, utilities, params)
     interior = np.all((table.joint > 0.0) & (table.joint < 1.0))
     interior &= np.all((table.outside > 0.0) & (table.outside < 1.0))
     if interior:

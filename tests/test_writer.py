@@ -316,7 +316,7 @@ def test_out_of_memory_on_a_writer_thread_leaves_what_comes_before_written(tmp_p
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
     market = _market_file(tmp_path / "m.csv", n_markets=8, ids=["m\u00e9", "plain", "\u65e5\u672c"])
-    failing = cli.read_market_csv(market).hierarchy.market_ids[3]
+    failing = cli.read_market_csv(market)[0].market_ids[3]
     blocks, formatted, ran_on = jacobian._blocks, csvout._formatted, set()
 
     def failing_jacobian(table, params):
@@ -431,8 +431,8 @@ def test_non_ascii_ids_are_written_as_utf8_under_an_ascii_locale(tmp_path):
     assert piped.stdout == (tmp_path / "out.csv").read_bytes()
     assert "mé" in piped.stdout.decode("utf-8")
     # the output reads back
-    block = cli.read_market_csv(str(tmp_path / "out.csv"), outside=True)
-    assert block.hierarchy.market_ids == ("a,b0", 'say "hi"1', "two\nlines2", "mé3")
+    tree, _, _ = cli.read_market_csv(str(tmp_path / "out.csv"), outside=True)
+    assert tree.market_ids == ("a,b0", 'say "hi"1', "two\nlines2", "mé3")
 
 
 def test_cli_start_up_does_not_load_the_writer():
