@@ -10,13 +10,15 @@ exp((v_c - m)/s) / sum_j exp((v_j - m)/s), s the stage's scale and m the
 largest sibling value. Additive stage constants (the Euler-constant terms
 of the stage value functions) drop out of every argmax and are omitted.
 
-So the tally of N consumers is a chain of multinomials, which is what is
-drawn: N over the groups and the outside option, then each group's count
-over its subgroups, then each subgroup's count over its products, one
-``Generator.multinomial`` call a stage with one row per parent. The counts
-at a seed depend on numpy's binomial sampler, which numpy's ``Generator``
-policy lets change between versions, and counts at N and N + 1 draws are
-not nested.
+So the tally of N consumers, a chain of multinomials down the tree (N over
+the groups and the outside option, each group's count over its subgroups,
+each subgroup's over its products), has the law of one multinomial of N
+over the alternatives, each at the product of its three stage shares: a
+Multinomial(N, p) whose every count n_c is split by a Multinomial(n_c, q)
+is a Multinomial(N, p q). That is what is drawn, one ``Generator.multinomial``
+call a market, in memory linear in the alternatives. The counts at a seed
+depend on numpy's binomial sampler, which numpy's ``Generator`` policy lets
+change between versions, and counts at N and N + 1 draws are not nested.
 """
 
 import math
@@ -68,50 +70,45 @@ class ChoiceCounts:
         return int(self.counts.sum()) + int(np.sum(self.outside_count))
 
 
-def _stage_counts(rng, n, parent, values, scale) -> np.ndarray:
-    """Each child's count at a stage whose parents were chosen ``n`` times,
-    ``parent`` being the parent of each child, sorted: per parent,
-    Multinomial(n, p) over its children, p_c = exp((v_c - m) / scale) over
-    their sum, m the largest child value. A parent's row holds its children
-    by increasing value after padding, which weighs 0: numpy gives a row's
-    last column the remainder, 1 - the sum of the others, and so gives it to
-    the row's most probable child."""
-    # each child's column counted from the end of its parent's row
-    column = np.arange(len(parent)) - np.cumsum(np.bincount(parent, minlength=len(n)))[parent]
-    at = np.full((len(n), -column.min()), len(parent), dtype=np.intp)
-    at[parent, column] = np.lexsort((values, parent))
-    sibling = np.append(values, -np.inf)[at]
-    weight = np.exp((sibling - sibling[:, -1:]) / scale)
-    tally = np.zeros(len(parent) + 1, dtype=np.int64)
-    # padding's counts, 0, land past the last child
-    tally[at] = rng.multinomial(n, weight / weight.sum(axis=1, keepdims=True))
-    return tally[:-1]
+def _stage_shares(values, parent, scale) -> np.ndarray:
+    """Each child's chance given its parent, ``parent`` the parent of each child, sorted, and every
+    parent with a child: exp((v - m) / scale) over the sum of its siblings', m their largest value."""
+    first = np.flatnonzero(np.diff(parent, prepend=-1))
+    weight = np.exp((values - np.maximum.reduceat(values, first)[parent]) / scale)
+    return weight / np.add.reduceat(weight, first)[parent]
 
 
 def simulate_choices(hierarchy: ChoiceHierarchy, delta, params: NestingParams, config: SimConfig) -> ChoiceCounts:
     """Simulate ``config.draws`` sequential choices in each market of a tree and tally them.
 
-    One ``Philox(key=config.seed)`` generator draws every market, its state reset to the start
-    before each, so a market gets the same counts alone as in any tree. Each stage pads every
-    parent's row of children to the market's widest row at that stage, so memory grows with a
-    market's parents times its largest family: about 40 bytes a padded cell, 153 MiB for a subgroup of 2,000
-    products beside 2,000 one-product subgroups, and about 15 GiB at ten times that.
+    Each alternative's chance, the product of its stage shares, is computed once for the tree, and
+    each market's tally is one multinomial over its products and outside option, in order of chance,
+    so that numpy gives the remainder of the draws to the most probable. One ``Philox(key=config.seed)``
+    generator draws every market, its state reset to the start before each, so a market gets the same
+    counts alone as in any tree. Memory grows with the alternatives.
     """
     h = hierarchy
     delta = as_delta_array(h, delta)
     _, iv = compute_shares(h, delta, params)
+    markets = np.arange(h.n_markets)
+    # each market's outside option, of value 0, follows its groups
+    after = h.bounds[0, 1:]
+    top = _stage_shares(np.insert(iv.group, after, 0.0), np.insert(h.group_market, after, markets), 1.0)
+    outside = after + markets
+    chance = np.append(_stage_shares(delta, h.product_subgroup, 1.0 - params.sigma1)
+                       * _stage_shares(iv.subgroup, h.subgroup_group, 1.0 - params.sigma2)[h.product_subgroup]
+                       * np.delete(top, outside)[h.product_group], top[outside])
+    order = np.lexsort((chance, np.append(h.product_market, markets)))
+    chance, drawn = chance[order], np.empty(len(order), np.int64)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     start = rng.bit_generator.state
-    products, outside = np.empty(h.n_products, np.int64), np.empty(h.n_markets, np.int64)
-    for m, (g, s, p) in enumerate(zip(*(map(slice, b[:-1], b[1:]) for b in h.bounds.tolist()))):
+    ends = (h.bounds[2] + np.arange(h.n_markets + 1)).tolist()
+    for a, b in zip(ends[:-1], ends[1:]):
         rng.bit_generator.state = start
-        # the outside option is the root's last child
-        groups = _stage_counts(rng, np.array([config.draws]), np.zeros(g.stop - g.start + 1, dtype=np.intp),
-                               np.append(iv.group[g], 0.0), 1.0)
-        subgroups = _stage_counts(rng, groups[:-1], h.subgroup_group[s] - g.start, iv.subgroup[s], 1.0 - params.sigma2)
-        products[p] = _stage_counts(rng, subgroups, h.product_subgroup[p] - s.start, delta[p], 1.0 - params.sigma1)
-        outside[m] = groups[-1]
-    return ChoiceCounts(counts=products, outside_count=_per_market(outside))
+        drawn[a:b] = rng.multinomial(config.draws, chance[a:b])
+    tally = np.empty_like(drawn)
+    tally[order] = drawn
+    return ChoiceCounts(counts=tally[:h.n_products], outside_count=_per_market(tally[h.n_products:]))
 
 
 def empirical_shares(counts: ChoiceCounts):

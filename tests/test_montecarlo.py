@@ -139,7 +139,8 @@ TIED = build_hierarchy([("g0", "h0", "a"), ("g0", "h0", "b"), ("g0", "h1", "c"),
 @example(instance=(TIED, np.array([-700.0, 700.0, 700.0, -700.0]), NestingParams(1 - 1e-9, 1 - 1e-9)), draws=2000)
 @pytest.mark.filterwarnings("error")
 def test_counts_sum_to_the_draws_and_miss_every_alternative_of_probability_zero(instance, draws):
-    # a count on padding would leave the sum short; the patched CPU count is the one the CSV writer reads
+    # a count left off the alternatives would leave the sum short; the patched CPU count is the one the CSV
+    # writer reads
     tree, delta, params = instance
     table, _ = compute_shares(tree, delta, params)
     never = np.append((table.cond_product == 0.0) | (table.cond_subgroup[tree.product_subgroup] == 0.0)
@@ -191,41 +192,46 @@ def test_simulate_starts_no_thread():
     assert counts.total == 10**6
 
 
-def test_a_row_summing_short_leaves_nothing_on_padding():
-    # numpy's multinomial gives a row's last column the draws its others leave: with padding last,
-    # a row whose second child's probability over 1 - the first's is below 1 leaves about one of
-    # 2**53 draws there. 2,000 such two-child rows, each padded beside a three-child row
+def test_a_market_whose_chances_sum_short_keeps_every_draw():
+    # numpy's multinomial gives the last alternative the draws the others leave: a market whose
+    # second product's chance over 1 - the first's is below 1 leaves about one of 2**53 draws to
+    # it. 2,000 such two-product markets, the draws of each on its products and outside option
     values = np.random.default_rng(23).uniform(-1.0, 1.0, (20_000, 2))
     weight = np.exp(values - values.max(axis=1, keepdims=True))
     p = weight / weight.sum(axis=1, keepdims=True)
     short = values[p[:, 1] / (1.0 - p[:, 0]) < 1.0][:2000]
     assert len(short) == 2000
-    parent = np.repeat(np.arange(2001), [3] + [2] * 2000)
-    draws = np.full(2001, 2**53)
+    tree = market_tree([(f"m{m}", "g", "h", product) for m in range(2000) for product in "ab"])
     for seed in range(5):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        counts = montecarlo._stage_counts(rng, draws, parent, np.append(np.zeros(3), short), 1.0)
-        np.testing.assert_array_equal(np.add.reduceat(counts, np.searchsorted(parent, np.arange(2001))), draws)
+        counts = simulate_choices(tree, short.ravel(), NestingParams(0.0, 0.0), SimConfig(draws=2**53, seed=seed))
+        np.testing.assert_array_equal(counts.counts.reshape(-1, 2).sum(axis=1) + counts.outside_count, 2**53)
 
 
 @pytest.mark.parametrize("sigma1, sigma2", [(0.0, 0.0), (0.6, 0.3), (0.9, 0.8), (0.3, 0.7)])
 def test_each_stage_draws_its_conditional_shares(sigma1, sigma2):
-    # within each group the subgroups, and within each subgroup the products, are drawn at their
-    # conditional shares
-    tree = RAGGED_TREE
+    # every group and subgroup is drawn at its share of all draws, so a parent expected often is
+    # drawn; within each group drawn, the subgroups, and within each subgroup drawn, the products,
+    # are drawn at their conditional shares
+    tree, n = RAGGED_TREE, 400_000
     delta = np.random.default_rng(31).uniform(-1.5, 1.5, tree.n_products)
     table, _ = compute_shares(tree, delta, NestingParams(sigma1, sigma2))
-    counts = simulate_choices(tree, delta, NestingParams(sigma1, sigma2), SimConfig(draws=400_000, seed=2)).counts
+    counts = simulate_choices(tree, delta, NestingParams(sigma1, sigma2), SimConfig(draws=n, seed=2)).counts
     subgroups = np.bincount(tree.product_subgroup, counts, minlength=tree.n_subgroups).astype(np.int64)
+    groups = np.bincount(tree.subgroup_group, subgroups, minlength=tree.n_groups).astype(np.int64)
+    assert np.abs(_exact_z(groups, table.group, n=n)).max() < 5.0
+    assert np.abs(_exact_z(subgroups, table.cond_subgroup * table.group[tree.subgroup_group], n=n)).max() < 5.0
     for tally, share, parent in ((subgroups, table.cond_subgroup, tree.subgroup_group),
                                  (counts, table.cond_product, tree.product_subgroup)):
         for members in np.split(np.arange(len(parent)), np.flatnonzero(np.diff(parent)) + 1):
-            assert tally[members].sum() > 0
-            assert np.abs(_exact_z(tally[members], share[members], n=int(tally[members].sum()))).max() < 5.0
+            if tally[members].sum() > 0:
+                assert np.abs(_exact_z(tally[members], share[members], n=int(tally[members].sum()))).max() < 5.0
 
 
-@pytest.mark.parametrize("tree", [balanced_tree(10, 10, 10), balanced_tree(3, 3, 4), balanced_tree(1, 1, 5000)],
-                         ids=["10x10x10", "3x3x4", "1x1x5000"])
+# the last: one group holding a 2,000-product subgroup beside 2,000 one-product subgroups
+@pytest.mark.parametrize("tree", [balanced_tree(10, 10, 10), balanced_tree(3, 3, 4), balanced_tree(1, 1, 5000),
+                                  build_hierarchy([("g", "h", f"a{j}") for j in range(2000)]
+                                                  + [("g", f"h{j}", f"b{j}") for j in range(2000)])],
+                         ids=["10x10x10", "3x3x4", "1x1x5000", "1x2001x2000"])
 def test_traced_peak_of_the_sampler_is_below_one_megabyte(tree):
     delta = np.random.default_rng(9).uniform(-1.0, 1.0, tree.n_products)
     tracemalloc.start()
