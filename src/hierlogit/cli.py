@@ -28,10 +28,10 @@ invert, refused by the others) before any market is computed;
 ``ShareTable.from_joint`` bounds each share of invert's input strictly
 inside (0, 1); and the CLI requires a market's shares to sum to 1 within
 1e-6. When a step fails, the error reported is that of the first market,
-in file order, at which any step fails, and the markets before it are
-written: a run of markets that fails, out of memory included, is split in
-halves until that market is found, since a market gives the same numbers
-and errors alone as in any run.
+in file order, at which any step fails, a self-check included, and the
+markets before it are written, none after it: a run of markets that fails,
+out of memory included, is split in halves until that market is found,
+since a market gives the same numbers and errors alone as in any run.
 
 Each command imports the kernel modules it runs when it runs; ``run`` is the
 process entry point (see its docstring), ``main.main(argv)`` the in-process one.
@@ -40,8 +40,8 @@ Exit codes: 0 success, 1 a bad command line or unreadable or malformed input
 (the sum rule included), 2 values outside the model's domain (utilities that
 overflow a double once divided by 1 - sigma included) or too little memory for one
 market (the message names it, wherever it runs out), 3 failed self-check
-(finite-difference mismatch, simulation z-score blowout,
-Newton/closed-form disagreement, singular design).
+(a market's Newton/closed-form disagreement, finite-difference mismatch or
+simulation |z| over 5, each named as above; estimate's singular design).
 Diagnostics go to standard error. Every market command writes CSV (the rows of
 ``shares`` carry every share and inclusive value), ``estimate`` JSON. Results go
 to ``--output`` or standard output as UTF-8 whatever the locale, CSV in chunks
@@ -192,6 +192,10 @@ def _write_csv(output_path, header, blocks) -> None:
         write_csv(out, header, blocks)
 
 
+class _SelfCheckError(HierLogitError):
+    """A market's results failed one of the CLI's cross-checks."""
+
+
 def _die(code: int, message) -> None:
     print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
@@ -219,7 +223,7 @@ class _Parser(argparse.ArgumentParser):
             kwargs.pop("run")(**kwargs)
         except (MarketFileError, OSError) as err:
             _die(EXIT_PARSE, err)
-        except (SingularDesignError, NoConvergenceError) as err:
+        except (SingularDesignError, NoConvergenceError, _SelfCheckError) as err:
             _die(EXIT_SELFTEST, err)
         except HierLogitError as err:
             _die(EXIT_DOMAIN, err)
@@ -302,8 +306,8 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
             values = numeric_invert(h, table, params, tol=tol, max_iter=50).values
             gap = float(np.max(np.abs(values - delta)))
             if gap > 10.0 * tol:
-                raise NoConvergenceError(
-                    f"newton and closed-form utilities disagree by {gap:.3e} (limit {10.0 * tol:.3e})", residual=gap)
+                raise _SelfCheckError(
+                    f"newton and closed-form utilities disagree by {gap:.3e} (limit {10.0 * tol:.3e})")
             delta = values
         return [*_id_columns(h), delta]
 
@@ -318,7 +322,6 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
     from .jacobian import _blocks, _fd_columns, _relative_error
 
     params, markets = read_params_json(params_path), read_market_csv(input_path)
-    fd_errors = []
 
     def jacobian(h, values, _):
         table, _ = compute_shares(h, values, params)
@@ -329,6 +332,9 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
         if check_fd:
             fd = _fd_columns(h, values, params, 1e-6)[rows]
             checked = np.max(_relative_error(cells, fd, scale), axis=(1, 2), initial=0.0, where=mask).tolist()
+            for err in checked:
+                if err > _FD_LIMIT:
+                    raise _SelfCheckError(f"max relative error vs finite differences {err:.3e} exceeds {_FD_LIMIT:g}")
         # each column's real cells in file order, all of them in a run of markets of one size
         keep = () if mask.all() else mask
         market, row, col, cell = (np.broadcast_to(x, cells.shape)[keep].reshape(-1) for x in (
@@ -336,15 +342,12 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
         # printed once the run has succeeded, as a failing run is computed again in halves
         sys.stderr.writelines(f"market {market_id!r}: max relative error vs finite differences {err:.3e}\n"
                               for market_id, err in zip(h.market_ids, checked))
-        fd_errors.extend(checked)
         ids = h.products + (OUTSIDE_ID,) * h.n_markets
         return [(h.market_ids, market), (ids, row), (ids, col), cell]
 
     # every market of a run is padded to its largest, of n products: n + 1 rows of n cells
     _write_csv(output_path, ["market_id", "row_id", "col_id", "value"], _results(
         *markets, jacobian, lambda h: h.n_markets * (n := int(np.diff(h.bounds[2]).max())) * (n + 1)))
-    if any(err > _FD_LIMIT for err in fd_errors):
-        _die(EXIT_SELFTEST, f"finite-difference check exceeded {_FD_LIMIT:g}")
 
 
 @_command("simulate", *_market_options(),
@@ -356,7 +359,6 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
 
     config = SimConfig(draws=draws, seed=seed)
     params, markets = read_params_json(params_path), read_market_csv(input_path)
-    worst = [0.0, None]
 
     def simulated(h, values, _):
         table, _ = compute_shares(h, values, params)
@@ -364,23 +366,15 @@ def cmd_simulate(input_path, params_path, output_path, draws, seed):
         tally = _outside_rows(h, counts.counts, counts.outside_count)
         share = _outside_rows(h, table.joint, table.outside)
         z = _exact_z(tally, share, n=draws)
-        columns = [*_id_columns(h, outside=True), tally, tally / float(draws), share,
-                   np.sqrt(share * (1.0 - share) / float(draws)), z]
-        # the first row of the largest |z| names its market, coded in the first column
-        i = int(np.argmax(np.abs(z)))
-        if abs(z[i]) > worst[0]:
-            worst[:] = abs(float(z[i])), h.market_ids[columns[0][1][i]]
-        return columns
+        peak = float(np.max(np.abs(z)))
+        if peak > _Z_LIMIT:
+            raise _SelfCheckError(
+                f"|z|={peak:.2f} exceeds {_Z_LIMIT:g}; simulated frequencies inconsistent with analytic shares")
+        return [*_id_columns(h, outside=True), tally, tally / float(draws), share,
+                np.sqrt(share * (1.0 - share) / float(draws)), z]
 
     header = [*MARKET_COLUMNS[:4], "count", "frequency", "share", "std_error", "z_score"]
     _write_csv(output_path, header, _results(*markets, simulated))
-    peak, market_id = worst
-    if peak > _Z_LIMIT:
-        _die(
-            EXIT_SELFTEST,
-            f"market {market_id!r}: |z|={peak:.2f} exceeds {_Z_LIMIT:g}; "
-            "simulated frequencies inconsistent with analytic shares",
-        )
 
 
 @_command("estimate",

@@ -19,12 +19,10 @@ that product cannot prove (zero, inf, |x| outside ``_FAST_RANGE``, and
 fractions within ``_TIE_BAND`` of a rounding tie).
 """
 
-import csv
 import functools
 import itertools
 import os
 from collections import deque
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -164,11 +162,9 @@ def _flat(table, pool) -> tuple:
     else:
         text = "".join(table)
         if any(c in text for c in ',"\r\n'):
-            # the row (field, "") ends in ",\r\n"; with that terminator the csv
-            # module also quotes a carriage return, which readers take for a line end
-            lines = []
-            csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows((f, "") for f in table)
-            table = [line[:-3] for line in lines]
+            # quoted, its quotes doubled, where it holds a comma, a quote or a line end,
+            # a carriage return included, which readers take for one
+            table = ['"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\r\n') else f for f in table]
             text = "".join(table)
         flat = text.encode()
         sizes = map(len, table) if flat.isascii() else (len(field.encode()) for field in table)

@@ -145,6 +145,22 @@ def test_invalid_params_json_exits_parse(tmp_path):
     assert result.exit_code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("text, want", [
+    (None, "No such file or directory"),
+    ("[0.5, 0.25]", "expected a JSON object"),
+    ('{"sigma2": 0.25}', "sigma1 missing or not a number"),
+    ('{"sigma1": true, "sigma2": 0.25}', "sigma1 missing or not a number"),
+    ('{"sigma1": "0.5", "sigma2": 0.25}', "sigma1 missing or not a number"),
+], ids=["missing-file", "array", "missing-sigma1", "bool-sigma1", "string-sigma1"])
+def test_unusable_params_file_exits_parse_with_one_line(tmp_path, text, want):
+    market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
+    params = tmp_path / "p.json"
+    if text is not None:
+        params.write_text(text)
+    line = _assert_one_error_line(invoke(["shares", "--input", market, "--params", str(params)]), EXIT_PARSE)
+    assert line.startswith(f"error: {params}: ") and want in line, line
+
+
 def test_outside_row_rejected_in_utility_input(tmp_path):
     market = write_market(
         tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0), ("m1", "_outside", "_outside", "_outside", 0.4)]
@@ -1069,6 +1085,95 @@ def test_invert_reports_the_first_failing_market_in_file_order(tmp_path):
     line = _assert_one_error_line(result, EXIT_PARSE)
     assert "'m2'" in line and "sum" in line
     assert [r["market_id"] for r in parse_csv(out.read_text())] == ["m1"]
+
+
+def _self_check_markets(tmp_path):
+    """Four markets and their params: m1 a lone product, whose shares plain logit
+    also gives, then three nested markets, rows shuffled across markets; plain
+    logit's frequencies are further from m3's shares than from m2's."""
+    rows = [
+        ("m1", "g", "h", "a", 0.2), ("m2", "g1", "h1", "a", -3.5), ("m3", "g1", "h1", "a", 1.0),
+        ("m4", "g1", "h1", "a", 0.5), ("m3", "g1", "h1", "b", 0.0), ("m2", "g1", "h2", "b", -3.5),
+        ("m3", "g1", "h2", "c", 0.5), ("m4", "g2", "h2", "b", -0.5), ("m3", "g2", "h3", "d", 0.0),
+        ("m4", "g2", "h3", "c", 0.0),
+    ]
+    return rows, write_params(tmp_path / "p.json", 0.7, 0.3)
+
+
+def _assert_fails_at_m2(tmp_path, args, rows, patch, want):
+    """``args`` on ``rows`` under ``patch`` exits 3 with one error line, ``want``
+    about m2, after m1's rows and standard error as m1 alone gives them, and nothing of m3 or m4."""
+    market = write_market(tmp_path / "m.csv", rows)
+    alone = run_ok([*args, "--input", write_market(tmp_path / "m1.csv", [r for r in rows if r[0] == "m1"])])
+    with patch:
+        result = invoke([*args, "--input", market])
+    assert result.exit_code == EXIT_SELFTEST
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: market 'm2': {want}"], result.stderr
+    assert result.stderr == alone.stderr + errors[0] + "\n"
+    assert result.stdout == alone.stdout
+
+
+def _in_market(h, market_id):
+    """The indices of ``market_id``'s products in tree ``h``, then of its outside option
+    among the products and the markets' outside options, as ``_fd_columns`` orders its rows."""
+    m = h.market_ids.index(market_id)
+    return np.r_[h.bounds[2, m]:h.bounds[2, m + 1], h.n_products + m]
+
+
+def test_jacobian_fd_mismatch_names_the_first_failing_market_after_the_markets_before(tmp_path):
+    rows, params = _self_check_markets(tmp_path)
+    fd_columns = importlib.import_module("hierlogit.jacobian")._fd_columns
+
+    def off_in_m2(tree, delta, params, step):
+        columns = fd_columns(tree, delta, params, step)
+        if "m2" in tree.market_ids:
+            columns[_in_market(tree, "m2")] *= 1.0 + 1e-3
+        return columns
+
+    # m2's columns are 1e-3 off, each cell's error 1e-3 / (1 + 1e-3); m3's and m4's exact
+    _assert_fails_at_m2(tmp_path, ["jacobian", "--check-fd", "--params", params], rows,
+                        mock.patch("hierlogit.jacobian._fd_columns", off_in_m2),
+                        "max relative error vs finite differences 9.990e-04 exceeds 1e-05")
+
+
+def test_simulate_z_blowout_names_the_first_failing_market_not_the_worst(tmp_path):
+    rows, params = _self_check_markets(tmp_path)
+    simulate = importlib.import_module("hierlogit.montecarlo").simulate_choices
+
+    def plain_logit(hierarchy, delta, params, config):
+        return simulate(hierarchy, delta, NestingParams(0.0, 0.0), config)
+
+    args = ["simulate", "--params", params, "--draws", "20000", "--seed", "3"]
+    run_ok([*args, "--input", write_market(tmp_path / "all.csv", rows)])
+    # m2, m3 and m4 all fail under plain logit, m3 the worst
+    z = {}
+    for market_id in ("m2", "m3", "m4"):
+        with mock.patch("hierlogit.montecarlo.simulate_choices", plain_logit):
+            line = _assert_one_error_line(invoke(
+                [*args, "--input", write_market(tmp_path / "one.csv", [r for r in rows if r[0] == market_id])]),
+                EXIT_SELFTEST)
+        z[market_id] = float(line.split("|z|=")[1].split()[0])
+    assert max(z, key=z.get) == "m3"
+    _assert_fails_at_m2(tmp_path, args, rows, mock.patch("hierlogit.montecarlo.simulate_choices", plain_logit),
+                        f"|z|={z['m2']:.2f} exceeds 5; simulated frequencies inconsistent with analytic shares")
+
+
+def test_newton_gap_names_the_first_failing_market_after_the_markets_before(tmp_path):
+    rows, params = _self_check_markets(tmp_path)
+    shares = run_ok(["shares", "--input", write_market(tmp_path / "u.csv", rows), "--params", params]).stdout
+    share_rows = [line.split(",")[:5] for line in shares.splitlines()[1:]]
+    numeric_invert = importlib.import_module("hierlogit.inversion").numeric_invert
+
+    def shifted_in_m2(h, table, params, tol, max_iter):
+        values = numeric_invert(h, table, params, tol=tol, max_iter=max_iter).values.copy()
+        if "m2" in h.market_ids:
+            values[_in_market(h, "m2")[:-1]] += 1e-6
+        return SimpleNamespace(values=values)
+
+    _assert_fails_at_m2(tmp_path, ["invert", "--method", "newton", "--params", params], share_rows,
+                        mock.patch("hierlogit.inversion.numeric_invert", shifted_in_m2),
+                        "newton and closed-form utilities disagree by 1.000e-06 (limit 1.000e-08)")
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-9"])

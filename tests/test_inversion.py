@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -188,4 +190,17 @@ def test_newton_reports_a_real_stall():
     target = ShareTable.from_joint(tree, [0.9, 0.9], 0.5)
     with pytest.raises(NoConvergenceError, match="line search stalled") as info:
         numeric_invert(tree, target, NestingParams(0.5, 0.25))
+    assert np.isfinite(info.value.residual)
+
+
+def test_newton_reports_a_step_that_is_not_finite():
+    # a Jacobian system whose solve gives NaN: the step is refused before any utility moves
+    tree = balanced_tree(2, 2, 2)
+    params = NestingParams(0.5, 0.25)
+    table, _ = compute_shares(tree, np.linspace(-1, 1, 8), params)
+    with (mock.patch("hierlogit.inversion._solve_log_share_jacobian",
+                     lambda table, params, resid: np.full_like(resid, np.nan)),
+          pytest.raises(NoConvergenceError) as info):
+        numeric_invert(tree, table, params)
+    assert str(info.value) == "Newton step failed: singular Jacobian"
     assert np.isfinite(info.value.residual)
