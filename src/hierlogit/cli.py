@@ -179,8 +179,12 @@ def _outside_rows(h: ChoiceHierarchy, inside, outside=np.nan) -> np.ndarray:
 
 def _output(output_path):
     """``output_path``, or standard output, opened for bytes."""
+    if output_path is not None:
+        return open(output_path, "wb")
+    if sys.stdout is None:
+        raise OSError("standard output is closed")
     sys.stdout.flush()
-    return nullcontext(sys.stdout.buffer) if output_path is None else open(output_path, "wb")
+    return nullcontext(sys.stdout.buffer)
 
 
 def _write_csv(output_path, header, blocks) -> None:

@@ -1,11 +1,13 @@
 """Market CSV files read into one tree and its values; ``cli`` documents the format.
 
 The file is read once, as bytes. If it has no quote, CR or NUL byte, is
-UTF-8, and its non-blank lines have the header's field count and fit in the
-csv module's field limit, numpy splits it: each id column is numbered by
+UTF-8, its non-blank lines have the header's field count and fit in the csv
+module's field limit, no required field is blank, and numpy's cast of bytes
+to float takes every value, numpy splits it: each id column is numbered by
 first appearance from its fields' bytes, grouped by width so that a field
 costs memory for its own length, and only distinct ids are decoded. Any
-other file goes through ``csv.reader`` on a text stream of the bytes.
+other file goes through ``csv.reader`` on a text stream of the bytes, which
+alone finds and reports the problems of the rows.
 """
 
 import codecs
@@ -62,22 +64,27 @@ def _split(path, data):
     used = _column_indices(path, data[begin:ends[0]].decode().split(","))
     rows = np.flatnonzero(starts[1:] < ends[1:]) + 1  # the lines of the rows
     starts, ends = starts[rows], ends[rows]
-    columns, empty = [[] for _ in used], [[len(rows)]]
+    columns = [[] for _ in used]
     blocks = np.split(np.arange(len(rows), dtype=np.int32), np.searchsorted(starts, range(_BLOCK, size, _BLOCK)))
     for block in filter(len, blocks):
         commas = _positions(arr, starts[block[0]], ends[block[-1]], b",")
         if np.any(np.diff(np.searchsorted(commas, ends[block]), prepend=0) != n_commas):
             return None
         fields = np.column_stack([starts[block] - 1, commas.reshape(len(block), n_commas), ends[block]])
+        if np.any(np.diff(fields, axis=1)[:, used] == 1):  # a blank field
+            return None
         for column, c in zip(columns, used):
             column += _width_classes(arr, block, fields[:, c] + 1, fields[:, c + 1])
-        empty.append(block[(fields[:, [c + 1 for c in used]] == fields[:, used] + 1).any(axis=1)][:1])
+    values = np.empty(len(rows))
+    try:
+        for r, cells in columns[4]:
+            values[r] = cells.view(f"S{cells.itemsize}").astype(float)
+    except ValueError:  # no number, or one that only ``float`` reads, as in non-ASCII digits
+        return None
     del arr
     data.clear()
-    n_read = int(np.concatenate(empty).min())
-    problem = f"{path}:{rows[n_read] + 1}: incomplete row" if n_read < len(rows) else None
     tables, codes = zip(*(_numbered(column, len(rows)) for column in columns[:4]))
-    return (tables, codes, *_parsed(columns[4], len(rows)), rows + 1, n_read, problem)
+    return tables, codes, values, rows + 1, None
 
 
 def _column_indices(path, header) -> list:
@@ -142,39 +149,11 @@ def _numbered(classes, n) -> tuple:
     return np.fromiter(ids, object, len(ids))[rank].tolist(), code[keys]
 
 
-def _parsed(classes, n) -> tuple:
-    """``float`` of the fields of the ``_width_classes`` of ``n`` rows, the first
-    row that is no number (``n`` if none) and its text; ``float`` reads the
-    text of a class where numpy's cast of bytes fails, as on non-ASCII digits."""
-    values, bad, text = np.empty(n), n, None
-    for rows, cells in classes:
-        try:
-            values[rows] = cells.view(f"S{cells.itemsize}").astype(float)
-        except ValueError:
-            texts = [t.decode() for t in cells.view(f"S{cells.itemsize}").tolist()]
-            values[rows], first = _floats(texts)
-            if first < len(rows) and rows[first] < bad:
-                bad, text = int(rows[first]), texts[first]
-    return values, bad, text
-
-
-def _floats(texts) -> tuple:
-    """``float`` of each text and the first that is no number (``len(texts)`` if none)."""
-    try:
-        return np.array(texts, dtype=float), len(texts)
-    except ValueError:
-        for i, text in enumerate(texts):
-            try:
-                float(text)
-            except ValueError:
-                return np.nan, i
-
-
 def _read_rows(path, data) -> tuple:
     """The arguments of ``_markets`` for the file read row by row by ``csv.reader``."""
     size = len(data) - _PAD
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(memoryview(data)[:size]), encoding="utf-8-sig", newline=""))
-    rows, lines, problem = [], [], None
+    rows, values, lines, problem = [], [], [], None
     try:
         header = next(reader, None)
         if header is None:
@@ -186,36 +165,36 @@ def _read_rows(path, data) -> tuple:
             fields = pick(row)
             if "" in fields:
                 raise IndexError
+            values.append(float(fields[4]))
             rows.append(fields)
             lines.append(reader.line_num)
     except UnicodeDecodeError:
         # a text stream decodes ahead in blocks, so its line count is not the error's
         line = data.count(b"\n", 0, _utf8_error(data, 0, size).start) + 1
         problem = f"{path}:{line}: not UTF-8 text"
+    except ValueError:  # of ``float``; a UnicodeDecodeError, a ValueError too, is caught above
+        problem = f"{path}:{reader.line_num}: value {fields[4]!r} is not a number"
     except IndexError:
         problem = f"{path}:{reader.line_num}: incomplete row"
     except csv.Error as err:
         problem = f"{path}:{reader.line_num}: {err}"
-    columns = list(zip(*rows)) or [()] * len(MARKET_COLUMNS)
-    tables, codes = zip(*map(numbered, columns[:4]))
-    values, bad = _floats(columns[4])
-    return tables, codes, values, bad, columns[4][bad] if bad < len(rows) else None, lines, len(rows), problem
+    tables, codes = zip(*map(numbered, list(zip(*rows))[:4] or [()] * 4))
+    return tables, codes, np.array(values), lines, problem
 
 
-def _markets(path, outside, tables, codes, values, bad, text, lines, n_read, problem) -> tuple:
+def _markets(path, outside, tables, codes, values, lines, problem) -> tuple:
     """Check the rows of a file and build its ``(tree, values, outside)``: from
     the market, group, subgroup and product id ``tables``, each row's ``codes``
-    and value, the first row that is no number and its ``text``, the line each
-    row ends on, and the ``n_read`` rows before a ``problem`` stopped reading."""
+    and value, and the line each row ends on, of the rows read before a
+    ``problem``, if one stopped reading."""
     market_ids, _, _, product_ids = tables
     market, _, _, product = codes
     repeat = first_repeat(market.astype(np.int64) * max(len(product_ids), 1) + product)
     # the rows read all come before the one that stopped reading
-    if min(bad, repeat) < n_read:
-        what = (f"value {text!r} is not a number" if bad <= repeat
-                else f"market {market_ids[market[repeat]]!r} repeats product {product_ids[product[repeat]]!r}")
-        raise MarketFileError(f"{path}:{lines[min(bad, repeat)]}: {what}")
-    if problem or not n_read:
+    if repeat < len(lines):
+        what = f"market {market_ids[market[repeat]]!r} repeats product {product_ids[product[repeat]]!r}"
+        raise MarketFileError(f"{path}:{lines[repeat]}: {what}")
+    if problem or not len(lines):
         raise MarketFileError(problem or f"{path}: no data rows")
     is_outside = product == (product_ids.index(OUTSIDE_ID) if OUTSIDE_ID in product_ids else -1)
     for m in np.flatnonzero(np.bincount(market[~is_outside], minlength=len(market_ids)) == 0)[:1]:

@@ -74,7 +74,8 @@ def _stage_shares(values, parent, scale) -> np.ndarray:
     """Each child's chance given its parent, ``parent`` the parent of each child, sorted, and every
     parent with a child: exp((v - m) / scale) over the sum of its siblings', m their largest value."""
     first = np.flatnonzero(np.diff(parent, prepend=-1))
-    weight = np.exp((values - np.maximum.reduceat(values, first)[parent]) / scale)
+    with np.errstate(over="ignore"):  # a weight of zero, from -inf
+        weight = np.exp((values - np.maximum.reduceat(values, first)[parent]) / scale)
     return weight / np.add.reduceat(weight, first)[parent]
 
 

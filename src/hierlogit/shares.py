@@ -139,7 +139,8 @@ def _segment_log_softmax(x: np.ndarray, segment: np.ndarray, n_segments: int):
     """
     peak = np.full(n_segments, -np.inf)
     np.maximum.at(peak, segment, x)
-    shifted = x - peak[segment]
+    with np.errstate(over="ignore"):  # -inf: a share that underflows to zero
+        shifted = x - peak[segment]
     log_total = np.log(np.bincount(segment, weights=np.exp(shifted), minlength=n_segments))
     return peak + log_total, shifted - log_total[segment]
 
@@ -175,7 +176,8 @@ def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
             x, segment = np.append(x, np.zeros(n)), np.concatenate([segment, np.arange(n)])
         lse, log_cond[level + 1] = _segment_log_softmax(x, segment, n)
         values = iv[level] = scale * lse
-    log_joint = log_cond[3] + log_cond[2][h.above[2]] + log_cond[1][h.above[1]]
+    with np.errstate(over="ignore"):  # -inf, as above
+        log_joint = log_cond[3] + log_cond[2][h.above[2]] + log_cond[1][h.above[1]]
     log_group, log_outside = log_cond[1][:h.n_groups], log_cond[1][h.n_groups:]
 
     table = ShareTable(

@@ -106,7 +106,8 @@ def generate_market(config: SynthConfig):
     rng = np.random.default_rng(config.seed)
     covariates = rng.uniform(*config.x_range, size=(hierarchy.n_products, len(config.beta)))
     xi = rng.normal(0.0, config.xi_scale, size=hierarchy.n_products)
-    delta = covariates @ config.beta + xi
+    with np.errstate(over="ignore", invalid="ignore"):  # UtilityVector refuses what is not finite
+        delta = covariates @ config.beta + xi
     return hierarchy, UtilityVector(delta), covariates
 
 

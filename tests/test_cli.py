@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib
 import importlib.metadata
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import hierlogit
 from hierlogit import NestingParams, compute_shares, fd_jacobian, full_jacobian, max_relative_error
 from hierlogit.cli import (
-    _RUN_CELLS, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, _results, read_market_csv,
+    _RUN_CELLS, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, _results, main, read_market_csv,
     read_params_json,
 )
 from helpers import assert_same_read, binomial_tail_z, invoke, market_tree
@@ -422,6 +423,24 @@ def test_overflowing_utilities_exit_domain(tmp_path, command, sigma):
     assert {r["market_id"] for r in parse_csv(out.read_text())} == {"m1"}
 
 
+@pytest.mark.parametrize("command, code", [
+    (["shares"], EXIT_OK), (["jacobian"], EXIT_OK), (["simulate", "--draws", "100"], EXIT_OK),
+    (["jacobian", "--check-fd"], EXIT_DOMAIN),
+], ids=["shares", "jacobian", "simulate", "jacobian-check-fd"])
+def test_utilities_further_apart_than_a_double_warn_of_nothing(tmp_path, command, code):
+    # a - b overflows to inf: b's share is exp(-inf) = 0, with no RuntimeWarning
+    market = write_market(tmp_path / "m.csv", [("m", "g", "h", "a", 1e308), ("m", "g", "h", "b", -1e308)])
+    params = write_params(tmp_path / "p.json", 0.0, 0.0)
+    result = invoke([command[0], "--input", market, "--params", params, *command[1:]])
+    if code == EXIT_OK:
+        assert result.exit_code == EXIT_OK and result.stderr == ""
+    else:
+        assert "lost in rounding" in _assert_one_error_line(result, code)
+    if command == ["shares"]:
+        assert result.stdout.splitlines()[1:3] == ["m,g,h,a,1,1,1,1,1e+308,1e+308,1e+308",
+                                                   "m,g,h,b,0,0,1,1,1e+308,1e+308,1e+308"]
+
+
 def test_simulate_z_score_is_zero_for_an_underflowed_share_never_drawn(tmp_path):
     market = write_market(tmp_path / "m.csv", [("m", "g", "h", "a", 0.0), ("m", "g", "h", "b", -800.0)])
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
@@ -646,6 +665,39 @@ def test_estimate_invalid_config_value_exits_domain(tmp_path, key, raw):
     assert result.stderr.startswith("error:") and len(result.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("beta", [[1e308, 1e308], [1e308, -1e308]], ids=["overflow", "inf-minus-inf"])
+def test_estimate_utilities_past_a_double_exit_domain_without_a_warning(tmp_path, beta):
+    config = _estimate_config(tmp_path, beta=beta, x_range=[1e308, 1e308])
+    line = _assert_one_error_line(invoke(["estimate", "--config", config]), EXIT_DOMAIN)
+    assert line == "error: utility values must all be finite"
+
+
+def _run_with_stdout_closed(args):
+    """The exit code and standard error of ``main.main(args)`` with ``sys.stdout``
+    None, as Python leaves it when started with its standard output closed."""
+    err = io.StringIO()
+    with mock.patch("sys.stdout", None), contextlib.redirect_stderr(err):
+        try:
+            main.main(args)
+            code = EXIT_OK
+        except SystemExit as stop:
+            code = stop.code or EXIT_OK
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["shares", "estimate"])
+def test_closed_standard_output_matters_only_when_written_to(tmp_path, command):
+    if command == "estimate":
+        args = ["estimate", "--config", _estimate_config(tmp_path)]
+    else:
+        market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.5), ("m1", "g", "h", "b", 0.0)])
+        args = ["shares", "--input", market, "--params", write_params(tmp_path / "p.json", 0.5, 0.25)]
+    out = tmp_path / "out"
+    assert _run_with_stdout_closed([*args, "--output", str(out)]) == (EXIT_OK, "")
+    assert out.read_bytes() == run_ok(args).stdout_bytes
+    assert _run_with_stdout_closed(args) == (EXIT_PARSE, "error: standard output is closed\n")
+
+
 def test_estimate_missing_required_key_exits_domain(tmp_path):
     config = json.loads(Path(_estimate_config(tmp_path)).read_text())
     del config["n_groups"]
@@ -854,6 +906,28 @@ def test_a_repeated_required_column_exits_parse(tmp_path, end):
     # a column of another name may repeat, and is ignored
     market.write_bytes(_lines("extra," + HEADER + ",extra", "x,m,g,h,p,0.5,y", end=end))
     assert read_market_csv(str(market))[1].tolist() == [0.5]
+
+
+@pytest.mark.parametrize("row, read_rows, message", [
+    ("m,g,h,b,2,x", False, None),
+    ("m,g,h,b,2,", False, None),
+    ("m,g,,b,2,x", True, "{}:4: incomplete row"),
+    ("m,g,h,b,\uff12,x", True, None),
+    ("m,g,h,b,2x,x", True, "{}:4: value '2x' is not a number"),
+], ids=["plain", "blank-ignored-field", "blank-required-field", "non-ascii-digit", "not-a-number"])
+def test_numpy_splits_only_files_with_no_fault_in_a_required_field(tmp_path, row, read_rows, message):
+    from hierlogit import csvin
+
+    # csv.reader alone reads, and names, a row whose required fields numpy cannot take
+    market = tmp_path / "m.csv"
+    market.write_bytes(_lines(HEADER + ",extra", "m,g,h,a,1,x", "", row))
+    with mock.patch.object(csvin, "_read_rows", wraps=csvin._read_rows) as wrapped:
+        try:
+            got = read_market_csv(str(market))[1].tolist()
+        except hierlogit.MarketFileError as err:
+            got = str(err)
+    assert wrapped.called == read_rows
+    assert got == (message.format(market) if message else [1.0, 2.0])
 
 
 @pytest.mark.parametrize("args", [
