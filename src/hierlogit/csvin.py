@@ -1,6 +1,7 @@
 """Market CSV files read into one tree and its values; ``cli`` documents the format.
 
-The file is read once, as bytes. If it has no quote, CR or NUL byte, is
+The file is read once, as bytes. If it has no quote or NUL byte, no CR
+but before an LF (a CRLF line end, which ends the line before the CR), is
 UTF-8, its non-blank lines have the header's field count and fit in the csv
 module's field limit, no required field is blank, and numpy's cast of bytes
 to float takes every value, numpy splits it: each id column is numbered by
@@ -52,12 +53,15 @@ def _split(path, data):
     """The arguments of ``_markets`` for a file numpy can split, else None.
     ``data`` is emptied, as its bytes are no longer needed."""
     size, begin = len(data) - _PAD, 3 if data.startswith(codecs.BOM_UTF8) else 0
-    if any(data.find(c, begin, size) >= 0 for c in (b'"', b"\r", b"\0")) or _utf8_error(data, begin, size):
+    crlf = data.find(b"\r", begin, size) >= 0
+    if (any(data.find(c, begin, size) >= 0 for c in (b'"', b"\0")) or _utf8_error(data, begin, size)
+            or crlf and data.count(b"\r", begin, size) != data.count(b"\r\n", begin, size)):
         return None
     arr = np.frombuffer(data, np.uint8)
     newline = _positions(arr, begin, size, b"\n")
     ends = newline if size == begin or data[size - 1] == ord("\n") else np.append(newline, size)
     starts = np.append(begin, newline[:len(ends) - 1] + 1)
+    ends = ends - (arr[ends - 1] == ord("\r")) if crlf else ends  # a CRLF line ends before its CR
     if not len(ends) or starts[0] == ends[0] or np.max(ends - starts) > csv.field_size_limit():
         return None
     n_commas = data.count(b",", begin, ends[0])

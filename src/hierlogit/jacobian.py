@@ -92,10 +92,10 @@ def _solve_log_share_jacobian(table: ShareTable, params: NestingParams, r: np.nd
     """
     h = table.hierarchy
     sums = [r]
-    for level, cond in ((2, table.cond_product), (1, table.cond_subgroup), (0, table.group)):
-        sums.append(np.bincount(h.parent[level], weights=cond * sums[-1], minlength=len(h.ids[level])))
-    _, big_r, q, t = sums
     with np.errstate(divide="ignore", invalid="ignore"):
+        for level, cond in ((2, table.cond_product), (1, table.cond_subgroup), (0, table.group)):
+            sums.append(np.bincount(h.parent[level], weights=cond * sums[-1], minlength=len(h.ids[level])))
+        _, big_r, q, t = sums
         t /= np.atleast_1d(table.outside)
         v = q + t[h.group_market]
         t = t[h.product_market]

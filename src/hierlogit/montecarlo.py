@@ -16,9 +16,10 @@ each subgroup's over its products), has the law of one multinomial of N
 over the alternatives, each at the product of its three stage shares: a
 Multinomial(N, p) whose every count n_c is split by a Multinomial(n_c, q)
 is a Multinomial(N, p q). That is what is drawn, one ``Generator.multinomial``
-call a market, in memory linear in the alternatives. The counts at a seed
-depend on numpy's binomial sampler, which numpy's ``Generator`` policy lets
-change between versions, and counts at N and N + 1 draws are not nested.
+call a market, in memory linear in the alternatives, at the stage shares of a
+``compute_shares`` table. The counts at a seed depend on numpy's binomial
+sampler, which numpy's ``Generator`` policy lets change between versions, and
+counts at N and N + 1 draws are not nested.
 """
 
 import math
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array
+from .hierarchy import ChoiceHierarchy, NestingParams, _number
 from .shares import _per_market, compute_shares
 
 __all__ = ["SimConfig", "ChoiceCounts", "simulate_choices", "empirical_shares"]
@@ -70,35 +71,23 @@ class ChoiceCounts:
         return int(self.counts.sum()) + int(np.sum(self.outside_count))
 
 
-def _stage_shares(values, parent, scale) -> np.ndarray:
-    """Each child's chance given its parent, ``parent`` the parent of each child, sorted, and every
-    parent with a child: exp((v - m) / scale) over the sum of its siblings', m their largest value."""
-    first = np.flatnonzero(np.diff(parent, prepend=-1))
-    with np.errstate(over="ignore"):  # a weight of zero, from -inf
-        weight = np.exp((values - np.maximum.reduceat(values, first)[parent]) / scale)
-    return weight / np.add.reduceat(weight, first)[parent]
-
-
 def simulate_choices(hierarchy: ChoiceHierarchy, delta, params: NestingParams, config: SimConfig) -> ChoiceCounts:
     """Simulate ``config.draws`` sequential choices in each market of a tree and tally them.
 
-    Each alternative's chance, the product of its stage shares, is computed once for the tree, and
-    each market's tally is one multinomial over its products and outside option, in order of chance,
-    so that numpy gives the remainder of the draws to the most probable. One ``Philox(key=config.seed)``
-    generator draws every market, its state reset to the start before each, so a market gets the same
-    counts alone as in any tree. Memory grows with the alternatives.
+    Each product's chance is the product of its three stage shares in one ``compute_shares`` table
+    for the tree, an outside option's its share; each market's tally is one multinomial over its
+    alternatives in order of chance, so that numpy gives the remainder of the draws to the most
+    probable. One ``Philox(key=config.seed)`` generator draws every market, its state reset to the start
+    before each, so a market gets the same counts alone as in any tree. Memory grows with the
+    alternatives. The CLI's z-check, against the same kernel's joint shares, checks these steps (the
+    sort, the reset, each market's span, the unsort and the multinomial), not the shares.
     """
     h = hierarchy
-    delta = as_delta_array(h, delta)
-    _, iv = compute_shares(h, delta, params)
+    table, _ = compute_shares(h, delta, params)
     markets = np.arange(h.n_markets)
-    # each market's outside option, of value 0, follows its groups
-    after = h.bounds[0, 1:]
-    top = _stage_shares(np.insert(iv.group, after, 0.0), np.insert(h.group_market, after, markets), 1.0)
-    outside = after + markets
-    chance = np.append(_stage_shares(delta, h.product_subgroup, 1.0 - params.sigma1)
-                       * _stage_shares(iv.subgroup, h.subgroup_group, 1.0 - params.sigma2)[h.product_subgroup]
-                       * np.delete(top, outside)[h.product_group], top[outside])
+    # the outside options after every product; the sort puts each among its market's alternatives
+    chance = np.append(table.cond_product * table.cond_subgroup[h.product_subgroup] * table.group[h.product_group],
+                       table.outside)
     order = np.lexsort((chance, np.append(h.product_market, markets)))
     chance, drawn = chance[order], np.empty(len(order), np.int64)
     rng = np.random.Generator(np.random.Philox(key=config.seed))

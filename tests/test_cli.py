@@ -471,11 +471,23 @@ def test_simulate_computes_shares_for_the_whole_file_at_once(tmp_path):
     shares = mock.Mock(wraps=compute_shares)
     with mock.patch("hierlogit.cli.compute_shares", shares), mock.patch("hierlogit.montecarlo.compute_shares", shares):
         run_ok(["simulate", "--input", market, "--params", params, "--draws", "1000"])
-    # the analytic shares, then the simulator's inclusive values, each for all three markets
+    # the analytic shares, then the simulator's stage shares, each for all three markets
     assert [call.args[0].n_markets for call in shares.call_args_list] == [3, 3]
 
 
-def test_simulate_against_a_wrong_sigma_exits_selftest(tmp_path):
+def _plain_logit(simulate, hierarchy, delta, params, config):
+    return simulate(hierarchy, delta, NestingParams(0.0, 0.0), config)
+
+
+def _reversed_counts(simulate, hierarchy, delta, params, config):
+    # the right shares, the one market's counts reversed over its alternatives
+    counts = simulate(hierarchy, delta, params, config)
+    tally = np.append(counts.counts, counts.outside_count)[::-1]
+    return hierlogit.ChoiceCounts(counts=tally[:-1], outside_count=int(tally[-1]))
+
+
+@pytest.mark.parametrize("faulty", [_plain_logit, _reversed_counts], ids=["wrong-sigma", "reversed-counts"])
+def test_simulate_against_a_wrong_sigma_exits_selftest(tmp_path, faulty):
     market = write_market(
         tmp_path / "m.csv",
         [("m1", "g1", "h1", "a", 1.0), ("m1", "g1", "h1", "b", 0.0), ("m1", "g1", "h2", "c", 0.5),
@@ -485,11 +497,7 @@ def test_simulate_against_a_wrong_sigma_exits_selftest(tmp_path):
     args = ["simulate", "--input", market, "--params", params, "--draws", "20000", "--seed", "3"]
     run_ok(args)
     simulate = hierlogit.montecarlo.simulate_choices
-
-    def plain_logit(hierarchy, delta, params, config):
-        return simulate(hierarchy, delta, NestingParams(0.0, 0.0), config)
-
-    with mock.patch("hierlogit.montecarlo.simulate_choices", plain_logit):
+    with mock.patch("hierlogit.montecarlo.simulate_choices", lambda *sample: faulty(simulate, *sample)):
         line = _assert_one_error_line(invoke(args), EXIT_SELFTEST)
     assert "market 'm1': |z|=" in line and "exceeds 5" in line
 
@@ -890,21 +898,21 @@ def test_undecodable_or_oversized_input_exits_parse(tmp_path, name, data, where)
     assert where in _assert_one_error_line(invoke(args), EXIT_PARSE)
 
 
-@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["split", "csv-reader"])
-def test_a_repeated_required_column_exits_parse(tmp_path, end):
+@pytest.mark.parametrize("product", ["p", '"p"'], ids=["split", "csv-reader"])
+def test_a_repeated_required_column_exits_parse(tmp_path, product):
     from hierlogit import csvin
 
-    # numpy splits the plain file; a carriage return sends it to csv.reader
+    # numpy splits the plain file; a quoted field sends it to csv.reader
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
     market = tmp_path / "m.csv"
-    market.write_bytes(_lines(HEADER + ",value", "m,g,h,p,0.5,9", end=end))
+    market.write_bytes(_lines(HEADER + ",value", f"m,g,h,{product},0.5,9"))
     with mock.patch.object(csvin, "_read_rows", wraps=csvin._read_rows) as read_rows:
         result = invoke(["shares", "--input", str(market), "--params", params])
-    assert read_rows.called == (end == "\r\n")
+    assert read_rows.called == (product != "p")
     assert _assert_one_error_line(result, EXIT_PARSE) == f"error: {market}: column 'value' appears more than once"
     assert result.stdout_bytes == b""
     # a column of another name may repeat, and is ignored
-    market.write_bytes(_lines("extra," + HEADER + ",extra", "x,m,g,h,p,0.5,y", end=end))
+    market.write_bytes(_lines("extra," + HEADER + ",extra", f"x,m,g,h,{product},0.5,y"))
     assert read_market_csv(str(market))[1].tolist() == [0.5]
 
 
@@ -1091,6 +1099,24 @@ def test_reader_matches_the_row_reader_on_edge_files(tmp_path, data, outside):
     market = tmp_path / "m.csv"
     market.write_bytes(data)
     assert_same_read(str(market), outside)
+
+
+@pytest.mark.parametrize("data, read_rows", [
+    (_lines(HEADER, *_ROWS, end="\r\n"), False),
+    (_lines(HEADER, *_ROWS[:2]) + _lines("", *_ROWS[2:], end="\r\n")[:-2], False),
+    (_lines(HEADER, *_ROWS, end="\r\n") + b"\r", True),
+    (_lines(HEADER, "m1,g1,h1,a\r,0.2", *_ROWS[1:], end="\r\n"), True),
+    (_lines(HEADER, *_ROWS, end="\r\r\n"), True),
+], ids=["crlf", "mixed-ends", "trailing-cr", "cr-in-a-field", "cr-cr-lf"])
+def test_numpy_splits_lines_that_end_in_crlf(tmp_path, data, read_rows):
+    from hierlogit import csvin
+
+    # a CR before an LF ends its line; any other CR sends the file to csv.reader
+    market = tmp_path / "m.csv"
+    market.write_bytes(data)
+    with mock.patch.object(csvin, "_read_rows", wraps=csvin._read_rows) as wrapped:
+        assert_same_read(str(market), outside=True)
+    assert wrapped.called == read_rows
 
 
 def _three_markets(tmp_path):

@@ -204,3 +204,13 @@ def test_newton_reports_a_step_that_is_not_finite():
         numeric_invert(tree, table, params)
     assert str(info.value) == "Newton step failed: singular Jacobian"
     assert np.isfinite(info.value.residual)
+
+
+def test_newton_on_a_zero_outside_share_raises_without_a_warning():
+    # finite log shares, but the outside share underflows to 0: the Jacobian is singular, and
+    # the solve's segment sums meet 0 * inf, which must not warn (pytest makes a RuntimeWarning an error)
+    params = NestingParams(0.5, 0.25)
+    table, _ = compute_shares(build_hierarchy([("g", "h", "a"), ("g", "h", "b")]), [7e307, 0.0], params)
+    assert table.outside == 0.0 and np.all(np.isfinite(table.log_joint))
+    with pytest.raises(NoConvergenceError, match="^Newton step failed: singular Jacobian$"):
+        numeric_invert(table.hierarchy, table, params)
