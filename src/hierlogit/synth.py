@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionsError, OutOfDomainError, SingularDesignError
-from .hierarchy import NestingParams, UtilityVector, _number, tree_from_codes
+from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _number
 
 __all__ = ["SynthConfig", "EstimationResult", "generate_market", "estimate_linear"]
 
@@ -40,7 +40,7 @@ class SynthConfig:
     OutOfDomainError
         On a field that is not a finite number (a bool is not one), a
         dimension or seed that is not an integer, a negative xi_scale or
-        seed, or a sigma outside [0, 1).
+        seed, a sigma outside [0, 1), or an x_range whose width overflows.
     """
 
     n_groups: int
@@ -72,6 +72,8 @@ class SynthConfig:
             raise BadDimensionsError("beta must be a nonempty vector")
         if len(self.x_range) != 2 or not self.x_range[0] <= self.x_range[1]:
             raise BadDimensionsError(f"x_range {self.x_range!r} must be [lo, hi] with lo <= hi")
+        if not math.isfinite(self.x_range[1] - self.x_range[0]):
+            raise OutOfDomainError(f"x_range {self.x_range!r} must have a finite width hi - lo")
         for name in ("xi_scale", "seed"):
             if getattr(self, name) < 0:
                 raise OutOfDomainError(f"{name}={getattr(self, name)!r} must be nonnegative")
@@ -99,9 +101,9 @@ def generate_market(config: SynthConfig):
     groups, subgroups, numbers = ([f"{level}{i}" for i in range(1, n + 1)] for level, n in zip("ghp", shape))
     # product p of subgroup h of group g is g{g}h{h}p{p}; subgroup ids repeat across groups
     products = [f"{g}{h}{p}" for g in groups for h in subgroups for p in numbers]
-    group, subgroup, _ = np.indices(shape).reshape(3, -1)
-    hierarchy, _ = tree_from_codes((["synthetic"], groups, subgroups, products),
-                                   (np.zeros_like(group), group, subgroup, np.arange(len(products))))
+    # the nodes of each level by parent, n children to each node of the level above
+    parents = [np.repeat(np.arange(math.prod(shape[:level])), n) for level, n in enumerate(shape)]
+    hierarchy = ChoiceHierarchy((["synthetic"], groups, subgroups * config.n_groups, products), parents)
 
     rng = np.random.default_rng(config.seed)
     covariates = rng.uniform(*config.x_range, size=(hierarchy.n_products, len(config.beta)))

@@ -660,6 +660,9 @@ def test_estimate_bad_dimensions_exits_domain(tmp_path):
         ("beta", "[]"),
         ("x_range", "[0, 1, 2]"),
         ("sigma1", '"0.5"'),
+        # hi - lo overflows a double
+        ("x_range", "[-1e308, 1e308]"),
+        ("x_range", "[-9e307, 9e307]"),
     ],
 )
 def test_estimate_invalid_config_value_exits_domain(tmp_path, key, raw):
@@ -678,6 +681,16 @@ def test_estimate_utilities_past_a_double_exit_domain_without_a_warning(tmp_path
     config = _estimate_config(tmp_path, beta=beta, x_range=[1e308, 1e308])
     line = _assert_one_error_line(invoke(["estimate", "--config", config]), EXIT_DOMAIN)
     assert line == "error: utility values must all be finite"
+
+
+@pytest.mark.parametrize("key, value", [("x_range", [-1e308, 1e308]), ("x_range", [0.5]), ("beta", [1e308, -1e308]),
+                                        ("beta", [-1e308]), ("xi_scale", 1e308), ("xi_scale", -1e308),
+                                        ("seed", 2**64)])
+def test_estimate_at_the_edges_of_its_config_prints_no_traceback(tmp_path, key, value):
+    # invoke lets an exception that the CLI does not map propagate, as the script would print its traceback
+    result = invoke(["estimate", "--config", _estimate_config(tmp_path, **{key: value})])
+    assert result.exit_code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_SELFTEST)
+    assert len(result.stderr.splitlines()) <= 1 and "Traceback" not in result.stderr
 
 
 def _run_with_stdout_closed(args):
@@ -734,16 +747,19 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_statistics(tmp_path):
-    # nor does a simulation: the exact z-check takes its normal quantile from math.erfc
+    # nor does any command but simulate, whose exact z-check takes its normal quantile from it
     src = os.path.dirname(os.path.dirname(hierlogit.__file__))
     probe = "import sys, hierlogit.cli; print('statistics' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0), ("m1", "g", "k", "b", 1.0)])
+    shares = write_market(tmp_path / "s.csv", [("m1", "g", "h", "a", 0.5), ("m1", "_outside", "_outside",
+                                                                              "_outside", 0.5)])
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
-    simulated = _imported_modules(["simulate", "--draws", "1000", "--input", market, "--params", params])
-    assert "hierlogit.montecarlo" in simulated and "statistics" not in simulated
+    for args in (["shares", "--input", market], ["invert", "--input", shares], ["jacobian", "--input", market]):
+        assert "statistics" not in _imported_modules([*args, "--params", params]), args[0]
+    assert "statistics" not in _imported_modules(["estimate", "--config", _estimate_config(tmp_path)])
 
 
 def _imported_modules(args, program=("-m", "hierlogit.cli")):

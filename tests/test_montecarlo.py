@@ -370,9 +370,16 @@ def test_upper_quantile_is_the_normal_isf(t):
 
 
 def test_upper_quantile_of_a_subnormal_tail_is_finite():
-    # past the smallest normal double the tail is coarse, but Newton still ends
+    # past the smallest normal double the tail is coarse, but its quantile is finite
     for t in (5e-324, 1e-320, 1e-310, 2.2e-308):
         assert 37.0 < _upper_quantile(t) < 38.5
+
+
+@pytest.mark.parametrize("t, z", [(5e-324, 38.4674056171443463), (1e-320, 38.269125343032651),
+                                  (1e-315, 37.9673003510673577)])
+def test_upper_quantile_of_a_subnormal_tail_is_exact(t, z):
+    # below the smallest normal double, against 50-digit values of the quantile
+    assert _upper_quantile(t) == pytest.approx(z, rel=1e-15, abs=0)
 
 
 def test_exact_z_is_never_negative_zero():

@@ -33,7 +33,7 @@ def test_generate_market_dimensions():
     assert len(delta) == 8
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (12, 1, 11), (3, 11, 2)])
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (12, 1, 11), (3, 11, 2), (3, 1, 7), (20, 50, 100)])
 def test_generate_market_tree_equals_the_tree_of_its_rows(shape):
     # numbered by first appearance, not as strings sort ("g10" < "g2"), and
     # subgroup ids repeat across groups
@@ -104,6 +104,14 @@ def test_synth_config_refuses_non_numbers(args, kwargs):
 def test_synth_config_refuses_bad_shapes(kwargs):
     with pytest.raises(BadDimensionsError):
         SynthConfig(2, 2, 2, **{"beta": (1.0,), **kwargs})
+
+
+@pytest.mark.parametrize("x_range", [(-1e308, 1e308), (-9e307, 9e307)])
+def test_synth_config_refuses_an_x_range_wider_than_a_double(x_range):
+    # numpy's uniform sampler would raise OverflowError on this width
+    with pytest.raises(OutOfDomainError, match="finite width"):
+        SynthConfig(2, 2, 2, beta=(1.0,), x_range=x_range)
+    SynthConfig(2, 2, 2, beta=(1.0,), x_range=(x_range[0] / 2, x_range[1] / 2))
 
 
 def test_synth_config_normalizes_fields():
