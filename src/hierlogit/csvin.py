@@ -1,14 +1,14 @@
 """Market CSV files read into one tree and its values; ``cli`` documents the format.
 
-The file is read once, as bytes. If it has no quote or NUL byte, no CR
-but before an LF (a CRLF line end, which ends the line before the CR), is
-UTF-8, its non-blank lines have the header's field count and fit in the csv
-module's field limit, no required field is blank, and numpy's cast of bytes
-to float takes every value, numpy splits it: each id column is numbered by
-first appearance from its fields' bytes, grouped by width so that a field
-costs memory for its own length, and only distinct ids are decoded. Any
-other file goes through ``csv.reader`` on a text stream of the bytes, which
-alone finds and reports the problems of the rows.
+The file is read once, as bytes. If it has no quote or NUL byte, no CR but in a
+CRLF line end, is UTF-8, its non-blank lines have the header's field count and
+fit in the csv module's field limit, no required field is blank, and numpy's
+cast of bytes to float takes every value, numpy splits it: each id column is
+numbered by first appearance from its fields' bytes, grouped by width so that a
+field costs memory for its own length, and only distinct ids are decoded. Values
+are cast a block (about 1 MiB of the file) at a time, so the reader holds the
+file's bytes, the id cells and one block's values. Any other file goes through
+``csv.reader``, which alone finds and reports the problems of the rows.
 """
 
 import codecs
@@ -25,10 +25,8 @@ from .hierarchy import MARKET_COLUMNS, OUTSIDE_ID, first_repeat, numbered, tree_
 
 # zero bytes after the file: a field's window, its length rounded up to 8, ends inside them
 _PAD = 8
-# bytes split at a time, so that no array holds every delimiter
+# bytes split and cast at a time, so that no array holds every delimiter or value
 _BLOCK = 1 << 20
-# _MASKS[k] keeps the first k bytes of a uint64 word
-_MASKS = np.where(np.arange(8) < np.arange(9)[:, None], 255, 0).astype(np.uint8).view(np.uint64).ravel()
 
 
 def read_market_csv(path, outside=False) -> tuple:
@@ -68,7 +66,7 @@ def _split(path, data):
     used = _column_indices(path, data[begin:ends[0]].decode().split(","))
     rows = np.flatnonzero(starts[1:] < ends[1:]) + 1  # the lines of the rows
     starts, ends = starts[rows], ends[rows]
-    columns = [[] for _ in used]
+    columns, values = [[] for _ in used], np.empty(len(rows))
     blocks = np.split(np.arange(len(rows), dtype=np.int32), np.searchsorted(starts, range(_BLOCK, size, _BLOCK)))
     for block in filter(len, blocks):
         commas = _positions(arr, starts[block[0]], ends[block[-1]], b",")
@@ -79,12 +77,12 @@ def _split(path, data):
             return None
         for column, c in zip(columns, used):
             column += _width_classes(arr, block, fields[:, c] + 1, fields[:, c + 1])
-    values = np.empty(len(rows))
-    try:
-        for r, cells in columns[4]:
-            values[r] = cells.view(f"S{cells.itemsize}").astype(float)
-    except ValueError:  # no number, or one that only ``float`` reads, as in non-ASCII digits
-        return None
+        try:
+            for r, cells in columns[4]:
+                values[r] = cells.view(f"S{cells.itemsize}").astype(float)
+        except ValueError:  # no number, or one that only ``float`` reads, as in non-ASCII digits
+            return None
+        columns[4].clear()  # only the id columns' classes outlive their block
     del arr
     data.clear()
     tables, codes = zip(*(_numbered(column, len(rows)) for column in columns[:4]))
@@ -126,9 +124,9 @@ def _width_classes(arr, rows, start, stop) -> list:
     classes = []
     for part in np.split(order, np.flatnonzero(np.diff(width[order])) + 1):
         w = int(width[part[0]])
-        cells = windows(arr, w)[start[part]].view(np.uint64).reshape(len(part), w // 8)
-        cells &= _MASKS[np.clip(length[part, None] - np.arange(0, w, 8), 0, 8)]
-        classes.append((rows[part], cells.ravel() if w == 8 else cells.view(f"S{w}").ravel()))
+        cells = windows(arr, w)[start[part]].view(np.uint8).reshape(len(part), w)
+        cells *= np.arange(w) < length[part, None]
+        classes.append((rows[part], cells.view(np.uint64 if w == 8 else f"S{w}").ravel()))
     return classes
 
 

@@ -22,7 +22,8 @@ def _number(name: str, value, integral: bool = False):
     """Finite ``value`` as a float, or as an int where ``integral``; a bool is not a number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise OutOfDomainError(f"{name}={value!r} is not a number")
-    # compared exactly, so an int past the double range is refused, not rounded
+    # as a Python number, compared exactly: no bound cast to float32 (NEP 50), no int past the doubles rounded
+    value = value.item() if isinstance(value, np.generic) else value
     if not abs(value) <= sys.float_info.max or (integral and value != int(value)):
         raise OutOfDomainError(f"{name}={value!r} must be a finite {'integer' if integral else 'number'}")
     return int(value) if integral else float(value)

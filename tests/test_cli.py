@@ -1070,6 +1070,21 @@ def test_reader_matches_the_row_reader(tmp_path, data, outside):
     assert_same_read(str(market), outside)
 
 
+# no test file reaches the reader's 1 MiB block: in blocks of 1 and 64 bytes
+# every file is split across blocks, a row or a single field to a block
+@pytest.mark.parametrize("block", [1, 64])
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=mutated_market_files(), outside=st.booleans())
+def test_reader_matches_the_row_reader_in_small_blocks(tmp_path, data, outside, block):
+    from hierlogit import csvin
+
+    market = tmp_path / "fuzz.csv"
+    market.write_bytes(data)
+    with mock.patch.object(csvin, "_BLOCK", block):
+        assert_same_read(str(market), outside)
+
+
 _ROWS = ["m1,g1,h1,a,0.2", "m1,g1,h2,b,0.3", "m1,_outside,_outside,_outside,0.5",
          "m2,g1,h1,a,0.25", "m2,_outside,_outside,_outside,0.75"]
 _FILLER = [f"m{m},g,h,p,0.5" for m in range(3, 800)]
@@ -1079,8 +1094,7 @@ def _lines(*lines, end="\n"):
     return "".join(line + end for line in lines).encode()
 
 
-@pytest.mark.parametrize("outside", [False, True])
-@pytest.mark.parametrize("data", [
+_EDGE_FILES = [
     _lines(HEADER, *_ROWS),
     b"\xef\xbb\xbf" + _lines(HEADER, *_ROWS),
     _lines(HEADER, *_ROWS, end="\r\n"),
@@ -1107,14 +1121,58 @@ def _lines(*lines, end="\n"):
     b"",
     b"\xef\xbb\xbf",
     _lines("", HEADER, *_ROWS),
-], ids=["plain", "bom", "crlf", "blank-lines", "no-final-newline", "columns-reordered", "non-ascii",
-        "long-id", "quoted", "bad-value-before-late-bad-byte", "bad-byte-after-bad-value", "incomplete-then-quote",
-        "incomplete", "bad-value-then-incomplete", "value-not-a-number", "more-fields-than-header", "blank-field-row", "field-too-large",
-        "repeated-column-name", "repeated-product", "header-only", "empty", "bom-only", "blank-header"])
+]
+_EDGE_IDS = ["plain", "bom", "crlf", "blank-lines", "no-final-newline", "columns-reordered", "non-ascii",
+             "long-id", "quoted", "bad-value-before-late-bad-byte", "bad-byte-after-bad-value", "incomplete-then-quote",
+             "incomplete", "bad-value-then-incomplete", "value-not-a-number", "more-fields-than-header",
+             "blank-field-row", "field-too-large", "repeated-column-name", "repeated-product", "header-only", "empty",
+             "bom-only", "blank-header"]
+
+
+@pytest.mark.parametrize("outside", [False, True])
+@pytest.mark.parametrize("data", _EDGE_FILES, ids=_EDGE_IDS)
 def test_reader_matches_the_row_reader_on_edge_files(tmp_path, data, outside):
     market = tmp_path / "m.csv"
     market.write_bytes(data)
     assert_same_read(str(market), outside)
+
+
+@pytest.mark.parametrize("block", [1, 64])
+@pytest.mark.parametrize("outside", [False, True])
+@pytest.mark.parametrize("data", _EDGE_FILES, ids=_EDGE_IDS)
+def test_reader_matches_the_row_reader_on_edge_files_in_small_blocks(tmp_path, data, outside, block):
+    from hierlogit import csvin
+
+    market = tmp_path / "m.csv"
+    market.write_bytes(data)
+    with mock.patch.object(csvin, "_BLOCK", block):
+        assert_same_read(str(market), outside)
+
+
+def test_reader_memory_grows_with_the_file_not_with_its_values(tmp_path):
+    import tracemalloc
+
+    from hierlogit.csvin import read_market_csv
+
+    # the same 80,000 rows with values of 3 and of 200 bytes, all 0.5: the file
+    # grows by 15 MiB, which a reader holding every value's bytes adds again
+    def traced(value):
+        market = tmp_path / f"{len(value)}.csv"
+        market.write_text(HEADER + "\n" + "".join(
+            f"m{r // 8},g{r % 8 // 4},h{r % 8 // 2},p{r % 8},{value}\n" for r in range(80_000)))
+        tracemalloc.start()
+        try:
+            tree, values, _ = read_market_csv(str(market))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tree.n_products == 80_000 and np.all(values == 0.5)
+        return market.stat().st_size, peak
+
+    (tmp_path / "warm.csv").write_text(HEADER + "\nm,g,h,p,0.5\n")
+    read_market_csv(str(tmp_path / "warm.csv"))  # the reader's imports, untraced
+    (short_size, short_peak), (long_size, long_peak) = traced("0.5"), traced("0.5" + "0" * 196 + "1")
+    assert long_peak - short_peak <= long_size - short_size
 
 
 @pytest.mark.parametrize("data, read_rows", [

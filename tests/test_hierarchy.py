@@ -15,7 +15,7 @@ from hierlogit import (
 )
 from hierlogit.hierarchy import as_delta_array
 
-from helpers import market_tree, random_tree
+from helpers import balanced_tree, market_tree, random_tree
 
 
 def test_minimal_tree():
@@ -115,6 +115,26 @@ def test_nesting_params_fields_and_ordering_property():
     assert NestingParams(0.25, 0.5).ordering_ok is False
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.ordering_ok = False
+
+
+def test_numpy_scalars_are_read_as_the_python_numbers_they_hold():
+    # numpy 2 compares a float32 with a Python float in float32 (NEP 50), so a
+    # bound past float32's range overflows in the cast: the four checks below
+    # each warned, which pytest's filter makes an error
+    from hierlogit import SynthConfig, compute_shares, fd_jacobian, numeric_invert
+
+    tree = balanced_tree(2, 2, 2)
+    delta = np.linspace(-1.0, 1.0, 8)
+    step, tol = np.float32(1e-3), np.float32(1e-6)
+    params = NestingParams(np.float32(0.5), np.float32(0.25))
+    assert params == NestingParams(0.5, 0.25) and type(params.sigma1) is float
+    config = SynthConfig(2, 2, 2, beta=[np.float32(1.0)])
+    assert config == SynthConfig(2, 2, 2, beta=[1.0]) and type(config.beta[0]) is float
+    got, want = (fd_jacobian(tree, delta, params, step=h) for h in (step, float(step)))
+    assert got.matrix.tobytes() == want.matrix.tobytes() and got.outside_row.tobytes() == want.outside_row.tobytes()
+    table, _ = compute_shares(tree, delta, params)
+    got, want = (numeric_invert(tree, table, params, tol=t).values for t in (tol, float(tol)))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_utility_vector_requires_finite():
