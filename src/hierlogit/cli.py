@@ -19,9 +19,9 @@ the file, Newton and the simulation included, the Jacobian and its finite
 differences once per run of markets: every market of a run is a block padded
 to its largest market of L products, L + 1 rows of L cells, and a run holds at
 most ``_RUN_CELLS`` such cells (a larger market alone). Newton stops a
-market at a max log-share residual of log1p(tol) (near sigma -> 1, at the
-rounding floor ``numeric_invert`` documents), takes one more step, and must
-then agree with the closed form within 10*tol. Checks by layer: the reader rejects
+market once each log(s_j/s_0) is within log1p(tol) of its target (near sigma
+-> 1, at the rounding floor ``numeric_invert`` documents), takes one more
+step, and must then agree with the closed form within 10*tol. Checks by layer: the reader rejects
 non-UTF-8 or malformed CSV, a required column named twice, unparsable values and
 repeated products, and checks every market's ``_outside`` row (required by
 invert, refused by the others) before any market is computed;

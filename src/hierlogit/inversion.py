@@ -13,16 +13,16 @@ the equal form
 whose terms do not cancel as sigma -> 1 (the log conditional shares grow
 like delta / (1 - sigma)). The identity read as a regression equation
 gives the rows assembled by ``regression_rows``. ``numeric_invert`` solves
-the forward model by damped Newton instead and exists purely as a
-cross-check: it exercises the analytic Jacobian end to end and must agree
-with the closed form to tight tolerance.
+the identity's left side, log(s_j/s_0), by damped Newton on the forward
+model instead and exists purely as a cross-check: it exercises the analytic
+Jacobian end to end and must agree with the closed form to tight tolerance.
 """
 
 import numpy as np
 
 from .errors import DegenerateShareError, NoConvergenceError, OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _number
-from .jacobian import _solve_log_share_jacobian
+from .jacobian import _solve_log_ratio_jacobian
 from .shares import ShareTable, compute_shares
 
 __all__ = ["berry_invert", "regression_rows", "numeric_invert"]
@@ -78,19 +78,21 @@ def numeric_invert(
 ) -> UtilityVector:
     """Damped Newton inversion of the forward share map, for every market of a tree.
 
-    Starts from the plain-logit inversion delta0 = log(s_jhg/s_0) and works
-    on the log-share residual log t - log s(delta), whose Jacobian stays well
-    scaled however small the shares are. Each iteration evaluates the tree
-    once and solves every market's Jacobian system in O(N); step halving is
-    per market, so a market's utilities are those it gets when inverted alone.
+    Works on the share identity's left side: the residual is log(t_j/t_0) -
+    log(s_j/s_0) at delta, whose target log ratios are the plain-logit start
+    delta0. Its Jacobian has no market-level term, so it stays well scaled
+    however small the shares, the outside share included, and the target's
+    shares need not sum to 1. Each iteration evaluates the tree once and
+    solves every market's Jacobian system in O(N); step halving is per
+    market, so a market's utilities are those it gets when inverted alone.
 
-    Stop rule, per market: max |log t - log s| <= max(log1p(tol), 16 eps
-    max(1, max |delta|) / (1 - max(sigma1, sigma2))). The first term implies
-    max |(t - s)/s| <= tol; the second is the residual a double can reach,
-    as log shares carry delta / (1 - sigma). A market that passes takes one
-    more full Newton step, to rounding level, and then stops moving. A
-    ``tol`` outside (0, 1) raises OutOfDomainError: from 1 on, log1p(tol) >=
-    log 2 would pass shares of half or twice their targets.
+    Stop rule, per market: max |log(t_j/t_0) - log(s_j/s_0)| <= max(log1p(tol),
+    16 eps max(1, max |delta|) / (1 - max(sigma1, sigma2))). The first term puts
+    each ratio s_j/s_0 within a factor 1 + tol of its target; the second is the
+    residual a double can reach, as log shares carry delta / (1 - sigma). A
+    market that passes takes one more full Newton step, to rounding level, and
+    then stops moving. A ``tol`` outside (0, 1) raises OutOfDomainError: from
+    1 on, log1p(tol) >= log 2 would pass ratios of half or twice their targets.
 
     Raises
     ------
@@ -107,7 +109,7 @@ def numeric_invert(
 
     def evaluate(delta):
         table, _ = compute_shares(h, delta, params)
-        resid = target.log_joint - table.log_joint
+        resid = ratio - (table.log_joint - np.atleast_1d(table.log_outside)[owner])
         err = np.maximum.reduceat(np.abs(resid), starts)
         reachable = floor * np.maximum(1.0, np.maximum.reduceat(np.abs(delta), starts))
         return table, resid, err, err <= np.maximum(np.log1p(tol), reachable)
@@ -115,16 +117,16 @@ def numeric_invert(
     def failure(message):
         return NoConvergenceError(message, residual=float(np.max(np.abs(table.joint - target.joint))))
 
-    delta = target.log_joint - np.atleast_1d(target.log_outside)[owner]
+    delta = ratio = target.log_joint - np.atleast_1d(target.log_outside)[owner]
     table, resid, err, passed = evaluate(delta)
     done = np.zeros_like(passed)
     for _ in range(max_iter):
         if done.all():
             break
         moving = ~done
-        step = _solve_log_share_jacobian(table, params, resid)
+        step = _solve_log_ratio_jacobian(table, params, resid)
         if not np.all(np.isfinite(step[moving[owner]])):
-            raise failure("Newton step failed: singular Jacobian")
+            raise failure("Newton step failed: residual not finite")
         scale = moving.astype(float)
         while True:
             candidate = np.where(moving[owner], delta + scale[owner] * step, delta)
@@ -135,7 +137,7 @@ def numeric_invert(
             scale[halve] *= 0.5
         stalled = moving & ~passed & ~(cand_err < err)
         if stalled.any():
-            raise failure(f"line search stalled at log-share residual {err[stalled].max():.3e}")
+            raise failure(f"line search stalled at log-ratio residual {err[stalled].max():.3e}")
         done |= passed
         delta, table, resid, err = candidate, cand_table, cand_resid, cand_err
         passed |= cand_passes

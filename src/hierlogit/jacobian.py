@@ -55,9 +55,10 @@ class ShareJacobian:
 def log_share_jacobian(table: ShareTable, params: NestingParams) -> np.ndarray:
     """Jacobian of log joint shares: entry (j, k) = d log s_j / d delta_k.
 
-    Entries are O(1/(1-sigma)) regardless of how small the shares are; Newton
-    steps on log residuals solve this operator without forming it. The
-    share-level Jacobian is ``joint[:, None]`` times this matrix.
+    Entries are O(1/(1-sigma)) regardless of how small the shares are; with
+    ``joint`` added to each row they are the Jacobian of log(s_j/s_0), whose
+    Newton steps are solved without forming it. The share-level Jacobian is
+    ``joint[:, None]`` times this matrix.
     """
     one_market(table.hierarchy, "log_share_jacobian")
     return _blocks(table, params)[0][0, :-1]
@@ -81,26 +82,21 @@ def _blocks(table: ShareTable, params: NestingParams) -> tuple:
     return cells, rows, (i <= sizes)[:, :, None] & (i[:-1] < sizes)[:, None, :]
 
 
-def _solve_log_share_jacobian(table: ShareTable, params: NestingParams, r: np.ndarray) -> np.ndarray:
-    """x with ``log_share_jacobian(table, params) @ x == r`` in every market, in O(N).
+def _solve_log_ratio_jacobian(table: ShareTable, params: NestingParams, r: np.ndarray) -> np.ndarray:
+    """x with ``(log_share_jacobian(table, params) + table.joint) @ x == r`` in every market, in O(N).
 
-    The matrix is a*I minus a rank-one term per subgroup, group and market.
-    With R_h = sum_{k in h} cp_k r_k, Q_g = sum_{h in g} cs_h R_h, T_m =
-    sum_{g in m} s_g Q_g / s_0m and V = Q + T, x = (1-sigma1)(r + T) +
-    (sigma1-sigma2)(R + T) + sigma2 V: no coefficient exceeds 1, so sigma ->
-    1 amplifies no rounding. x is not finite where s_0m = 0.
+    That sum, the Jacobian of log(s_j/s_0), is a*I minus a rank-one term per
+    subgroup and group. With R_h = sum_{k in h} cp_k r_k and Q_g = sum_{h in
+    g} cs_h R_h, x = (1-sigma1) r + (sigma1-sigma2) R + sigma2 Q: no
+    coefficient exceeds 1 and nothing is divided, so x is finite where r is
+    (NaN, without a warning, where an infinite r meets a share of 0).
     """
     h = table.hierarchy
-    sums = [r]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for level, cond in ((2, table.cond_product), (1, table.cond_subgroup), (0, table.group)):
-            sums.append(np.bincount(h.parent[level], weights=cond * sums[-1], minlength=len(h.ids[level])))
-        _, big_r, q, t = sums
-        t /= np.atleast_1d(table.outside)
-        v = q + t[h.group_market]
-        t = t[h.product_market]
-        return ((1.0 - params.sigma1) * (r + t) + (params.sigma1 - params.sigma2) * (big_r[h.product_subgroup] + t)
-                + params.sigma2 * v[h.product_group])
+    with np.errstate(invalid="ignore"):
+        big_r = np.bincount(h.product_subgroup, weights=table.cond_product * r, minlength=h.n_subgroups)
+        q = np.bincount(h.subgroup_group, weights=table.cond_subgroup * big_r, minlength=h.n_groups)
+        return ((1.0 - params.sigma1) * r + (params.sigma1 - params.sigma2) * big_r[h.product_subgroup]
+                + params.sigma2 * q[h.product_group])
 
 
 def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> ShareJacobian:

@@ -1245,6 +1245,42 @@ def test_newton_passes_the_closed_form_check_on_3000_random_markets(tmp_path):
     assert len(parse_csv(result.output)) == 8 * n_markets
 
 
+def _shares_of_2x2x2_markets(tmp_path, values):
+    """The ``shares`` output file of one 2x2x2 market per row of ``values`` at sigma (0.5, 0.25), and its params."""
+    keys = [(f"g{g}", f"h{h}", f"p{g}{h}{p}") for g in range(2) for h in range(2) for p in range(2)]
+    rows = [(f"m{m}", *key, repr(x)) for m, market in enumerate(values.tolist()) for key, x in zip(keys, market)]
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    shares = tmp_path / "shares.csv"
+    run_ok(["shares", "--input", write_market(tmp_path / "m.csv", rows), "--params", params, "--output", str(shares)])
+    return shares, params
+
+
+def _assert_newton_agrees_with_closed_form(shares, params):
+    closed = run_ok(["invert", "--input", str(shares), "--params", params])
+    newton = invoke(["invert", "--method", "newton", "--input", str(shares), "--params", params])
+    assert newton.exit_code == EXIT_OK and newton.stderr == ""
+    np.testing.assert_allclose([float(r["value"]) for r in parse_csv(newton.stdout)],
+                               [float(r["value"]) for r in parse_csv(closed.stdout)], rtol=0, atol=1e-8)
+
+
+def test_newton_passes_the_closed_form_check_at_tiny_outside_shares(tmp_path):
+    # utilities U(8, 16) give outside shares of about 7e-8 to 2e-6: the closed form
+    # reads each market's level of utility from log s_0, and so must Newton's residual
+    shares, params = _shares_of_2x2x2_markets(tmp_path, np.random.default_rng(8).uniform(8, 16, (20, 8)))
+    _assert_newton_agrees_with_closed_form(shares, params)
+
+
+def test_newton_reads_the_outside_share_as_the_closed_form_does(tmp_path):
+    # one outside share raised by 5e-7, inside the sum rule's 1e-6: that market's
+    # shares are no model's shares, and both methods invert its ratios s_j/s_0
+    shares, params = _shares_of_2x2x2_markets(tmp_path, np.random.default_rng(9).standard_normal((20, 8)))
+    rows = list(csv.reader(io.StringIO(shares.read_text())))
+    row = next(r for r in rows if r[0] == "m3" and r[3] == "_outside")
+    row[4] = repr(float(row[4]) + 5e-7)
+    shares.write_text("".join(",".join(r) + "\n" for r in rows))
+    _assert_newton_agrees_with_closed_form(shares, params)
+
+
 def test_invert_reports_the_first_failing_market_in_file_order(tmp_path):
     # m2 breaks the sum rule (exit 1); m3 holds a zero share (exit 2)
     rows = [

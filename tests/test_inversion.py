@@ -16,7 +16,7 @@ from hierlogit import (
     regression_rows,
 )
 
-from helpers import balanced_tree, random_instance
+from helpers import balanced_tree, random_instance, random_tree
 
 
 def test_closed_form_symmetric_singleton():
@@ -184,11 +184,52 @@ def test_newton_near_sigma1_one_stops_at_the_precision_floor():
         np.testing.assert_allclose(newton, berry_invert(table, params).values, rtol=0, atol=1e-8)
 
 
+def test_newton_does_not_stall_as_sigma2_nears_one():
+    # sigma2 = 1 - 10^-U(5, 9) puts the plain-logit start far off, yet every market
+    # passes the stop rule, at its rounding floor where that binds
+    rng = np.random.default_rng(12345)
+    for _ in range(200):
+        tree = random_tree(rng)
+        sigma2 = 1.0 - 10.0 ** -rng.uniform(5, 9)
+        params = NestingParams(rng.uniform(0.0, 0.9), sigma2)
+        table, _ = compute_shares(tree, rng.uniform(-5, 5, tree.n_products), params)
+        assert np.all(np.isfinite(numeric_invert(tree, table, params, tol=1e-9).values))
+
+
+def test_newton_matches_closed_form_at_tiny_outside_shares():
+    # the log-share Jacobian's smallest eigenvalue is the outside share; the
+    # log-ratio Jacobian's is not, so s_0 < 1e-6 costs Newton nothing
+    rng = np.random.default_rng(34)
+    markets = 0
+    while markets < 300:
+        tree = random_tree(rng)
+        sigma2, sigma1 = sorted(rng.uniform(0.0, 0.99, 2))
+        params = NestingParams(sigma1, sigma2)
+        table, _ = compute_shares(tree, rng.uniform(-10, 30, tree.n_products), params)
+        if table.outside >= 1e-6:
+            continue
+        markets += 1
+        newton = numeric_invert(tree, table, params, tol=1e-9).values
+        np.testing.assert_allclose(newton, berry_invert(table, params).values, rtol=0, atol=1e-8)
+
+
+def test_newton_inverts_shares_that_do_not_sum_to_one():
+    # every positive ratio s_j/s_0 is some utilities' ratio, as the closed form reads it
+    rng = np.random.default_rng(35)
+    for _ in range(100):
+        tree = random_tree(rng)
+        params = NestingParams(*sorted(rng.uniform(0.0, 0.95, 2), reverse=True))
+        target = ShareTable.from_joint(tree, rng.uniform(0.01, 0.5, tree.n_products), rng.uniform(0.01, 0.5))
+        newton = numeric_invert(tree, target, params, tol=1e-9).values
+        np.testing.assert_allclose(newton, berry_invert(target, params).values, rtol=0, atol=1e-8)
+
+
 def test_newton_reports_a_real_stall():
-    # inside shares summing past 1 are no model's shares: the residual cannot vanish
+    # a solve that steps uphill: no halving lowers the residual, so the line search stalls
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
     target = ShareTable.from_joint(tree, [0.9, 0.9], 0.5)
-    with pytest.raises(NoConvergenceError, match="line search stalled") as info:
+    with (mock.patch("hierlogit.inversion._solve_log_ratio_jacobian", lambda table, params, resid: -resid),
+          pytest.raises(NoConvergenceError, match="line search stalled at log-ratio residual") as info):
         numeric_invert(tree, target, NestingParams(0.5, 0.25))
     assert np.isfinite(info.value.residual)
 
@@ -198,19 +239,20 @@ def test_newton_reports_a_step_that_is_not_finite():
     tree = balanced_tree(2, 2, 2)
     params = NestingParams(0.5, 0.25)
     table, _ = compute_shares(tree, np.linspace(-1, 1, 8), params)
-    with (mock.patch("hierlogit.inversion._solve_log_share_jacobian",
+    with (mock.patch("hierlogit.inversion._solve_log_ratio_jacobian",
                      lambda table, params, resid: np.full_like(resid, np.nan)),
           pytest.raises(NoConvergenceError) as info):
         numeric_invert(tree, table, params)
-    assert str(info.value) == "Newton step failed: singular Jacobian"
+    assert str(info.value) == "Newton step failed: residual not finite"
     assert np.isfinite(info.value.residual)
 
 
 def test_newton_on_a_zero_outside_share_raises_without_a_warning():
-    # finite log shares, but the outside share underflows to 0: the Jacobian is singular, and
-    # the solve's segment sums meet 0 * inf, which must not warn (pytest makes a RuntimeWarning an error)
+    # finite log shares, but the outside share underflows to 0: at the plain-logit start the
+    # second product's log share is -inf, and the solve meets its infinite residual times its
+    # share of 0, which must not warn (pytest makes a RuntimeWarning an error)
     params = NestingParams(0.5, 0.25)
     table, _ = compute_shares(build_hierarchy([("g", "h", "a"), ("g", "h", "b")]), [7e307, 0.0], params)
     assert table.outside == 0.0 and np.all(np.isfinite(table.log_joint))
-    with pytest.raises(NoConvergenceError, match="^Newton step failed: singular Jacobian$"):
+    with pytest.raises(NoConvergenceError, match="^Newton step failed: residual not finite$"):
         numeric_invert(table.hierarchy, table, params)
