@@ -45,9 +45,10 @@ simulation |z| over 5, each named as above; estimate's singular design).
 Diagnostics go to standard error. Every market command writes CSV (the rows of
 ``shares`` carry every share and inclusive value), ``estimate`` JSON. Results go
 to ``--output`` or standard output as UTF-8 whatever the locale, CSV in chunks
-of rows cut from each run of markets, formatted on the standard library's
-thread pool, one thread per CPU (no thread for one chunk), and written in file
-order, the same bytes whatever the CPU count. Reals are exactly
+of rows cut from each run of markets, formatted by one in-order map per write
+on the standard library's thread pool, one thread per CPU (no thread for one
+chunk; ``shares``' per-segment tables in the calling thread), and written in
+file order, the same bytes whatever the CPU count. Reals are exactly
 ``format(x, ".17g")`` (NaN an empty cell), so written files round-trip doubles:
 numpy derives the digits, and Python formats what it cannot prove (zero, inf,
 near-ties; see ``csvout``).
@@ -290,14 +291,14 @@ def _shares_csv(h, table, iv) -> list:
 @_command("invert", *_market_options("Market CSV with joint shares and one _outside row per market."),
           ("--method", dict(choices=["closed", "newton"], default="closed", help=_DEFAULT)),
           ("--tol", dict(type=float, default=1e-9,
-                         help="Newton stopping tolerance; closed and newton must agree within 10*tol.  " + _DEFAULT)))
+                         help="Newton stops with each log(s_j/s_0) within log1p(tol) of its target and must agree "
+                              "with closed within 10*tol; either method refuses a tol outside (0, 1).  " + _DEFAULT)))
 def cmd_invert(input_path, params_path, output_path, method, tol):
     """Recover mean utilities from observed shares (closed form or Newton)."""
     from .inversion import _check_tol, berry_invert, numeric_invert
 
     params, markets = read_params_json(params_path), read_market_csv(input_path, outside=True)
-    if method == "newton":
-        _check_tol(tol)
+    _check_tol(tol)
 
     def inverted(h, joint, outside):
         table = ShareTable.from_joint(h, joint, outside)

@@ -4,21 +4,23 @@ Each block of rows is cut into chunks of ``_CHUNK_ROWS`` rows, and each
 chunk becomes one uint8 matrix of every cell's bytes in padded slots, with
 a mask of the slots written; the masked bytes are the rows. A table of ids
 keeps their bytes end to end, and a chunk pads its cells only to the
-widest in it. Chunks, and the chunks of a float table formatted once per
-segment, run on one thread per CPU of the affinity mask (``_Pool``, on the
-standard library's thread pool) and are written in file order; a write of
-one chunk starts no thread. The chunks in flight share ``_CHUNK_BYTES`` of
-padded cells, a chunk over its share being halved, and the bytes do not
-depend on the CPU count. Each thread also holds the rest of its chunk's
-working set, and the allocator keeps an arena per thread: on two CPUs the
-traced peak of a write is a few MB above that on one, by how the chunks
-overlap in time, and the resident peak grows with the CPU count.
+widest in it; a float table, one value per segment, is formatted once, in
+the calling thread. A write maps its chunks in order (``_in_order``) on one
+thread per CPU of the affinity mask, on the standard library's thread
+pool; a write of one chunk starts no thread. The chunks in flight share
+``_CHUNK_BYTES`` of padded cells, a chunk over its share being halved, and
+the bytes do not depend on the CPU count. Each thread also holds the rest
+of its chunk's working set, and the allocator keeps an arena per thread:
+on two CPUs the traced peak of a write is a few MB above that on one, by
+how the chunks overlap in time, and the resident peak grows with the CPU
+count.
 Reals are exactly ``format(x, ".17g")``: their 17 digits come from a
 double-double product with a power of ten, and Python formats the cells
 that product cannot prove (zero, inf, |x| outside ``_FAST_RANGE``, and
 fractions within ``_TIE_BAND`` of a rounding tie).
 """
 
+import contextlib
 import functools
 import itertools
 import os
@@ -41,59 +43,46 @@ def write_csv(out, header, blocks) -> None:
     integer one below 2**53, as ``format(x, ".17g")`` (NaN as an empty
     cell), and ``(table, codes)`` as ``table[codes[i]]`` on row i, ``table``
     being a float array or a sequence of str; strs are quoted by the csv
-    module's rules, a carriage return included. Each block is formatted in
-    chunks of ``_CHUNK_ROWS`` rows on one thread per CPU, and the chunks are
-    written in order. When ``blocks`` raises, the rows of the blocks before
-    are written first.
+    module's rules, a carriage return included. Each block's tables are
+    flattened in the calling thread, its rows formatted in chunks of
+    ``_CHUNK_ROWS`` rows by ``_in_order`` on one thread per CPU, and the
+    chunks written in order. When ``blocks`` raises, the rows of the blocks
+    before are written first; when ``out`` raises, the threads are joined.
     """
     out.write((",".join(header) + "\n").encode())
-    with _Pool() as pool:
-        limit = _chunk_bytes(pool)
-        for parts in pool.map(lambda chunk: _formatted(*chunk, limit), _chunks(blocks, pool)):
+    # the CPUs this process may run on: its affinity mask, else the CPU count
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    limit = _CHUNK_BYTES // max(2, workers)
+    with contextlib.closing(_in_order(lambda chunk: _formatted(*chunk, limit), _chunks(blocks), workers)) as chunks:
+        for parts in chunks:
             for part in parts:
                 out.write(part)
 
 
-class _Pool:
-    """``map`` on one thread per CPU, used as ``with _Pool() as pool:``.
-
-    The threads start at the first map that has two items and serve every
-    later map of the pool; with one CPU, or while every map has fewer than
-    two items, the items run in the calling thread, no thread starts and
-    ``concurrent.futures`` is not imported. Leaving the ``with`` block joins
-    the threads once they have run the items handed to them.
-    """
-
-    def __init__(self):
-        # the CPUs this process may run on: its affinity mask, else the CPU count
-        self.workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        self._executor = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._executor is not None:
-            self._executor.shutdown()
-
-    def map(self, fn, items):
-        """Yield ``fn(item)`` for each of ``items``, in order, as ``map`` does:
-        when ``fn`` or the making of an item raises, the results before it come
-        first. At most one item per worker is in flight."""
-        calls = _calls(fn, items)
-        head = list(itertools.islice(calls, 2 if self.workers > 1 else 0))
-        calls = itertools.chain(head, calls)
-        if len(head) == 2:
-            if self._executor is None:
-                # imported here, as it loads logging: a write of one chunk runs without it
-                from concurrent.futures import ThreadPoolExecutor
-                self._executor = ThreadPoolExecutor(self.workers)
-            calls = (self._executor.submit(call).result for call in calls)
-        ahead = deque(itertools.islice(calls, self.workers))
+def _in_order(fn, items, workers):
+    """Yield ``fn(item)`` for each of ``items``, in order, as ``map`` does:
+    when ``fn`` or the making of an item raises, the results before it come
+    first. With more than one worker and two items or more, the items run on
+    ``workers`` threads, at most one item per thread in flight, and the
+    threads are joined when the generator ends or is closed; otherwise they
+    run in the calling thread, and ``concurrent.futures`` is not imported."""
+    calls = _calls(fn, items)
+    head = list(itertools.islice(calls, 2 if workers > 1 else 0))
+    calls, executor = itertools.chain(head, calls), None
+    if len(head) == 2:
+        # imported here, as it loads logging: a write of one chunk runs without it
+        from concurrent.futures import ThreadPoolExecutor
+        executor = ThreadPoolExecutor(workers)
+        calls = (executor.submit(call).result for call in calls)
+    try:
+        ahead = deque(itertools.islice(calls, workers))
         while ahead:
             result = ahead.popleft()()
             ahead.extend(itertools.islice(calls, 1))
             yield result
+    finally:
+        if executor is not None:
+            executor.shutdown()
 
 
 def _calls(fn, items):
@@ -110,15 +99,10 @@ def _raise(err):
     raise err
 
 
-def _chunk_bytes(pool) -> int:
-    """The padded-cell bytes of one chunk: its share of ``_CHUNK_BYTES``, at most half."""
-    return _CHUNK_BYTES // max(2, pool.workers)
-
-
-def _chunks(blocks, pool):
+def _chunks(blocks):
     """The ``(columns, rows)`` chunks of ``blocks``, in file order, each table flattened by ``_flat``."""
     for columns in blocks:
-        columns = [(*_flat(c[0], pool), c[1]) if isinstance(c, tuple) else c for c in columns]
+        columns = [(*_flat(c[0]), c[1]) if isinstance(c, tuple) else c for c in columns]
         n_rows = len(columns[0][-1] if isinstance(columns[0], tuple) else columns[0])
         for start in range(0, n_rows, _CHUNK_ROWS):
             yield columns, slice(start, min(start + _CHUNK_ROWS, n_rows))
@@ -149,16 +133,14 @@ def _formatted(columns, rows, limit) -> list:
     return [chars[keep]]
 
 
-def _flat(table, pool) -> tuple:
-    """``(flat, start, length)`` of a float array, formatted in chunks by
-    ``pool``, or of a sequence of str quoted by the csv module's rules:
-    entry i is ``flat[start[i]:][:length[i]]``, and zeros after the last
-    leave room for a window of the longest."""
+def _flat(table) -> tuple:
+    """``(flat, start, length)`` of a float array, formatted in the calling
+    thread ``_CHUNK_ROWS`` cells at a time, or of a sequence of str quoted by
+    the csv module's rules: entry i is ``flat[start[i]:][:length[i]]``, and
+    zeros after the last leave room for a window of the longest."""
     if isinstance(table, np.ndarray):
-        # a float cell takes 52 padded slots and a comma
-        step = max(1, min(_CHUNK_ROWS, _chunk_bytes(pool) // 53))
-        cells = pool.map(_packed, (table[i:i + step] for i in range(0, len(table), step)))
-        flat, length = map(np.concatenate, zip(*cells))
+        pieces = (_packed(table[i:i + _CHUNK_ROWS]) for i in range(0, len(table), _CHUNK_ROWS))
+        flat, length = map(np.concatenate, zip(*pieces))
     else:
         text = "".join(table)
         if any(c in text for c in ',"\r\n'):

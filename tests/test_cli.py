@@ -1426,9 +1426,23 @@ def test_newton_refuses_a_tol_of_one_or_more(tmp_path, tol):
     result = invoke([*args, "--tol", tol])
     assert _assert_one_error_line(result, EXIT_DOMAIN) == f"error: tol={float(tol)!r} must be below 1"
     assert not out.exists()
-    # tols below 1 run as before, and the closed form ignores the tol
+    # tols below 1 run as before
     run_ok([*args, "--tol", "0.5"])
-    run_ok([*args[:2], "closed", *args[3:], "--tol", tol])
+
+
+@pytest.mark.parametrize("tol, message", [("-1e-9", "must be positive"), ("1", "must be below 1")])
+def test_the_closed_form_refuses_the_tols_that_newton_refuses(tmp_path, tol, message):
+    # the closed form does not use the tol, but a tol outside (0, 1) is refused,
+    # before any market, whatever the method
+    rows = [("m1", "g", "h", "a", 0.4), ("m1", "_outside", "_outside", "_outside", 0.6)]
+    market = write_market(tmp_path / "m.csv", rows)
+    params = write_params(tmp_path / "p.json", 0.5, 0.25)
+    out = tmp_path / "out.csv"
+    result = invoke(["invert", "--method", "closed", "--tol", tol, "--input", market,
+                     "--params", params, "--output", str(out)])
+    assert _assert_one_error_line(result, EXIT_DOMAIN) == f"error: tol={float(tol)!r} {message}"
+    assert not out.exists()
+    run_ok(["invert", "--method", "closed", "--tol", "0.5", "--input", market, "--params", params])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import json
 import math
 import os
@@ -197,6 +198,61 @@ def test_more_threads_than_cores_switched_often_write_the_same_bytes(tmp_path):
         sys.setswitchinterval(interval)
     assert result.exit_code == EXIT_OK, result.stderr
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_shares_formats_its_float_tables_in_the_calling_thread(tmp_path):
+    # float tables of several 3-cell pieces, made while chunks of 3 rows run on two threads
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
+    market = _market_file(tmp_path / "m.csv", n_markets=30)
+    args = ["shares", "--input", market, "--params", str(params)]
+    with mock.patch.object(cli, "_write_csv", per_cell_write_csv):
+        invoke([*args, "--output", str(tmp_path / "oracle.csv")])
+    packed, formatted, packed_on, formatted_on = csvout._packed, csvout._formatted, [], set()
+
+    def recorded_packed(values):
+        packed_on.append(threading.current_thread())
+        return packed(values)
+
+    def recorded_formatted(columns, rows, limit):
+        formatted_on.add(threading.current_thread())
+        return formatted(columns, rows, limit)
+
+    with mock.patch.object(csvout, "_CHUNK_ROWS", 3), on_cpus(2), \
+            mock.patch.object(csvout, "_packed", recorded_packed), \
+            mock.patch.object(csvout, "_formatted", recorded_formatted):
+        result = invoke([*args, "--output", str(tmp_path / "out.csv")])
+    assert result.exit_code == EXIT_OK, result.stderr
+    assert len(packed_on) > 4 and set(packed_on) == {threading.main_thread()}
+    assert formatted_on and threading.main_thread() not in formatted_on
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_a_stream_that_fails_mid_write_leaves_its_first_writes_and_joins_the_threads(tmp_path):
+    # a 200-product Jacobian, 40,200 rows in three chunks on two threads: the
+    # header and the first chunk are written, and the second chunk's write runs out of space
+    args = ["jacobian", *_one_market(tmp_path, 200), "--output", str(tmp_path / "out.csv")]
+    output, written = cli._output, []
+
+    @contextlib.contextmanager
+    def full_output(path):
+        with output(path) as out:
+            def write(data):
+                if len(written) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(bytes(data))
+                return out.write(data)
+
+            yield SimpleNamespace(write=write)
+
+    threads = threading.enumerate()
+    with on_cpus(2), mock.patch.object(cli, "_output", full_output):
+        result = invoke(args)
+    assert threading.enumerate() == threads
+    assert result.exit_code == cli.EXIT_PARSE
+    assert result.stderr.splitlines() == [f"error: [Errno {errno.ENOSPC}] No space left on device"], result.stderr
+    assert len(written) == 2 and (tmp_path / "out.csv").read_bytes() == b"".join(written)
+    assert written[0].startswith(b"market_id,") and written[1].count(b"\n") == csvout._CHUNK_ROWS
 
 
 @pytest.mark.parametrize("ids", [IDS, ["m\u00e9", "plain", "\u65e5\u672c"]], ids=["quoted", "unquoted"])
