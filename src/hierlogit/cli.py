@@ -50,7 +50,7 @@ on the standard library's thread pool, one thread per CPU (no thread for one
 chunk; ``shares``' per-segment tables in the calling thread), and written in
 file order, the same bytes whatever the CPU count. Reals are exactly
 ``format(x, ".17g")`` (NaN an empty cell), so written files round-trip doubles:
-numpy derives the digits, and Python formats what it cannot prove (zero, inf,
+numpy derives the digits, and Python formats what it cannot prove (inf,
 near-ties; see ``csvout``).
 """
 

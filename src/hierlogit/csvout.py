@@ -16,7 +16,7 @@ how the chunks overlap in time, and the resident peak grows with the CPU
 count.
 Reals are exactly ``format(x, ".17g")``: their 17 digits come from a
 double-double product with a power of ten, and Python formats the cells
-that product cannot prove (zero, inf, |x| outside ``_FAST_RANGE``, and
+that product cannot prove (inf, nonzero |x| outside ``_FAST_RANGE``, and
 fractions within ``_TIE_BAND`` of a rounding tie).
 """
 
@@ -180,6 +180,7 @@ def _float_slots(values) -> tuple:
     a = np.abs(values)
     nan = np.isnan(values)
     fast = (a >= _FAST_RANGE[0]) & (a < _FAST_RANGE[1])
+    zero = a == 0
     a = np.where(fast, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
     d, frac = _scaled(a, e)
@@ -189,7 +190,7 @@ def _float_slots(values) -> tuple:
     e[redo] += shift[redo]
     d[redo], frac[redo] = _scaled(a[redo], e[redo])
     d += frac > 0.5
-    slow = np.flatnonzero(~(fast | nan) | (np.abs(frac - 0.5) < _TIE_BAND) | (d < 10**16) | (d >= 10**17))
+    slow = np.flatnonzero(~(fast | nan | zero) | (np.abs(frac - 0.5) < _TIE_BAND) | (d < 10**16) | (d >= 10**17))
     d[slow], e[slow] = 10**16, 0
     # 13 words a cell: the 17 digits as 20 (the sign in the third slot), "0."
     # (fixed notation below 1), the 20 digits again, "e" and the exponent's
@@ -201,9 +202,10 @@ def _float_slots(values) -> tuple:
     words[:, 12] = _quad_table()[np.abs(e)]
     chars = words.view(np.uint8)
     chars[:, 2] = ord("-")
+    chars[zero, 3] = ord("0")  # over the first of 1.0's digits, which a zero takes
     n_significant = 17 - np.argmax(chars[:, 43:26:-1] != ord("0"), axis=1)
     layout = np.where((e >= -4) & (e < 17), e + 4, 21 + (np.abs(e) >= 100))
-    keep = _float_masks()[(layout * 17 + n_significant - 1) * 2 + (values < 0)].view(bool).reshape(len(a), 52)
+    keep = _float_masks()[(layout * 17 + n_significant - 1) * 2 + np.signbit(values)].view(bool).reshape(len(a), 52)
     keep[nan] = False
     for i in slow.tolist():
         text = format(values[i].item(), ".17g").encode()

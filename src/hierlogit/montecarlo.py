@@ -36,6 +36,7 @@ __all__ = ["SimConfig", "ChoiceCounts", "simulate_choices", "empirical_shares"]
 # binomial terms per batch of the z-check, in up to four arrays: 512 KB; a wider alternative is walked
 # in blocks of this many
 _Z_TERMS = 2**14
+_NORMAL = []  # the standard normal distribution, built by the first _upper_quantile
 
 
 @dataclass(frozen=True)
@@ -204,5 +205,7 @@ def _upper_quantile(t: float) -> float:
     """z of upper normal tail t, erfc(z / sqrt 2) / 2 = t for 0 < t < 1/2: Wichura's AS241
     (*Applied Statistics* 37, 1988), as ``statistics.NormalDist.inv_cdf``, within 7e-16
     relative of 50-digit values on 5,000 tails from 5e-324 to 1/2."""
-    import statistics  # on first use, so that only a simulation loads it
-    return -statistics.NormalDist().inv_cdf(t)
+    if not _NORMAL:
+        import statistics  # on first use, so that only a simulation loads it
+        _NORMAL.append(statistics.NormalDist())
+    return -_NORMAL[0].inv_cdf(t)

@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import importlib
 import importlib.metadata
@@ -691,32 +690,6 @@ def test_estimate_at_the_edges_of_its_config_prints_no_traceback(tmp_path, key, 
     result = invoke(["estimate", "--config", _estimate_config(tmp_path, **{key: value})])
     assert result.exit_code in (EXIT_OK, EXIT_PARSE, EXIT_DOMAIN, EXIT_SELFTEST)
     assert len(result.stderr.splitlines()) <= 1 and "Traceback" not in result.stderr
-
-
-def _run_with_stdout_closed(args):
-    """The exit code and standard error of ``main.main(args)`` with ``sys.stdout``
-    None, as Python leaves it when started with its standard output closed."""
-    err = io.StringIO()
-    with mock.patch("sys.stdout", None), contextlib.redirect_stderr(err):
-        try:
-            main.main(args)
-            code = EXIT_OK
-        except SystemExit as stop:
-            code = stop.code or EXIT_OK
-    return code, err.getvalue()
-
-
-@pytest.mark.parametrize("command", ["shares", "estimate"])
-def test_closed_standard_output_matters_only_when_written_to(tmp_path, command):
-    if command == "estimate":
-        args = ["estimate", "--config", _estimate_config(tmp_path)]
-    else:
-        market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.5), ("m1", "g", "h", "b", 0.0)])
-        args = ["shares", "--input", market, "--params", write_params(tmp_path / "p.json", 0.5, 0.25)]
-    out = tmp_path / "out"
-    assert _run_with_stdout_closed([*args, "--output", str(out)]) == (EXIT_OK, "")
-    assert out.read_bytes() == run_ok(args).stdout_bytes
-    assert _run_with_stdout_closed(args) == (EXIT_PARSE, "error: standard output is closed\n")
 
 
 def test_estimate_missing_required_key_exits_domain(tmp_path):
