@@ -110,26 +110,26 @@ def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> S
 def fd_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams, step: float = 1e-6) -> ShareJacobian:
     """Central-difference approximation (s(delta+h e_k) - s(delta-h e_k)) / 2h, one
     ``compute_shares`` call per column k on two copies of the market, utility k moved
-    up in one and down in the other. ``step`` must be a positive finite number that
-    moves every utility, or 1 where it is smaller, both ways and keeps the moved
-    utilities in the domain of ``compute_shares`` (OutOfDomainError)."""
+    up in one and down in the other. OutOfDomainError, in this order: ``step`` is not positive
+    and finite; ``delta`` is out of the domain of ``compute_shares``; ``step`` is lost in rounding
+    next to a utility (or 1 where that is smaller); the moved utilities leave the domain."""
     one_market(hierarchy, "fd_jacobian")
+    if not _number("step", step) > 0.0:
+        raise OutOfDomainError(f"step={step!r} must be positive")
+    compute_shares(hierarchy, delta, params)
     columns = _fd_columns(hierarchy, delta, params, step)
     return ShareJacobian(matrix=columns[:-1], outside_row=columns[-1])
 
 
 def _fd_columns(tree: ChoiceHierarchy, delta, params: NestingParams, step: float) -> np.ndarray:
-    """``fd_jacobian`` of every market of ``tree`` at once: row i the central
-    differences of share i (the products, then each market's outside option),
-    column j those in the j-th utility of its market, 0 past its last product."""
-    if not _number("step", step) > 0.0:
-        raise OutOfDomainError(f"step={step!r} must be positive")
+    """``fd_jacobian`` of every market of ``tree`` at once, at a positive ``step`` and a ``delta`` in
+    the domain: row i the central differences of share i (the products, then each market's outside
+    option), column j those in the j-th utility of its market, 0 past its last product."""
     delta = as_delta_array(tree, delta)
     size = np.maximum(np.abs(delta), 1.0)
     lost = np.flatnonzero((size + step == size) | (size - step == size))
     if lost.size:
-        raise _step_error(tree, delta, params,
-                          f"step={step!r} is lost in rounding next to utility {delta[lost[0]]:.17g}")
+        raise OutOfDomainError(f"step={step!r} is lost in rounding next to utility {delta[lost[0]]:.17g}")
     first, sizes, n = tree.bounds[2, :-1], np.diff(tree.bounds[2]), tree.n_products
     copies, columns = _copies(tree, 2), np.empty((n + tree.n_markets, sizes.max()))
     for j in range(sizes.max()):
@@ -139,17 +139,10 @@ def _fd_columns(tree: ChoiceHierarchy, delta, params: NestingParams, step: float
         try:
             table, _ = compute_shares(copies, perturbed.ravel(), params)
         except OutOfDomainError as err:
-            raise _step_error(tree, delta, params,
-                              f"step={step!r} moves the utilities out of the domain: {err}") from None
+            raise OutOfDomainError(f"step={step!r} moves the utilities out of the domain: {err}") from None
         shares = np.column_stack([table.joint.reshape(2, n), table.outside.reshape(2, -1)])
         columns[:, j] = (shares[0] - shares[1]) / (2.0 * step)
     return columns
-
-
-def _step_error(hierarchy, delta, params, message) -> OutOfDomainError:
-    """``message`` as an error, unless ``delta`` is out of the domain: ``compute_shares`` raises that."""
-    compute_shares(hierarchy, delta, params)
-    return OutOfDomainError(message)
 
 
 def _copies(h: ChoiceHierarchy, count: int) -> ChoiceHierarchy:

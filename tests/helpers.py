@@ -6,6 +6,9 @@ import io
 import itertools
 import math
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+import hierlogit
 from hierlogit import OUTSIDE_ID, ChoiceHierarchy, MarketFileError, NestingParams, build_hierarchy, compute_shares
 from hierlogit.cli import MARKET_COLUMNS, main, read_market_csv
 from hierlogit.hierarchy import numbered, tree_from_codes
@@ -40,6 +44,38 @@ def invoke(args):
     data = out.buffer.getvalue()
     stdout, stderr = data.decode("utf-8"), err.getvalue()
     return SimpleNamespace(exit_code=code, output=stdout + stderr, stdout=stdout, stdout_bytes=data, stderr=stderr)
+
+
+# A child imports the hierlogit that the tests import: src when they run from it, the installed
+# package when they run without src on the path. A RuntimeWarning, numpy reporting an overflow or a
+# NaN, is an error in the child, as in the tests.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(hierlogit.__file__))),
+                 PYTHONWARNINGS="error::RuntimeWarning")
+CLI = ("-m", "hierlogit.cli")
+
+
+def run_child(*args, program=CLI, drop=(), cpus="all", stdout_closed=False, **env):
+    """``(exit code, stdout bytes, stderr text)`` of ``python *program *args``, the CLI by default, in
+    ``CHILD_ENV`` less the keys in ``drop`` and with ``env`` added; on one CPU of the mask if ``cpus``
+    is ``"one"``, with its standard output closed if ``stdout_closed``: both act in the child alone,
+    between its fork and its exec. This is the suite's one way to start a process."""
+    def preexec():
+        if cpus == "one":
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        if stdout_closed:
+            os.close(1)
+    done = subprocess.run([sys.executable, *program, *args], capture_output=True, timeout=600,
+                          env={**{k: v for k, v in CHILD_ENV.items() if k not in drop}, **env},
+                          preexec_fn=preexec if cpus == "one" or stdout_closed else None)
+    return done.returncode, done.stdout, done.stderr.decode()
+
+
+def imported_modules(*args, program=CLI) -> set:
+    """The modules that ``run_child(*args, program=program)`` imports, by name, read from the
+    interpreter's ``-X importtime`` report; the child must exit 0."""
+    code, _, err = run_child(*args, program=("-X", "importtime", *program))
+    assert code == 0, err
+    return {line.rsplit("|", 1)[1].strip() for line in err.splitlines() if line.startswith("import time:")}
 
 
 def random_tree(rng, max_groups=3, max_subgroups=3, max_products=4):
@@ -236,11 +272,16 @@ def binomial_tail_z(n, p, k):
     """
     if k / n == p:
         return 0.0
-    # p = a/b exactly; each term is C(n, j) a^j (b-a)^(n-j) / b^n
+    # p = a/b exactly; term j is C(n, j) a^j (b-a)^(n-j) / b^n. From term k outwards, each
+    # numerator is the last one times an exact integer ratio: an upper tail never has b == a
+    # (p == 1), nor a lower one a == 0 (p == 0)
     a, b = float(p).as_integer_ratio()
-    terms = [math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(n + 1)]
     upper = k / n > p
-    tail = float(Fraction(sum(terms[k:] if upper else terms[: k + 1]), b**n))
+    term = total = math.comb(n, k) * a**k * (b - a) ** (n - k)
+    for j in range(k, n) if upper else range(k, 0, -1):
+        term = term * (n - j) * a // ((j + 1) * (b - a)) if upper else term * j * (b - a) // ((n - j + 1) * a)
+        total += term
+    tail = float(Fraction(total, b**n))
     z = 0.0 if tail >= 0.5 else (norm.isf(tail) if tail > 0.0 else math.inf)
     return z if upper else -z
 

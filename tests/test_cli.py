@@ -4,9 +4,6 @@ import importlib.metadata
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -22,7 +19,7 @@ from hierlogit.cli import (
     _RUN_CELLS, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, _results, main, read_market_csv,
     read_params_json,
 )
-from helpers import assert_same_read, binomial_tail_z, invoke, market_tree
+from helpers import assert_same_read, binomial_tail_z, imported_modules, invoke, market_tree, run_child
 
 HEADER = "market_id,group_id,subgroup_id,product_id,value"
 
@@ -521,11 +518,7 @@ def _run_with_address_space_limit(args, limit_bytes):
         "from hierlogit.cli import main\n"
         "main.main()\n"
     )
-    src = os.path.dirname(os.path.dirname(hierlogit.__file__))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    return subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
-    )
+    return run_child(*args, program=("-c", code), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 
 def _sixteen_thousand_products(tmp_path, value, outside=None):
@@ -541,10 +534,10 @@ def test_out_of_memory_exits_domain_with_one_line(tmp_path, command):
     # 16,000 products: the dense N x N Jacobian needs 2 GB, twice the limit
     market, params = _sixteen_thousand_products(tmp_path, 0.0)
     args = [command, "--input", market, "--params", params, "--output", str(tmp_path / "out.csv")]
-    result = _run_with_address_space_limit(args, 2**30)
-    assert result.returncode == EXIT_DOMAIN, result.stderr
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: out of memory: market 'm1':"), result.stderr
+    code, _, err = _run_with_address_space_limit(args, 2**30)
+    assert code == EXIT_DOMAIN, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: market 'm1':"), err
 
 
 def test_out_of_memory_in_the_sampler_names_its_market_after_the_markets_before(tmp_path):
@@ -573,8 +566,8 @@ def test_newton_on_a_16000_product_market_fits_in_1_gib(tmp_path):
     market, params = _sixteen_thousand_products(tmp_path, repr(0.5 / 16_000), outside=0.5)
     out = tmp_path / "newton.csv"
     args = ["invert", "--method", "newton", "--input", market, "--params", params, "--output", str(out)]
-    result = _run_with_address_space_limit(args, 2**30)
-    assert result.returncode == EXIT_OK, result.stderr
+    code, _, err = _run_with_address_space_limit(args, 2**30)
+    assert code == EXIT_OK, err
     closed = parse_csv(run_ok(["invert", "--input", market, "--params", params]).output)
     newton = parse_csv(out.read_text())
     assert [r["product_id"] for r in newton] == [r["product_id"] for r in closed]
@@ -710,66 +703,44 @@ def test_params_integer_past_double_range_exits_domain(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    src = os.path.dirname(os.path.dirname(hierlogit.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, hierlogit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert not {m for m in imported_modules(program=("-c", "import hierlogit.cli")) if m.split(".")[0] == "scipy"}
 
 
 def test_cli_import_loads_no_statistics(tmp_path):
     # nor does any command but simulate, whose exact z-check takes its normal quantile from it
-    src = os.path.dirname(os.path.dirname(hierlogit.__file__))
-    probe = "import sys, hierlogit.cli; print('statistics' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert "statistics" not in imported_modules(program=("-c", "import hierlogit.cli"))
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0), ("m1", "g", "k", "b", 1.0)])
     shares = write_market(tmp_path / "s.csv", [("m1", "g", "h", "a", 0.5), ("m1", "_outside", "_outside",
                                                                               "_outside", 0.5)])
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
     for args in (["shares", "--input", market], ["invert", "--input", shares], ["jacobian", "--input", market]):
-        assert "statistics" not in _imported_modules([*args, "--params", params]), args[0]
-    assert "statistics" not in _imported_modules(["estimate", "--config", _estimate_config(tmp_path)])
-
-
-def _imported_modules(args, program=("-m", "hierlogit.cli")):
-    """The modules ``python -X importtime *program args`` imports, by name."""
-    src = os.path.dirname(os.path.dirname(hierlogit.__file__))
-    out = subprocess.run([sys.executable, "-X", "importtime", *program, *args],
-                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
-    assert out.returncode == EXIT_OK, out.stderr
-    return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines() if line.startswith("import time:")}
+        assert "statistics" not in imported_modules(*args, "--params", params), args[0]
+    assert "statistics" not in imported_modules("estimate", "--config", _estimate_config(tmp_path))
 
 
 def test_cli_runs_its_module_once_and_starts_without_threads_or_csv(tmp_path):
     # run as __main__, the CLI would run a second time as hierlogit.cli if the reader imported it
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0)])
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
-    shares = _imported_modules(["shares", "--input", market, "--params", params])
+    shares = imported_modules("shares", "--input", market, "--params", params)
     assert "hierlogit.csvin" in shares and "hierlogit.cli" not in shares
     # a one-row output is one chunk, which the writer formats without threads
     assert "hierlogit.csvout" in shares and "concurrent.futures" not in shares
-    started = _imported_modules(["--help"])
+    started = imported_modules("--help")
     assert not started & {"concurrent.futures", "hierlogit.csvin", "hierlogit.csvout"}
     # each command loads the kernels it runs, and only those
     unused = {"hierlogit.inversion", "hierlogit.jacobian", "hierlogit.montecarlo", "hierlogit.synth"}
     assert not started & unused and not shares & unused
     # the command line is the standard library's: past what a bare start
     # loads, no installed distribution but numpy provides a module
-    loaded = (started | shares) - _imported_modules([], program=("-c", "pass"))
+    loaded = (started | shares) - imported_modules(program=("-c", "pass"))
     owners = importlib.metadata.packages_distributions()
     assert {d for m in loaded for d in owners.get(m.split(".")[0], ())} <= {"numpy", "hierlogit"}
 
 
 def test_package_import_loads_only_its_errors():
-    src = os.path.dirname(os.path.dirname(hierlogit.__file__))
-    probe = "import sys, hierlogit; print(sorted(m for m in sys.modules if m.split('.')[0] in ('hierlogit', 'numpy')))"
-    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "['hierlogit', 'hierlogit.errors']"
+    loaded = imported_modules(program=("-c", "import hierlogit"))
+    assert {m for m in loaded if m.split(".")[0] in ("hierlogit", "numpy")} == {"hierlogit", "hierlogit.errors"}
 
 
 def test_package_names_are_those_of_their_home_modules():

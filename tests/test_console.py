@@ -1,8 +1,9 @@
 """The CLI as a child process, ``python -m hierlogit.cli``, which enters through the same
-``run()`` as the ``hierlogit`` console script. The child imports the ``hierlogit`` that these
-tests import: ``src`` when they run from it, the installed package when they run without
-``src`` on the path, as CI runs this module once more after installing the package. A
-RuntimeWarning, numpy reporting an overflow or a NaN, is an error in the child, as in the tests.
+``run()`` as the ``hierlogit`` console script, started by ``helpers.run_child``. The child
+imports the ``hierlogit`` that these tests import: ``src`` when they run from it, the installed
+package when they run without ``src`` on the path, as CI runs this module once more after
+installing the package. A RuntimeWarning, numpy reporting an overflow or a NaN, is an error in
+the child, as in the tests.
 
 Each run that writes a file is made on every CPU and, where the platform can set a process's
 CPU mask, on one CPU, where the CSV writer formats its chunks without threads: both give the
@@ -10,32 +11,15 @@ same exit code, standard error and output bytes."""
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
 import hierlogit
+from helpers import imported_modules, run_child
 
-ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(hierlogit.__file__))),
-           PYTHONWARNINGS="error::RuntimeWarning")
 CPUS = ["all", "one"] if hasattr(os, "sched_setaffinity") else ["all"]
 HEADER = "market_id,group_id,subgroup_id,product_id,value\n"
 ESTIMATE = {"n_groups": 2, "n_subgroups_per_group": 2, "n_products_per_subgroup": 2}
-
-
-def cli(*args, cpus="all", stdout_closed=False):
-    """``(exit code, stdout bytes, stderr text)`` of ``python -m hierlogit.cli *args``, on one CPU
-    of the mask if ``cpus`` is ``"one"``, with its standard output closed if ``stdout_closed``:
-    both act in the child alone, between its fork and its exec."""
-    def preexec():
-        if cpus == "one":
-            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-        if stdout_closed:
-            os.close(1)
-    done = subprocess.run([sys.executable, "-m", "hierlogit.cli", *args], env=ENV, capture_output=True,
-                          preexec_fn=preexec, timeout=600)
-    return done.returncode, done.stdout, done.stderr.decode()
 
 
 def on_every_cpu_count(args, output):
@@ -44,7 +28,7 @@ def on_every_cpu_count(args, output):
     runs = []
     for cpus in CPUS:
         path = f"{output}{'_one' if cpus == 'one' else ''}.csv"
-        code, _, err = cli(*args, "--output", path, cpus=cpus)
+        code, _, err = run_child(*args, "--output", path, cpus=cpus)
         with open(path, "rb") as fh:
             runs.append((code, err, fh.read()))
     assert all(run == runs[0] for run in runs), [(code, err[-200:], len(data)) for code, err, data in runs]
@@ -94,8 +78,8 @@ def wide_shares(inputs):
 
 
 def test_version_and_help():
-    assert cli("--version")[:2] == (0, f"hierlogit, version {hierlogit.__version__}\n".encode())
-    assert cli("shares", "--help")[0] == 0
+    assert run_child("--version")[:2] == (0, f"hierlogit, version {hierlogit.__version__}\n".encode())
+    assert run_child("shares", "--help")[0] == 0
 
 
 def test_a_jacobian_in_three_chunks(inputs, tmp_path):
@@ -107,7 +91,7 @@ def test_a_jacobian_in_three_chunks(inputs, tmp_path):
 @pytest.mark.parametrize("cpus", CPUS)
 def test_a_full_device_fails_the_write_with_one_line(inputs, cpus):
     # part way through, the writer's threads joined
-    code, _, err = cli(*market_args("jacobian", inputs / "m.csv", inputs), "--output", "/dev/full", cpus=cpus)
+    code, _, err = run_child(*market_args("jacobian", inputs / "m.csv", inputs), "--output", "/dev/full", cpus=cpus)
     assert code == 1 and one_error_line(err), err
 
 
@@ -160,22 +144,30 @@ def test_closed_standard_output_matters_only_when_written_to(inputs, tmp_path, c
         args = ["estimate", "--config", str(config)]
     else:
         args = market_args("shares", inputs / "m.csv", inputs)
-    code, stdout, err = cli(*args)
+    code, stdout, err = run_child(*args)
     assert (code, err) == (0, "")
-    assert cli(*args, "--output", str(tmp_path / "out"), stdout_closed=True) == (0, b"", "")
+    assert run_child(*args, "--output", str(tmp_path / "out"), stdout_closed=True) == (0, b"", "")
     assert (tmp_path / "out").read_bytes() == stdout
-    assert cli(*args, stdout_closed=True) == (1, b"", "error: standard output is closed\n")
+    assert run_child(*args, stdout_closed=True) == (1, b"", "error: standard output is closed\n")
 
 
 def test_newton_agrees_with_the_closed_form_at_tiny_outside_shares(inputs, tmp_path):
     shares = tmp_path / "shares.csv"
-    assert cli(*market_args("shares", inputs / "tiny.csv", inputs), "--output", str(shares)) == (0, b"", "")
+    assert run_child(*market_args("shares", inputs / "tiny.csv", inputs), "--output", str(shares)) == (0, b"", "")
     newton = market_args("invert --method newton", shares, inputs)
-    assert cli(*newton, "--output", str(tmp_path / "out")) == (0, b"", "")
+    assert run_child(*newton, "--output", str(tmp_path / "out")) == (0, b"", "")
 
 
 def test_estimate_refuses_an_x_range_wider_than_a_double(tmp_path):
     config = tmp_path / "wide_x.json"
     config.write_text(json.dumps({**ESTIMATE, "beta": [1.0], "x_range": [-1e308, 1e308]}))
-    code, _, err = cli("estimate", "--config", str(config))
+    code, _, err = run_child("estimate", "--config", str(config))
     assert code == 2 and one_error_line(err), err
+
+
+def test_a_child_imports_the_tests_hierlogit_and_fails_on_a_runtime_warning():
+    assert run_child(program=("-c", "import hierlogit; print(hierlogit.__path__)")) == (
+        0, f"{hierlogit.__path__}\n".encode(), "")
+    code, _, err = run_child(program=("-c", "import warnings; warnings.warn('x', RuntimeWarning)"))
+    assert code != 0 and err.rstrip().endswith("RuntimeWarning: x"), err
+    assert not {m for m in imported_modules(program=("-c", "pass")) if m.split(".")[0] == "hierlogit"}

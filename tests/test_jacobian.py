@@ -255,6 +255,9 @@ def test_fd_jacobian_blames_utilities_out_of_the_domain_not_the_step():
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h2", "p2")])
     with pytest.raises(OutOfDomainError, match="^utilities up to"):
         fd_jacobian(tree, [0.0, 1e308], NestingParams(0.5, 0.25), step=1e-6)
+    # a step that is not positive is refused before the utilities are looked at
+    with pytest.raises(OutOfDomainError, match="^step=-1e-06 must be positive"):
+        fd_jacobian(tree, [0.0, 1e308], NestingParams(0.5, 0.25), step=-1e-6)
 
 
 def test_copies_are_markets_equal_to_the_tree():

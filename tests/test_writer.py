@@ -6,7 +6,6 @@ import errno
 import json
 import math
 import os
-import subprocess
 import sys
 import threading
 import time
@@ -19,11 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hierlogit
 from hierlogit import cli, csvout, jacobian
 from hierlogit.cli import EXIT_OK
 
-from helpers import assert_same_read, invoke, on_cpus, per_cell_write_csv
+from helpers import CLI, assert_same_read, imported_modules, invoke, on_cpus, per_cell_write_csv, run_child
 
 
 def rendered(values) -> list:
@@ -272,6 +270,8 @@ def test_every_output_reads_back_as_the_row_reader_reads_it(tmp_path, command, e
         assert_same_read(out, outside)
 
 
+# the program of argv[1:] as the child of a small helper, which prints its resident peak in kB:
+# a child's ru_maxrss counts the process it was forked from, which from pytest would be pytest
 _OWN_PEAK = """
 import resource, subprocess, sys
 subprocess.run(sys.argv[1:], check=True)
@@ -288,44 +288,32 @@ runpy.run_module("hierlogit.cli", run_name="__main__", alter_sys=True)
 """
 
 
-def _child_env() -> dict:
-    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hierlogit.__file__)))
-
-
-def _imports(args) -> set:
-    """The modules that the CLI imports on ``args``, in a child that finds two CPUs."""
-    run = subprocess.run([sys.executable, "-X", "importtime", "-c", _ON_CPUS, "2", *args], env=_child_env(),
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    return {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines() if line.startswith("import time:")}
+def _own_peak_kb(*program) -> int:
+    code, out, err = run_child(sys.executable, *program, program=("-c", _OWN_PEAK))
+    assert code == 0, err
+    return int(out)
 
 
 def test_a_write_of_one_chunk_loads_no_thread_pool(tmp_path):
     # the thread pool's import loads logging: a start, or a write of one chunk, does without both
     pool = {"concurrent.futures", "logging"}
     out = ["--output", str(tmp_path / "out.csv")]
-    assert not pool & _imports(["--help"])
-    assert not pool & _imports(["simulate", "--draws", "100", *_one_market(tmp_path, 1000), *out])
+    on_two = ("-c", _ON_CPUS, "2")
+    assert not pool & imported_modules("--help", program=on_two)
+    assert not pool & imported_modules("simulate", "--draws", "100", *_one_market(tmp_path, 1000), *out, program=on_two)
     # 40,200 rows, three chunks
-    assert "concurrent.futures" in _imports(["jacobian", *_one_market(tmp_path, 200), *out])
+    assert "concurrent.futures" in imported_modules("jacobian", *_one_market(tmp_path, 200), *out, program=on_two)
 
 
 def test_the_writers_resident_peak_grows_little_with_its_threads(tmp_path):
     # an N = 1000 Jacobian, 1,001,000 rows, on one worker and on four; each
     # thread holds its chunk's working set and an allocator arena
     args = ["jacobian", *_one_market(tmp_path, 1000), "--output", str(tmp_path / "out.csv")]
-    peak_kb = {}
-    for workers in (1, 4):
-        own = subprocess.run([sys.executable, "-c", _OWN_PEAK, sys.executable, "-c", _ON_CPUS, str(workers), *args],
-                             env=_child_env(), capture_output=True, text=True, timeout=300)
-        assert own.returncode == 0, own.stderr
-        peak_kb[workers] = int(own.stdout)
+    peak_kb = {workers: _own_peak_kb("-c", _ON_CPUS, str(workers), *args) for workers in (1, 4)}
     assert peak_kb[4] <= peak_kb[1] + 32 * 1024, peak_kb
 
 
 def test_one_long_id_costs_memory_for_itself_alone(tmp_path):
-    # the CLI runs as the child of a small helper: a child's ru_maxrss counts
-    # the process it was forked from, which from pytest would be pytest
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
     rows = [(f"g{j // 100}", f"h{j // 10}", f"p{j}", repr(float(j % 7) / 7.0)) for j in range(5000)]
@@ -336,10 +324,7 @@ def test_one_long_id_costs_memory_for_itself_alone(tmp_path):
             csv.writer(fh).writerows([cli.MARKET_COLUMNS] + [("m", g, h, long_id if p == "p2500" else p, v)
                                                             for g, h, p, v in rows])
         args = ["shares", "--input", str(market), "--params", str(params), "--output", str(tmp_path / f"{name}.out")]
-        own = subprocess.run([sys.executable, "-c", _OWN_PEAK, sys.executable, "-m", "hierlogit.cli", *args],
-                             env=_child_env(), capture_output=True, text=True, timeout=300)
-        assert own.returncode == 0, own.stderr
-        peak_kb[name] = int(own.stdout)
+        peak_kb[name] = _own_peak_kb(*CLI, *args)
         with mock.patch.object(cli, "_write_csv", per_cell_write_csv):
             result = invoke([*args[:-1], str(tmp_path / f"{name}.oracle")])
         assert result.exit_code == EXIT_OK, result.stderr
@@ -470,10 +455,8 @@ def test_traced_peak_of_a_jacobian_is_the_same_at_twice_the_markets(tmp_path):
 
 
 def _run_under_ascii_locale(args, **extra):
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
-    env.update(PYTHONPATH=os.path.dirname(os.path.dirname(hierlogit.__file__)), LC_ALL="C", LANG="C",
-               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", **extra)
-    return subprocess.run([sys.executable, "-m", "hierlogit.cli", *args], env=env, capture_output=True, timeout=120)
+    return run_child(*args, drop=("PYTHONIOENCODING",), LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0",
+                     PYTHONUTF8="0", **extra)
 
 
 def test_non_ascii_ids_are_written_as_utf8_under_an_ascii_locale(tmp_path):
@@ -481,12 +464,11 @@ def test_non_ascii_ids_are_written_as_utf8_under_an_ascii_locale(tmp_path):
     params.write_text(json.dumps({"sigma1": 0.5, "sigma2": 0.25}))
     market = _market_file(tmp_path / "m.csv", n_markets=4)
     args = ["shares", "--input", market, "--params", str(params)]
-    to_file = _run_under_ascii_locale([*args, "--output", str(tmp_path / "out.csv")])
-    assert (to_file.returncode, to_file.stderr) == (0, b"")
-    piped = _run_under_ascii_locale(args, PYTHONIOENCODING="ascii")
-    assert (piped.returncode, piped.stderr) == (0, b"")
-    assert piped.stdout == (tmp_path / "out.csv").read_bytes()
-    assert "mé" in piped.stdout.decode("utf-8")
+    assert _run_under_ascii_locale([*args, "--output", str(tmp_path / "out.csv")]) == (0, b"", "")
+    code, piped, err = _run_under_ascii_locale(args, PYTHONIOENCODING="ascii")
+    assert (code, err) == (0, "")
+    assert piped == (tmp_path / "out.csv").read_bytes()
+    assert "mé" in piped.decode("utf-8")
     # the output reads back
     tree, _, _ = cli.read_market_csv(str(tmp_path / "out.csv"), outside=True)
     assert tree.market_ids == ("a,b0", 'say "hi"1', "two\nlines2", "mé3")
@@ -494,8 +476,4 @@ def test_non_ascii_ids_are_written_as_utf8_under_an_ascii_locale(tmp_path):
 
 def test_cli_start_up_does_not_load_the_writer():
     # imported on first use: --help compiles no more source than it did
-    probe = "import sys, hierlogit.cli; print('hierlogit.csvout' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(hierlogit.__file__))
-    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert "hierlogit.csvout" not in imported_modules(program=("-c", "import hierlogit.cli"))
