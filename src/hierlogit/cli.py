@@ -15,8 +15,8 @@ Market, params and config files may start with a UTF-8 byte-order mark.
 
 Each command reads the whole file as ``(tree, values, outside)``, one tree
 whose top level is the market and its values, and runs each kernel once for
-the file, Newton and the simulation included, the Jacobian and its finite
-differences once per run of markets: every market of a run is a block padded
+the file, Newton and the simulation included, the Jacobian and its complex-step
+check once per run of markets: every market of a run is a block padded
 to its largest market of L products, L + 1 rows of L cells, and a run holds at
 most ``_RUN_CELLS`` such cells (a larger market alone). Newton stops a
 market once each log(s_j/s_0) is within log1p(tol) of its target (near sigma
@@ -40,7 +40,7 @@ Exit codes: 0 success, 1 a bad command line or unreadable or malformed input
 (the sum rule included), 2 values outside the model's domain (utilities that
 overflow a double once divided by 1 - sigma included) or too little memory for one
 market (the message names it, wherever it runs out), 3 failed self-check
-(a market's Newton/closed-form disagreement, finite-difference mismatch or
+(a market's Newton/closed-form disagreement, complex-step mismatch or
 simulation |z| over 5, each named as above; estimate's singular design).
 Diagnostics go to standard error. Every market command writes CSV (the rows of
 ``shares`` carry every share and inclusive value), ``estimate`` JSON. Results go
@@ -95,10 +95,10 @@ SHARES_COLUMNS = MARKET_COLUMNS + (
 # |z| beyond which a simulation run is a failed self-test; z being exact, a
 # 5-sigma two-sided binomial tail per alternative
 _Z_LIMIT = 5.0
-# finite-difference relative error beyond which --check-fd fails
+# relative error against the complex step beyond which --check-fd fails
 _FD_LIMIT = 1e-5
 # padded Jacobian cells per run of markets, markets x (L + 1) x L for a largest market of L products: a run's
-# columns take about 20 bytes a cell, and its --check-fd differences at most one double a cell, 0.5 MB
+# columns take about 20 bytes a cell, and its --check-fd columns one double a cell, 0.5 MB
 _RUN_CELLS = 1 << 16
 
 
@@ -321,10 +321,10 @@ def cmd_invert(input_path, params_path, output_path, method, tol):
 
 @_command("jacobian", *_market_options(),
           ("--check-fd", dict(action="store_true",
-                              help="Cross-check against central finite differences; mismatch exits 3.")))
+                              help="Cross-check against the complex step; mismatch exits 3.")))
 def cmd_jacobian(input_path, params_path, output_path, check_fd):
     """Write the share Jacobian ds_j/ddelta_k in long format."""
-    from .jacobian import _blocks, _fd_columns, _relative_error
+    from .jacobian import _blocks, _complex_step_columns, _relative_error
 
     params, markets = read_params_json(params_path), read_market_csv(input_path)
 
@@ -335,17 +335,17 @@ def cmd_jacobian(input_path, params_path, output_path, check_fd):
         cells *= scale
         checked = []
         if check_fd:
-            fd = _fd_columns(h, values, params, 1e-6)[rows]
+            fd = _complex_step_columns(h, values, params)[rows]
             checked = np.max(_relative_error(cells, fd, scale), axis=(1, 2), initial=0.0, where=mask).tolist()
             for err in checked:
                 if err > _FD_LIMIT:
-                    raise _SelfCheckError(f"max relative error vs finite differences {err:.3e} exceeds {_FD_LIMIT:g}")
+                    raise _SelfCheckError(f"max relative error vs complex step {err:.3e} exceeds {_FD_LIMIT:g}")
         # each column's real cells in file order, all of them in a run of markets of one size
         keep = () if mask.all() else mask
         market, row, col, cell = (np.broadcast_to(x, cells.shape)[keep].reshape(-1) for x in (
             np.arange(h.n_markets, dtype=np.int32)[:, None, None], rows[:, :, None], rows[:, None, :-1], cells))
         # printed once the run has succeeded, as a failing run is computed again in halves
-        sys.stderr.writelines(f"market {market_id!r}: max relative error vs finite differences {err:.3e}\n"
+        sys.stderr.writelines(f"market {market_id!r}: max relative error vs complex step {err:.3e}\n"
                               for market_id, err in zip(h.market_ids, checked))
         ids = h.products + (OUTSIDE_ID,) * h.n_markets
         return [(h.market_ids, market), (ids, row), (ids, col), cell]

@@ -166,8 +166,8 @@ def tree_from_codes(tables, codes) -> tuple:
     return tree, order
 
 
-def _finite_utilities(values) -> np.ndarray:
-    values = np.atleast_1d(np.asarray(values, dtype=float))
+def _finite_utilities(values, dtype=float) -> np.ndarray:
+    values = np.atleast_1d(np.asarray(values, dtype=dtype))
     if not np.all(np.isfinite(values)):
         raise OutOfDomainError("utility values must all be finite")
     return values
@@ -196,9 +196,15 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
     ------
     EmptyInputError
         If ``rows`` is empty.
+    OutOfDomainError
+        If a row is not a (group_id, subgroup_id, product_id) triple; the first such row is named.
     DuplicateProductError
         If a product id occurs twice anywhere in the market.
     """
+    rows = list(map(tuple, rows))
+    bad = next((i for i, row in enumerate(rows) if len(row) != 3), None)
+    if bad is not None:
+        raise OutOfDomainError(f"row {bad}, {rows[bad]!r}, is not a (group_id, subgroup_id, product_id) triple")
     columns = list(zip(*rows))
     if not columns:
         raise EmptyInputError("cannot build a hierarchy from zero rows")
@@ -216,16 +222,12 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
 
 
 def as_delta_array(hierarchy: ChoiceHierarchy, delta) -> np.ndarray:
-    """Coerce a UtilityVector or array-like to a validated float array."""
-    if isinstance(delta, UtilityVector):
-        values = delta.values
-    else:
-        values = np.atleast_1d(np.asarray(delta, dtype=float))
+    """Coerce a UtilityVector or array-like to a validated float array, complex where ``delta`` is."""
+    values = delta.values if isinstance(delta, UtilityVector) else np.atleast_1d(
+        np.asarray(delta, dtype=complex if np.iscomplexobj(delta) else float))
     if values.shape != (hierarchy.n_products,):
-        raise OutOfDomainError(
-            f"expected {hierarchy.n_products} utilities, got shape {values.shape}"
-        )
-    return _finite_utilities(values)
+        raise OutOfDomainError(f"expected {hierarchy.n_products} utilities, got shape {values.shape}")
+    return _finite_utilities(values, values.dtype)
 
 
 def one_market(hierarchy: ChoiceHierarchy, what: str) -> None:

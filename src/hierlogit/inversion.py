@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DegenerateShareError, NoConvergenceError, OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _number
-from .jacobian import _solve_log_ratio_jacobian
 from .shares import ShareTable, compute_shares
 
 __all__ = ["berry_invert", "regression_rows", "numeric_invert"]
@@ -91,8 +90,9 @@ def numeric_invert(
     each ratio s_j/s_0 within a factor 1 + tol of its target; the second is the
     residual a double can reach, as log shares carry delta / (1 - sigma). A
     market that passes takes one more full Newton step, to rounding level, and
-    then stops moving. A ``tol`` outside (0, 1) raises OutOfDomainError: from
-    1 on, log1p(tol) >= log 2 would pass ratios of half or twice their targets.
+    then stops moving. OutOfDomainError for a ``tol`` outside (0, 1) (from 1 on,
+    log1p(tol) >= log 2 would pass ratios of half or twice their targets), a
+    ``max_iter`` that is not a nonnegative integer, or a ``target`` of another tree.
 
     Raises
     ------
@@ -101,9 +101,15 @@ def numeric_invert(
         halvings do not lower its residual; the error carries the largest
         final absolute share residual of the tree.
     """
+    from .jacobian import _solve_log_ratio_jacobian  # on first use, so that the closed form compiles no more
+
     _check_tol(tol)
+    if (max_iter := _number("max_iter", max_iter, integral=True)) < 0:
+        raise OutOfDomainError(f"max_iter={max_iter!r} must not be negative")
+    h, t = hierarchy, target.hierarchy
+    if t is not h and (t.ids != h.ids or not all(map(np.array_equal, t.parent, h.parent))):
+        raise OutOfDomainError(f"target holds the shares of another tree than hierarchy: {t!r}")
     _require_interior(target)
-    h = hierarchy
     starts, owner = h.bounds[2, :-1], h.product_market
     floor = 16.0 * np.finfo(float).eps / (1.0 - max(params.sigma1, params.sigma2))
 

@@ -15,7 +15,8 @@ bounded factor, so the assembly is overflow-safe whenever the shares are.
 ``_blocks`` evaluates this sum once for every cell: each market of a tree is
 a block padded to its largest market, its rows the market's products, then
 its outside option, its columns the products. The Jacobians of one market
-and the CLI's runs of markets all read their cells from it.
+and the CLI's runs of markets all read their cells from it; the CLI checks
+them against ``_complex_step_columns``, good to rounding as sigma -> 1.
 """
 
 from dataclasses import dataclass
@@ -108,48 +109,43 @@ def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> S
 
 
 def fd_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams, step: float = 1e-6) -> ShareJacobian:
-    """Central-difference approximation (s(delta+h e_k) - s(delta-h e_k)) / 2h, one
-    ``compute_shares`` call per column k on two copies of the market, utility k moved
-    up in one and down in the other. OutOfDomainError, in this order: ``step`` is not positive
+    """Central-difference approximation (s(delta+h e_k) - s(delta-h e_k)) / 2h, two
+    ``compute_shares`` calls per column k. OutOfDomainError, in this order: ``step`` is not positive
     and finite; ``delta`` is out of the domain of ``compute_shares``; ``step`` is lost in rounding
     next to a utility (or 1 where that is smaller); the moved utilities leave the domain."""
     one_market(hierarchy, "fd_jacobian")
     if not _number("step", step) > 0.0:
         raise OutOfDomainError(f"step={step!r} must be positive")
     compute_shares(hierarchy, delta, params)
-    columns = _fd_columns(hierarchy, delta, params, step)
-    return ShareJacobian(matrix=columns[:-1], outside_row=columns[-1])
-
-
-def _fd_columns(tree: ChoiceHierarchy, delta, params: NestingParams, step: float) -> np.ndarray:
-    """``fd_jacobian`` of every market of ``tree`` at once, at a positive ``step`` and a ``delta`` in
-    the domain: row i the central differences of share i (the products, then each market's outside
-    option), column j those in the j-th utility of its market, 0 past its last product."""
-    delta = as_delta_array(tree, delta)
+    delta = as_delta_array(hierarchy, delta)
     size = np.maximum(np.abs(delta), 1.0)
     lost = np.flatnonzero((size + step == size) | (size - step == size))
     if lost.size:
         raise OutOfDomainError(f"step={step!r} is lost in rounding next to utility {delta[lost[0]]:.17g}")
-    first, sizes, n = tree.bounds[2, :-1], np.diff(tree.bounds[2]), tree.n_products
-    copies, columns = _copies(tree, 2), np.empty((n + tree.n_markets, sizes.max()))
-    for j in range(sizes.max()):
-        # the first copy moves the j-th utility of each market that has one up by step, the second down
-        moved, perturbed = first[sizes > j] + j, np.tile(delta, (2, 1))
-        perturbed[:, moved] += [[step], [-step]]
+    columns = []
+    for k, x in enumerate(delta):
         try:
-            table, _ = compute_shares(copies, perturbed.ravel(), params)
+            up, down = (compute_shares(hierarchy, np.where(np.arange(len(delta)) == k, x + move, delta), params)[0]
+                        for move in (step, -step))
         except OutOfDomainError as err:
             raise OutOfDomainError(f"step={step!r} moves the utilities out of the domain: {err}") from None
-        shares = np.column_stack([table.joint.reshape(2, n), table.outside.reshape(2, -1)])
-        columns[:, j] = (shares[0] - shares[1]) / (2.0 * step)
-    return columns
+        columns.append((np.append(up.joint, up.outside) - np.append(down.joint, down.outside)) / (2.0 * step))
+    columns = np.column_stack(columns)
+    return ShareJacobian(matrix=columns[:-1], outside_row=columns[-1])
 
 
-def _copies(h: ChoiceHierarchy, count: int) -> ChoiceHierarchy:
-    """``count`` copies of the markets of ``h``, as the markets of one tree."""
-    shift = np.arange(count)[:, None]
-    return ChoiceHierarchy([ids * count for ids in h.ids],
-                           [(up + len(ids) * shift).ravel() for up, ids in zip(h.parent, h.ids)])
+def _complex_step_columns(tree: ChoiceHierarchy, delta: np.ndarray, params: NestingParams) -> np.ndarray:
+    """ds/ddelta of every market of ``tree`` at a ``delta`` in the domain by the complex step, one
+    ``compute_shares`` call per column: row i, share s_i (the products, then each market's outside option),
+    column j, s_i Im log s_i(delta + 1e-200 i e_j) / 1e-200 for the j-th utility of its market (0 past its last)."""
+    first, sizes = tree.bounds[2, :-1], np.diff(tree.bounds[2])
+    columns, perturbed = np.empty((tree.n_products + tree.n_markets, sizes.max())), delta.astype(complex)
+    for j in range(sizes.max()):
+        perturbed.imag[first[sizes > j] + j] = 1e-200
+        table, _ = compute_shares(tree, perturbed, params)
+        perturbed.imag = 0.0
+        columns[:, j] = np.append(table.log_joint.imag, table.log_outside.imag) / 1e-200
+    return columns * np.append(table.joint, table.outside)[:, None]
 
 
 def max_relative_error(analytic: ShareJacobian, fd: ShareJacobian, row_scale) -> float:

@@ -134,34 +134,36 @@ def _segment_log_softmax(x: np.ndarray, segment: np.ndarray, n_segments: int):
     x - lse: at |x| ~ 1e6 (utilities of 700 over 1 - sigma = 1e-3) the
     rounding of lse alone would move every share of a segment by ~1e-10
     in the same direction. Each segment's terms are summed in the order
-    they have in x. Every segment is nonempty by hierarchy construction,
-    so the per-segment peak is finite for finite x.
+    they have in x, the imaginary parts of a complex x apart. Every segment
+    is nonempty by hierarchy construction, so the per-segment peak, that of
+    the real parts (a shift cancels), is finite for finite x.
     """
     peak = np.full(n_segments, -np.inf)
-    np.maximum.at(peak, segment, x)
+    np.maximum.at(peak, segment, x.real)
     with np.errstate(over="ignore"):  # -inf: a share that underflows to zero
         shifted = x - peak[segment]
-    log_total = np.log(np.bincount(segment, weights=np.exp(shifted), minlength=n_segments))
+    terms = np.exp(shifted)
+    total = np.bincount(segment, weights=terms.real, minlength=n_segments)
+    if np.iscomplexobj(terms):
+        total = total + 1j * np.bincount(segment, weights=terms.imag, minlength=n_segments)
+    log_total = np.log(total)
     return peak + log_total, shifted - log_total[segment]
 
 
 def _scaled(values: np.ndarray, scale: float, what: str) -> np.ndarray:
-    """values / scale, refused before dividing if the largest |value| / scale overflows."""
-    peak = float(np.max(np.abs(values)))
+    """values / scale, refused before dividing if the largest |real part| / scale overflows."""
+    peak = float(np.max(np.abs(values.real)))
     if not np.isfinite(peak / scale):
         raise OutOfDomainError(f"{what} up to {peak:.6g} overflow a double when divided by {scale:.6g}")
     return values / scale
 
 
 def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
-    """All shares and inclusive values of every market at mean utilities ``delta``.
+    """``(ShareTable, InclusiveValues)``: all shares and inclusive values of every market at mean
+    utilities ``delta``, each market's those of the market computed alone, bit for bit.
 
-    Each market's numbers are those of the same market computed alone, bit
-    for bit.
-
-    Returns
-    -------
-    (ShareTable, InclusiveValues)
+    Complex utilities take a complex step (the CLI's Jacobian check): the logs and inclusive values
+    are complex, the shares the exps of the logs' real parts, and only the real parts can overflow.
     """
     h = hierarchy
     values = as_delta_array(h, delta)
@@ -182,11 +184,11 @@ def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
 
     table = ShareTable(
         hierarchy=hierarchy,
-        joint=np.exp(log_joint),
-        cond_product=np.exp(log_cond[3]),
-        cond_subgroup=np.exp(log_cond[2]),
-        group=np.exp(log_group),
-        outside=_per_market(np.exp(log_outside)),
+        joint=np.exp(log_joint.real),
+        cond_product=np.exp(log_cond[3].real),
+        cond_subgroup=np.exp(log_cond[2].real),
+        group=np.exp(log_group.real),
+        outside=_per_market(np.exp(log_outside.real)),
         log_joint=log_joint,
         log_cond_product=log_cond[3],
         log_cond_subgroup=log_cond[2],

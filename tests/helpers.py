@@ -358,6 +358,17 @@ def fd_jacobian_loop(hierarchy, delta, params, step=1e-6):
     return matrix, outside_row
 
 
+def check_error(tree, delta, params, columns):
+    """The worst relative error of one market's ``columns`` (its products' rows, then its outside
+    option's) against its analytic share Jacobian, each cell relative to its row's share, as the
+    CLI's ``--check-fd`` measures the complex-step columns."""
+    from hierlogit import ShareJacobian, full_jacobian, max_relative_error
+
+    table, _ = compute_shares(tree, delta, params)
+    return max_relative_error(full_jacobian(tree, delta, params), ShareJacobian(columns[:-1], columns[-1]),
+                              np.append(table.joint, table.outside))
+
+
 def per_cell_write_csv(output_path, header, blocks):
     """The CLI's CSV writer cell by cell in Python, the oracle of the bytes of
     ``hierlogit.cli._write_csv``: same arguments, each str quoted by the csv

@@ -14,12 +14,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hierlogit
-from hierlogit import NestingParams, compute_shares, fd_jacobian, full_jacobian, max_relative_error
+from hierlogit import NestingParams, compute_shares, full_jacobian
 from hierlogit.cli import (
     _RUN_CELLS, EXIT_DOMAIN, EXIT_OK, EXIT_PARSE, EXIT_SELFTEST, _results, main, read_market_csv,
     read_params_json,
 )
-from helpers import assert_same_read, binomial_tail_z, imported_modules, invoke, market_tree, run_child
+from hierlogit.jacobian import _complex_step_columns
+from helpers import (
+    assert_same_read, binomial_tail_z, check_error, imported_modules, invoke, market_tree, run_child,
+)
 
 HEADER = "market_id,group_id,subgroup_id,product_id,value"
 
@@ -270,18 +273,18 @@ def test_jacobian_fd_check_passes(tmp_path):
     )
     params = write_params(tmp_path / "p.json", 0.4, 0.2)
     result = run_ok(["jacobian", "--input", market, "--params", params, "--check-fd"])
-    assert "finite differences" in result.stderr
+    assert "complex step" in result.stderr
 
 
 def test_jacobian_fd_check_computes_the_shares_of_each_market_once(tmp_path):
     params = write_params(tmp_path / "p.json", 0.4, 0.2)
     cases = [
         # markets of 2 and 3 products: the run's shares, then a call per column of the
-        # larger market on two copies of the run
+        # larger market on the run itself
         ([("m1", "g1", "h1", "a", 0.5), ("m1", "g1", "h1", "b", -0.5), ("m2", "g1", "h1", "a", 1.0),
-          ("m2", "g2", "h2", "c", 0.0), ("m2", "g2", "h2", "d", 0.25)], [(2, 5), (4, 10), (4, 10), (4, 10)]),
+          ("m2", "g2", "h2", "c", 0.0), ("m2", "g2", "h2", "d", 0.25)], [(2, 5)] * 4),
         # 3,000 one-product markets in one run: two calls
-        ([(f"m{m}", "g", "h", "a", m / 3000) for m in range(3000)], [(3000, 3000), (6000, 6000)]),
+        ([(f"m{m}", "g", "h", "a", m / 3000) for m in range(3000)], [(3000, 3000)] * 2),
     ]
     for i, (rows, calls) in enumerate(cases):
         market = write_market(tmp_path / f"m{i}.csv", rows)
@@ -294,13 +297,13 @@ def test_jacobian_fd_check_computes_the_shares_of_each_market_once(tmp_path):
         with (mock.patch("hierlogit.cli.compute_shares", counted),
               mock.patch("hierlogit.jacobian.compute_shares", counted)):
             result = run_ok(["jacobian", "--input", market, "--params", params, "--check-fd"])
-        assert result.stderr.count("finite differences") == len({r[0] for r in rows})
+        assert result.stderr.count("complex step") == len({r[0] for r in rows})
         assert trees == calls
 
 
 def test_jacobian_fd_check_prints_each_markets_error_alone(tmp_path):
     # markets in more than one run: each stderr line is the number that the
-    # library's Jacobians of the market alone give
+    # analytic Jacobian and the complex-step columns of the market alone give
     market = write_market(tmp_path / "m.csv", _ragged_markets(np.random.default_rng(13), 200))
     params = write_params(tmp_path / "p.json", 0.6, 0.3)
     result = run_ok(["jacobian", "--input", market, "--params", params, "--check-fd"])
@@ -309,10 +312,8 @@ def test_jacobian_fd_check_prints_each_markets_error_alone(tmp_path):
     for m in range(h.n_markets):
         lo, hi = h.bounds[2, m:m + 2].tolist()
         alone, delta = h.markets(m, m + 1), values[lo:hi]
-        table, _ = compute_shares(alone, delta, nesting)
-        err = max_relative_error(full_jacobian(alone, delta, nesting), fd_jacobian(alone, delta, nesting),
-                                 np.append(table.joint, table.outside))
-        want.append(f"market {h.market_ids[m]!r}: max relative error vs finite differences {err:.3e}\n")
+        err = check_error(alone, delta, nesting, _complex_step_columns(alone, delta, nesting))
+        want.append(f"market {h.market_ids[m]!r}: max relative error vs complex step {err:.3e}\n")
     assert int(np.diff(h.bounds[2]) @ np.diff(h.bounds[2])) + h.n_products > _RUN_CELLS
     assert result.stderr == "".join(want)
 
@@ -421,17 +422,16 @@ def test_overflowing_utilities_exit_domain(tmp_path, command, sigma):
 
 @pytest.mark.parametrize("command, code", [
     (["shares"], EXIT_OK), (["jacobian"], EXIT_OK), (["simulate", "--draws", "100"], EXIT_OK),
-    (["jacobian", "--check-fd"], EXIT_DOMAIN),
+    (["jacobian", "--check-fd"], EXIT_OK),
 ], ids=["shares", "jacobian", "simulate", "jacobian-check-fd"])
 def test_utilities_further_apart_than_a_double_warn_of_nothing(tmp_path, command, code):
-    # a - b overflows to inf: b's share is exp(-inf) = 0, with no RuntimeWarning
+    # a - b overflows to inf: b's share is exp(-inf) = 0, with no RuntimeWarning;
+    # the complex step moves no real part, so the check passes at any utilities
     market = write_market(tmp_path / "m.csv", [("m", "g", "h", "a", 1e308), ("m", "g", "h", "b", -1e308)])
     params = write_params(tmp_path / "p.json", 0.0, 0.0)
     result = invoke([command[0], "--input", market, "--params", params, *command[1:]])
-    if code == EXIT_OK:
-        assert result.exit_code == EXIT_OK and result.stderr == ""
-    else:
-        assert "lost in rounding" in _assert_one_error_line(result, code)
+    checked = "market 'm': max relative error vs complex step 0.000e+00\n" if "--check-fd" in command else ""
+    assert (result.exit_code, result.stderr) == (code, checked)
     if command == ["shares"]:
         assert result.stdout.splitlines()[1:3] == ["m,g,h,a,1,1,1,1,1e+308,1e+308,1e+308",
                                                    "m,g,h,b,0,0,1,1,1e+308,1e+308,1e+308"]
@@ -736,6 +736,25 @@ def test_cli_runs_its_module_once_and_starts_without_threads_or_csv(tmp_path):
     loaded = (started | shares) - imported_modules(program=("-c", "pass"))
     owners = importlib.metadata.packages_distributions()
     assert {d for m in loaded for d in owners.get(m.split(".")[0], ())} <= {"numpy", "hierlogit"}
+
+
+@pytest.mark.parametrize("args, kernels", [
+    (["shares"], set()), (["invert"], {"inversion"}), (["invert", "--method", "newton"], {"inversion", "jacobian"}),
+    (["jacobian"], {"jacobian"}), (["jacobian", "--check-fd"], {"jacobian"}),
+    (["simulate", "--draws", "100"], {"montecarlo"}), (["estimate"], {"inversion", "synth"}),
+], ids=["shares", "invert", "invert-newton", "jacobian", "jacobian-check-fd", "simulate", "estimate"])
+def test_each_command_imports_only_the_kernels_it_runs(tmp_path, args, kernels):
+    # the closed form compiles no Jacobian module: Newton loads its O(N) solve when it runs
+    if args[0] == "estimate":
+        args = [*args, "--config", _estimate_config(tmp_path)]
+    else:
+        rows = ([("m1", "g", "h", "a", 0.5), ("m1", "_outside", "_outside", "_outside", 0.5)] if args[0] == "invert"
+                else [("m1", "g", "h", "a", 0.0), ("m1", "g", "k", "b", 1.0)])
+        args = [*args, "--input", write_market(tmp_path / "m.csv", rows),
+                "--params", write_params(tmp_path / "p.json", 0.5, 0.25), "--output", str(tmp_path / "out.csv")]
+    unused = {"inversion", "jacobian", "montecarlo", "synth"}
+    loaded = imported_modules(*args)
+    assert {k for k in unused if f"hierlogit.{k}" in loaded} == kernels
 
 
 def test_package_import_loads_only_its_errors():
@@ -1270,25 +1289,25 @@ def _assert_fails_at_m2(tmp_path, args, rows, patch, want):
 
 def _in_market(h, market_id):
     """The indices of ``market_id``'s products in tree ``h``, then of its outside option
-    among the products and the markets' outside options, as ``_fd_columns`` orders its rows."""
+    among the products and the markets' outside options, as ``_complex_step_columns`` orders its rows."""
     m = h.market_ids.index(market_id)
     return np.r_[h.bounds[2, m]:h.bounds[2, m + 1], h.n_products + m]
 
 
 def test_jacobian_fd_mismatch_names_the_first_failing_market_after_the_markets_before(tmp_path):
     rows, params = _self_check_markets(tmp_path)
-    fd_columns = importlib.import_module("hierlogit.jacobian")._fd_columns
+    complex_step_columns = importlib.import_module("hierlogit.jacobian")._complex_step_columns
 
-    def off_in_m2(tree, delta, params, step):
-        columns = fd_columns(tree, delta, params, step)
+    def off_in_m2(tree, delta, params):
+        columns = complex_step_columns(tree, delta, params)
         if "m2" in tree.market_ids:
-            columns[_in_market(tree, "m2")] *= 1.0 + 1e-3
+            columns[_in_market(tree, "m2")] *= 1.0 + 1e-4
         return columns
 
-    # m2's columns are 1e-3 off, each cell's error 1e-3 / (1 + 1e-3); m3's and m4's exact
+    # m2's columns are 1e-4 off, each cell's error 1e-4 / (1 + 1e-4); m3's and m4's exact
     _assert_fails_at_m2(tmp_path, ["jacobian", "--check-fd", "--params", params], rows,
-                        mock.patch("hierlogit.jacobian._fd_columns", off_in_m2),
-                        "max relative error vs finite differences 9.990e-04 exceeds 1e-05")
+                        mock.patch("hierlogit.jacobian._complex_step_columns", off_in_m2),
+                        "max relative error vs complex step 9.999e-05 exceeds 1e-05")
 
 
 def test_simulate_z_blowout_names_the_first_failing_market_not_the_worst(tmp_path):

@@ -53,7 +53,7 @@ def inputs(tmp_path_factory):
         "m": [f"m,g{j % 10},h{j % 50},p{j},{j / 200}" for j in range(200)],
         "many": _two_by_two(500, lambda k: k % 17 / 17 - 0.5),
         # 1 to 5 products a market: a run mixes market sizes, so each smaller market's Jacobian
-        # block is padded, and its padding dropped from the output and the finite-difference check
+        # block is padded, and its padding dropped from the output and the complex-step check
         "mixed": [f"m{m},g{p % 2},h{p % 4},p{p},{(5 * m + p) % 17 / 17 - 0.5}"
                   for m in range(2000) for p in range(1 + 7 * m % 5)],
         "wide": _two_by_two(5000, lambda k: k % 17 / 17 - 0.5),
@@ -96,7 +96,7 @@ def test_a_full_device_fails_the_write_with_one_line(inputs, cpus):
 
 
 @pytest.mark.parametrize("name, command, lines, err_lines", [
-    # the Jacobian in runs of whole markets, with and without its finite-difference check, and
+    # the Jacobian in runs of whole markets, with and without its complex-step check, and
     # the simulation once for the file, as runs of rows that the writer cuts into chunks
     ("many", "jacobian", 36001, 0),
     ("many", "jacobian --check-fd", 36001, 500),

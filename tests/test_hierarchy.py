@@ -56,6 +56,18 @@ def test_empty_input_rejected():
         build_hierarchy([])
 
 
+@pytest.mark.parametrize("rows, bad", [
+    ([("g1", "h1")], 0),
+    ([("g1", "h1", "p1"), ("g1", "h1")], 1),
+    ([("g1", "h1", "p1"), ["g1", "h1", "p2", "x"], ("g1",)], 1),
+    (iter([("g1", "h1", "p1"), ("g1", "h2", "p2"), ()]), 2),
+], ids=["pair", "ragged", "four", "empty-row"])
+def test_rows_that_are_not_triples_are_named(rows, bad):
+    # 2-tuples and ragged rows once raised a raw IndexError, and a 4-tuple was cut to three
+    with pytest.raises(OutOfDomainError, match=f"^row {bad}, .* is not a .*triple"):
+        build_hierarchy(rows)
+
+
 def test_first_appearance_ordering_is_deterministic():
     # canonical order is grouped: groups, subgroups within each group, and
     # products within each subgroup all follow first appearance
@@ -155,6 +167,16 @@ def test_as_delta_array_checks_shape():
         as_delta_array(tree, [1.0])
     with pytest.raises(OutOfDomainError):
         as_delta_array(tree, [1.0, np.nan])
+
+
+def test_as_delta_array_keeps_complex_utilities_and_checks_both_parts():
+    tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
+    values = as_delta_array(tree, [1.0, 2.0 + 1e-200j])
+    assert values.dtype == complex and values.tolist() == [1.0, 2.0 + 1e-200j]
+    assert as_delta_array(tree, np.array([1, 2], dtype=np.float32)).dtype == float
+    for bad in ([1.0, complex(0.0, np.inf)], [1.0, complex(np.nan, 0.0)]):
+        with pytest.raises(OutOfDomainError, match="finite"):
+            as_delta_array(tree, bad)
 
 
 @pytest.mark.parametrize("parent, level", [

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -156,6 +157,37 @@ def test_newton_validates_tol_and_reports_no_convergence():
     assert np.isfinite(info.value.residual)
 
 
+@pytest.mark.parametrize("max_iter, problem", [
+    (1.5, "must be a finite integer"), (True, "is not a number"), (-1, "must not be negative"),
+    (np.inf, "must be a finite integer"), ("50", "is not a number"),
+])
+def test_newton_refuses_a_max_iter_that_is_not_a_nonnegative_integer(max_iter, problem):
+    tree = balanced_tree(2, 2, 2)
+    params = NestingParams(0.5, 0.25)
+    table, _ = compute_shares(tree, np.linspace(-1, 1, 8), params)
+    with pytest.raises(OutOfDomainError, match=f"^max_iter={re.escape(repr(max_iter))} {problem}"):
+        numeric_invert(tree, table, params, max_iter=max_iter)
+    # an integral float or numpy integer is a count
+    for count in (50.0, np.int64(50)):
+        assert np.allclose(numeric_invert(tree, table, params, max_iter=count).values, np.linspace(-1, 1, 8))
+
+
+def test_newton_refuses_a_target_of_another_tree():
+    # a's table on b, a tree of the same size but other parents, once gave utilities
+    # without a word; on a tree of another size, a raw numpy broadcast error
+    params = NestingParams(0.5, 0.25)
+    a = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2"), ("g2", "h2", "p3")])
+    b = build_hierarchy([("g1", "h1", "p1"), ("g2", "h2", "p2"), ("g3", "h3", "p3")])
+    table, _ = compute_shares(a, [0.1, 0.2, 0.3], params)
+    for other in (b, build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")]),
+                  build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2"), ("g2", "h2", "p4")])):
+        with pytest.raises(OutOfDomainError, match="^target holds the shares of another tree"):
+            numeric_invert(other, table, params)
+    # an equal tree built apart is the same tree
+    again = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2"), ("g2", "h2", "p3")])
+    assert np.allclose(numeric_invert(again, table, params).values, [0.1, 0.2, 0.3], atol=1e-12)
+
+
 def test_newton_refuses_a_tol_of_one_or_more():
     # from tol = 1 on, log1p(tol) >= log 2: the stop rule would pass shares of half or twice their targets
     tree = balanced_tree(2, 2, 2)
@@ -228,7 +260,7 @@ def test_newton_reports_a_real_stall():
     # a solve that steps uphill: no halving lowers the residual, so the line search stalls
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
     target = ShareTable.from_joint(tree, [0.9, 0.9], 0.5)
-    with (mock.patch("hierlogit.inversion._solve_log_ratio_jacobian", lambda table, params, resid: -resid),
+    with (mock.patch("hierlogit.jacobian._solve_log_ratio_jacobian", lambda table, params, resid: -resid),
           pytest.raises(NoConvergenceError, match="line search stalled at log-ratio residual") as info):
         numeric_invert(tree, target, NestingParams(0.5, 0.25))
     assert np.isfinite(info.value.residual)
@@ -239,7 +271,7 @@ def test_newton_reports_a_step_that_is_not_finite():
     tree = balanced_tree(2, 2, 2)
     params = NestingParams(0.5, 0.25)
     table, _ = compute_shares(tree, np.linspace(-1, 1, 8), params)
-    with (mock.patch("hierlogit.inversion._solve_log_ratio_jacobian",
+    with (mock.patch("hierlogit.jacobian._solve_log_ratio_jacobian",
                      lambda table, params, resid: np.full_like(resid, np.nan)),
           pytest.raises(NoConvergenceError) as info):
         numeric_invert(tree, table, params)
