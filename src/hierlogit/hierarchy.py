@@ -6,6 +6,7 @@ group whose inclusive value is fixed at zero by every consumer of the tree.
 
 import numbers
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,11 +202,13 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
     DuplicateProductError
         If a product id occurs twice anywhere in the market.
     """
-    rows = list(map(tuple, rows))
-    bad = next((i for i, row in enumerate(rows) if len(row) != 3), None)
+    rows = list(rows)
+    # a string is a sequence of its characters, not of three ids
+    triples = [tuple(row) if isinstance(row, Iterable) and not isinstance(row, (str, bytes)) else () for row in rows]
+    bad = next((i for i, row in enumerate(triples) if len(row) != 3), None)
     if bad is not None:
         raise OutOfDomainError(f"row {bad}, {rows[bad]!r}, is not a (group_id, subgroup_id, product_id) triple")
-    columns = list(zip(*rows))
+    columns = list(zip(*triples))
     if not columns:
         raise EmptyInputError("cannot build a hierarchy from zero rows")
     tables, codes = zip(*map(numbered, columns))

@@ -29,6 +29,9 @@ __all__ = ["berry_invert", "regression_rows", "numeric_invert"]
 
 def _require_interior(table: ShareTable) -> None:
     logs = (table.log_joint, table.log_cond_product, table.log_cond_subgroup, table.log_outside)
+    # compute_shares keeps complex utilities complex, for the Jacobian's complex-step check
+    if any(map(np.iscomplexobj, logs)):
+        raise OutOfDomainError("inversion takes the share table of real utilities, not complex ones")
     if not all(np.all(np.isfinite(a)) for a in logs):
         raise DegenerateShareError("inversion needs strictly positive shares everywhere")
 

@@ -33,18 +33,17 @@ from .shares import _per_market, compute_shares
 
 __all__ = ["SimConfig", "ChoiceCounts", "simulate_choices", "empirical_shares"]
 
-# binomial terms per batch of the z-check, in up to four arrays: 512 KB; a wider alternative is walked
-# in blocks of this many
+# binomial terms per batch of the z-check, in up to four arrays: 512 KB; an alternative of more takes
+# the saddle point
 _Z_TERMS = 2**14
-_NORMAL = []  # the standard normal distribution, built by the first _upper_quantile
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation size and seed, both integers: ``draws`` in [1, 2**53], below which the
     CSV writer formats every count exactly, and ``seed`` in [0, 2**128), the Philox key.
-    The CLI's z-check sums about 10 sqrt(draws s (1 - s)) binomial terms per alternative
-    of share s."""
+    The CLI's z-check costs at most 2**14 binomial terms an alternative, whatever the draws:
+    an alternative of share s whose sqrt(draws s (1 - s)) is over 1,637 takes a saddle point."""
 
     draws: int
     seed: int = 0
@@ -121,10 +120,15 @@ def empirical_shares(counts: ChoiceCounts):
 def _exact_z(tally: np.ndarray, share: np.ndarray, n: int) -> np.ndarray:
     """Signed normal-equivalent z of each count of ``tally`` under Binomial(n, share), n its market's draws.
 
-    |z| is the normal quantile, by AS241, of the exact tail beyond the count, away from
-    n*share, summed from binomial terms: |z| > 5 still means a 5-sigma
-    two-sided tail. z is +0 where freq == share or the tail is 1/2 or more,
-    inf where it underflows.
+    z is that of the tail beyond the count, away from n*share. An alternative whose tail has at most
+    _Z_TERMS terms past its first within ten standard deviations sums them, and |z| is the normal
+    quantile of the sum by AS241. A wider one, of standard deviation sqrt(n s (1 - s)) over 1,637,
+    takes the saddle point (``_saddle_z``), within 2e-11 of the summed tail's z (9.9e-12 the largest
+    seen, at |z| < 0.01 and shares near 0 or 1). So no alternative costs more than _Z_TERMS terms,
+    whatever n. Against scipy's ``norm.isf`` of ``binom.sf`` at n up to 2**53, both branches are
+    within 5e-8 max(1, |z|) (2.5e-8 the largest seen), which is scipy's own error: 50-digit sums put
+    the summed z within 1e-14 relative. So |z| > 5 still means a 5-sigma two-sided tail. z is +0
+    where freq == share or the tail is 1/2 or more, inf where it underflows.
     """
     freq = tally / float(n)
     below = freq < share
@@ -139,33 +143,61 @@ def _exact_z(tally: np.ndarray, share: np.ndarray, n: int) -> np.ndarray:
         odds = np.exp(log_p - log_q)
     # the terms fall from k on; those past ten standard deviations are negligible
     extra = np.minimum(n - k, np.ceil(10.0 * np.sqrt(n * share * (1.0 - share))) + 10.0).astype(np.int64)
-    # each alternative's terms over its first are a row of a grid, batched with rows of similar
-    # length and padded with zeros; a row's products and sums run along it alone, in any batch
-    order = np.argsort(-extra, kind="stable")[:np.count_nonzero(extra)]
+    wide = extra > _Z_TERMS
+    extra[wide] = 0
+    # each alternative's terms over its first are a column of a grid, batched with columns of similar
+    # length and padded with zeros; a column's products and sums run down it alone, in any batch
+    # (in the least integer type that holds -_Z_TERMS, int16, which numpy sorts by radix)
+    order = np.argsort(-extra.astype(np.min_scalar_type(-_Z_TERMS)), kind="stable")[:np.count_nonzero(extra)]
     while len(order):
         width = int(extra[order[0]])
-        rows, order = np.split(order, [max(1, _Z_TERMS // width)])
-        # the running product and sum of the terms; a row wider than _Z_TERMS is walked in blocks, each
-        # starting from them, so that the products and sums stay sequential
-        carry = np.array([np.ones(len(rows)), np.zeros(len(rows))])
-        for start in range(0, width, _Z_TERMS):
-            step = np.arange(start + 1, min(width, start + _Z_TERMS) + 1, dtype=float)
-            ratio = np.empty((len(rows), len(step) + 1))
-            terms = np.add(k[rows, None], step, out=ratio[:, 1:])  # j + 1, for terms j from k on
-            # term j+1 over term j is (n-j)/(j+1) * p/q
-            np.divide(n + 1 - terms, terms, out=terms)
-            terms *= odds[rows, None]
-            np.copyto(terms, 0.0, where=step > extra[rows, None])
-            for running, accumulate in zip(carry, (np.cumprod, np.cumsum)):
-                ratio[:, 0] = running
-                running[:] = accumulate(ratio, axis=1, out=ratio)[:, -1]
-        log_tail[rows] += np.log1p(carry[1])
+        batch, order = np.split(order, [max(1, _Z_TERMS // width)])
+        step = np.arange(width + 1.0)[:, None]
+        ratio = np.empty((width + 1, len(batch)))
+        # term j+1 over term j is (n-j)/(j+1) * p/q, for terms j from k on: n - k, not n + 1, which
+        # rounds at n = 2**53
+        terms = np.divide(n - k[batch] - step[:-1], k[batch] + step[1:], out=ratio[1:])
+        terms *= odds[batch]
+        np.copyto(terms, 0.0, where=step[1:] > extra[batch])
+        # the running product of the ratios is each term over the first; their running sum, the last
+        ratio[0] = 1.0
+        np.cumprod(ratio, axis=0, out=ratio)
+        ratio[0] = 0.0
+        log_tail[batch] += np.log1p(np.cumsum(ratio, axis=0, out=ratio)[-1])
     tail = np.exp(log_tail)
-    z = np.zeros_like(tail)
-    far = (tail < 0.5) & (freq != share)
-    z[far] = [_upper_quantile(t) if t > 0.0 else np.inf for t in tail[far].tolist()]
-    z[far & below] *= -1.0
-    return z
+    z = np.where(tail == 0.0, np.inf, 0.0)
+    inner = (tail > 0.0) & (tail < 0.5)
+    z[inner] = _upper_quantile(tail[inner])
+    z[wide] = _saddle_z(tally[wide], share[wide], p[wide], q[wide], n)
+    z[freq == share] = 0.0
+    return np.negative(z, out=z, where=below & (z > 0.0))
+
+
+def _saddle_z(tally, share, p, q, n):
+    """z of counts under Binomial(n, share), each tail taken away from n*share, p the chance on that side
+    and q = 1 - p: Barndorff-Nielsen's r* = w + log(u / w) / w at k - 1/2 (Daniels' second continuity
+    correction), k the count on that side; u = d / sd is its standardized deviation d = |tally - n share|
+    - 1/2 and w = sign(d) sqrt(2 KL) its signed root divergence, as in Lugannani and Rice's tail. A fixed
+    number of passes; +0 where the tail is 1/2 or more, inf past the z of the least double."""
+    # d from the smaller of n s and n (1 - s), whose rounding puts at most 2.2e-16 sd on z
+    small = np.minimum(share, 1.0 - share)
+    mean, rest = n * p, n * q
+    # past a tenth of the smaller mean the tail is below exp(-13000), at sd > 1,637: there z is inf
+    d = np.minimum(np.abs(n * small - np.where(share <= 0.5, tally, n - tally)) - 0.5, 0.1 * np.minimum(mean, rest))
+    sd = np.sqrt(mean * q)
+    # w**2 = u**2 (1 + rho), rho = u t: t from the series _H of each side's relative deviation, which
+    # has no cancellation
+    u, t = d / sd, sd * (q * np.polyval(_H, d / mean) / mean - p * np.polyval(_H, -d / rest) / rest)
+    rho = u * t
+    root = np.sqrt(1.0 + rho)
+    # log(u / w) / w = -log1p(rho) / (2 u root) = -t (log1p(rho) / rho) / (2 root), finite at d = 0
+    z = u * root - t * np.divide(np.log1p(rho), rho, out=np.ones_like(rho), where=rho != 0.0) / (2.0 * root)
+    return np.where(z > _Z_MAX, np.inf, np.where(z > 0.0, z, 0.0))
+
+
+# 2 ((1 + e) log1p(e) - e - e**2 / 2) / e**3 = -sum_m 2 (-e)**m / ((m + 2)(m + 3)), highest power
+# first: exact to a double at |e| < 0.025, the relative deviations of tails above the least double
+_H = np.array([-2.0 * (-1) ** m / ((m + 2) * (m + 3)) for m in range(15, -1, -1)])
 
 
 def _log_binomial(k, n, p, q):
@@ -196,16 +228,44 @@ def _bd0(x, mean):
     series, term = (x - mean) * v, 2.0 * x * v
     # the terms 2x v^j / j fall by v^2 < 0.01 a step: ten are exact to a double
     for j in range(3, 23, 2):
-        term = term * v * v
-        series = series + term / j
+        term *= v
+        term *= v
+        series += term / j
     return np.where(np.abs(v) < 0.1, series, x * np.log(x / mean) + mean - x)
 
 
-def _upper_quantile(t: float) -> float:
-    """z of upper normal tail t, erfc(z / sqrt 2) / 2 = t for 0 < t < 1/2: Wichura's AS241
-    (*Applied Statistics* 37, 1988), as ``statistics.NormalDist.inv_cdf``, within 7e-16
-    relative of 50-digit values on 5,000 tails from 5e-324 to 1/2."""
-    if not _NORMAL:
-        import statistics  # on first use, so that only a simulation loads it
-        _NORMAL.append(statistics.NormalDist())
-    return -_NORMAL[0].inv_cdf(t)
+def _upper_quantile(t):
+    """z of upper normal tails t, erfc(z / sqrt 2) / 2 = t for 0 < t <= 1/2: Wichura's AS241 (*Applied
+    Statistics* 37, 1988) over an array, with the coefficients and branch tests of
+    ``statistics.NormalDist.inv_cdf``, whose doubles it gives but where numpy's log and the C
+    library's differ in the last bit; within 7e-16 relative of 50-digit values on 5,000 tails from
+    5e-324 to 1/2."""
+    t = np.atleast_1d(t)
+    q, r = 0.5 - t, np.sqrt(-np.log(t))
+    central = q <= 0.425
+    z, scale = np.empty_like(q), np.where(central, q, 1.0)
+    for (num, den), x, branch in zip(_AS241, (0.180625 - q * q, r - 1.6, r - 5.0),
+                                     (central, ~central & (r <= 5.0), r > 5.0)):
+        z[branch] = np.polyval(num, x[branch]) * scale[branch] / np.polyval(den, x[branch])
+    return z
+
+
+# AS241's numerator and denominator coefficients, highest power first: of z over 1/2 - t for tails
+# from 0.075 to 1/2, in 0.180625 - (1/2 - t)**2, then of z for the tails below, in sqrt(-log t) - 1.6
+# up to 5 and in sqrt(-log t) - 5 past it
+_AS241 = np.array([
+    [[2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4, 4.5921953931549871457e+4,
+      1.3731693765509461125e+4, 1.9715909503065514427e+3, 1.3314166789178437745e+2, 3.3871328727963666080e+0],
+     [5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4, 2.1213794301586595867e+4,
+      5.3941960214247511077e+3, 6.8718700749205790830e+2, 4.2313330701600911252e+1, 1.0]],
+    [[7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1, 1.27045825245236838258e+0,
+      3.64784832476320460504e+0, 5.76949722146069140550e+0, 4.63033784615654529590e+0, 1.42343711074968357734e+0],
+     [1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2, 1.48103976427480074590e-1,
+      6.89767334985100004550e-1, 1.67638483018380384940e+0, 2.05319162663775882187e+0, 1.0]],
+    [[2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3, 2.65321895265761230930e-2,
+      2.96560571828504891230e-1, 1.78482653991729133580e+0, 5.46378491116411436990e+0, 6.65790464350110377720e+0],
+     [2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5, 7.86869131145613259100e-4,
+      1.48753612908506148525e-2, 1.36929880922735805310e-1, 5.99832206555887937690e-1, 1.0]],
+])
+# the largest finite z, that of the least double tail
+_Z_MAX = _upper_quantile(5e-324)[0]

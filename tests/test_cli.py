@@ -707,13 +707,14 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_statistics(tmp_path):
-    # nor does any command but simulate, whose exact z-check takes its normal quantile from it
+    # nor does any command, simulate included: its z-check takes the normal quantile by AS241 in numpy
     assert "statistics" not in imported_modules(program=("-c", "import hierlogit.cli"))
     market = write_market(tmp_path / "m.csv", [("m1", "g", "h", "a", 0.0), ("m1", "g", "k", "b", 1.0)])
     shares = write_market(tmp_path / "s.csv", [("m1", "g", "h", "a", 0.5), ("m1", "_outside", "_outside",
                                                                               "_outside", 0.5)])
     params = write_params(tmp_path / "p.json", 0.5, 0.25)
-    for args in (["shares", "--input", market], ["invert", "--input", shares], ["jacobian", "--input", market]):
+    for args in (["shares", "--input", market], ["invert", "--input", shares], ["jacobian", "--input", market],
+                 ["simulate", "--input", market, "--draws", "1000", "--output", str(tmp_path / "out.csv")]):
         assert "statistics" not in imported_modules(*args, "--params", params), args[0]
     assert "statistics" not in imported_modules("estimate", "--config", _estimate_config(tmp_path))
 

@@ -59,6 +59,8 @@ def inputs(tmp_path_factory):
         "wide": _two_by_two(5000, lambda k: k % 17 / 17 - 0.5),
         # utilities 8 to 16, outside shares at most 6.4e-6
         "tiny": _two_by_two(100, lambda k: 8 + k % 17 / 2),
+        # one market of ten groups of ten subgroups of ten products
+        "deep": [f"m,g{j // 100},h{j // 10},p{j},{j % 17 / 17 - 0.5}" for j in range(1000)],
     }
     for name, rows in files.items():
         (folder / f"{name}.csv").write_text(HEADER + "".join(row + "\n" for row in rows))
@@ -109,6 +111,17 @@ def test_a_full_device_fails_the_write_with_one_line(inputs, cpus):
 def test_runs_of_markets(inputs, tmp_path, name, command, lines, err_lines):
     code, err, data = on_every_cpu_count(market_args(command, inputs / f"{name}.csv", inputs), tmp_path / "out")
     assert (code, data.count(b"\n"), err.count("\n")) == (0, lines, err_lines), err[-500:]
+
+
+def test_a_simulation_of_the_most_draws_takes_the_saddle_point(inputs, tmp_path):
+    # 2**53 draws on a 10x10x10 market: every z from the saddle point, where summing the 10 sqrt(draws
+    # s (1 - s)) terms of each alternative's tail took minutes
+    args = market_args("simulate --draws 9007199254740992 --seed 3", inputs / "deep.csv", inputs)
+    code, err, data = on_every_cpu_count(args, tmp_path / "out")
+    lines = data.decode().splitlines()
+    assert (code, err, len(lines)) == (0, "", 1002), err
+    count = lines[0].split(",").index("count")
+    assert sum(int(line.split(",")[count]) for line in lines[1:]) == 2**53
 
 
 def test_shares_then_invert_by_both_methods(inputs, wide_shares, tmp_path):

@@ -61,9 +61,13 @@ def test_empty_input_rejected():
     ([("g1", "h1", "p1"), ("g1", "h1")], 1),
     ([("g1", "h1", "p1"), ["g1", "h1", "p2", "x"], ("g1",)], 1),
     (iter([("g1", "h1", "p1"), ("g1", "h2", "p2"), ()]), 2),
-], ids=["pair", "ragged", "four", "empty-row"])
+    ([1, 2], 0),
+    (["abc"], 0),
+    ([("g1", "h1", "p1"), b"xyz"], 1),
+], ids=["pair", "ragged", "four", "empty-row", "not-a-sequence", "string", "bytes"])
 def test_rows_that_are_not_triples_are_named(rows, bad):
-    # 2-tuples and ragged rows once raised a raw IndexError, and a 4-tuple was cut to three
+    # 2-tuples and ragged rows once raised a raw IndexError, and a 4-tuple was cut to three; a row that
+    # is not a sequence raised a raw TypeError, and a 3-character string was read as three ids
     with pytest.raises(OutOfDomainError, match=f"^row {bad}, .* is not a .*triple"):
         build_hierarchy(rows)
 

@@ -80,6 +80,31 @@ def test_inversion_rejects_degenerate_table():
         regression_rows(bad)
 
 
+# compute_shares keeps complex utilities complex, for the Jacobian's complex-step check; the
+# inversions take real tables. Once berry_invert warned ComplexWarning, numeric_invert raised numpy's
+# TypeError and regression_rows returned complex arrays
+COMPLEX_TREE = build_hierarchy([("g", "h", "a"), ("g", "k", "b")])
+COMPLEX_TABLE, _ = compute_shares(COMPLEX_TREE, np.array([0.1, 0.2 + 1e-200j]), NestingParams(0.5, 0.25))
+
+
+@pytest.mark.filterwarnings("error")
+def test_berry_invert_refuses_a_complex_table():
+    with pytest.raises(OutOfDomainError, match="complex"):
+        berry_invert(COMPLEX_TABLE, NestingParams(0.5, 0.25))
+
+
+@pytest.mark.filterwarnings("error")
+def test_numeric_invert_refuses_a_complex_table():
+    with pytest.raises(OutOfDomainError, match="complex"):
+        numeric_invert(COMPLEX_TREE, COMPLEX_TABLE, NestingParams(0.5, 0.25))
+
+
+@pytest.mark.filterwarnings("error")
+def test_regression_rows_refuse_a_complex_table():
+    with pytest.raises(OutOfDomainError, match="complex"):
+        regression_rows(COMPLEX_TABLE)
+
+
 def test_regression_rows_symmetric_singleton():
     tree = build_hierarchy([("g1", "h1", "p1")])
     table, _ = compute_shares(tree, [0.0], NestingParams(0.4, 0.1))

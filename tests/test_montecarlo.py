@@ -308,20 +308,23 @@ def test_exact_z_of_a_few_hits_on_a_rare_alternative_stays_below_five():
 
 
 def test_exact_z_of_an_alternative_does_not_depend_on_its_batch():
-    # 1001 alternatives at 1e5 draws, as on a 10x10x10 tree: z summed one
-    # alternative a batch, a few or all at once is the same double
+    # 1001 alternatives at 1e5 draws, as on a 10x10x10 tree: z summed one alternative a batch (the
+    # widest, in batches of its terms), a few or all at once is the same double. A batch narrower than
+    # an alternative's terms would send it to the saddle point
     rng = np.random.default_rng(17)
     share = rng.dirichlet(np.ones(1001))
     tally = rng.multinomial(100_000, share)
     z = _exact_z(tally, share, n=100_000)
-    for terms in (1, 2**10, 2**20):
+    widest = int(np.ceil(10.0 * np.sqrt(100_000 * share * (1.0 - share))).max()) + 10
+    for terms in (widest, 2**10, 2**20):
         with mock.patch.object(montecarlo, "_Z_TERMS", terms):
             np.testing.assert_array_equal(_exact_z(tally, share, n=100_000), z)
 
 
-def test_exact_z_walks_a_wide_alternative_within_its_budget():
-    # about 5e6 terms an alternative at 2**40 draws, walked in blocks of _Z_TERMS
-    n, share = 2**40, np.array([0.2, 0.3, 0.5])
+@pytest.mark.parametrize("n", [2**40, 2**53])
+def test_exact_z_of_a_wide_alternative_stays_within_its_budget(n):
+    # about 5e6 terms an alternative at 2**40 draws and 4e8 at 2**53, past _Z_TERMS: the saddle point
+    share = np.array([0.2, 0.3, 0.5])
     tally = np.random.default_rng(19).multinomial(n, share)
     tracemalloc.start()
     try:
@@ -331,6 +334,82 @@ def test_exact_z_walks_a_wide_alternative_within_its_budget():
         tracemalloc.stop()
     assert np.all(np.isfinite(z))
     assert peak <= 2**20, f"peak traced memory {peak / 2**20:.2f} MB"
+
+
+def _scipy_z(tally, share, n):
+    """z of each count by scipy: the normal isf of the binomial tail beyond it, and that tail."""
+    from scipy.stats import binom, norm
+
+    upper = tally / n > share
+    tail = np.where(upper, binom.sf(tally - 1, n, share), binom.cdf(tally, n, share))
+    z = np.where(tail < 0.5, norm.isf(np.minimum(tail, 0.5)), 0.0)
+    return np.where(upper, z, -z), tail
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log2_n=st.one_of(st.floats(3.0, 53.0), st.just(53.0)), share=st.one_of(
+    st.floats(-15.0, 0.0).map(lambda e: 10.0**e), st.floats(0.0, 1.0), st.floats(-15.0, -0.31).map(lambda e: 1.0 - 10.0**e)),
+    deviations=st.floats(-12.0, 12.0))
+# at 2**53 draws, a count below its mean once summed n + 1 - (j + 1) with n + 1 rounded to n: z was -1.2799
+# for -1.2623
+@example(log2_n=53.0, share=2.6292523224008162e-14, deviations=-1.27)
+def test_exact_z_is_scipys_on_both_branches_at_any_draws(log2_n, share, deviations):
+    # a count some standard deviations from its mean, summed or by the saddle point: within 5e-8 of
+    # scipy's z, relative to max(1, |z|), which is scipy's own error at such n
+    n = int(2.0**log2_n)
+    sd = np.sqrt(n * share * (1.0 - share))
+    tally = int(np.clip(np.round(n * share + deviations * max(sd, 1.0)), 0, n))
+    z = _exact_z(np.array([tally, n - tally]), np.array([share, 1.0 - share]), n=n)
+    ref, tail = _scipy_z(np.array([float(tally), float(n - tally)]), np.array([share, 1.0 - share]), n)
+    for got, want, beyond in zip(z, ref, tail):
+        if beyond > 1e-300:
+            assert abs(got - want) <= 5e-8 * max(1.0, abs(want)), (got, want)
+        else:
+            assert abs(got) > 37.0, (got, beyond)
+
+
+def test_saddle_point_z_is_the_summed_tails_past_the_boundary():
+    # standard deviations just past 1,637, where the saddle point is least exact, counts out to 37
+    # of them and within a twentieth of one of the mean, where it is least exact, and shares from 1e-9
+    # to 1 - 1e-9: within 2e-11 of the z of the tails summed in full
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for sd, share in zip(rng.uniform(1640.0, 2500.0, 40), 10.0 ** rng.uniform(-9.0, np.log10(0.5), 40)):
+        share = float(1.0 - share if rng.random() < 0.5 else share)
+        n = int(round(sd**2 / (share * (1.0 - share))))
+        sd = np.sqrt(n * share * (1.0 - share))
+        spread = np.append(rng.uniform(-37.0, 37.0, 30), rng.uniform(-0.05, 0.05, 30))
+        tally = np.unique(np.clip(np.round(n * share + spread * sd), 0, n)).astype(np.int64)
+        shares = np.full(len(tally), share)
+        z = _exact_z(tally, shares, n=n)
+        with mock.patch.object(montecarlo, "_Z_TERMS", 2**21):
+            summed = _exact_z(tally, shares, n=n)
+        np.testing.assert_array_equal(np.isinf(z), np.isinf(summed))
+        # a tail below the least normal double is coarse
+        finite = np.abs(summed) < 37.5
+        worst = max(worst, np.max(np.abs(z - summed)[finite]))
+    assert worst <= 2e-11
+
+
+def test_exact_z_either_side_of_the_boundary():
+    # shares whose ten standard deviations and ten take _Z_TERMS terms, and one more: the first is
+    # summed, the second takes the saddle point, and both are the full sum's z within 2e-11 and
+    # scipy's within 5e-8 max(1, |z|)
+    n = 10**9
+    sd = (montecarlo._Z_TERMS - np.array([10.5, 9.5])) / 10.0
+    share = (1.0 - np.sqrt(1.0 - 4.0 * sd**2 / n)) / 2.0
+    assert list(np.ceil(10.0 * np.sqrt(n * share * (1.0 - share))) + 10.0) == [montecarlo._Z_TERMS,
+                                                                               montecarlo._Z_TERMS + 1]
+    tally = np.round(n * share + 3.0 * sd).astype(np.int64)
+    with mock.patch.object(montecarlo, "_saddle_z", wraps=montecarlo._saddle_z) as saddle:
+        z = _exact_z(tally, share, n=n)
+    assert len(saddle.call_args.args[0]) == 1 and saddle.call_args.args[0][0] == tally[1]
+    with mock.patch.object(montecarlo, "_Z_TERMS", 2**20):
+        summed = _exact_z(tally, share, n=n)
+    assert z[0] == summed[0]
+    assert abs(z[1] - summed[1]) <= 2e-11
+    ref, _ = _scipy_z(tally.astype(float), share, n)
+    np.testing.assert_array_less(np.abs(z - ref), 5e-8 * np.maximum(1.0, np.abs(ref)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -367,6 +446,28 @@ def test_upper_quantile_is_the_normal_isf(t):
     from scipy.stats import norm
 
     assert _upper_quantile(t) == pytest.approx(norm.isf(t), rel=1e-13, abs=0)
+
+
+TAIL = st.one_of(st.floats(5e-324, 0.5), st.floats(-323.3, -0.31).map(lambda e: 10.0**e),
+                 st.floats(1e-16, 0.25).map(lambda d: 0.5 - d))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tails=st.lists(TAIL, min_size=1, max_size=40))
+# the branch boundaries: a tail of 0.075 and its neighbours, where 1/2 - t passes 0.425, and
+# exp(-25), where sqrt(-log t) passes 5; the least subnormal, subnormals, the least normal and 1/2
+@example(tails=[np.nextafter(0.075, 0.0), 0.075, np.nextafter(0.075, 1.0), np.nextafter(np.exp(-25.0), 0.0),
+                np.exp(-25.0), np.nextafter(np.exp(-25.0), 1.0), 5e-324, 1e-320, 1e-310, 2.2250738585072014e-308,
+                0.5])
+def test_upper_quantile_is_statistics_normal_quantile_within_two_ulp(tails):
+    # AS241 over an array, each tail in the branch statistics takes it: numpy's log and the C
+    # library's differ in the last bit of a few tails
+    import statistics
+
+    normal = statistics.NormalDist()
+    want = np.array([-normal.inv_cdf(t) for t in tails])
+    got = _upper_quantile(np.array(tails))
+    assert np.all(np.abs(got - want) <= 2.0 * np.spacing(np.abs(want))), (got, want)
 
 
 def test_upper_quantile_of_a_subnormal_tail_is_finite():
