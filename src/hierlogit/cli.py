@@ -277,7 +277,6 @@ def cmd_shares(input_path, params_path, output_path):
 
 
 def _shares_csv(h, table, iv) -> list:
-    top = np.atleast_1d(iv.top)
     # a per-segment value is formatted once, then gathered by code; the
     # outside row's code points past the values, at a NaN (a blank) or its market's top
     segments = ((table.cond_subgroup, h.product_subgroup), (table.group, h.product_group),
@@ -285,7 +284,7 @@ def _shares_csv(h, table, iv) -> list:
     return [*_id_columns(h, outside=True), _outside_rows(h, table.joint, table.outside),
             _outside_rows(h, table.cond_product),
             *((np.append(values, np.nan), _outside_rows(h, codes, len(values))) for values, codes in segments),
-            (top, _outside_rows(h, h.product_market, np.arange(h.n_markets)))]
+            (iv.top, _outside_rows(h, h.product_market, np.arange(h.n_markets)))]
 
 
 @_command("invert", *_market_options("Market CSV with joint shares and one _outside row per market."),

@@ -115,7 +115,8 @@ class ChoiceHierarchy:
         self.bounds = np.array(bounds[1:])
 
     def markets(self, start: int, stop: int) -> "ChoiceHierarchy":
-        """The tree of markets ``start`` to ``stop - 1``, numbered from 0; needs 0 <= start < stop <= n_markets."""
+        """The tree of markets ``start`` to ``stop - 1``, numbered from 0; needs ints 0 <= start < stop <= n_markets."""
+        start, stop = _number("start", start, integral=True), _number("stop", stop, integral=True)
         if not 0 <= start < stop <= self.n_markets:
             raise OutOfDomainError(f"markets({start!r}, {stop!r}) needs 0 <= start < stop <= {self.n_markets}")
         lo, hi = (np.append(m, self.bounds[:, m]).tolist() for m in (start, stop))
@@ -198,16 +199,20 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
     EmptyInputError
         If ``rows`` is empty.
     OutOfDomainError
-        If a row is not a (group_id, subgroup_id, product_id) triple; the first such row is named.
+        If a row is not a (group_id, subgroup_id, product_id) triple of hashable ids; the first such row is named.
     DuplicateProductError
         If a product id occurs twice anywhere in the market.
     """
     rows = list(rows)
     # a string is a sequence of its characters, not of three ids
     triples = [tuple(row) if isinstance(row, Iterable) and not isinstance(row, (str, bytes)) else () for row in rows]
-    bad = next((i for i, row in enumerate(triples) if len(row) != 3), None)
-    if bad is not None:
-        raise OutOfDomainError(f"row {bad}, {rows[bad]!r}, is not a (group_id, subgroup_id, product_id) triple")
+    for i, row in enumerate(triples):
+        if len(row) != 3:
+            raise OutOfDomainError(f"row {i}, {rows[i]!r}, is not a (group_id, subgroup_id, product_id) triple")
+        try:
+            hash(row)
+        except TypeError:
+            raise OutOfDomainError(f"row {i}, {rows[i]!r}, holds an id that is not hashable") from None
     columns = list(zip(*triples))
     if not columns:
         raise EmptyInputError("cannot build a hierarchy from zero rows")

@@ -22,16 +22,14 @@ import numpy as np
 
 from .errors import DegenerateShareError, NoConvergenceError, OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _number
-from .shares import ShareTable, compute_shares
+from .shares import ShareTable, _refuse_complex, compute_shares
 
 __all__ = ["berry_invert", "regression_rows", "numeric_invert"]
 
 
 def _require_interior(table: ShareTable) -> None:
+    _refuse_complex(table, "inversion")
     logs = (table.log_joint, table.log_cond_product, table.log_cond_subgroup, table.log_outside)
-    # compute_shares keeps complex utilities complex, for the Jacobian's complex-step check
-    if any(map(np.iscomplexobj, logs)):
-        raise OutOfDomainError("inversion takes the share table of real utilities, not complex ones")
     if not all(np.all(np.isfinite(a)) for a in logs):
         raise DegenerateShareError("inversion needs strictly positive shares everywhere")
 
@@ -48,7 +46,7 @@ def berry_invert(table: ShareTable, params: NestingParams) -> UtilityVector:
         (1.0 - params.sigma1) * table.log_cond_product
         + (1.0 - params.sigma2) * table.log_cond_subgroup[h.product_subgroup]
         + table.log_group[h.product_group]
-        - np.atleast_1d(table.log_outside)[h.product_market]
+        - table.log_outside[h.product_market]
     )
 
 
@@ -61,7 +59,7 @@ def regression_rows(table: ShareTable) -> tuple:
     """
     _require_interior(table)
     h = table.hierarchy
-    y = table.log_joint - np.atleast_1d(table.log_outside)[h.product_market]
+    y = table.log_joint - table.log_outside[h.product_market]
     return y, table.log_cond_product, table.log_cond_subgroup[h.product_subgroup]
 
 
@@ -118,7 +116,7 @@ def numeric_invert(
 
     def evaluate(delta):
         table, _ = compute_shares(h, delta, params)
-        resid = ratio - (table.log_joint - np.atleast_1d(table.log_outside)[owner])
+        resid = ratio - (table.log_joint - table.log_outside[owner])
         err = np.maximum.reduceat(np.abs(resid), starts)
         reachable = floor * np.maximum(1.0, np.maximum.reduceat(np.abs(delta), starts))
         return table, resid, err, err <= np.maximum(np.log1p(tol), reachable)
@@ -126,7 +124,7 @@ def numeric_invert(
     def failure(message):
         return NoConvergenceError(message, residual=float(np.max(np.abs(table.joint - target.joint))))
 
-    delta = ratio = target.log_joint - np.atleast_1d(target.log_outside)[owner]
+    delta = ratio = target.log_joint - target.log_outside[owner]
     table, resid, err, passed = evaluate(delta)
     done = np.zeros_like(passed)
     for _ in range(max_iter):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array, one_market
-from .shares import ShareTable, compute_shares
+from .shares import ShareTable, _refuse_complex, compute_shares
 
 __all__ = [
     "ShareJacobian",
@@ -69,6 +69,7 @@ def _blocks(table: ShareTable, params: NestingParams) -> tuple:
     """``(cells, rows, mask)``: d log s_row / d delta_col of each market m of ``table``'s tree in
     block ``cells[m]``, its rows ``rows[m]`` (its products, then its outside option, row
     ``n_products + m``), its columns ``rows[m, :-1]``, padded to the largest; ``mask`` its real cells."""
+    _refuse_complex(table, "the analytic Jacobian")
     h, a, b = table.hierarchy, 1.0 / (1.0 - params.sigma1), 1.0 / (1.0 - params.sigma2)
     first, sizes = h.bounds[2, :-1, None], np.diff(h.bounds[2])[:, None]
     i = np.arange(sizes.max() + 1)
@@ -101,7 +102,7 @@ def _solve_log_ratio_jacobian(table: ShareTable, params: NestingParams, r: np.nd
 
 
 def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> ShareJacobian:
-    """Analytic ds/ddelta for every inside product plus the outside row."""
+    """Analytic ds/ddelta for every inside product plus the outside row, at real utilities."""
     one_market(hierarchy, "full_jacobian")
     table, _ = compute_shares(hierarchy, delta, params)
     cells = np.append(table.joint, table.outside)[:, None] * _blocks(table, params)[0][0]
@@ -111,12 +112,12 @@ def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> S
 def fd_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams, step: float = 1e-6) -> ShareJacobian:
     """Central-difference approximation (s(delta+h e_k) - s(delta-h e_k)) / 2h, two
     ``compute_shares`` calls per column k. OutOfDomainError, in this order: ``step`` is not positive
-    and finite; ``delta`` is out of the domain of ``compute_shares``; ``step`` is lost in rounding
+    and finite; ``delta`` is out of the domain of ``compute_shares``, or complex; ``step`` is lost in rounding
     next to a utility (or 1 where that is smaller); the moved utilities leave the domain."""
     one_market(hierarchy, "fd_jacobian")
     if not _number("step", step) > 0.0:
         raise OutOfDomainError(f"step={step!r} must be positive")
-    compute_shares(hierarchy, delta, params)
+    _refuse_complex(compute_shares(hierarchy, delta, params)[0], "fd_jacobian")
     delta = as_delta_array(hierarchy, delta)
     size = np.maximum(np.abs(delta), 1.0)
     lost = np.flatnonzero((size + step == size) | (size - step == size))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, _number
-from .shares import _per_market, compute_shares
+from .shares import _refuse_complex, compute_shares
 
 __all__ = ["SimConfig", "ChoiceCounts", "simulate_choices", "empirical_shares"]
 
@@ -60,11 +60,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ChoiceCounts:
-    """Chosen-alternative tallies: one count per inside product, and the outside option's,
-    an int for a one-market tree and an array over markets otherwise."""
+    """Chosen-alternative tallies: one count per inside product, and ``outside_count``, the outside
+    option's per market, an array over markets for every tree that ``simulate_choices`` draws (one
+    entry for a one-market tree)."""
 
     counts: np.ndarray
-    outside_count: int
+    outside_count: np.ndarray
 
     @property
     def total(self) -> int:
@@ -84,6 +85,7 @@ def simulate_choices(hierarchy: ChoiceHierarchy, delta, params: NestingParams, c
     """
     h = hierarchy
     table, _ = compute_shares(h, delta, params)
+    _refuse_complex(table, "simulate_choices")
     markets = np.arange(h.n_markets)
     # the outside options after every product; the sort puts each among its market's alternatives
     chance = np.append(table.cond_product * table.cond_subgroup[h.product_subgroup] * table.group[h.product_group],
@@ -98,7 +100,7 @@ def simulate_choices(hierarchy: ChoiceHierarchy, delta, params: NestingParams, c
         drawn[a:b] = rng.multinomial(config.draws, chance[a:b])
     tally = np.empty_like(drawn)
     tally[order] = drawn
-    return ChoiceCounts(counts=tally[:h.n_products], outside_count=_per_market(tally[h.n_products:]))
+    return ChoiceCounts(counts=tally[:h.n_products], outside_count=tally[h.n_products:])
 
 
 def empirical_shares(counts: ChoiceCounts):
@@ -107,7 +109,7 @@ def empirical_shares(counts: ChoiceCounts):
     Returns ``(freq, se)`` with the outside option as the last entry of
     both arrays; se_j = sqrt(f_j(1-f_j)/N).
     """
-    if np.ndim(counts.outside_count):
+    if np.size(counts.outside_count) != 1:
         raise OutOfDomainError("empirical shares take the counts of one market; see ChoiceHierarchy.markets")
     total = counts.total
     if total < 1:

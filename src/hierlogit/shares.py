@@ -21,7 +21,7 @@ Every function here takes a tree of any number of markets: the market is
 the top segment, so a file of many markets is one call.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,45 +37,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InclusiveValues:
-    """Inclusive values per subgroup, per group, and at the top level:
-    ``top`` is a float for a one-market tree and an array over markets
-    otherwise."""
+    """Inclusive values per subgroup, per group, and ``top`` per market, an array over markets
+    for every tree (one entry for a one-market tree); complex at complex utilities."""
 
     subgroup: np.ndarray
     group: np.ndarray
-    top: float
-
-
-def _per_market(values: np.ndarray):
-    """``values`` over markets, or its one entry as a Python number for a one-market tree."""
-    return values[0].item() if len(values) == 1 else values
+    top: np.ndarray
 
 
 @dataclass(frozen=True)
 class ShareTable:
-    """Joint, conditional, and aggregate shares for every market of a tree.
+    """The log joint, conditional and aggregate shares of every market of a tree, and the shares.
 
-    Arrays are aligned to the hierarchy's canonical orders: ``joint`` and
-    ``cond_product`` per product, ``cond_subgroup`` per flat subgroup,
-    ``group`` per group. ``outside`` is the no-purchase share: a float for
-    a one-market tree and an array over markets otherwise.
+    The table is its logs, aligned to the hierarchy's canonical orders: ``log_joint`` and
+    ``log_cond_product`` per product, ``log_cond_subgroup`` per flat subgroup, ``log_group`` per
+    group and ``log_outside``, the no-purchase share's, per market (an array for every tree; a
+    scalar is taken as one market's). The inversion routines work on the logs, which stay finite
+    and accurate even when the shares themselves underflow (utilities on the order of +-700).
 
-    The log of every field is carried alongside. The inversion routines
-    work on the logs, which stay finite and accurate even when the shares
-    themselves underflow (utilities on the order of +-700).
+    The shares ``joint``, ``cond_product``, ``cond_subgroup``, ``group`` and ``outside`` are set
+    on construction, each the exp of the real part of its log: for complex logs (the complex step
+    of ``compute_shares``) they are those of the real utilities.
     """
 
     hierarchy: ChoiceHierarchy
-    joint: np.ndarray
-    cond_product: np.ndarray
-    cond_subgroup: np.ndarray
-    group: np.ndarray
-    outside: float
     log_joint: np.ndarray
     log_cond_product: np.ndarray
     log_cond_subgroup: np.ndarray
     log_group: np.ndarray
-    log_outside: float
+    log_outside: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "log_outside", np.atleast_1d(self.log_outside))
+        for name in ("joint", "cond_product", "cond_subgroup", "group", "outside"):
+            object.__setattr__(self, name, np.exp(np.real(getattr(self, f"log_{name}"))))
 
     @classmethod
     def from_joint(cls, hierarchy: ChoiceHierarchy, joint, outside) -> "ShareTable":
@@ -84,17 +79,22 @@ class ShareTable:
         ``outside`` holds one outside share per market (a float will do for
         one market). Intended for share data coming from outside the model,
         e.g. a CSV of observed market shares. This is the one check of the
-        per-share bound: every joint share and the outside share must lie
-        strictly inside (0, 1). Whether they sum to 1 is left to the caller;
-        the CLI requires it within 1e-6 as a rule of its file format.
+        per-share bound: every joint share and the outside share must be a
+        real number strictly inside (0, 1). Whether they sum to 1 is left to
+        the caller; the CLI requires it within 1e-6 as a rule of its file format.
 
         Raises
         ------
         DegenerateShareError
-            If any share is not strictly inside (0, 1), NaN included.
+            If any share is not a real number strictly inside (0, 1), NaN included.
         """
-        joint = np.asarray(joint, dtype=float)
-        outside = np.atleast_1d(np.asarray(outside, dtype=float))
+        try:
+            # numpy would cast a complex array with a warning, dropping its imaginary parts
+            if np.iscomplexobj(joint) or np.iscomplexobj(outside):
+                raise TypeError
+            joint, outside = np.asarray(joint, dtype=float), np.atleast_1d(np.asarray(outside, dtype=float))
+        except (TypeError, ValueError):
+            raise DegenerateShareError("joint and outside shares must be real numbers") from None
         if joint.shape != (hierarchy.n_products,) or outside.shape != (hierarchy.n_markets,):
             raise DegenerateShareError(
                 f"expected {hierarchy.n_products} joint and {hierarchy.n_markets} outside shares, "
@@ -109,21 +109,20 @@ class ShareTable:
         h = hierarchy
         # products are summed straight into groups, not through subgroups
         group_sum, subgroup_sum = (np.bincount(h.above[l], weights=joint, minlength=len(h.ids[l])) for l in (1, 2))
-        cond_product = joint / subgroup_sum[h.product_subgroup]
-        cond_subgroup = subgroup_sum / group_sum[h.subgroup_group]
         return cls(
             hierarchy=hierarchy,
-            joint=joint,
-            cond_product=cond_product,
-            cond_subgroup=cond_subgroup,
-            group=group_sum,
-            outside=_per_market(outside),
             log_joint=np.log(joint),
-            log_cond_product=np.log(cond_product),
-            log_cond_subgroup=np.log(cond_subgroup),
+            log_cond_product=np.log(joint / subgroup_sum[h.product_subgroup]),
+            log_cond_subgroup=np.log(subgroup_sum / group_sum[h.subgroup_group]),
             log_group=np.log(group_sum),
-            log_outside=_per_market(np.log(outside)),
+            log_outside=np.log(outside),
         )
+
+
+def _refuse_complex(table: ShareTable, what: str) -> None:
+    """OutOfDomainError for a table of complex utilities, which only the complex step reads."""
+    if any(np.iscomplexobj(getattr(table, f.name)) for f in fields(table)[1:]):
+        raise OutOfDomainError(f"{what} needs the shares of real utilities, not complex ones")
 
 
 def _segment_log_softmax(x: np.ndarray, segment: np.ndarray, n_segments: int):
@@ -159,11 +158,13 @@ def _scaled(values: np.ndarray, scale: float, what: str) -> np.ndarray:
 
 
 def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
-    """``(ShareTable, InclusiveValues)``: all shares and inclusive values of every market at mean
-    utilities ``delta``, each market's those of the market computed alone, bit for bit.
+    """``(ShareTable, InclusiveValues)``: the log shares and inclusive values of every market at mean
+    utilities ``delta``, each market's those of the market computed alone, bit for bit. The table's
+    shares are the exps of its logs' real parts; its outside share and the top inclusive value are
+    arrays over markets, one entry for a one-market tree.
 
     Complex utilities take a complex step (the CLI's Jacobian check): the logs and inclusive values
-    are complex, the shares the exps of the logs' real parts, and only the real parts can overflow.
+    are complex, and only the real parts can overflow.
     """
     h = hierarchy
     values = as_delta_array(h, delta)
@@ -182,17 +183,6 @@ def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
         log_joint = log_cond[3] + log_cond[2][h.above[2]] + log_cond[1][h.above[1]]
     log_group, log_outside = log_cond[1][:h.n_groups], log_cond[1][h.n_groups:]
 
-    table = ShareTable(
-        hierarchy=hierarchy,
-        joint=np.exp(log_joint.real),
-        cond_product=np.exp(log_cond[3].real),
-        cond_subgroup=np.exp(log_cond[2].real),
-        group=np.exp(log_group.real),
-        outside=_per_market(np.exp(log_outside.real)),
-        log_joint=log_joint,
-        log_cond_product=log_cond[3],
-        log_cond_subgroup=log_cond[2],
-        log_group=log_group,
-        log_outside=_per_market(log_outside),
-    )
-    return table, InclusiveValues(subgroup=iv[2], group=iv[1], top=_per_market(iv[0]))
+    table = ShareTable(hierarchy=hierarchy, log_joint=log_joint, log_cond_product=log_cond[3],
+                       log_cond_subgroup=log_cond[2], log_group=log_group, log_outside=log_outside)
+    return table, InclusiveValues(subgroup=iv[2], group=iv[1], top=iv[0])

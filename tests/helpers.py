@@ -255,7 +255,7 @@ def d_group(table, g, k):
     h = table.hierarchy
     joint_k = table.joint[k]
     if g == h.n_groups:
-        return float(-table.outside * joint_k)
+        return float(-table.outside[0] * joint_k)
     gs = table.group[g]
     if h.product_group[k] == g:
         return float(joint_k * (1.0 - gs))
@@ -354,7 +354,7 @@ def fd_jacobian_loop(hierarchy, delta, params, step=1e-6):
         table_up, _ = compute_shares(hierarchy, up, params)
         table_down, _ = compute_shares(hierarchy, down, params)
         matrix[:, k] = (table_up.joint - table_down.joint) / (2.0 * step)
-        outside_row[k] = (table_up.outside - table_down.outside) / (2.0 * step)
+        outside_row[k] = (table_up.outside[0] - table_down.outside[0]) / (2.0 * step)
     return matrix, outside_row
 
 

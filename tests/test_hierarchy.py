@@ -15,7 +15,7 @@ from hierlogit import (
 )
 from hierlogit.hierarchy import as_delta_array
 
-from helpers import balanced_tree, market_tree, random_tree
+from helpers import assert_same_tree, balanced_tree, market_tree, random_tree
 
 
 def test_minimal_tree():
@@ -72,6 +72,18 @@ def test_rows_that_are_not_triples_are_named(rows, bad):
         build_hierarchy(rows)
 
 
+@pytest.mark.parametrize("rows, bad", [
+    ([(["g"], "h", "p")], 0),
+    ([("g", "h", "p"), ("g", {"h"}, "q")], 1),
+    ([("g", "h", "p"), ("g", "h", ("q", []))], 1),
+], ids=["list", "set", "tuple-holding-a-list"])
+@pytest.mark.filterwarnings("error")
+def test_rows_with_unhashable_ids_are_named(rows, bad):
+    # a list id once raised a raw TypeError, "unhashable type: 'list'"
+    with pytest.raises(OutOfDomainError, match=f"^row {bad}, .* holds an id that is not hashable$"):
+        build_hierarchy(rows)
+
+
 def test_first_appearance_ordering_is_deterministic():
     # canonical order is grouped: groups, subgroups within each group, and
     # products within each subgroup all follow first appearance
@@ -105,6 +117,15 @@ def test_validate_params_ordering_flag():
     assert (p.sigma1, p.sigma2, p.ordering_ok) == (0.5, 0.25, True)
     assert NestingParams(0.25, 0.5).ordering_ok is False
     assert NestingParams(0.0, 0.0).ordering_ok is True
+
+
+@pytest.mark.parametrize("sigma1, sigma2, ok", [
+    (0.5, 0.25, True), (0.9, 0.0, True), (0.5, 0.5, True), (0.0, 0.0, True), (0.999, 0.999, True),
+    (0.5, np.nextafter(0.5, 1.0), False), (0.25, 0.5, False), (0.0, 1e-300, False),
+])
+def test_ordering_ok_is_sigma2_at_most_sigma1(sigma1, sigma2, ok):
+    # the paper's assumption for the nested reading: true below and at equality, false above
+    assert NestingParams(sigma1, sigma2).ordering_ok is ok
 
 
 @pytest.mark.parametrize("bad", [(1.0, 0.5), (0.5, 1.0), (-0.1, 0.0), (0.0, -0.1), (float("nan"), 0.0)])
@@ -217,6 +238,13 @@ def test_market_level_views_and_one_market_functions():
     for start, stop in ((-1, 2), (0, 0), (2, 1), (1, 1), (0, 3)):
         with pytest.raises(OutOfDomainError, match="markets"):
             tree.markets(start, stop)
+    # bounds are integers: a bool once reached a raw ValueError and a float a raw IndexError
+    for start, stop in ((False, True), (0, True), (0.5, 1), (0, 1.5), (0, "1"), (None, 1), (0, float("nan"))):
+        with pytest.raises(OutOfDomainError, match="^(start|stop)="):
+            tree.markets(start, stop)
+    # a whole float is its integer, as elsewhere in the package, and numpy integers pass
+    assert_same_tree(tree.markets(1.0, 2.0), second)
+    assert_same_tree(tree.markets(np.int64(1), np.intp(2)), second)
     # the dense Jacobian compares products across the whole tree
     with pytest.raises(OutOfDomainError, match="one-market"):
         full_jacobian(tree, np.zeros(4), NestingParams(0.5, 0.25))

@@ -59,20 +59,18 @@ def test_round_trips_both_directions():
 
 
 def test_inversion_rejects_degenerate_table():
+    # a table is its logs; a scalar log_outside is the one market's, and each share the exp of its log
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
     bad = ShareTable(
         hierarchy=tree,
-        joint=np.array([0.5, 0.0]),
-        cond_product=np.array([1.0, 0.0]),
-        cond_subgroup=np.array([1.0]),
-        group=np.array([0.5]),
-        outside=0.5,
         log_joint=np.array([np.log(0.5), -np.inf]),
         log_cond_product=np.array([0.0, -np.inf]),
         log_cond_subgroup=np.array([0.0]),
         log_group=np.array([np.log(0.5)]),
         log_outside=np.log(0.5),
     )
+    assert bad.log_outside.shape == bad.outside.shape == (1,) and bad.outside[0] == 0.5
+    assert bad.joint.tolist() == [0.5, 0.0] and bad.cond_product.tolist() == [1.0, 0.0]
     params = NestingParams(0.3, 0.2)
     with pytest.raises(DegenerateShareError):
         berry_invert(bad, params)

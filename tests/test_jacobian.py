@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from hierlogit import (
     NestingParams,
     OutOfDomainError,
+    SimConfig,
     build_hierarchy,
     compute_shares,
     fd_jacobian,
     full_jacobian,
     log_share_jacobian,
     max_relative_error,
+    simulate_choices,
 )
 from hierlogit import jacobian
 from hierlogit.jacobian import _complex_step_columns, _solve_log_ratio_jacobian
@@ -251,6 +253,23 @@ def test_compute_shares_of_complex_utilities_carries_the_step_in_the_logs():
     assert table.outside == np.exp(table.log_outside.real)
 
 
+@pytest.mark.filterwarnings("error")
+def test_only_compute_shares_takes_complex_utilities():
+    # on this tree, full_jacobian at (1 + 1e-3i, 2) once gave cells up to 6.2e-8 off those at (1, 2),
+    # and simulate_choices at (1 + 5i, 2) other counts than at (1, 2), both without a word
+    tree, params = build_hierarchy([("g", "h", "a"), ("g", "k", "b")]), NestingParams(0.5, 0.25)
+    for delta in (np.array([1.0 + 1e-3j, 2.0]), np.array([1.0 + 5j, 2.0])):
+        table, _ = compute_shares(tree, delta, params)
+        for call in (lambda: full_jacobian(tree, delta, params), lambda: log_share_jacobian(table, params),
+                     lambda: fd_jacobian(tree, delta, params),
+                     lambda: simulate_choices(tree, delta, params, SimConfig(draws=1000, seed=1))):
+            with pytest.raises(OutOfDomainError, match="real utilities, not complex"):
+                call()
+    # the CLI's check still takes its complex step, to rounding
+    delta = np.array([1.0, 2.0])
+    assert check_error(tree, delta, params, _complex_step_columns(tree, delta, params)) < 1e-12
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(ragged_markets())
 def test_blocks_of_a_tree_are_the_block_of_each_market_alone(instance):
@@ -405,7 +424,7 @@ def test_shares_are_gradient_of_top_value():
             down[k] -= step
             _, iv_up = compute_shares(tree, up, params)
             _, iv_down = compute_shares(tree, down, params)
-            grad[k] = (iv_up.top - iv_down.top) / (2 * step)
+            grad[k] = (iv_up.top[0] - iv_down.top[0]) / (2 * step)
         np.testing.assert_allclose(grad, table.joint, rtol=0, atol=1e-8)
 
 

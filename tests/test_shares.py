@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 import warnings
 from pathlib import Path
@@ -240,6 +241,33 @@ def test_from_joint_rejects_degenerate_input():
         ShareTable.from_joint(tree, [0.2], 0.5)
 
 
+@pytest.mark.parametrize("joint, outside", [
+    ([0.2 + 0j, 0.3], 0.5), ([0.2, 0.3], 0.5 + 0j), (np.array([0.2, 0.3], dtype=complex), 0.5),
+    ([0.2, "a"], 0.5), ([0.2, 0.3], "half"), ([0.2, [0.3, 0.1]], 0.5),
+], ids=["complex-joint", "complex-outside", "complex-array", "string-joint", "string-outside", "ragged"])
+@pytest.mark.filterwarnings("error")
+def test_from_joint_refuses_shares_that_are_not_real_numbers(joint, outside):
+    # complex shares once raised a raw TypeError (a complex array warned and lost its imaginary
+    # parts), a string a raw ValueError
+    tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
+    with pytest.raises(DegenerateShareError, match="outside shares must be real numbers"):
+        ShareTable.from_joint(tree, joint, outside)
+
+
+def test_a_table_is_its_logs_and_each_share_the_exp_of_its_log():
+    names = ("joint", "cond_product", "cond_subgroup", "group", "outside")
+    assert [f.name for f in dataclasses.fields(ShareTable)] == ["hierarchy", *(f"log_{n}" for n in names)]
+    tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h2", "p2"), ("g2", "h3", "p3")])
+    table, iv = compute_shares(tree, [0.5, -0.25, 1.0], NestingParams(0.5, 0.25))
+    # a float outside share is one market's
+    observed = ShareTable.from_joint(tree, table.joint, float(table.outside[0]))
+    for t in (table, observed):
+        for name in names:
+            assert np.array_equal(getattr(t, name), np.exp(getattr(t, f"log_{name}"))), name
+    # the per-market values are arrays over markets for every tree, of one entry for one market
+    assert table.outside.shape == observed.log_outside.shape == iv.top.shape == (1,)
+
+
 @pytest.mark.parametrize(
     "sigma, delta",
     [
@@ -331,7 +359,7 @@ def test_file_wide_calls_equal_one_market_calls_bitwise(instance):
         values = dict((r[3], r[4]) for r in market_rows)
         one_table, one_iv = compute_shares(one, [values[p] for p in one.products], params)
         assert _same(one_iv.subgroup, iv.subgroup[s0:s1]) and _same(one_iv.group, iv.group[g0:g1])
-        assert _same(one_iv.top, np.atleast_1d(iv.top)[m])
+        assert _same(one_iv.top, iv.top[m:m + 1])
         tables = [(one_table, table)]
         if interior:
             one_observed = ShareTable.from_joint(one, one_table.joint, one_table.outside)
@@ -343,5 +371,5 @@ def test_file_wide_calls_equal_one_market_calls_bitwise(instance):
                              ("cond_subgroup", slice(s0, s1)), ("group", slice(g0, g1))):
                 assert _same(getattr(small, name), getattr(big, name)[at])
                 assert _same(getattr(small, "log_" + name), getattr(big, "log_" + name)[at])
-            assert _same(small.outside, np.atleast_1d(big.outside)[m])
-            assert _same(small.log_outside, np.atleast_1d(big.log_outside)[m])
+            assert _same(small.outside, big.outside[m:m + 1])
+            assert _same(small.log_outside, big.log_outside[m:m + 1])
