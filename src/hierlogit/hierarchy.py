@@ -6,7 +6,7 @@ group whose inclusive value is fixed at zero by every consumer of the tree.
 
 import numbers
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +28,16 @@ def _number(name: str, value, integral: bool = False):
     if not abs(value) <= sys.float_info.max or (integral and value != int(value)):
         raise OutOfDomainError(f"{name}={value!r} must be a finite {'integer' if integral else 'number'}")
     return int(value) if integral else float(value)
+
+
+def _real_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array; OutOfDomainError for complex values, text, None or a ragged list."""
+    try:
+        if (values := np.asarray(values)).dtype.kind in "biuf":
+            return values.astype(float, copy=False)
+    except ValueError:  # a ragged list
+        pass
+    raise OutOfDomainError(f"{name} must be real numbers")
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,9 @@ class ChoiceHierarchy:
     first appearance (in the input rows for ``build_hierarchy``), so share
     vectors and Jacobian rows have a stable, reproducible layout; a market's
     nodes are contiguous, so each ``parent`` array is sorted, and every node
-    above the products has a child (OutOfDomainError otherwise, for a
-    ``parent`` of the wrong length, or for a tree of no market).
+    above the products has a child. OutOfDomainError otherwise: for ids of
+    other than four levels or parents of other than three, a parent value
+    that is not a whole number, a ``parent`` of the wrong length, or no market.
     Instances are safe to share across threads.
 
     Attributes
@@ -89,21 +100,24 @@ class ChoiceHierarchy:
     """
 
     def __init__(self, ids, parent):
-        self.ids = tuple(map(tuple, ids))
-        self.parent = tuple(np.asarray(p, dtype=np.intp) for p in parent)
+        self.ids, parent = tuple(map(tuple, ids)), tuple(map(np.asarray, parent))
+        if len(self.ids) != 4 or len(parent) != 3:
+            raise OutOfDomainError(f"a tree has 4 levels of ids and 3 of parents, got {len(self.ids)}, {len(parent)}")
         self.market_ids, self.group_ids, self.subgroup_ids, self.products = self.ids
-        self.group_market, self.subgroup_group, self.product_subgroup = self.parent
         self.n_markets, self.n_groups, self.n_subgroups, self.n_products = map(len, self.ids)
         if not self.n_markets:
             raise OutOfDomainError("a tree needs at least one market")
-        for level, (up, below) in enumerate(zip(self.parent, self.ids[1:])):
+        for level, (up, below) in enumerate(zip(parent, self.ids[1:])):
             n = len(self.ids[level])
-            # from node 0 to node n - 1 in steps of 0 or 1: sorted, and every node above has a child
-            steps = np.diff(up.ravel(), prepend=-1, append=n)
-            if up.shape != (len(below),) or not steps[0] == steps[-1] == 1 or np.any((steps < 0) | (steps > 1)):
+            # from node 0 to node n - 1 in steps of 0 or 1: whole numbers, sorted, and every node above has a child
+            with np.errstate(invalid="ignore", over="ignore"):  # NaN, inf - inf and what is not a number: neither
+                steps = np.diff(up.ravel(), prepend=-1, append=n) if up.dtype.kind in "biuf" else np.array([np.nan])
+            if up.shape != (len(below),) or not steps[0] == steps[-1] == 1 or not np.all((steps == 0) | (steps == 1)):
                 raise OutOfDomainError(f"parent[{level}] must give each of the {len(below)} nodes of level "
                                        f"{level + 1} one of the {n} nodes of level {level}, in sorted order, "
                                        "leaving none childless")
+        self.parent = tuple(up.astype(np.intp, copy=False) for up in parent)
+        self.group_market, self.subgroup_group, self.product_subgroup = self.parent
         above = [np.arange(self.n_products)]
         for up in reversed(self.parent):
             above.append(up[above[-1]])
@@ -168,8 +182,10 @@ def tree_from_codes(tables, codes) -> tuple:
     return tree, order
 
 
-def _finite_utilities(values, dtype=float) -> np.ndarray:
-    values = np.atleast_1d(np.asarray(values, dtype=dtype))
+def _finite_utilities(values) -> np.ndarray:
+    values = np.atleast_1d(_real_array("utility values", values))
+    if values.ndim != 1:
+        raise OutOfDomainError(f"utility values must lie in one dimension, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise OutOfDomainError("utility values must all be finite")
     return values
@@ -177,7 +193,8 @@ def _finite_utilities(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UtilityVector:
-    """Mean utilities, one per inside product, aligned to hierarchy order."""
+    """Mean utilities, one per inside product, aligned to hierarchy order: real and finite, in one
+    dimension (a number is one value); OutOfDomainError otherwise, as for every utility argument."""
 
     values: np.ndarray
 
@@ -204,8 +221,8 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
         If a product id occurs twice anywhere in the market.
     """
     rows = list(rows)
-    # a string is a sequence of its characters, not of three ids
-    triples = [tuple(row) if isinstance(row, Iterable) and not isinstance(row, (str, bytes)) else () for row in rows]
+    # a string is a sequence of its characters and a mapping one of its keys, not of three ids
+    triples = [tuple(r) if isinstance(r, Iterable) and not isinstance(r, (str, bytes, Mapping)) else () for r in rows]
     for i, row in enumerate(triples):
         if len(row) != 3:
             raise OutOfDomainError(f"row {i}, {rows[i]!r}, is not a (group_id, subgroup_id, product_id) triple")
@@ -230,12 +247,11 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
 
 
 def as_delta_array(hierarchy: ChoiceHierarchy, delta) -> np.ndarray:
-    """Coerce a UtilityVector or array-like to a validated float array, complex where ``delta`` is."""
-    values = delta.values if isinstance(delta, UtilityVector) else np.atleast_1d(
-        np.asarray(delta, dtype=complex if np.iscomplexobj(delta) else float))
+    """Coerce a UtilityVector or array-like to a validated float array, one utility per product."""
+    values = _finite_utilities(delta.values if isinstance(delta, UtilityVector) else delta)
     if values.shape != (hierarchy.n_products,):
         raise OutOfDomainError(f"expected {hierarchy.n_products} utilities, got shape {values.shape}")
-    return _finite_utilities(values, values.dtype)
+    return values
 
 
 def one_market(hierarchy: ChoiceHierarchy, what: str) -> None:

@@ -22,13 +22,12 @@ import numpy as np
 
 from .errors import DegenerateShareError, NoConvergenceError, OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _number
-from .shares import ShareTable, _refuse_complex, compute_shares
+from .shares import ShareTable, compute_shares
 
 __all__ = ["berry_invert", "regression_rows", "numeric_invert"]
 
 
 def _require_interior(table: ShareTable) -> None:
-    _refuse_complex(table, "inversion")
     logs = (table.log_joint, table.log_cond_product, table.log_cond_subgroup, table.log_outside)
     if not all(np.all(np.isfinite(a)) for a in logs):
         raise DegenerateShareError("inversion needs strictly positive shares everywhere")

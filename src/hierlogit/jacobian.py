@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, _number, as_delta_array, one_market
-from .shares import ShareTable, _refuse_complex, compute_shares
+from .hierarchy import ChoiceHierarchy, NestingParams, _number, _real_array, as_delta_array, one_market
+from .shares import ShareTable, _log_shares, compute_shares
 
 __all__ = [
     "ShareJacobian",
@@ -69,7 +69,6 @@ def _blocks(table: ShareTable, params: NestingParams) -> tuple:
     """``(cells, rows, mask)``: d log s_row / d delta_col of each market m of ``table``'s tree in
     block ``cells[m]``, its rows ``rows[m]`` (its products, then its outside option, row
     ``n_products + m``), its columns ``rows[m, :-1]``, padded to the largest; ``mask`` its real cells."""
-    _refuse_complex(table, "the analytic Jacobian")
     h, a, b = table.hierarchy, 1.0 / (1.0 - params.sigma1), 1.0 / (1.0 - params.sigma2)
     first, sizes = h.bounds[2, :-1, None], np.diff(h.bounds[2])[:, None]
     i = np.arange(sizes.max() + 1)
@@ -112,12 +111,12 @@ def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> S
 def fd_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams, step: float = 1e-6) -> ShareJacobian:
     """Central-difference approximation (s(delta+h e_k) - s(delta-h e_k)) / 2h, two
     ``compute_shares`` calls per column k. OutOfDomainError, in this order: ``step`` is not positive
-    and finite; ``delta`` is out of the domain of ``compute_shares``, or complex; ``step`` is lost in rounding
+    and finite; ``delta`` is out of the domain of ``compute_shares``; ``step`` is lost in rounding
     next to a utility (or 1 where that is smaller); the moved utilities leave the domain."""
     one_market(hierarchy, "fd_jacobian")
     if not _number("step", step) > 0.0:
         raise OutOfDomainError(f"step={step!r} must be positive")
-    _refuse_complex(compute_shares(hierarchy, delta, params)[0], "fd_jacobian")
+    compute_shares(hierarchy, delta, params)
     delta = as_delta_array(hierarchy, delta)
     size = np.maximum(np.abs(delta), 1.0)
     lost = np.flatnonzero((size + step == size) | (size - step == size))
@@ -137,16 +136,16 @@ def fd_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams, step: 
 
 def _complex_step_columns(tree: ChoiceHierarchy, delta: np.ndarray, params: NestingParams) -> np.ndarray:
     """ds/ddelta of every market of ``tree`` at a ``delta`` in the domain by the complex step, one
-    ``compute_shares`` call per column: row i, share s_i (the products, then each market's outside option),
+    ``_log_shares`` call per column: row i, share s_i (the products, then each market's outside option),
     column j, s_i Im log s_i(delta + 1e-200 i e_j) / 1e-200 for the j-th utility of its market (0 past its last)."""
     first, sizes = tree.bounds[2, :-1], np.diff(tree.bounds[2])
     columns, perturbed = np.empty((tree.n_products + tree.n_markets, sizes.max())), delta.astype(complex)
     for j in range(sizes.max()):
         perturbed.imag[first[sizes > j] + j] = 1e-200
-        table, _ = compute_shares(tree, perturbed, params)
+        log_joint, *_, log_outside, _ = _log_shares(tree, perturbed, params)
         perturbed.imag = 0.0
-        columns[:, j] = np.append(table.log_joint.imag, table.log_outside.imag) / 1e-200
-    return columns * np.append(table.joint, table.outside)[:, None]
+        columns[:, j] = np.append(log_joint.imag, log_outside.imag) / 1e-200
+    return columns * np.exp(np.append(log_joint.real, log_outside.real))[:, None]
 
 
 def max_relative_error(analytic: ShareJacobian, fd: ShareJacobian, row_scale) -> float:
@@ -157,9 +156,13 @@ def max_relative_error(analytic: ShareJacobian, fd: ShareJacobian, row_scale) ->
     last. Central differences only resolve an entry down to roughly
     eps*share/step, so entries whose true magnitude sits below that are pure
     FD roundoff and are judged against the size of the row they live in.
+    OutOfDomainError for Jacobians of two shapes, or a ``row_scale`` of another length.
     """
     a, f = (np.vstack([j.matrix, j.outside_row]) for j in (analytic, fd))
-    return float(np.max(_relative_error(a, f, np.asarray(row_scale, dtype=float)[:, None])))
+    scale = _real_array("row_scale", row_scale)
+    if a.shape != f.shape or scale.shape != a.shape[:1]:
+        raise OutOfDomainError(f"Jacobians of shapes {a.shape} and {f.shape} and a row_scale of {scale.shape} differ")
+    return float(np.max(_relative_error(a, f, scale[:, None])))
 
 
 def _relative_error(a, f, scale) -> np.ndarray:

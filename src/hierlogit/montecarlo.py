@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, _number
-from .shares import _refuse_complex, compute_shares
+from .shares import compute_shares
 
 __all__ = ["SimConfig", "ChoiceCounts", "simulate_choices", "empirical_shares"]
 
@@ -85,7 +85,6 @@ def simulate_choices(hierarchy: ChoiceHierarchy, delta, params: NestingParams, c
     """
     h = hierarchy
     table, _ = compute_shares(h, delta, params)
-    _refuse_complex(table, "simulate_choices")
     markets = np.arange(h.n_markets)
     # the outside options after every product; the sort puts each among its market's alternatives
     chance = np.append(table.cond_product * table.cond_subgroup[h.product_subgroup] * table.group[h.product_group],
@@ -111,10 +110,10 @@ def empirical_shares(counts: ChoiceCounts):
     """
     if np.size(counts.outside_count) != 1:
         raise OutOfDomainError("empirical shares take the counts of one market; see ChoiceHierarchy.markets")
-    total = counts.total
-    if total < 1:
-        raise OutOfDomainError("empirical shares need at least one draw")
-    freq = np.append(counts.counts, counts.outside_count) / float(total)
+    tally, total = np.append(counts.counts, counts.outside_count), counts.total
+    if total < 1 or tally.min() < 0:
+        raise OutOfDomainError("empirical shares need at least one draw and no negative count")
+    freq = tally / float(total)
     se = np.sqrt(freq * (1.0 - freq) / float(total))
     return freq, se
 

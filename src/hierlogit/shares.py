@@ -21,12 +21,12 @@ Every function here takes a tree of any number of markets: the market is
 the top segment, so a file of many markets is one call.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateShareError, OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, as_delta_array
+from .hierarchy import ChoiceHierarchy, NestingParams, _real_array, as_delta_array
 
 __all__ = [
     "InclusiveValues",
@@ -38,7 +38,7 @@ __all__ = [
 @dataclass(frozen=True)
 class InclusiveValues:
     """Inclusive values per subgroup, per group, and ``top`` per market, an array over markets
-    for every tree (one entry for a one-market tree); complex at complex utilities."""
+    for every tree (one entry for a one-market tree)."""
 
     subgroup: np.ndarray
     group: np.ndarray
@@ -51,13 +51,13 @@ class ShareTable:
 
     The table is its logs, aligned to the hierarchy's canonical orders: ``log_joint`` and
     ``log_cond_product`` per product, ``log_cond_subgroup`` per flat subgroup, ``log_group`` per
-    group and ``log_outside``, the no-purchase share's, per market (an array for every tree; a
-    scalar is taken as one market's). The inversion routines work on the logs, which stay finite
-    and accurate even when the shares themselves underflow (utilities on the order of +-700).
+    group and ``log_outside``, the no-purchase share's, per market (a scalar is taken as one
+    market's). Each is a real array with one entry per node of its level, -inf for a share of 0;
+    OutOfDomainError otherwise. The inversion routines work on the logs, which stay finite and
+    accurate even when the shares themselves underflow (utilities on the order of +-700).
 
     The shares ``joint``, ``cond_product``, ``cond_subgroup``, ``group`` and ``outside`` are set
-    on construction, each the exp of the real part of its log: for complex logs (the complex step
-    of ``compute_shares``) they are those of the real utilities.
+    on construction, each the exp of its log.
     """
 
     hierarchy: ChoiceHierarchy
@@ -68,9 +68,11 @@ class ShareTable:
     log_outside: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "log_outside", np.atleast_1d(self.log_outside))
-        for name in ("joint", "cond_product", "cond_subgroup", "group", "outside"):
-            object.__setattr__(self, name, np.exp(np.real(getattr(self, f"log_{name}"))))
+        for name, level in zip(("joint", "cond_product", "cond_subgroup", "group", "outside"), (3, 3, 2, 1, 0)):
+            log = np.atleast_1d(_real_array(f"log_{name}", getattr(self, f"log_{name}")))
+            if log.shape != (len(self.hierarchy.ids[level]),):
+                raise OutOfDomainError(f"log_{name} of shape {log.shape} is not one entry per node of level {level}")
+            self.__dict__.update({f"log_{name}": log, name: np.exp(log)})  # frozen: set past __setattr__
 
     @classmethod
     def from_joint(cls, hierarchy: ChoiceHierarchy, joint, outside) -> "ShareTable":
@@ -89,11 +91,8 @@ class ShareTable:
             If any share is not a real number strictly inside (0, 1), NaN included.
         """
         try:
-            # numpy would cast a complex array with a warning, dropping its imaginary parts
-            if np.iscomplexobj(joint) or np.iscomplexobj(outside):
-                raise TypeError
-            joint, outside = np.asarray(joint, dtype=float), np.atleast_1d(np.asarray(outside, dtype=float))
-        except (TypeError, ValueError):
+            joint, outside = _real_array("joint", joint), np.atleast_1d(_real_array("outside", outside))
+        except OutOfDomainError:
             raise DegenerateShareError("joint and outside shares must be real numbers") from None
         if joint.shape != (hierarchy.n_products,) or outside.shape != (hierarchy.n_markets,):
             raise DegenerateShareError(
@@ -117,12 +116,6 @@ class ShareTable:
             log_group=np.log(group_sum),
             log_outside=np.log(outside),
         )
-
-
-def _refuse_complex(table: ShareTable, what: str) -> None:
-    """OutOfDomainError for a table of complex utilities, which only the complex step reads."""
-    if any(np.iscomplexobj(getattr(table, f.name)) for f in fields(table)[1:]):
-        raise OutOfDomainError(f"{what} needs the shares of real utilities, not complex ones")
 
 
 def _segment_log_softmax(x: np.ndarray, segment: np.ndarray, n_segments: int):
@@ -158,16 +151,16 @@ def _scaled(values: np.ndarray, scale: float, what: str) -> np.ndarray:
 
 
 def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
-    """``(ShareTable, InclusiveValues)``: the log shares and inclusive values of every market at mean
-    utilities ``delta``, each market's those of the market computed alone, bit for bit. The table's
-    shares are the exps of its logs' real parts; its outside share and the top inclusive value are
-    arrays over markets, one entry for a one-market tree.
+    """``(ShareTable, InclusiveValues)``: the log shares and inclusive values of every market at real mean
+    utilities ``delta``, each market's those of the market computed alone, bit for bit. The outside share
+    and the top inclusive value are arrays over markets, one entry for a one-market tree."""
+    *logs, iv = _log_shares(hierarchy, as_delta_array(hierarchy, delta), params)
+    return ShareTable(hierarchy, *logs), InclusiveValues(subgroup=iv[2], group=iv[1], top=iv[0])
 
-    Complex utilities take a complex step (the CLI's Jacobian check): the logs and inclusive values
-    are complex, and only the real parts can overflow.
-    """
-    h = hierarchy
-    values = as_delta_array(h, delta)
+
+def _log_shares(h: ChoiceHierarchy, values: np.ndarray, params: NestingParams) -> tuple:
+    """``compute_shares``' five logs, in the table's field order, and inclusive values ``[top, group, subgroup]``
+    at checked utilities: complex at the Jacobian check's complex step, where only the real parts can overflow."""
     # up the tree from the products, one level of parents at a time
     iv, log_cond = [None] * 3, [None] * 4
     for level, scale, what in ((2, 1.0 - params.sigma1, "utilities"),
@@ -181,8 +174,4 @@ def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
         values = iv[level] = scale * lse
     with np.errstate(over="ignore"):  # -inf, as above
         log_joint = log_cond[3] + log_cond[2][h.above[2]] + log_cond[1][h.above[1]]
-    log_group, log_outside = log_cond[1][:h.n_groups], log_cond[1][h.n_groups:]
-
-    table = ShareTable(hierarchy=hierarchy, log_joint=log_joint, log_cond_product=log_cond[3],
-                       log_cond_subgroup=log_cond[2], log_group=log_group, log_outside=log_outside)
-    return table, InclusiveValues(subgroup=iv[2], group=iv[1], top=iv[0])
+    return log_joint, log_cond[3], log_cond[2], log_cond[1][:h.n_groups], log_cond[1][h.n_groups:], iv

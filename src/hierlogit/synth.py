@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionsError, OutOfDomainError, SingularDesignError
-from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _number
+from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _number, _real_array
 
 __all__ = ["SynthConfig", "EstimationResult", "generate_market", "estimate_linear"]
 
@@ -127,13 +127,13 @@ def estimate_linear(rows, covariates) -> EstimationResult:
     BadDimensionsError
         When the three row arrays and the covariates disagree in length.
     OutOfDomainError
-        On non-finite regressors or regressand.
+        On regressors or regressand that are not finite real numbers.
     SingularDesignError
         On rank-deficient designs or too few rows to identify all
         coefficients.
     """
-    y, x1, x2 = (np.asarray(column, dtype=float) for column in rows)
-    covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
+    y, x1, x2 = (_real_array("regression rows", column) for column in rows)
+    covariates = np.atleast_2d(_real_array("covariates", covariates))
     n = y.shape[0]
     if x1.shape != y.shape or x2.shape != y.shape or covariates.shape[0] != n:
         raise BadDimensionsError(

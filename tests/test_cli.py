@@ -20,6 +20,7 @@ from hierlogit.cli import (
     read_params_json,
 )
 from hierlogit.jacobian import _complex_step_columns
+from hierlogit.shares import _log_shares
 from helpers import (
     assert_same_read, binomial_tail_z, check_error, imported_modules, invoke, market_tree, run_child,
 )
@@ -290,12 +291,15 @@ def test_jacobian_fd_check_computes_the_shares_of_each_market_once(tmp_path):
         market = write_market(tmp_path / f"m{i}.csv", rows)
         trees = []
 
-        def counted(tree, delta, params):
-            trees.append((tree.n_markets, tree.n_products))
-            return compute_shares(tree, delta, params)
+        def counted(kernel):
+            def call(tree, delta, params):
+                trees.append((tree.n_markets, tree.n_products))
+                return kernel(tree, delta, params)
+            return call
 
-        with (mock.patch("hierlogit.cli.compute_shares", counted),
-              mock.patch("hierlogit.jacobian.compute_shares", counted)):
+        # the run's shares, then the complex step's kernel once per column
+        with (mock.patch("hierlogit.cli.compute_shares", counted(compute_shares)),
+              mock.patch("hierlogit.jacobian._log_shares", counted(_log_shares))):
             result = run_ok(["jacobian", "--input", market, "--params", params, "--check-fd"])
         assert result.stderr.count("complex step") == len({r[0] for r in rows})
         assert trees == calls

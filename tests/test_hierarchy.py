@@ -194,13 +194,14 @@ def test_as_delta_array_checks_shape():
         as_delta_array(tree, [1.0, np.nan])
 
 
-def test_as_delta_array_keeps_complex_utilities_and_checks_both_parts():
+@pytest.mark.filterwarnings("error")
+def test_as_delta_array_refuses_complex_utilities():
+    # once kept complex, for the Jacobian check's complex step, which now calls the kernel itself
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
-    values = as_delta_array(tree, [1.0, 2.0 + 1e-200j])
-    assert values.dtype == complex and values.tolist() == [1.0, 2.0 + 1e-200j]
     assert as_delta_array(tree, np.array([1, 2], dtype=np.float32)).dtype == float
-    for bad in ([1.0, complex(0.0, np.inf)], [1.0, complex(np.nan, 0.0)]):
-        with pytest.raises(OutOfDomainError, match="finite"):
+    for bad in ([1.0, 2.0 + 1e-200j], np.array([1.0, 2.0 + 0j]), [1.0, complex(0.0, np.inf)],
+                UtilityVector([1.0, 2.0]).values.astype(complex)):
+        with pytest.raises(OutOfDomainError, match="^utility values must be real numbers$"):
             as_delta_array(tree, bad)
 
 

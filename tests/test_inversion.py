@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from unittest import mock
 
@@ -78,29 +79,15 @@ def test_inversion_rejects_degenerate_table():
         regression_rows(bad)
 
 
-# compute_shares keeps complex utilities complex, for the Jacobian's complex-step check; the
-# inversions take real tables. Once berry_invert warned ComplexWarning, numeric_invert raised numpy's
-# TypeError and regression_rows returned complex arrays
-COMPLEX_TREE = build_hierarchy([("g", "h", "a"), ("g", "k", "b")])
-COMPLEX_TABLE, _ = compute_shares(COMPLEX_TREE, np.array([0.1, 0.2 + 1e-200j]), NestingParams(0.5, 0.25))
-
-
 @pytest.mark.filterwarnings("error")
-def test_berry_invert_refuses_a_complex_table():
-    with pytest.raises(OutOfDomainError, match="complex"):
-        berry_invert(COMPLEX_TABLE, NestingParams(0.5, 0.25))
-
-
-@pytest.mark.filterwarnings("error")
-def test_numeric_invert_refuses_a_complex_table():
-    with pytest.raises(OutOfDomainError, match="complex"):
-        numeric_invert(COMPLEX_TREE, COMPLEX_TABLE, NestingParams(0.5, 0.25))
-
-
-@pytest.mark.filterwarnings("error")
-def test_regression_rows_refuse_a_complex_table():
-    with pytest.raises(OutOfDomainError, match="complex"):
-        regression_rows(COMPLEX_TABLE)
+@pytest.mark.parametrize("name", ["log_joint", "log_cond_product", "log_cond_subgroup", "log_group", "log_outside"])
+def test_share_table_refuses_complex_logs(name):
+    # a table of complex logs once reached the inversions: berry_invert warned ComplexWarning,
+    # numeric_invert raised numpy's TypeError and regression_rows returned complex arrays
+    tree = build_hierarchy([("g", "h", "a"), ("g", "k", "b")])
+    table, _ = compute_shares(tree, [0.1, 0.2], NestingParams(0.5, 0.25))
+    with pytest.raises(OutOfDomainError, match=f"^{name} must be real numbers$"):
+        dataclasses.replace(table, **{name: getattr(table, name) + 1e-200j})
 
 
 def test_regression_rows_symmetric_singleton():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -9,6 +10,7 @@ from hierlogit import (
     NestingParams,
     OutOfDomainError,
     SimConfig,
+    UtilityVector,
     build_hierarchy,
     compute_shares,
     fd_jacobian,
@@ -19,6 +21,7 @@ from hierlogit import (
 )
 from hierlogit import jacobian
 from hierlogit.jacobian import _complex_step_columns, _solve_log_ratio_jacobian
+from hierlogit.shares import _log_shares
 
 from helpers import (
     balanced_tree,
@@ -233,37 +236,39 @@ def test_complex_step_columns_agree_with_the_analytic_jacobian_near_sigma_one():
     assert worst < 1e-8
 
 
-def test_compute_shares_of_complex_utilities_carries_the_step_in_the_logs():
+def test_log_shares_of_complex_utilities_carry_the_step_in_the_logs():
     # a complex step in one utility moves only the imaginary parts of the logs
     # and inclusive values: the real parts are those of the real utilities to
-    # rounding, and the share fields are the exps of those real parts
+    # rounding, and their exps the shares of the real utilities
     rng = np.random.default_rng(11)
     tree, delta, params = random_instance(rng)
     real, real_iv = compute_shares(tree, delta, params)
     moved = delta.astype(complex)
     moved[0] += 1e-200j
-    table, iv = compute_shares(tree, moved, params)
-    for name in ("log_joint", "log_cond_product", "log_cond_subgroup", "log_group"):
-        got, want = getattr(table, name), getattr(real, name)
+    *logs, iv = _log_shares(tree, moved, params)
+    logs = dict(zip(("log_joint", "log_cond_product", "log_cond_subgroup", "log_group", "log_outside"), logs))
+    for name, got in logs.items():
+        want = getattr(real, name)
         assert got.dtype == complex and np.allclose(got.real, want, rtol=1e-14, atol=1e-14), name
-        assert getattr(table, name[4:]).dtype == float
-        assert np.array_equal(getattr(table, name[4:]), np.exp(got.real)), name
-    assert np.allclose(iv.subgroup.real, real_iv.subgroup, rtol=1e-14, atol=1e-14)
-    assert table.log_joint[0].imag != 0.0 and iv.top.imag != 0.0
-    assert table.outside == np.exp(table.log_outside.real)
+        assert np.allclose(np.exp(got.real), getattr(real, name[4:]), rtol=1e-13, atol=0.0), name
+    assert np.allclose(iv[2].real, real_iv.subgroup, rtol=1e-14, atol=1e-14)
+    assert logs["log_joint"][0].imag != 0.0 and iv[0].imag != 0.0
 
 
 @pytest.mark.filterwarnings("error")
-def test_only_compute_shares_takes_complex_utilities():
+def test_no_public_function_takes_complex_utilities():
     # on this tree, full_jacobian at (1 + 1e-3i, 2) once gave cells up to 6.2e-8 off those at (1, 2),
     # and simulate_choices at (1 + 5i, 2) other counts than at (1, 2), both without a word
     tree, params = build_hierarchy([("g", "h", "a"), ("g", "k", "b")]), NestingParams(0.5, 0.25)
-    for delta in (np.array([1.0 + 1e-3j, 2.0]), np.array([1.0 + 5j, 2.0])):
-        table, _ = compute_shares(tree, delta, params)
-        for call in (lambda: full_jacobian(tree, delta, params), lambda: log_share_jacobian(table, params),
+    table, _ = compute_shares(tree, [1.0, 2.0], params)
+    for delta in (np.array([1.0 + 1e-3j, 2.0]), np.array([1.0 + 5j, 2.0]), [1.0 + 1e-3j, 2.0]):
+        for call in (lambda: compute_shares(tree, delta, params), lambda: UtilityVector(delta),
+                     lambda: full_jacobian(tree, delta, params),
+                     lambda: log_share_jacobian(
+                         dataclasses.replace(table, log_joint=table.log_joint + 1j * np.imag(delta)), params),
                      lambda: fd_jacobian(tree, delta, params),
                      lambda: simulate_choices(tree, delta, params, SimConfig(draws=1000, seed=1))):
-            with pytest.raises(OutOfDomainError, match="real utilities, not complex"):
+            with pytest.raises(OutOfDomainError, match="must be real numbers"):
                 call()
     # the CLI's check still takes its complex step, to rounding
     delta = np.array([1.0, 2.0])

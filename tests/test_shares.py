@@ -243,12 +243,13 @@ def test_from_joint_rejects_degenerate_input():
 
 @pytest.mark.parametrize("joint, outside", [
     ([0.2 + 0j, 0.3], 0.5), ([0.2, 0.3], 0.5 + 0j), (np.array([0.2, 0.3], dtype=complex), 0.5),
-    ([0.2, "a"], 0.5), ([0.2, 0.3], "half"), ([0.2, [0.3, 0.1]], 0.5),
-], ids=["complex-joint", "complex-outside", "complex-array", "string-joint", "string-outside", "ragged"])
+    ([0.2, "a"], 0.5), ([0.2, 0.3], "half"), ([0.2, [0.3, 0.1]], 0.5), (["0.2", "0.3"], 0.5),
+], ids=["complex-joint", "complex-outside", "complex-array", "string-joint", "string-outside", "ragged",
+        "numeric-text"])
 @pytest.mark.filterwarnings("error")
 def test_from_joint_refuses_shares_that_are_not_real_numbers(joint, outside):
     # complex shares once raised a raw TypeError (a complex array warned and lost its imaginary
-    # parts), a string a raw ValueError
+    # parts), a string a raw ValueError; text is refused even where numpy reads it as a number
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
     with pytest.raises(DegenerateShareError, match="outside shares must be real numbers"):
         ShareTable.from_joint(tree, joint, outside)
