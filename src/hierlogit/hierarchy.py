@@ -30,14 +30,36 @@ def _number(name: str, value, integral: bool = False):
     return int(value) if integral else float(value)
 
 
-def _real_array(name: str, values) -> np.ndarray:
-    """``values`` as a float array; OutOfDomainError for complex values, text, None or a ragged list."""
+def _instance(name: str, value, kind):
+    """``value`` if it is a ``kind``; OutOfDomainError naming the argument and the type it needs otherwise."""
+    if not isinstance(value, kind):
+        raise OutOfDomainError(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _sequence(name: str, value, kind=tuple):
+    """``kind(value)``; OutOfDomainError where that fails: None, a number or a 0-d array is no sequence."""
     try:
-        if (values := np.asarray(values)).dtype.kind in "biuf":
-            return values.astype(float, copy=False)
-    except ValueError:  # a ragged list
-        pass
-    raise OutOfDomainError(f"{name} must be real numbers")
+        return kind(value)
+    except (TypeError, ValueError) as err:  # not iterable, or a ragged list made an array
+        raise OutOfDomainError(f"{name} is not a sequence of what it needs: {err}") from None
+
+
+def _real_array(name: str, values, length=None, mismatch="", error=OutOfDomainError, finite=False) -> np.ndarray:
+    """``values`` as a float array, else ``error``: "``name`` must be real numbers" for complex values, text,
+    None or a ragged list; ``mismatch``, its ``{shape}`` filled in, unless of one dimension and ``length``
+    values where that is given (-1: any; a number is one value); "``name`` must all be finite" if ``finite``."""
+    try:
+        if (values := np.asarray(values)).dtype.kind not in "biuf":
+            raise ValueError(values.dtype)
+    except ValueError:  # not of a real dtype, or a ragged list, which numpy refuses
+        raise error(f"{name} must be real numbers") from None
+    values = values.astype(float, copy=False)
+    if length is not None and ((values := np.atleast_1d(values)).ndim != 1 or length not in (-1, len(values))):
+        raise error(mismatch.format(shape=values.shape))
+    if finite and not np.isfinite(values).all():
+        raise error(f"{name} must all be finite")
+    return values
 
 
 @dataclass(frozen=True)
@@ -100,7 +122,8 @@ class ChoiceHierarchy:
     """
 
     def __init__(self, ids, parent):
-        self.ids, parent = tuple(map(tuple, ids)), tuple(map(np.asarray, parent))
+        self.ids = _sequence("ids", ids, lambda levels: tuple(map(tuple, levels)))
+        parent = _sequence("parent", parent, lambda levels: tuple(map(np.asarray, levels)))
         if len(self.ids) != 4 or len(parent) != 3:
             raise OutOfDomainError(f"a tree has 4 levels of ids and 3 of parents, got {len(self.ids)}, {len(parent)}")
         self.market_ids, self.group_ids, self.subgroup_ids, self.products = self.ids
@@ -182,24 +205,16 @@ def tree_from_codes(tables, codes) -> tuple:
     return tree, order
 
 
-def _finite_utilities(values) -> np.ndarray:
-    values = np.atleast_1d(_real_array("utility values", values))
-    if values.ndim != 1:
-        raise OutOfDomainError(f"utility values must lie in one dimension, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise OutOfDomainError("utility values must all be finite")
-    return values
-
-
 @dataclass(frozen=True)
 class UtilityVector:
-    """Mean utilities, one per inside product, aligned to hierarchy order: real and finite, in one
-    dimension (a number is one value); OutOfDomainError otherwise, as for every utility argument."""
+    """Mean utilities, one per inside product, aligned to hierarchy order: real and finite, in one dimension
+    (a number is one value); OutOfDomainError otherwise, from ``_real_array`` as for every utility argument."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _finite_utilities(self.values))
+        one_dimension = "utility values must lie in one dimension, got shape {shape}"
+        object.__setattr__(self, "values", _real_array("utility values", self.values, -1, one_dimension, finite=True))
 
     def __len__(self):
         return len(self.values)
@@ -220,9 +235,10 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
     DuplicateProductError
         If a product id occurs twice anywhere in the market.
     """
-    rows = list(rows)
-    # a string is a sequence of its characters and a mapping one of its keys, not of three ids
-    triples = [tuple(r) if isinstance(r, Iterable) and not isinstance(r, (str, bytes, Mapping)) else () for r in rows]
+    rows = _sequence("rows", rows, list)
+    # a string is a sequence of its characters and a mapping one of its keys, not of three ids; a 0-d array is none
+    triples = [tuple(r) if isinstance(r, Iterable) and getattr(r, "ndim", 1)
+               and not isinstance(r, (str, bytes, Mapping)) else () for r in rows]
     for i, row in enumerate(triples):
         if len(row) != 3:
             raise OutOfDomainError(f"row {i}, {rows[i]!r}, is not a (group_id, subgroup_id, product_id) triple")
@@ -248,16 +264,13 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
 
 def as_delta_array(hierarchy: ChoiceHierarchy, delta) -> np.ndarray:
     """Coerce a UtilityVector or array-like to a validated float array, one utility per product."""
-    values = _finite_utilities(delta.values if isinstance(delta, UtilityVector) else delta)
-    if values.shape != (hierarchy.n_products,):
-        raise OutOfDomainError(f"expected {hierarchy.n_products} utilities, got shape {values.shape}")
-    return values
+    n = _instance("hierarchy", hierarchy, ChoiceHierarchy).n_products
+    return _real_array("utility values", delta.values if isinstance(delta, UtilityVector) else delta, n,
+                       f"expected {n} utilities, got shape {{shape}}", finite=True)
 
 
 def one_market(hierarchy: ChoiceHierarchy, what: str) -> None:
     """Refuse a tree of several markets where ``what`` works on one at a time."""
-    if hierarchy.n_markets != 1:
-        raise OutOfDomainError(
-            f"{what} takes a one-market tree, got {hierarchy.n_markets} markets; "
-            "see ChoiceHierarchy.markets"
-        )
+    if _instance("hierarchy", hierarchy, ChoiceHierarchy).n_markets != 1:
+        raise OutOfDomainError(f"{what} takes a one-market tree, got {hierarchy.n_markets} markets; "
+                               "see ChoiceHierarchy.markets")

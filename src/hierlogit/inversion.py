@@ -21,13 +21,14 @@ Jacobian end to end and must agree with the closed form to tight tolerance.
 import numpy as np
 
 from .errors import DegenerateShareError, NoConvergenceError, OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _number
+from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _instance, _number
 from .shares import ShareTable, compute_shares
 
 __all__ = ["berry_invert", "regression_rows", "numeric_invert"]
 
 
 def _require_interior(table: ShareTable) -> None:
+    table = _instance("table", table, ShareTable)
     logs = (table.log_joint, table.log_cond_product, table.log_cond_subgroup, table.log_outside)
     if not all(np.all(np.isfinite(a)) for a in logs):
         raise DegenerateShareError("inversion needs strictly positive shares everywhere")
@@ -40,7 +41,7 @@ def berry_invert(table: ShareTable, params: NestingParams) -> UtilityVector:
     when the joint shares themselves underflow.
     """
     _require_interior(table)
-    h = table.hierarchy
+    h, params = table.hierarchy, _instance("params", params, NestingParams)
     return UtilityVector(
         (1.0 - params.sigma1) * table.log_cond_product
         + (1.0 - params.sigma2) * table.log_cond_subgroup[h.product_subgroup]
@@ -106,11 +107,11 @@ def numeric_invert(
     _check_tol(tol)
     if (max_iter := _number("max_iter", max_iter, integral=True)) < 0:
         raise OutOfDomainError(f"max_iter={max_iter!r} must not be negative")
-    h, t = hierarchy, target.hierarchy
+    h, t = _instance("hierarchy", hierarchy, ChoiceHierarchy), _instance("target", target, ShareTable).hierarchy
     if t is not h and (t.ids != h.ids or not all(map(np.array_equal, t.parent, h.parent))):
         raise OutOfDomainError(f"target holds the shares of another tree than hierarchy: {t!r}")
     _require_interior(target)
-    starts, owner = h.bounds[2, :-1], h.product_market
+    params, starts, owner = _instance("params", params, NestingParams), h.bounds[2, :-1], h.product_market
     floor = 16.0 * np.finfo(float).eps / (1.0 - max(params.sigma1, params.sigma2))
 
     def evaluate(delta):

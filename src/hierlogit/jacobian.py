@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, _number, _real_array, as_delta_array, one_market
+from .hierarchy import ChoiceHierarchy, NestingParams, _instance, _number, _real_array, as_delta_array, one_market
 from .shares import ShareTable, _log_shares, compute_shares
 
 __all__ = [
@@ -46,11 +46,17 @@ class ShareJacobian:
     ``outside_row[k]`` holds ds_0/ddelta_k. Column sums of the matrix plus
     the outside entry vanish (shares always sum to one), and the matrix is
     symmetric: shares are the gradient of the top inclusive value, so this
-    is a Hessian.
+    is a Hessian. Both are real, the matrix 2-D and the row one entry per column; OutOfDomainError otherwise.
     """
 
     matrix: np.ndarray
     outside_row: np.ndarray
+
+    def __post_init__(self):
+        matrix, row = _real_array("matrix", self.matrix), _real_array("outside_row", self.outside_row)
+        if matrix.ndim != 2 or row.shape != matrix.shape[1:]:
+            raise OutOfDomainError(f"a matrix of shape {matrix.shape} and an outside_row of {row.shape} do not fit")
+        self.__dict__.update(matrix=matrix, outside_row=row)  # frozen: set past __setattr__
 
 
 def log_share_jacobian(table: ShareTable, params: NestingParams) -> np.ndarray:
@@ -61,8 +67,8 @@ def log_share_jacobian(table: ShareTable, params: NestingParams) -> np.ndarray:
     Newton steps are solved without forming it. The share-level Jacobian is
     ``joint[:, None]`` times this matrix.
     """
-    one_market(table.hierarchy, "log_share_jacobian")
-    return _blocks(table, params)[0][0, :-1]
+    one_market(_instance("table", table, ShareTable).hierarchy, "log_share_jacobian")
+    return _blocks(table, _instance("params", params, NestingParams))[0][0, :-1]
 
 
 def _blocks(table: ShareTable, params: NestingParams) -> tuple:
@@ -158,7 +164,8 @@ def max_relative_error(analytic: ShareJacobian, fd: ShareJacobian, row_scale) ->
     FD roundoff and are judged against the size of the row they live in.
     OutOfDomainError for Jacobians of two shapes, or a ``row_scale`` of another length.
     """
-    a, f = (np.vstack([j.matrix, j.outside_row]) for j in (analytic, fd))
+    a, f = (np.vstack([_instance(name, j, ShareJacobian).matrix, j.outside_row])
+            for name, j in (("analytic", analytic), ("fd", fd)))
     scale = _real_array("row_scale", row_scale)
     if a.shape != f.shape or scale.shape != a.shape[:1]:
         raise OutOfDomainError(f"Jacobians of shapes {a.shape} and {f.shape} and a row_scale of {scale.shape} differ")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, _number
+from .hierarchy import ChoiceHierarchy, NestingParams, _instance, _number, _real_array
 from .shares import compute_shares
 
 __all__ = ["SimConfig", "ChoiceCounts", "simulate_choices", "empirical_shares"]
@@ -91,7 +91,7 @@ def simulate_choices(hierarchy: ChoiceHierarchy, delta, params: NestingParams, c
                        table.outside)
     order = np.lexsort((chance, np.append(h.product_market, markets)))
     chance, drawn = chance[order], np.empty(len(order), np.int64)
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    rng = np.random.Generator(np.random.Philox(key=_instance("config", config, SimConfig).seed))
     start = rng.bit_generator.state
     ends = (h.bounds[2] + np.arange(h.n_markets + 1)).tolist()
     for a, b in zip(ends[:-1], ends[1:]):
@@ -108,10 +108,10 @@ def empirical_shares(counts: ChoiceCounts):
     Returns ``(freq, se)`` with the outside option as the last entry of
     both arrays; se_j = sqrt(f_j(1-f_j)/N).
     """
-    if np.size(counts.outside_count) != 1:
-        raise OutOfDomainError("empirical shares take the counts of one market; see ChoiceHierarchy.markets")
-    tally, total = np.append(counts.counts, counts.outside_count), counts.total
-    if total < 1 or tally.min() < 0:
+    outside = _real_array("counts", _instance("counts", counts, ChoiceCounts).outside_count, 1,
+                          "empirical shares take the counts of one market; see ChoiceHierarchy.markets", finite=True)
+    tally = np.append(_real_array("counts", counts.counts, -1, "counts must be one per product", finite=True), outside)
+    if (total := tally.sum()) < 1 or tally.min() < 0:
         raise OutOfDomainError("empirical shares need at least one draw and no negative count")
     freq = tally / float(total)
     se = np.sqrt(freq * (1.0 - freq) / float(total))

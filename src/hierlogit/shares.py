@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateShareError, OutOfDomainError
-from .hierarchy import ChoiceHierarchy, NestingParams, _real_array, as_delta_array
+from .hierarchy import ChoiceHierarchy, NestingParams, _instance, _real_array, as_delta_array
 
 __all__ = [
     "InclusiveValues",
@@ -52,9 +52,10 @@ class ShareTable:
     The table is its logs, aligned to the hierarchy's canonical orders: ``log_joint`` and
     ``log_cond_product`` per product, ``log_cond_subgroup`` per flat subgroup, ``log_group`` per
     group and ``log_outside``, the no-purchase share's, per market (a scalar is taken as one
-    market's). Each is a real array with one entry per node of its level, -inf for a share of 0;
-    OutOfDomainError otherwise. The inversion routines work on the logs, which stay finite and
-    accurate even when the shares themselves underflow (utilities on the order of +-700).
+    market's). Each is a real array with one entry per node of its level, -inf for a share of 0 and
+    none past the largest double's log; OutOfDomainError otherwise. The inversion routines work on
+    the logs, which stay finite and accurate even when the shares themselves underflow (utilities on
+    the order of +-700).
 
     The shares ``joint``, ``cond_product``, ``cond_subgroup``, ``group`` and ``outside`` are set
     on construction, each the exp of its log.
@@ -68,19 +69,21 @@ class ShareTable:
     log_outside: np.ndarray
 
     def __post_init__(self):
+        ids = _instance("hierarchy", self.hierarchy, ChoiceHierarchy).ids
         for name, level in zip(("joint", "cond_product", "cond_subgroup", "group", "outside"), (3, 3, 2, 1, 0)):
-            log = np.atleast_1d(_real_array(f"log_{name}", getattr(self, f"log_{name}")))
-            if log.shape != (len(self.hierarchy.ids[level]),):
-                raise OutOfDomainError(f"log_{name} of shape {log.shape} is not one entry per node of level {level}")
+            log = _real_array(f"log_{name}", getattr(self, f"log_{name}"), len(ids[level]),
+                              f"log_{name} of shape {{shape}} is not one entry per node of level {level}")
+            if log.max() > 709.782712893384:  # the log of the largest double; no level is empty
+                raise OutOfDomainError(f"log_{name} holds a share past the largest double")
             self.__dict__.update({f"log_{name}": log, name: np.exp(log)})  # frozen: set past __setattr__
 
     @classmethod
     def from_joint(cls, hierarchy: ChoiceHierarchy, joint, outside) -> "ShareTable":
         """Rebuild a full table (conditionals included) from observed joint shares.
 
-        ``outside`` holds one outside share per market (a float will do for
-        one market). Intended for share data coming from outside the model,
-        e.g. a CSV of observed market shares. This is the one check of the
+        ``joint`` holds one share per product and ``outside`` one per market (a
+        number is one share). Intended for share data coming from outside the
+        model, e.g. a CSV of observed market shares. This is the one check of the
         per-share bound: every joint share and the outside share must be a
         real number strictly inside (0, 1). Whether they sum to 1 is left to
         the caller; the CLI requires it within 1e-6 as a rule of its file format.
@@ -88,24 +91,19 @@ class ShareTable:
         Raises
         ------
         DegenerateShareError
-            If any share is not a real number strictly inside (0, 1), NaN included.
+            If a share is not a real number in the open (0, 1), NaN included, or not one per product or market.
         """
-        try:
-            joint, outside = _real_array("joint", joint), np.atleast_1d(_real_array("outside", outside))
-        except OutOfDomainError:
-            raise DegenerateShareError("joint and outside shares must be real numbers") from None
-        if joint.shape != (hierarchy.n_products,) or outside.shape != (hierarchy.n_markets,):
-            raise DegenerateShareError(
-                f"expected {hierarchy.n_products} joint and {hierarchy.n_markets} outside shares, "
-                f"got shapes {joint.shape} and {outside.shape}"
-            )
+        h = _instance("hierarchy", hierarchy, ChoiceHierarchy)
+        joint, outside = (
+            _real_array("joint and outside shares", shares, n, f"expected {n} {what} shares, got shape {{shape}}",
+                        DegenerateShareError)
+            for shares, n, what in ((joint, h.n_products, "joint"), (outside, h.n_markets, "outside")))
         if not np.all((joint > 0.0) & (joint < 1.0)):
             raise DegenerateShareError("joint shares must lie strictly in (0, 1)")
         bad = outside[~((outside > 0.0) & (outside < 1.0))]
         if bad.size:
             raise DegenerateShareError(f"outside share {float(bad[0])!r} must lie strictly in (0, 1)")
 
-        h = hierarchy
         # products are summed straight into groups, not through subgroups
         group_sum, subgroup_sum = (np.bincount(h.above[l], weights=joint, minlength=len(h.ids[l])) for l in (1, 2))
         return cls(
@@ -154,7 +152,7 @@ def compute_shares(hierarchy: ChoiceHierarchy, delta, params: NestingParams):
     """``(ShareTable, InclusiveValues)``: the log shares and inclusive values of every market at real mean
     utilities ``delta``, each market's those of the market computed alone, bit for bit. The outside share
     and the top inclusive value are arrays over markets, one entry for a one-market tree."""
-    *logs, iv = _log_shares(hierarchy, as_delta_array(hierarchy, delta), params)
+    *logs, iv = _log_shares(hierarchy, as_delta_array(hierarchy, delta), _instance("params", params, NestingParams))
     return ShareTable(hierarchy, *logs), InclusiveValues(subgroup=iv[2], group=iv[1], top=iv[0])
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimensionsError, OutOfDomainError, SingularDesignError
-from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _number, _real_array
+from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _instance, _number, _real_array, _sequence
 
 __all__ = ["SynthConfig", "EstimationResult", "generate_market", "estimate_linear"]
 
@@ -59,11 +59,7 @@ class SynthConfig:
         for name in ("xi_scale", "sigma1", "sigma2"):
             object.__setattr__(self, name, _number(name, getattr(self, name)))
         for name in ("beta", "x_range"):
-            try:
-                values = tuple(getattr(self, name))
-            except TypeError:
-                raise OutOfDomainError(f"{name} must be a sequence of numbers") from None
-            object.__setattr__(self, name, tuple(_number(name, v) for v in values))
+            object.__setattr__(self, name, tuple(_number(name, v) for v in _sequence(name, getattr(self, name))))
 
         shape = (self.n_groups, self.n_subgroups_per_group, self.n_products_per_subgroup)
         if min(shape) < 1 or math.prod(shape) > _MAX_PRODUCTS:
@@ -97,6 +93,7 @@ def generate_market(config: SynthConfig):
     (n_products, len(beta)) drawn uniformly on ``x_range``, xi drawn
     normal(0, xi_scale), and delta = X beta + xi. Reproducible by seed.
     """
+    config = _instance("config", config, SynthConfig)
     shape = (config.n_groups, config.n_subgroups_per_group, config.n_products_per_subgroup)
     groups, subgroups, numbers = ([f"{level}{i}" for i in range(1, n + 1)] for level, n in zip("ghp", shape))
     # product p of subgroup h of group g is g{g}h{h}p{p}; subgroup ids repeat across groups
@@ -116,8 +113,8 @@ def generate_market(config: SynthConfig):
 def estimate_linear(rows, covariates) -> EstimationResult:
     """Least squares of y on (X, x1, x2) over the supplied regression rows.
 
-    ``rows`` is the ``(y, x1, x2)`` triple from ``regression_rows``; it and
-    the covariate matrix must be aligned product for product. Solved by
+    ``rows`` is the ``(y, x1, x2)`` triple from ``regression_rows``; each is 1-D
+    and aligned product for product with the 2-D covariate matrix. Solved by
     SVD-based least squares; a smallest singular value at or below 1e-10
     of the largest signals collinear regressors, e.g. x2 identically zero
     when every group has a single subgroup.
@@ -125,38 +122,26 @@ def estimate_linear(rows, covariates) -> EstimationResult:
     Raises
     ------
     BadDimensionsError
-        When the three row arrays and the covariates disagree in length.
+        When the rows are not three, or they and the covariates disagree in length.
     OutOfDomainError
-        On regressors or regressand that are not finite real numbers.
+        On regressors or regressand that are not finite real numbers, or not 1-D.
     SingularDesignError
         On rank-deficient designs or too few rows to identify all
         coefficients.
     """
-    y, x1, x2 = (_real_array("regression rows", column) for column in rows)
-    covariates = np.atleast_2d(_real_array("covariates", covariates))
-    n = y.shape[0]
-    if x1.shape != y.shape or x2.shape != y.shape or covariates.shape[0] != n:
-        raise BadDimensionsError(
-            f"regression rows of shapes {y.shape}, {x1.shape}, {x2.shape} "
-            f"but {covariates.shape[0]} covariate rows"
-        )
-    n_coef = covariates.shape[1] + 2
-    if n < n_coef:
-        raise SingularDesignError(
-            f"{n} rows cannot identify {n_coef} coefficients"
-        )
+    rows = [_real_array("regression rows", row, -1, "regression rows must lie in one dimension, got shape {shape}",
+                        finite=True) for row in _sequence("rows", rows)]
+    covariates = np.atleast_2d(_real_array("covariates", covariates, finite=True))
+    if len(rows) != 3 or covariates.ndim != 2 or {len(row) for row in rows} != {len(covariates)}:
+        raise BadDimensionsError(f"rows of shapes {[row.shape for row in rows]} but covariates {covariates.shape}")
+    (y, x1, x2), n = rows, len(covariates)
+    if n < (n_coef := covariates.shape[1] + 2):
+        raise SingularDesignError(f"{n} rows cannot identify {n_coef} coefficients")
 
     design = np.column_stack([covariates, x1, x2])
-    if not (np.all(np.isfinite(design)) and np.all(np.isfinite(y))):
-        raise OutOfDomainError("regression rows and covariates must all be finite")
     coef, _, _, singular = np.linalg.lstsq(design, y, rcond=None)
     if singular.min() <= _PIVOT_RTOL * singular.max():
         raise SingularDesignError("design matrix is rank deficient (collinear regressors)")
 
-    residual_norm = float(np.linalg.norm(y - design @ coef))
-    return EstimationResult(
-        beta_hat=coef[:-2],
-        sigma1_hat=float(coef[-2]),
-        sigma2_hat=float(coef[-1]),
-        residual_norm=residual_norm,
-    )
+    return EstimationResult(beta_hat=coef[:-2], sigma1_hat=float(coef[-2]), sigma2_hat=float(coef[-1]),
+                            residual_norm=float(np.linalg.norm(y - design @ coef)))

@@ -5,23 +5,40 @@ numpy or Python error, a warning, or a silent wrong answer.
 """
 
 import dataclasses
+import functools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import hierlogit
 from hierlogit import (
+    BadDimensionsError,
     ChoiceCounts,
     ChoiceHierarchy,
+    HierLogitError,
     NestingParams,
     OutOfDomainError,
+    ShareJacobian,
+    ShareTable,
+    SimConfig,
+    SynthConfig,
     UtilityVector,
     berry_invert,
     build_hierarchy,
     compute_shares,
     empirical_shares,
     estimate_linear,
+    fd_jacobian,
     full_jacobian,
+    generate_market,
+    log_share_jacobian,
     max_relative_error,
+    numeric_invert,
+    regression_rows,
+    simulate_choices,
 )
 
 from helpers import assert_same_tree
@@ -89,6 +106,26 @@ CASES = {
     "build-hierarchy-mapping": (lambda: build_hierarchy([{"g": 1, "h": 2, "p": 3}]),
                                 r"^row 0, \{'g': 1, 'h': 2, 'p': 3\}, is not a "
                                 r"\(group_id, subgroup_id, product_id\) triple$"),
+    # an argument of the wrong type: a raw AttributeError
+    "compute-shares-none-tree": (lambda: compute_shares(None, [0.1, 0.2], PARAMS),
+                                 "^hierarchy must be a ChoiceHierarchy, not NoneType$"),
+    "compute-shares-none-params": (lambda: compute_shares(TREE, [0.1, 0.2], None),
+                                   "^params must be a NestingParams, not NoneType$"),
+    "berry-invert-none-params": (lambda: berry_invert(TABLE, None), "^params must be a NestingParams, not NoneType$"),
+    "berry-invert-none-table": (lambda: berry_invert(None, PARAMS), "^table must be a ShareTable, not NoneType$"),
+    "regression-rows-none": (lambda: regression_rows(None), "^table must be a ShareTable, not NoneType$"),
+    "numeric-invert-none-target": (lambda: numeric_invert(TREE, None, PARAMS),
+                                   "^target must be a ShareTable, not NoneType$"),
+    "full-jacobian-none-params": (lambda: full_jacobian(TREE, [0.1, 0.2], None),
+                                  "^params must be a NestingParams, not NoneType$"),
+    "fd-jacobian-none-tree": (lambda: fd_jacobian(None, [0.1, 0.2], PARAMS),
+                              "^hierarchy must be a ChoiceHierarchy, not NoneType$"),
+    "log-share-jacobian-none": (lambda: log_share_jacobian(None, PARAMS), "^table must be a ShareTable, not NoneType$"),
+    "simulate-choices-none-config": (lambda: simulate_choices(TREE, [0.1, 0.2], PARAMS, None),
+                                     "^config must be a SimConfig, not NoneType$"),
+    "share-table-none-tree": (lambda: ShareTable(None, *(getattr(TABLE, f.name) for f in dataclasses.fields(TABLE)[1:])),
+                              "^hierarchy must be a ChoiceHierarchy, not NoneType$"),
+    "generate-market-none": (lambda: generate_market(None), "^config must be a SynthConfig, not NoneType$"),
 }
 
 
@@ -109,3 +146,116 @@ def test_a_tree_takes_parents_of_whole_numbers_of_any_numeric_dtype(dtype):
     assert_same_tree(tree, ChoiceHierarchy(IDS, [[0, 0], [0, 1], [0, 1]]))
     # an integer array of the platform's width is kept as it is
     assert (tree.parent[1] is parent[1]) == (dtype is np.intp)
+
+
+# arguments of every kind the public API takes, some of another size than the calls expect
+TWO = ChoiceHierarchy([["m1", "m2"], ["g1", "g2"], ["h1", "h2"], ["a", "b"]], [[0, 1], [0, 1], [0, 1]])
+TWO_TABLE, ONE_TABLE = compute_shares(TWO, [0.1, 0.2], PARAMS)[0], compute_shares(ONE, [0.3], PARAMS)[0]
+COUNTS, SIM = ChoiceCounts(np.array([5, 3]), np.array([2])), SimConfig(draws=100, seed=1)
+SYNTH = SynthConfig(2, 2, 2, beta=(1.0,), sigma1=0.4, sigma2=0.2, seed=3)
+_SYNTH_TREE, _SYNTH_DELTA, COVARIATES = generate_market(SYNTH)
+SYNTH_ROWS = regression_rows(compute_shares(_SYNTH_TREE, _SYNTH_DELTA, NestingParams(0.4, 0.2))[0])
+
+# the hostile vocabulary: None, bool, complex, text, NaN and +-inf, numbers out of range, numpy
+# scalars, a float where an int is meant, empty and wrongly shaped arrays, nested lists, and a tree,
+# table or other argument of another size or kind
+_ATOMS = [None, True, 1j, "a", "1.5", np.nan, np.inf, -np.inf, 0, -1, 0.5, 2.5, 1e308, 2**64,
+          np.float64(0.5), np.int64(2), np.float32(np.nan), np.complex128(1j), np.array(1.0)]
+HOSTILE = st.one_of(
+    st.sampled_from(_ATOMS + [np.array([]), np.ones((2, 2)), np.ones((5, 1, 1)), np.array([0.1, np.nan]),
+                              ONE, TWO, ONE_TABLE, TWO_TABLE, PARAMS, COUNTS, JACOBIAN, SYNTH, SIM]),
+    st.lists(st.sampled_from(_ATOMS) | st.lists(st.sampled_from(_ATOMS), max_size=3), max_size=3),
+)
+
+# each public callable's arguments in order, a list of good values for each; a drawn call takes one
+# of them or a hostile value for every argument
+ARGUMENTS = {
+    **{name: [["a message"]] for name in hierlogit.__all__ if name.endswith("Error")},
+    "ChoiceHierarchy": [[IDS], [[[0, 0], [0, 1], [0, 1]]]],
+    "ChoiceHierarchy.markets": [[0], [2]],
+    "NestingParams": [[0.5], [0.25]],
+    "UtilityVector": [[[0.1, 0.2]]],
+    "build_hierarchy": [[[("g", "h", "a"), ("g", "k", "b")]], ["m"]],
+    "InclusiveValues": [[np.zeros(2)], [np.zeros(1)], [np.zeros(1)]],
+    "ShareTable": [[TREE], *([getattr(TABLE, f.name)] for f in dataclasses.fields(ShareTable)[1:])],
+    "ShareTable.from_joint": [[TREE, TWO], [TABLE.joint], [TABLE.outside]],
+    "compute_shares": [[TREE, TWO], [[0.1, 0.2], UtilityVector([0.1, 0.2])], [PARAMS]],
+    "berry_invert": [[TABLE, TWO_TABLE], [PARAMS]],
+    "regression_rows": [[TABLE]],
+    "numeric_invert": [[TREE], [TABLE], [PARAMS], [1e-9], [50]],
+    "ShareJacobian": [[JACOBIAN.matrix], [JACOBIAN.outside_row]],
+    "log_share_jacobian": [[TABLE], [PARAMS]],
+    "full_jacobian": [[TREE], [[0.1, 0.2]], [PARAMS]],
+    "fd_jacobian": [[TREE], [[0.1, 0.2]], [PARAMS], [1e-6]],
+    "max_relative_error": [[JACOBIAN], [JACOBIAN], [[1.0, 1.0, 1.0]]],
+    "SimConfig": [[100], [1]],
+    "ChoiceCounts": [[np.array([5, 3])], [np.array([2])]],
+    "simulate_choices": [[TREE, TWO], [[0.1, 0.2]], [PARAMS], [SIM]],
+    "empirical_shares": [[COUNTS]],
+    "SynthConfig": [[2], [2], [2], [(1.0,)], [(0.0, 1.0)], [0.0], [0.4], [0.2], [3]],
+    "EstimationResult": [[np.ones(1)], [0.4], [0.2], [0.0]],
+    "generate_market": [[SYNTH]],
+    "estimate_linear": [[SYNTH_ROWS], [COVARIATES]],
+}
+
+
+def _public(name):
+    """The callable of a key of ARGUMENTS: ``ChoiceHierarchy.markets`` is the method of ``TWO``."""
+    return TWO.markets if name == "ChoiceHierarchy.markets" else functools.reduce(getattr, name.split("."), hierlogit)
+
+
+CALLS = st.sampled_from(sorted(ARGUMENTS)).flatmap(lambda name: st.builds(
+    functools.partial, st.just(_public(name)), *(st.sampled_from(good) | HOSTILE for good in ARGUMENTS[name])))
+
+# rows, Jacobians and counts of the wrong shape or content: a raw ValueError, IndexError or AttributeError
+SHAPES = {
+    "estimate-linear-two-rows": (lambda: estimate_linear(SYNTH_ROWS[:2], COVARIATES), BadDimensionsError,
+                                 r"^rows of shapes \[\(8,\), \(8,\)\] but covariates \(8, 1\)$"),
+    "estimate-linear-three-numbers": (lambda: estimate_linear((1.0, 2.0, 3.0), COVARIATES), BadDimensionsError,
+                                      r"^rows of shapes \[\(1,\), \(1,\), \(1,\)\]"),
+    "estimate-linear-3d-covariates": (lambda: estimate_linear(SYNTH_ROWS, COVARIATES.reshape(-1, 1, 1)),
+                                      BadDimensionsError, r"but covariates \(8, 1, 1\)$"),
+    "max-relative-error-short-outside-row": (
+        lambda: max_relative_error(ShareJacobian(JACOBIAN.matrix, JACOBIAN.outside_row[:1]), JACOBIAN, [1.0] * 3),
+        OutOfDomainError, r"^a matrix of shape \(2, 2\) and an outside_row of \(1,\) do not fit$"),
+    "empirical-shares-nan-count": (lambda: empirical_shares(ChoiceCounts(np.array([5.0, np.nan]), np.array([2]))),
+                                   OutOfDomainError, "^counts must all be finite$"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, error, message", SHAPES.values(), ids=SHAPES.keys())
+def test_a_call_of_the_wrong_shape_raises_the_packages_own_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_counts_in_lists_are_counts():
+    # once a raw AttributeError, from the list's missing .sum
+    listed, arrays = (empirical_shares(ChoiceCounts(*c)) for c in (([5, 3], [2]), (np.array([5, 3]), np.array([2]))))
+    assert all(map(np.array_equal, listed, arrays))
+
+
+def test_every_public_callable_has_arguments_to_draw():
+    public = {name for name in hierlogit.__all__ if callable(getattr(hierlogit, name))}
+    assert public <= set(ARGUMENTS), sorted(public - set(ARGUMENTS))
+
+
+def _examples(test):
+    """``test`` with every call of CASES and SHAPES as an explicit example."""
+    for call, *_ in [*CASES.values(), *SHAPES.values()]:
+        test = example(call=call)(test)
+    return test
+
+
+@_examples
+@settings(max_examples=3000, derandomize=True, database=None, deadline=None)
+@given(call=CALLS)
+def test_every_public_call_returns_or_raises_the_packages_own_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except HierLogitError:
+            pass
