@@ -5,9 +5,9 @@ chunk becomes one uint8 matrix of every cell's bytes in padded slots, with
 a mask of the slots written; the masked bytes are the rows. A table of ids
 keeps their bytes end to end, and a chunk pads its cells only to the
 widest in it; a float table, one value per segment, is formatted once, in
-the calling thread. A write maps its chunks in order (``_in_order``) on one
-thread per CPU of the affinity mask, on the standard library's thread
-pool; a write of one chunk starts no thread. The chunks in flight share
+the calling thread. A write formats its chunks in order on one thread per
+CPU of the affinity mask, on the standard library's thread pool; a write
+of one chunk starts no thread. The chunks in flight share
 ``_CHUNK_BYTES`` of padded cells, a chunk over its share being halved, and
 the bytes do not depend on the CPU count. Each thread also holds the rest
 of its chunk's working set, and the allocator keeps an arena per thread:
@@ -20,7 +20,6 @@ that product cannot prove (inf, nonzero |x| outside ``_FAST_RANGE``, and
 fractions within ``_TIE_BAND`` of a rounding tie).
 """
 
-import contextlib
 import functools
 import itertools
 import os
@@ -45,67 +44,49 @@ def write_csv(out, header, blocks) -> None:
     being a float array or a sequence of str; strs are quoted by the csv
     module's rules, a carriage return included. Each block's tables are
     flattened in the calling thread, its rows formatted in chunks of
-    ``_CHUNK_ROWS`` rows by ``_in_order`` on one thread per CPU, and the
-    chunks written in order. When ``blocks`` raises, the rows of the blocks
-    before are written first; when ``out`` raises, the threads are joined.
+    ``_CHUNK_ROWS`` rows on one thread per CPU, at most one chunk a thread
+    in flight, and the chunks written in order; a write of one chunk starts
+    no thread. When ``blocks`` raises, the rows of the blocks before are
+    written first; the threads are joined on every exit.
     """
     out.write((",".join(header) + "\n").encode())
     # the CPUs this process may run on: its affinity mask, else the CPU count
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    limit = _CHUNK_BYTES // max(2, workers)
-    with contextlib.closing(_in_order(lambda chunk: _formatted(*chunk, limit), _chunks(blocks), workers)) as chunks:
-        for parts in chunks:
+    calls = _chunks(blocks, _CHUNK_BYTES // max(2, workers))
+    head = list(itertools.islice(calls, 2 if workers > 1 else 0))
+    calls = itertools.chain(head, calls)
+    if len(head) < 2:
+        for call in calls:
+            for part in call():
+                out.write(part)
+        return
+    # imported here, as it loads logging: a write of one chunk runs without it
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as executor:
+        ahead = deque(executor.submit(call) for call in itertools.islice(calls, workers))
+        while ahead:
+            parts = ahead.popleft().result()
+            ahead.extend(executor.submit(call) for call in itertools.islice(calls, 1))
             for part in parts:
                 out.write(part)
-
-
-def _in_order(fn, items, workers):
-    """Yield ``fn(item)`` for each of ``items``, in order, as ``map`` does:
-    when ``fn`` or the making of an item raises, the results before it come
-    first. With more than one worker and two items or more, the items run on
-    ``workers`` threads, at most one item per thread in flight, and the
-    threads are joined when the generator ends or is closed; otherwise they
-    run in the calling thread, and ``concurrent.futures`` is not imported."""
-    calls = _calls(fn, items)
-    head = list(itertools.islice(calls, 2 if workers > 1 else 0))
-    calls, executor = itertools.chain(head, calls), None
-    if len(head) == 2:
-        # imported here, as it loads logging: a write of one chunk runs without it
-        from concurrent.futures import ThreadPoolExecutor
-        executor = ThreadPoolExecutor(workers)
-        calls = (executor.submit(call).result for call in calls)
-    try:
-        ahead = deque(itertools.islice(calls, workers))
-        while ahead:
-            result = ahead.popleft()()
-            ahead.extend(itertools.islice(calls, 1))
-            yield result
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-
-def _calls(fn, items):
-    """A call of ``fn`` on each of ``items``, then, if making the next item
-    raised, a call that raises its error."""
-    try:
-        for item in items:
-            yield functools.partial(fn, item)
-    except Exception as err:
-        yield functools.partial(_raise, err)
 
 
 def _raise(err):
     raise err
 
 
-def _chunks(blocks):
-    """The ``(columns, rows)`` chunks of ``blocks``, in file order, each table flattened by ``_flat``."""
-    for columns in blocks:
-        columns = [(*_flat(c[0]), c[1]) if isinstance(c, tuple) else c for c in columns]
-        n_rows = len(columns[0][-1] if isinstance(columns[0], tuple) else columns[0])
-        for start in range(0, n_rows, _CHUNK_ROWS):
-            yield columns, slice(start, min(start + _CHUNK_ROWS, n_rows))
+def _chunks(blocks, limit):
+    """A call of ``_formatted`` on each chunk of ``blocks``, in file order,
+    each table flattened by ``_flat``; then, if ``blocks`` raised, a call
+    that raises its error."""
+    try:
+        for columns in blocks:
+            columns = [(*_flat(c[0]), c[1]) if isinstance(c, tuple) else c for c in columns]
+            n_rows = len(columns[0][-1] if isinstance(columns[0], tuple) else columns[0])
+            for start in range(0, n_rows, _CHUNK_ROWS):
+                yield functools.partial(_formatted, columns, slice(start, min(start + _CHUNK_ROWS, n_rows)), limit)
+    except Exception as err:
+        yield functools.partial(_raise, err)
 
 
 def _formatted(columns, rows, limit) -> list:

@@ -67,10 +67,6 @@ class ChoiceCounts:
     counts: np.ndarray
     outside_count: np.ndarray
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum()) + int(np.sum(self.outside_count))
-
 
 def simulate_choices(hierarchy: ChoiceHierarchy, delta, params: NestingParams, config: SimConfig) -> ChoiceCounts:
     """Simulate ``config.draws`` sequential choices in each market of a tree and tally them.

@@ -53,9 +53,9 @@ class ShareTable:
     ``log_cond_product`` per product, ``log_cond_subgroup`` per flat subgroup, ``log_group`` per
     group and ``log_outside``, the no-purchase share's, per market (a scalar is taken as one
     market's). Each is a real array with one entry per node of its level, -inf for a share of 0 and
-    none past the largest double's log; OutOfDomainError otherwise. The inversion routines work on
-    the logs, which stay finite and accurate even when the shares themselves underflow (utilities on
-    the order of +-700).
+    none above the log of the tree's product count; OutOfDomainError otherwise. The inversion
+    routines work on the logs, which stay finite and accurate even when the shares themselves
+    underflow (utilities on the order of +-700).
 
     The shares ``joint``, ``cond_product``, ``cond_subgroup``, ``group`` and ``outside`` are set
     on construction, each the exp of its log.
@@ -73,8 +73,8 @@ class ShareTable:
         for name, level in zip(("joint", "cond_product", "cond_subgroup", "group", "outside"), (3, 3, 2, 1, 0)):
             log = _real_array(f"log_{name}", getattr(self, f"log_{name}"), len(ids[level]),
                               f"log_{name} of shape {{shape}} is not one entry per node of level {level}")
-            if log.max() > 709.782712893384:  # the log of the largest double; no level is empty
-                raise OutOfDomainError(f"log_{name} holds a share past the largest double")
+            if log.max() > np.log(len(ids[3])):  # a share is at most 1, a from_joint group sum below the count
+                raise OutOfDomainError(f"log_{name} holds a share above {len(ids[3])}, the tree's product count")
             self.__dict__.update({f"log_{name}": log, name: np.exp(log)})  # frozen: set past __setattr__
 
     @classmethod

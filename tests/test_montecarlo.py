@@ -44,7 +44,7 @@ def test_symmetric_singleton_frequency():
     counts = simulate_choices(tree, [0.0], params, SimConfig(draws=n, seed=1))
     freq = counts.counts[0] / n
     assert abs(freq - 0.5) <= 4 * np.sqrt(0.25 / n)
-    assert counts.total == n
+    assert counts.counts.sum() + counts.outside_count.sum() == n
 
 
 def test_plain_logit_thirds():
@@ -75,7 +75,7 @@ def test_one_market_counts_hold_the_outside_count_in_an_array():
     # as the table's outside share: an array over markets for every tree
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h2", "p2")])
     counts = simulate_choices(tree, [0.0, 0.5], NestingParams(0.5, 0.25), SimConfig(draws=1000, seed=1))
-    assert counts.outside_count.shape == (1,) and counts.total == 1000
+    assert counts.outside_count.shape == (1,) and counts.counts.sum() + counts.outside_count.sum() == 1000
     freq, _ = empirical_shares(counts)
     assert freq.shape == (3,) and freq[-1] == counts.outside_count[0] / 1000
 
@@ -171,7 +171,7 @@ def test_each_market_of_a_tree_draws_the_counts_it_draws_alone():
     for draws, seed in itertools.product((10_000, 2**53), (0, 7, 2**100)):
         config = SimConfig(draws=draws, seed=seed)
         counts = simulate_choices(tree, delta, params, config)
-        assert counts.total == 40 * draws and counts.outside_count.shape == (40,)
+        assert counts.counts.sum() + counts.outside_count.sum() == 40 * draws and counts.outside_count.shape == (40,)
         for m in range(tree.n_markets):
             lo, hi = tree.bounds[2, m:m + 2].tolist()
             alone = simulate_choices(tree.markets(m, m + 1), delta[lo:hi], params, config)
@@ -183,7 +183,7 @@ def test_empirical_shares_refuse_the_counts_of_several_markets():
     # their total is every market's draws: dividing by it would give no market's frequencies
     tree = market_tree([("m1", "g", "h", "a"), ("m2", "g", "h", "a"), ("m2", "g", "k", "b")])
     counts = simulate_choices(tree, np.zeros(3), NestingParams(0.5, 0.25), SimConfig(draws=100))
-    assert counts.total == 200
+    assert counts.counts.sum() + counts.outside_count.sum() == 200
     with pytest.raises(OutOfDomainError, match="one market"):
         empirical_shares(counts)
 
@@ -192,7 +192,7 @@ def test_simulate_starts_no_thread():
     tree = balanced_tree(3, 3, 4)
     with mock.patch.object(threading.Thread, "start", side_effect=AssertionError("a thread started")):
         counts = simulate_choices(tree, np.zeros(tree.n_products), NestingParams(0.5, 0.25), SimConfig(draws=10**6))
-    assert counts.total == 10**6
+    assert counts.counts.sum() + counts.outside_count.sum() == 10**6
 
 
 def test_a_market_whose_chances_sum_short_keeps_every_draw():
@@ -261,7 +261,7 @@ def test_ragged_tree_frequencies_match_analytic_shares(instance_seed, sigma1, si
     n = 200_000
     counts = simulate_choices(RAGGED_TREE, delta, params, SimConfig(draws=n, seed=instance_seed))
     freq, _ = empirical_shares(counts)
-    assert counts.total == n
+    assert counts.counts.sum() + counts.outside_count.sum() == n
     assert np.all(np.abs(freq - share) <= 4 * np.sqrt(share * (1 - share) / n))
 
 

@@ -17,6 +17,7 @@ from hierlogit import (
     berry_invert,
     build_hierarchy,
     compute_shares,
+    log_share_jacobian,
     numeric_invert,
 )
 
@@ -267,6 +268,25 @@ def test_a_table_is_its_logs_and_each_share_the_exp_of_its_log():
             assert np.array_equal(getattr(t, name), np.exp(getattr(t, f"log_{name}"))), name
     # the per-market values are arrays over markets for every tree, of one entry for one market
     assert table.outside.shape == observed.log_outside.shape == iv.top.shape == (1,)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_table_refuses_a_share_above_the_product_count():
+    # logs of 400 are no shares of a two-product tree, and would overflow in log_share_jacobian
+    tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
+    logs = np.log([0.2, 0.3]), [400.0, 400.0], [400.0], np.log([0.5]), np.log([0.5])
+    with pytest.raises(OutOfDomainError, match="^log_cond_product holds a share above 2, the tree's product count$"):
+        log_share_jacobian(ShareTable(tree, *logs), NestingParams(0.5, 0.25))
+    # from_joint's one group of shares just below 1 sums past 1, never past the product count
+    below_one = np.nextafter(1.0, 0.0)
+    for n in (2, 3, 50):
+        table = ShareTable.from_joint(build_hierarchy([("g1", f"h{j % 2}", f"p{j}") for j in range(n)]),
+                                      np.full(n, below_one), below_one)
+        assert 1.0 < table.group[0] <= n
+    # every model share is at most 1, at utilities of +-700 too
+    for sigma in ((0.6, 0.3), (0.999, 0.5)):
+        table, _ = compute_shares(balanced_tree(2, 2, 2), [700.0, -700.0] * 4, NestingParams(*sigma))
+        assert max(log.max() for log in (table.log_joint, table.log_cond_product, table.log_group)) <= 0.0
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 from unittest import mock
 
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hierlogit import cli, csvout, jacobian
+from hierlogit import HierLogitError, cli, csvout, jacobian
 from hierlogit.cli import EXIT_OK
 
 from helpers import CLI, assert_same_read, imported_modules, invoke, on_cpus, per_cell_write_csv, run_child
@@ -349,6 +351,41 @@ def test_markets_before_a_failing_one_are_written(tmp_path):
         assert result.exit_code == cli.EXIT_DOMAIN
         assert repr(failing) in result.stderr
     assert (tmp_path / "_write_csv.csv").read_bytes() == (tmp_path / "per_cell_write_csv.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_blocks_that_fail_leave_the_rows_before_written_and_join_the_threads(failing, workers):
+    # blocks of 5 rows, in chunks of 2, that raise after their 0th, 1st or 2nd block
+    error, formatted, ran_on = HierLogitError("market 'm2': refused"), csvout._formatted, set()
+
+    def recorded(columns, rows, limit):
+        ran_on.add(threading.current_thread())
+        return formatted(columns, rows, limit)
+
+    def blocks():
+        for b in range(failing):
+            yield [np.arange(5.0) / 4 + b, (["a", "b,c"], np.array([0, 1, 0, 1, 0]))]
+        raise error
+
+    out, threads = io.BytesIO(), threading.enumerate()
+    with mock.patch.object(csvout, "_CHUNK_ROWS", 2), mock.patch.object(csvout, "_formatted", recorded), \
+            mock.patch("concurrent.futures.ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool, on_cpus(workers):
+        with pytest.raises(HierLogitError) as raised:
+            csvout.write_csv(out, ["value", "id"], blocks())
+    assert raised.value is error
+    assert threading.enumerate() == threads
+    quoted = ["a", '"b,c"']
+    rows = "".join(f"{format(i / 4 + b, '.17g')},{quoted[i % 2]}\n" for b in range(failing) for i in range(5))
+    assert out.getvalue() == ("value,id\n" + rows).encode()
+    # a failure before the first chunk formats nothing and starts no pool
+    assert pool.call_count == (workers > 1 and failing > 0)
+    if failing == 0:
+        assert not ran_on
+    elif workers == 1:
+        assert ran_on == {threading.main_thread()}
+    else:
+        assert ran_on and threading.main_thread() not in ran_on
 
 
 @pytest.mark.parametrize("where", ["market", "chunk"])
