@@ -5,20 +5,9 @@ class HierLogitError(Exception):
     """Base class for all package errors."""
 
 
-class EmptyInputError(HierLogitError):
-    """No rows were supplied when building a choice hierarchy."""
-
-
-class DuplicateProductError(HierLogitError):
-    """A product id appeared more than once in one market."""
-
-
 class OutOfDomainError(HierLogitError):
-    """A parameter or utility value lies outside its valid domain."""
-
-
-class DegenerateShareError(HierLogitError):
-    """A share is zero, negative, or otherwise unusable for inversion."""
+    """An argument outside its domain: of the wrong type or shape, not finite, or outside the model's
+    domain, as a sigma outside [0, 1), an empty tree, a repeated product or a share not inside (0, 1)."""
 
 
 class NoConvergenceError(HierLogitError):
@@ -27,10 +16,6 @@ class NoConvergenceError(HierLogitError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class BadDimensionsError(HierLogitError):
-    """A synthetic-market configuration has inconsistent or invalid dimensions."""
 
 
 class SingularDesignError(HierLogitError):

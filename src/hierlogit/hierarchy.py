@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateProductError, EmptyInputError, OutOfDomainError
+from .errors import OutOfDomainError
 
 #: Reserved id used for the outside option in files.
 OUTSIDE_ID = "_outside"
@@ -45,20 +45,20 @@ def _sequence(name: str, value, kind=tuple):
         raise OutOfDomainError(f"{name} is not a sequence of what it needs: {err}") from None
 
 
-def _real_array(name: str, values, length=None, mismatch="", error=OutOfDomainError, finite=False) -> np.ndarray:
-    """``values`` as a float array, else ``error``: "``name`` must be real numbers" for complex values, text,
+def _real_array(name: str, values, length=None, mismatch="", finite=False) -> np.ndarray:
+    """``values`` as a float array, else OutOfDomainError: "``name`` must be real numbers" for complex values, text,
     None or a ragged list; ``mismatch``, its ``{shape}`` filled in, unless of one dimension and ``length``
     values where that is given (-1: any; a number is one value); "``name`` must all be finite" if ``finite``."""
     try:
         if (values := np.asarray(values)).dtype.kind not in "biuf":
             raise ValueError(values.dtype)
     except ValueError:  # not of a real dtype, or a ragged list, which numpy refuses
-        raise error(f"{name} must be real numbers") from None
+        raise OutOfDomainError(f"{name} must be real numbers") from None
     values = values.astype(float, copy=False)
     if length is not None and ((values := np.atleast_1d(values)).ndim != 1 or length not in (-1, len(values))):
-        raise error(mismatch.format(shape=values.shape))
+        raise OutOfDomainError(mismatch.format(shape=values.shape))
     if finite and not np.isfinite(values).all():
-        raise error(f"{name} must all be finite")
+        raise OutOfDomainError(f"{name} must all be finite")
     return values
 
 
@@ -228,12 +228,9 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
 
     Raises
     ------
-    EmptyInputError
-        If ``rows`` is empty.
     OutOfDomainError
-        If a row is not a (group_id, subgroup_id, product_id) triple of hashable ids; the first such row is named.
-    DuplicateProductError
-        If a product id occurs twice anywhere in the market.
+        If ``rows`` is empty, a row is not a (group_id, subgroup_id, product_id) triple of hashable ids (the
+        first such row is named), or a product id occurs twice anywhere in the market or is reserved.
     """
     rows = _sequence("rows", rows, list)
     # a string is a sequence of its characters and a mapping one of its keys, not of three ids; a 0-d array is none
@@ -248,14 +245,14 @@ def build_hierarchy(rows, market_id: str = "") -> ChoiceHierarchy:
             raise OutOfDomainError(f"row {i}, {rows[i]!r}, holds an id that is not hashable") from None
     columns = list(zip(*triples))
     if not columns:
-        raise EmptyInputError("cannot build a hierarchy from zero rows")
+        raise OutOfDomainError("cannot build a hierarchy from zero rows")
     tables, codes = zip(*map(numbered, columns))
     products, n = columns[2], len(columns[2])
     # the first row at fault: a reserved id or a repeated one
     reserved = products.index(OUTSIDE_ID) if OUTSIDE_ID in tables[2] else n
     repeat = first_repeat(codes[2])
     if min(reserved, repeat) < n:
-        raise DuplicateProductError(
+        raise OutOfDomainError(
             f"product id {OUTSIDE_ID!r} is reserved for the outside option" if reserved <= repeat
             else f"product id {products[repeat]!r} appears more than once")
     tree, _ = tree_from_codes(([market_id], *tables), (np.zeros(n, np.intp), *codes))

@@ -20,7 +20,7 @@ Jacobian end to end and must agree with the closed form to tight tolerance.
 
 import numpy as np
 
-from .errors import DegenerateShareError, NoConvergenceError, OutOfDomainError
+from .errors import NoConvergenceError, OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _instance, _number
 from .shares import ShareTable, compute_shares
 
@@ -29,9 +29,9 @@ __all__ = ["berry_invert", "regression_rows", "numeric_invert"]
 
 def _require_interior(table: ShareTable) -> None:
     table = _instance("table", table, ShareTable)
-    logs = (table.log_joint, table.log_cond_product, table.log_cond_subgroup, table.log_outside)
+    logs = (table.log_joint, table.log_cond_product, table.log_cond_subgroup, table.log_group, table.log_outside)
     if not all(np.all(np.isfinite(a)) for a in logs):
-        raise DegenerateShareError("inversion needs strictly positive shares everywhere")
+        raise OutOfDomainError("inversion needs strictly positive shares everywhere")
 
 
 def berry_invert(table: ShareTable, params: NestingParams) -> UtilityVector:

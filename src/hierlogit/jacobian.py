@@ -43,17 +43,17 @@ _RELATIVE_FLOOR = 1e-12
 class ShareJacobian:
     """Derivatives of joint shares: matrix[j, k] = ds_j/ddelta_k.
 
-    ``outside_row[k]`` holds ds_0/ddelta_k. Column sums of the matrix plus
-    the outside entry vanish (shares always sum to one), and the matrix is
-    symmetric: shares are the gradient of the top inclusive value, so this
-    is a Hessian. Both are real, the matrix 2-D and the row one entry per column; OutOfDomainError otherwise.
+    ``outside_row[k]`` holds ds_0/ddelta_k. Column sums of the matrix plus the outside entry vanish
+    (shares always sum to one), and the matrix is symmetric: shares are the gradient of the top
+    inclusive value, so this is a Hessian. Both are real and finite, the matrix 2-D and the row one
+    entry per column; OutOfDomainError otherwise.
     """
 
     matrix: np.ndarray
     outside_row: np.ndarray
 
     def __post_init__(self):
-        matrix, row = _real_array("matrix", self.matrix), _real_array("outside_row", self.outside_row)
+        matrix, row = (_real_array(name, getattr(self, name), finite=True) for name in ("matrix", "outside_row"))
         if matrix.ndim != 2 or row.shape != matrix.shape[1:]:
             raise OutOfDomainError(f"a matrix of shape {matrix.shape} and an outside_row of {row.shape} do not fit")
         self.__dict__.update(matrix=matrix, outside_row=row)  # frozen: set past __setattr__
@@ -162,11 +162,11 @@ def max_relative_error(analytic: ShareJacobian, fd: ShareJacobian, row_scale) ->
     last. Central differences only resolve an entry down to roughly
     eps*share/step, so entries whose true magnitude sits below that are pure
     FD roundoff and are judged against the size of the row they live in.
-    OutOfDomainError for Jacobians of two shapes, or a ``row_scale`` of another length.
+    OutOfDomainError for Jacobians of two shapes, or a ``row_scale`` of another length or not finite.
     """
     a, f = (np.vstack([_instance(name, j, ShareJacobian).matrix, j.outside_row])
             for name, j in (("analytic", analytic), ("fd", fd)))
-    scale = _real_array("row_scale", row_scale)
+    scale = _real_array("row_scale", row_scale, finite=True)
     if a.shape != f.shape or scale.shape != a.shape[:1]:
         raise OutOfDomainError(f"Jacobians of shapes {a.shape} and {f.shape} and a row_scale of {scale.shape} differ")
     return float(np.max(_relative_error(a, f, scale[:, None])))

@@ -102,11 +102,15 @@ def empirical_shares(counts: ChoiceCounts):
     """Frequencies and binomial standard errors from the simulated counts of one market.
 
     Returns ``(freq, se)`` with the outside option as the last entry of
-    both arrays; se_j = sqrt(f_j(1-f_j)/N).
+    both arrays; se_j = sqrt(f_j(1-f_j)/N). Each count is a finite number in
+    [0, 2**53], SimConfig's draw cap, and there is one draw at least;
+    OutOfDomainError otherwise.
     """
     outside = _real_array("counts", _instance("counts", counts, ChoiceCounts).outside_count, 1,
                           "empirical shares take the counts of one market; see ChoiceHierarchy.markets", finite=True)
     tally = np.append(_real_array("counts", counts.counts, -1, "counts must be one per product", finite=True), outside)
+    if tally.max() > 2**53:  # more than any simulation draws; so the sum cannot overflow
+        raise OutOfDomainError("counts must not exceed 2**53, the most draws SimConfig allows")
     if (total := tally.sum()) < 1 or tally.min() < 0:
         raise OutOfDomainError("empirical shares need at least one draw and no negative count")
     freq = tally / float(total)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateShareError, OutOfDomainError
+from .errors import OutOfDomainError
 from .hierarchy import ChoiceHierarchy, NestingParams, _instance, _real_array, as_delta_array
 
 __all__ = [
@@ -52,8 +52,8 @@ class ShareTable:
     The table is its logs, aligned to the hierarchy's canonical orders: ``log_joint`` and
     ``log_cond_product`` per product, ``log_cond_subgroup`` per flat subgroup, ``log_group`` per
     group and ``log_outside``, the no-purchase share's, per market (a scalar is taken as one
-    market's). Each is a real array with one entry per node of its level, -inf for a share of 0 and
-    none above the log of the tree's product count; OutOfDomainError otherwise. The inversion
+    market's). Each is a real array with one entry per node of its level, -inf for a share of 0, no
+    NaN and none above the log of the tree's product count; OutOfDomainError otherwise. The inversion
     routines work on the logs, which stay finite and accurate even when the shares themselves
     underflow (utilities on the order of +-700).
 
@@ -73,8 +73,9 @@ class ShareTable:
         for name, level in zip(("joint", "cond_product", "cond_subgroup", "group", "outside"), (3, 3, 2, 1, 0)):
             log = _real_array(f"log_{name}", getattr(self, f"log_{name}"), len(ids[level]),
                               f"log_{name} of shape {{shape}} is not one entry per node of level {level}")
-            if log.max() > np.log(len(ids[3])):  # a share is at most 1, a from_joint group sum below the count
-                raise OutOfDomainError(f"log_{name} holds a share above {len(ids[3])}, the tree's product count")
+            if not log.max() <= np.log(len(ids[3])):  # a share is at most 1, a from_joint group sum below the count
+                raise OutOfDomainError(f"log_{name} holds NaN" if np.isnan(log).any() else
+                                       f"log_{name} holds a share above {len(ids[3])}, the tree's product count")
             self.__dict__.update({f"log_{name}": log, name: np.exp(log)})  # frozen: set past __setattr__
 
     @classmethod
@@ -90,19 +91,18 @@ class ShareTable:
 
         Raises
         ------
-        DegenerateShareError
+        OutOfDomainError
             If a share is not a real number in the open (0, 1), NaN included, or not one per product or market.
         """
         h = _instance("hierarchy", hierarchy, ChoiceHierarchy)
         joint, outside = (
-            _real_array("joint and outside shares", shares, n, f"expected {n} {what} shares, got shape {{shape}}",
-                        DegenerateShareError)
+            _real_array("joint and outside shares", shares, n, f"expected {n} {what} shares, got shape {{shape}}")
             for shares, n, what in ((joint, h.n_products, "joint"), (outside, h.n_markets, "outside")))
         if not np.all((joint > 0.0) & (joint < 1.0)):
-            raise DegenerateShareError("joint shares must lie strictly in (0, 1)")
+            raise OutOfDomainError("joint shares must lie strictly in (0, 1)")
         bad = outside[~((outside > 0.0) & (outside < 1.0))]
         if bad.size:
-            raise DegenerateShareError(f"outside share {float(bad[0])!r} must lie strictly in (0, 1)")
+            raise OutOfDomainError(f"outside share {float(bad[0])!r} must lie strictly in (0, 1)")
 
         # products are summed straight into groups, not through subgroups
         group_sum, subgroup_sum = (np.bincount(h.above[l], weights=joint, minlength=len(h.ids[l])) for l in (1, 2))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimensionsError, OutOfDomainError, SingularDesignError
+from .errors import OutOfDomainError, SingularDesignError
 from .hierarchy import ChoiceHierarchy, NestingParams, UtilityVector, _instance, _number, _real_array, _sequence
 
 __all__ = ["SynthConfig", "EstimationResult", "generate_market", "estimate_linear"]
@@ -34,13 +34,12 @@ class SynthConfig:
 
     Raises
     ------
-    BadDimensionsError
-        On nonpositive tree dimensions, more than 10**7 products, an
-        empty beta, or an x_range that is not ``[lo, hi]`` with lo <= hi.
     OutOfDomainError
         On a field that is not a finite number (a bool is not one), a
-        dimension or seed that is not an integer, a negative xi_scale or
-        seed, a sigma outside [0, 1), or an x_range whose width overflows.
+        dimension or seed that is not an integer, nonpositive tree
+        dimensions, more than 10**7 products, an empty beta, an x_range
+        that is not ``[lo, hi]`` with lo <= hi or whose width overflows, a
+        negative xi_scale or seed, or a sigma outside [0, 1).
     """
 
     n_groups: int
@@ -63,11 +62,11 @@ class SynthConfig:
 
         shape = (self.n_groups, self.n_subgroups_per_group, self.n_products_per_subgroup)
         if min(shape) < 1 or math.prod(shape) > _MAX_PRODUCTS:
-            raise BadDimensionsError(f"tree dimensions {shape} must be >= 1, with <= {_MAX_PRODUCTS} products")
+            raise OutOfDomainError(f"tree dimensions {shape} must be >= 1, with <= {_MAX_PRODUCTS} products")
         if not self.beta:
-            raise BadDimensionsError("beta must be a nonempty vector")
+            raise OutOfDomainError("beta must be a nonempty vector")
         if len(self.x_range) != 2 or not self.x_range[0] <= self.x_range[1]:
-            raise BadDimensionsError(f"x_range {self.x_range!r} must be [lo, hi] with lo <= hi")
+            raise OutOfDomainError(f"x_range {self.x_range!r} must be [lo, hi] with lo <= hi")
         if not math.isfinite(self.x_range[1] - self.x_range[0]):
             raise OutOfDomainError(f"x_range {self.x_range!r} must have a finite width hi - lo")
         for name in ("xi_scale", "seed"):
@@ -121,10 +120,9 @@ def estimate_linear(rows, covariates) -> EstimationResult:
 
     Raises
     ------
-    BadDimensionsError
-        When the rows are not three, or they and the covariates disagree in length.
     OutOfDomainError
-        On regressors or regressand that are not finite real numbers, or not 1-D.
+        On regressors or regressand that are not finite real numbers, rows that are not three or not 1-D,
+        or rows and covariates that disagree in length.
     SingularDesignError
         On rank-deficient designs or too few rows to identify all
         coefficients.
@@ -133,7 +131,7 @@ def estimate_linear(rows, covariates) -> EstimationResult:
                         finite=True) for row in _sequence("rows", rows)]
     covariates = np.atleast_2d(_real_array("covariates", covariates, finite=True))
     if len(rows) != 3 or covariates.ndim != 2 or {len(row) for row in rows} != {len(covariates)}:
-        raise BadDimensionsError(f"rows of shapes {[row.shape for row in rows]} but covariates {covariates.shape}")
+        raise OutOfDomainError(f"rows of shapes {[row.shape for row in rows]} but covariates {covariates.shape}")
     (y, x1, x2), n = rows, len(covariates)
     if n < (n_coef := covariates.shape[1] + 2):
         raise SingularDesignError(f"{n} rows cannot identify {n_coef} coefficients")

@@ -48,9 +48,9 @@ def invoke(args):
 
 # A child imports the hierlogit that the tests import: src when they run from it, the installed
 # package when they run without src on the path. A RuntimeWarning, numpy reporting an overflow or a
-# NaN, is an error in the child, as in the tests.
+# NaN, is an error in the child, as in the tests, and so is a deprecated call.
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(hierlogit.__file__))),
-                 PYTHONWARNINGS="error::RuntimeWarning")
+                 PYTHONWARNINGS="error::RuntimeWarning,error::DeprecationWarning,error::FutureWarning")
 CLI = ("-m", "hierlogit.cli")
 
 

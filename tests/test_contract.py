@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import hierlogit
 from hierlogit import (
-    BadDimensionsError,
     ChoiceCounts,
     ChoiceHierarchy,
     HierLogitError,
@@ -49,6 +48,8 @@ JACOBIAN = full_jacobian(TREE, [0.1, 0.2], PARAMS)
 ONE = build_hierarchy([("g", "h", "a")])
 ROWS = ([1.0, 2.0, 3.0], [0.1, 0.2, 0.4], [0.3, 0.5, 0.4])
 IDS = [["m"], ["g0", "g1"], ["h0", "h1"], ["p0", "p1"]]
+# a group share of 0 beside finite joint logs
+NO_GROUP = dataclasses.replace(TABLE, log_group=-np.inf)
 
 CASES = {
     # complex utilities: a raw TypeError from a list, a ComplexWarning from an array
@@ -126,6 +127,26 @@ CASES = {
     "share-table-none-tree": (lambda: ShareTable(None, *(getattr(TABLE, f.name) for f in dataclasses.fields(TABLE)[1:])),
                               "^hierarchy must be a ChoiceHierarchy, not NoneType$"),
     "generate-market-none": (lambda: generate_market(None), "^config must be a SynthConfig, not NoneType$"),
+    # a NaN log passed the bound check: log_share_jacobian returned a NaN column, berry_invert blamed the utilities
+    "share-table-nan-log": (lambda: dataclasses.replace(TABLE, log_cond_product=np.array([np.nan, np.log(0.6)])),
+                            "^log_cond_product holds NaN$"),
+    "berry-invert-nan-group-log": (lambda: berry_invert(dataclasses.replace(TABLE, log_group=np.nan), PARAMS),
+                                   "^log_group holds NaN$"),
+    # a group share of 0 beside finite joint logs: berry_invert blamed the utilities, the others returned
+    "berry-invert-zero-group-share": (lambda: berry_invert(NO_GROUP, PARAMS), "^inversion needs strictly positive"),
+    "regression-rows-zero-group-share": (lambda: regression_rows(NO_GROUP), "^inversion needs strictly positive"),
+    "numeric-invert-zero-group-share": (lambda: numeric_invert(TREE, NO_GROUP, PARAMS),
+                                        "^inversion needs strictly positive shares everywhere$"),
+    # accepted: max_relative_error then warned of an invalid divide, or returned NaN
+    "share-jacobian-inf": (lambda: ShareJacobian(np.full((2, 2), np.inf), JACOBIAN.outside_row),
+                           "^matrix must all be finite$"),
+    "max-relative-error-inf": (lambda: max_relative_error(
+        ShareJacobian(JACOBIAN.matrix, [np.inf, 0.0]), JACOBIAN, [1.0] * 3), "^outside_row must all be finite$"),
+    "max-relative-error-nan-row-scale": (lambda: max_relative_error(JACOBIAN, JACOBIAN, [1.0, np.nan, 1.0]),
+                                         "^row_scale must all be finite$"),
+    # a RuntimeWarning from the sum's overflow
+    "empirical-shares-overflow": (lambda: empirical_shares(ChoiceCounts([1e308, 1e308], [1e308])),
+                                  r"^counts must not exceed 2\*\*53, the most draws SimConfig allows$"),
 }
 
 
@@ -157,12 +178,13 @@ _SYNTH_TREE, _SYNTH_DELTA, COVARIATES = generate_market(SYNTH)
 SYNTH_ROWS = regression_rows(compute_shares(_SYNTH_TREE, _SYNTH_DELTA, NestingParams(0.4, 0.2))[0])
 
 # the hostile vocabulary: None, bool, complex, text, NaN and +-inf, numbers out of range, numpy
-# scalars, a float where an int is meant, empty and wrongly shaped arrays, nested lists, and a tree,
-# table or other argument of another size or kind
+# scalars, a float where an int is meant, empty, wrongly shaped, non-finite and overflowing arrays,
+# nested lists, and a tree, table or other argument of another size or kind
 _ATOMS = [None, True, 1j, "a", "1.5", np.nan, np.inf, -np.inf, 0, -1, 0.5, 2.5, 1e308, 2**64,
           np.float64(0.5), np.int64(2), np.float32(np.nan), np.complex128(1j), np.array(1.0)]
 HOSTILE = st.one_of(
     st.sampled_from(_ATOMS + [np.array([]), np.ones((2, 2)), np.ones((5, 1, 1)), np.array([0.1, np.nan]),
+                              np.full((2, 2), np.inf), np.array([1e308, 1e308]),
                               ONE, TWO, ONE_TABLE, TWO_TABLE, PARAMS, COUNTS, JACOBIAN, SYNTH, SIM]),
     st.lists(st.sampled_from(_ATOMS) | st.lists(st.sampled_from(_ATOMS), max_size=3), max_size=3),
 )
@@ -209,12 +231,12 @@ CALLS = st.sampled_from(sorted(ARGUMENTS)).flatmap(lambda name: st.builds(
 
 # rows, Jacobians and counts of the wrong shape or content: a raw ValueError, IndexError or AttributeError
 SHAPES = {
-    "estimate-linear-two-rows": (lambda: estimate_linear(SYNTH_ROWS[:2], COVARIATES), BadDimensionsError,
+    "estimate-linear-two-rows": (lambda: estimate_linear(SYNTH_ROWS[:2], COVARIATES), OutOfDomainError,
                                  r"^rows of shapes \[\(8,\), \(8,\)\] but covariates \(8, 1\)$"),
-    "estimate-linear-three-numbers": (lambda: estimate_linear((1.0, 2.0, 3.0), COVARIATES), BadDimensionsError,
+    "estimate-linear-three-numbers": (lambda: estimate_linear((1.0, 2.0, 3.0), COVARIATES), OutOfDomainError,
                                       r"^rows of shapes \[\(1,\), \(1,\), \(1,\)\]"),
     "estimate-linear-3d-covariates": (lambda: estimate_linear(SYNTH_ROWS, COVARIATES.reshape(-1, 1, 1)),
-                                      BadDimensionsError, r"but covariates \(8, 1, 1\)$"),
+                                      OutOfDomainError, r"but covariates \(8, 1, 1\)$"),
     "max-relative-error-short-outside-row": (
         lambda: max_relative_error(ShareJacobian(JACOBIAN.matrix, JACOBIAN.outside_row[:1]), JACOBIAN, [1.0] * 3),
         OutOfDomainError, r"^a matrix of shape \(2, 2\) and an outside_row of \(1,\) do not fit$"),
@@ -237,6 +259,12 @@ def test_counts_in_lists_are_counts():
     assert all(map(np.array_equal, listed, arrays))
 
 
+def test_the_package_has_five_errors():
+    # every refused argument is an OutOfDomainError
+    assert {name for name in hierlogit.__all__ if name.endswith("Error")} == {
+        "HierLogitError", "OutOfDomainError", "MarketFileError", "NoConvergenceError", "SingularDesignError"}
+
+
 def test_every_public_callable_has_arguments_to_draw():
     public = {name for name in hierlogit.__all__ if callable(getattr(hierlogit, name))}
     assert public <= set(ARGUMENTS), sorted(public - set(ARGUMENTS))
@@ -249,13 +277,30 @@ def _examples(test):
     return test
 
 
+# a call that takes each kind of result: a Jacobian's comparison with itself, counts' frequencies and a
+# table's log-share Jacobian
+FOLLOW = {ShareJacobian: lambda j: max_relative_error(j, j, np.ones(len(j.matrix) + 1)),
+          ChoiceCounts: empirical_shares, ShareTable: lambda table: log_share_jacobian(table, PARAMS)}
+
+
+def _holds_nan(result) -> bool:
+    """Whether a number, an array or a tuple of them holds NaN; a record's fields are its own arguments."""
+    if isinstance(result, tuple):
+        return any(map(_holds_nan, result))
+    return isinstance(result, (float, np.ndarray)) and np.asarray(result).dtype.kind == "f" and np.isnan(result).any()
+
+
 @_examples
 @settings(max_examples=3000, derandomize=True, database=None, deadline=None)
 @given(call=CALLS)
 def test_every_public_call_returns_or_raises_the_packages_own_error(call):
+    # a result holds no NaN, a silent wrong answer, and neither does what the call that takes it returns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            call()
+            result = call()
+            assert not _holds_nan(result), result
+            if type(result) in FOLLOW:
+                assert not _holds_nan(FOLLOW[type(result)](result)), result
         except HierLogitError:
             pass

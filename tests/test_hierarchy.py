@@ -6,8 +6,6 @@ import pytest
 from hierlogit import (
     OUTSIDE_ID,
     ChoiceHierarchy,
-    DuplicateProductError,
-    EmptyInputError,
     NestingParams,
     OutOfDomainError,
     UtilityVector,
@@ -39,20 +37,20 @@ def test_product_index_positions():
 
 
 def test_duplicate_product_rejected():
-    with pytest.raises(DuplicateProductError):
+    with pytest.raises(OutOfDomainError):
         build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p1")])
     # same id in a different subgroup is still a duplicate
-    with pytest.raises(DuplicateProductError):
+    with pytest.raises(OutOfDomainError):
         build_hierarchy([("g1", "h1", "p1"), ("g2", "h2", "p1")])
 
 
 def test_reserved_outside_id_rejected():
-    with pytest.raises(DuplicateProductError):
+    with pytest.raises(OutOfDomainError):
         build_hierarchy([("g1", "h1", OUTSIDE_ID)])
 
 
 def test_empty_input_rejected():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(OutOfDomainError):
         build_hierarchy([])
 
 

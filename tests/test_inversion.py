@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hierlogit import (
-    DegenerateShareError,
     NestingParams,
     NoConvergenceError,
     OutOfDomainError,
@@ -73,9 +72,9 @@ def test_inversion_rejects_degenerate_table():
     assert bad.log_outside.shape == bad.outside.shape == (1,) and bad.outside[0] == 0.5
     assert bad.joint.tolist() == [0.5, 0.0] and bad.cond_product.tolist() == [1.0, 0.0]
     params = NestingParams(0.3, 0.2)
-    with pytest.raises(DegenerateShareError):
+    with pytest.raises(OutOfDomainError):
         berry_invert(bad, params)
-    with pytest.raises(DegenerateShareError):
+    with pytest.raises(OutOfDomainError):
         regression_rows(bad)
 
 
@@ -88,6 +87,22 @@ def test_share_table_refuses_complex_logs(name):
     table, _ = compute_shares(tree, [0.1, 0.2], NestingParams(0.5, 0.25))
     with pytest.raises(OutOfDomainError, match=f"^{name} must be real numbers$"):
         dataclasses.replace(table, **{name: getattr(table, name) + 1e-200j})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["log_joint", "log_cond_product", "log_cond_subgroup", "log_group", "log_outside"])
+def test_share_table_refuses_nan_logs(name):
+    # NaN is not above the bound, so a NaN log once passed: log_share_jacobian returned a NaN column and
+    # berry_invert blamed the utilities
+    tree = build_hierarchy([("g", "h", "a"), ("g", "k", "b")])
+    table, _ = compute_shares(tree, [0.1, 0.2], NestingParams(0.5, 0.25))
+    log = getattr(table, name).copy()
+    log[-1] = np.nan
+    with pytest.raises(OutOfDomainError, match=f"^{name} holds NaN$"):
+        dataclasses.replace(table, **{name: log})
+    # -inf stays a share of 0
+    log[-1] = -np.inf
+    assert getattr(dataclasses.replace(table, **{name: log}), name.removeprefix("log_"))[-1] == 0.0
 
 
 def test_regression_rows_symmetric_singleton():

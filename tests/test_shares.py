@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from hierlogit import (
-    DegenerateShareError,
     NestingParams,
     OutOfDomainError,
     ShareTable,
@@ -232,13 +231,13 @@ def test_from_joint_rebuilds_conditionals():
 
 def test_from_joint_rejects_degenerate_input():
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
-    with pytest.raises(DegenerateShareError):
+    with pytest.raises(OutOfDomainError):
         ShareTable.from_joint(tree, [0.0, 0.5], 0.5)
-    with pytest.raises(DegenerateShareError):
+    with pytest.raises(OutOfDomainError):
         ShareTable.from_joint(tree, [0.2, 0.3], 0.0)
-    with pytest.raises(DegenerateShareError):
+    with pytest.raises(OutOfDomainError):
         ShareTable.from_joint(tree, [0.2, -0.1], 0.9)
-    with pytest.raises(DegenerateShareError):
+    with pytest.raises(OutOfDomainError):
         ShareTable.from_joint(tree, [0.2], 0.5)
 
 
@@ -252,7 +251,7 @@ def test_from_joint_refuses_shares_that_are_not_real_numbers(joint, outside):
     # complex shares once raised a raw TypeError (a complex array warned and lost its imaginary
     # parts), a string a raw ValueError; text is refused even where numpy reads it as a number
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
-    with pytest.raises(DegenerateShareError, match="outside shares must be real numbers"):
+    with pytest.raises(OutOfDomainError, match="outside shares must be real numbers"):
         ShareTable.from_joint(tree, joint, outside)
 
 

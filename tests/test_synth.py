@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hierlogit import (
-    BadDimensionsError,
     NestingParams,
     OutOfDomainError,
     SingularDesignError,
@@ -64,14 +63,14 @@ def test_generate_market_reproducible():
 
 
 def test_generate_market_validation():
-    with pytest.raises(BadDimensionsError):
+    with pytest.raises(OutOfDomainError):
         generate_market(SynthConfig(0, 2, 2, beta=(1.0,)))
-    with pytest.raises(BadDimensionsError):
+    with pytest.raises(OutOfDomainError):
         generate_market(SynthConfig(2, 2, 2, beta=()))
-    with pytest.raises(BadDimensionsError):
+    with pytest.raises(OutOfDomainError):
         generate_market(SynthConfig(2, 2, 2, beta=(1.0,), x_range=(1.0, 0.0)))
     # more than 10**7 products is refused before anything is allocated
-    with pytest.raises(BadDimensionsError):
+    with pytest.raises(OutOfDomainError):
         generate_market(SynthConfig(10**9, 2, 2, beta=(1.0,)))
     with pytest.raises(OutOfDomainError):
         generate_market(SynthConfig(2, 2, 2, beta=(1.0,), xi_scale=-0.1))
@@ -102,7 +101,7 @@ def test_synth_config_refuses_non_numbers(args, kwargs):
 
 @pytest.mark.parametrize("kwargs", [{"x_range": (0.0,)}, {"x_range": (0.0, 1.0, 2.0)}, {"beta": []}])
 def test_synth_config_refuses_bad_shapes(kwargs):
-    with pytest.raises(BadDimensionsError):
+    with pytest.raises(OutOfDomainError):
         SynthConfig(2, 2, 2, **{"beta": (1.0,), **kwargs})
 
 
@@ -156,9 +155,9 @@ def test_misaligned_covariates_rejected():
     tree, delta, covariates = generate_market(config)
     table, _ = compute_shares(tree, delta, NestingParams(0.4, 0.2))
     y, x1, x2 = regression_rows(table)
-    with pytest.raises(BadDimensionsError):
+    with pytest.raises(OutOfDomainError):
         estimate_linear((y, x1, x2), covariates[:-1])
-    with pytest.raises(BadDimensionsError):
+    with pytest.raises(OutOfDomainError):
         estimate_linear((y, x1[:-1], x2), covariates)
 
 
