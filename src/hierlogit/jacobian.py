@@ -89,23 +89,6 @@ def _blocks(table: ShareTable, params: NestingParams) -> tuple:
     return cells, rows, (i <= sizes)[:, :, None] & (i[:-1] < sizes)[:, None, :]
 
 
-def _solve_log_ratio_jacobian(table: ShareTable, params: NestingParams, r: np.ndarray) -> np.ndarray:
-    """x with ``(log_share_jacobian(table, params) + table.joint) @ x == r`` in every market, in O(N).
-
-    That sum, the Jacobian of log(s_j/s_0), is a*I minus a rank-one term per
-    subgroup and group. With R_h = sum_{k in h} cp_k r_k and Q_g = sum_{h in
-    g} cs_h R_h, x = (1-sigma1) r + (sigma1-sigma2) R + sigma2 Q: no
-    coefficient exceeds 1 and nothing is divided, so x is finite where r is
-    (NaN, without a warning, where an infinite r meets a share of 0).
-    """
-    h = table.hierarchy
-    with np.errstate(invalid="ignore"):
-        big_r = np.bincount(h.product_subgroup, weights=table.cond_product * r, minlength=h.n_subgroups)
-        q = np.bincount(h.subgroup_group, weights=table.cond_subgroup * big_r, minlength=h.n_groups)
-        return ((1.0 - params.sigma1) * r + (params.sigma1 - params.sigma2) * big_r[h.product_subgroup]
-                + params.sigma2 * q[h.product_group])
-
-
 def full_jacobian(hierarchy: ChoiceHierarchy, delta, params: NestingParams) -> ShareJacobian:
     """Analytic ds/ddelta for every inside product plus the outside row, at real utilities."""
     one_market(hierarchy, "full_jacobian")

@@ -109,9 +109,9 @@ def empirical_shares(counts: ChoiceCounts):
     outside = _real_array("counts", _instance("counts", counts, ChoiceCounts).outside_count, 1,
                           "empirical shares take the counts of one market; see ChoiceHierarchy.markets", finite=True)
     tally = np.append(_real_array("counts", counts.counts, -1, "counts must be one per product", finite=True), outside)
-    if tally.max() > 2**53:  # more than any simulation draws; so the sum cannot overflow
+    if tally.max() > 2**53:  # more than any simulation draws; with the sign checked before it, the sum cannot overflow
         raise OutOfDomainError("counts must not exceed 2**53, the most draws SimConfig allows")
-    if (total := tally.sum()) < 1 or tally.min() < 0:
+    if tally.min() < 0 or (total := tally.sum()) < 1:
         raise OutOfDomainError("empirical shares need at least one draw and no negative count")
     freq = tally / float(total)
     se = np.sqrt(freq * (1.0 - freq) / float(total))

@@ -122,7 +122,7 @@ def estimate_linear(rows, covariates) -> EstimationResult:
     ------
     OutOfDomainError
         On regressors or regressand that are not finite real numbers, rows that are not three or not 1-D,
-        or rows and covariates that disagree in length.
+        rows and covariates that disagree in length, or a residual norm past the largest double.
     SingularDesignError
         On rank-deficient designs or too few rows to identify all
         coefficients.
@@ -141,5 +141,10 @@ def estimate_linear(rows, covariates) -> EstimationResult:
     if singular.min() <= _PIVOT_RTOL * singular.max():
         raise SingularDesignError("design matrix is rank deficient (collinear regressors)")
 
+    with np.errstate(over="ignore", invalid="ignore"):  # the norm's x.dot(x) overflows past residuals of 1.3e154
+        norm = np.linalg.norm(residual := y - design @ coef)
+        norm = norm if np.isfinite(norm) else np.hypot.reduce(residual)
+    if not np.isfinite(norm):
+        raise OutOfDomainError(f"the residual norm of the fit, {norm}, is not finite")
     return EstimationResult(beta_hat=coef[:-2], sigma1_hat=float(coef[-2]), sigma2_hat=float(coef[-1]),
-                            residual_norm=float(np.linalg.norm(y - design @ coef)))
+                            residual_norm=float(norm))

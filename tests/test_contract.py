@@ -1,17 +1,18 @@
 """The public API's contract: a call returns a result or raises the package's own error.
 
 Each case below is a hostile but plausible call that once escaped as a raw
-numpy or Python error, a warning, or a silent wrong answer.
+numpy or Python error, a warning, or a silent wrong answer. The sweep at the
+end enumerates calls of every public name with a hostile value in one
+argument, then in two; it draws nothing at random.
 """
 
 import dataclasses
 import functools
+import itertools
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import hierlogit
 from hierlogit import (
@@ -50,6 +51,13 @@ ROWS = ([1.0, 2.0, 3.0], [0.1, 0.2, 0.4], [0.3, 0.5, 0.4])
 IDS = [["m"], ["g0", "g1"], ["h0", "h1"], ["p0", "p1"]]
 # a group share of 0 beside finite joint logs
 NO_GROUP = dataclasses.replace(TABLE, log_group=-np.inf)
+# arguments of every kind the public API takes, some of another size than the calls expect
+TWO = ChoiceHierarchy([["m1", "m2"], ["g1", "g2"], ["h1", "h2"], ["a", "b"]], [[0, 1], [0, 1], [0, 1]])
+TWO_TABLE, ONE_TABLE = compute_shares(TWO, [0.1, 0.2], PARAMS)[0], compute_shares(ONE, [0.3], PARAMS)[0]
+COUNTS, SIM = ChoiceCounts(np.array([5, 3]), np.array([2])), SimConfig(draws=100, seed=1)
+SYNTH = SynthConfig(2, 2, 2, beta=(1.0,), sigma1=0.4, sigma2=0.2, seed=3)
+_SYNTH_TREE, _SYNTH_DELTA, COVARIATES = generate_market(SYNTH)
+SYNTH_ROWS = regression_rows(compute_shares(_SYNTH_TREE, _SYNTH_DELTA, NestingParams(0.4, 0.2))[0])
 
 CASES = {
     # complex utilities: a raw TypeError from a list, a ComplexWarning from an array
@@ -147,6 +155,24 @@ CASES = {
     # a RuntimeWarning from the sum's overflow
     "empirical-shares-overflow": (lambda: empirical_shares(ChoiceCounts([1e308, 1e308], [1e308])),
                                   r"^counts must not exceed 2\*\*53, the most draws SimConfig allows$"),
+    # rows, Jacobians and counts of the wrong shape or content: a raw ValueError, IndexError or AttributeError
+    "estimate-linear-two-rows": (lambda: estimate_linear(SYNTH_ROWS[:2], COVARIATES),
+                                 r"^rows of shapes \[\(8,\), \(8,\)\] but covariates \(8, 1\)$"),
+    "estimate-linear-three-numbers": (lambda: estimate_linear((1.0, 2.0, 3.0), COVARIATES),
+                                      r"^rows of shapes \[\(1,\), \(1,\), \(1,\)\]"),
+    "estimate-linear-3d-covariates": (lambda: estimate_linear(SYNTH_ROWS, COVARIATES.reshape(-1, 1, 1)),
+                                      r"but covariates \(8, 1, 1\)$"),
+    "max-relative-error-short-outside-row": (
+        lambda: max_relative_error(ShareJacobian(JACOBIAN.matrix, JACOBIAN.outside_row[:1]), JACOBIAN, [1.0] * 3),
+        r"^a matrix of shape \(2, 2\) and an outside_row of \(1,\) do not fit$"),
+    "empirical-shares-nan-count": (lambda: empirical_shares(ChoiceCounts(np.array([5.0, np.nan]), np.array([2]))),
+                                   "^counts must all be finite$"),
+    # a RuntimeWarning from the overflow of the sum of negative counts, or of the residual norm's dot product
+    "empirical-shares-negative-overflow": (lambda: empirical_shares(ChoiceCounts([-1e308, -1e308], [2.0])),
+                                           "^empirical shares need at least one draw and no negative count$"),
+    "estimate-linear-residual-past-a-double": (
+        lambda: estimate_linear(([1e308, -1e308] * 4, *SYNTH_ROWS[1:]), COVARIATES),
+        "^the residual norm of the fit, inf, is not finite$"),
 }
 
 
@@ -169,28 +195,20 @@ def test_a_tree_takes_parents_of_whole_numbers_of_any_numeric_dtype(dtype):
     assert (tree.parent[1] is parent[1]) == (dtype is np.intp)
 
 
-# arguments of every kind the public API takes, some of another size than the calls expect
-TWO = ChoiceHierarchy([["m1", "m2"], ["g1", "g2"], ["h1", "h2"], ["a", "b"]], [[0, 1], [0, 1], [0, 1]])
-TWO_TABLE, ONE_TABLE = compute_shares(TWO, [0.1, 0.2], PARAMS)[0], compute_shares(ONE, [0.3], PARAMS)[0]
-COUNTS, SIM = ChoiceCounts(np.array([5, 3]), np.array([2])), SimConfig(draws=100, seed=1)
-SYNTH = SynthConfig(2, 2, 2, beta=(1.0,), sigma1=0.4, sigma2=0.2, seed=3)
-_SYNTH_TREE, _SYNTH_DELTA, COVARIATES = generate_market(SYNTH)
-SYNTH_ROWS = regression_rows(compute_shares(_SYNTH_TREE, _SYNTH_DELTA, NestingParams(0.4, 0.2))[0])
-
 # the hostile vocabulary: None, bool, complex, text, NaN and +-inf, numbers out of range, numpy
 # scalars, a float where an int is meant, empty, wrongly shaped, non-finite and overflowing arrays,
-# nested lists, and a tree, table or other argument of another size or kind
+# each atom in a list of one, in a list of two and nested once, and a tree, table or other argument
+# of another size or kind
 _ATOMS = [None, True, 1j, "a", "1.5", np.nan, np.inf, -np.inf, 0, -1, 0.5, 2.5, 1e308, 2**64,
           np.float64(0.5), np.int64(2), np.float32(np.nan), np.complex128(1j), np.array(1.0)]
-HOSTILE = st.one_of(
-    st.sampled_from(_ATOMS + [np.array([]), np.ones((2, 2)), np.ones((5, 1, 1)), np.array([0.1, np.nan]),
-                              np.full((2, 2), np.inf), np.array([1e308, 1e308]),
-                              ONE, TWO, ONE_TABLE, TWO_TABLE, PARAMS, COUNTS, JACOBIAN, SYNTH, SIM]),
-    st.lists(st.sampled_from(_ATOMS) | st.lists(st.sampled_from(_ATOMS), max_size=3), max_size=3),
-)
+VOCABULARY = [*_ATOMS, *([a] for a in _ATOMS), *([a, a] for a in _ATOMS), *([[a]] for a in _ATOMS), [],
+              np.array([]), np.ones((2, 2)), np.ones((5, 1, 1)), np.array([0.1, np.nan]), np.full((2, 2), np.inf),
+              np.array([1e308, 1e308]), ONE, TWO, ONE_TABLE, TWO_TABLE, PARAMS, COUNTS, JACOBIAN, SYNTH, SIM]
+# what a mutation puts into one entry of a good numeric value
+_ENTRIES = [np.nan, np.inf, -np.inf, 1e308, -1e308, -1, 0, 2**53 + 2, 5e-324]
 
-# each public callable's arguments in order, a list of good values for each; a drawn call takes one
-# of them or a hostile value for every argument
+# each public callable's arguments in order, a list of good values for each; the sweep puts a
+# hostile value into one or two of them and takes every combination of good values for the others
 ARGUMENTS = {
     **{name: [["a message"]] for name in hierlogit.__all__ if name.endswith("Error")},
     "ChoiceHierarchy": [[IDS], [[[0, 0], [0, 1], [0, 1]]]],
@@ -226,32 +244,6 @@ def _public(name):
     return TWO.markets if name == "ChoiceHierarchy.markets" else functools.reduce(getattr, name.split("."), hierlogit)
 
 
-CALLS = st.sampled_from(sorted(ARGUMENTS)).flatmap(lambda name: st.builds(
-    functools.partial, st.just(_public(name)), *(st.sampled_from(good) | HOSTILE for good in ARGUMENTS[name])))
-
-# rows, Jacobians and counts of the wrong shape or content: a raw ValueError, IndexError or AttributeError
-SHAPES = {
-    "estimate-linear-two-rows": (lambda: estimate_linear(SYNTH_ROWS[:2], COVARIATES), OutOfDomainError,
-                                 r"^rows of shapes \[\(8,\), \(8,\)\] but covariates \(8, 1\)$"),
-    "estimate-linear-three-numbers": (lambda: estimate_linear((1.0, 2.0, 3.0), COVARIATES), OutOfDomainError,
-                                      r"^rows of shapes \[\(1,\), \(1,\), \(1,\)\]"),
-    "estimate-linear-3d-covariates": (lambda: estimate_linear(SYNTH_ROWS, COVARIATES.reshape(-1, 1, 1)),
-                                      OutOfDomainError, r"but covariates \(8, 1, 1\)$"),
-    "max-relative-error-short-outside-row": (
-        lambda: max_relative_error(ShareJacobian(JACOBIAN.matrix, JACOBIAN.outside_row[:1]), JACOBIAN, [1.0] * 3),
-        OutOfDomainError, r"^a matrix of shape \(2, 2\) and an outside_row of \(1,\) do not fit$"),
-    "empirical-shares-nan-count": (lambda: empirical_shares(ChoiceCounts(np.array([5.0, np.nan]), np.array([2]))),
-                                   OutOfDomainError, "^counts must all be finite$"),
-}
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("call, error, message", SHAPES.values(), ids=SHAPES.keys())
-def test_a_call_of_the_wrong_shape_raises_the_packages_own_error(call, error, message):
-    with pytest.raises(error, match=message):
-        call()
-
-
 @pytest.mark.filterwarnings("error")
 def test_counts_in_lists_are_counts():
     # once a raw AttributeError, from the list's missing .sum
@@ -265,16 +257,34 @@ def test_the_package_has_five_errors():
         "HierLogitError", "OutOfDomainError", "MarketFileError", "NoConvergenceError", "SingularDesignError"}
 
 
-def test_every_public_callable_has_arguments_to_draw():
+def test_every_public_callable_has_arguments_to_sweep():
     public = {name for name in hierlogit.__all__ if callable(getattr(hierlogit, name))}
     assert public <= set(ARGUMENTS), sorted(public - set(ARGUMENTS))
 
 
-def _examples(test):
-    """``test`` with every call of CASES and SHAPES as an explicit example."""
-    for call, *_ in [*CASES.values(), *SHAPES.values()]:
-        test = example(call=call)(test)
-    return test
+def _mutations(good) -> list:
+    """``good`` with one entry set to each of _ENTRIES, then one entry short, one entry long, of one
+    dimension more, complex, float32 and of dtype object, if it is a number or an array or list of
+    numbers; a changed entry keeps its container, a number, array, list or tuple."""
+    try:
+        array = np.asarray(good)
+    except ValueError:  # ragged, as the levels of a tree's ids
+        return []
+    if array.dtype.kind not in "iuf" or isinstance(good, bool):
+        return []
+    flat, rows = array.ravel().tolist(), np.atleast_1d(array)
+    changed = (np.reshape(np.array(flat[:k] + [x] + flat[k + 1:]), array.shape)
+               for k in range(len(flat)) for x in _ENTRIES)
+
+    def keep(a):
+        return a if isinstance(good, np.ndarray) else a.item() if a.ndim == 0 else type(good)(a.tolist())
+    return [*map(keep, changed), rows[:-1], np.concatenate([rows, rows[-1:]]), rows[None],
+            array.astype(complex), array.astype(np.float32), array.astype(object)]
+
+
+def _product(goods, changes):
+    """Every combination of good values, the arguments in ``changes``, a dict of position to values, changed."""
+    return itertools.product(*(changes.get(i, values) for i, values in enumerate(goods)))
 
 
 # a call that takes each kind of result: a Jacobian's comparison with itself, counts' frequencies and a
@@ -290,17 +300,40 @@ def _holds_nan(result) -> bool:
     return isinstance(result, (float, np.ndarray)) and np.asarray(result).dtype.kind == "f" and np.isnan(result).any()
 
 
-@_examples
-@settings(max_examples=3000, derandomize=True, database=None, deadline=None)
-@given(call=CALLS)
-def test_every_public_call_returns_or_raises_the_packages_own_error(call):
-    # a result holds no NaN, a silent wrong answer, and neither does what the call that takes it returns
+def _returns(call, name, args, escapes) -> bool:
+    """Whether ``call(*args)`` returned; what escaped joins ``escapes``: a raw error or a warning, or NaN in
+    what the call returns or in what the call that takes its result returns."""
+    returned = False
+    try:
+        result, returned = call(*args), True
+        if _holds_nan(result) or type(result) in FOLLOW and _holds_nan(FOLLOW[type(result)](result)):
+            raise AssertionError(f"NaN in {result!r}, or in what the call that takes it returns")
+    except HierLogitError:
+        pass
+    except Exception as err:  # a warning too, as an error
+        escapes.append(" ".join(f"{name}{args!r}: {type(err).__name__}: {err}".split()))
+    return returned
+
+
+def test_every_public_call_returns_or_raises_the_packages_own_error():
+    # each hostile value in each argument alone, every combination of good values in the others; then each
+    # pair of arguments, each with its hostile values, but for pairs of two values that were both refused
+    # alone: a check that refuses a value alone refuses it beside any other, unless it relates two arguments
+    escapes = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        try:
-            result = call()
-            assert not _holds_nan(result), result
-            if type(result) in FOLLOW:
-                assert not _holds_nan(FOLLOW[type(result)](result)), result
-        except HierLogitError:
-            pass
+        for name, goods in sorted(ARGUMENTS.items()):
+            call = _public(name)
+            # each argument's hostile values, the vocabulary and its good values' mutations, split into those
+            # that every call refused alone and those that one returned from
+            alone = [([], []) for _ in goods]
+            for i, values in enumerate(goods):
+                for value in VOCABULARY + [m for good in values for m in _mutations(good)]:
+                    returned = [_returns(call, name, args, escapes) for args in _product(goods, {i: [value]})]
+                    alone[i][any(returned)].append(value)
+            for i, j in itertools.combinations(range(len(goods)), 2):
+                (refused_i, taken_i), (refused_j, taken_j) = alone[i], alone[j]
+                for changes in ({i: taken_i, j: refused_j + taken_j}, {i: refused_i, j: taken_j}):
+                    for args in _product(goods, changes):
+                        _returns(call, name, args, escapes)
+    assert not escapes, f"{len(escapes)} calls escaped:\n" + "\n".join(escapes)

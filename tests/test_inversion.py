@@ -285,7 +285,7 @@ def test_newton_reports_a_real_stall():
     # a solve that steps uphill: no halving lowers the residual, so the line search stalls
     tree = build_hierarchy([("g1", "h1", "p1"), ("g1", "h1", "p2")])
     target = ShareTable.from_joint(tree, [0.9, 0.9], 0.5)
-    with (mock.patch("hierlogit.jacobian._solve_log_ratio_jacobian", lambda table, params, resid: -resid),
+    with (mock.patch("hierlogit.inversion._solve_log_ratio_jacobian", lambda table, params, resid: -resid),
           pytest.raises(NoConvergenceError, match="line search stalled at log-ratio residual") as info):
         numeric_invert(tree, target, NestingParams(0.5, 0.25))
     assert np.isfinite(info.value.residual)
@@ -296,7 +296,7 @@ def test_newton_reports_a_step_that_is_not_finite():
     tree = balanced_tree(2, 2, 2)
     params = NestingParams(0.5, 0.25)
     table, _ = compute_shares(tree, np.linspace(-1, 1, 8), params)
-    with (mock.patch("hierlogit.jacobian._solve_log_ratio_jacobian",
+    with (mock.patch("hierlogit.inversion._solve_log_ratio_jacobian",
                      lambda table, params, resid: np.full_like(resid, np.nan)),
           pytest.raises(NoConvergenceError) as info):
         numeric_invert(tree, table, params)

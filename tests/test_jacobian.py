@@ -20,7 +20,8 @@ from hierlogit import (
     simulate_choices,
 )
 from hierlogit import jacobian
-from hierlogit.jacobian import _complex_step_columns, _solve_log_ratio_jacobian
+from hierlogit.inversion import _solve_log_ratio_jacobian
+from hierlogit.jacobian import _complex_step_columns
 from hierlogit.shares import _log_shares
 
 from helpers import (
